@@ -55,14 +55,6 @@ class BaselineResult:
     monotonicity_violations: int = 0
 
 
-def _classify_latent(
-    classifier: nc.Network, generator: nc.Network, z: np.ndarray
-) -> tuple[int, np.ndarray]:
-    img = nc.forward(generator, z).output
-    probs = nc.forward(classifier, img).output
-    return int(np.argmax(probs)), img
-
-
 def _objective_step(
     classifier: nc.Network,
     generator: nc.Network,

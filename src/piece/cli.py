@@ -169,6 +169,19 @@ def cmd_explain(args) -> int:
         )
     image = arts.test_data.images[args.index]
     label = int(arts.test_data.labels[args.index])
+    if args.target_class is not None:
+        n_classes = cfg.dataset.glyphs.n_classes
+        if not (0 <= args.target_class < n_classes):
+            raise ConfigError(
+                f"--target-class {args.target_class} out of range (classes 0..{n_classes - 1})"
+            )
+        if mode == "counterfactual":
+            predicted = int(np.argmax(nc.forward(arts.classifier, image.ravel()).output))
+            if args.target_class == predicted:
+                raise ConfigError(
+                    f"--target-class {args.target_class} is the predicted class of image "
+                    f"{args.index}; a counterfactual needs another class"
+                )
     request = pl.ExplanationRequest(
         image=image,
         true_label=label,

@@ -8,7 +8,6 @@ intensity, and additive noise. Generation is fully deterministic given
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import struct
@@ -16,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .netcore import Array
+from .netcore import Array, decode_array, encode_array
 
 
 class DataError(Exception):
@@ -243,17 +242,13 @@ def read_pgm(path) -> Array:
 # Dataset files and manifest
 
 
-def _encode_images(images: Array) -> str:
-    return base64.b64encode(np.ascontiguousarray(images, "<f8").tobytes()).decode("ascii")
-
-
 def save_dataset(data: Dataset, path) -> None:
     doc = {
         "format": "piece-dataset",
         "split": data.split,
         "shape": list(data.images.shape),
         "labels": data.labels.tolist(),
-        "images": _encode_images(data.images),
+        "images": encode_array(data.images),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -265,12 +260,7 @@ def load_dataset(path) -> Dataset:
         doc = json.load(fh)
     if doc.get("format") != "piece-dataset":
         raise DataError(f"{path}: not a dataset file")
-    shape = tuple(doc["shape"])
-    raw = base64.b64decode(doc["images"].encode("ascii"))
-    n = int(np.prod(shape))
-    if len(raw) != 8 * n:
-        raise DataError(f"{path}: image payload length mismatch")
-    images = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    images = decode_array(doc["images"], tuple(doc["shape"]), f"{path}: images", DataError)
     return Dataset(images, np.asarray(doc["labels"], dtype=np.int64), doc["split"])
 
 

@@ -379,7 +379,7 @@ def _metric_row(
         flat_image,
         target,
         passes=cfg.metrics.mc_passes,
-        seed=derive_seed(cfg.seed, 9, image_id, _method_code(method), _mode_code(mode)),
+        seed=derive_seed(cfg.seed, 9, image_id, _METHOD_CODES[method], _MODE_CODES[mode]),
     )
     feats = _features_of(arts.classifier, flat_image)
     return evalx.MetricRow(
@@ -399,14 +399,6 @@ def _metric_row(
 
 _METHOD_CODES = {"piece": 0, "min_edit": 1, "c_min_edit": 2}
 _MODE_CODES = {"counterfactual": 0, "semifactual": 1, "proportional": 2, "distance": 3}
-
-
-def _method_code(method: str) -> int:
-    return _METHOD_CODES[method]
-
-
-def _mode_code(mode: str) -> int:
-    return _MODE_CODES[mode]
 
 
 # ---------------------------------------------------------------------------

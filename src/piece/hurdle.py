@@ -323,14 +323,10 @@ def load_stats(path) -> StatsTable:
 
 
 def save_latents(latents: np.ndarray, predicted: np.ndarray, path) -> None:
-    import base64
-
     doc = {
         "format": "piece-latents",
         "shape": list(latents.shape),
-        "latents": base64.b64encode(
-            np.ascontiguousarray(latents, "<f8").tobytes()
-        ).decode("ascii"),
+        "latents": nc.encode_array(latents),
         "predicted": predicted.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -339,13 +335,11 @@ def save_latents(latents: np.ndarray, predicted: np.ndarray, path) -> None:
 
 
 def load_latents(path) -> tuple[np.ndarray, np.ndarray]:
-    import base64
-
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != "piece-latents":
         raise HurdleError(f"{path}: not a latents file")
-    shape = tuple(doc["shape"])
-    raw = base64.b64decode(doc["latents"].encode("ascii"))
-    latents = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    latents = nc.decode_array(
+        doc["latents"], tuple(doc["shape"]), f"{path}: latents", HurdleError
+    )
     return latents, np.asarray(doc["predicted"], dtype=np.int64)

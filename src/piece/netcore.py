@@ -482,17 +482,22 @@ def replace_parameters(net: Network, params: list) -> Network:
 # Serialization
 
 
-def _encode(arr: Array) -> str:
+def encode_array(arr: Array) -> str:
+    """Base64 text of the little-endian float64 bytes of `arr`."""
     return base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()).decode("ascii")
 
 
-def _decode(text: str, count: int, where: str) -> Array:
-    raw = base64.b64decode(text.encode("ascii"), validate=True)
+def decode_array(text: str, shape, where: str, error=NetworkFormatError) -> Array:
+    """Inverse of `encode_array`, as a float64 array of `shape`. A payload that
+    is not base64, or not exactly that many values, raises `error`."""
+    count = int(np.prod(shape))
+    try:
+        raw = base64.b64decode(text.encode("ascii"), validate=True)
+    except ValueError as exc:
+        raise error(f"{where}: payload is not base64") from exc
     if len(raw) != 8 * count:
-        raise NetworkFormatError(
-            f"{where}: expected {8 * count} bytes of parameters, got {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        raise error(f"{where}: expected {8 * count} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _layer_checksum(layer: Dense) -> str:
@@ -512,8 +517,8 @@ def save_network(net: Network, path, provenance: Optional[dict] = None) -> None:
                     "kind": "dense",
                     "in_dim": layer.in_dim,
                     "out_dim": layer.out_dim,
-                    "weight": _encode(layer.weight),
-                    "bias": _encode(layer.bias),
+                    "weight": encode_array(layer.weight),
+                    "bias": encode_array(layer.bias),
                     "checksum": _layer_checksum(layer),
                 }
             )
@@ -552,10 +557,8 @@ def load_network(path) -> Network:
         kind = spec.get("kind")
         if kind == "dense":
             out_dim, in_dim = int(spec["out_dim"]), int(spec["in_dim"])
-            weight = _decode(spec["weight"], out_dim * in_dim, f"layer {i} weight").reshape(
-                out_dim, in_dim
-            )
-            bias = _decode(spec["bias"], out_dim, f"layer {i} bias")
+            weight = decode_array(spec["weight"], (out_dim, in_dim), f"layer {i} weight")
+            bias = decode_array(spec["bias"], (out_dim,), f"layer {i} bias")
             dense = Dense(weight, bias)
             if _layer_checksum(dense) != spec.get("checksum"):
                 raise NetworkFormatError(f"layer {i}: checksum mismatch")

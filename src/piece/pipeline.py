@@ -249,7 +249,6 @@ def modify_features(
     c: int,
     c_prime: int,
     mode: str,
-    fraction: Optional[float] = None,
 ) -> ModificationResult:
     """Walk the exceptional features (lowest probability first) and replace
     each eligible one with its expected value for the counterfactual class.
@@ -263,41 +262,17 @@ def modify_features(
     Counterfactual mode applies everything eligible. Semifactual mode checks
     the head after each tentative replacement and stops, without applying,
     at the first one that would change the predicted class away from `c`.
-    Proportional mode applies the first ceil(fraction * k) entries of the
-    semifactual sequence, where k is that sequence's full length.
+    Proportional results are prefixes of the delivered semifactual; see
+    `explain`.
     """
-    x = np.asarray(x, dtype=np.float64).copy()
     if any(
         features[i].probability > features[i + 1].probability
         for i in range(len(features) - 1)
     ):
         raise PipelineError("exceptional features must be sorted by probability")
-    if mode == "proportional":
-        if fraction is None:
-            raise PipelineError("proportional mode needs a fraction")
-        base = modify_features(x, features, w, head, c, c_prime, "semifactual")
-        k = base.applied_count
-        budget = math.ceil(fraction * k)
-        return _apply_walk(x, features, w, head, c, c_prime, "proportional", budget, k)
-    return _apply_walk(x, features, w, head, c, c_prime, mode, None, None)
-
-
-def _head_probs(head: nc.Network, x: np.ndarray) -> np.ndarray:
-    return nc.forward(head, x).output
-
-
-def _apply_walk(
-    x: np.ndarray,
-    features: list,
-    w: np.ndarray,
-    head: nc.Network,
-    c: int,
-    c_prime: int,
-    mode: str,
-    budget: Optional[int],
-    k_reference: Optional[int],
-) -> ModificationResult:
-    cur = x.copy()
+    if mode not in ("counterfactual", "semifactual"):
+        raise PipelineError(f"feature walk has no mode {mode!r}")
+    cur = np.asarray(x, dtype=np.float64).copy()
     steps: list = []
     replaced: set = set()
     eligible_count = 0
@@ -331,9 +306,6 @@ def _apply_walk(
             record(feat, False, "already_replaced", probs)
             continue
         eligible_count += 1
-        if budget is not None and applied >= budget:
-            record(feat, False, "beyond_budget", probs)
-            continue
         tentative = cur.copy()
         tentative[feat.neuron] = feat.replacement
         new_probs = _head_probs(head, tentative)
@@ -347,14 +319,11 @@ def _apply_walk(
         record(feat, True, "applied", probs)
 
     status = "ok" if eligible_count else "no_eligible_exceptional_features"
-    return ModificationResult(
-        cur,
-        steps,
-        applied,
-        eligible_count,
-        status,
-        k_reference if k_reference is not None else applied,
-    )
+    return ModificationResult(cur, steps, applied, eligible_count, status, applied)
+
+
+def _head_probs(head: nc.Network, x: np.ndarray) -> np.ndarray:
+    return nc.forward(head, x).output
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +559,7 @@ def explain(
             ctx, reference, request.fraction, head, c, c_prime
         )
     else:
-        mod = modify_features(
-            ctx.x, ctx.features, w, head, c, c_prime, request.mode, request.fraction
-        )
+        mod = modify_features(ctx.x, ctx.features, w, head, c, c_prime, request.mode)
 
     vis = visualize(
         generator, body, mod.x_mod, ctx.inversion.z, request.settings, shape

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import io
 import os
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,7 +62,7 @@ class BaselinesConfig:
     lr: float = 0.02
     max_steps: int = 2000
     lam: float = 30.0
-    lam_sweep: tuple = (10.0, 30.0, 100.0)
+    lam_sweep: tuple[float, ...] = (10.0, 30.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,16 @@ class MetricsConfig:
     knn_k_extra: int = 3
 
 
+# [classifier], [generator] and [autoencoders] defaults that differ from
+# TrainConfig's: epochs, hidden widths, and the seed as an offset from the
+# run seed. All three stop early at 0.97 accuracy.
+_TRAIN_DEFAULTS = {
+    "classifier": (60, (64, 32), 11),
+    "generator": (400, (96,), 22),
+    "autoencoders": (150, (64,), 33),
+}
+
+
 @dataclass
 class RunConfig:
     seed: int = 7
@@ -93,50 +105,88 @@ class RunConfig:
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
 
     def __post_init__(self):
-        if self.classifier is None:
-            self.classifier = TrainConfig(
-                epochs=60, hidden=(64, 32), seed=self.seed + 11,
-                early_stop_accuracy=0.97,
-            )
-        if self.generator is None:
-            self.generator = TrainConfig(
-                epochs=400, hidden=(96,), latent_dim=8, seed=self.seed + 22
-            )
-        if self.autoencoders is None:
-            self.autoencoders = TrainConfig(
-                epochs=150, hidden=(64,), latent_dim=8, seed=self.seed + 33
-            )
+        for name, (epochs, hidden, offset) in _TRAIN_DEFAULTS.items():
+            if getattr(self, name) is None:
+                setattr(self, name, TrainConfig(
+                    epochs=epochs, hidden=hidden, seed=self.seed + offset,
+                    early_stop_accuracy=0.97,
+                ))
+        # the glyph generator always draws from the run seed
+        glyphs = dataclasses.replace(self.dataset.glyphs, seed=self.seed)
+        self.dataset = dataclasses.replace(self.dataset, glyphs=glyphs)
         if not (0.0 < self.alpha < 0.5):
             raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        if cast is bool:
-            return parser.getboolean(section, key)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-
-
-def _float_list(raw: str) -> tuple:
-    return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-
-
-_KNOWN_SECTIONS = {
-    "run",
-    "dataset",
-    "classifier",
-    "generator",
-    "autoencoders",
-    "pipeline",
-    "baselines",
-    "experiment",
-    "metrics",
+# INI section -> attribute paths (from RunConfig) of the objects whose scalar
+# fields are its keys. Every key, its type and its default come from those
+# dataclasses; nested dataclass fields are never keys themselves.
+_SECTIONS = {
+    "run": ((),),
+    "dataset": (("dataset",), ("dataset", "glyphs")),
+    "classifier": (("classifier",),),
+    "generator": (("generator",),),
+    "autoencoders": (("autoencoders",),),
+    "pipeline": (("optim",),),
+    "baselines": (("baselines",),),
+    "experiment": (("experiment",),),
+    "metrics": (("metrics",),),
 }
+_INI_NAMES = {"dropout_rate": "dropout", "lam": "lambda", "lam_sweep": "lambda_sweep"}
+# the glyph seed is the run seed; Adam's betas are fixed
+_NOT_IN_INI = {(GlyphParams, "seed"), (TrainConfig, "beta1"), (TrainConfig, "beta2")}
+_type_hints = functools.cache(typing.get_type_hints)  # every CLI call parses and echoes
+
+
+def _section_fields(cfg: RunConfig, section: str):
+    """(object path, field name, INI key, type, value) of each key of `section`."""
+    for path in _SECTIONS[section]:
+        obj = functools.reduce(getattr, path, cfg)
+        hints = _type_hints(type(obj))
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if (type(obj), f.name) in _NOT_IN_INI or dataclasses.is_dataclass(value):
+                continue
+            yield path, f.name, _INI_NAMES.get(f.name, f.name), hints[f.name], value
+
+
+def _parse_value(hint, raw: str):
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+    return hint(raw)
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _read_section(parser, section: str, cfg: RunConfig) -> dict:
+    """{object path: {field: value}} for the keys `section` sets in `parser`."""
+    keys = list(_section_fields(cfg, section))
+    if parser.has_section(section):
+        unknown = set(parser.options(section)) - {key for _, _, key, _, _ in keys}
+        if unknown:
+            raise ConfigError(f"[{section}] unknown keys: {', '.join(sorted(unknown))}")
+    changes: dict = {}
+    for path, name, key, hint, _ in keys:
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            try:
+                changes.setdefault(path, {})[name] = _parse_value(hint, raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    return changes
+
+
+def _replace_at(obj, path: tuple, changes: dict):
+    """Copy of `obj` with `changes` applied to the object at `path`."""
+    if not path:
+        return dataclasses.replace(obj, **changes)
+    inner = _replace_at(getattr(obj, path[0]), path[1:], changes)
+    return dataclasses.replace(obj, **{path[0]: inner})
 
 
 def parse_config(path: Optional[str]) -> RunConfig:
@@ -149,102 +199,16 @@ def parse_config(path: Optional[str]) -> RunConfig:
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    unknown = set(parser.sections()) - _KNOWN_SECTIONS
+    unknown = set(parser.sections()) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    seed = _get(parser, "run", "seed", int, 7)
-    alpha = _get(parser, "run", "alpha", float, 0.05)
-
-    glyphs = GlyphParams(
-        side=_get(parser, "dataset", "side", int, 16),
-        n_classes=_get(parser, "dataset", "n_classes", int, 4),
-        translate_jitter=_get(parser, "dataset", "translate_jitter", int, 2),
-        thickness_min=_get(parser, "dataset", "thickness_min", int, 1),
-        thickness_max=_get(parser, "dataset", "thickness_max", int, 3),
-        intensity_min=_get(parser, "dataset", "intensity_min", float, 0.7),
-        intensity_max=_get(parser, "dataset", "intensity_max", float, 1.0),
-        noise_sigma=_get(parser, "dataset", "noise_sigma", float, 0.05),
-        seed=seed,
-    )
-    dataset = DatasetConfig(
-        n_train_per_class=_get(parser, "dataset", "n_train_per_class", int, 250),
-        n_test_per_class=_get(parser, "dataset", "n_test_per_class", int, 100),
-        glyphs=glyphs,
-    )
-
-    def train_section(name: str, seed_offset: int, defaults: dict) -> TrainConfig:
-        hidden_default = defaults["hidden"]
-        if parser.has_option(name, "hidden"):
-            hidden = tuple(
-                int(v.strip()) for v in parser.get(name, "hidden").split(",") if v.strip()
-            )
-        else:
-            hidden = hidden_default
-        return TrainConfig(
-            epochs=_get(parser, name, "epochs", int, defaults["epochs"]),
-            batch_size=_get(parser, name, "batch_size", int, 32),
-            lr=_get(parser, name, "lr", float, 0.003),
-            dropout_rate=_get(parser, name, "dropout", float, 0.25),
-            latent_dim=_get(parser, name, "latent_dim", int, defaults.get("latent_dim", 8)),
-            hidden=hidden,
-            seed=_get(parser, name, "seed", int, seed + seed_offset),
-            early_stop_accuracy=_get(
-                parser, name, "early_stop_accuracy", float, defaults.get("early_stop", 0.97)
-            ),
-            min_accuracy=_get(parser, name, "min_accuracy", float, 0.85),
-            recon_mse_target=_get(parser, name, "recon_mse_target", float, 0.01),
-        )
-
-    classifier = train_section("classifier", 11, {"epochs": 60, "hidden": (64, 32)})
-    generator = train_section("generator", 22, {"epochs": 400, "hidden": (96,)})
-    autoencoders = train_section("autoencoders", 33, {"epochs": 150, "hidden": (64,)})
-
-    optim = OptimSettings(
-        invert_restarts=_get(parser, "pipeline", "invert_restarts", int, 8),
-        invert_steps=_get(parser, "pipeline", "invert_steps", int, 800),
-        invert_lr=_get(parser, "pipeline", "invert_lr", float, 0.05),
-        ascent_lr=_get(parser, "pipeline", "ascent_lr", float, 0.02),
-        ascent_max_steps=_get(parser, "pipeline", "ascent_max_steps", int, 2000),
-        visualize_steps=_get(parser, "pipeline", "visualize_steps", int, 400),
-        visualize_lr=_get(parser, "pipeline", "visualize_lr", float, 0.05),
-    )
-    baselines = BaselinesConfig(
-        lr=_get(parser, "baselines", "lr", float, 0.02),
-        max_steps=_get(parser, "baselines", "max_steps", int, 2000),
-        lam=_get(parser, "baselines", "lambda", float, 30.0),
-        lam_sweep=_get(
-            parser, "baselines", "lambda_sweep", _float_list, (10.0, 30.0, 100.0)
-        ),
-    )
-    experiment = ExperimentConfig(
-        n_correct=_get(parser, "experiment", "n_correct", int, 30),
-        n_close_correct=_get(parser, "experiment", "n_close_correct", int, 20),
-        close_correct_max_prob=_get(
-            parser, "experiment", "close_correct_max_prob", float, 0.8
-        ),
-        n_semifactual=_get(parser, "experiment", "n_semifactual", int, 20),
-        max_failure_fraction=_get(
-            parser, "experiment", "max_failure_fraction", float, 0.25
-        ),
-    )
-    metrics = MetricsConfig(
-        mc_passes=_get(parser, "metrics", "mc_passes", int, 1000),
-        knn_k=_get(parser, "metrics", "knn_k", int, 1),
-        knn_k_extra=_get(parser, "metrics", "knn_k_extra", int, 3),
-    )
-    return RunConfig(
-        seed=seed,
-        alpha=alpha,
-        dataset=dataset,
-        classifier=classifier,
-        generator=generator,
-        autoencoders=autoencoders,
-        optim=optim,
-        baselines=baselines,
-        experiment=experiment,
-        metrics=metrics,
-    )
+    # [run] first: the other sections' defaults derive from the run seed
+    cfg = RunConfig(**_read_section(parser, "run", RunConfig()).get((), {}))
+    for section in list(_SECTIONS)[1:]:
+        for obj_path, changes in _read_section(parser, section, cfg).items():
+            cfg = _replace_at(cfg, obj_path, changes)
+    return cfg
 
 
 def write_config(cfg: RunConfig, path) -> None:
@@ -254,73 +218,15 @@ def write_config(cfg: RunConfig, path) -> None:
 
 
 def default_config_ini() -> str:
-    return config_ini_text(parse_config(None))
+    return config_ini_text(RunConfig())
 
 
 def config_ini_text(cfg: RunConfig) -> str:
     parser = configparser.ConfigParser()
-    parser["run"] = {"seed": cfg.seed, "alpha": cfg.alpha}
-    g = cfg.dataset.glyphs
-    parser["dataset"] = {
-        "n_train_per_class": cfg.dataset.n_train_per_class,
-        "n_test_per_class": cfg.dataset.n_test_per_class,
-        "side": g.side,
-        "n_classes": g.n_classes,
-        "translate_jitter": g.translate_jitter,
-        "thickness_min": g.thickness_min,
-        "thickness_max": g.thickness_max,
-        "intensity_min": g.intensity_min,
-        "intensity_max": g.intensity_max,
-        "noise_sigma": g.noise_sigma,
-    }
-    for name, tc in (
-        ("classifier", cfg.classifier),
-        ("generator", cfg.generator),
-        ("autoencoders", cfg.autoencoders),
-    ):
-        parser[name] = {
-            "epochs": tc.epochs,
-            "batch_size": tc.batch_size,
-            "lr": tc.lr,
-            "dropout": tc.dropout_rate,
-            "latent_dim": tc.latent_dim,
-            "hidden": ",".join(str(h) for h in tc.hidden),
-            "seed": tc.seed,
-            "early_stop_accuracy": tc.early_stop_accuracy,
-            "min_accuracy": tc.min_accuracy,
-            "recon_mse_target": tc.recon_mse_target,
+    for section in _SECTIONS:
+        parser[section] = {
+            key: _format_value(value) for _, _, key, _, value in _section_fields(cfg, section)
         }
-    o = cfg.optim
-    parser["pipeline"] = {
-        "invert_restarts": o.invert_restarts,
-        "invert_steps": o.invert_steps,
-        "invert_lr": o.invert_lr,
-        "ascent_lr": o.ascent_lr,
-        "ascent_max_steps": o.ascent_max_steps,
-        "visualize_steps": o.visualize_steps,
-        "visualize_lr": o.visualize_lr,
-    }
-    b = cfg.baselines
-    parser["baselines"] = {
-        "lr": b.lr,
-        "max_steps": b.max_steps,
-        "lambda": b.lam,
-        "lambda_sweep": ",".join(str(v) for v in b.lam_sweep),
-    }
-    e = cfg.experiment
-    parser["experiment"] = {
-        "n_correct": e.n_correct,
-        "n_close_correct": e.n_close_correct,
-        "close_correct_max_prob": e.close_correct_max_prob,
-        "n_semifactual": e.n_semifactual,
-        "max_failure_fraction": e.max_failure_fraction,
-    }
-    m = cfg.metrics
-    parser["metrics"] = {
-        "mc_passes": m.mc_passes,
-        "knn_k": m.knn_k,
-        "knn_k_extra": m.knn_k_extra,
-    }
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -33,7 +33,7 @@ class TrainConfig:
     beta2: float = 0.999
     dropout_rate: float = 0.25
     latent_dim: int = 8
-    hidden: tuple = (64, 32)
+    hidden: tuple[int, ...] = (64, 32)
     seed: int = 0
     early_stop_accuracy: float = 0.94
     min_accuracy: float = 0.85

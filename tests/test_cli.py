@@ -103,6 +103,13 @@ class TestStageOrdering:
         assert main(["datagen", "--run-dir", str(tmp_path / "r"),
                      "--config", str(bad)]) == 2
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        bad = tmp_path / "typo.ini"
+        bad.write_text("[pipeline]\ninvert_step = 10\n")
+        assert main(["datagen", "--run-dir", str(tmp_path / "r"),
+                     "--config", str(bad)]) == 2
+        assert "invert_step" in capsys.readouterr().err
+
 
 class TestDatagenOutputs:
     def test_artifacts_exist(self, mini_run):
@@ -166,6 +173,23 @@ class TestExplainCommand:
         doc = json.load(open(os.path.join(
             mini_run, "explanations", "single", "cf_0004.json")))
         assert doc["c_prime"] == 2
+
+    @pytest.mark.parametrize("target", ["9", "-1"])
+    def test_target_class_out_of_range(self, mini_run, target):
+        assert main(["explain", "--run-dir", mini_run, "--index", "4",
+                     "--mode", "cf", "--target-class", target]) == 2
+
+    def test_target_class_equal_to_prediction_refused(self, mini_run):
+        import numpy as np
+
+        from piece import netcore as nc
+        from piece.runcfg import RunPaths, load_run
+
+        arts = load_run(RunPaths(mini_run))
+        predicted = int(np.argmax(
+            nc.forward(arts.classifier, arts.test_data.images[4].ravel()).output))
+        assert main(["explain", "--run-dir", mini_run, "--index", "4",
+                     "--mode", "cf", "--target-class", str(predicted)]) == 2
 
     def test_explanation_embeds_provenance(self, mini_run):
         import os

@@ -248,6 +248,18 @@ class TestStatsIo:
         assert np.array_equal(latents, arts.latents)
         assert np.array_equal(predicted, arts.predicted)
 
+    def test_truncated_latents_raise_hurdle_error(self, tmp_path, toy_run):
+        import json
+
+        arts = toy_run["arts"]
+        path = tmp_path / "latents.json"
+        hd.save_latents(arts.latents, arts.predicted, path)
+        doc = json.loads(path.read_text())
+        doc["latents"] = doc["latents"][:-4]  # still base64, 3 bytes short
+        path.write_text(json.dumps(doc))
+        with pytest.raises(hd.HurdleError, match="latents"):
+            hd.load_latents(path)
+
     def test_rejects_wrong_file(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format": "other"}')

@@ -238,6 +238,15 @@ class TestSerialization:
         with pytest.raises(nc.NetworkFormatError, match="layer 0"):
             nc.load_network(path)
 
+    def test_array_codec(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        text = nc.encode_array(arr)
+        assert np.array_equal(nc.decode_array(text, (2, 3), "w"), arr)
+        with pytest.raises(nc.NetworkFormatError, match="expected 48 bytes"):
+            nc.decode_array(text[:-4], (2, 3), "w")
+        with pytest.raises(ValueError, match="not base64"):
+            nc.decode_array("!" + text[1:], (2, 3), "w", ValueError)
+
     def test_checksum_mismatch(self, tmp_path):
         import base64
         import json

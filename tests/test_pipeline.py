@@ -135,9 +135,9 @@ class TestModifyFeatures:
         self.head = head_for([[0.0, 0.0], [0.5, -0.5]])
         self.x = np.array([0.0, 1.0])
 
-    def run(self, features, mode="counterfactual", w=None, fraction=None):
+    def run(self, features, mode="counterfactual", w=None):
         w = np.array([0.5, -0.5]) if w is None else np.asarray(w)
-        return pl.modify_features(self.x, features, w, self.head, 0, 1, mode, fraction)
+        return pl.modify_features(self.x, features, w, self.head, 0, 1, mode)
 
     def test_positive_weight_absent_replaced(self):
         mod = self.run([feature(0, Rule.ABSENT)])
@@ -192,20 +192,6 @@ class TestModifyFeatures:
         assert sf.applied_count == 1
         assert sf.steps[-1].reason == "would_flip"
         assert np.argmax(nc.forward(head, sf.x_mod).output) == 0
-
-    def test_proportional_budget(self):
-        feats = [
-            feature(i, Rule.ABSENT, p=0.01 * (i + 1), replacement=0.2) for i in range(4)
-        ]
-        w = np.ones(4) * 0.5
-        head = head_for([[0.1, 0.1, 0.1, 0.1], [0.2, 0.2, 0.2, 0.2]])
-        x = np.zeros(4)
-        full = pl.modify_features(x, feats, w, head, 0, 1, "semifactual")
-        k = full.applied_count
-        for fraction in (0.25, 0.5, 0.75, 1.0):
-            mod = pl.modify_features(x, feats, w, head, 0, 1, "proportional", fraction)
-            assert mod.applied_count == math.ceil(fraction * k)
-            assert mod.k_reference == k
 
 
 class TestVisualize:
