@@ -56,7 +56,8 @@ class BaselineResult:
 
 
 def _objective_step(
-    classifier: nc.Network,
+    body: nc.Network,
+    head: nc.Network,
     generator: nc.Network,
     z: np.ndarray,
     y_target: np.ndarray,
@@ -66,9 +67,9 @@ def _objective_step(
     """One forward/backward of lam*||S(C(G(z))) - y||^2 (+ ||C(G(z)) - x||^2).
 
     Returns (grad wrt z, softmax probs, feature vector, image), all at z,
-    so stop rules can reuse the same pass the gradient came from.
+    so stop rules can reuse the same pass the gradient came from. `body` and
+    `head` are the classifier split at its feature tap.
     """
-    body, head = nc.split_at_tap(classifier)
     tg = nc.forward(generator, z)
     img = tg.outputs[-1]
     tb = nc.forward(body, img)
@@ -76,11 +77,11 @@ def _objective_step(
     th = nc.forward(head, feat)
     probs = th.outputs[-1]
     g_probs = lam * 2.0 * (probs - y_target)
-    _, g_feat = nc.backward(head, th, g_probs)
+    g_feat = nc.backward(head, th, g_probs)
     if x_ref is not None:
         g_feat = g_feat + 2.0 * (feat - x_ref)
-    _, g_img = nc.backward(body, tb, g_feat)
-    _, g_z = nc.backward(generator, tg, g_img)
+    g_img = nc.backward(body, tb, g_feat)
+    g_z = nc.backward(generator, tg, g_img)
     return g_z, probs[0], feat[0], img[0]
 
 
@@ -96,12 +97,12 @@ def _edit(
 ) -> BaselineResult:
     if mode not in ("counterfactual", "semifactual"):
         raise BaselineError(f"unknown mode {mode!r}")
-    n_classes = nc.split_at_tap(classifier)[1].output_dim
-    y_target = nc.one_hot(c_prime, n_classes)
+    body, head = nc.split_at_tap(classifier)
+    y_target = nc.one_hot(c_prime, head.output_dim)
     lam = cfg.lam if cfg.method == "c_min_edit" else 1.0
 
     cur = z.copy()
-    g, probs, _, img = _objective_step(classifier, generator, cur, y_target, lam, x_ref)
+    g, probs, _, img = _objective_step(body, head, generator, cur, y_target, lam, x_ref)
     pred = int(np.argmax(probs))
     if mode == "counterfactual" and pred == c_prime:
         return BaselineResult(cfg.method, mode, cur, img, 0, 0, False)
@@ -116,7 +117,7 @@ def _edit(
     for step in range(1, cfg.max_steps + 1):
         (cur,), state = nc.adam_step([cur], [g], state, cfg.lr)
         g, probs, _, img = _objective_step(
-            classifier, generator, cur, y_target, lam, x_ref
+            body, head, generator, cur, y_target, lam, x_ref
         )
         pred = int(np.argmax(probs))
         if mode == "counterfactual":
@@ -195,13 +196,13 @@ def run_to_distance(
     cfg.validate()
     if d_star < 0:
         raise BaselineError("target distance must be nonnegative")
-    n_classes = nc.split_at_tap(classifier)[1].output_dim
-    y_target = nc.one_hot(c_prime, n_classes)
+    body, head = nc.split_at_tap(classifier)
+    y_target = nc.one_hot(c_prime, head.output_dim)
     lam = cfg.lam if method == "c_min_edit" else 1.0
     x_obj = np.asarray(x_ref) if method == "c_min_edit" else None
 
     cur = z.copy()
-    g, probs, feat, img = _objective_step(classifier, generator, cur, y_target, lam, x_obj)
+    g, probs, feat, img = _objective_step(body, head, generator, cur, y_target, lam, x_obj)
     dist = float(np.linalg.norm(feat - x_ref))
     trace = [dist]
     violations = 0
@@ -217,7 +218,7 @@ def run_to_distance(
     for step in range(1, cfg.max_steps + 1):
         (cur,), state = nc.adam_step([cur], [g], state, cfg.lr)
         g, probs, feat, img = _objective_step(
-            classifier, generator, cur, y_target, lam, x_obj
+            body, head, generator, cur, y_target, lam, x_obj
         )
         new_dist = float(np.linalg.norm(feat - x_ref))
         if new_dist < dist:

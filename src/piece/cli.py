@@ -7,8 +7,9 @@
     piece experiment --run-dir runs/demo --expt 1
 
 Exit codes: 0 success, 2 configuration error, 3 missing prerequisite stage,
-4 provenance mismatch between artifacts, 5 experiment failure fraction above
-the configured threshold.
+4 run artifacts that do not verify (a provenance mismatch, or a damaged
+model, stats or latents file), 5 experiment failure fraction above the
+configured threshold.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .datagen import (
     write_manifest,
     write_pgm,
 )
-from .hurdle import fit_stats, save_latents, save_stats
+from .hurdle import HurdleError, fit_stats, save_latents, save_stats
 from .runcfg import (
     ConfigError,
     PrerequisiteError,
@@ -252,14 +253,25 @@ def _default_config_text() -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Top-level parser whose epilog, the default config, is built only when
+    help is printed, so a fault in the config echo cannot break a command."""
+
+    def format_help(self) -> str:
+        if self.epilog is None:
+            self.epilog = _default_config_text()
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="piece",
         description=__doc__,
-        epilog=_default_config_text(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
+    )
 
     def add_common(p):
         p.add_argument("--run-dir", required=True, help="run directory (created by datagen)")
@@ -311,7 +323,7 @@ def main(argv=None) -> int:
     except PrerequisiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PREREQUISITE
-    except ProvenanceError as exc:
+    except (ProvenanceError, HurdleError, nc.NetworkFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROVENANCE
     except (TrainingFailure, DataError, pl.PipelineError) as exc:

@@ -1,10 +1,14 @@
 """Minimal dense feedforward engine with exact reverse-mode gradients.
 
 Everything runs on float64 numpy arrays. Networks are plain ordered layer
-lists; `forward` returns a full activation trace so `backward` can reuse
-dropout masks and intermediate values bit-exactly. Gradients are available
-for both parameters and inputs, which lets callers chain several networks
-(generator into feature extractor into classifier head) by hand.
+lists, planned once when built (layer kinds, input width, where a
+non-finite value can first appear); `forward` returns a full activation
+trace so the backward passes can reuse dropout masks and intermediate values
+bit-exactly. Two backward passes share one input-gradient recurrence:
+`backward` returns only the gradient with respect to the input, which is
+all the optimisation loops need to chain several networks (generator into
+feature extractor into classifier head) by hand; `backward_params` also
+forms the dense parameter gradients, for training.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Union
 
 import numpy as np
@@ -131,6 +135,7 @@ class Network:
     layers: list
     role: str
     feature_tap: Optional[int] = None
+    plan: "_Plan" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -152,13 +157,13 @@ class Network:
                     raise DimensionError(
                         "classifier head must contain exactly one dense layer"
                     )
+        self.plan = _Plan.of(self.layers)
 
     @property
     def input_dim(self) -> int:
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                return layer.in_dim
-        raise DimensionError("network has no dense layer")
+        if self.plan.input_dim is None:
+            raise DimensionError("network has no dense layer")
+        return self.plan.input_dim
 
     @property
     def output_dim(self) -> int:
@@ -168,7 +173,43 @@ class Network:
         raise DimensionError("network has no dense layer")
 
     def has_dropout(self) -> bool:
-        return any(isinstance(l, Dropout) for l in self.layers)
+        return self.plan.has_dropout
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What `forward` and the backward passes need of a layer list, worked
+    out once: (kind, layer) pairs, the input width, and after which layers
+    to check finiteness.
+
+    Dense layers and train-mode dropout can overflow a finite input into a
+    non-finite output; relu, softmax, the stable sigmoid and eval-mode
+    dropout keep finite inputs finite. A non-finite network input, though,
+    passes unchecked through every layer up to the first that can overflow.
+    So those leading layers and every layer that can overflow are checked:
+    NumericsError fires for the same inputs, and names the same layer, as a
+    check after every layer would.
+    """
+
+    steps: tuple
+    input_dim: Optional[int]
+    has_dropout: bool
+    checks: dict  # "eval", "train" or "off" -> one flag per layer
+
+    @classmethod
+    def of(cls, layers: list) -> "_Plan":
+        steps = tuple((getattr(layer, "kind", None), layer) for layer in layers)
+        dense_in = [layer.in_dim for kind, layer in steps if kind == "dense"]
+        checks = {"off": (False,) * len(steps)}
+        for mode in ("eval", "train"):
+            overflows = [
+                kind == "dense" or (mode == "train" and kind == "dropout" and layer.rate > 0.0)
+                for kind, layer in steps
+            ]
+            first = overflows.index(True) if True in overflows else len(steps)
+            checks[mode] = tuple(o or i <= first for i, o in enumerate(overflows))
+        has_dropout = any(kind == "dropout" for kind, _ in steps)
+        return cls(steps, dense_in[0] if dense_in else None, has_dropout, checks)
 
 
 def split_at_tap(net: Network) -> tuple[Network, Network]:
@@ -230,11 +271,14 @@ def _softmax(x: Array) -> Array:
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both
+    # from e = exp(-|x|), which never overflows; worked in place
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -250,109 +294,122 @@ def forward(
     In train mode dropout applies inverted scaling (divide by keep
     probability) so eval mode is the expectation; masks come from a stream
     seeded with `rng_seed`, which is required whenever the network contains
-    dropout. Eval mode treats dropout as identity.
+    dropout. Eval mode treats dropout as identity. With `check_finite`, the
+    first layer whose output holds a non-finite value raises NumericsError.
     """
     if mode not in ("train", "eval"):
         raise DimensionError(f"mode must be 'train' or 'eval', got {mode!r}")
     x, squeezed = _as_batch(input)
+    plan = net.plan
     if x.shape[1] != net.input_dim:
         raise DimensionError(
             f"input width {x.shape[1]} does not match first dense layer "
             f"({net.input_dim})"
         )
     rng = None
-    if mode == "train" and net.has_dropout():
+    if mode == "train" and plan.has_dropout:
         if rng_seed is None:
             raise DimensionError("train mode requires rng_seed when dropout present")
         rng = np.random.default_rng(rng_seed)
-
-    outputs: list = []
-    masks: dict = {}
-    cur = x
+    checks = plan.checks[mode if check_finite else "off"]
     # overflow surfaces as a NumericsError (or a deliberately tolerated
     # non-finite row when check_finite is off), not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs, masks = _run_layers(net, cur, mode, rng, check_finite)
+        outputs, masks = _run_layers(plan.steps, checks, x, rng)
     return ForwardTrace(x, outputs, masks, mode, rng_seed, squeezed)
 
 
-def _run_layers(net, cur, mode, rng, check_finite):
+def _run_layers(steps, checks, cur, rng):
     outputs: list = []
     masks: dict = {}
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Dense):
+    for i, (kind, layer) in enumerate(steps):
+        if kind == "dense":
             if cur.shape[1] != layer.in_dim:
                 raise DimensionError(
                     f"layer {i} (dense) expects width {layer.in_dim}, got {cur.shape[1]}"
                 )
-            cur = cur @ layer.weight.T + layer.bias
-        elif isinstance(layer, ReLU):
+            cur = cur @ layer.weight.T
+            cur += layer.bias
+        elif kind == "relu":
             cur = np.maximum(cur, 0.0)
-        elif isinstance(layer, Dropout):
-            if mode == "train" and layer.rate > 0.0:
+        elif kind == "dropout":
+            if rng is not None and layer.rate > 0.0:
                 keep = rng.random(cur.shape) >= layer.rate
                 mask = keep / (1.0 - layer.rate)
                 masks[i] = mask
                 cur = cur * mask
             else:
                 cur = cur.copy()
-        elif isinstance(layer, SoftMax):
+        elif kind == "softmax":
             cur = _softmax(cur)
-        elif isinstance(layer, Sigmoid):
+        elif kind == "sigmoid":
             cur = _sigmoid(cur)
         else:
             raise DimensionError(f"layer {i}: unknown layer kind {layer!r}")
-        if check_finite and not np.all(np.isfinite(cur)):
-            raise NumericsError(f"non-finite values after layer {i} ({layer.kind})")
+        if checks[i] and not np.isfinite(cur).all():
+            raise NumericsError(f"non-finite values after layer {i} ({kind})")
         outputs.append(cur)
     return outputs, masks
 
 
-def backward(
-    net: Network, trace: ForwardTrace, output_grad
-) -> tuple[list, Array]:
-    """Exact reverse-mode gradients for one traced forward pass.
+def backward(net: Network, trace: ForwardTrace, output_grad) -> Array:
+    """Gradient w.r.t. the input of one traced forward pass.
+
+    Dropout masks recorded in the trace are reused, and the relu subgradient
+    at exactly zero is zero. No parameter gradient is formed; see
+    `backward_params`.
+    """
+    return _backprop(net, trace, output_grad, None)
+
+
+def backward_params(net: Network, trace: ForwardTrace, output_grad) -> tuple[list, Array]:
+    """Parameter and input gradients of one traced forward pass.
 
     Returns (per-layer parameter gradients, gradient w.r.t. the input).
-    Parameter entries are (dW, db) for dense layers and None otherwise.
-    Dropout masks recorded in the trace are reused, and the relu subgradient
-    at exactly zero is zero.
+    Parameter entries are (dW, db) for dense layers and None otherwise. The
+    input gradient is the one `backward` returns, bit for bit.
     """
-    if len(trace.outputs) != len(net.layers):
+    param_grads: list = [None] * len(net.plan.steps)
+    input_grad = _backprop(net, trace, output_grad, param_grads)
+    return param_grads, input_grad
+
+
+def _backprop(net, trace, output_grad, param_grads):
+    """The reverse-mode recurrence; fills `param_grads` when it is a list."""
+    steps = net.plan.steps
+    outputs = trace.outputs
+    if len(outputs) != len(steps):
         raise TraceMismatchError(
-            f"trace has {len(trace.outputs)} layer outputs, network has "
-            f"{len(net.layers)} layers"
+            f"trace has {len(outputs)} layer outputs, network has "
+            f"{len(steps)} layers"
         )
     g, _ = _as_batch(output_grad, what="output_grad")
-    if g.shape != trace.outputs[-1].shape:
+    if g.shape != outputs[-1].shape:
         raise TraceMismatchError(
             f"output_grad shape {g.shape} does not match trace output "
-            f"{trace.outputs[-1].shape}"
+            f"{outputs[-1].shape}"
         )
-    param_grads: list = [None] * len(net.layers)
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        layer_in = trace.inputs if i == 0 else trace.outputs[i - 1]
-        if isinstance(layer, Dense):
+    for i in range(len(steps) - 1, -1, -1):
+        kind, layer = steps[i]
+        layer_in = trace.inputs if i == 0 else outputs[i - 1]
+        if kind == "dense":
             if layer_in.shape[1] != layer.in_dim:
                 raise TraceMismatchError(f"trace does not match layer {i} (dense)")
-            dw = g.T @ layer_in
-            db = g.sum(axis=0)
-            param_grads[i] = (dw, db)
+            if param_grads is not None:
+                param_grads[i] = (g.T @ layer_in, g.sum(axis=0))
             g = g @ layer.weight
-        elif isinstance(layer, ReLU):
+        elif kind == "relu":
             g = g * (layer_in > 0.0)
-        elif isinstance(layer, Dropout):
+        elif kind == "dropout":
             if i in trace.masks:
                 g = g * trace.masks[i]
-        elif isinstance(layer, SoftMax):
-            s = trace.outputs[i]
+        elif kind == "softmax":
+            s = outputs[i]
             g = s * (g - (g * s).sum(axis=1, keepdims=True))
-        elif isinstance(layer, Sigmoid):
-            s = trace.outputs[i]
+        elif kind == "sigmoid":
+            s = outputs[i]
             g = g * s * (1.0 - s)
-    input_grad = g[0] if trace.squeezed else g
-    return param_grads, input_grad
+    return g[0] if trace.squeezed else g
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +513,7 @@ def parameters(net: Network) -> list:
 
 
 def flatten_param_grads(net: Network, param_grads: list) -> list:
-    """Match `parameters` ordering from a backward() result."""
+    """Match `parameters` ordering from a backward_params() result."""
     out = []
     for layer, pg in zip(net.layers, param_grads):
         if isinstance(layer, Dense):

@@ -115,9 +115,9 @@ def invert_image(
         tc = nc.forward(feature_net, imgs, check_finite=False)
         feats = tc.outputs[-1]
         g_feat = 2.0 * (feats - target_feats)
-        _, g_img = nc.backward(feature_net, tc, g_feat)
+        g_img = nc.backward(feature_net, tc, g_feat)
         g_img = g_img + 2.0 * (imgs - flat)
-        _, g_z = nc.backward(generator, tg, g_img)
+        g_z = nc.backward(generator, tg, g_img)
         (z,), state = nc.adam_step([z], [g_z], state, settings.invert_lr)
 
     imgs = nc.forward(generator, z, check_finite=False).output
@@ -181,8 +181,8 @@ def select_cf_class(
         tc = nc.forward(classifier, tg.outputs[-1])
         out = tc.outputs[-1]
         _, g_out = nc.loss("l2_sq", out, y_c[None, :])
-        _, g_img = nc.backward(classifier, tc, g_out)
-        _, g_z = nc.backward(generator, tg, g_img)
+        g_img = nc.backward(classifier, tc, g_out)
+        g_z = nc.backward(generator, tg, g_img)
         return g_z, out[0]
 
     z_probe = z.copy()
@@ -355,8 +355,8 @@ def visualize(
         tc = nc.forward(feature_net, tg.outputs[-1], check_finite=False)
         feats = tc.outputs[-1]
         g_feat = 2.0 * (feats - x_target)
-        _, g_img = nc.backward(feature_net, tc, g_feat)
-        _, g_z = nc.backward(generator, tg, g_img)
+        g_img = nc.backward(feature_net, tc, g_feat)
+        g_z = nc.backward(generator, tg, g_img)
         return g_z, float(np.sum((feats - x_target) ** 2))
 
     z = z_init.copy()
@@ -403,10 +403,8 @@ def prepare_context(
     flat = np.asarray(request.image, dtype=np.float64).ravel()
     probs = nc.forward(classifier, flat).output
     c = int(np.argmax(probs))
-    inversion = invert_image(
-        generator, nc.split_at_tap(classifier)[0], request.image, request.settings,
-        request.seed,
-    )
+    body, _ = nc.split_at_tap(classifier)
+    inversion = invert_image(generator, body, request.image, request.settings, request.seed)
     if request.target_class is not None:
         selection = SelectionResult(int(request.target_class), True, 0)
     else:
@@ -414,7 +412,6 @@ def prepare_context(
             classifier, generator, inversion.z, request.image, request.true_label,
             request.settings,
         )
-    body, _ = nc.split_at_tap(classifier)
     x = nc.forward(body, flat).output
     features, skipped = classify_exceptional(
         x, stats.models[selection.c_prime], request.alpha
@@ -561,9 +558,17 @@ def explain(
     else:
         mod = modify_features(ctx.x, ctx.features, w, head, c, c_prime, request.mode)
 
-    vis = visualize(
-        generator, body, mod.x_mod, ctx.inversion.z, request.settings, shape
-    )
+    if request.mode == "proportional" and mod.x_mod.tobytes() == reference.x_mod.tobytes():
+        # same target from the same start: visualize would render the
+        # reference again (always so at fraction 1.0)
+        vis = VisualizationResult(
+            reference.z_prime, reference.image_prime,
+            reference.residuals["before"], reference.residuals["after"],
+        )
+    else:
+        vis = visualize(
+            generator, body, mod.x_mod, ctx.inversion.z, request.settings, shape
+        )
     probs_prime = nc.forward(classifier, vis.image.ravel()).output
     pred_prime = int(np.argmax(probs_prime))
     intended = c_prime if request.mode == "counterfactual" else c

@@ -111,7 +111,7 @@ def _run_epochs(
             mode = "train" if net.has_dropout() else "eval"
             trace = nc.forward(net, inputs[batch], mode=mode, rng_seed=seed)
             value, out_grad = nc.loss(loss_kind, trace.outputs[-1], targets[batch])
-            pgrads, _ = nc.backward(net, trace, out_grad)
+            pgrads, _ = nc.backward_params(net, trace, out_grad)
             grads = nc.flatten_param_grads(net, pgrads)
             params, state = nc.adam_step(
                 params, grads, state, cfg.lr, cfg.beta1, cfg.beta2

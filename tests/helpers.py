@@ -41,7 +41,7 @@ def max_gradcheck_error(seed: int, eps: float = 1e-5) -> float:
     target = rng.normal(size=net.output_dim)
 
     value, trace, out_grad = scalar_objective(net, x, drop_seed, target)
-    pgrads, in_grad = nc.backward(net, trace, out_grad)
+    pgrads, in_grad = nc.backward_params(net, trace, out_grad)
 
     def f(net_v: nc.Network, x_v: np.ndarray) -> float:
         return scalar_objective(net_v, x_v, drop_seed, target)[0]

@@ -75,6 +75,17 @@ class TestParser:
         for section in CONFIG_SECTIONS:
             assert f"[{section}]" in out
 
+    def test_config_echo_fault_confined_to_help(self, tmp_path, monkeypatch):
+        import piece.cli
+
+        def broken():
+            raise RuntimeError("config echo is broken")
+
+        monkeypatch.setattr(piece.cli, "default_config_ini", broken)
+        assert main(["train", "--run-dir", str(tmp_path / "empty")]) == 3
+        with pytest.raises(RuntimeError, match="config echo"):
+            main(["--help"])
+
 
 class TestStageOrdering:
     def test_fit_stats_requires_train(self, tmp_path):
@@ -231,6 +242,20 @@ class TestProvenance:
         doc["counts"]["train"] = 1
         manifest.write_text(json.dumps(doc))
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
+
+    def test_damaged_latents_exit_4(self, mini_run, tmp_path, capsys):
+        import shutil
+
+        clone = tmp_path / "clone3"
+        shutil.copytree(mini_run, clone)
+        latents = clone / "stats" / "latents.json"
+        doc = json.loads(latents.read_text())
+        doc["latents"] = doc["latents"][:-4]  # still base64, 3 bytes short
+        latents.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "latents" in err[0]
 
 
 class TestExperimentCommand:

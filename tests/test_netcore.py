@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import max_gradcheck_error
+from helpers import max_gradcheck_error, random_network
 from piece import netcore as nc
 
 
@@ -32,6 +32,21 @@ class TestForward:
     def test_softmax_symmetry(self):
         out = single(nc.SoftMax(), [0.0, 0.0]).output
         assert np.allclose(out, [0.5, 0.5], atol=1e-15)
+
+    def test_sigmoid_bits_match_two_branch_formula(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate(
+            [rng.normal(scale=sc, size=300) for sc in (1.0, 10.0, 300.0)]
+            + [[0.0, -0.0, 745.0, -745.0, np.inf, -np.inf]]
+        ).reshape(-1, 3)
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        net = nc.Network([nc.Sigmoid(), dense(np.eye(3))], role="generator")
+        out = nc.forward(net, x).outputs[0]
+        assert out.tobytes() == ref.tobytes()
 
     def test_shape_mismatch_names_layer(self):
         net = nc.Network([dense(np.ones((2, 3)))], role="generator")
@@ -73,25 +88,112 @@ class TestForward:
             nc.forward(net, [1e5])
 
 
+def first_nonfinite_layer(net, x, **kw):
+    """Oracle: the first layer whose output holds a non-finite value, read
+    off an unchecked pass (None if there is none)."""
+    trace = nc.forward(net, x, check_finite=False, **kw)
+    for i, out in enumerate(trace.outputs):
+        if not np.all(np.isfinite(out)):
+            return i
+    return None
+
+
+def assert_flags_first_nonfinite(net, x, **kw):
+    first = first_nonfinite_layer(net, x, **kw)
+    if first is None:
+        nc.forward(net, x, **kw)
+    else:
+        kind = net.layers[first].kind
+        with pytest.raises(nc.NumericsError, match=rf"layer {first} \({kind}\)"):
+            nc.forward(net, x, **kw)
+
+
+class TestFiniteChecks:
+    """NumericsError names the first layer whose output is non-finite, as a
+    check after every layer would, although not every layer is checked."""
+
+    def test_overflow_hidden_by_relu(self):
+        # the dense output is -inf, the relu turns it into 0, so an
+        # output-only check would see nothing
+        net = nc.Network([dense([[1e200]]), nc.ReLU(), dense([[1.0]])], role="generator")
+        assert np.isfinite(nc.forward(net, [-1e200], check_finite=False).output).all()
+        assert first_nonfinite_layer(net, [-1e200]) == 0
+        with pytest.raises(nc.NumericsError, match=r"layer 0 \(dense\)"):
+            nc.forward(net, [-1e200])
+
+    @pytest.mark.parametrize("first", ["dense", "relu"])
+    def test_nan_input(self, first):
+        layers = [dense(np.eye(2)), nc.ReLU()]
+        if first == "relu":
+            layers.reverse()
+        net = nc.Network(layers, role="generator")
+        with pytest.raises(nc.NumericsError, match=rf"layer 0 \({first}\)"):
+            nc.forward(net, [np.nan, 1.0])
+
+    def test_minus_inf_absorbed_by_leading_relu(self):
+        net = nc.Network([nc.ReLU(), dense(np.eye(2))], role="generator")
+        assert first_nonfinite_layer(net, [-np.inf, 1.0]) is None
+        assert np.array_equal(nc.forward(net, [-np.inf, 1.0]).output, [0.0, 1.0])
+
+    def test_train_dropout_overflow(self):
+        net = nc.Network([dense([[1.7e308]]), nc.Dropout(0.5)], role="generator")
+        x = np.ones((16, 1))
+        assert np.isfinite(nc.forward(net, x).output).all()
+        with pytest.raises(nc.NumericsError, match=r"layer 1 \(dropout\)"):
+            nc.forward(net, x, mode="train", rng_seed=0)
+
+    @given(
+        kinds=st.lists(st.sampled_from(["dense", "relu", "dropout", "sigmoid"]),
+                       min_size=1, max_size=5),
+        softmax=st.booleans(),
+        width=st.integers(1, 3),
+        data=st.data(),
+        train=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_layer_as_checking_every_layer(self, kinds, softmax, width, data, train):
+        assume("dense" in kinds)
+        scale = st.sampled_from([0.0, 1.0, -1.0, 1e150, -1e150, 1e308, -1e308])
+        layers = []
+        for kind in kinds:
+            if kind == "dense":
+                w = data.draw(st.lists(scale, min_size=width * width, max_size=width * width))
+                b = data.draw(st.lists(scale, min_size=width, max_size=width))
+                layers.append(nc.Dense(np.reshape(w, (width, width)), np.array(b)))
+            elif kind == "dropout":
+                layers.append(nc.Dropout(0.5))
+            else:
+                layers.append({"relu": nc.ReLU, "sigmoid": nc.Sigmoid}[kind]())
+        if softmax:
+            layers.append(nc.SoftMax())
+        net = nc.Network(layers, role="generator")
+        x = data.draw(st.lists(
+            st.sampled_from([0.0, 2.0, -2.0, 1e200, -1e200, np.inf, -np.inf, np.nan]),
+            min_size=width, max_size=width,
+        ))
+        kw = {"mode": "train", "rng_seed": 1} if train else {}
+        assert_flags_first_nonfinite(net, x, **kw)
+
+
 class TestBackward:
     def test_dense_adjoint(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         net = nc.Network([nc.Dense(w, np.zeros(3))], role="generator")
         trace = nc.forward(net, [1.0, 1.0])
         g = np.array([1.0, 0.5, -1.0])
-        _, in_grad = nc.backward(net, trace, g)
+        in_grad = nc.backward(net, trace, g)
         assert np.allclose(in_grad, w.T @ g)
 
     def test_relu_subgradient_zero_at_zero(self):
         net = nc.Network([dense(np.eye(2)), nc.ReLU()], role="generator")
         trace = nc.forward(net, [0.0, 1.0])
-        _, in_grad = nc.backward(net, trace, [1.0, 1.0])
+        in_grad = nc.backward(net, trace, [1.0, 1.0])
         assert in_grad[0] == 0.0 and in_grad[1] == 1.0
 
     def test_dropout_mask_reused(self):
         net = nc.Network([dense(np.eye(4)), nc.Dropout(0.5)], role="generator")
         trace = nc.forward(net, [1.0, 1.0, 1.0, 1.0], mode="train", rng_seed=3)
-        _, in_grad = nc.backward(net, trace, np.ones(4))
+        in_grad = nc.backward(net, trace, np.ones(4))
         assert np.array_equal(in_grad, trace.output)  # same mask, same scale
 
     def test_trace_mismatch(self):
@@ -104,6 +206,22 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(20))
     def test_gradcheck_random_networks(self, seed):
         assert max_gradcheck_error(seed) < 1e-4
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_input_only_matches_parameter_pass(self, seed, mode, rows):
+        # random_network holds dense, relu, dropout, sigmoid and softmax
+        net, x, drop_seed = random_network(seed)
+        rng = np.random.default_rng(seed + 500)
+        xs = x if rows == 1 else rng.normal(size=(rows, len(x)))
+        trace = nc.forward(net, xs, mode=mode, rng_seed=drop_seed)
+        g = rng.normal(size=np.shape(trace.output))
+        pgrads, full = nc.backward_params(net, trace, g)
+        only = nc.backward(net, trace, g)
+        assert only.shape == np.shape(xs)
+        assert np.array_equal(only, full)
+        assert [pg is None for pg in pgrads] == [l.kind != "dense" for l in net.layers]
 
 
 class TestAdam:
