@@ -18,6 +18,7 @@ byte-identical CSV files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -197,6 +198,7 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     sweep_counters: dict = {
         lam: {"verified": 0, "failed": 0, "nn": []} for lam in cfg.baselines.lam_sweep
     }
+    bcfg = cfg.baselines.method_config()
 
     for case in cases:
         request = pl.ExplanationRequest(
@@ -235,15 +237,8 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
             expl_classes["piece"].append(c_prime)
         _save_explanation(paths, "expt1", f"piece_cf_{case.image_id:04d}", res, case.image, arts)
 
-        base_cfgs = {
-            "min_edit": bl.BaselineConfig("min_edit", lr=cfg.baselines.lr,
-                                          max_steps=cfg.baselines.max_steps),
-            "c_min_edit": bl.BaselineConfig("c_min_edit", lam=cfg.baselines.lam,
-                                            lr=cfg.baselines.lr,
-                                            max_steps=cfg.baselines.max_steps),
-        }
         base_results = {}
-        for method, bcfg in base_cfgs.items():
+        for method in ("min_edit", "c_min_edit"):
             bres = base_results[method] = bl.run_baseline(
                 method, ctx.inversion.z, ctx.x, c, c_prime,
                 arts.classifier, arts.generator, bcfg, "counterfactual",
@@ -268,10 +263,8 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
             _save_baseline(paths, "expt1", f"{method}_cf_{case.image_id:04d}", bres, shape, arts)
 
         for lam in cfg.baselines.lam_sweep:
-            scfg = bl.BaselineConfig(
-                "c_min_edit", lam=lam, lr=cfg.baselines.lr, max_steps=cfg.baselines.max_steps
-            )
-            if scfg == base_cfgs["c_min_edit"]:
+            scfg = dataclasses.replace(bcfg, lam=lam)
+            if scfg == bcfg:
                 # the main c-min-edit run above is this very run
                 sres = base_results["c_min_edit"]
             else:
@@ -423,6 +416,7 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     piece_results: list = []
     n_rows = 0
     n_failed = 0
+    bcfg = cfg.baselines.method_config()
 
     for case in cases:
         base_seed = derive_seed(cfg.seed, 2, case.image_id)
@@ -459,10 +453,6 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
         _save_explanation(paths, "expt2", f"piece_sf_{case.image_id:04d}", sf, case.image, arts)
 
         for method in ("min_edit", "c_min_edit"):
-            bcfg = bl.BaselineConfig(
-                method, lam=cfg.baselines.lam, lr=cfg.baselines.lr,
-                max_steps=cfg.baselines.max_steps,
-            )
             bres = bl.run_baseline(
                 method, ctx.inversion.z, ctx.x, c, c_prime,
                 arts.classifier, arts.generator, bcfg, "semifactual",
@@ -522,10 +512,6 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
             )
 
             for method in ("min_edit", "c_min_edit"):
-                bcfg = bl.BaselineConfig(
-                    method, lam=cfg.baselines.lam, lr=cfg.baselines.lr,
-                    max_steps=cfg.baselines.max_steps,
-                )
                 dres = bl.run_to_distance(
                     method, ctx.inversion.z, ctx.x, c, c_prime, d_star,
                     arts.classifier, arts.generator, bcfg,

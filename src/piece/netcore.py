@@ -8,7 +8,9 @@ bit-exactly. Two backward passes share one input-gradient recurrence:
 `backward` returns only the gradient with respect to the input, which is
 all the optimisation loops need to chain several networks (generator into
 feature extractor into classifier head) by hand; `backward_params` also
-forms the dense parameter gradients, for training.
+forms the dense parameter gradients, for training. `descend` is the one
+Adam loop over latent codes: a generator of points whose caller writes the
+stop rule as the body of a `for` loop.
 """
 
 from __future__ import annotations
@@ -500,6 +502,25 @@ def adam_step(
         new_m.append(m1)
         new_v.append(v1)
     return new_params, AdamState(t, new_m, new_v)
+
+
+def descend(objective, z, lr: float, max_steps: int):
+    """Adam descent of `objective(z) -> (grad, info)` from a copy of `z`.
+
+    Yields `(0, z, info)` at the start, then `(step, z, info)` after each of
+    at most `max_steps` updates; `objective` runs once per point. Each
+    yielded `z` is a new array that is never modified; the caller's array is
+    neither modified nor yielded. Leaving the loop early evaluates nothing
+    further.
+    """
+    z = np.array(z, dtype=np.float64)
+    grad, info = objective(z)
+    yield 0, z, info
+    state = AdamState.init([z])
+    for step in range(1, max_steps + 1):
+        (z,), state = adam_step([z], [grad], state, lr)
+        grad, info = objective(z)
+        yield step, z, info
 
 
 def parameters(net: Network) -> list:

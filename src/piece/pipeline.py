@@ -106,22 +106,23 @@ def invert_image(
     """
     flat = np.asarray(image, dtype=np.float64).ravel()
     target_feats = nc.forward(feature_net, flat).output
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((settings.invert_restarts, generator.input_dim))
-    state = nc.AdamState.init([z])
-    for _ in range(settings.invert_steps):
-        tg = nc.forward(generator, z, check_finite=False)
+
+    def objective(zv: np.ndarray) -> tuple[np.ndarray, tuple]:
+        tg = nc.forward(generator, zv, check_finite=False)
         imgs = tg.outputs[-1]
         tc = nc.forward(feature_net, imgs, check_finite=False)
         feats = tc.outputs[-1]
         g_feat = 2.0 * (feats - target_feats)
         g_img = nc.backward(feature_net, tc, g_feat)
         g_img = g_img + 2.0 * (imgs - flat)
-        g_z = nc.backward(generator, tg, g_img)
-        (z,), state = nc.adam_step([z], [g_z], state, settings.invert_lr)
+        return nc.backward(generator, tg, g_img), (feats, imgs)
 
-    imgs = nc.forward(generator, z, check_finite=False).output
-    feats = nc.forward(feature_net, imgs, check_finite=False).output
+    rng = np.random.default_rng(seed)
+    z0 = rng.standard_normal((settings.invert_restarts, generator.input_dim))
+    for _, z, (feats, imgs) in nc.descend(
+        objective, z0, settings.invert_lr, settings.invert_steps
+    ):
+        pass  # no early stop: every restart runs the full budget
     f_loss = np.sum((feats - target_feats) ** 2, axis=1)
     p_loss = np.sum((imgs - flat) ** 2, axis=1)
     combined = f_loss + p_loss
@@ -173,27 +174,23 @@ def select_cf_class(
     c = int(np.argmax(probs))
     if c != true_label:
         return SelectionResult(true_label, True, 0)
-    n_classes = len(probs)
-    y_c = nc.one_hot(c, n_classes)
+    y_c = nc.one_hot(c, len(probs))
 
-    def ascent_step(zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def objective(zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tg = nc.forward(generator, zv)
         tc = nc.forward(classifier, tg.outputs[-1])
         out = tc.outputs[-1]
         _, g_out = nc.loss("l2_sq", out, y_c[None, :])
         g_img = nc.backward(classifier, tc, g_out)
-        g_z = nc.backward(generator, tg, g_img)
-        return g_z, out[0]
+        # ascend: hand the negated gradient to the descent
+        return -nc.backward(generator, tg, g_img), out[0]
 
-    z_probe = z.copy()
-    state = nc.AdamState.init([z_probe])
-    argmax_trace: list = []
-    prob_c_trace: list = []
-    g_z, probe_probs = ascent_step(z_probe)
-    for step in range(1, settings.ascent_max_steps + 1):
-        # ascend: feed the negated gradient to the descent update
-        (z_probe,), state = nc.adam_step([z_probe], [-g_z], state, settings.ascent_lr)
-        g_z, probe_probs = ascent_step(z_probe)
+    argmax_trace, prob_c_trace = [], []
+    for step, _, probe_probs in nc.descend(
+        objective, z, settings.ascent_lr, settings.ascent_max_steps
+    ):
+        if step == 0:
+            continue  # the start point is not probed
         top = int(np.argmax(probe_probs))
         argmax_trace.append(top)
         prob_c_trace.append(float(probe_probs[c]))
@@ -350,7 +347,9 @@ def visualize(
     match the modified feature vector; returns the best latent seen."""
     x_target = np.asarray(x_target, dtype=np.float64)
 
-    def vis_step(zv: np.ndarray) -> tuple[np.ndarray, float]:
+    def objective(zv: np.ndarray) -> tuple[np.ndarray, float]:
+        if not np.all(np.isfinite(zv)):
+            raise VisualizationError("visualization latent diverged to non-finite")
         tg = nc.forward(generator, zv, check_finite=False)
         tc = nc.forward(feature_net, tg.outputs[-1], check_finite=False)
         feats = tc.outputs[-1]
@@ -359,19 +358,13 @@ def visualize(
         g_z = nc.backward(generator, tg, g_img)
         return g_z, float(np.sum((feats - x_target) ** 2))
 
-    z = z_init.copy()
-    g_z, before = vis_step(z)
-    best_z = z.copy()
-    best_loss = before
-    state = nc.AdamState.init([z])
-    for _ in range(settings.visualize_steps):
-        (z,), state = nc.adam_step([z], [g_z], state, settings.visualize_lr)
-        if not np.all(np.isfinite(z)):
-            raise VisualizationError("visualization latent diverged to non-finite")
-        g_z, cur = vis_step(z)
-        if cur < best_loss:
-            best_loss = cur
-            best_z = z.copy()
+    for step, z, loss in nc.descend(
+        objective, z_init, settings.visualize_lr, settings.visualize_steps
+    ):
+        if step == 0:
+            before = loss
+        if step == 0 or loss < best_loss:
+            best_z, best_loss = z, loss
     image = nc.forward(generator, best_z).output.reshape(image_shape)
     return VisualizationResult(best_z, image, before, best_loss)
 

@@ -26,6 +26,7 @@ import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .baselines import BaselineConfig, BaselineError
 from .datagen import (
     Dataset,
     GlyphParams,
@@ -63,6 +64,18 @@ class BaselinesConfig:
     max_steps: int = 2000
     lam: float = 30.0
     lam_sweep: tuple[float, ...] = (10.0, 30.0, 100.0)
+
+    def __post_init__(self):
+        # fail as the config is parsed, not after an experiment's first image
+        try:
+            for lam in (self.lam, *self.lam_sweep):
+                dataclasses.replace(self.method_config(), lam=lam).validate()
+        except BaselineError as exc:
+            raise ConfigError(f"[baselines] {exc}") from exc
+
+    def method_config(self) -> BaselineConfig:
+        """The settings of one baseline run at the configured lambda."""
+        return BaselineConfig(self.lam, self.lr, self.max_steps)
 
 
 @dataclass(frozen=True)

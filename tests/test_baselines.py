@@ -29,8 +29,8 @@ def prepared(toy_run):
     return {"arts": arts, "contexts": contexts}
 
 
-CFG = bl.BaselineConfig("min_edit", lr=0.02, max_steps=2000)
-CCFG = bl.BaselineConfig("c_min_edit", lam=30.0, lr=0.02, max_steps=2000)
+CFG = bl.BaselineConfig(lr=0.02, max_steps=2000)
+CCFG = bl.BaselineConfig(lam=30.0, lr=0.02, max_steps=2000)
 
 
 def classify(arts, z):
@@ -70,13 +70,22 @@ class TestStopRules:
     def test_zero_lr_fails_after_budget(self, prepared):
         arts = prepared["arts"]
         ctx = prepared["contexts"][0]
-        cfg = bl.BaselineConfig("min_edit", lr=0.0, max_steps=40)
+        cfg = bl.BaselineConfig(lr=0.0, max_steps=40)
         res = bl.min_edit(
             ctx.inversion.z, ctx.c, ctx.selection.c_prime,
             arts.classifier, arts.generator, cfg,
         )
         assert res.failed and res.steps_taken == 40
         assert "no decision boundary" in res.failure_reason
+
+    def test_start_in_target_returns_start_copy(self, prepared):
+        arts = prepared["arts"]
+        ctx = prepared["contexts"][0]
+        z = ctx.inversion.z
+        assert classify(arts, z) == ctx.c
+        res = bl.c_min_edit(z, ctx.x, ctx.c, ctx.c, arts.classifier, arts.generator, CCFG)
+        assert not res.failed and res.steps_taken == 0 and res.crossed_step == 0
+        assert np.array_equal(res.z_prime, z) and res.z_prime is not z
 
     def test_c_min_edit_counterfactual(self, prepared):
         arts = prepared["arts"]
@@ -106,7 +115,7 @@ class TestLambdaBehavior:
             huge = bl.c_min_edit(
                 ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
                 arts.classifier, arts.generator,
-                bl.BaselineConfig("c_min_edit", lam=1e6, lr=0.02, max_steps=2000),
+                bl.BaselineConfig(lam=1e6, lr=0.02, max_steps=2000),
             )
             assert not me.failed and not huge.failed
             d_me = displacement(me.z_prime, ctx.x)
@@ -126,7 +135,7 @@ class TestLambdaBehavior:
             small = bl.c_min_edit(
                 ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
                 arts.classifier, arts.generator,
-                bl.BaselineConfig("c_min_edit", lam=10.0, lr=0.02, max_steps=2000),
+                bl.BaselineConfig(lam=10.0, lr=0.02, max_steps=2000),
             )
             plain = bl.min_edit(
                 ctx.inversion.z, ctx.c, ctx.selection.c_prime,
@@ -137,6 +146,14 @@ class TestLambdaBehavior:
                 d_plain.append(displacement(plain.z_prime, ctx.x))
         assert len(d_small) >= 3
         assert np.mean(d_small) <= np.mean(d_plain)
+
+    def test_min_edit_ignores_lambda(self, prepared):
+        arts = prepared["arts"]
+        ctx = prepared["contexts"][1]
+        start = (ctx.inversion.z, ctx.c, ctx.selection.c_prime, arts.classifier, arts.generator)
+        plain, weighted = bl.min_edit(*start, CFG), bl.min_edit(*start, CCFG)
+        assert plain.method == weighted.method == "min_edit"
+        assert np.array_equal(plain.z_prime, weighted.z_prime)
 
     def test_deterministic(self, prepared):
         arts = prepared["arts"]
@@ -199,7 +216,7 @@ class TestRunToDistance:
     def test_unreachable_distance_fails(self, prepared):
         arts = prepared["arts"]
         ctx = prepared["contexts"][0]
-        cfg = bl.BaselineConfig("min_edit", lr=0.0, max_steps=30)
+        cfg = bl.BaselineConfig(lr=0.0, max_steps=30)
         res = bl.run_to_distance(
             "min_edit", ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
             50.0, arts.classifier, arts.generator, cfg,
@@ -208,13 +225,20 @@ class TestRunToDistance:
 
 
 class TestValidation:
-    def test_unknown_method(self):
-        with pytest.raises(bl.BaselineError):
-            bl.BaselineConfig("extreme_edit").validate()
+    def test_unknown_method(self, prepared):
+        arts = prepared["arts"]
+        ctx = prepared["contexts"][0]
+        start = (ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime)
+        with pytest.raises(bl.BaselineError, match="extreme_edit"):
+            bl.run_baseline("extreme_edit", *start, arts.classifier, arts.generator, CFG)
+        with pytest.raises(bl.BaselineError, match="extreme_edit"):
+            bl.run_to_distance(
+                "extreme_edit", *start, 1.0, arts.classifier, arts.generator, CFG
+            )
 
     def test_bad_lambda(self):
         with pytest.raises(bl.BaselineError):
-            bl.BaselineConfig("c_min_edit", lam=0.0).validate()
+            bl.BaselineConfig(lam=0.0).validate()
 
     def test_bad_mode(self, prepared):
         arts = prepared["arts"]

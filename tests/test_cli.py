@@ -121,6 +121,16 @@ class TestStageOrdering:
                      "--config", str(bad)]) == 2
         assert "invert_step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["lambda = -1", "max_steps = -5", "lambda_sweep = 10.0,0.0"]
+    )
+    def test_bad_baselines_value(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[baselines]\n{line}\n")
+        assert main(["datagen", "--run-dir", str(tmp_path / "r"),
+                     "--config", str(bad)]) == 2
+        assert "[baselines]" in capsys.readouterr().err
+
 
 class TestDatagenOutputs:
     def test_artifacts_exist(self, mini_run):

@@ -260,6 +260,68 @@ class TestAdam:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _quadratic(seed, rows=3, dim=5):
+    """Random convex quadratic over a (rows, dim) batch, its start point, and
+    the list of points it was evaluated at."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    h = a @ a.T + np.eye(dim)
+    target = rng.normal(size=(rows, dim))
+    calls: list = []
+
+    def objective(z):
+        calls.append(z)
+        d = z - target
+        return 2.0 * d @ h, float(np.sum(d * (d @ h)))
+
+    return objective, rng.normal(size=(rows, dim)), calls
+
+
+class TestDescend:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_hand_written_adam(self, seed):
+        objective, z0, _ = _quadratic(seed)
+        got = [(step, z.copy(), info) for step, z, info in nc.descend(objective, z0, 0.05, 40)]
+        reference, z0_ref, _ = _quadratic(seed)
+        z = z0_ref.copy()
+        g, info = reference(z)
+        want = [(0, z, info)]
+        state = nc.AdamState.init([z])
+        for step in range(1, 41):
+            (z,), state = nc.adam_step([z], [g], state, 0.05)
+            g, info = reference(z)
+            want.append((step, z, info))
+        assert [s for s, _, _ in got] == [s for s, _, _ in want]
+        assert all(np.array_equal(a, b) for (_, a, _), (_, b, _) in zip(got, want))
+        assert [i for _, _, i in got] == [i for _, _, i in want]
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 7])
+    def test_yields_max_steps_plus_one_points(self, max_steps):
+        objective, z0, calls = _quadratic(3)
+        steps = [step for step, _, _ in nc.descend(objective, z0, 0.1, max_steps)]
+        assert steps == list(range(max_steps + 1))
+        assert len(calls) == max_steps + 1
+
+    def test_caller_array_never_mutated_or_yielded(self):
+        objective, z0, calls = _quadratic(4)
+        saved = z0.copy()
+        seen = []
+        for _, z, _ in nc.descend(objective, z0, 0.1, 20):
+            assert z is not z0
+            seen.append((z, z.copy()))
+        assert np.array_equal(z0, saved)
+        assert all(c is not z0 for c in calls)
+        # a yielded point is not modified by the steps after it
+        assert all(np.array_equal(z, snapshot) for z, snapshot in seen)
+
+    def test_leaving_early_stops_evaluating(self):
+        objective, z0, calls = _quadratic(5)
+        for step, _, _ in nc.descend(objective, z0, 0.1, 100):
+            if step == 4:
+                break
+        assert len(calls) == 5
+
+
 class TestLoss:
     def test_mse_self_is_zero(self):
         value, grad = nc.loss("mse", [1.0, 2.0], [1.0, 2.0])
