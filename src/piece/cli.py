@@ -6,7 +6,8 @@
     piece explain    --run-dir runs/demo --index 12 --mode cf
     piece experiment --run-dir runs/demo --expt 1
 
-Exit codes: 0 success, 2 configuration error, 3 missing prerequisite stage,
+Exit codes: 0 success, 1 a stage that failed as it ran (training, data,
+pipeline or metric error), 2 configuration error, 3 missing prerequisite stage,
 4 run artifacts that do not verify (a provenance mismatch, or a damaged
 model, stats or latents file), 5 experiment failure fraction above the
 configured threshold.
@@ -15,8 +16,6 @@ configured threshold.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 
 import numpy as np
@@ -30,8 +29,9 @@ from .datagen import (
     make_glyphs,
     save_dataset,
     write_manifest,
-    write_pgm,
+    write_pgm,  # noqa: F401  (perfbench/spans.py traces the writer under this name)
 )
+from .evalx import MetricError
 from .hurdle import HurdleError, fit_stats, save_latents, save_stats
 from .runcfg import (
     ConfigError,
@@ -112,8 +112,7 @@ def cmd_train(args) -> int:
     clf_report.save(paths.reports("training_classifier.json"))
     print(f"train: classifier test accuracy {clf_report.final['test_accuracy']:.4f}")
 
-    encoder, generator, gen_report = train_generator(train, test, cfg.generator)
-    nc.save_network(encoder, paths.models("encoder.json"), provenance)
+    generator, gen_report = train_generator(train, test, cfg.generator)
     nc.save_network(generator, paths.models("generator.json"), provenance)
     gen_report.save(paths.reports("training_generator.json"))
     print(f"train: generator test reconstruction MSE {gen_report.final['test_mse']:.5f}")
@@ -195,19 +194,7 @@ def cmd_explain(args) -> int:
         target_class=args.target_class,
     )
     result = pl.explain(request, arts.classifier, arts.generator, arts.stats)
-    outdir = paths.explanations("single")
-    os.makedirs(outdir, exist_ok=True)
-    tag = f"{args.mode}_{args.index:04d}"
-    doc = pl.result_to_dict(result)
-    doc["provenance"] = ex.run_provenance(arts)
-    with open(os.path.join(outdir, f"{tag}.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    shape = image.shape
-    recon = nc.forward(arts.generator, result.z).output.reshape(shape)
-    write_pgm(image, os.path.join(outdir, f"{tag}_original.pgm"))
-    write_pgm(recon, os.path.join(outdir, f"{tag}_reconstruction.pgm"))
-    write_pgm(result.image_prime, os.path.join(outdir, f"{tag}_explanation.pgm"))
+    ex.save_explanation(paths, "single", f"{args.mode}_{args.index:04d}", result, image, arts)
     print(
         f"explain: image {args.index} (label {label}) mode {mode}"
         + (f" fraction {args.fraction}" if mode == "proportional" else "")
@@ -220,7 +207,7 @@ def cmd_explain(args) -> int:
     print(
         f"explain: verified={'yes' if result.verified else 'NO'} "
         f"(intended class {result.intended_class}, "
-        f"predicted {int(np.argmax(result.probs_prime))}) -> {outdir}"
+        f"predicted {int(np.argmax(result.probs_prime))}) -> {paths.explanations('single')}"
     )
     return EXIT_OK
 
@@ -326,7 +313,7 @@ def main(argv=None) -> int:
     except (ProvenanceError, HurdleError, nc.NetworkFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROVENANCE
-    except (TrainingFailure, DataError, pl.PipelineError) as exc:
+    except (TrainingFailure, DataError, pl.PipelineError, MetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .netcore import Array, decode_array, encode_array
+from .netcore import Array, decode_array, encode_array, write_json
 
 
 class DataError(Exception):
@@ -250,9 +250,7 @@ def save_dataset(data: Dataset, path) -> None:
         "labels": data.labels.tolist(),
         "images": encode_array(data.images),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_dataset(path) -> Dataset:
@@ -279,9 +277,7 @@ def write_manifest(path, params: GlyphParams, counts: dict, file_shas: dict) -> 
         "counts": counts,
         "files": file_shas,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, indent=1)
 
 
 def read_manifest(path) -> dict:

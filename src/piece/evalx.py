@@ -148,9 +148,9 @@ def knn_accuracy(
 @dataclass
 class SubstitutabilityResult:
     k: int
-    accuracy: float
+    accuracy: Optional[float]
     reference_accuracy: float
-    score: float  # accuracy / reference_accuracy * 100
+    score: Optional[float]  # accuracy / reference_accuracy * 100
     missing_classes: list
     n_explanations: int
 
@@ -167,7 +167,8 @@ def substitutability(
     """How well explanations substitute for real training data: accuracy of
     a pixel-space k-NN trained on the explanation images (labelled with
     their intended classes), normalized by the same k-NN trained on the
-    reference training set."""
+    reference training set. With fewer explanations than `k` their k-NN is
+    undefined, and accuracy and score are None."""
     expl = np.asarray(expl_images, dtype=np.float64).reshape(len(expl_images), -1)
     intended = np.asarray(intended_classes, dtype=np.int64)
     if len(expl) == 0:
@@ -177,10 +178,12 @@ def substitutability(
     tst_y = np.asarray(test_labels, dtype=np.int64)
     present = set(int(v) for v in np.unique(intended))
     missing = sorted(set(int(v) for v in np.unique(ref_labels)) - present)
-    acc = knn_accuracy(expl, intended, tst, tst_y, k)
     ref_acc = knn_accuracy(ref, np.asarray(ref_labels, dtype=np.int64), tst, tst_y, k)
     if ref_acc < _GUARD:
         raise MetricError("reference k-NN accuracy is zero; score undefined")
+    if k > len(expl):
+        return SubstitutabilityResult(k, None, ref_acc, None, missing, len(expl))
+    acc = knn_accuracy(expl, intended, tst, tst_y, k)
     return SubstitutabilityResult(
         k, acc, ref_acc, 100.0 * acc / ref_acc, missing, len(expl)
     )
@@ -211,6 +214,17 @@ _METRIC_COLUMNS = ("mc_mean", "mc_std", "nn_dist", "im1", "im2", "l1")
 
 @dataclass
 class MetricRow:
+    """One explanation of one image by one method, and its metrics.
+
+    Both experiments build one list of these, and each report table is a
+    projection of that list onto some columns (`write_rows`) or an
+    aggregate of it (`aggregate`). The fields from `fraction` on are only
+    set on experiment 2's budget rows. The experiments differ on purpose in
+    two ways: experiment 1 counts only `failed` rows as failures, while
+    experiment 2 also counts unverified rows; and experiment 1 sorts its
+    rows (`build_report`), while experiment 2 writes them in loop order.
+    """
+
     method: str
     mode: str
     image_id: int
@@ -224,6 +238,10 @@ class MetricRow:
     l1: Optional[float] = None
     verified: bool = False
     failed: bool = False
+    fraction: Optional[float] = None
+    target_distance: Optional[float] = None  # latent displacement to match
+    applied_count: Optional[int] = None
+    k_reference: Optional[int] = None
 
     def key(self) -> tuple:
         return (self.method, self.mode, self.image_id)
@@ -235,6 +253,20 @@ class MetricReport:
     aggregates: list  # dicts: method, mode, metric, mean, std, n, failures
 
 
+def aggregate(rows: list, metric: str) -> dict:
+    """Mean, sample std and count of `metric` over the rows that did not
+    fail and have a value, and the number of failed rows."""
+    values = [
+        getattr(r, metric) for r in rows if not r.failed and getattr(r, metric) is not None
+    ]
+    return {
+        "mean": float(np.mean(values)) if values else None,
+        "std": float(np.std(values, ddof=1)) if len(values) > 1 else None,
+        "n": len(values),
+        "failures": sum(1 for r in rows if r.failed),
+    }
+
+
 def build_report(rows: list) -> MetricReport:
     """Sort rows deterministically, validate key uniqueness, and compute
     per-(method, mode) aggregates with failures excluded but counted."""
@@ -244,29 +276,14 @@ def build_report(rows: list) -> MetricReport:
         if r.key() in seen:
             raise MetricError(f"duplicate report row key {r.key()}")
         seen.add(r.key())
-    aggregates = []
     groups: dict = {}
     for r in ordered:
         groups.setdefault((r.method, r.mode), []).append(r)
-    for (method, mode), members in sorted(groups.items()):
-        failures = sum(1 for r in members if r.failed)
-        for metric in _METRIC_COLUMNS:
-            values = [
-                getattr(r, metric)
-                for r in members
-                if not r.failed and getattr(r, metric) is not None
-            ]
-            aggregates.append(
-                {
-                    "method": method,
-                    "mode": mode,
-                    "metric": metric,
-                    "mean": float(np.mean(values)) if values else None,
-                    "std": float(np.std(values, ddof=1)) if len(values) > 1 else None,
-                    "n": len(values),
-                    "failures": failures,
-                }
-            )
+    aggregates = [
+        {"method": method, "mode": mode, "metric": metric, **aggregate(members, metric)}
+        for (method, mode), members in sorted(groups.items())
+        for metric in _METRIC_COLUMNS
+    ]
     return MetricReport(ordered, aggregates)
 
 
@@ -291,12 +308,9 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([format_value(v) for v in row])
 
 
-def write_report_rows(report: MetricReport, path) -> None:
-    write_csv(
-        path,
-        ROW_COLUMNS,
-        [[getattr(r, col) for col in ROW_COLUMNS] for r in report.rows],
-    )
+def write_rows(path, columns, rows: list) -> None:
+    """The CSV of `rows` (MetricRows) projected onto `columns`."""
+    write_csv(path, columns, [[getattr(r, col) for col in columns] for r in rows])
 
 
 def write_report_aggregates(report: MetricReport, path) -> None:

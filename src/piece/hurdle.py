@@ -285,9 +285,7 @@ def save_stats(table: StatsTable, path) -> None:
         "dataset_sha": table.dataset_sha,
         "classes": classes,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    nc.write_json(path, doc, indent=1)
 
 
 def load_stats(path) -> StatsTable:
@@ -329,9 +327,7 @@ def save_latents(latents: np.ndarray, predicted: np.ndarray, path) -> None:
         "latents": nc.encode_array(latents),
         "predicted": predicted.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    nc.write_json(path, doc)
 
 
 def load_latents(path) -> tuple[np.ndarray, np.ndarray]:

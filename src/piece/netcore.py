@@ -28,7 +28,7 @@ Array = np.ndarray
 NETWORK_MAGIC = "piece-network"
 NETWORK_FORMAT_VERSION = 1
 
-ROLES = ("classifier", "generator", "autoencoder", "encoder")
+ROLES = ("classifier", "generator", "autoencoder")
 
 
 class NetError(Exception):
@@ -560,6 +560,13 @@ def replace_parameters(net: Network, params: list) -> Network:
 # Serialization
 
 
+def write_json(path, doc, indent: Optional[int] = None) -> None:
+    """Write `doc` as JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
 def encode_array(arr: Array) -> str:
     """Base64 text of the little-endian float64 bytes of `arr`."""
     return base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()).decode("ascii")
@@ -613,9 +620,7 @@ def save_network(net: Network, path, provenance: Optional[dict] = None) -> None:
     }
     if provenance:
         doc["provenance"] = provenance
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, indent=1)
 
 
 def load_network(path) -> Network:

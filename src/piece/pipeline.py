@@ -636,58 +636,3 @@ def explain(
         exceptional_ks_p=ks_list,
     )
 
-
-def result_to_dict(res: ExplanationResult) -> dict:
-    """JSON-ready view of an explanation result."""
-    return {
-        "mode": res.mode,
-        "fraction": res.fraction,
-        "image_id": res.image_id,
-        "true_label": res.true_label,
-        "c": res.c,
-        "c_prime": res.c_prime,
-        "trivially_selected": res.trivially_selected,
-        "alpha": res.alpha,
-        "z": [float(v) for v in res.z],
-        "x": [float(v) for v in res.x],
-        "exceptional": [
-            {
-                "neuron": f.neuron,
-                "rule": f.rule.value,
-                "probability": f.probability,
-                "observed": f.observed,
-                "replacement": f.replacement,
-            }
-            for f in res.exceptional
-        ],
-        "skipped_degenerate": res.skipped_degenerate,
-        "steps": [
-            {
-                "neuron": s.neuron,
-                "rule": s.rule,
-                "probability": s.probability,
-                "old": s.old,
-                "new": s.new,
-                "applied": s.applied,
-                "reason": s.reason,
-                "prob_c": s.prob_c,
-                "prob_c_prime": s.prob_c_prime,
-            }
-            for s in res.mod_steps
-        ],
-        "x_mod": [float(v) for v in res.x_mod],
-        "z_prime": [float(v) for v in res.z_prime],
-        "probs_original": [float(v) for v in res.probs_original],
-        "probs_prime": [float(v) for v in res.probs_prime],
-        "applied_count": res.applied_count,
-        "eligible_count": res.eligible_count,
-        "k_reference": res.k_reference,
-        "status": res.status,
-        "intended_class": res.intended_class,
-        "verified": res.verified,
-        "inversion_losses": res.inversion_losses,
-        "residuals": res.residuals,
-        "backoff_steps": res.backoff_steps,
-        "recheck_violations": res.recheck_violations,
-        "exceptional_ks_p": res.exceptional_ks_p,
-    }

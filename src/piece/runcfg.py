@@ -129,6 +129,17 @@ class RunConfig:
         self.dataset = dataclasses.replace(self.dataset, glyphs=glyphs)
         if not (0.0 < self.alpha < 0.5):
             raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
+        # counts the pipeline and the metrics need at least one of; fail as
+        # the config is parsed, not in the middle of a stage
+        for section, obj, names in (
+            ("pipeline", self.optim, ("invert_restarts",)),
+            ("metrics", self.metrics, ("mc_passes", "knn_k", "knn_k_extra")),
+        ):
+            for name in names:
+                if getattr(obj, name) < 1:
+                    raise ConfigError(
+                        f"[{section}] {name} must be at least 1, got {getattr(obj, name)}"
+                    )
 
 
 # INI section -> attribute paths (from RunConfig) of the objects whose scalar
@@ -294,7 +305,8 @@ class RunPaths:
         return os.path.exists(self.stats("stats.json"))
 
     def experiment_done(self, expt: int) -> bool:
-        return os.path.exists(self.reports(f"expt{expt}_rows.csv"))
+        # the report each experiment writes last
+        return os.path.exists(self.reports(f"expt{expt}_fit_quality.csv"))
 
     def require_datagen(self) -> None:
         if not self.datagen_done():
@@ -317,7 +329,6 @@ class RunPaths:
 
 MODEL_FILES = {
     "classifier": "classifier.json",
-    "encoder": "encoder.json",
     "generator": "generator.json",
     "ae_full": "ae_full.json",
 }

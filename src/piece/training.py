@@ -8,7 +8,6 @@ from the config seed, so the same config yields bit-identical networks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -59,9 +58,7 @@ class TrainReport:
     notes: list = field(default_factory=list)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        nc.write_json(path, asdict(self), indent=1)
 
 
 def _glorot_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> nc.Dense:
@@ -222,20 +219,10 @@ def _train_autoencoder(
     )
 
 
-def split_autoencoder(net: nc.Network) -> tuple[nc.Network, nc.Network]:
-    """(encoder, decoder); the decoder is the image generator."""
-    if net.feature_tap is None:
-        raise TrainingFailure("autoencoder has no bottleneck tap")
-    cut = net.feature_tap + 1
-    encoder = nc.Network(net.layers[:cut], role="encoder")
-    decoder = nc.Network(net.layers[cut:], role="generator")
-    return encoder, decoder
-
-
 def train_generator(
     train: Dataset, test: Dataset, cfg: TrainConfig
-) -> tuple[nc.Network, nc.Network, TrainReport]:
-    """Pixel-reconstruction autoencoder; returns (encoder, generator)."""
+) -> tuple[nc.Network, TrainReport]:
+    """Pixel-reconstruction autoencoder; its decoder is the generator."""
     cfg.validate()
     if cfg.latent_dim >= train.n_pixels:
         raise TrainingFailure("latent dimension must be smaller than pixel count")
@@ -249,7 +236,7 @@ def train_generator(
             f"{cfg.recon_mse_target}",
             curve,
         )
-    encoder, generator = split_autoencoder(ae)
+    generator = nc.Network(ae.layers[ae.feature_tap + 1:], role="generator")
     report = TrainReport(
         stage="generator",
         seed=cfg.seed,
@@ -262,7 +249,7 @@ def train_generator(
             "not an adversarially trained network"
         ],
     )
-    return encoder, generator, report
+    return generator, report
 
 
 def train_autoencoders(

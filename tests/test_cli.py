@@ -131,6 +131,22 @@ class TestStageOrdering:
                      "--config", str(bad)]) == 2
         assert "[baselines]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,line",
+        [
+            ("metrics", "mc_passes = 0"),
+            ("metrics", "knn_k = 0"),
+            ("metrics", "knn_k_extra = 0"),
+            ("pipeline", "invert_restarts = 0"),
+        ],
+    )
+    def test_count_below_one_rejected(self, tmp_path, capsys, section, line):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\n{line}\n")
+        assert main(["datagen", "--run-dir", str(tmp_path / "r"),
+                     "--config", str(bad)]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+
 
 class TestDatagenOutputs:
     def test_artifacts_exist(self, mini_run):
@@ -301,10 +317,106 @@ class TestExperimentCommand:
         for name in ("expt2_maxedit.csv", "expt2_profile.csv", "expt2_fit_quality.csv"):
             assert os.path.exists(os.path.join(reports, name)), name
 
+    def test_profile_and_distance_rows_agree(self, mini_run):
+        import csv
+        import os
+
+        def read(name):
+            return list(csv.DictReader(open(os.path.join(mini_run, "reports", name))))
+
+        profile = read("expt2_profile.csv")
+        piece = [r for r in read("expt2_distance_matched.csv") if r["method"] == "piece"]
+        assert len(profile) == len(piece) > 0
+        for p, d in zip(profile, piece):
+            assert (p["image_id"], p["fraction"], p["verified"]) == (
+                d["image_id"], d["fraction"], d["verified"])
+        # the full budget renders the max-edit semifactual itself
+        maxedit = {r["image_id"]: r for r in read("expt2_maxedit.csv") if r["method"] == "piece"}
+        for d in piece:
+            if d["fraction"] == "1":
+                assert d["l1"] == maxedit[d["image_id"]]["l1"]
+                assert d["verified"] == maxedit[d["image_id"]]["verified"]
+
     def test_rerun_refused_then_forced(self, mini_run):
         assert main(["experiment", "--run-dir", mini_run, "--expt", "1"]) == 2
         assert main(["experiment", "--run-dir", mini_run, "--expt", "1",
                      "--force"]) in (0, 5)
+
+    def test_expt2_rerun_refused_then_forced(self, mini_run):
+        import os
+
+        reports = os.path.join(mini_run, "reports")
+
+        def expt2_reports():
+            return {n: open(os.path.join(reports, n), "rb").read()
+                    for n in sorted(os.listdir(reports)) if n.startswith("expt2_")}
+
+        before = expt2_reports()
+        assert main(["experiment", "--run-dir", mini_run, "--expt", "2"]) == 2
+        assert expt2_reports() == before
+        assert main(["experiment", "--run-dir", mini_run, "--expt", "2",
+                     "--force"]) in (0, 5)
+        assert expt2_reports() == before
+
+    def test_experiment_without_last_report_not_done(self, mini_run, tmp_path):
+        import os
+        import shutil
+
+        clone = tmp_path / "half"
+        shutil.copytree(mini_run, clone)
+        # as if the run stopped before its last report
+        os.remove(clone / "reports" / "expt1_fit_quality.csv")
+        assert main(["experiment", "--run-dir", str(clone), "--expt", "1"]) in (0, 5)
+        assert (clone / "reports" / "expt1_fit_quality.csv").exists()
+
+    def test_unprepared_image_fails_every_expt2_row(
+        self, mini_run, tmp_path, monkeypatch, capsys
+    ):
+        import csv
+        import os
+        import shutil
+
+        from piece import pipeline as pl
+
+        def unprepared(*args, **kwargs):
+            raise pl.SelectionError("no class reachable")
+
+        clone = tmp_path / "unprepared"
+        shutil.copytree(mini_run, clone)
+        monkeypatch.setattr(pl, "prepare_context", unprepared)
+        capsys.readouterr()
+        assert main(["experiment", "--run-dir", str(clone), "--expt", "2", "--force"]) == 5
+        reports = os.path.join(clone, "reports")
+
+        def read(name):
+            return list(csv.DictReader(open(os.path.join(reports, name))))
+
+        n_cases = len(read("expt2_testset.csv"))
+        assert n_cases > 0
+        out = capsys.readouterr().out
+        assert f"{15 * n_cases} method rows, {15 * n_cases} failures" in out
+        for name, per_image in (("expt2_maxedit.csv", 3), ("expt2_distance_matched.csv", 12)):
+            rows = read(name)
+            assert len(rows) == per_image * n_cases
+            assert all(r["failed"] == "true" for r in rows)
+        assert len(read("expt2_profile.csv")) == 4 * n_cases
+        aggs = read("expt2_maxedit_aggregates.csv")
+        assert [(a["method"], a["n"], a["failures"]) for a in aggs] == [
+            (m, "0", str(n_cases)) for m in ("piece", "min_edit", "c_min_edit")
+        ]
+
+    def test_metric_error_exits_1(self, mini_run, monkeypatch, capsys):
+        from piece import evalx
+        from piece import experiments as ex
+
+        def broken(arts, paths):
+            raise evalx.MetricError("k=3 invalid for 2 training points")
+
+        monkeypatch.setattr(ex, "run_experiment1", broken)
+        capsys.readouterr()
+        assert main(["experiment", "--run-dir", mini_run, "--expt", "1", "--force"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: k=3 invalid for 2 training points"]
 
     def test_failure_threshold_exit_code(self, mini_run, tmp_path):
         import shutil

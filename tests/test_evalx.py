@@ -205,6 +205,17 @@ class TestSubstitutability:
         )
         assert res.score == pytest.approx(100.0)
 
+    def test_fewer_explanations_than_k_is_na(self):
+        # two explanations cannot vote with three neighbours
+        ref = np.array([[0.0], [1.0], [5.0], [6.0]])
+        ref_y = np.array([0, 0, 1, 1])
+        res = evalx.substitutability(
+            np.array([[0.0], [6.0]]), np.array([0, 1]), ref, ref_y,
+            np.array([[0.5], [5.5]]), np.array([0, 1]), k=3,
+        )
+        assert res.accuracy is None and res.score is None
+        assert res.reference_accuracy == 1.0 and res.n_explanations == 2
+
 
 class TestReport:
     def rows(self):
@@ -236,14 +247,14 @@ class TestReport:
     def test_empty_report_header_only(self, tmp_path):
         report = evalx.build_report([])
         path = tmp_path / "rows.csv"
-        evalx.write_report_rows(report, path)
+        evalx.write_rows(path, evalx.ROW_COLUMNS, report.rows)
         assert path.read_text().strip() == ",".join(evalx.ROW_COLUMNS)
 
     def test_csv_deterministic_and_formatted(self, tmp_path):
         report = evalx.build_report(self.rows())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        evalx.write_report_rows(report, a)
-        evalx.write_report_rows(report, b)
+        evalx.write_rows(a, evalx.ROW_COLUMNS, report.rows)
+        evalx.write_rows(b, evalx.ROW_COLUMNS, report.rows)
         assert a.read_bytes() == b.read_bytes()
         text = a.read_text()
         assert "NA" in text and "true" in text and "false" in text

@@ -341,14 +341,23 @@ class TestExplain:
         assert res.recheck_violations == recount
 
     def test_result_dict_is_json_ready(self, toy):
+        import dataclasses
         import json
+
+        from piece.experiments import record
 
         arts = toy["arts"]
         idx = int(toy["cor"][0])
         res = pl.explain(request_for(arts, idx, "counterfactual"),
                          arts.classifier, arts.generator, arts.stats)
-        text = json.dumps(pl.result_to_dict(res))
+        doc = record(res)
+        text = json.dumps(doc)
         assert '"verified"' in text
+        # every field is recorded, so a field added later cannot be lost
+        fields = {f.name for f in dataclasses.fields(pl.ExplanationResult)}
+        assert set(doc) == fields - {"image_prime", "mod_steps"} | {"steps"}
+        assert doc["steps"] == [dataclasses.asdict(s) for s in res.mod_steps]
+        assert [f["rule"] for f in doc["exceptional"]] == [f.rule.value for f in res.exceptional]
 
     def test_bad_requests_rejected(self, toy):
         arts = toy["arts"]

@@ -137,6 +137,8 @@ knn_k_extra = 3
 """
 
 LIST_KEYS = {"hidden": int, "lambda_sweep": float}
+# counts that parse_config rejects below 1
+AT_LEAST_ONE = {"invert_restarts", "mc_passes", "knn_k", "knn_k_extra"}
 
 
 def parse_text(text: str) -> RunConfig:
@@ -167,7 +169,7 @@ def non_default(key: str, default: str):
     elif key == "alpha":
         value = st.floats(0.001, 0.49).map(str)
     elif re.fullmatch(r"\d+", default):
-        value = st.integers(0, 100000).map(str)
+        value = st.integers(int(key in AT_LEAST_ONE), 100000).map(str)
     else:
         value = st.floats(1e-6, 1e6, allow_nan=False).map(str)
     return value.filter(lambda v: v != default)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from piece import netcore as nc
+from piece import pipeline as pl
 from piece import training as tr
 from piece.datagen import GlyphParams, make_glyphs
 
@@ -70,9 +71,11 @@ class TestGenerator:
     def test_latent_interpolation_stays_in_range(self, toy_run):
         arts = toy_run["arts"]
         gen = arts.generator
-        enc = nc.load_network(toy_run["paths"].models("encoder.json"))
-        z0 = nc.forward(enc, arts.train_data.flat()[0]).output
-        z1 = nc.forward(enc, arts.train_data.flat()[500]).output
+        body, _ = nc.split_at_tap(arts.classifier)
+        z0, z1 = (
+            pl.invert_image(gen, body, arts.train_data.images[i], arts.config.optim, seed=0).z
+            for i in (0, 500)
+        )
         for t in np.linspace(0, 1, 7):
             img = nc.forward(gen, (1 - t) * z0 + t * z1).output
             assert np.all(img >= 0.0) and np.all(img <= 1.0)
