@@ -31,16 +31,19 @@ def mc_dropout(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Mean and sample std of the target-class probability over stochastic
-    dropout forward passes (pass i uses seed + i)."""
+    dropout forward passes.
+
+    Pass i is the train-mode pass seeded with seed + i, so its dropout masks
+    are those of `forward(classifier, image, "train", rng_seed=seed + i)`;
+    all passes run as one batch (`netcore.forward_passes`), the layers
+    before the first dropout once."""
     if not classifier.has_dropout():
         raise MetricError("classifier has no dropout layer; mc_dropout undefined")
     if passes < 1:
         raise MetricError("need at least one pass")
     flat = np.asarray(image, dtype=np.float64).ravel()
-    values = np.empty(passes)
-    for i in range(passes):
-        probs = nc.forward(classifier, flat, mode="train", rng_seed=seed + i).output
-        values[i] = probs[target_class]
+    probs = nc.forward_passes(classifier, flat, range(seed, seed + passes))
+    values = probs[:, target_class]
     std = float(np.std(values, ddof=1)) if passes > 1 else 0.0
     return float(np.mean(values)), std
 

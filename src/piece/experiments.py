@@ -164,11 +164,6 @@ def _save_baseline(
         write_pgm(res.image.reshape(shape), os.path.join(base, f"{tag}_explanation.pgm"))
 
 
-def _features_of(classifier: nc.Network, flat_image: np.ndarray) -> np.ndarray:
-    body, _ = nc.split_at_tap(classifier)
-    return nc.forward(body, flat_image).output
-
-
 def _fit_quality_rows(scope: str, results: list, arts: RunArtifacts) -> list:
     ks_values = [p for r in results for p in r.exceptional_ks_p]
     all_fitted = [
@@ -205,12 +200,13 @@ _MODE_CODES = {"counterfactual": 0, "semifactual": 1, "proportional": 2, "distan
 
 def _metric_row(
     method: str, mode: str, case: TestCase, c: int, c_prime: int, flat_image: np.ndarray,
-    verified: bool, arts: RunArtifacts, **budget,
+    verified: bool, arts: RunArtifacts, body: nc.Network, **budget,
 ) -> evalx.MetricRow:
     """Measure one explanation: MC-dropout on the class it should have (c'
-    for a counterfactual, else c), nearest-latent distance, IM1, IM2 and the
-    pixel L1 to the original. `budget` sets experiment 2's budget fields;
-    its fraction is part of the MC seed."""
+    for a counterfactual, else c), nearest-latent distance of its features
+    (`body` is the classifier's feature extractor), IM1, IM2 and the pixel
+    L1 to the original. `budget` sets experiment 2's budget fields; its
+    fraction is part of the MC seed."""
     cfg = arts.config
     seed_parts = [cfg.seed, 9, case.image_id, _METHOD_CODES[method], _MODE_CODES[mode]]
     if "fraction" in budget:
@@ -226,7 +222,7 @@ def _metric_row(
         method, mode, case.image_id, c, c_prime,
         mc_mean=mc_mean,
         mc_std=mc_std,
-        nn_dist=evalx.nn_dist(_features_of(arts.classifier, flat_image), arts.latents),
+        nn_dist=evalx.nn_dist(nc.forward(body, flat_image).output, arts.latents),
         im1=evalx.im1(flat_image, arts.class_aes[c], arts.class_aes[c_prime]),
         im2=evalx.im2(flat_image, arts.class_aes[c_prime], arts.ae_full),
         l1=evalx.sf_l1(case.image, flat_image.reshape(case.image.shape)),
@@ -251,6 +247,7 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     expl_classes: dict = {m: [] for m in _METHODS}
     sweep: dict = {lam: [] for lam in cfg.baselines.lam_sweep}  # lambda -> rows
     bcfg = cfg.baselines.method_config()
+    body, _ = nc.split_at_tap(arts.classifier)
 
     for case in cases:
         request = pl.ExplanationRequest(
@@ -281,7 +278,7 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
         rows.append(
             _metric_row(
                 "piece", "counterfactual", case, c, c_prime,
-                res.image_prime.ravel(), res.verified, arts,
+                res.image_prime.ravel(), res.verified, arts, body,
             )
         )
         if res.verified:
@@ -307,7 +304,7 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
                 rows.append(
                     _metric_row(
                         method, "counterfactual", case, c, c_prime,
-                        bres.image, pred == c_prime, arts,
+                        bres.image, pred == c_prime, arts, body,
                     )
                 )
                 expl_images[method].append(np.asarray(bres.image))
@@ -327,7 +324,7 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
             sweep[lam].append(evalx.MetricRow(
                 "c_min_edit", "counterfactual", case.image_id, c, c_prime,
                 nn_dist=None if sres.failed else evalx.nn_dist(
-                    _features_of(arts.classifier, sres.image), arts.latents),
+                    nc.forward(body, sres.image).output, arts.latents),
                 failed=sres.failed,
             ))
 
@@ -435,6 +432,7 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     rows: list = []  # in loop order: max-edit, then each budget's three
     piece_results: list = []
     bcfg = cfg.baselines.method_config()
+    body, _ = nc.split_at_tap(arts.classifier)
 
     for case in cases:
         base_seed = derive_seed(cfg.seed, 2, case.image_id)
@@ -489,11 +487,11 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
                 context=ctx, reference=sf,
             )
             flat_prime = pres.image_prime.ravel()
-            d_star = float(np.linalg.norm(_features_of(arts.classifier, flat_prime) - ctx.x))
+            d_star = float(np.linalg.norm(nc.forward(body, flat_prime).output - ctx.x))
             rows.append(
                 _metric_row(
                     "piece", "proportional", case, c, c_prime, flat_prime, pres.verified,
-                    arts, fraction=fraction, target_distance=d_star,
+                    arts, body, fraction=fraction, target_distance=d_star,
                     applied_count=pres.applied_count, k_reference=pres.k_reference,
                 )
             )

@@ -10,7 +10,9 @@ all the optimisation loops need to chain several networks (generator into
 feature extractor into classifier head) by hand; `backward_params` also
 forms the dense parameter gradients, for training. `descend` is the one
 Adam loop over latent codes: a generator of points whose caller writes the
-stop rule as the body of a `for` loop.
+stop rule as the body of a `for` loop. `forward_passes` runs many seeded
+train-mode passes of one input as one batch, each pass drawing its masks
+as `forward` would.
 """
 
 from __future__ import annotations
@@ -302,26 +304,64 @@ def forward(
     if mode not in ("train", "eval"):
         raise DimensionError(f"mode must be 'train' or 'eval', got {mode!r}")
     x, squeezed = _as_batch(input)
+    _check_width(net, x)
     plan = net.plan
+    draw = None
+    if mode == "train" and plan.has_dropout:
+        if rng_seed is None:
+            raise DimensionError("train mode requires rng_seed when dropout present")
+        draw = np.random.default_rng(rng_seed).random
+    checks = plan.checks[mode if check_finite else "off"]
+    # overflow surfaces as a NumericsError (or a deliberately tolerated
+    # non-finite row when check_finite is off), not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs, masks = _run_layers(plan.steps, checks, x, draw)
+    return ForwardTrace(x, outputs, masks, mode, rng_seed, squeezed)
+
+
+def forward_passes(net: Network, input, seeds) -> Array:
+    """Outputs of the train-mode passes of one input vector, one row per seed.
+
+    Row i equals `forward(net, input, "train", rng_seed=seeds[i]).output` up
+    to the rounding of a batched matrix product: each dropout layer draws
+    row i of its mask from pass i's own stream, seeded with `seeds[i]`, in
+    the order and shape the single pass would. The layers before the first
+    dropout with a rate above 0 run once, on the single input row; the rest
+    run as one batch of rows. Finiteness is checked as in `forward`.
+    """
+    x, squeezed = _as_batch(input)
+    if not squeezed:
+        raise DimensionError(f"input must be one vector, got shape {x.shape}")
+    _check_width(net, x)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    def draw(shape):
+        # row i from pass i's stream; the input has one row, shared by every
+        # pass, up to the first mask drawn, and one row per pass after it
+        u = np.empty((len(rngs), shape[1]))
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        return u
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs, _ = _run_layers(net.plan.steps, net.plan.checks["train"], x, draw)
+    out = outputs[-1]
+    # with no dropout to draw, every pass is the one row computed
+    return out if len(out) == len(rngs) else np.repeat(out, len(rngs), axis=0)
+
+
+def _check_width(net: Network, x: Array) -> None:
     if x.shape[1] != net.input_dim:
         raise DimensionError(
             f"input width {x.shape[1]} does not match first dense layer "
             f"({net.input_dim})"
         )
-    rng = None
-    if mode == "train" and plan.has_dropout:
-        if rng_seed is None:
-            raise DimensionError("train mode requires rng_seed when dropout present")
-        rng = np.random.default_rng(rng_seed)
-    checks = plan.checks[mode if check_finite else "off"]
-    # overflow surfaces as a NumericsError (or a deliberately tolerated
-    # non-finite row when check_finite is off), not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        outputs, masks = _run_layers(plan.steps, checks, x, rng)
-    return ForwardTrace(x, outputs, masks, mode, rng_seed, squeezed)
 
 
-def _run_layers(steps, checks, cur, rng):
+def _run_layers(steps, checks, cur, draw):
+    """Per-layer outputs and train-mode dropout masks of one run of `steps`.
+    `draw(shape)` gives the uniform draws of a mask for an input of that
+    shape; with `draw` None, dropout is the identity (eval mode)."""
     outputs: list = []
     masks: dict = {}
     for i, (kind, layer) in enumerate(steps):
@@ -335,8 +375,8 @@ def _run_layers(steps, checks, cur, rng):
         elif kind == "relu":
             cur = np.maximum(cur, 0.0)
         elif kind == "dropout":
-            if rng is not None and layer.rate > 0.0:
-                keep = rng.random(cur.shape) >= layer.rate
+            if draw is not None and layer.rate > 0.0:
+                keep = draw(cur.shape) >= layer.rate
                 mask = keep / (1.0 - layer.rate)
                 masks[i] = mask
                 cur = cur * mask

@@ -72,6 +72,12 @@ class BaselinesConfig:
                 dataclasses.replace(self.method_config(), lam=lam).validate()
         except BaselineError as exc:
             raise ConfigError(f"[baselines] {exc}") from exc
+        # each value is one report row; a repeat would run and count twice
+        if len(set(self.lam_sweep)) != len(self.lam_sweep):
+            raise ConfigError(
+                f"[baselines] lambda_sweep repeats a value: "
+                f"{', '.join(map(str, self.lam_sweep))}"
+            )
 
     def method_config(self) -> BaselineConfig:
         """The settings of one baseline run at the configured lambda."""

@@ -122,7 +122,8 @@ class TestStageOrdering:
         assert "invert_step" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["lambda = -1", "max_steps = -5", "lambda_sweep = 10.0,0.0"]
+        "line", ["lambda = -1", "max_steps = -5", "lambda_sweep = 10.0,0.0",
+                 "lambda_sweep = 10.0,30,10"]
     )
     def test_bad_baselines_value(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.ini"

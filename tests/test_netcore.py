@@ -175,6 +175,105 @@ class TestFiniteChecks:
         assert_flags_first_nonfinite(net, x, **kw)
 
 
+def layout_network(layout, rng):
+    """Random net of a layout: layer kinds, with a dropout given by its rate."""
+    width = int(rng.integers(2, 7))
+    layers = []
+    for item in layout:
+        if not isinstance(item, str):
+            layers.append(nc.Dropout(item))
+        elif item == "dense":
+            out = int(rng.integers(2, 7))
+            layers.append(nc.Dense(rng.normal(size=(out, width)), rng.normal(size=out)))
+            width = out
+        else:
+            layers.append({"relu": nc.ReLU, "sigmoid": nc.Sigmoid, "softmax": nc.SoftMax}[item]())
+    net = nc.Network(layers, role="generator")
+    return net, rng.normal(size=net.input_dim)
+
+
+def serial_passes(net, x, seeds):
+    return np.stack([nc.forward(net, x, mode="train", rng_seed=s).output for s in seeds])
+
+
+def seed_lists(n):
+    return st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)
+
+
+class TestForwardPasses:
+    """`forward_passes` against one serial train-mode `forward` per seed."""
+
+    LAYOUTS = {
+        "one dropout": ["dense", "relu", 0.25, "dense", "relu", "dense", "softmax"],
+        "two dropouts": ["dense", "relu", 0.3, "dense", "sigmoid", 0.5, "dense", "softmax"],
+        "rate 0": ["dense", "relu", 0.0, "dense", "softmax"],
+        "rate 0 then 0.4": ["dense", 0.0, "relu", 0.4, "dense", "sigmoid"],
+        "at the input": [0.2, "dense", "relu", "dense", "softmax"],
+        "dropout last": ["dense", "relu", 0.5],
+    }
+
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @given(data=st.data(), net_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_serial_passes(self, layout, n, data, net_seed):
+        net, x = layout_network(self.LAYOUTS[layout], np.random.default_rng(net_seed))
+        seeds = data.draw(seed_lists(n))
+        rows = nc.forward_passes(net, x, seeds)
+        assert rows.shape == (n, net.output_dim)
+        # a batched matrix product may round differently from a single row
+        np.testing.assert_allclose(rows, serial_passes(net, x, seeds), rtol=1e-12, atol=1e-12)
+
+    @given(
+        rates=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9]), min_size=1, max_size=3),
+        at_input=st.booleans(),
+        width=st.integers(1, 6),
+        n=st.sampled_from([1, 8]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_masks_drawn_as_serial(self, rates, at_input, width, n, data):
+        # identity weights and unit biases keep every product exact and every
+        # value positive, so the output reveals each mask: bit-equal outputs
+        # mean bit-equal masks
+        layers = [nc.Dropout(rates[0])] if at_input else []
+        for rate in rates[at_input:]:
+            layers += [dense(np.eye(width), np.ones(width)), nc.Dropout(rate)]
+        layers.append(dense(np.eye(width), np.ones(width)))
+        net = nc.Network(layers, role="generator")
+        x = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=width, max_size=width)))
+        seeds = data.draw(seed_lists(n))
+        rows = nc.forward_passes(net, x, seeds)
+        assert rows.tobytes() == serial_passes(net, x, seeds).tobytes()
+
+    @pytest.mark.parametrize(
+        "layers,x,match",
+        [
+            # the shared prefix overflows: every pass fails at layer 0
+            ([dense([[1e200]]), nc.Dropout(0.5), dense([[1.0]])], [1e200], r"layer 0 \(dense\)"),
+            # a non-finite input
+            ([dense(np.eye(2)), nc.Dropout(0.5), dense(np.eye(2))], [np.nan, 1.0],
+             r"layer 0 \(dense\)"),
+            # only the passes that keep the unit overflow, after the dropout
+            ([dense([[1e300]]), nc.Dropout(0.5), dense([[1e10]])], [1.0], r"layer 2 \(dense\)"),
+        ],
+    )
+    def test_overflow_raises_as_serial(self, layers, x, match):
+        net = nc.Network(layers, role="generator")
+        seeds = range(8)
+        with pytest.raises(nc.NumericsError, match=match):
+            serial_passes(net, x, seeds)
+        with pytest.raises(nc.NumericsError, match=match):
+            nc.forward_passes(net, x, seeds)
+
+    def test_input_must_be_one_vector(self):
+        net, x = layout_network(self.LAYOUTS["one dropout"], np.random.default_rng(0))
+        with pytest.raises(nc.DimensionError, match="one vector"):
+            nc.forward_passes(net, np.stack([x, x]), [0, 1])
+        with pytest.raises(nc.DimensionError, match="input width"):
+            nc.forward_passes(net, x[:-1], [0])
+
+
 class TestBackward:
     def test_dense_adjoint(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

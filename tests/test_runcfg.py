@@ -163,7 +163,8 @@ def non_default(key: str, default: str):
             if LIST_KEYS[key] is int
             else st.floats(0.01, 1e3, allow_nan=False)
         )
-        value = st.lists(item, min_size=1, max_size=4).map(
+        # each sweep value is one report row, so a sweep may not repeat one
+        value = st.lists(item, min_size=1, max_size=4, unique=key == "lambda_sweep").map(
             lambda xs: ",".join(str(x) for x in xs)
         )
     elif key == "alpha":
@@ -214,7 +215,8 @@ class TestConfigContract:
                 parse_text(f"[{section}]\n{key} = 1\n")
 
     @pytest.mark.parametrize("text", ["[run]\nseed = seven\n", "[run]\nalpha = 0.7\n",
-                                      "[classifier]\nhidden = 64,x\n"])
+                                      "[classifier]\nhidden = 64,x\n",
+                                      "[baselines]\nlambda_sweep = 10.0,10\n"])
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_text(text)
