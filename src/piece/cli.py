@@ -7,10 +7,10 @@
     piece experiment --run-dir runs/demo --expt 1
 
 Exit codes: 0 success, 1 a stage that failed as it ran (training, data,
-pipeline or metric error), 2 configuration error, 3 missing prerequisite stage,
-4 run artifacts that do not verify (a provenance mismatch, or a damaged
-model, stats or latents file), 5 experiment failure fraction above the
-configured threshold.
+pipeline or metric error), 2 configuration error, 3 missing prerequisite
+stage or model file, 4 run artifacts that do not verify (a provenance
+mismatch, or a damaged model, stats or latents file), 5 experiment failure
+fraction above the configured threshold.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from . import pipeline as pl
 from .datagen import (
     DataError,
     file_sha256,
+    load_dataset,
     make_glyphs,
     save_dataset,
     write_manifest,
@@ -56,14 +57,19 @@ EXIT_PREREQUISITE = 3
 EXIT_PROVENANCE = 4
 EXIT_FAILURE_THRESHOLD = 5
 
+# the exit code of each error a command reports as one line; exit 1 is a
+# stage that failed as it ran
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    PrerequisiteError: EXIT_PREREQUISITE,
+    **dict.fromkeys((ProvenanceError, HurdleError, nc.NetworkFormatError), EXIT_PROVENANCE),
+    **dict.fromkeys((TrainingFailure, DataError, pl.PipelineError, MetricError), 1),
+}
 
-class StageCompleteError(ConfigError):
-    pass
 
-
-def _refuse_if_done(done: bool, stage: str, force: bool) -> None:
-    if done and not force:
-        raise StageCompleteError(
+def _refuse_if_done(paths: RunPaths, stage: str, force: bool) -> None:
+    if paths.done(stage) and not force:
+        raise ConfigError(
             f"stage '{stage}' already completed in this run directory; "
             f"pass --force to redo it"
         )
@@ -73,7 +79,7 @@ def cmd_datagen(args) -> int:
     cfg = parse_config(args.config)
     paths = RunPaths(args.run_dir)
     paths.ensure_tree()
-    _refuse_if_done(paths.datagen_done(), "datagen", args.force)
+    _refuse_if_done(paths, "datagen", args.force)
     train = make_glyphs(cfg.dataset.glyphs, cfg.dataset.n_train_per_class, "train")
     test = make_glyphs(cfg.dataset.glyphs, cfg.dataset.n_test_per_class, "test")
     save_dataset(train, paths.dataset("train.json"))
@@ -97,11 +103,9 @@ def cmd_datagen(args) -> int:
 
 def cmd_train(args) -> int:
     paths = RunPaths(args.run_dir)
-    paths.require_datagen()
-    _refuse_if_done(paths.train_done(), "train", args.force)
+    paths.require("datagen")
+    _refuse_if_done(paths, "train", args.force)
     cfg = parse_config(paths.config)
-    from .datagen import load_dataset
-
     train = load_dataset(paths.dataset("train.json"))
     test = load_dataset(paths.dataset("test.json"))
     manifest_sha = file_sha256(paths.dataset("manifest.json"))
@@ -128,15 +132,11 @@ def cmd_train(args) -> int:
 
 def cmd_fit_stats(args) -> int:
     paths = RunPaths(args.run_dir)
-    paths.require_datagen()
-    paths.require_train()
-    _refuse_if_done(paths.stats_done(), "fit-stats", args.force)
+    paths.require("datagen", "train")
+    _refuse_if_done(paths, "fit-stats", args.force)
     cfg = parse_config(paths.config)
-    from .datagen import load_dataset
-    from .netcore import load_network
-
     train = load_dataset(paths.dataset("train.json"))
-    classifier = load_network(paths.models("classifier.json"))
+    classifier = nc.load_network(paths.models("classifier.json"))
     classifier_sha = file_sha256(paths.models("classifier.json"))
     manifest_sha = file_sha256(paths.dataset("manifest.json"))
     table, latents, predicted = fit_stats(
@@ -193,6 +193,10 @@ def cmd_explain(args) -> int:
         image_id=args.index,
         target_class=args.target_class,
     )
+    try:
+        request.validate()
+    except pl.PipelineError as exc:
+        raise ConfigError(str(exc)) from exc
     result = pl.explain(request, arts.classifier, arts.generator, arts.stats)
     ex.save_explanation(paths, "single", f"{args.mode}_{args.index:04d}", result, image, arts)
     print(
@@ -215,7 +219,7 @@ def cmd_explain(args) -> int:
 def cmd_experiment(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths)
-    _refuse_if_done(paths.experiment_done(args.expt), f"experiment {args.expt}", args.force)
+    _refuse_if_done(paths, f"experiment {args.expt}", args.force)
     runner = ex.run_experiment1 if args.expt == 1 else ex.run_experiment2
     summary = runner(arts, paths)
     frac = summary["failed"] / max(1, summary["rows"])
@@ -304,18 +308,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PrerequisiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PREREQUISITE
-    except (ProvenanceError, HurdleError, nc.NetworkFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROVENANCE
-    except (TrainingFailure, DataError, pl.PipelineError, MetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

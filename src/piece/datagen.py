@@ -1,4 +1,4 @@
-"""Procedural toy glyph dataset, IDX ingestion, and PGM image files.
+"""Procedural toy glyph dataset, its files and manifest, and PGM image files.
 
 Four glyph families (horizontal bar, cross, ring, diagonal stroke) drawn on
 a small square frame with seeded jitter in position, stroke thickness,
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -159,43 +158,6 @@ def make_glyphs(params: GlyphParams, n_per_class: int, split: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# IDX ingestion (external data drop-in)
-
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
-def load_idx(images_path, labels_path) -> Dataset:
-    """Parse big-endian IDX image/label pairs, scaling bytes to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16:
-        raise DataError(f"{images_path}: truncated IDX header")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != _IDX_IMAGES_MAGIC:
-        raise DataError(f"{images_path}: bad IDX magic 0x{magic:08X}")
-    expected = 16 + n * rows * cols
-    if len(raw) != expected:
-        raise DataError(f"{images_path}: expected {expected} bytes, got {len(raw)}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).astype(np.float64) / 255.0
-    images = pixels.reshape(n, rows, cols)
-
-    with open(labels_path, "rb") as fh:
-        raw_l = fh.read()
-    if len(raw_l) < 8:
-        raise DataError(f"{labels_path}: truncated IDX header")
-    magic_l, n_l = struct.unpack(">II", raw_l[:8])
-    if magic_l != _IDX_LABELS_MAGIC:
-        raise DataError(f"{labels_path}: bad IDX magic 0x{magic_l:08X}")
-    if len(raw_l) != 8 + n_l:
-        raise DataError(f"{labels_path}: expected {8 + n_l} bytes, got {len(raw_l)}")
-    if n_l != n:
-        raise DataError(f"IDX pair mismatch: {n} images but {n_l} labels")
-    labels = np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(images, labels, "test")
-
-
-# ---------------------------------------------------------------------------
 # PGM output
 
 
@@ -279,10 +241,3 @@ def write_manifest(path, params: GlyphParams, counts: dict, file_shas: dict) -> 
     }
     write_json(path, doc, indent=1)
 
-
-def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "piece-dataset-manifest":
-        raise DataError(f"{path}: not a dataset manifest")
-    return doc

@@ -15,6 +15,7 @@ shape-1 gamma sample) are picked essentially at random.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,32 +37,12 @@ class FittedDist:
     family: str  # gaussian | gamma | exponential
     loc_fixed: bool
     params: dict
-    n_free_params: int
     ks_stat: float
     ks_p: float
 
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        p = self.params
-        if self.family == "gaussian":
-            z = (x - p["mean"]) / p["std"]
-            return np.exp(-0.5 * z * z) / (p["std"] * math.sqrt(2.0 * math.pi))
-        if self.family == "gamma":
-            k, scale, loc = p["shape"], p["scale"], p["loc"]
-            out = np.zeros_like(x)
-            pos = x > loc
-            z = (x[pos] - loc) / scale
-            out[pos] = np.exp(
-                (k - 1.0) * np.log(z) - z - special.gammaln(k)
-            ) / scale
-            return out
-        if self.family == "exponential":
-            rate, loc = p["rate"], p["loc"]
-            out = np.zeros_like(x)
-            pos = x >= loc
-            out[pos] = rate * np.exp(-rate * (x[pos] - loc))
-            return out
-        raise ValueError(f"unknown family {self.family!r}")
+    @property
+    def n_free_params(self) -> int:
+        return _N_FREE[(self.family, self.loc_fixed)]
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -91,11 +72,6 @@ class FittedDist:
         if self.family == "exponential":
             return float(1.0 / p["rate"] + p["loc"])
         raise ValueError(f"unknown family {self.family!r}")
-
-    def support_low(self) -> float:
-        if self.family == "gaussian":
-            return -np.inf
-        return float(self.params["loc"])
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +204,9 @@ def fit_candidates(samples) -> list:
             params = fitter(x, fixed_loc)
             if params is None:
                 continue
-            dist = FittedDist(
-                family,
-                fixed_loc,
-                params,
-                _N_FREE[(family, fixed_loc)],
-                0.0,
-                0.0,
-            )
+            dist = FittedDist(family, fixed_loc, params, 0.0, 0.0)
             d = ks_statistic(x, dist)
-            p = ks_pvalue(d, len(x))
-            results.append(
-                FittedDist(family, fixed_loc, params, dist.n_free_params, d, p)
-            )
+            results.append(dataclasses.replace(dist, ks_stat=d, ks_p=ks_pvalue(d, len(x))))
     return results
 
 

@@ -37,7 +37,7 @@ def mc_dropout(
     are those of `forward(classifier, image, "train", rng_seed=seed + i)`;
     all passes run as one batch (`netcore.forward_passes`), the layers
     before the first dropout once."""
-    if not classifier.has_dropout():
+    if not classifier.plan.has_dropout:
         raise MetricError("classifier has no dropout layer; mc_dropout undefined")
     if passes < 1:
         raise MetricError("need at least one pass")

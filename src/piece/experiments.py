@@ -104,10 +104,6 @@ def _write_testset_csv(cases: list, path) -> None:
     )
 
 
-def run_provenance(arts: RunArtifacts) -> dict:
-    return {"classifier_sha": arts.classifier_sha, "dataset_sha": arts.manifest_sha}
-
-
 # Fields a record leaves out: rendered images (saved as PGMs) and the growth
 # trace of distance-matched baseline runs (never saved). One field is
 # recorded under another key.
@@ -138,7 +134,8 @@ def _write_record(paths: RunPaths, subdir: str, tag: str, res, arts: RunArtifact
     returns the directory."""
     base = paths.explanations(subdir)
     os.makedirs(base, exist_ok=True)
-    doc = {**record(res), "provenance": run_provenance(arts)}
+    provenance = {"classifier_sha": arts.classifier_sha, "dataset_sha": arts.manifest_sha}
+    doc = {**record(res), "provenance": provenance}
     nc.write_json(os.path.join(base, f"{tag}.json"), doc, indent=1)
     return base
 
@@ -164,32 +161,23 @@ def _save_baseline(
         write_pgm(res.image.reshape(shape), os.path.join(base, f"{tag}_explanation.pgm"))
 
 
-def _fit_quality_rows(scope: str, results: list, arts: RunArtifacts) -> list:
+def _write_fit_quality(paths: RunPaths, scope: str, results: list, arts: RunArtifacts) -> None:
+    """reports/<scope>_fit_quality.csv: the mean KS p-value of the models
+    behind the flagged features, next to that of every fitted model."""
     ks_values = [p for r in results for p in r.exceptional_ks_p]
-    all_fitted = [
-        m.dist.ks_p
-        for row in arts.stats.models
-        for m in row
-        if not m.degenerate
-    ]
-    return [
-        [
+    all_fitted = [m.dist.ks_p for row in arts.stats.models for m in row if not m.degenerate]
+    evalx.write_csv(
+        paths.reports(f"{scope}_fit_quality.csv"),
+        ("scope", "mean_ks_p_exceptional", "n_exceptional_features",
+         "mean_ks_p_all_fitted", "n_fitted_models"),
+        [[
             scope,
             float(np.mean(ks_values)) if ks_values else None,
             len(ks_values),
             float(np.mean(all_fitted)) if all_fitted else None,
             len(all_fitted),
-        ]
-    ]
-
-
-_FIT_QUALITY_HEADER = (
-    "scope",
-    "mean_ks_p_exceptional",
-    "n_exceptional_features",
-    "mean_ks_p_all_fitted",
-    "n_fitted_models",
-)
+        ]],
+    )
 
 
 _BASELINES = ("min_edit", "c_min_edit")
@@ -390,11 +378,7 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
         sweep_rows,
     )
 
-    evalx.write_csv(
-        paths.reports("expt1_fit_quality.csv"),
-        _FIT_QUALITY_HEADER,
-        _fit_quality_rows("expt1", piece_results, arts),
-    )
+    _write_fit_quality(paths, "expt1", piece_results, arts)
 
     n_failed = sum(1 for r in report.rows if r.failed)
     return {"rows": len(report.rows), "failed": n_failed, "cases": len(cases)}
@@ -533,11 +517,7 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
          "nn_dist", "im1", "im2", "verified"),
         [r for r in rows if r.mode == "proportional"],
     )
-    evalx.write_csv(
-        paths.reports("expt2_fit_quality.csv"),
-        _FIT_QUALITY_HEADER,
-        _fit_quality_rows("expt2", piece_results, arts),
-    )
+    _write_fit_quality(paths, "expt2", piece_results, arts)
     # an unverified row is a failure here, unlike in experiment 1
     n_failed = sum(1 for r in rows if not r.verified)
     return {"rows": len(rows), "failed": n_failed, "cases": len(cases)}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -65,19 +65,6 @@ class NeuronClassModel:
             raise HurdleError("degenerate model has no fitted density")
         return self.dist.mean()
 
-    def cdf_positive(self, value: float) -> float:
-        if self.dist is None:
-            raise HurdleError("degenerate model has no fitted density")
-        return float(self.dist.cdf(np.asarray([value]))[0])
-
-
-def fit_theta(samples: np.ndarray) -> float:
-    """Empirical activation probability: positive count over total, exact."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or len(x) == 0:
-        raise HurdleError("theta needs a nonempty 1-d sample")
-    return float(np.count_nonzero(x > 0.0) / len(x))
-
 
 def fit_neuron(samples: np.ndarray) -> NeuronClassModel:
     """Hurdle model for one (class, neuron) sample of relu activations."""
@@ -111,12 +98,6 @@ def collect_latents(classifier: nc.Network, data: Dataset) -> tuple[np.ndarray, 
     feats = nc.forward(body, data.flat()).output
     probs = nc.forward(head, feats).output
     return feats, np.argmax(probs, axis=1)
-
-
-def partition_latents(
-    latents: np.ndarray, predicted: np.ndarray, n_classes: int
-) -> list:
-    return [latents[predicted == c] for c in range(n_classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +138,9 @@ def fit_stats(
     if not (0.0 < alpha < 0.5):
         raise HurdleError(f"alpha must be in (0, 0.5), got {alpha}")
     latents, predicted = collect_latents(classifier, data)
-    _, head = nc.split_at_tap(classifier)
-    n_classes = head.output_dim
-    parts = partition_latents(latents, predicted, n_classes)
     models = []
-    for cls in range(n_classes):
-        part = parts[cls]
+    for cls in range(classifier.output_dim):
+        part = latents[predicted == cls]
         row = [fit_neuron(part[:, i]) for i in range(latents.shape[1])]
         models.append(row)
     table = StatsTable(alpha, models, classifier_sha, dataset_sha)
@@ -227,7 +205,7 @@ def classify_exceptional(
             found.append(
                 ExceptionalFeature(i, Rule.UNEXPECTED, theta, float(value), expected)
             )
-        cdf = model.cdf_positive(float(value))
+        cdf = float(model.dist.cdf(np.asarray([float(value)]))[0])
         p_low = theta * cdf
         p_high = 1.0 - ((1.0 - theta) + theta * cdf)
         low = p_low < alpha
@@ -255,6 +233,8 @@ def classify_exceptional(
 # Serialization
 
 STATS_MAGIC = "piece-stats"
+# a stats record holds these fields of a NeuronClassModel, then its FittedDist's
+_MODEL_KEYS = [f.name for f in fields(NeuronClassModel) if f.name != "dist"]
 
 
 def save_stats(table: StatsTable, path) -> None:
@@ -262,20 +242,8 @@ def save_stats(table: StatsTable, path) -> None:
     for row in table.models:
         neurons = []
         for mod in row:
-            rec = {
-                "m": mod.m,
-                "q": mod.q,
-                "theta": mod.theta,
-                "positive_mean": mod.positive_mean,
-            }
-            if mod.dist is None:
-                rec["family"] = "degenerate"
-            else:
-                rec["family"] = mod.dist.family
-                rec["loc_fixed"] = mod.dist.loc_fixed
-                rec["params"] = mod.dist.params
-                rec["ks_stat"] = mod.dist.ks_stat
-                rec["ks_p"] = mod.dist.ks_p
+            rec = {key: getattr(mod, key) for key in _MODEL_KEYS}
+            rec.update(asdict(mod.dist) if mod.dist else {"family": "degenerate"})
             neurons.append(rec)
         classes.append(neurons)
     doc = {
@@ -299,21 +267,8 @@ def load_stats(path) -> StatsTable:
         for rec in row:
             dist = None
             if rec["family"] != "degenerate":
-                from .distfit import _N_FREE  # parameter counts are format-stable
-
-                dist = FittedDist(
-                    rec["family"],
-                    rec["loc_fixed"],
-                    rec["params"],
-                    _N_FREE[(rec["family"], rec["loc_fixed"])],
-                    rec["ks_stat"],
-                    rec["ks_p"],
-                )
-            neurons.append(
-                NeuronClassModel(
-                    rec["m"], rec["q"], rec["theta"], dist, rec["positive_mean"]
-                )
-            )
+                dist = FittedDist(**{f.name: rec[f.name] for f in fields(FittedDist)})
+            neurons.append(NeuronClassModel(dist=dist, **{k: rec[k] for k in _MODEL_KEYS}))
         models.append(neurons)
     return StatsTable(
         doc["alpha"], models, doc.get("classifier_sha", ""), doc.get("dataset_sha", "")

@@ -1,18 +1,18 @@
 """Minimal dense feedforward engine with exact reverse-mode gradients.
 
 Everything runs on float64 numpy arrays. Networks are plain ordered layer
-lists, planned once when built (layer kinds, input width, where a
-non-finite value can first appear); `forward` returns a full activation
-trace so the backward passes can reuse dropout masks and intermediate values
-bit-exactly. Two backward passes share one input-gradient recurrence:
-`backward` returns only the gradient with respect to the input, which is
-all the optimisation loops need to chain several networks (generator into
-feature extractor into classifier head) by hand; `backward_params` also
-forms the dense parameter gradients, for training. `descend` is the one
-Adam loop over latent codes: a generator of points whose caller writes the
-stop rule as the body of a `for` loop. `forward_passes` runs many seeded
-train-mode passes of one input as one batch, each pass drawing its masks
-as `forward` would.
+lists, planned once when built (layer kinds, input width, whether any layer
+is dropout, where a non-finite value can first appear); `forward` returns a
+full activation trace so the backward passes can reuse dropout masks and
+intermediate values bit-exactly. Two backward passes share one
+input-gradient recurrence: `backward` returns only the gradient with
+respect to the input, which is all the optimisation loops need to chain
+several networks (generator into feature extractor into classifier head) by
+hand; `backward_params` also forms the dense parameter gradients, for
+training. `descend` is the one Adam loop over latent codes: a generator of
+points whose caller writes the stop rule as the body of a `for` loop.
+`forward_passes` runs many seeded train-mode passes of one input as one
+batch, each pass drawing its masks as `forward` would.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -108,9 +108,6 @@ class Sigmoid:
     kind: ClassVar[str] = "sigmoid"
 
 
-LayerSpec = Union[Dense, ReLU, Dropout, SoftMax, Sigmoid]
-
-
 def _layer_dims(layers: list) -> list[Optional[int]]:
     """Output dimension after each layer (None until the first Dense)."""
     dims: list[Optional[int]] = []
@@ -175,9 +172,6 @@ class Network:
             if isinstance(layer, Dense):
                 return layer.out_dim
         raise DimensionError("network has no dense layer")
-
-    def has_dropout(self) -> bool:
-        return self.plan.has_dropout
 
 
 @dataclass(frozen=True)
@@ -249,8 +243,6 @@ class ForwardTrace:
     inputs: Array
     outputs: list
     masks: dict
-    mode: str
-    seed: Optional[int]
     squeezed: bool
 
     @property
@@ -316,7 +308,7 @@ def forward(
     # non-finite row when check_finite is off), not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         outputs, masks = _run_layers(plan.steps, checks, x, draw)
-    return ForwardTrace(x, outputs, masks, mode, rng_seed, squeezed)
+    return ForwardTrace(x, outputs, masks, squeezed)
 
 
 def forward_passes(net: Network, input, seeds) -> Array:

@@ -10,8 +10,9 @@ sequence the semifactual run would apply.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,6 +72,8 @@ class ExplanationRequest:
                     f"proportional fraction must be one of {FRACTIONS}, "
                     f"got {self.fraction}"
                 )
+        elif self.fraction is not None:
+            raise PipelineError(f"a fraction applies only to proportional mode, not {self.mode}")
         if not (0.0 < self.alpha < 0.5):
             raise PipelineError(f"alpha must be in (0, 0.5), got {self.alpha}")
 
@@ -149,8 +152,6 @@ class SelectionResult:
     c_prime: int
     trivial: bool  # misclassification: true label taken directly
     steps: int
-    argmax_trace: list = field(default_factory=list)
-    prob_c_trace: list = field(default_factory=list)
 
 
 def select_cf_class(
@@ -185,17 +186,14 @@ def select_cf_class(
         # ascend: hand the negated gradient to the descent
         return -nc.backward(generator, tg, g_img), out[0]
 
-    argmax_trace, prob_c_trace = [], []
     for step, _, probe_probs in nc.descend(
         objective, z, settings.ascent_lr, settings.ascent_max_steps
     ):
         if step == 0:
             continue  # the start point is not probed
         top = int(np.argmax(probe_probs))
-        argmax_trace.append(top)
-        prob_c_trace.append(float(probe_probs[c]))
         if top != c:
-            return SelectionResult(top, False, step, argmax_trace, prob_c_trace)
+            return SelectionResult(top, False, step)
     raise SelectionError(
         f"no decision boundary crossed within {settings.ascent_max_steps} steps; "
         f"final probabilities {np.round(probe_probs, 4).tolist()}"
@@ -274,7 +272,7 @@ def modify_features(
     replaced: set = set()
     eligible_count = 0
     applied = 0
-    probs = _head_probs(head, cur)
+    probs = nc.forward(head, cur).output
 
     def record(feat: ExceptionalFeature, ok: bool, reason: str, p) -> None:
         steps.append(
@@ -305,7 +303,7 @@ def modify_features(
         eligible_count += 1
         tentative = cur.copy()
         tentative[feat.neuron] = feat.replacement
-        new_probs = _head_probs(head, tentative)
+        new_probs = nc.forward(head, tentative).output
         if mode == "semifactual" and int(np.argmax(new_probs)) != c:
             record(feat, False, "would_flip", probs)
             break
@@ -317,10 +315,6 @@ def modify_features(
 
     status = "ok" if eligible_count else "no_eligible_exceptional_features"
     return ModificationResult(cur, steps, applied, eligible_count, status, applied)
-
-
-def _head_probs(head: nc.Network, x: np.ndarray) -> np.ndarray:
-    return nc.forward(head, x).output
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +438,6 @@ class ExplanationResult:
     recheck_violations: int
     exceptional_ks_p: list  # ks p-values of the flagged features' models
 
-    def prob_c_prime_before(self) -> float:
-        return float(self.probs_original[self.c_prime])
-
-    def prob_c_prime_after(self) -> float:
-        head_trace = self.mod_steps
-        if not head_trace:
-            return self.prob_c_prime_before()
-        return head_trace[-1].prob_c_prime
-
 
 def _proportional_from_reference(
     ctx: ExplanationContext,
@@ -469,27 +454,18 @@ def _proportional_from_reference(
     cur = ctx.x.copy()
     steps: list = []
     applied = 0
-    probs = _head_probs(head, cur)
+    probs = nc.forward(head, cur).output
     for s in seq:
-        if applied >= budget:
-            steps.append(
-                ModStep(
-                    s.neuron, s.rule, s.probability, s.old, s.new, False,
-                    "beyond_budget", float(probs[c]), float(probs[c_prime]),
-                )
-            )
-            continue
-        cur[s.neuron] = s.new
-        probs = _head_probs(head, cur)
-        applied += 1
-        steps.append(
-            ModStep(
-                s.neuron, s.rule, s.probability, s.old, s.new, True,
-                "applied", float(probs[c]), float(probs[c_prime]),
-            )
-        )
-    status = "ok" if reference.eligible_count else "no_eligible_exceptional_features"
-    return ModificationResult(cur, steps, applied, reference.eligible_count, status, k)
+        ok = applied < budget
+        if ok:
+            cur[s.neuron] = s.new
+            probs = nc.forward(head, cur).output
+            applied += 1
+        steps.append(dataclasses.replace(
+            s, applied=ok, reason="applied" if ok else "beyond_budget",
+            prob_c=float(probs[c]), prob_c_prime=float(probs[c_prime]),
+        ))
+    return ModificationResult(cur, steps, applied, reference.eligible_count, reference.status, k)
 
 
 def _recheck_violations(
@@ -532,16 +508,7 @@ def explain(
 
     if request.mode == "proportional":
         if reference is None:
-            sf_request = ExplanationRequest(
-                image=request.image,
-                true_label=request.true_label,
-                mode="semifactual",
-                alpha=request.alpha,
-                settings=request.settings,
-                seed=request.seed,
-                image_id=request.image_id,
-                target_class=request.target_class,
-            )
+            sf_request = dataclasses.replace(request, mode="semifactual", fraction=None)
             reference = explain(sf_request, classifier, generator, stats, context=ctx)
         elif reference.mode != "semifactual" or reference.image_id != request.image_id:
             raise PipelineError("reference must be a semifactual result for this image")
@@ -584,13 +551,8 @@ def explain(
             probs_prime = nc.forward(classifier, vis.image.ravel()).output
             pred_prime = int(np.argmax(probs_prime))
             backoff += 1
-            mod = ModificationResult(
-                x_mod,
-                mod.steps,
-                len(applied_seq),
-                mod.eligible_count,
-                mod.status,
-                len(applied_seq),
+            mod = dataclasses.replace(
+                mod, x_mod=x_mod, applied_count=len(applied_seq), k_reference=len(applied_seq)
             )
 
     violations = _recheck_violations(mod.x_mod, mod.steps, stats, c_prime, request.alpha)

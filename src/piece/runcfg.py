@@ -265,6 +265,16 @@ def config_ini_text(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # Run directory layout
 
+# the files whose presence marks a stage done; each experiment writes its
+# fit-quality report last
+_STAGE_FILES = {
+    "datagen": ("dataset/manifest.json",),
+    "train": ("models/classifier.json", "models/generator.json", "models/ae_full.json"),
+    "fit-stats": ("stats/stats.json",),
+    "experiment 1": ("reports/expt1_fit_quality.csv",),
+    "experiment 2": ("reports/expt2_fit_quality.csv",),
+}
+
 
 @dataclass
 class RunPaths:
@@ -296,48 +306,16 @@ class RunPaths:
         for sub in ("dataset", "models", "stats", "explanations", "reports"):
             os.makedirs(os.path.join(self.root, sub), exist_ok=True)
 
-    # stage sentinels -------------------------------------------------------
+    def done(self, stage: str) -> bool:
+        return all(os.path.exists(os.path.join(self.root, f)) for f in _STAGE_FILES[stage])
 
-    def datagen_done(self) -> bool:
-        return os.path.exists(self.dataset("manifest.json"))
-
-    def train_done(self) -> bool:
-        return all(
-            os.path.exists(self.models(n))
-            for n in ("classifier.json", "generator.json", "ae_full.json")
-        )
-
-    def stats_done(self) -> bool:
-        return os.path.exists(self.stats("stats.json"))
-
-    def experiment_done(self, expt: int) -> bool:
-        # the report each experiment writes last
-        return os.path.exists(self.reports(f"expt{expt}_fit_quality.csv"))
-
-    def require_datagen(self) -> None:
-        if not self.datagen_done():
-            raise PrerequisiteError(
-                "no dataset in this run directory; run `piece datagen` first"
-            )
-
-    def require_train(self) -> None:
-        if not self.train_done():
-            raise PrerequisiteError(
-                "trained models missing; run `piece train` first"
-            )
-
-    def require_stats(self) -> None:
-        if not self.stats_done():
-            raise PrerequisiteError(
-                "stats table missing; run `piece fit-stats` first"
-            )
-
-
-MODEL_FILES = {
-    "classifier": "classifier.json",
-    "generator": "generator.json",
-    "ae_full": "ae_full.json",
-}
+    def require(self, *stages: str) -> None:
+        for stage in stages:
+            if not self.done(stage):
+                raise PrerequisiteError(
+                    f"stage '{stage}' has not completed in this run directory; "
+                    f"run `piece {stage}` first"
+                )
 
 
 @dataclass
@@ -351,62 +329,55 @@ class RunArtifacts:
     ae_full: Network
     stats: StatsTable
     latents: object
-    predicted: object
     manifest_sha: str
     classifier_sha: str
 
 
-def load_run(paths: RunPaths, verify: bool = True) -> RunArtifacts:
+def load_run(paths: RunPaths) -> RunArtifacts:
     """Load every artifact of a run, checking the provenance chain."""
-    paths.require_datagen()
-    paths.require_train()
-    paths.require_stats()
+    paths.require("datagen", "train", "fit-stats")
     cfg = parse_config(paths.config)
+    n_classes = cfg.dataset.glyphs.n_classes
+    models = ["classifier", "generator", "ae_full", *(f"ae_class_{c}" for c in range(n_classes))]
+    missing = [name for name in models if not os.path.exists(paths.models(f"{name}.json"))]
+    if missing:
+        raise PrerequisiteError(
+            f"model files missing: {', '.join(missing)}; run `piece train --force`"
+        )
     manifest_sha = file_sha256(paths.dataset("manifest.json"))
     train_data = load_dataset(paths.dataset("train.json"))
     test_data = load_dataset(paths.dataset("test.json"))
-    classifier = load_network(paths.models("classifier.json"))
-    generator = load_network(paths.models("generator.json"))
-    n_classes = cfg.dataset.glyphs.n_classes
-    class_aes = [
-        load_network(paths.models(f"ae_class_{c}.json")) for c in range(n_classes)
-    ]
-    ae_full = load_network(paths.models("ae_full.json"))
+    nets = {name: load_network(paths.models(f"{name}.json")) for name in models}
     stats = load_stats(paths.stats("stats.json"))
-    latents, predicted = load_latents(paths.stats("latents.json"))
+    latents, _ = load_latents(paths.stats("latents.json"))
     classifier_sha = file_sha256(paths.models("classifier.json"))
-    if verify:
-        model_files = dict(MODEL_FILES)
-        for c in range(n_classes):
-            model_files[f"ae_class_{c}"] = f"ae_class_{c}.json"
-        for name, filename in model_files.items():
-            prov = load_provenance(paths.models(filename))
-            if prov.get("dataset_sha") != manifest_sha:
-                raise ProvenanceError(
-                    f"model {name} was trained on a different dataset "
-                    f"(manifest hash mismatch); regenerate with `piece train --force`"
-                )
-        if stats.classifier_sha != classifier_sha:
+    for name in models:
+        prov = load_provenance(paths.models(f"{name}.json"))
+        if prov.get("dataset_sha") != manifest_sha:
             raise ProvenanceError(
-                "stats table does not match the stored classifier; "
-                "refit with `piece fit-stats --force`"
+                f"model {name} was trained on a different dataset "
+                f"(manifest hash mismatch); regenerate with `piece train --force`"
             )
-        if stats.dataset_sha != manifest_sha:
-            raise ProvenanceError(
-                "stats table was fitted on a different dataset; "
-                "refit with `piece fit-stats --force`"
-            )
+    if stats.classifier_sha != classifier_sha:
+        raise ProvenanceError(
+            "stats table does not match the stored classifier; "
+            "refit with `piece fit-stats --force`"
+        )
+    if stats.dataset_sha != manifest_sha:
+        raise ProvenanceError(
+            "stats table was fitted on a different dataset; "
+            "refit with `piece fit-stats --force`"
+        )
     return RunArtifacts(
         config=cfg,
         train_data=train_data,
         test_data=test_data,
-        classifier=classifier,
-        generator=generator,
-        class_aes=class_aes,
-        ae_full=ae_full,
+        classifier=nets["classifier"],
+        generator=nets["generator"],
+        class_aes=[nets[f"ae_class_{c}"] for c in range(n_classes)],
+        ae_full=nets["ae_full"],
         stats=stats,
         latents=latents,
-        predicted=predicted,
         manifest_sha=manifest_sha,
         classifier_sha=classifier_sha,
     )

@@ -57,6 +57,10 @@ class TrainReport:
     final: dict
     notes: list = field(default_factory=list)
 
+    @classmethod
+    def of(cls, stage: str, cfg: TrainConfig, curve: list, final: dict, notes=()) -> "TrainReport":
+        return cls(stage, cfg.seed, asdict(cfg), len(curve), curve, final, list(notes))
+
     def save(self, path) -> None:
         nc.write_json(path, asdict(self), indent=1)
 
@@ -67,15 +71,10 @@ def _glorot_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> nc.Den
     return nc.Dense(weight, np.zeros(out_dim))
 
 
-def predict(net: nc.Network, images: np.ndarray) -> np.ndarray:
-    """Eval-mode class predictions for a stack of images."""
-    flat = images.reshape(len(images), -1)
-    probs = nc.forward(net, flat).output
-    return np.argmax(probs, axis=1)
-
-
 def accuracy(net: nc.Network, data: Dataset) -> float:
-    return float(np.mean(predict(net, data.images) == data.labels))
+    """Share of `data` whose eval-mode predicted class is its label."""
+    probs = nc.forward(net, data.flat()).output
+    return float(np.mean(np.argmax(probs, axis=1) == data.labels))
 
 
 def reconstruction_mse(net: nc.Network, images: np.ndarray) -> float:
@@ -93,19 +92,18 @@ def _run_epochs(
     rng: np.random.Generator,
     metric_fn: Callable[[nc.Network], float],
     stop_fn: Callable[[float], bool],
-) -> tuple[nc.Network, list, int]:
+) -> tuple[nc.Network, list]:
     params = nc.parameters(net)
     state = nc.AdamState.init(params)
     curve = []
     n = len(inputs)
-    epochs_run = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            seed = int(rng.integers(0, 2**63)) if net.has_dropout() else None
-            mode = "train" if net.has_dropout() else "eval"
+            seed = int(rng.integers(0, 2**63)) if net.plan.has_dropout else None
+            mode = "train" if net.plan.has_dropout else "eval"
             trace = nc.forward(net, inputs[batch], mode=mode, rng_seed=seed)
             value, out_grad = nc.loss(loss_kind, trace.outputs[-1], targets[batch])
             pgrads, _ = nc.backward_params(net, trace, out_grad)
@@ -119,10 +117,9 @@ def _run_epochs(
         curve.append(
             {"epoch": epoch, "train_loss": epoch_loss / n, "metric": metric}
         )
-        epochs_run = epoch + 1
         if stop_fn(metric):
             break
-    return net, curve, epochs_run
+    return net, curve
 
 
 def build_classifier(n_pixels: int, n_classes: int, cfg: TrainConfig) -> nc.Network:
@@ -150,7 +147,7 @@ def train_classifier(
     net = build_classifier(train.n_pixels, n_classes, cfg)
     onehot = np.eye(n_classes)[train.labels]
     rng = np.random.default_rng([cfg.seed, 102])
-    net, curve, epochs_run = _run_epochs(
+    net, curve = _run_epochs(
         net,
         train.flat(),
         onehot,
@@ -167,13 +164,9 @@ def train_classifier(
             f"(minimum {cfg.min_accuracy})",
             curve,
         )
-    report = TrainReport(
-        stage="classifier",
-        seed=cfg.seed,
-        config=asdict(cfg),
-        epochs_run=epochs_run,
-        curve=curve,
-        final={"test_accuracy": final_acc, "train_accuracy": accuracy(net, train)},
+    report = TrainReport.of(
+        "classifier", cfg, curve,
+        {"test_accuracy": final_acc, "train_accuracy": accuracy(net, train)},
     )
     return net, report
 
@@ -197,15 +190,10 @@ def _train_autoencoder(
     eval_images: np.ndarray,
     cfg: TrainConfig,
     seed_parts,
-) -> tuple[nc.Network, list, int]:
+) -> tuple[nc.Network, list]:
     n_pixels = images.shape[1] * images.shape[2]
     net = _build_autoencoder(n_pixels, cfg.hidden[0], cfg.latent_dim, [*seed_parts, 1])
     flat = images.reshape(len(images), -1)
-    eval_flat = eval_images.reshape(len(eval_images), -1)
-
-    def test_mse(m: nc.Network) -> float:
-        return float(np.mean((nc.forward(m, eval_flat).output - eval_flat) ** 2))
-
     rng = np.random.default_rng([*seed_parts, 2])
     return _run_epochs(
         net,
@@ -214,7 +202,7 @@ def _train_autoencoder(
         "mse",
         cfg,
         rng,
-        metric_fn=test_mse,
+        metric_fn=lambda m: reconstruction_mse(m, eval_images),
         stop_fn=lambda mse: mse <= cfg.recon_mse_target * 0.5,
     )
 
@@ -226,7 +214,7 @@ def train_generator(
     cfg.validate()
     if cfg.latent_dim >= train.n_pixels:
         raise TrainingFailure("latent dimension must be smaller than pixel count")
-    ae, curve, epochs_run = _train_autoencoder(
+    ae, curve = _train_autoencoder(
         train.images, test.images, cfg, [cfg.seed, 201]
     )
     final_mse = curve[-1]["metric"]
@@ -237,17 +225,11 @@ def train_generator(
             curve,
         )
     generator = nc.Network(ae.layers[ae.feature_tap + 1:], role="generator")
-    report = TrainReport(
-        stage="generator",
-        seed=cfg.seed,
-        config=asdict(cfg),
-        epochs_run=epochs_run,
-        curve=curve,
-        final={"test_mse": final_mse, "train_mse": reconstruction_mse(ae, train.images)},
-        notes=[
-            "generator is the decoder of a reconstruction-trained autoencoder, "
-            "not an adversarially trained network"
-        ],
+    report = TrainReport.of(
+        "generator", cfg, curve,
+        {"test_mse": final_mse, "train_mse": reconstruction_mse(ae, train.images)},
+        ["generator is the decoder of a reconstruction-trained autoencoder, "
+         "not an adversarially trained network"],
     )
     return generator, report
 
@@ -271,21 +253,14 @@ def train_autoencoders(
             )
         if len(eval_imgs) == 0:
             eval_imgs = imgs
-        net, curve, _ = _train_autoencoder(imgs, eval_imgs, cfg, [cfg.seed, 301, cls])
+        net, curve = _train_autoencoder(imgs, eval_imgs, cfg, [cfg.seed, 301, cls])
         class_nets.append(net)
         class_mses.append(curve[-1]["metric"])
-    full_net, full_curve, epochs_run = _train_autoencoder(
+    full_net, full_curve = _train_autoencoder(
         train.images, test.images, cfg, [cfg.seed, 301, n_classes]
     )
-    report = TrainReport(
-        stage="autoencoders",
-        seed=cfg.seed,
-        config=asdict(cfg),
-        epochs_run=epochs_run,
-        curve=full_curve,
-        final={
-            "class_test_mse": class_mses,
-            "full_test_mse": full_curve[-1]["metric"],
-        },
+    report = TrainReport.of(
+        "autoencoders", cfg, full_curve,
+        {"class_test_mse": class_mses, "full_test_mse": full_curve[-1]["metric"]},
     )
     return class_nets, full_net, report

@@ -201,7 +201,20 @@ class TestExplainCommand:
 
     def test_bad_fraction(self, mini_run):
         assert main(["explain", "--run-dir", mini_run, "--index", "0",
-                     "--mode", "prop", "--fraction", "0.4"]) == 1
+                     "--mode", "prop", "--fraction", "0.4"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--mode", "prop"], ["--alpha", "0.7"], ["--mode", "cf", "--fraction", "0.5"]],
+        ids=["prop-without-fraction", "alpha-out-of-range", "fraction-outside-prop"],
+    )
+    def test_bad_request_arguments(self, mini_run, capsys, args):
+        import glob
+        import os
+
+        assert main(["explain", "--run-dir", mini_run, "--index", "5", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not glob.glob(os.path.join(mini_run, "explanations", "single", "*_0005*"))
 
     def test_target_class_override(self, mini_run):
         import os
@@ -269,6 +282,17 @@ class TestProvenance:
         doc["counts"]["train"] = 1
         manifest.write_text(json.dumps(doc))
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
+
+    def test_missing_model_file_exit_3(self, mini_run, tmp_path, capsys):
+        import shutil
+
+        clone = tmp_path / "clone4"
+        shutil.copytree(mini_run, clone)
+        (clone / "models" / "ae_class_2.json").unlink()
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "ae_class_2" in err[0]
 
     def test_damaged_latents_exit_4(self, mini_run, tmp_path, capsys):
         import shutil

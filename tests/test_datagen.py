@@ -1,4 +1,4 @@
-import struct
+import json
 
 import numpy as np
 import pytest
@@ -68,44 +68,6 @@ class TestGlyphs:
         assert hits / len(te) >= 0.95
 
 
-class TestIdx:
-    def _write_pair(self, tmp_path, n=2, rows=4, cols=4, labels=(1, 3)):
-        pixels = bytes(range(n * rows * cols))
-        img_path = tmp_path / "imgs.idx"
-        img_path.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + pixels)
-        lab_path = tmp_path / "labs.idx"
-        lab_path.write_bytes(struct.pack(">II", 0x801, len(labels)) + bytes(labels))
-        return img_path, lab_path
-
-    def test_fixture_round_trip(self, tmp_path):
-        img_path, lab_path = self._write_pair(tmp_path)
-        data = dg.load_idx(img_path, lab_path)
-        assert data.images.shape == (2, 4, 4)
-        assert data.labels.tolist() == [1, 3]
-        assert data.images[0, 0, 0] == 0.0
-        assert np.isclose(data.images[1, 3, 3], 31 / 255)
-
-    def test_bad_magic(self, tmp_path):
-        img_path, lab_path = self._write_pair(tmp_path)
-        img_path.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 2, 4, 4) + bytes(32))
-        with pytest.raises(dg.DataError, match="magic"):
-            dg.load_idx(img_path, lab_path)
-
-    def test_count_mismatch(self, tmp_path):
-        img_path, lab_path = self._write_pair(tmp_path, labels=(1, 2, 3))
-        img3 = struct.pack(">IIII", 0x803, 3, 4, 4) + bytes(48)
-        img_path.write_bytes(img3)
-        lab_path.write_bytes(struct.pack(">II", 0x801, 2) + bytes((0, 1)))
-        with pytest.raises(dg.DataError, match="mismatch"):
-            dg.load_idx(img_path, lab_path)
-
-    def test_truncated_payload(self, tmp_path):
-        img_path, lab_path = self._write_pair(tmp_path)
-        img_path.write_bytes(struct.pack(">IIII", 0x803, 2, 4, 4) + bytes(20))
-        with pytest.raises(dg.DataError, match="expected"):
-            dg.load_idx(img_path, lab_path)
-
-
 class TestPgm:
     def test_zero_image_exact_bytes(self, tmp_path):
         path = tmp_path / "z.pgm"
@@ -165,6 +127,7 @@ class TestDatasetFiles:
         params = dg.GlyphParams(seed=9)
         path = tmp_path / "m.json"
         dg.write_manifest(path, params, {"train": 10}, {"train.json": "ff" * 32})
-        doc = dg.read_manifest(path)
+        doc = json.loads(path.read_text())
+        assert doc["format"] == "piece-dataset-manifest"
         assert doc["params"]["seed"] == 9
         assert doc["counts"]["train"] == 10

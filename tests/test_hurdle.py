@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import integrate
 
 from helpers import empirical_decisions, fitted_decisions
 from piece import hurdle as hd
@@ -11,25 +10,20 @@ from piece.distfit import FittedDist
 
 def model_with(family, params, theta=0.5, m=1000, loc_fixed=False):
     q = int(round(theta * m))
-    n_free = {"gaussian": 2, "gamma": 3, "exponential": 2}[family]
-    dist = FittedDist(family, loc_fixed, params, n_free, 0.02, 0.5)
+    dist = FittedDist(family, loc_fixed, params, 0.02, 0.5)
     return hd.NeuronClassModel(m, q, q / m, dist, dist.mean())
 
 
 class TestTheta:
     def test_exact_ratio(self):
         samples = np.concatenate([np.zeros(60), np.ones(40)])
-        assert hd.fit_theta(samples) == 0.4
+        assert hd.fit_neuron(samples).theta == 0.4
 
     def test_all_zero(self):
-        assert hd.fit_theta(np.zeros(50)) == 0.0
+        assert hd.fit_neuron(np.zeros(50)).theta == 0.0
 
     def test_all_positive(self):
-        assert hd.fit_theta(np.full(50, 2.5)) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(hd.HurdleError):
-            hd.fit_theta(np.array([]))
+        assert hd.fit_neuron(np.full(50, 2.5)).theta == 1.0
 
     def test_negative_rejected(self):
         with pytest.raises(hd.HurdleError):
@@ -145,10 +139,11 @@ class TestHurdleNormalization:
         )
         model = hd.fit_neuron(samples)
         dist = model.dist
-        low = dist.support_low()
-        if not np.isfinite(low):
+        if dist.family == "gaussian":
             low = dist.params["mean"] - 12 * dist.params["std"]
-        mass, _ = integrate.quad(lambda v: float(dist.pdf(np.array([v]))[0]), low, np.inf)
+        else:
+            low = dist.params["loc"]
+        mass = dist.cdf(np.array([np.inf]))[0] - dist.cdf(np.array([low]))[0]
         total = (1 - model.theta) + model.theta * mass
         assert abs(total - 1.0) < 1e-6
 
@@ -208,15 +203,12 @@ class TestCollectLatents:
         clf = self.constant_classifier()
         images = np.random.default_rng(0).random((10, 2, 2))
         data = Dataset(images, np.zeros(10, dtype=int), "train")
-        latents, predicted = hd.collect_latents(clf, data)
-        parts = hd.partition_latents(latents, predicted, 3)
-        assert len(parts[0]) == 10 and len(parts[1]) == 0 and len(parts[2]) == 0
+        table, _, _ = hd.fit_stats(clf, data)
+        assert [row[0].m for row in table.models] == [10, 0, 0]
 
     def test_partition_sizes_sum(self, toy_run):
         arts = toy_run["arts"]
-        latents, predicted = hd.collect_latents(arts.classifier, arts.train_data)
-        parts = hd.partition_latents(latents, predicted, 4)
-        assert sum(len(p) for p in parts) == len(arts.train_data)
+        assert sum(row[0].m for row in arts.stats.models) == len(arts.train_data)
 
     def test_predictions_mostly_match_labels(self, toy_run):
         arts = toy_run["arts"]
@@ -239,21 +231,25 @@ class TestStatsIo:
                 assert a.degenerate == b.degenerate
                 if not a.degenerate:
                     assert a.dist == b.dist
+        again = tmp_path / "again.json"
+        hd.save_stats(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_latents_round_trip(self, tmp_path, toy_run):
         arts = toy_run["arts"]
+        _, predicted = hd.collect_latents(arts.classifier, arts.train_data)
         path = tmp_path / "latents.json"
-        hd.save_latents(arts.latents, arts.predicted, path)
-        latents, predicted = hd.load_latents(path)
+        hd.save_latents(arts.latents, predicted, path)
+        latents, back = hd.load_latents(path)
         assert np.array_equal(latents, arts.latents)
-        assert np.array_equal(predicted, arts.predicted)
+        assert np.array_equal(back, predicted)
 
     def test_truncated_latents_raise_hurdle_error(self, tmp_path, toy_run):
         import json
 
         arts = toy_run["arts"]
         path = tmp_path / "latents.json"
-        hd.save_latents(arts.latents, arts.predicted, path)
+        hd.save_latents(arts.latents, np.zeros(len(arts.latents), dtype=np.int64), path)
         doc = json.loads(path.read_text())
         doc["latents"] = doc["latents"][:-4]  # still base64, 3 bytes short
         path.write_text(json.dumps(doc))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,10 +103,13 @@ class TestSelection:
         sel = pl.select_cf_class(arts.classifier, arts.generator, inv.z, image, label, FAST)
         assert not sel.trivial
         assert sel.c_prime != label
-        # the probe's last two steps bracket the argmax change
-        assert sel.argmax_trace[-1] == sel.c_prime
-        if len(sel.argmax_trace) >= 2:
-            assert sel.argmax_trace[-2] == label
+        # the probe stops at the first step whose argmax leaves the label:
+        # one step less never crosses
+        assert sel.steps >= 1
+        if sel.steps >= 2:
+            short = dataclasses.replace(FAST, ascent_max_steps=sel.steps - 1)
+            with pytest.raises(pl.SelectionError):
+                pl.select_cf_class(arts.classifier, arts.generator, inv.z, image, label, short)
 
     def test_zero_budget_raises(self, toy):
         arts = toy["arts"]
@@ -275,7 +279,7 @@ class TestExplain:
         )
         applied = [s for s in res.mod_steps if s.applied]
         if applied:
-            assert res.prob_c_prime_after() > res.prob_c_prime_before()
+            assert res.mod_steps[-1].prob_c_prime > res.probs_original[res.c_prime]
 
     def test_semifactual_trace_stays_in_class(self, toy):
         arts = toy["arts"]
