@@ -25,6 +25,7 @@ from . import netcore as nc
 from . import pipeline as pl
 from .datagen import (
     DataError,
+    DatasetFormatError,
     file_sha256,
     load_dataset,
     make_glyphs,
@@ -62,7 +63,9 @@ EXIT_FAILURE_THRESHOLD = 5
 _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     PrerequisiteError: EXIT_PREREQUISITE,
-    **dict.fromkeys((ProvenanceError, HurdleError, nc.NetworkFormatError), EXIT_PROVENANCE),
+    **dict.fromkeys(
+        (ProvenanceError, HurdleError, nc.NetworkFormatError, DatasetFormatError), EXIT_PROVENANCE
+    ),
     **dict.fromkeys((TrainingFailure, DataError, pl.PipelineError, MetricError), 1),
 }
 
@@ -264,10 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True, parser_class=argparse.ArgumentParser
     )
 
-    def add_common(p):
+    def add_common(p, stage=True):
         p.add_argument("--run-dir", required=True, help="run directory (created by datagen)")
-        p.add_argument("--force", action="store_true",
-                       help="redo a stage that already completed")
+        if stage:  # only stages refuse to rerun
+            p.add_argument("--force", action="store_true",
+                           help="redo a stage that already completed")
 
     p = sub.add_parser("datagen", help="generate the toy dataset into a run directory")
     add_common(p)
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_stats)
 
     p = sub.add_parser("explain", help="explain one test image")
-    add_common(p)
+    add_common(p, stage=False)
     p.add_argument("--index", type=int, required=True, help="test-set image index")
     p.add_argument("--mode", choices=("cf", "sf", "prop"), default="cf",
                    help="counterfactual, semifactual, or proportional")

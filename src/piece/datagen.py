@@ -9,16 +9,19 @@ intensity, and additive noise. Generation is fully deterministic given
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .netcore import Array, decode_array, encode_array, write_json
+from .netcore import Array, decode_array, encode_array, read_doc, write_json
 
 
 class DataError(Exception):
     pass
+
+
+class DatasetFormatError(DataError):
+    """A dataset file that does not parse or does not decode."""
 
 
 CLASS_NAMES = ("bar", "cross", "ring", "diagonal")
@@ -216,11 +219,10 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "piece-dataset":
-        raise DataError(f"{path}: not a dataset file")
-    images = decode_array(doc["images"], tuple(doc["shape"]), f"{path}: images", DataError)
+    doc = read_doc(path, "piece-dataset", DatasetFormatError)
+    images = decode_array(
+        doc["images"], tuple(doc["shape"]), f"{path}: images", DatasetFormatError
+    )
     return Dataset(images, np.asarray(doc["labels"], dtype=np.int64), doc["split"])
 
 

@@ -11,15 +11,17 @@ matched to the pipeline's latent displacement at 25/50/75/100 percent
 feature-change budgets, and profiles the pipeline's plausibility across
 those budgets.
 
-Any per-image method failure becomes a failure row; experiments never abort
-on them. All randomness is derived from the run seed, so reruns produce
-byte-identical CSV files.
+Both explain each image through one function (`_explain_image`), and one
+builder (`_row`) makes every report row. Any per-image method failure
+becomes a failure row; experiments never abort on them. All randomness is
+derived from the run seed, so reruns produce byte-identical CSV files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import os
 from dataclasses import dataclass
 
@@ -62,15 +64,11 @@ def compose_test_set(arts: RunArtifacts) -> list:
     probs = nc.forward(arts.classifier, test.flat()).output
     pred = np.argmax(probs, axis=1)
     conf = np.max(probs, axis=1)
-    correct_ids = [
-        i for i in range(len(test))
-        if pred[i] == test.labels[i] and conf[i] >= cfg.close_correct_max_prob
-    ]
-    close_ids = [
-        i for i in range(len(test))
-        if pred[i] == test.labels[i] and conf[i] < cfg.close_correct_max_prob
-    ]
-    mis_ids = [i for i in range(len(test)) if pred[i] != test.labels[i]]
+    right = pred == test.labels
+    confident = conf >= cfg.close_correct_max_prob
+    correct_ids = np.flatnonzero(right & confident)
+    close_ids = np.flatnonzero(right & ~confident)
+    mis_ids = np.flatnonzero(~right)
 
     chosen: list = []
 
@@ -180,43 +178,87 @@ def _write_fit_quality(paths: RunPaths, scope: str, results: list, arts: RunArti
     )
 
 
-_BASELINES = ("min_edit", "c_min_edit")
-_METHODS = ("piece", *_BASELINES)
-_METHOD_CODES = {method: code for code, method in enumerate(_METHODS)}
+_METHODS = ("piece", *bl.METHODS)
 _MODE_CODES = {"counterfactual": 0, "semifactual": 1, "proportional": 2, "distance": 3}
 
 
-def _metric_row(
-    method: str, mode: str, case: TestCase, c: int, c_prime: int, flat_image: np.ndarray,
-    verified: bool, arts: RunArtifacts, body: nc.Network, **budget,
+def _row(
+    arts: RunArtifacts, body: nc.Network, case: TestCase, ctx: pl.ExplanationContext | None,
+    method: str, mode: str, image=None, verified: bool = False, failed: bool | None = None,
+    measure=("mc", "nn_dist", "im", "l1"), **budget,
 ) -> evalx.MetricRow:
-    """Measure one explanation: MC-dropout on the class it should have (c'
-    for a counterfactual, else c), nearest-latent distance of its features
-    (`body` is the classifier's feature extractor), IM1, IM2 and the pixel
-    L1 to the original. `budget` sets experiment 2's budget fields; its
-    fraction is part of the MC seed."""
+    """Every report row of both experiments.
+
+    Without a context (`ctx` None) the image could not be prepared: c is
+    the prediction, c' is -1 and the row failed. Without an `image` the
+    method failed, unless `failed` says otherwise. A flat `image` is
+    measured by the metrics `measure` names: MC-dropout on the class it
+    should have (c' for a counterfactual, else c), nearest-latent distance
+    of its features (`body` is the classifier's feature extractor), IM1,
+    IM2 and the pixel L1 to the original. `budget` sets experiment 2's
+    budget fields; its fraction is part of the MC seed."""
     cfg = arts.config
-    seed_parts = [cfg.seed, 9, case.image_id, _METHOD_CODES[method], _MODE_CODES[mode]]
-    if "fraction" in budget:
-        seed_parts.append(int(budget["fraction"] * 100))
-    mc_mean, mc_std = evalx.mc_dropout(
-        arts.classifier,
-        flat_image,
-        c_prime if mode == "counterfactual" else c,
-        passes=cfg.metrics.mc_passes,
-        seed=derive_seed(*seed_parts),
-    )
+    c, c_prime = (ctx.c, ctx.selection.c_prime) if ctx else (case.predicted, -1)
+    metrics: dict = {}
+    if image is not None:
+        if "mc" in measure:
+            seed_parts = [cfg.seed, 9, case.image_id, _METHODS.index(method), _MODE_CODES[mode]]
+            if "fraction" in budget:
+                seed_parts.append(int(budget["fraction"] * 100))
+            metrics["mc_mean"], metrics["mc_std"] = evalx.mc_dropout(
+                arts.classifier,
+                image,
+                c_prime if mode == "counterfactual" else c,
+                passes=cfg.metrics.mc_passes,
+                seed=derive_seed(*seed_parts),
+            )
+        if "nn_dist" in measure:
+            metrics["nn_dist"] = evalx.nn_dist(nc.forward(body, image).output, arts.latents)
+        if "im" in measure:
+            metrics["im1"] = evalx.im1(image, arts.class_aes[c], arts.class_aes[c_prime])
+            metrics["im2"] = evalx.im2(image, arts.class_aes[c_prime], arts.ae_full)
+        if "l1" in measure:
+            metrics["l1"] = evalx.sf_l1(case.image, image.reshape(case.image.shape))
     return evalx.MetricRow(
         method, mode, case.image_id, c, c_prime,
-        mc_mean=mc_mean,
-        mc_std=mc_std,
-        nn_dist=evalx.nn_dist(nc.forward(body, flat_image).output, arts.latents),
-        im1=evalx.im1(flat_image, arts.class_aes[c], arts.class_aes[c_prime]),
-        im2=evalx.im2(flat_image, arts.class_aes[c_prime], arts.ae_full),
-        l1=evalx.sf_l1(case.image, flat_image.reshape(case.image.shape)),
         verified=verified,
+        failed=image is None if failed is None else failed,
+        **metrics,
         **budget,
     )
+
+
+def _explain_image(arts: RunArtifacts, paths: RunPaths, expt: int, case: TestCase) -> tuple | None:
+    """Explain one test image by PIECE and both baselines in experiment
+    `expt`'s mode, saving every record and image under explanations/.
+    Returns the request, the context and each method's result, or None
+    when the image cannot be prepared."""
+    cfg = arts.config
+    mode, tag = (("counterfactual", "cf"), ("semifactual", "sf"))[expt - 1]
+    request = pl.ExplanationRequest(
+        image=case.image,
+        true_label=case.label,
+        mode=mode,
+        alpha=cfg.alpha,
+        settings=cfg.optim,
+        seed=derive_seed(cfg.seed, expt, case.image_id),
+        image_id=case.image_id,
+    )
+    try:
+        ctx = pl.prepare_context(request, arts.classifier, arts.generator, arts.stats)
+    except pl.PipelineError:
+        return None
+    subdir, tag = f"expt{expt}", f"{tag}_{case.image_id:04d}"
+    res = pl.explain(request, arts.classifier, arts.generator, arts.stats, context=ctx)
+    save_explanation(paths, subdir, f"piece_{tag}", res, case.image, arts)
+    results = {"piece": res}
+    for method in bl.METHODS:
+        results[method] = bl.run_baseline(
+            method, ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
+            arts.classifier, arts.generator, cfg.baselines.method_config(), mode,
+        )
+        _save_baseline(paths, subdir, f"{method}_{tag}", results[method], case.image.shape, arts)
+    return request, ctx, results
 
 
 # ---------------------------------------------------------------------------
@@ -228,93 +270,44 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     cases = compose_test_set(arts)
     _write_testset_csv(cases, paths.reports("expt1_testset.csv"))
 
-    shape = arts.test_data.images.shape[1:]
     rows: list = []
     piece_results: list = []
-    expl_images: dict = {m: [] for m in _METHODS}
-    expl_classes: dict = {m: [] for m in _METHODS}
+    kept: dict = {m: [] for m in _METHODS}  # (image, c') pairs for substitutability
     sweep: dict = {lam: [] for lam in cfg.baselines.lam_sweep}  # lambda -> rows
     bcfg = cfg.baselines.method_config()
     body, _ = nc.split_at_tap(arts.classifier)
+    row = functools.partial(_row, arts, body)
 
     for case in cases:
-        request = pl.ExplanationRequest(
-            image=case.image,
-            true_label=case.label,
-            mode="counterfactual",
-            alpha=cfg.alpha,
-            settings=cfg.optim,
-            seed=derive_seed(cfg.seed, 1, case.image_id),
-            image_id=case.image_id,
-        )
-        try:
-            ctx = pl.prepare_context(request, arts.classifier, arts.generator, arts.stats)
-        except pl.PipelineError:
+        explained = _explain_image(arts, paths, 1, case)
+        if explained is None:
             # without a context no method can run for this image
-            for method in _METHODS:
-                rows.append(
-                    evalx.MetricRow(
-                        method, "counterfactual", case.image_id, case.predicted, -1,
-                        failed=True,
-                    )
-                )
+            rows += [row(case, None, method, "counterfactual") for method in _METHODS]
             continue
-        c, c_prime = ctx.c, ctx.selection.c_prime
-
-        res = pl.explain(request, arts.classifier, arts.generator, arts.stats, context=ctx)
-        piece_results.append(res)
-        rows.append(
-            _metric_row(
-                "piece", "counterfactual", case, c, c_prime,
-                res.image_prime.ravel(), res.verified, arts, body,
-            )
-        )
-        if res.verified:
-            expl_images["piece"].append(res.image_prime.ravel())
-            expl_classes["piece"].append(c_prime)
-        save_explanation(paths, "expt1", f"piece_cf_{case.image_id:04d}", res, case.image, arts)
-
-        base_results = {}
-        for method in _BASELINES:
-            bres = base_results[method] = bl.run_baseline(
-                method, ctx.inversion.z, ctx.x, c, c_prime,
-                arts.classifier, arts.generator, bcfg, "counterfactual",
-            )
-            if bres.failed:
-                rows.append(
-                    evalx.MetricRow(
-                        method, "counterfactual", case.image_id, c, c_prime, failed=True
-                    )
-                )
-            else:
-                # the stopping rule guarantees this; verify anyway
-                pred = int(np.argmax(nc.forward(arts.classifier, bres.image).output))
-                rows.append(
-                    _metric_row(
-                        method, "counterfactual", case, c, c_prime,
-                        bres.image, pred == c_prime, arts, body,
-                    )
-                )
-                expl_images[method].append(np.asarray(bres.image))
-                expl_classes[method].append(c_prime)
-            _save_baseline(paths, "expt1", f"{method}_cf_{case.image_id:04d}", bres, shape, arts)
+        _, ctx, results = explained
+        c_prime = ctx.selection.c_prime
+        piece_results.append(results["piece"])
+        for method, res in results.items():
+            if method == "piece":
+                image, verified, keep = res.image_prime.ravel(), res.verified, res.verified
+            else:  # the stopping rule guarantees verification; check anyway
+                image, keep = res.image, not res.failed
+                probs = nc.forward(arts.classifier, image).output if keep else None
+                verified = keep and int(np.argmax(probs)) == c_prime
+            rows.append(row(case, ctx, method, "counterfactual", image, verified))
+            if keep:
+                kept[method].append((np.asarray(image), c_prime))
 
         for lam in cfg.baselines.lam_sweep:
             scfg = dataclasses.replace(bcfg, lam=lam)
-            if scfg == bcfg:
-                # the main c-min-edit run above is this very run
-                sres = base_results["c_min_edit"]
-            else:
-                sres = bl.c_min_edit(
-                    ctx.inversion.z, ctx.x, c, c_prime, arts.classifier, arts.generator,
-                    scfg, "counterfactual",
-                )
-            sweep[lam].append(evalx.MetricRow(
-                "c_min_edit", "counterfactual", case.image_id, c, c_prime,
-                nn_dist=None if sres.failed else evalx.nn_dist(
-                    nc.forward(body, sres.image).output, arts.latents),
-                failed=sres.failed,
-            ))
+            # at the configured lambda the main c-min-edit run above is this very run
+            sres = results["c_min_edit"] if scfg == bcfg else bl.c_min_edit(
+                ctx.inversion.z, ctx.x, ctx.c, c_prime, arts.classifier, arts.generator,
+                scfg, "counterfactual",
+            )
+            sweep[lam].append(
+                row(case, ctx, "c_min_edit", "counterfactual", sres.image, measure=("nn_dist",))
+            )
 
     report = evalx.build_report(rows)
     evalx.write_rows(paths.reports("expt1_rows.csv"), evalx.ROW_COLUMNS, report.rows)
@@ -323,12 +316,13 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     # substitutability block
     subst_rows = []
     for method in _METHODS:
-        if not expl_images[method]:
+        if not kept[method]:
             continue
+        images, classes = zip(*kept[method])
         for k in (cfg.metrics.knn_k, cfg.metrics.knn_k_extra):
             sres = evalx.substitutability(
-                np.stack(expl_images[method]),
-                np.asarray(expl_classes[method]),
+                np.stack(images),
+                np.asarray(classes),
                 arts.train_data.flat(),
                 arts.train_data.labels,
                 arts.test_data.flat(),
@@ -351,10 +345,8 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
 
     # correlation block (pooled over methods, plus per method)
     corr_rows = []
-    scopes = [("all", report.rows)]
-    for method in _METHODS:
-        scopes.append((method, [r for r in report.rows if r.method == method]))
-    for scope, members in scopes:
+    for scope in ("all", *_METHODS):
+        members = [r for r in report.rows if scope in ("all", r.method)]
         ok = [r for r in members if not r.failed and r.nn_dist is not None]
         for metric in ("mc_mean", "mc_std"):
             xs = [r.nn_dist for r in ok if getattr(r, metric) is not None]
@@ -388,80 +380,43 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
 # Experiment 2
 
 
-# the mode of each method's row at a feature-change budget
-_BUDGET_MODES = {"piece": "proportional", "min_edit": "distance", "c_min_edit": "distance"}
-
-
-def _baseline_row(
-    method: str, mode: str, case: TestCase, c: int, c_prime: int, res: bl.BaselineResult,
-    **budget,
-) -> evalx.MetricRow:
-    """A semifactual baseline run: its pixel L1 to the original, or failed."""
-    if res.failed:
-        return evalx.MetricRow(method, mode, case.image_id, c, c_prime, failed=True, **budget)
-    return evalx.MetricRow(
-        method, mode, case.image_id, c, c_prime,
-        l1=evalx.sf_l1(case.image, res.image.reshape(case.image.shape)),
-        verified=True, **budget,
-    )
-
-
 def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     cfg = arts.config
     cases = [c for c in compose_test_set(arts) if c.bucket == "correct"]
     cases = cases[: cfg.experiment.n_semifactual]
     _write_testset_csv(cases, paths.reports("expt2_testset.csv"))
 
-    shape = arts.test_data.images.shape[1:]
     rows: list = []  # in loop order: max-edit, then each budget's three
     piece_results: list = []
     bcfg = cfg.baselines.method_config()
     body, _ = nc.split_at_tap(arts.classifier)
+    row = functools.partial(_row, arts, body)
 
     for case in cases:
-        base_seed = derive_seed(cfg.seed, 2, case.image_id)
-        request = pl.ExplanationRequest(
-            image=case.image,
-            true_label=case.label,
-            mode="semifactual",
-            alpha=cfg.alpha,
-            settings=cfg.optim,
-            seed=base_seed,
-            image_id=case.image_id,
-        )
-        try:
-            ctx = pl.prepare_context(request, arts.classifier, arts.generator, arts.stats)
-        except pl.PipelineError:
+        explained = _explain_image(arts, paths, 2, case)
+        if explained is None:
             # without a context no method can run: every row of this image fails
-            for fraction in (None, *pl.FRACTIONS):
-                for method in _METHODS:
-                    mode = "semifactual" if fraction is None else _BUDGET_MODES[method]
-                    rows.append(evalx.MetricRow(
-                        method, mode, case.image_id, case.predicted, -1,
-                        failed=True, fraction=fraction,
-                    ))
+            rows += [row(case, None, method, "semifactual") for method in _METHODS]
+            for fraction in pl.FRACTIONS:
+                rows.append(row(case, None, "piece", "proportional", fraction=fraction))
+                rows += [row(case, None, m, "distance", fraction=fraction) for m in bl.METHODS]
             continue
-        c, c_prime = ctx.c, ctx.selection.c_prime
+        request, ctx, results = explained
 
-        # max-edit semifactuals, all three methods
-        sf = pl.explain(request, arts.classifier, arts.generator, arts.stats, context=ctx)
+        # max-edit semifactuals, all three methods; an unverified one failed
+        sf = results["piece"]
         piece_results.append(sf)
-        rows.append(
-            evalx.MetricRow(
-                "piece", "semifactual", case.image_id, c, c_prime,
-                l1=evalx.sf_l1(case.image, sf.image_prime),
-                verified=sf.verified, failed=not sf.verified,
+        for method, res in results.items():
+            if res is sf:
+                image, verified = sf.image_prime.ravel(), sf.verified
+            else:
+                image, verified = res.image, not res.failed
+            rows.append(
+                row(
+                    case, ctx, method, "semifactual", image, verified,
+                    failed=not verified, measure=("l1",),
+                )
             )
-        )
-        save_explanation(paths, "expt2", f"piece_sf_{case.image_id:04d}", sf, case.image, arts)
-
-        for method in _BASELINES:
-            bres = bl.run_baseline(
-                method, ctx.inversion.z, ctx.x, c, c_prime,
-                arts.classifier, arts.generator, bcfg, "semifactual",
-            )
-            rows.append(_baseline_row(method, "semifactual", case, c, c_prime, bres))
-            _save_baseline(paths, "expt2", f"{method}_sf_{case.image_id:04d}", bres, shape, arts)
 
         # proportional budgets: profile + distance-matched baselines
         for fraction in pl.FRACTIONS:
@@ -473,21 +428,21 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
             flat_prime = pres.image_prime.ravel()
             d_star = float(np.linalg.norm(nc.forward(body, flat_prime).output - ctx.x))
             rows.append(
-                _metric_row(
-                    "piece", "proportional", case, c, c_prime, flat_prime, pres.verified,
-                    arts, body, fraction=fraction, target_distance=d_star,
+                row(
+                    case, ctx, "piece", "proportional", flat_prime, pres.verified,
+                    fraction=fraction, target_distance=d_star,
                     applied_count=pres.applied_count, k_reference=pres.k_reference,
                 )
             )
-            for method in _BASELINES:
+            for method in bl.METHODS:
                 dres = bl.run_to_distance(
-                    method, ctx.inversion.z, ctx.x, c, c_prime, d_star,
+                    method, ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime, d_star,
                     arts.classifier, arts.generator, bcfg,
                 )
                 rows.append(
-                    _baseline_row(
-                        method, "distance", case, c, c_prime, dres,
-                        fraction=fraction, target_distance=d_star,
+                    row(
+                        case, ctx, method, "distance", dres.image, not dres.failed,
+                        measure=("l1",), fraction=fraction, target_distance=d_star,
                     )
                 )
 

@@ -20,7 +20,6 @@ falls below alpha, through one of four tail events:
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -257,10 +256,7 @@ def save_stats(table: StatsTable, path) -> None:
 
 
 def load_stats(path) -> StatsTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != STATS_MAGIC:
-        raise HurdleError(f"{path}: not a stats file")
+    doc = nc.read_doc(path, STATS_MAGIC, HurdleError)
     models = []
     for row in doc["classes"]:
         neurons = []
@@ -286,10 +282,7 @@ def save_latents(latents: np.ndarray, predicted: np.ndarray, path) -> None:
 
 
 def load_latents(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "piece-latents":
-        raise HurdleError(f"{path}: not a latents file")
+    doc = nc.read_doc(path, "piece-latents", HurdleError)
     latents = nc.decode_array(
         doc["latents"], tuple(doc["shape"]), f"{path}: latents", HurdleError
     )

@@ -137,6 +137,8 @@ class Network:
     role: str
     feature_tap: Optional[int] = None
     plan: "_Plan" = field(init=False, repr=False, compare=False)
+    # what a saved network was trained on, as read back by `load_network`
+    provenance: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -599,6 +601,19 @@ def write_json(path, doc, indent: Optional[int] = None) -> None:
         fh.write("\n")
 
 
+def read_doc(path, magic: str, error) -> dict:
+    """The JSON object in `path`, checked to be a `magic` document. A file
+    that does not parse, or holds anything else, raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"malformed {magic} file {path}: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != magic:
+        raise error(f"{path}: not a {magic} file (bad magic)")
+    return doc
+
+
 def encode_array(arr: Array) -> str:
     """Base64 text of the little-endian float64 bytes of `arr`."""
     return base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()).decode("ascii")
@@ -656,13 +671,7 @@ def save_network(net: Network, path, provenance: Optional[dict] = None) -> None:
 
 
 def load_network(path) -> Network:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise NetworkFormatError(f"malformed network file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != NETWORK_MAGIC:
-        raise NetworkFormatError(f"{path}: not a network file (bad magic)")
+    doc = read_doc(path, NETWORK_MAGIC, NetworkFormatError)
     if doc.get("format_version") != NETWORK_FORMAT_VERSION:
         raise NetworkFormatError(
             f"{path}: unsupported format version {doc.get('format_version')!r}"
@@ -689,13 +698,10 @@ def load_network(path) -> Network:
         else:
             raise NetworkFormatError(f"layer {i}: unknown kind {kind!r}")
     tap = doc.get("feature_tap")
-    return Network(layers, role=doc["role"], feature_tap=None if tap is None else int(tap))
-
-
-def load_provenance(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc.get("provenance", {})
+    return Network(
+        layers, role=doc["role"], feature_tap=None if tap is None else int(tap),
+        provenance=doc.get("provenance", {}),
+    )
 
 
 def networks_equal(a: Network, b: Network) -> bool:

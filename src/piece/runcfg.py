@@ -34,7 +34,7 @@ from .datagen import (
     load_dataset,
 )
 from .hurdle import StatsTable, load_latents, load_stats
-from .netcore import Network, load_network, load_provenance
+from .netcore import Network, load_network
 from .pipeline import OptimSettings
 from .training import TrainConfig
 
@@ -268,9 +268,9 @@ def config_ini_text(cfg: RunConfig) -> str:
 # the files whose presence marks a stage done; each experiment writes its
 # fit-quality report last
 _STAGE_FILES = {
-    "datagen": ("dataset/manifest.json",),
+    "datagen": ("dataset/manifest.json", "dataset/train.json", "dataset/test.json"),
     "train": ("models/classifier.json", "models/generator.json", "models/ae_full.json"),
-    "fit-stats": ("stats/stats.json",),
+    "fit-stats": ("stats/stats.json", "stats/latents.json"),
     "experiment 1": ("reports/expt1_fit_quality.csv",),
     "experiment 2": ("reports/expt2_fit_quality.csv",),
 }
@@ -306,15 +306,19 @@ class RunPaths:
         for sub in ("dataset", "models", "stats", "explanations", "reports"):
             os.makedirs(os.path.join(self.root, sub), exist_ok=True)
 
+    def _missing(self, stage: str) -> list:
+        return [f for f in _STAGE_FILES[stage] if not os.path.exists(os.path.join(self.root, f))]
+
     def done(self, stage: str) -> bool:
-        return all(os.path.exists(os.path.join(self.root, f)) for f in _STAGE_FILES[stage])
+        return not self._missing(stage)
 
     def require(self, *stages: str) -> None:
         for stage in stages:
-            if not self.done(stage):
+            missing = self._missing(stage)
+            if missing:
                 raise PrerequisiteError(
-                    f"stage '{stage}' has not completed in this run directory; "
-                    f"run `piece {stage}` first"
+                    f"stage '{stage}' has not completed in this run directory "
+                    f"({', '.join(missing)} missing); run `piece {stage}` first"
                 )
 
 
@@ -342,7 +346,8 @@ def load_run(paths: RunPaths) -> RunArtifacts:
     missing = [name for name in models if not os.path.exists(paths.models(f"{name}.json"))]
     if missing:
         raise PrerequisiteError(
-            f"model files missing: {', '.join(missing)}; run `piece train --force`"
+            f"model files missing: {', '.join(f'models/{m}.json' for m in missing)}; "
+            "run `piece train --force`"
         )
     manifest_sha = file_sha256(paths.dataset("manifest.json"))
     train_data = load_dataset(paths.dataset("train.json"))
@@ -351,9 +356,8 @@ def load_run(paths: RunPaths) -> RunArtifacts:
     stats = load_stats(paths.stats("stats.json"))
     latents, _ = load_latents(paths.stats("latents.json"))
     classifier_sha = file_sha256(paths.models("classifier.json"))
-    for name in models:
-        prov = load_provenance(paths.models(f"{name}.json"))
-        if prov.get("dataset_sha") != manifest_sha:
+    for name, net in nets.items():
+        if net.provenance.get("dataset_sha") != manifest_sha:
             raise ProvenanceError(
                 f"model {name} was trained on a different dataset "
                 f"(manifest hash mismatch); regenerate with `piece train --force`"

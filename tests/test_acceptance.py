@@ -5,6 +5,8 @@ pipeline (data generation through both experiments).
 """
 
 import csv
+import os
+import shutil
 import time
 
 import numpy as np
@@ -260,16 +262,30 @@ REPORT_FILES = (
 
 def test_criterion_10_determinism(bench, announce):
     paths = bench["paths"]
-    before = {name: open(paths.reports(name), "rb").read() for name in REPORT_FILES}
+
+    def snapshot():
+        """Bytes of every report and of every file under explanations/expt1|2."""
+        files = {name: paths.reports(name) for name in REPORT_FILES}
+        for expt in ("expt1", "expt2"):
+            for name in os.listdir(paths.explanations(expt)):
+                files[f"{expt}/{name}"] = paths.explanations(expt, name)
+        return {name: open(path, "rb").read() for name, path in files.items()}
+
+    before = snapshot()
     for expt in (1, 2):
+        # the rerun must write every explanation file again, not keep the old one
+        shutil.rmtree(paths.explanations(f"expt{expt}"))
         rc = main(["experiment", "--run-dir", paths.root, "--expt", str(expt), "--force"])
         assert rc == 0
-    different = [
-        name for name in REPORT_FILES
-        if open(paths.reports(name), "rb").read() != before[name]
-    ]
-    assert not different, f"reports changed on rerun: {different}"
-    announce(10, "determinism", f"{len(REPORT_FILES)} report files byte-identical")
+    after = snapshot()
+    assert sorted(after) == sorted(before), "a rerun wrote a different set of files"
+    different = [name for name in before if after[name] != before[name]]
+    assert not different, f"files changed on rerun: {different}"
+    n_expl = len(before) - len(REPORT_FILES)
+    announce(
+        10, "determinism",
+        f"{len(REPORT_FILES)} report files and {n_expl} explanation files byte-identical",
+    )
 
 
 def test_criterion_11_end_to_end_budget(bench, announce):

@@ -75,6 +75,13 @@ class TestParser:
         for section in CONFIG_SECTIONS:
             assert f"[{section}]" in out
 
+    def test_explain_has_no_force(self, capsys):
+        # explain writes no stage marker, so there is nothing to force
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--run-dir", "unused", "--index", "0", "--force"])
+        assert exc.value.code == 2
+        assert "--force" in capsys.readouterr().err
+
     def test_config_echo_fault_confined_to_help(self, tmp_path, monkeypatch):
         import piece.cli
 
@@ -283,30 +290,42 @@ class TestProvenance:
         manifest.write_text(json.dumps(doc))
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
 
-    def test_missing_model_file_exit_3(self, mini_run, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name",
+        ["models/ae_class_2.json", "dataset/train.json", "dataset/test.json",
+         "stats/latents.json"],
+    )
+    def test_missing_run_file_exit_3(self, mini_run, tmp_path, capsys, name):
         import shutil
 
         clone = tmp_path / "clone4"
         shutil.copytree(mini_run, clone)
-        (clone / "models" / "ae_class_2.json").unlink()
+        (clone / name).unlink()
         capsys.readouterr()
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "ae_class_2" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
 
-    def test_damaged_latents_exit_4(self, mini_run, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name", ["stats/latents.json", "stats/stats.json", "dataset/test.json"]
+    )
+    def test_damaged_run_file_exit_4(self, mini_run, tmp_path, capsys, name):
         import shutil
 
         clone = tmp_path / "clone3"
         shutil.copytree(mini_run, clone)
-        latents = clone / "stats" / "latents.json"
-        doc = json.loads(latents.read_text())
-        doc["latents"] = doc["latents"][:-4]  # still base64, 3 bytes short
-        latents.write_text(json.dumps(doc))
+        path = clone / name
+        if name == "stats/latents.json":
+            doc = json.loads(path.read_text())
+            doc["latents"] = doc["latents"][:-4]  # still base64, 3 bytes short
+            path.write_text(json.dumps(doc))
+        else:
+            text = path.read_text()
+            path.write_text(text[: len(text) // 2])  # truncated JSON
         capsys.readouterr()
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "latents" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
 
 
 class TestExperimentCommand:
@@ -394,8 +413,9 @@ class TestExperimentCommand:
         assert main(["experiment", "--run-dir", str(clone), "--expt", "1"]) in (0, 5)
         assert (clone / "reports" / "expt1_fit_quality.csv").exists()
 
-    def test_unprepared_image_fails_every_expt2_row(
-        self, mini_run, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize("expt", [1, 2])
+    def test_unprepared_image_fails_every_row(
+        self, mini_run, tmp_path, monkeypatch, capsys, expt
     ):
         import csv
         import os
@@ -410,16 +430,31 @@ class TestExperimentCommand:
         shutil.copytree(mini_run, clone)
         monkeypatch.setattr(pl, "prepare_context", unprepared)
         capsys.readouterr()
-        assert main(["experiment", "--run-dir", str(clone), "--expt", "2", "--force"]) == 5
+        assert main(["experiment", "--run-dir", str(clone), "--expt", str(expt),
+                     "--force"]) == 5
         reports = os.path.join(clone, "reports")
 
         def read(name):
             return list(csv.DictReader(open(os.path.join(reports, name))))
 
-        n_cases = len(read("expt2_testset.csv"))
+        cases = read(f"expt{expt}_testset.csv")
+        n_cases = len(cases)
         assert n_cases > 0
+        per_image = 3 if expt == 1 else 15
         out = capsys.readouterr().out
-        assert f"{15 * n_cases} method rows, {15 * n_cases} failures" in out
+        assert f"{per_image * n_cases} method rows, {per_image * n_cases} failures" in out
+        if expt == 1:
+            # no context: c is the prediction and c' is -1
+            predicted = {c["image_id"]: c["predicted"] for c in cases}
+            rows = read("expt1_rows.csv")
+            assert len(rows) == 3 * n_cases
+            assert all(
+                r["failed"] == "true" and r["verified"] == "false"
+                and r["c"] == predicted[r["image_id"]] and r["c_prime"] == "-1"
+                for r in rows
+            )
+            assert {r["method"] for r in rows} == {"piece", "min_edit", "c_min_edit"}
+            return
         for name, per_image in (("expt2_maxedit.csv", 3), ("expt2_distance_matched.csv", 12)):
             rows = read(name)
             assert len(rows) == per_image * n_cases

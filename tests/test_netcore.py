@@ -497,7 +497,7 @@ class TestSerialization:
         nc.save_network(net, path, provenance={"dataset_sha": "abc"})
         loaded = nc.load_network(path)
         assert nc.networks_equal(net, loaded)
-        assert nc.load_provenance(path) == {"dataset_sha": "abc"}
+        assert loaded.provenance == {"dataset_sha": "abc"}
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.json"
