@@ -266,9 +266,7 @@ def load_stats(path) -> StatsTable:
                 dist = FittedDist(**{f.name: rec[f.name] for f in fields(FittedDist)})
             neurons.append(NeuronClassModel(dist=dist, **{k: rec[k] for k in _MODEL_KEYS}))
         models.append(neurons)
-    return StatsTable(
-        doc["alpha"], models, doc.get("classifier_sha", ""), doc.get("dataset_sha", "")
-    )
+    return StatsTable(doc["alpha"], models, doc["classifier_sha"], doc["dataset_sha"])
 
 
 def save_latents(latents: np.ndarray, predicted: np.ndarray, path) -> None:

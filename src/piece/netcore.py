@@ -9,8 +9,10 @@ input-gradient recurrence: `backward` returns only the gradient with
 respect to the input, which is all the optimisation loops need to chain
 several networks (generator into feature extractor into classifier head) by
 hand; `backward_params` also forms the dense parameter gradients, for
-training. `descend` is the one Adam loop over latent codes: a generator of
-points whose caller writes the stop rule as the body of a `for` loop.
+training, in `parameters` order. `adam_step` is the one Adam update, in
+place; training runs it on a network's own dense arrays, and `descend`, the
+Adam loop over latent codes, on a copy of each point it yields, so its
+caller writes the stop rule as the body of a `for` loop.
 `forward_passes` runs many seeded train-mode passes of one input as one
 batch, each pass drawing its masks as `forward` would.
 """
@@ -401,17 +403,18 @@ def backward(net: Network, trace: ForwardTrace, output_grad) -> Array:
 def backward_params(net: Network, trace: ForwardTrace, output_grad) -> tuple[list, Array]:
     """Parameter and input gradients of one traced forward pass.
 
-    Returns (per-layer parameter gradients, gradient w.r.t. the input).
-    Parameter entries are (dW, db) for dense layers and None otherwise. The
+    Returns (parameter gradients, gradient w.r.t. the input). The parameter
+    gradients are in `parameters(net)` order: dW, db of each dense layer. The
     input gradient is the one `backward` returns, bit for bit.
     """
-    param_grads: list = [None] * len(net.plan.steps)
+    param_grads: list = []
     input_grad = _backprop(net, trace, output_grad, param_grads)
-    return param_grads, input_grad
+    return param_grads[::-1], input_grad
 
 
 def _backprop(net, trace, output_grad, param_grads):
-    """The reverse-mode recurrence; fills `param_grads` when it is a list."""
+    """The reverse-mode recurrence; appends db, dW of each dense layer, last
+    layer first, to `param_grads` when it is a list."""
     steps = net.plan.steps
     outputs = trace.outputs
     if len(outputs) != len(steps):
@@ -432,7 +435,7 @@ def _backprop(net, trace, output_grad, param_grads):
             if layer_in.shape[1] != layer.in_dim:
                 raise TraceMismatchError(f"trace does not match layer {i} (dense)")
             if param_grads is not None:
-                param_grads[i] = (g.T @ layer_in, g.sum(axis=0))
+                param_grads += (g.sum(axis=0), g.T @ layer_in)
             g = g @ layer.weight
         elif kind == "relu":
             g = g * (layer_in > 0.0)
@@ -519,23 +522,20 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[list, AdamState]:
-    """One functional Adam update; returns new parameter arrays and state."""
+) -> None:
+    """One Adam update of `params`, `state.m` and `state.v`, in place."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise DimensionError("params/grads/state length mismatch")
-    t = state.step + 1
-    new_params, new_m, new_v = [], [], []
+    state.step += 1
+    t = state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise DimensionError(f"param shape {p.shape} vs grad shape {g.shape}")
-        m1 = beta1 * m + (1.0 - beta1) * g
-        v1 = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m1 / (1.0 - beta1**t)
-        v_hat = v1 / (1.0 - beta2**t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m1)
-        new_v.append(v1)
-    return new_params, AdamState(t, new_m, new_v)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
 
 
 def descend(objective, z, lr: float, max_steps: int):
@@ -552,7 +552,8 @@ def descend(objective, z, lr: float, max_steps: int):
     yield 0, z, info
     state = AdamState.init([z])
     for step in range(1, max_steps + 1):
-        (z,), state = adam_step([z], [grad], state, lr)
+        z = z.copy()
+        adam_step([z], [grad], state, lr)
         grad, info = objective(z)
         yield step, z, info
 
@@ -565,29 +566,6 @@ def parameters(net: Network) -> list:
             out.append(layer.weight)
             out.append(layer.bias)
     return out
-
-
-def flatten_param_grads(net: Network, param_grads: list) -> list:
-    """Match `parameters` ordering from a backward_params() result."""
-    out = []
-    for layer, pg in zip(net.layers, param_grads):
-        if isinstance(layer, Dense):
-            dw, db = pg
-            out.append(dw)
-            out.append(db)
-    return out
-
-
-def replace_parameters(net: Network, params: list) -> Network:
-    """New network with the given dense parameters (other layers shared)."""
-    layers = []
-    it = iter(params)
-    for layer in net.layers:
-        if isinstance(layer, Dense):
-            layers.append(Dense(next(it), next(it)))
-        else:
-            layers.append(layer)
-    return Network(layers, role=net.role, feature_tap=net.feature_tap)
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +581,16 @@ def write_json(path, doc, indent: Optional[int] = None) -> None:
 
 def read_doc(path, magic: str, error) -> dict:
     """The JSON object in `path`, checked to be a `magic` document. A file
-    that does not parse, or holds anything else, raises `error`."""
+    that does not parse, holds anything else, or lacks a key its reader
+    looks up with `[]` raises `error`."""
+
+    class Doc(dict):
+        def __missing__(self, key):
+            raise error(f"{path}: missing key {key!r}")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=Doc)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"malformed {magic} file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != magic:
@@ -697,24 +681,8 @@ def load_network(path) -> Network:
             layers.append(Sigmoid())
         else:
             raise NetworkFormatError(f"layer {i}: unknown kind {kind!r}")
-    tap = doc.get("feature_tap")
+    tap = doc["feature_tap"]
     return Network(
         layers, role=doc["role"], feature_tap=None if tap is None else int(tap),
         provenance=doc.get("provenance", {}),
     )
-
-
-def networks_equal(a: Network, b: Network) -> bool:
-    if a.role != b.role or a.feature_tap != b.feature_tap:
-        return False
-    if len(a.layers) != len(b.layers):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if la.kind != lb.kind:
-            return False
-        if isinstance(la, Dense):
-            if not (np.array_equal(la.weight, lb.weight) and np.array_equal(la.bias, lb.bias)):
-                return False
-        if isinstance(la, Dropout) and la.rate != lb.rate:
-            return False
-    return True

@@ -9,7 +9,7 @@ from the config seed, so the same config yields bit-identical networks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -18,9 +18,7 @@ from .datagen import Dataset
 
 
 class TrainingFailure(Exception):
-    def __init__(self, message: str, curve: Optional[list] = None):
-        super().__init__(message)
-        self.curve = curve or []
+    """A training stage that could not run or did not reach its target."""
 
 
 @dataclass
@@ -92,7 +90,8 @@ def _run_epochs(
     rng: np.random.Generator,
     metric_fn: Callable[[nc.Network], float],
     stop_fn: Callable[[float], bool],
-) -> tuple[nc.Network, list]:
+) -> list:
+    """Train the dense arrays of `net` in place; returns the per-epoch curve."""
     params = nc.parameters(net)
     state = nc.AdamState.init(params)
     curve = []
@@ -106,12 +105,8 @@ def _run_epochs(
             mode = "train" if net.plan.has_dropout else "eval"
             trace = nc.forward(net, inputs[batch], mode=mode, rng_seed=seed)
             value, out_grad = nc.loss(loss_kind, trace.outputs[-1], targets[batch])
-            pgrads, _ = nc.backward_params(net, trace, out_grad)
-            grads = nc.flatten_param_grads(net, pgrads)
-            params, state = nc.adam_step(
-                params, grads, state, cfg.lr, cfg.beta1, cfg.beta2
-            )
-            net = nc.replace_parameters(net, params)
+            grads, _ = nc.backward_params(net, trace, out_grad)
+            nc.adam_step(params, grads, state, cfg.lr, cfg.beta1, cfg.beta2)
             epoch_loss += value * len(batch)
         metric = metric_fn(net)
         curve.append(
@@ -119,7 +114,7 @@ def _run_epochs(
         )
         if stop_fn(metric):
             break
-    return net, curve
+    return curve
 
 
 def build_classifier(n_pixels: int, n_classes: int, cfg: TrainConfig) -> nc.Network:
@@ -147,7 +142,7 @@ def train_classifier(
     net = build_classifier(train.n_pixels, n_classes, cfg)
     onehot = np.eye(n_classes)[train.labels]
     rng = np.random.default_rng([cfg.seed, 102])
-    net, curve = _run_epochs(
+    curve = _run_epochs(
         net,
         train.flat(),
         onehot,
@@ -161,8 +156,7 @@ def train_classifier(
     if final_acc < cfg.min_accuracy:
         raise TrainingFailure(
             f"classifier reached only {final_acc:.3f} test accuracy "
-            f"(minimum {cfg.min_accuracy})",
-            curve,
+            f"(minimum {cfg.min_accuracy})"
         )
     report = TrainReport.of(
         "classifier", cfg, curve,
@@ -195,7 +189,7 @@ def _train_autoencoder(
     net = _build_autoencoder(n_pixels, cfg.hidden[0], cfg.latent_dim, [*seed_parts, 1])
     flat = images.reshape(len(images), -1)
     rng = np.random.default_rng([*seed_parts, 2])
-    return _run_epochs(
+    curve = _run_epochs(
         net,
         flat,
         flat,
@@ -205,6 +199,7 @@ def _train_autoencoder(
         metric_fn=lambda m: reconstruction_mse(m, eval_images),
         stop_fn=lambda mse: mse <= cfg.recon_mse_target * 0.5,
     )
+    return net, curve
 
 
 def train_generator(
@@ -221,8 +216,7 @@ def train_generator(
     if final_mse > cfg.recon_mse_target:
         raise TrainingFailure(
             f"generator reconstruction MSE {final_mse:.5f} exceeds target "
-            f"{cfg.recon_mse_target}",
-            curve,
+            f"{cfg.recon_mse_target}"
         )
     generator = nc.Network(ae.layers[ae.feature_tap + 1:], role="generator")
     report = TrainReport.of(

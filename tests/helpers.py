@@ -57,9 +57,7 @@ def max_gradcheck_error(seed: int, eps: float = 1e-5) -> float:
         num = (f(net, xp) - f(net, xm)) / (2 * eps)
         worst = max(worst, rel(num, in_grad[i]))
 
-    params = nc.parameters(net)
-    analytic = nc.flatten_param_grads(net, pgrads)
-    for p_idx, (param, grad) in enumerate(zip(params, analytic)):
+    for param, grad in zip(nc.parameters(net), pgrads):
         flat = param.ravel()
         gflat = grad.ravel()
         for j in range(flat.size):

@@ -307,15 +307,33 @@ class TestProvenance:
         assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
 
     @pytest.mark.parametrize(
-        "name", ["stats/latents.json", "stats/stats.json", "dataset/test.json"]
+        "name,drop",
+        [
+            pytest.param(name, None, id=name)
+            for name in ("stats/latents.json", "stats/stats.json", "dataset/test.json")
+        ]
+        + [
+            pytest.param(name, key, id=f"{name}-{key}")
+            for name, key in (
+                ("stats/stats.json", "alpha"),
+                ("stats/stats.json", "classifier_sha"),
+                ("models/classifier.json", "feature_tap"),
+                ("dataset/test.json", "labels"),
+                ("stats/latents.json", "shape"),
+            )
+        ],
     )
-    def test_damaged_run_file_exit_4(self, mini_run, tmp_path, capsys, name):
+    def test_damaged_run_file_exit_4(self, mini_run, tmp_path, capsys, name, drop):
         import shutil
 
         clone = tmp_path / "clone3"
         shutil.copytree(mini_run, clone)
         path = clone / name
-        if name == "stats/latents.json":
+        if drop is not None:
+            doc = json.loads(path.read_text())
+            del doc[drop]
+            path.write_text(json.dumps(doc))
+        elif name == "stats/latents.json":
             doc = json.loads(path.read_text())
             doc["latents"] = doc["latents"][:-4]  # still base64, 3 bytes short
             path.write_text(json.dumps(doc))
