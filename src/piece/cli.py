@@ -7,9 +7,10 @@
     piece experiment --run-dir runs/demo --expt 1
 
 Exit codes: 0 success, 1 a stage that failed as it ran (training, data,
-pipeline or metric error), 2 configuration error, 3 missing prerequisite
-stage or model file, 4 run artifacts that do not verify (a provenance
-mismatch, or a damaged model, stats or latents file), 5 experiment failure
+pipeline, numerical overflow or metric error), 2 configuration error, 3
+missing prerequisite stage or model file, 4 run artifacts that do not verify
+(a provenance mismatch, a dataset file whose hash differs from its manifest,
+or a damaged model, stats, latents or dataset file), 5 experiment failure
 fraction above the configured threshold.
 """
 
@@ -66,7 +67,9 @@ _EXIT_CODES = {
     **dict.fromkeys(
         (ProvenanceError, HurdleError, nc.NetworkFormatError, DatasetFormatError), EXIT_PROVENANCE
     ),
-    **dict.fromkeys((TrainingFailure, DataError, pl.PipelineError, MetricError), 1),
+    **dict.fromkeys(
+        (TrainingFailure, DataError, pl.PipelineError, nc.NumericsError, MetricError), 1
+    ),
 }
 
 

@@ -207,6 +207,9 @@ def read_pgm(path) -> Array:
 # Dataset files and manifest
 
 
+MANIFEST_MAGIC = "piece-dataset-manifest"
+
+
 def save_dataset(data: Dataset, path) -> None:
     doc = {
         "format": "piece-dataset",
@@ -218,8 +221,9 @@ def save_dataset(data: Dataset, path) -> None:
     write_json(path, doc)
 
 
-def load_dataset(path) -> Dataset:
-    doc = read_doc(path, "piece-dataset", DatasetFormatError)
+def load_dataset(path, sha256: str | None = None) -> Dataset:
+    """The dataset in `path`; with `sha256`, its bytes must have that digest."""
+    doc = read_doc(path, "piece-dataset", DatasetFormatError, sha256)
     images = decode_array(
         doc["images"], tuple(doc["shape"]), f"{path}: images", DatasetFormatError
     )
@@ -236,7 +240,7 @@ def file_sha256(path) -> str:
 
 def write_manifest(path, params: GlyphParams, counts: dict, file_shas: dict) -> None:
     doc = {
-        "format": "piece-dataset-manifest",
+        "format": MANIFEST_MAGIC,
         "params": asdict(params),
         "counts": counts,
         "files": file_shas,

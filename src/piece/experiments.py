@@ -11,10 +11,22 @@ matched to the pipeline's latent displacement at 25/50/75/100 percent
 feature-change budgets, and profiles the pipeline's plausibility across
 those budgets.
 
-Both explain each image through one function (`_explain_image`), and one
-builder (`_row`) makes every report row. Any per-image method failure
-becomes a failure row; experiments never abort on them. All randomness is
-derived from the run seed, so reruns produce byte-identical CSV files.
+Both explain their images through one function (`_explain_images`), and
+one builder (`_row`) makes every report row. The images go through phases,
+so that the latent searches run over all images at once, each image
+exactly as it would run alone:
+
+1. prepare every context: one stacked inversion of all images, then each
+   image's class selection and exceptional features;
+2. explain each image by PIECE (feature walk and visualization);
+3. run each baseline over the stack of prepared images;
+4. experiment 1 only: run each lambda of the sweep over that stack;
+5. build the rows and write the reports, in test-set order. Experiment 2's
+   proportional budgets and distance-matched runs still go image by image.
+
+Any per-image method failure, an overflow among them, becomes a failure
+row; experiments never abort on them. All randomness is derived from the
+run seed, so reruns produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -228,37 +240,72 @@ def _row(
     )
 
 
-def _explain_image(arts: RunArtifacts, paths: RunPaths, expt: int, case: TestCase) -> tuple | None:
-    """Explain one test image by PIECE and both baselines in experiment
+def _baseline_runs(
+    arts: RunArtifacts, method: str, contexts: list, bcfg: bl.BaselineConfig, mode: str
+) -> list:
+    """`method` over the stack of prepared images, one result per context."""
+    if not contexts:
+        return []
+    return bl.run_baseline(
+        method,
+        np.stack([ctx.inversion.z for ctx in contexts]),
+        np.stack([ctx.x for ctx in contexts]),
+        [ctx.c for ctx in contexts],
+        [ctx.selection.c_prime for ctx in contexts],
+        arts.classifier, arts.generator, bcfg, mode,
+    )
+
+
+def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list) -> list:
+    """Explain every test image by PIECE and both baselines in experiment
     `expt`'s mode, saving every record and image under explanations/.
-    Returns the request, the context and each method's result, or None
-    when the image cannot be prepared."""
+    Returns, per case, the request, the context and each method's result,
+    or None when the image cannot be prepared. Runs the module's phases 1
+    to 3: one stacked inversion, then each image's selection and features;
+    PIECE per image; each baseline over the stack of prepared images."""
     cfg = arts.config
     mode, tag = (("counterfactual", "cf"), ("semifactual", "sf"))[expt - 1]
-    request = pl.ExplanationRequest(
-        image=case.image,
-        true_label=case.label,
-        mode=mode,
-        alpha=cfg.alpha,
-        settings=cfg.optim,
-        seed=derive_seed(cfg.seed, expt, case.image_id),
-        image_id=case.image_id,
-    )
-    try:
-        ctx = pl.prepare_context(request, arts.classifier, arts.generator, arts.stats)
-    except pl.PipelineError:
-        return None
-    subdir, tag = f"expt{expt}", f"{tag}_{case.image_id:04d}"
-    res = pl.explain(request, arts.classifier, arts.generator, arts.stats, context=ctx)
-    save_explanation(paths, subdir, f"piece_{tag}", res, case.image, arts)
-    results = {"piece": res}
-    for method in bl.METHODS:
-        results[method] = bl.run_baseline(
-            method, ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
-            arts.classifier, arts.generator, cfg.baselines.method_config(), mode,
+    requests = [
+        pl.ExplanationRequest(
+            image=case.image,
+            true_label=case.label,
+            mode=mode,
+            alpha=cfg.alpha,
+            settings=cfg.optim,
+            seed=derive_seed(cfg.seed, expt, case.image_id),
+            image_id=case.image_id,
         )
-        _save_baseline(paths, subdir, f"{method}_{tag}", results[method], case.image.shape, arts)
-    return request, ctx, results
+        for case in cases
+    ]
+    body, _ = nc.split_at_tap(arts.classifier)
+    inversions = pl.invert_image(
+        arts.generator, body, np.stack([case.image for case in cases]), cfg.optim,
+        [request.seed for request in requests],
+    ) if cases else []
+    explained: list = []
+    for case, request, inversion in zip(cases, requests, inversions):
+        try:
+            if isinstance(inversion, pl.InversionError):
+                raise inversion
+            ctx = pl.prepare_context(
+                request, arts.classifier, arts.generator, arts.stats, inversion
+            )
+        except (pl.PipelineError, nc.NumericsError):
+            explained.append(None)
+            continue
+        res = pl.explain(request, arts.classifier, arts.generator, arts.stats, context=ctx)
+        save_explanation(paths, f"expt{expt}", f"piece_{tag}_{case.image_id:04d}", res,
+                         case.image, arts)
+        explained.append((request, ctx, {"piece": res}))
+    prepared = [(case, e) for case, e in zip(cases, explained) if e is not None]
+    contexts = [ctx for _, (_, ctx, _) in prepared]
+    for method in bl.METHODS:
+        runs = _baseline_runs(arts, method, contexts, cfg.baselines.method_config(), mode)
+        for (case, (_, _, results)), res in zip(prepared, runs):
+            results[method] = res
+            _save_baseline(paths, f"expt{expt}", f"{method}_{tag}_{case.image_id:04d}", res,
+                           case.image.shape, arts)
+    return explained
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +325,28 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     body, _ = nc.split_at_tap(arts.classifier)
     row = functools.partial(_row, arts, body)
 
-    for case in cases:
-        explained = _explain_image(arts, paths, 1, case)
-        if explained is None:
+    explained = _explain_images(arts, paths, 1, cases)
+    prepared = [e for e in explained if e is not None]
+    # the lambda sweep, each lambda over the stack; at the configured lambda
+    # the main c-min-edit runs are these very runs
+    swept = {
+        lam: iter(
+            [results["c_min_edit"] for _, _, results in prepared]
+            if dataclasses.replace(bcfg, lam=lam) == bcfg
+            else _baseline_runs(
+                arts, "c_min_edit", [ctx for _, ctx, _ in prepared],
+                dataclasses.replace(bcfg, lam=lam), "counterfactual",
+            )
+        )
+        for lam in cfg.baselines.lam_sweep
+    }
+
+    for case, e in zip(cases, explained):
+        if e is None:
             # without a context no method can run for this image
             rows += [row(case, None, method, "counterfactual") for method in _METHODS]
             continue
-        _, ctx, results = explained
+        _, ctx, results = e
         c_prime = ctx.selection.c_prime
         piece_results.append(results["piece"])
         for method, res in results.items():
@@ -297,14 +359,8 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
             rows.append(row(case, ctx, method, "counterfactual", image, verified))
             if keep:
                 kept[method].append((np.asarray(image), c_prime))
-
         for lam in cfg.baselines.lam_sweep:
-            scfg = dataclasses.replace(bcfg, lam=lam)
-            # at the configured lambda the main c-min-edit run above is this very run
-            sres = results["c_min_edit"] if scfg == bcfg else bl.c_min_edit(
-                ctx.inversion.z, ctx.x, ctx.c, c_prime, arts.classifier, arts.generator,
-                scfg, "counterfactual",
-            )
+            sres = next(swept[lam])
             sweep[lam].append(
                 row(case, ctx, "c_min_edit", "counterfactual", sres.image, measure=("nn_dist",))
             )
@@ -392,8 +448,7 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     body, _ = nc.split_at_tap(arts.classifier)
     row = functools.partial(_row, arts, body)
 
-    for case in cases:
-        explained = _explain_image(arts, paths, 2, case)
+    for case, explained in zip(cases, _explain_images(arts, paths, 2, cases)):
         if explained is None:
             # without a context no method can run: every row of this image fails
             rows += [row(case, None, method, "semifactual") for method in _METHODS]

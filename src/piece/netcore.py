@@ -10,11 +10,21 @@ respect to the input, which is all the optimisation loops need to chain
 several networks (generator into feature extractor into classifier head) by
 hand; `backward_params` also forms the dense parameter gradients, for
 training, in `parameters` order. `adam_step` is the one Adam update, in
-place; training runs it on a network's own dense arrays, and `descend`, the
+place; training runs it on a network's own dense arrays, and `Descent`, the
 Adam loop over latent codes, on a copy of each point it yields, so its
 caller writes the stop rule as the body of a `for` loop.
 `forward_passes` runs many seeded train-mode passes of one input as one
 batch, each pass drawing its masks as `forward` would.
+
+Image axis: `forward` and `backward` take a vector, a batch of rows
+`(rows, d)`, or a stack of such batches `(n, rows, d)`, one per image. Every
+width check, softmax and reduction works on the last axis, and numpy's
+stacked product gives each image's slice the same bits as that image's own
+2-d pass, so a stack runs many images in lockstep without changing any of
+them (`tests/test_netcore.py` pins this). One flat 2-d batch of all the
+images' rows would not: it rounds differently. A `NumericsError` raised by
+a stacked pass names the images that hold the non-finite values, so a
+search over a stack can drop those images and keep the rest.
 """
 
 from __future__ import annotations
@@ -44,7 +54,13 @@ class DimensionError(NetError):
 
 
 class NumericsError(NetError):
-    pass
+    """A non-finite value. For a stacked `(n, rows, d)` input, `images`
+    holds the indices along the image axis of the images with one; it is
+    None for a vector or a 2-d batch."""
+
+    def __init__(self, message: str, images: Optional[Array] = None):
+        super().__init__(message)
+        self.images = images
 
 
 class TraceMismatchError(NetError):
@@ -255,19 +271,21 @@ class ForwardTrace:
         return out[0] if self.squeezed else out
 
 
-def _as_batch(x, what="input") -> tuple[Array, bool]:
+def _as_batch(x, what="input", max_ndim=3) -> tuple[Array, bool]:
+    """`x` as a float64 batch of rows (or a stack of batches, up to
+    `max_ndim` axes), and whether it was a single vector."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         return arr[None, :], True
-    if arr.ndim == 2:
+    if 2 <= arr.ndim <= max_ndim:
         return arr, False
-    raise DimensionError(f"{what} must be 1-d or 2-d, got shape {arr.shape}")
+    raise DimensionError(f"{what} must be 1-d to {max_ndim}-d, got shape {arr.shape}")
 
 
 def _softmax(x: Array) -> Array:
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _sigmoid(x: Array) -> Array:
@@ -289,7 +307,8 @@ def forward(
     rng_seed: Optional[int] = None,
     check_finite: bool = True,
 ) -> ForwardTrace:
-    """Run the network on a vector or a batch of row vectors.
+    """Run the network on a vector, a batch of row vectors, or a stack of
+    batches (see the module docstring).
 
     In train mode dropout applies inverted scaling (divide by keep
     probability) so eval mode is the expectation; masks come from a stream
@@ -347,9 +366,9 @@ def forward_passes(net: Network, input, seeds) -> Array:
 
 
 def _check_width(net: Network, x: Array) -> None:
-    if x.shape[1] != net.input_dim:
+    if x.shape[-1] != net.input_dim:
         raise DimensionError(
-            f"input width {x.shape[1]} does not match first dense layer "
+            f"input width {x.shape[-1]} does not match first dense layer "
             f"({net.input_dim})"
         )
 
@@ -362,9 +381,9 @@ def _run_layers(steps, checks, cur, draw):
     masks: dict = {}
     for i, (kind, layer) in enumerate(steps):
         if kind == "dense":
-            if cur.shape[1] != layer.in_dim:
+            if cur.shape[-1] != layer.in_dim:
                 raise DimensionError(
-                    f"layer {i} (dense) expects width {layer.in_dim}, got {cur.shape[1]}"
+                    f"layer {i} (dense) expects width {layer.in_dim}, got {cur.shape[-1]}"
                 )
             cur = cur @ layer.weight.T
             cur += layer.bias
@@ -385,7 +404,10 @@ def _run_layers(steps, checks, cur, draw):
         else:
             raise DimensionError(f"layer {i}: unknown layer kind {layer!r}")
         if checks[i] and not np.isfinite(cur).all():
-            raise NumericsError(f"non-finite values after layer {i} ({kind})")
+            images = None
+            if cur.ndim == 3:
+                images = np.flatnonzero(~np.isfinite(cur).all(axis=(1, 2)))
+            raise NumericsError(f"non-finite values after layer {i} ({kind})", images)
         outputs.append(cur)
     return outputs, masks
 
@@ -405,8 +427,11 @@ def backward_params(net: Network, trace: ForwardTrace, output_grad) -> tuple[lis
 
     Returns (parameter gradients, gradient w.r.t. the input). The parameter
     gradients are in `parameters(net)` order: dW, db of each dense layer. The
-    input gradient is the one `backward` returns, bit for bit.
+    input gradient is the one `backward` returns, bit for bit. The pass must
+    not be stacked.
     """
+    if trace.inputs.ndim != 2:
+        raise DimensionError("parameter gradients need a vector or a 2-d batch")
     param_grads: list = []
     input_grad = _backprop(net, trace, output_grad, param_grads)
     return param_grads[::-1], input_grad
@@ -432,7 +457,7 @@ def _backprop(net, trace, output_grad, param_grads):
         kind, layer = steps[i]
         layer_in = trace.inputs if i == 0 else outputs[i - 1]
         if kind == "dense":
-            if layer_in.shape[1] != layer.in_dim:
+            if layer_in.shape[-1] != layer.in_dim:
                 raise TraceMismatchError(f"trace does not match layer {i} (dense)")
             if param_grads is not None:
                 param_grads += (g.sum(axis=0), g.T @ layer_in)
@@ -444,7 +469,7 @@ def _backprop(net, trace, output_grad, param_grads):
                 g = g * trace.masks[i]
         elif kind == "softmax":
             s = outputs[i]
-            g = s * (g - (g * s).sum(axis=1, keepdims=True))
+            g = s * (g - (g * s).sum(axis=-1, keepdims=True))
         elif kind == "sigmoid":
             s = outputs[i]
             g = g * s * (1.0 - s)
@@ -465,8 +490,8 @@ def loss(kind: str, prediction, target) -> tuple[float, Array]:
     distance, cross_entropy expects probability rows and one-hot targets
     (probabilities clamped at 1e-12) and averages over rows.
     """
-    p, squeezed = _as_batch(prediction, what="prediction")
-    t, _ = _as_batch(target, what="target")
+    p, squeezed = _as_batch(prediction, what="prediction", max_ndim=2)
+    t, _ = _as_batch(target, what="target", max_ndim=2)
     if p.shape != t.shape:
         raise DimensionError(f"prediction {p.shape} and target {t.shape} differ")
     if kind == "mse":
@@ -538,24 +563,74 @@ def adam_step(
         p -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
 
 
-def descend(objective, z, lr: float, max_steps: int):
+class Descent:
     """Adam descent of `objective(z) -> (grad, info)` from a copy of `z`.
 
-    Yields `(0, z, info)` at the start, then `(step, z, info)` after each of
-    at most `max_steps` updates; `objective` runs once per point. Each
-    yielded `z` is a new array that is never modified; the caller's array is
-    neither modified nor yielded. Leaving the loop early evaluates nothing
-    further.
+    Iterating yields `(0, z, info)` at the start, then `(step, z, info)`
+    after each of at most `max_steps` updates; `objective` runs once per
+    point. Each yielded `z` is a new array that is never modified; the
+    caller's array is neither modified nor yielded. Leaving the loop early
+    evaluates nothing further.
+
+    A stacked `z` of shape `(n, rows, d)` descends its n images in lockstep.
+    Adam is elementwise and every image starts together, so each image
+    takes the steps it would take alone, and the step count is shared.
+    `active` holds the stack indices of the images still descending, in
+    the order of the yielded arrays' image axis. Between yields the caller
+    may `retire` images, which drops them from `z`, the gradient and Adam's
+    moments. An image whose pass raises a `NumericsError` naming it (see
+    `forward`) retires by itself: `errors` maps its stack index to the step
+    and the error, and the other images are evaluated again. The objective
+    keeps the image axis of `z` leading in every pass, so the indices an
+    error names are those of `z`. Iteration ends when no image is left.
+    A vector or a 2-d `z` is one image: `active` is None, and an error
+    propagates to the caller.
     """
-    z = np.array(z, dtype=np.float64)
-    grad, info = objective(z)
-    yield 0, z, info
-    state = AdamState.init([z])
-    for step in range(1, max_steps + 1):
-        z = z.copy()
-        adam_step([z], [grad], state, lr)
-        grad, info = objective(z)
-        yield step, z, info
+
+    def __init__(self, objective, z, lr: float, max_steps: int):
+        self.objective, self.lr, self.max_steps = objective, lr, max_steps
+        self.z = np.array(z, dtype=np.float64)
+        self.grad = np.zeros_like(self.z)
+        self.state = AdamState.init([self.z])
+        self.active = np.arange(len(self.z)) if self.z.ndim == 3 else None
+        self.errors: dict = {}
+
+    def __iter__(self):
+        step = 0
+        while True:
+            info = self._evaluate(step)
+            if info is None:
+                return
+            yield step, self.z, info
+            if step == self.max_steps or not self.z.size:
+                return
+            step += 1
+            self.z = self.z.copy()
+            adam_step([self.z], [self.grad], self.state, self.lr)
+
+    def retire(self, done) -> None:
+        """Stop descending the active images where the mask `done` is true."""
+        keep = ~np.asarray(done, dtype=bool)
+        self.active = self.active[keep]
+        self.z, self.grad = self.z[keep], self.grad[keep]
+        self.state.m[0], self.state.v[0] = self.state.m[0][keep], self.state.v[0][keep]
+
+    def _evaluate(self, step: int):
+        """The objective's info at `z`, after retiring every image whose pass
+        overflowed; None once no image is left."""
+        while True:
+            try:
+                self.grad, info = self.objective(self.z)
+                return info
+            except NumericsError as exc:
+                if exc.images is None or self.active is None:
+                    raise
+                failed = np.zeros(len(self.active), dtype=bool)
+                failed[exc.images] = True
+                self.errors.update((int(self.active[i]), (step, exc)) for i in exc.images)
+                self.retire(failed)
+                if not self.z.size:
+                    return None
 
 
 def parameters(net: Network) -> list:
@@ -579,18 +654,22 @@ def write_json(path, doc, indent: Optional[int] = None) -> None:
         fh.write("\n")
 
 
-def read_doc(path, magic: str, error) -> dict:
+def read_doc(path, magic: str, error, sha256: Optional[str] = None) -> dict:
     """The JSON object in `path`, checked to be a `magic` document. A file
-    that does not parse, holds anything else, or lacks a key its reader
-    looks up with `[]` raises `error`."""
+    that does not parse, holds anything else, lacks a key its reader looks
+    up with `[]`, or whose bytes do not have the hex digest `sha256` when
+    one is given, raises `error`."""
 
     class Doc(dict):
         def __missing__(self, key):
             raise error(f"{path}: missing key {key!r}")
 
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+        raise error(f"{path}: contents do not match their recorded sha256")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_hook=Doc)
+        doc = json.loads(raw.decode("utf-8"), object_hook=Doc)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"malformed {magic} file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != magic:
@@ -648,9 +727,8 @@ def save_network(net: Network, path, provenance: Optional[dict] = None) -> None:
         "role": net.role,
         "feature_tap": net.feature_tap,
         "layers": layers,
+        "provenance": provenance or {},
     }
-    if provenance:
-        doc["provenance"] = provenance
     write_json(path, doc, indent=1)
 
 
@@ -684,5 +762,5 @@ def load_network(path) -> Network:
     tap = doc["feature_tap"]
     return Network(
         layers, role=doc["role"], feature_tap=None if tap is None else int(tap),
-        provenance=doc.get("provenance", {}),
+        provenance=doc["provenance"],
     )

@@ -97,8 +97,8 @@ def invert_image(
     feature_net: nc.Network,
     image: np.ndarray,
     settings: OptimSettings,
-    seed: int,
-) -> InversionResult:
+    seed,
+):
     """Gradient-descend latent codes so the generated image matches the
     target both in pixels and in feature space; best of several restarts.
 
@@ -106,9 +106,17 @@ def invert_image(
     (their losses are row-independent). A restart whose values turn
     non-finite is effectively abandoned: its loss becomes infinite and it
     can never be selected.
+
+    `image` is one (H, W) image with an int `seed`, or a stack (n, H, W)
+    with one seed per image. A stack is inverted as one descent, each image
+    exactly as it would be alone. One image gives its InversionResult, or
+    raises InversionError when every restart diverged; a stack gives a
+    list holding each image's result or its InversionError.
     """
-    flat = np.asarray(image, dtype=np.float64).ravel()
+    images = np.asarray(image, dtype=np.float64)
+    flat = images.reshape(*images.shape[:-2], 1, -1)  # one row per image
     target_feats = nc.forward(feature_net, flat).output
+    shape = (settings.invert_restarts, generator.input_dim)
 
     def objective(zv: np.ndarray) -> tuple[np.ndarray, tuple]:
         tg = nc.forward(generator, zv, check_finite=False)
@@ -120,27 +128,33 @@ def invert_image(
         g_img = g_img + 2.0 * (imgs - flat)
         return nc.backward(generator, tg, g_img), (feats, imgs)
 
-    rng = np.random.default_rng(seed)
-    z0 = rng.standard_normal((settings.invert_restarts, generator.input_dim))
-    for _, z, (feats, imgs) in nc.descend(
+    z0 = np.stack([np.random.default_rng(int(s)).standard_normal(shape) for s in np.ravel(seed)])
+    z0 = z0.reshape(*images.shape[:-2], *shape)
+    for _, z, (feats, imgs) in nc.Descent(
         objective, z0, settings.invert_lr, settings.invert_steps
     ):
         pass  # no early stop: every restart runs the full budget
-    f_loss = np.sum((feats - target_feats) ** 2, axis=1)
-    p_loss = np.sum((imgs - flat) ** 2, axis=1)
+    f_loss = np.sum((feats - target_feats) ** 2, axis=-1)
+    p_loss = np.sum((imgs - flat) ** 2, axis=-1)
     combined = f_loss + p_loss
     combined = np.where(np.isfinite(combined), combined, np.inf)
-    if not np.any(np.isfinite(combined)):
-        raise InversionError("all inversion restarts diverged to non-finite values")
-    best = int(np.argmin(combined))
-    return InversionResult(
-        z[best].copy(),
-        float(combined[best]),
-        float(f_loss[best]),
-        float(p_loss[best]),
-        [float(v) for v in combined],
-        best,
-    )
+    results = []
+    for zi, ci, fi, pi in zip(
+        z.reshape(-1, *shape), *(a.reshape(-1, shape[0]) for a in (combined, f_loss, p_loss))
+    ):
+        if not np.any(np.isfinite(ci)):
+            results.append(InversionError("all inversion restarts diverged to non-finite values"))
+            continue
+        best = int(np.argmin(ci))
+        results.append(InversionResult(
+            zi[best].copy(), float(ci[best]), float(fi[best]), float(pi[best]),
+            [float(v) for v in ci], best,
+        ))
+    if images.ndim == 3:
+        return results
+    if isinstance(results[0], InversionError):
+        raise results[0]
+    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +200,7 @@ def select_cf_class(
         # ascend: hand the negated gradient to the descent
         return -nc.backward(generator, tg, g_img), out[0]
 
-    for step, _, probe_probs in nc.descend(
+    for step, _, probe_probs in nc.Descent(
         objective, z, settings.ascent_lr, settings.ascent_max_steps
     ):
         if step == 0:
@@ -352,7 +366,7 @@ def visualize(
         g_z = nc.backward(generator, tg, g_img)
         return g_z, float(np.sum((feats - x_target) ** 2))
 
-    for step, z, loss in nc.descend(
+    for step, z, loss in nc.Descent(
         objective, z_init, settings.visualize_lr, settings.visualize_steps
     ):
         if step == 0:
@@ -385,13 +399,17 @@ def prepare_context(
     classifier: nc.Network,
     generator: nc.Network,
     stats: StatsTable,
+    inversion: Optional[InversionResult] = None,
 ) -> ExplanationContext:
+    """The context of one request. `inversion` is the image's inversion
+    when the caller already has it, say from a stacked `invert_image`."""
     request.validate()
     flat = np.asarray(request.image, dtype=np.float64).ravel()
     probs = nc.forward(classifier, flat).output
     c = int(np.argmax(probs))
     body, _ = nc.split_at_tap(classifier)
-    inversion = invert_image(generator, body, request.image, request.settings, request.seed)
+    if inversion is None:
+        inversion = invert_image(generator, body, request.image, request.settings, request.seed)
     if request.target_class is not None:
         selection = SelectionResult(int(request.target_class), True, 0)
     else:

@@ -28,13 +28,15 @@ from typing import Optional
 
 from .baselines import BaselineConfig, BaselineError
 from .datagen import (
+    MANIFEST_MAGIC,
     Dataset,
+    DatasetFormatError,
     GlyphParams,
     file_sha256,
     load_dataset,
 )
 from .hurdle import StatsTable, load_latents, load_stats
-from .netcore import Network, load_network
+from .netcore import Network, load_network, read_doc
 from .pipeline import OptimSettings
 from .training import TrainConfig
 
@@ -338,7 +340,8 @@ class RunArtifacts:
 
 
 def load_run(paths: RunPaths) -> RunArtifacts:
-    """Load every artifact of a run, checking the provenance chain."""
+    """Load every artifact of a run, checking the provenance chain and the
+    dataset files against the hashes their manifest records."""
     paths.require("datagen", "train", "fit-stats")
     cfg = parse_config(paths.config)
     n_classes = cfg.dataset.glyphs.n_classes
@@ -350,14 +353,15 @@ def load_run(paths: RunPaths) -> RunArtifacts:
             "run `piece train --force`"
         )
     manifest_sha = file_sha256(paths.dataset("manifest.json"))
-    train_data = load_dataset(paths.dataset("train.json"))
-    test_data = load_dataset(paths.dataset("test.json"))
+    files = read_doc(paths.dataset("manifest.json"), MANIFEST_MAGIC, DatasetFormatError)["files"]
+    train_data = load_dataset(paths.dataset("train.json"), files["train.json"])
+    test_data = load_dataset(paths.dataset("test.json"), files["test.json"])
     nets = {name: load_network(paths.models(f"{name}.json")) for name in models}
     stats = load_stats(paths.stats("stats.json"))
     latents, _ = load_latents(paths.stats("latents.json"))
     classifier_sha = file_sha256(paths.models("classifier.json"))
     for name, net in nets.items():
-        if net.provenance.get("dataset_sha") != manifest_sha:
+        if net.provenance["dataset_sha"] != manifest_sha:
             raise ProvenanceError(
                 f"model {name} was trained on a different dataset "
                 f"(manifest hash mismatch); regenerate with `piece train --force`"

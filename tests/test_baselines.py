@@ -224,6 +224,100 @@ class TestRunToDistance:
         assert res.failed and "not reached" in res.failure_reason
 
 
+def serial_edit(method, z, x, c, c_prime, arts, cfg, mode):
+    """Reference: one image's search with plain 2-d passes, as
+    `(crossed_step, z_prime, image)`, None when the budget runs out, or the
+    NumericsError it raises."""
+    body, head = nc.split_at_tap(arts.classifier)
+    y = nc.one_hot(c_prime, head.output_dim)
+    lam = cfg.lam if method == "c_min_edit" else 1.0
+
+    def objective(zv):
+        tg = nc.forward(arts.generator, zv)
+        tb = nc.forward(body, tg.outputs[-1])
+        th = nc.forward(head, tb.outputs[-1])
+        g_feat = nc.backward(head, th, lam * 2.0 * (th.outputs[-1] - y))
+        if method == "c_min_edit":
+            g_feat = g_feat + 2.0 * (tb.outputs[-1] - x)
+        g_img = nc.backward(body, tb, g_feat)
+        return nc.backward(arts.generator, tg, g_img), (th.outputs[-1][0], tg.outputs[-1][0])
+
+    prev = None
+    try:
+        for step, cur, (probs, img) in nc.Descent(objective, z, cfg.lr, cfg.max_steps):
+            pred = int(np.argmax(probs))
+            if mode == "counterfactual" and pred == c_prime:
+                return step, cur, img
+            if mode == "semifactual" and pred != c:
+                return (step, *prev) if step else "start"
+            prev = (cur, img)
+    except nc.NumericsError as exc:
+        return exc
+    return None
+
+
+class TestStack:
+    @pytest.mark.parametrize("mode", ["counterfactual", "semifactual"])
+    @pytest.mark.parametrize("method", bl.METHODS)
+    def test_stack_equals_each_image_alone(self, prepared, method, mode):
+        arts = prepared["arts"]
+        ctxs = prepared["contexts"]
+        z = np.stack([ctx.inversion.z for ctx in ctxs])
+        x = np.stack([ctx.x for ctx in ctxs])
+        c = [ctx.c for ctx in ctxs]
+        c_prime = [ctx.selection.c_prime for ctx in ctxs]
+        z[3] = np.nan  # this image fails at its first pass, the others go on
+        cfg = bl.BaselineConfig(lam=3.0, lr=0.02, max_steps=400)
+        stacked = bl.run_baseline(
+            method, z, x, c, c_prime, arts.classifier, arts.generator, cfg, mode
+        )
+        alone = [
+            (bl.min_edit(z[i], c[i], c_prime[i], arts.classifier, arts.generator, cfg, mode)
+             if method == "min_edit" else
+             bl.c_min_edit(z[i], x[i], c[i], c_prime[i], arts.classifier, arts.generator,
+                           cfg, mode))
+            for i in range(len(ctxs))
+        ]
+        crossed = set()
+        for i, (res, one) in enumerate(zip(stacked, alone)):
+            assert bl_equal(res, one)
+            want = serial_edit(method, z[i], x[i], c[i], c_prime[i], arts, cfg, mode)
+            if isinstance(want, nc.NumericsError):
+                assert res.failed and res.steps_taken == 0
+                assert res.failure_reason == str(want) == "non-finite values after layer 0 (dense)"
+            elif want is None or want == "start":
+                assert res.failed and res.z_prime is None
+            else:
+                step, z_prime, image = want
+                assert not res.failed and res.crossed_step == res.steps_taken == step
+                assert np.array_equal(res.z_prime, z_prime)
+                assert np.array_equal(res.image, image)
+                crossed.add(step)
+        # the images left the stack at different steps
+        assert len(crossed) >= 2
+
+    def test_overflow_fails_the_run_not_the_caller(self, prepared):
+        arts = prepared["arts"]
+        ctx = prepared["contexts"][0]
+        z = np.full_like(ctx.inversion.z, np.nan)
+        res = bl.min_edit(z, ctx.c, ctx.selection.c_prime, arts.classifier, arts.generator, CFG)
+        assert res.failed and res.steps_taken == 0
+        assert res.failure_reason == "non-finite values after layer 0 (dense)"
+        res = bl.run_to_distance(
+            "c_min_edit", z, ctx.x, ctx.c, ctx.selection.c_prime, 1.0,
+            arts.classifier, arts.generator, CCFG,
+        )
+        assert res.failed and res.failure_reason == "non-finite values after layer 0 (dense)"
+
+
+def bl_equal(a, b):
+    """Two results with the same fields, arrays compared bit for bit."""
+    return all(
+        np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v
+        for u, v in zip(vars(a).values(), vars(b).values())
+    )
+
+
 class TestValidation:
     def test_unknown_method(self, prepared):
         arts = prepared["arts"]

@@ -249,6 +249,19 @@ class TestExplainCommand:
         assert main(["explain", "--run-dir", mini_run, "--index", "4",
                      "--mode", "cf", "--target-class", str(predicted)]) == 2
 
+    def test_overflow_exits_1(self, mini_run, monkeypatch, capsys):
+        from piece import netcore as nc
+        from piece import pipeline as pl
+
+        def overflow(*args, **kwargs):
+            raise nc.NumericsError("non-finite values after layer 2 (dense)")
+
+        monkeypatch.setattr(pl, "select_cf_class", overflow)
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", mini_run, "--index", "0", "--mode", "sf"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: non-finite values after layer 2 (dense)"]
+
     def test_explanation_embeds_provenance(self, mini_run):
         import os
 
@@ -290,6 +303,20 @@ class TestProvenance:
         manifest.write_text(json.dumps(doc))
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
 
+    def test_edited_dataset_file_detected(self, mini_run, tmp_path, capsys):
+        import shutil
+
+        clone = tmp_path / "clone5"
+        shutil.copytree(mini_run, clone)
+        path = clone / "dataset" / "test.json"
+        doc = json.loads(path.read_text())
+        doc["labels"][0] = (doc["labels"][0] + 1) % 4  # still a well-formed dataset
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(clone), "--index", "0", "--mode", "sf"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "dataset/test.json" in err[0] and "sha256" in err[0]
+
     @pytest.mark.parametrize(
         "name",
         ["models/ae_class_2.json", "dataset/train.json", "dataset/test.json",
@@ -320,6 +347,7 @@ class TestProvenance:
                 ("models/classifier.json", "feature_tap"),
                 ("dataset/test.json", "labels"),
                 ("stats/latents.json", "shape"),
+                ("models/ae_full.json", "provenance"),
             )
         ],
     )
@@ -482,6 +510,35 @@ class TestExperimentCommand:
         assert [(a["method"], a["n"], a["failures"]) for a in aggs] == [
             (m, "0", str(n_cases)) for m in ("piece", "min_edit", "c_min_edit")
         ]
+
+    def test_selection_overflow_fails_only_that_image(self, mini_run, tmp_path, monkeypatch):
+        import csv
+        import os
+        import shutil
+
+        from piece import netcore as nc
+        from piece import pipeline as pl
+
+        select = pl.select_cf_class
+        calls = []
+
+        def overflow_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise nc.NumericsError("non-finite values after layer 2 (dense)")
+            return select(*args, **kwargs)
+
+        clone = tmp_path / "overflow"
+        shutil.copytree(mini_run, clone)
+        monkeypatch.setattr(pl, "select_cf_class", overflow_first)
+        assert main(["experiment", "--run-dir", str(clone), "--expt", "1", "--force"]) in (0, 5)
+        rows = list(csv.DictReader(open(os.path.join(clone, "reports", "expt1_rows.csv"))))
+        first = next(csv.DictReader(open(os.path.join(clone, "reports", "expt1_testset.csv"))))
+        mine = [r for r in rows if r["image_id"] == first["image_id"]]
+        assert len(mine) == 3 and all(
+            r["failed"] == "true" and r["c_prime"] == "-1" for r in mine
+        )
+        assert any(r["failed"] == "false" for r in rows if r not in mine)
 
     def test_metric_error_exits_1(self, mini_run, monkeypatch, capsys):
         from piece import evalx

@@ -422,7 +422,7 @@ class TestDescend:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_hand_written_adam(self, seed):
         objective, z0, _ = _quadratic(seed)
-        got = [(step, z.copy(), info) for step, z, info in nc.descend(objective, z0, 0.05, 40)]
+        got = [(step, z.copy(), info) for step, z, info in nc.Descent(objective, z0, 0.05, 40)]
         reference, z0_ref, _ = _quadratic(seed)
         z = z0_ref.copy()
         g, info = reference(z)
@@ -439,7 +439,7 @@ class TestDescend:
     @pytest.mark.parametrize("max_steps", [0, 1, 7])
     def test_yields_max_steps_plus_one_points(self, max_steps):
         objective, z0, calls = _quadratic(3)
-        steps = [step for step, _, _ in nc.descend(objective, z0, 0.1, max_steps)]
+        steps = [step for step, _, _ in nc.Descent(objective, z0, 0.1, max_steps)]
         assert steps == list(range(max_steps + 1))
         assert len(calls) == max_steps + 1
 
@@ -447,7 +447,7 @@ class TestDescend:
         objective, z0, calls = _quadratic(4)
         saved = z0.copy()
         seen = []
-        for _, z, _ in nc.descend(objective, z0, 0.1, 20):
+        for _, z, _ in nc.Descent(objective, z0, 0.1, 20):
             assert z is not z0
             seen.append((z, z.copy()))
         assert np.array_equal(z0, saved)
@@ -457,10 +457,109 @@ class TestDescend:
 
     def test_leaving_early_stops_evaluating(self):
         objective, z0, calls = _quadratic(5)
-        for step, _, _ in nc.descend(objective, z0, 0.1, 100):
+        for step, _, _ in nc.Descent(objective, z0, 0.1, 100):
             if step == 4:
                 break
         assert len(calls) == 5
+
+
+class TestImageAxis:
+    """A stack (n, rows, d) gives each image the bits of its own 2-d pass."""
+
+    @pytest.fixture(scope="class")
+    def nets(self, toy_run):
+        arts = toy_run["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        return {"generator": arts.generator, "classifier": arts.classifier, "features": body}
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    @pytest.mark.parametrize("name", ["generator", "classifier", "features"])
+    def test_batch_composition_invariance(self, nets, name, rows):
+        net = nets[name]
+        rng = np.random.default_rng(rows)
+        xs = rng.random((5, rows, net.input_dim))
+        gs = rng.normal(size=(5, rows, net.output_dim))
+        stacked = nc.forward(net, xs)
+        g_stacked = nc.backward(net, stacked, gs)
+        for i in range(len(xs)):
+            alone = nc.forward(net, xs[i])
+            assert all(
+                np.array_equal(s[i], a) for s, a in zip(stacked.outputs, alone.outputs)
+            )
+            assert np.array_equal(g_stacked[i], nc.backward(net, alone, gs[i]))
+
+    def test_overflow_names_the_images(self):
+        net = nc.Network([dense([[1e200]]), nc.ReLU(), dense([[1.0]])], role="generator")
+        xs = np.ones((4, 2, 1))
+        xs[1, 0, 0] = xs[3, 1, 0] = -1e200
+        with pytest.raises(nc.NumericsError, match=r"layer 0 \(dense\)") as info:
+            nc.forward(net, xs)
+        assert info.value.images.tolist() == [1, 3]
+        with pytest.raises(nc.NumericsError) as info:
+            nc.forward(net, xs[1])
+        assert info.value.images is None
+
+    def test_parameter_gradients_refuse_a_stack(self):
+        net = nc.Network([dense(np.eye(2))], role="generator")
+        trace = nc.forward(net, np.ones((3, 1, 2)))
+        with pytest.raises(nc.DimensionError, match="2-d"):
+            nc.backward_params(net, trace, np.ones((3, 1, 2)))
+
+
+class TestDescentStack:
+    """A stacked descent retires images and isolates overflows, and each
+    image's path equals its own descent, bit for bit."""
+
+    def test_retired_and_failed_images_match_their_own_descent(self):
+        rng = np.random.default_rng(7)
+        net = nc.Network(
+            [dense(rng.normal(size=(6, 3)), rng.normal(size=6)), nc.Sigmoid(),
+             dense(rng.normal(size=(2, 6)))],
+            role="generator",
+        )
+        z0 = rng.normal(size=(5, 2, 3))
+        z0[2, 1, 0] = np.nan  # fails its first pass
+        targets = rng.normal(size=(5, 2, 2))
+        stop_at = {0: 3, 1: 9, 3: 0}  # image 4 runs the whole budget
+
+        def objective(z):
+            trace = nc.forward(net, z)
+            g = 2.0 * (trace.outputs[-1] - targets[run.active])
+            return nc.backward(net, trace, g), trace.outputs[-1]
+
+        run = nc.Descent(objective, z0, 0.05, 12)
+        got = {i: [] for i in range(5)}
+        for step, z, out in run:
+            done = np.array([stop_at.get(i) == step for i in run.active])
+            for j, i in enumerate(run.active):
+                got[i].append((step, z[j].copy(), out[j].copy()))
+            run.retire(done)
+        assert list(run.errors) == [2]
+        step, exc = run.errors[2]
+        assert step == 0 and "layer 0 (dense)" in str(exc)
+        assert got[2] == []
+        for i in (0, 1, 3, 4):
+            def alone(z, i=i):
+                trace = nc.forward(net, z)
+                g = 2.0 * (trace.outputs[-1] - targets[i])
+                return nc.backward(net, trace, g), trace.outputs[-1]
+
+            want = list(nc.Descent(alone, z0[i], 0.05, stop_at.get(i, 12)))
+            assert [s for s, _, _ in got[i]] == [s for s, _, _ in want]
+            assert all(
+                np.array_equal(a, c) and np.array_equal(b, d)
+                for (_, a, b), (_, c, d) in zip(got[i], want)
+            )
+
+    def test_error_without_image_indices_propagates(self):
+        net = nc.Network([dense([[1e200]])], role="generator")
+
+        def objective(z):
+            trace = nc.forward(net, z)
+            return nc.backward(net, trace, np.ones_like(trace.outputs[-1])), None
+
+        with pytest.raises(nc.NumericsError):
+            list(nc.Descent(objective, np.full((2, 1), 1e200), 0.1, 3))
 
 
 class TestLoss:

@@ -81,6 +81,22 @@ class TestInversion:
         assert inv.combined_loss == min(inv.restart_losses)
 
 
+    def test_stack_equals_each_image_alone(self, toy):
+        arts = toy["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        images = arts.test_data.images[[0, 101, 202, 303]]
+        seeds = [4, 5, 6, 7]
+        stacked = pl.invert_image(arts.generator, body, images, FAST, seeds)
+        assert len(stacked) == len(images)
+        for image, seed, got in zip(images, seeds, stacked):
+            want = pl.invert_image(arts.generator, body, image, FAST, seed)
+            assert np.array_equal(got.z, want.z)
+            assert got.restart_losses == want.restart_losses
+            assert (got.combined_loss, got.feature_loss, got.pixel_loss, got.restart_index) == (
+                want.combined_loss, want.feature_loss, want.pixel_loss, want.restart_index
+            )
+
+
 class TestSelection:
     def test_misclassification_takes_true_label(self, toy):
         arts = toy["arts"]
