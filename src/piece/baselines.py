@@ -6,17 +6,18 @@ minimizes the squared distance of the softmax output from the target
 one-hot and ignores lambda; Constrained Min-Edit scales that term by lambda
 and adds a feature-space proximity term. The function called picks the
 method and labels its result: `min_edit` or `c_min_edit` for one image, or
-`run_baseline`/`run_to_distance` for a method name. `run_baseline` runs a
-stack of images as one lockstep descent (`nc.Descent`), each image exactly
-as alone; `min_edit` and `c_min_edit` are its stacks of one. Counterfactual
-runs stop the moment the boundary is crossed; semifactual runs return the
-last point still classified as the original class. Failures, an overflow
-among them, are recorded, never raised.
+`run_baseline` for a method name. `run_baseline` runs a stack of images as
+one lockstep descent (`nc.Descent`), each image exactly as alone;
+`min_edit` and `c_min_edit` are its stacks of one. Counterfactual runs stop
+the moment the boundary is crossed; semifactual runs return the last point
+still classified as the original class, and distance-matched runs the last
+point before the feature displacement reaches a target. Failures, an
+overflow among them, are recorded, never raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from . import netcore as nc
 
 METHODS = ("min_edit", "c_min_edit")
+_AT_START = {"semifactual": "starting point already", "distance": "initial point already"}
 
 
 class BaselineError(Exception):
@@ -53,8 +55,6 @@ class BaselineResult:
     crossed_step: Optional[int]
     failed: bool
     failure_reason: str = ""
-    distance_trace: list = field(default_factory=list)
-    monotonicity_violations: int = 0
 
 
 def _objective(method: str, classifier: nc.Network, generator: nc.Network, cfg: BaselineConfig):
@@ -98,14 +98,24 @@ def run_baseline(
     generator: nc.Network,
     cfg: BaselineConfig,
     mode: str = "counterfactual",
+    d_star=None,
 ) -> list:
     """`method` on a stack of images, as one lockstep descent: `z` (n, d)
     holds each image's start, `x` (n, k) its features (read by c_min_edit
-    only), and `c`, `c_prime` its classes. Returns one result per image,
-    each the result the image would get alone; an image leaves the descent
-    when its stop rule fires, and one whose pass overflows fails alone."""
-    if mode not in ("counterfactual", "semifactual"):
+    and the distance stop), and `c`, `c_prime` its classes. Returns one
+    result per image, each the result the image would get alone; an image
+    leaves the descent when its stop rule fires, and one whose pass
+    overflows fails alone.
+
+    A counterfactual run stops when the image is classified c' and returns
+    that point. A semifactual run stops when it is no longer classified c;
+    a distance run (the distance-matched protocol) stops when its feature
+    displacement from `x` reaches the image's `d_star`. Both return the
+    point before the stop, and fail unless it is classified c."""
+    if mode not in ("counterfactual", "semifactual", "distance"):
         raise BaselineError(f"unknown mode {mode!r}")
+    if mode == "distance" and min(d_star) < 0:
+        raise BaselineError("target distance must be nonnegative")
     objective = _objective(method, classifier, generator, cfg)
     c, c_prime = np.asarray(c), np.asarray(c_prime)
     # one row per image: (n, 1, width), as every pass below
@@ -117,37 +127,49 @@ def run_baseline(
         return objective(zs, y[rows], None if x is None else x[rows])
 
     run = nc.Descent(stacked, np.asarray(z, dtype=np.float64)[:, None, :], cfg.lr, cfg.max_steps)
+    # the point a stop returns, by stack index, and the class it must have:
+    # for a counterfactual the current point, else the one before it
+    prev = np.empty_like(run.z[:, 0])
+    prev_img = np.empty((len(c), generator.output_dim))
+    prev_pred = np.empty(len(c), dtype=int)
+    keep = c_prime if mode == "counterfactual" else c
     results: list = [None] * len(c)
-    for step, cur, (probs, _, img) in run:
+    for step, cur, (probs, feat, img) in run:
         rows = run.active
         pred = probs[:, 0].argmax(axis=-1)
+        if step == 0 or mode == "counterfactual":  # before the start is the start
+            prev[rows], prev_img[rows], prev_pred[rows] = cur[:, 0], img[:, 0], pred
         if mode == "counterfactual":
             done = pred == c_prime[rows]
-            for j in np.flatnonzero(done):
-                results[rows[j]] = BaselineResult(
-                    method, mode, cur[j, 0].copy(), img[j, 0].copy(), step, step, False
-                )
-        else:
+        elif mode == "semifactual":
             done = pred != c[rows]
-            for j in np.flatnonzero(done):
-                if step:
-                    res = BaselineResult(
-                        method, mode, prev[j, 0].copy(), prev_img[j, 0].copy(), step, step, False
-                    )
-                else:
-                    reason = f"starting point already classified {pred[j]}, not {c[rows[j]]}"
-                    res = BaselineResult(method, mode, None, None, 0, None, True, reason)
-                results[rows[j]] = res
-            prev, prev_img = cur[~done], img[~done]
+        else:  # each image's norm alone: `>=` is sensitive to the last bit
+            done = np.array([
+                np.linalg.norm(f - r) >= d_star[i] for f, r, i in zip(feat[:, 0], x[rows, 0], rows)
+            ])
+        for i in rows[done]:
+            if prev_pred[i] == keep[i]:
+                results[i] = BaselineResult(
+                    method, mode, prev[i].copy(), prev_img[i].copy(), step, step, False
+                )
+            else:
+                where = "point before crossing" if step else _AT_START[mode]
+                results[i] = BaselineResult(
+                    method, mode, None, None, step, step or None, True,
+                    f"{where} classified {prev_pred[i]}, not {c[i]}",
+                )
+        prev[rows], prev_img[rows], prev_pred[rows] = cur[:, 0], img[:, 0], pred
         run.retire(done)
     for i, (step, exc) in run.errors.items():
         results[i] = BaselineResult(method, mode, None, None, step, None, True, str(exc))
     return [
         res or BaselineResult(
             method, mode, None, None, cfg.max_steps, None, True,
+            f"target distance {d_star[i]:.4g} not reached within {cfg.max_steps} steps"
+            if mode == "distance" else
             f"no decision boundary found within {cfg.max_steps} steps",
         )
-        for res in results
+        for i, res in enumerate(results)
     ]
 
 
@@ -181,60 +203,3 @@ def c_min_edit(
         classifier, generator, cfg, mode,
     )
     return res
-
-
-def run_to_distance(
-    method: str,
-    z: np.ndarray,
-    x_ref: np.ndarray,
-    c: int,
-    c_prime: int,
-    d_star: float,
-    classifier: nc.Network,
-    generator: nc.Network,
-    cfg: BaselineConfig,
-) -> BaselineResult:
-    """Descend the method's objective until the feature-space displacement
-    from `x_ref` reaches `d_star`, returning the last point before that
-    whose class is still `c` (distance-matched semifactual protocol)."""
-    if d_star < 0:
-        raise BaselineError("target distance must be nonnegative")
-    objective = _objective(method, classifier, generator, cfg)
-    y = nc.one_hot(c_prime, classifier.output_dim)
-    # a stack of one image, so that an overflow fails the run, not the caller
-    run = nc.Descent(
-        lambda zs: objective(zs, y, x_ref), np.asarray(z)[None, None], cfg.lr, cfg.max_steps
-    )
-    trace: list = []
-    violations = 0
-    for step, cur, (probs, feat, img) in run:
-        cur, probs, feat, img = cur[0, 0], probs[0, 0], feat[0, 0], img[0, 0]
-        dist = float(np.linalg.norm(feat - x_ref))
-        if trace and dist < trace[-1]:
-            violations += 1
-        trace.append(dist)
-        pred = int(np.argmax(probs))
-        if step == 0:
-            prev, prev_img, prev_pred = cur, img, pred
-        if dist >= d_star:
-            if prev_pred == c:
-                return BaselineResult(
-                    method, "distance", prev, prev_img, step, step, False, "",
-                    trace, violations,
-                )
-            where = "point before crossing" if step else "initial point already"
-            return BaselineResult(
-                method, "distance", None, None, step, step or None, True,
-                f"{where} classified {prev_pred}, not {c}", trace, violations,
-            )
-        prev, prev_img, prev_pred = cur, img, pred
-    if run.errors:
-        step, exc = run.errors[0]
-        return BaselineResult(
-            method, "distance", None, None, step, None, True, str(exc), trace, violations
-        )
-    return BaselineResult(
-        method, "distance", None, None, cfg.max_steps, None, True,
-        f"target distance {d_star:.4g} not reached within {cfg.max_steps} steps",
-        trace, violations,
-    )

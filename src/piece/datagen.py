@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .netcore import Array, decode_array, encode_array, read_doc, write_json
+from .netcore import Array, atomic_write, decode_array, encode_array, read_doc, write_json
 
 
 class DataError(Exception):
@@ -173,7 +173,7 @@ def write_pgm(image, path) -> None:
         raise DataError("PGM values out of range [0, 1]; refusing to clamp")
     data = np.floor(img * 255.0 + 0.5).astype(np.uint8)  # round half up
     h, w = img.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 

@@ -304,7 +304,7 @@ def format_value(value) -> str:
 
 def write_csv(path, header, rows) -> None:
     """Deterministic CSV: fixed column order, 9 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with nc.atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

@@ -20,9 +20,11 @@ exactly as it would run alone:
    image's class selection and exceptional features;
 2. explain each image by PIECE (feature walk and visualization);
 3. run each baseline over the stack of prepared images;
-4. experiment 1 only: run each lambda of the sweep over that stack;
-5. build the rows and write the reports, in test-set order. Experiment 2's
-   proportional budgets and distance-matched runs still go image by image.
+4. experiment 1: run each lambda of the sweep over that stack. Experiment
+   2: explain each image by PIECE at each proportional budget, then run
+   each baseline's distance-matched search over the stack of all images
+   and budgets;
+5. build the rows and write the reports, in test-set order.
 
 Any per-image method failure, an overflow among them, becomes a failure
 row; experiments never abort on them. All randomness is derived from the
@@ -114,10 +116,9 @@ def _write_testset_csv(cases: list, path) -> None:
     )
 
 
-# Fields a record leaves out: rendered images (saved as PGMs) and the growth
-# trace of distance-matched baseline runs (never saved). One field is
+# Fields a record leaves out: rendered images (saved as PGMs). One field is
 # recorded under another key.
-_NOT_RECORDED = {"image", "image_prime", "distance_trace", "monotonicity_violations"}
+_NOT_RECORDED = {"image", "image_prime"}
 _RECORD_KEYS = {"mod_steps": "steps"}
 
 
@@ -241,7 +242,8 @@ def _row(
 
 
 def _baseline_runs(
-    arts: RunArtifacts, method: str, contexts: list, bcfg: bl.BaselineConfig, mode: str
+    arts: RunArtifacts, method: str, contexts: list, bcfg: bl.BaselineConfig, mode: str,
+    d_star=None,
 ) -> list:
     """`method` over the stack of prepared images, one result per context."""
     if not contexts:
@@ -252,7 +254,7 @@ def _baseline_runs(
         np.stack([ctx.x for ctx in contexts]),
         [ctx.c for ctx in contexts],
         [ctx.selection.c_prime for ctx in contexts],
-        arts.classifier, arts.generator, bcfg, mode,
+        arts.classifier, arts.generator, bcfg, mode, d_star,
     )
 
 
@@ -285,8 +287,6 @@ def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list)
     explained: list = []
     for case, request, inversion in zip(cases, requests, inversions):
         try:
-            if isinstance(inversion, pl.InversionError):
-                raise inversion
             ctx = pl.prepare_context(
                 request, arts.classifier, arts.generator, arts.stats, inversion
             )
@@ -448,15 +448,35 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     body, _ = nc.split_at_tap(arts.classifier)
     row = functools.partial(_row, arts, body)
 
-    for case, explained in zip(cases, _explain_images(arts, paths, 2, cases)):
-        if explained is None:
+    explained = _explain_images(arts, paths, 2, cases)
+    # each image's proportional explanation at each budget, then each
+    # baseline over the stack, matched to the feature distance PIECE moved
+    budgets = [
+        (ctx, pl.explain(
+            dataclasses.replace(request, mode="proportional", fraction=fraction),
+            arts.classifier, arts.generator, arts.stats, context=ctx, reference=results["piece"],
+        ))
+        for request, ctx, results in filter(None, explained) for fraction in pl.FRACTIONS
+    ]
+    d_stars = [
+        float(np.linalg.norm(nc.forward(body, pres.image_prime.ravel()).output - ctx.x))
+        for ctx, pres in budgets
+    ]
+    matched = {
+        m: iter(_baseline_runs(arts, m, [ctx for ctx, _ in budgets], bcfg, "distance", d_stars))
+        for m in bl.METHODS
+    }
+    budget_results = iter(zip(budgets, d_stars))
+
+    for case, e in zip(cases, explained):
+        if e is None:
             # without a context no method can run: every row of this image fails
             rows += [row(case, None, method, "semifactual") for method in _METHODS]
             for fraction in pl.FRACTIONS:
                 rows.append(row(case, None, "piece", "proportional", fraction=fraction))
                 rows += [row(case, None, m, "distance", fraction=fraction) for m in bl.METHODS]
             continue
-        request, ctx, results = explained
+        _, ctx, results = e
 
         # max-edit semifactuals, all three methods; an unverified one failed
         sf = results["piece"]
@@ -475,25 +495,16 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
 
         # proportional budgets: profile + distance-matched baselines
         for fraction in pl.FRACTIONS:
-            preq = dataclasses.replace(request, mode="proportional", fraction=fraction)
-            pres = pl.explain(
-                preq, arts.classifier, arts.generator, arts.stats,
-                context=ctx, reference=sf,
-            )
-            flat_prime = pres.image_prime.ravel()
-            d_star = float(np.linalg.norm(nc.forward(body, flat_prime).output - ctx.x))
+            (_, pres), d_star = next(budget_results)
             rows.append(
                 row(
-                    case, ctx, "piece", "proportional", flat_prime, pres.verified,
+                    case, ctx, "piece", "proportional", pres.image_prime.ravel(), pres.verified,
                     fraction=fraction, target_distance=d_star,
                     applied_count=pres.applied_count, k_reference=pres.k_reference,
                 )
             )
             for method in bl.METHODS:
-                dres = bl.run_to_distance(
-                    method, ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime, d_star,
-                    arts.classifier, arts.generator, bcfg,
-                )
+                dres = next(matched[method])
                 rows.append(
                     row(
                         case, ctx, method, "distance", dres.image, not dres.failed,

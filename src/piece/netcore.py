@@ -30,8 +30,10 @@ search over a stack can drop those images and keep the rest.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -647,9 +649,26 @@ def parameters(net: Network) -> list:
 # Serialization
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """`open(path, mode, **kwargs)` for writing, on a sibling temporary file
+    that replaces `path` only once the block completes. An error or an
+    interrupt inside the block removes the temporary file and leaves `path`
+    as it was, so no reader ever sees a partly written file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_json(path, doc, indent: Optional[int] = None) -> None:
     """Write `doc` as JSON with sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=indent, sort_keys=True)
         fh.write("\n")
 

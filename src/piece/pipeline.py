@@ -95,10 +95,10 @@ class InversionResult:
 def invert_image(
     generator: nc.Network,
     feature_net: nc.Network,
-    image: np.ndarray,
+    images: np.ndarray,
     settings: OptimSettings,
-    seed,
-):
+    seeds,
+) -> list:
     """Gradient-descend latent codes so the generated image matches the
     target both in pixels and in feature space; best of several restarts.
 
@@ -107,14 +107,12 @@ def invert_image(
     non-finite is effectively abandoned: its loss becomes infinite and it
     can never be selected.
 
-    `image` is one (H, W) image with an int `seed`, or a stack (n, H, W)
-    with one seed per image. A stack is inverted as one descent, each image
-    exactly as it would be alone. One image gives its InversionResult, or
-    raises InversionError when every restart diverged; a stack gives a
-    list holding each image's result or its InversionError.
+    `images` is a stack (n, H, W) with one seed per image, inverted as one
+    descent, each image exactly as it would be alone. Returns a list
+    holding each image's InversionResult, or an InversionError when every
+    restart of that image diverged.
     """
-    images = np.asarray(image, dtype=np.float64)
-    flat = images.reshape(*images.shape[:-2], 1, -1)  # one row per image
+    flat = np.asarray(images, dtype=np.float64).reshape(len(images), 1, -1)  # a row per image
     target_feats = nc.forward(feature_net, flat).output
     shape = (settings.invert_restarts, generator.input_dim)
 
@@ -128,8 +126,7 @@ def invert_image(
         g_img = g_img + 2.0 * (imgs - flat)
         return nc.backward(generator, tg, g_img), (feats, imgs)
 
-    z0 = np.stack([np.random.default_rng(int(s)).standard_normal(shape) for s in np.ravel(seed)])
-    z0 = z0.reshape(*images.shape[:-2], *shape)
+    z0 = np.stack([np.random.default_rng(int(s)).standard_normal(shape) for s in seeds])
     for _, z, (feats, imgs) in nc.Descent(
         objective, z0, settings.invert_lr, settings.invert_steps
     ):
@@ -139,9 +136,7 @@ def invert_image(
     combined = f_loss + p_loss
     combined = np.where(np.isfinite(combined), combined, np.inf)
     results = []
-    for zi, ci, fi, pi in zip(
-        z.reshape(-1, *shape), *(a.reshape(-1, shape[0]) for a in (combined, f_loss, p_loss))
-    ):
+    for zi, ci, fi, pi in zip(z, combined, f_loss, p_loss):
         if not np.any(np.isfinite(ci)):
             results.append(InversionError("all inversion restarts diverged to non-finite values"))
             continue
@@ -150,11 +145,7 @@ def invert_image(
             zi[best].copy(), float(ci[best]), float(fi[best]), float(pi[best]),
             [float(v) for v in ci], best,
         ))
-    if images.ndim == 3:
-        return results
-    if isinstance(results[0], InversionError):
-        raise results[0]
-    return results[0]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +390,22 @@ def prepare_context(
     classifier: nc.Network,
     generator: nc.Network,
     stats: StatsTable,
-    inversion: Optional[InversionResult] = None,
+    inversion: InversionResult | InversionError | None = None,
 ) -> ExplanationContext:
     """The context of one request. `inversion` is the image's inversion
-    when the caller already has it, say from a stacked `invert_image`."""
+    when the caller already has it, say from a stacked `invert_image`; an
+    InversionError there, or from inverting the image here, is raised."""
     request.validate()
     flat = np.asarray(request.image, dtype=np.float64).ravel()
     probs = nc.forward(classifier, flat).output
     c = int(np.argmax(probs))
     body, _ = nc.split_at_tap(classifier)
     if inversion is None:
-        inversion = invert_image(generator, body, request.image, request.settings, request.seed)
+        (inversion,) = invert_image(
+            generator, body, np.asarray(request.image)[None], request.settings, [request.seed]
+        )
+    if isinstance(inversion, InversionError):
+        raise inversion
     if request.target_class is not None:
         selection = SelectionResult(int(request.target_class), True, 0)
     else:

@@ -36,7 +36,7 @@ from .datagen import (
     load_dataset,
 )
 from .hurdle import StatsTable, load_latents, load_stats
-from .netcore import Network, load_network, read_doc
+from .netcore import Network, atomic_write, load_network, read_doc
 from .pipeline import OptimSettings
 from .training import TrainConfig
 
@@ -245,7 +245,7 @@ def parse_config(path: Optional[str]) -> RunConfig:
 
 def write_config(cfg: RunConfig, path) -> None:
     """Echo the resolved configuration as the flat sectioned format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(config_ini_text(cfg))
 
 

@@ -165,18 +165,28 @@ class TestLambdaBehavior:
         assert np.array_equal(a.z_prime, b.z_prime)
 
 
+def to_distance(method, ctx, d_star, arts, cfg, z=None):
+    """One image's distance-matched run: `run_baseline` on a stack of one."""
+    z = ctx.inversion.z if z is None else z
+    (res,) = bl.run_baseline(
+        method, z[None], ctx.x[None], [ctx.c], [ctx.selection.c_prime],
+        arts.classifier, arts.generator, cfg, "distance", [d_star],
+    )
+    return res
+
+
 class TestRunToDistance:
+    """`run_baseline`'s distance stop: run until the feature displacement
+    reaches a target."""
+
     def test_zero_target_returns_start(self, prepared):
         arts = prepared["arts"]
         ctx = prepared["contexts"][0]
-        res = bl.run_to_distance(
-            "min_edit", ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
-            0.0, arts.classifier, arts.generator, CFG,
-        )
-        assert not res.failed
+        res = to_distance("min_edit", ctx, 0.0, arts, CFG)
+        assert not res.failed and res.mode == "distance"
         assert np.array_equal(res.z_prime, ctx.inversion.z)
 
-    def test_distance_capped_and_growth_tracked(self, prepared):
+    def test_distance_capped(self, prepared):
         arts = prepared["arts"]
         body, _ = nc.split_at_tap(arts.classifier)
 
@@ -188,46 +198,38 @@ class TestRunToDistance:
             # the trajectory starts at the inversion's own residual offset,
             # so a meaningful target lies beyond it
             d_star = displacement(ctx.inversion.z, ctx.x) + 0.5
-            res = bl.run_to_distance(
-                "min_edit", ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
-                d_star, arts.classifier, arts.generator, CFG,
-            )
+            res = to_distance("min_edit", ctx, d_star, arts, CFG)
             if res.failed:
                 continue
             assert displacement(res.z_prime, ctx.x) <= d_star
             assert classify(arts, res.z_prime) == ctx.c
-            # growth dips are recorded faithfully, and the trace grows overall
-            recount = sum(
-                1 for a, b in zip(res.distance_trace, res.distance_trace[1:]) if b < a
-            )
-            assert res.monotonicity_violations == recount
-            assert res.distance_trace[-1] > res.distance_trace[0]
 
     def test_target_below_start_returns_start(self, prepared):
         arts = prepared["arts"]
         ctx = prepared["contexts"][0]
-        res = bl.run_to_distance(
-            "min_edit", ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
-            1e-9, arts.classifier, arts.generator, CFG,
-        )
+        res = to_distance("min_edit", ctx, 1e-9, arts, CFG)
         assert not res.failed and res.steps_taken == 0
         assert np.array_equal(res.z_prime, ctx.inversion.z)
 
     def test_unreachable_distance_fails(self, prepared):
         arts = prepared["arts"]
         ctx = prepared["contexts"][0]
-        cfg = bl.BaselineConfig(lr=0.0, max_steps=30)
-        res = bl.run_to_distance(
-            "min_edit", ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
-            50.0, arts.classifier, arts.generator, cfg,
-        )
-        assert res.failed and "not reached" in res.failure_reason
+        res = to_distance("min_edit", ctx, 50.0, arts, bl.BaselineConfig(lr=0.0, max_steps=30))
+        assert res.failed and res.steps_taken == 30
+        assert res.failure_reason == "target distance 50 not reached within 30 steps"
+
+    def test_negative_target_refused(self, prepared):
+        arts = prepared["arts"]
+        ctx = prepared["contexts"][0]
+        with pytest.raises(bl.BaselineError, match="nonnegative"):
+            to_distance("min_edit", ctx, -1.0, arts, CFG)
 
 
-def serial_edit(method, z, x, c, c_prime, arts, cfg, mode):
+def serial_edit(method, z, x, c, c_prime, arts, cfg, mode, d_star=None):
     """Reference: one image's search with plain 2-d passes, as
-    `(crossed_step, z_prime, image)`, None when the budget runs out, or the
-    NumericsError it raises."""
+    `(crossed_step, z_prime, image)`, None when the budget runs out,
+    "failed" when the point before a semifactual or distance stop is not
+    classified c, or the NumericsError it raises."""
     body, head = nc.split_at_tap(arts.classifier)
     y = nc.one_hot(c_prime, head.output_dim)
     lam = cfg.lam if method == "c_min_edit" else 1.0
@@ -240,24 +242,30 @@ def serial_edit(method, z, x, c, c_prime, arts, cfg, mode):
         if method == "c_min_edit":
             g_feat = g_feat + 2.0 * (tb.outputs[-1] - x)
         g_img = nc.backward(body, tb, g_feat)
-        return nc.backward(arts.generator, tg, g_img), (th.outputs[-1][0], tg.outputs[-1][0])
+        info = (th.outputs[-1][0], tb.outputs[-1][0], tg.outputs[-1][0])
+        return nc.backward(arts.generator, tg, g_img), info
 
     prev = None
     try:
-        for step, cur, (probs, img) in nc.Descent(objective, z, cfg.lr, cfg.max_steps):
+        for step, cur, (probs, feat, img) in nc.Descent(objective, z, cfg.lr, cfg.max_steps):
             pred = int(np.argmax(probs))
             if mode == "counterfactual" and pred == c_prime:
                 return step, cur, img
-            if mode == "semifactual" and pred != c:
-                return (step, *prev) if step else "start"
-            prev = (cur, img)
+            if mode == "semifactual":
+                stop = pred != c
+            else:
+                stop = mode == "distance" and float(np.linalg.norm(feat - x)) >= d_star
+            if stop:
+                before = prev if step else (cur, img, pred)
+                return (step, *before[:2]) if before[2] == c else "failed"
+            prev = (cur, img, pred)
     except nc.NumericsError as exc:
         return exc
     return None
 
 
 class TestStack:
-    @pytest.mark.parametrize("mode", ["counterfactual", "semifactual"])
+    @pytest.mark.parametrize("mode", ["counterfactual", "semifactual", "distance"])
     @pytest.mark.parametrize("method", bl.METHODS)
     def test_stack_equals_each_image_alone(self, prepared, method, mode):
         arts = prepared["arts"]
@@ -266,26 +274,36 @@ class TestStack:
         x = np.stack([ctx.x for ctx in ctxs])
         c = [ctx.c for ctx in ctxs]
         c_prime = [ctx.selection.c_prime for ctx in ctxs]
+        body, _ = nc.split_at_tap(arts.classifier)
+        start = nc.forward(body, nc.forward(arts.generator, z).output).output - x
+        # targets beyond each start, so that the images stop at different
+        # steps, some the step after leaving c or never; the last below its
+        # start, so that it stops at once
+        d_star = np.linalg.norm(start, axis=1) + [1.0, 0.6, 0.1, 0.3, 0.3, -0.5]
         z[3] = np.nan  # this image fails at its first pass, the others go on
         cfg = bl.BaselineConfig(lam=3.0, lr=0.02, max_steps=400)
         stacked = bl.run_baseline(
-            method, z, x, c, c_prime, arts.classifier, arts.generator, cfg, mode
+            method, z, x, c, c_prime, arts.classifier, arts.generator, cfg, mode, d_star
         )
-        alone = [
-            (bl.min_edit(z[i], c[i], c_prime[i], arts.classifier, arts.generator, cfg, mode)
-             if method == "min_edit" else
-             bl.c_min_edit(z[i], x[i], c[i], c_prime[i], arts.classifier, arts.generator,
-                           cfg, mode))
-            for i in range(len(ctxs))
-        ]
+
+        def alone(i):
+            if mode == "distance":
+                return to_distance(method, ctxs[i], d_star[i], arts, cfg, z=z[i])
+            if method == "min_edit":
+                return bl.min_edit(z[i], c[i], c_prime[i], arts.classifier, arts.generator,
+                                   cfg, mode)
+            return bl.c_min_edit(z[i], x[i], c[i], c_prime[i], arts.classifier,
+                                 arts.generator, cfg, mode)
+
         crossed = set()
-        for i, (res, one) in enumerate(zip(stacked, alone)):
-            assert bl_equal(res, one)
-            want = serial_edit(method, z[i], x[i], c[i], c_prime[i], arts, cfg, mode)
+        for i, res in enumerate(stacked):
+            assert res.mode == mode
+            assert bl_equal(res, alone(i))
+            want = serial_edit(method, z[i], x[i], c[i], c_prime[i], arts, cfg, mode, d_star[i])
             if isinstance(want, nc.NumericsError):
                 assert res.failed and res.steps_taken == 0
                 assert res.failure_reason == str(want) == "non-finite values after layer 0 (dense)"
-            elif want is None or want == "start":
+            elif want is None or want == "failed":
                 assert res.failed and res.z_prime is None
             else:
                 step, z_prime, image = want
@@ -296,6 +314,42 @@ class TestStack:
         # the images left the stack at different steps
         assert len(crossed) >= 2
 
+    def test_overflow_mid_run_leaves_the_others_alone(self, prepared, monkeypatch):
+        arts = prepared["arts"]
+        ctxs = prepared["contexts"]
+        z = np.stack([ctx.inversion.z for ctx in ctxs])
+        c = [ctx.c for ctx in ctxs]
+        c_prime = [ctx.selection.c_prime for ctx in ctxs]
+        cfg = bl.BaselineConfig(lr=0.02, max_steps=400)
+        start = (arts.classifier, arts.generator, cfg, "semifactual")
+        alone = [bl.min_edit(z[i], c[i], c_prime[i], *start) for i in range(len(ctxs))]
+        # image 2, ahead of image 4 in the stack, overflows in the very pass
+        # where image 4 stops, so the stack shrinks as the stop fires.
+        # Min-Edit ignores x, so x marks image 2 for the failing objective
+        stop = alone[4].crossed_step
+        assert stop < alone[2].crossed_step
+        x = np.zeros((len(ctxs), ctxs[0].x.size))
+        x[2] = 1.0
+        real = bl._objective
+
+        def overflowing(*args):
+            objective, passes = real(*args), []
+
+            def run(zs, y, x_ref):
+                passes.append(len(zs))
+                if len(passes) == stop + 1:  # the pass of step `stop`
+                    raise nc.NumericsError("overflow", images=np.flatnonzero(x_ref[:, 0, 0]))
+                return objective(zs, y, x_ref)
+
+            return run
+
+        monkeypatch.setattr(bl, "_objective", overflowing)
+        stacked = bl.run_baseline("min_edit", z, x, c, c_prime, *start)
+        assert stacked[2].failed and stacked[2].steps_taken == stop
+        assert stacked[2].failure_reason == "overflow"
+        for i in (0, 1, 3, 4, 5):
+            assert bl_equal(stacked[i], alone[i])
+
     def test_overflow_fails_the_run_not_the_caller(self, prepared):
         arts = prepared["arts"]
         ctx = prepared["contexts"][0]
@@ -303,10 +357,7 @@ class TestStack:
         res = bl.min_edit(z, ctx.c, ctx.selection.c_prime, arts.classifier, arts.generator, CFG)
         assert res.failed and res.steps_taken == 0
         assert res.failure_reason == "non-finite values after layer 0 (dense)"
-        res = bl.run_to_distance(
-            "c_min_edit", z, ctx.x, ctx.c, ctx.selection.c_prime, 1.0,
-            arts.classifier, arts.generator, CCFG,
-        )
+        res = to_distance("c_min_edit", ctx, 1.0, arts, CCFG, z=z)
         assert res.failed and res.failure_reason == "non-finite values after layer 0 (dense)"
 
 
@@ -326,8 +377,8 @@ class TestValidation:
         with pytest.raises(bl.BaselineError, match="extreme_edit"):
             bl.run_baseline("extreme_edit", *start, arts.classifier, arts.generator, CFG)
         with pytest.raises(bl.BaselineError, match="extreme_edit"):
-            bl.run_to_distance(
-                "extreme_edit", *start, 1.0, arts.classifier, arts.generator, CFG
+            bl.run_baseline(
+                "extreme_edit", *start, arts.classifier, arts.generator, CFG, "distance", [1.0]
             )
 
     def test_bad_lambda(self):

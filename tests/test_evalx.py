@@ -250,6 +250,22 @@ class TestReport:
         evalx.write_rows(path, evalx.ROW_COLUMNS, report.rows)
         assert path.read_text().strip() == ",".join(evalx.ROW_COLUMNS)
 
+    def test_failed_csv_write_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "rows.csv"
+
+        def rows():
+            yield [1, 2.5]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            evalx.write_csv(path, ("a", "b"), rows())
+        assert list(tmp_path.iterdir()) == []
+        evalx.write_csv(path, ("a", "b"), [[1, 2.5]])
+        with pytest.raises(RuntimeError, match="row source failed"):
+            evalx.write_csv(path, ("a", "b"), rows())
+        assert path.read_text() == "a,b\n1,2.5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
     def test_csv_deterministic_and_formatted(self, tmp_path):
         report = evalx.build_report(self.rows())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

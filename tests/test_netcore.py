@@ -690,3 +690,18 @@ class TestSerialization:
         path.write_text(json.dumps({"format": nc.NETWORK_MAGIC, "format_version": 99}))
         with pytest.raises(nc.NetworkFormatError, match="version"):
             nc.load_network(path)
+
+
+class TestAtomicWrite:
+    def test_failed_json_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        nc.write_json(path, {"a": 1})
+        with pytest.raises(TypeError):
+            nc.write_json(path, {"a": 2, "b": object()})  # fails mid-dump
+        assert path.read_text() == '{"a": 1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_failed_json_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            nc.write_json(tmp_path / "doc.json", {"a": 2, "b": object()})
+        assert list(tmp_path.iterdir()) == []

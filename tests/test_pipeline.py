@@ -15,6 +15,12 @@ FAST = pl.OptimSettings(
 )
 
 
+def invert_one(generator, body, image, settings, seed):
+    """One image's inversion: `invert_image` on a stack of one."""
+    (inv,) = pl.invert_image(generator, body, image[None], settings, [seed])
+    return inv
+
+
 @pytest.fixture(scope="module")
 def toy(toy_run):
     arts = toy_run["arts"]
@@ -45,7 +51,7 @@ class TestInversion:
         body, _ = nc.split_at_tap(arts.classifier)
         z0 = np.random.default_rng(3).standard_normal(gen.input_dim)
         image = nc.forward(gen, z0).output.reshape(16, 16)
-        inv = pl.invert_image(gen, body, image, FAST, seed=11)
+        inv = invert_one(gen, body, image, FAST, seed=11)
         assert inv.combined_loss < 1e-3
         assert inv.pixel_loss / image.size < 1e-3
 
@@ -58,7 +64,7 @@ class TestInversion:
         )["final"]["test_mse"]
         idx = int(toy["cor"][0])
         body, _ = nc.split_at_tap(arts.classifier)
-        inv = pl.invert_image(
+        inv = invert_one(
             arts.generator, body, arts.test_data.images[idx], pl.OptimSettings(), seed=5
         )
         pixel_mse = inv.pixel_loss / arts.test_data.n_pixels
@@ -68,15 +74,15 @@ class TestInversion:
         arts = toy["arts"]
         body, _ = nc.split_at_tap(arts.classifier)
         img = arts.test_data.images[0]
-        a = pl.invert_image(arts.generator, body, img, FAST, seed=9)
-        b = pl.invert_image(arts.generator, body, img, FAST, seed=9)
+        a = invert_one(arts.generator, body, img, FAST, seed=9)
+        b = invert_one(arts.generator, body, img, FAST, seed=9)
         assert np.array_equal(a.z, b.z)
         assert a.restart_losses == b.restart_losses
 
     def test_all_restarts_tracked(self, toy):
         arts = toy["arts"]
         body, _ = nc.split_at_tap(arts.classifier)
-        inv = pl.invert_image(arts.generator, body, arts.test_data.images[1], FAST, seed=2)
+        inv = invert_one(arts.generator, body, arts.test_data.images[1], FAST, seed=2)
         assert len(inv.restart_losses) == FAST.invert_restarts
         assert inv.combined_loss == min(inv.restart_losses)
 
@@ -89,7 +95,7 @@ class TestInversion:
         stacked = pl.invert_image(arts.generator, body, images, FAST, seeds)
         assert len(stacked) == len(images)
         for image, seed, got in zip(images, seeds, stacked):
-            want = pl.invert_image(arts.generator, body, image, FAST, seed)
+            want = invert_one(arts.generator, body, image, FAST, seed)
             assert np.array_equal(got.z, want.z)
             assert got.restart_losses == want.restart_losses
             assert (got.combined_loss, got.feature_loss, got.pixel_loss, got.restart_index) == (
@@ -115,7 +121,7 @@ class TestSelection:
         body, _ = nc.split_at_tap(arts.classifier)
         image = arts.test_data.images[idx]
         label = int(arts.test_data.labels[idx])
-        inv = pl.invert_image(arts.generator, body, image, FAST, seed=idx)
+        inv = invert_one(arts.generator, body, image, FAST, seed=idx)
         sel = pl.select_cf_class(arts.classifier, arts.generator, inv.z, image, label, FAST)
         assert not sel.trivial
         assert sel.c_prime != label
@@ -229,7 +235,7 @@ class TestVisualize:
         idx = int(toy["cor"][0])
         image = arts.test_data.images[idx]
         settings = pl.OptimSettings()
-        inv = pl.invert_image(arts.generator, body, image, settings, seed=idx)
+        inv = invert_one(arts.generator, body, image, settings, seed=idx)
         x = nc.forward(body, image.ravel()).output
         vis = pl.visualize(arts.generator, body, x, inv.z, settings, image.shape)
         recon = nc.forward(arts.generator, inv.z).output.reshape(image.shape)

@@ -94,8 +94,9 @@ class TestGenerator:
         gen = arts.generator
         body, _ = nc.split_at_tap(arts.classifier)
         z0, z1 = (
-            pl.invert_image(gen, body, arts.train_data.images[i], arts.config.optim, seed=0).z
-            for i in (0, 500)
+            inv.z for inv in pl.invert_image(
+                gen, body, arts.train_data.images[[0, 500]], arts.config.optim, [0, 0]
+            )
         )
         for t in np.linspace(0, 1, 7):
             img = nc.forward(gen, (1 - t) * z0 + t * z1).output
