@@ -34,15 +34,23 @@ class BaselineError(Exception):
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    lam: float = 1.0  # tradeoff weight, c_min_edit only
+    """The [baselines] section, checked as it is built."""
+
     lr: float = 0.02
     max_steps: int = 2000
+    lam: float = 30.0  # tradeoff weight, c_min_edit only
+    lam_sweep: tuple[float, ...] = (10.0, 30.0, 100.0)  # experiment 1's lambdas
 
-    def validate(self) -> None:
-        if self.lam <= 0:
+    def __post_init__(self) -> None:
+        if min((self.lam, *self.lam_sweep)) <= 0:
             raise BaselineError("lambda must be positive")
         if self.max_steps < 0 or self.lr < 0:
             raise BaselineError("lr and max_steps must be nonnegative")
+        # each value is one report row; a repeat would run and count twice
+        if len(set(self.lam_sweep)) != len(self.lam_sweep):
+            raise BaselineError(
+                f"lambda_sweep repeats a value: {', '.join(map(str, self.lam_sweep))}"
+            )
 
 
 @dataclass
@@ -65,7 +73,6 @@ def _objective(method: str, classifier: nc.Network, generator: nc.Network, cfg: 
     info is (softmax probs, feature vector, image), all at z, so stop rules
     reuse the pass the gradient came from.
     """
-    cfg.validate()
     if method not in METHODS:
         raise BaselineError(f"unknown method {method!r}")
     body, head = nc.split_at_tap(classifier)

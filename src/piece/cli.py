@@ -28,7 +28,6 @@ from .datagen import (
     DataError,
     DatasetFormatError,
     file_sha256,
-    load_dataset,
     make_glyphs,
     save_dataset,
     write_manifest,
@@ -42,6 +41,7 @@ from .runcfg import (
     ProvenanceError,
     RunPaths,
     default_config_ini,
+    load_data,
     load_run,
     parse_config,
     write_config,
@@ -112,9 +112,7 @@ def cmd_train(args) -> int:
     paths.require("datagen")
     _refuse_if_done(paths, "train", args.force)
     cfg = parse_config(paths.config)
-    train = load_dataset(paths.dataset("train.json"))
-    test = load_dataset(paths.dataset("test.json"))
-    manifest_sha = file_sha256(paths.dataset("manifest.json"))
+    train, test, manifest_sha = load_data(paths)
     provenance = {"dataset_sha": manifest_sha}
 
     classifier, clf_report = train_classifier(train, test, cfg.classifier)
@@ -141,10 +139,9 @@ def cmd_fit_stats(args) -> int:
     paths.require("datagen", "train")
     _refuse_if_done(paths, "fit-stats", args.force)
     cfg = parse_config(paths.config)
-    train = load_dataset(paths.dataset("train.json"))
+    train, _, manifest_sha = load_data(paths)
     classifier = nc.load_network(paths.models("classifier.json"))
     classifier_sha = file_sha256(paths.models("classifier.json"))
-    manifest_sha = file_sha256(paths.dataset("manifest.json"))
     table, latents, predicted = fit_stats(
         classifier, train, cfg.alpha, classifier_sha, manifest_sha
     )

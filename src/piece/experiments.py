@@ -300,7 +300,7 @@ def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list)
     prepared = [(case, e) for case, e in zip(cases, explained) if e is not None]
     contexts = [ctx for _, (_, ctx, _) in prepared]
     for method in bl.METHODS:
-        runs = _baseline_runs(arts, method, contexts, cfg.baselines.method_config(), mode)
+        runs = _baseline_runs(arts, method, contexts, cfg.baselines, mode)
         for (case, (_, _, results)), res in zip(prepared, runs):
             results[method] = res
             _save_baseline(paths, f"expt{expt}", f"{method}_{tag}_{case.image_id:04d}", res,
@@ -321,7 +321,6 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     piece_results: list = []
     kept: dict = {m: [] for m in _METHODS}  # (image, c') pairs for substitutability
     sweep: dict = {lam: [] for lam in cfg.baselines.lam_sweep}  # lambda -> rows
-    bcfg = cfg.baselines.method_config()
     body, _ = nc.split_at_tap(arts.classifier)
     row = functools.partial(_row, arts, body)
 
@@ -332,10 +331,10 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     swept = {
         lam: iter(
             [results["c_min_edit"] for _, _, results in prepared]
-            if dataclasses.replace(bcfg, lam=lam) == bcfg
+            if lam == cfg.baselines.lam
             else _baseline_runs(
                 arts, "c_min_edit", [ctx for _, ctx, _ in prepared],
-                dataclasses.replace(bcfg, lam=lam), "counterfactual",
+                dataclasses.replace(cfg.baselines, lam=lam), "counterfactual",
             )
         )
         for lam in cfg.baselines.lam_sweep
@@ -444,7 +443,6 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
 
     rows: list = []  # in loop order: max-edit, then each budget's three
     piece_results: list = []
-    bcfg = cfg.baselines.method_config()
     body, _ = nc.split_at_tap(arts.classifier)
     row = functools.partial(_row, arts, body)
 
@@ -463,7 +461,9 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
         for ctx, pres in budgets
     ]
     matched = {
-        m: iter(_baseline_runs(arts, m, [ctx for ctx, _ in budgets], bcfg, "distance", d_stars))
+        m: iter(_baseline_runs(
+            arts, m, [ctx for ctx, _ in budgets], cfg.baselines, "distance", d_stars
+        ))
         for m in bl.METHODS
     }
     budget_results = iter(zip(budgets, d_stars))

@@ -38,7 +38,7 @@ from .datagen import (
 from .hurdle import StatsTable, load_latents, load_stats
 from .netcore import Network, atomic_write, load_network, read_doc
 from .pipeline import OptimSettings
-from .training import TrainConfig
+from .training import AutoencoderConfig, ClassifierConfig, TrainingFailure
 
 
 class ConfigError(Exception):
@@ -61,32 +61,6 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class BaselinesConfig:
-    lr: float = 0.02
-    max_steps: int = 2000
-    lam: float = 30.0
-    lam_sweep: tuple[float, ...] = (10.0, 30.0, 100.0)
-
-    def __post_init__(self):
-        # fail as the config is parsed, not after an experiment's first image
-        try:
-            for lam in (self.lam, *self.lam_sweep):
-                dataclasses.replace(self.method_config(), lam=lam).validate()
-        except BaselineError as exc:
-            raise ConfigError(f"[baselines] {exc}") from exc
-        # each value is one report row; a repeat would run and count twice
-        if len(set(self.lam_sweep)) != len(self.lam_sweep):
-            raise ConfigError(
-                f"[baselines] lambda_sweep repeats a value: "
-                f"{', '.join(map(str, self.lam_sweep))}"
-            )
-
-    def method_config(self) -> BaselineConfig:
-        """The settings of one baseline run at the configured lambda."""
-        return BaselineConfig(self.lam, self.lr, self.max_steps)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     n_correct: int = 30
     n_close_correct: int = 20
@@ -102,13 +76,12 @@ class MetricsConfig:
     knn_k_extra: int = 3
 
 
-# [classifier], [generator] and [autoencoders] defaults that differ from
-# TrainConfig's: epochs, hidden widths, and the seed as an offset from the
-# run seed. All three stop early at 0.97 accuracy.
+# [classifier], [generator] and [autoencoders]: the config class, defaults
+# that differ from the class's, and the seed's offset from the run seed
 _TRAIN_DEFAULTS = {
-    "classifier": (60, (64, 32), 11),
-    "generator": (400, (96,), 22),
-    "autoencoders": (150, (64,), 33),
+    "classifier": (ClassifierConfig, {}, 11),
+    "generator": (AutoencoderConfig, {"epochs": 400, "hidden": (96,)}, 22),
+    "autoencoders": (AutoencoderConfig, {"epochs": 150}, 33),
 }
 
 
@@ -117,21 +90,18 @@ class RunConfig:
     seed: int = 7
     alpha: float = 0.05
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    classifier: TrainConfig = None
-    generator: TrainConfig = None
-    autoencoders: TrainConfig = None
+    classifier: ClassifierConfig = None
+    generator: AutoencoderConfig = None
+    autoencoders: AutoencoderConfig = None
     optim: OptimSettings = field(default_factory=OptimSettings)
-    baselines: BaselinesConfig = field(default_factory=BaselinesConfig)
+    baselines: BaselineConfig = field(default_factory=BaselineConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
 
     def __post_init__(self):
-        for name, (epochs, hidden, offset) in _TRAIN_DEFAULTS.items():
+        for name, (kind, defaults, offset) in _TRAIN_DEFAULTS.items():
             if getattr(self, name) is None:
-                setattr(self, name, TrainConfig(
-                    epochs=epochs, hidden=hidden, seed=self.seed + offset,
-                    early_stop_accuracy=0.97,
-                ))
+                setattr(self, name, kind(**defaults, seed=self.seed + offset))
         # the glyph generator always draws from the run seed
         glyphs = dataclasses.replace(self.dataset.glyphs, seed=self.seed)
         self.dataset = dataclasses.replace(self.dataset, glyphs=glyphs)
@@ -165,8 +135,8 @@ _SECTIONS = {
     "metrics": (("metrics",),),
 }
 _INI_NAMES = {"dropout_rate": "dropout", "lam": "lambda", "lam_sweep": "lambda_sweep"}
-# the glyph seed is the run seed; Adam's betas are fixed
-_NOT_IN_INI = {(GlyphParams, "seed"), (TrainConfig, "beta1"), (TrainConfig, "beta2")}
+# the glyph seed is the run seed
+_NOT_IN_INI = {(GlyphParams, "seed")}
 _type_hints = functools.cache(typing.get_type_hints)  # every CLI call parses and echoes
 
 
@@ -239,7 +209,10 @@ def parse_config(path: Optional[str]) -> RunConfig:
     cfg = RunConfig(**_read_section(parser, "run", RunConfig()).get((), {}))
     for section in list(_SECTIONS)[1:]:
         for obj_path, changes in _read_section(parser, section, cfg).items():
-            cfg = _replace_at(cfg, obj_path, changes)
+            try:
+                cfg = _replace_at(cfg, obj_path, changes)
+            except (TrainingFailure, BaselineError) as exc:  # the section's own checks
+                raise ConfigError(f"[{section}] {exc}") from exc
     return cfg
 
 
@@ -339,6 +312,16 @@ class RunArtifacts:
     classifier_sha: str
 
 
+def load_data(paths: RunPaths) -> tuple[Dataset, Dataset, str]:
+    """The train and test sets, each checked against the hash its manifest
+    records, and the manifest's own hash."""
+    manifest_sha = file_sha256(paths.dataset("manifest.json"))
+    files = read_doc(paths.dataset("manifest.json"), MANIFEST_MAGIC, DatasetFormatError)["files"]
+    train_data = load_dataset(paths.dataset("train.json"), files["train.json"])
+    test_data = load_dataset(paths.dataset("test.json"), files["test.json"])
+    return train_data, test_data, manifest_sha
+
+
 def load_run(paths: RunPaths) -> RunArtifacts:
     """Load every artifact of a run, checking the provenance chain and the
     dataset files against the hashes their manifest records."""
@@ -352,10 +335,7 @@ def load_run(paths: RunPaths) -> RunArtifacts:
             f"model files missing: {', '.join(f'models/{m}.json' for m in missing)}; "
             "run `piece train --force`"
         )
-    manifest_sha = file_sha256(paths.dataset("manifest.json"))
-    files = read_doc(paths.dataset("manifest.json"), MANIFEST_MAGIC, DatasetFormatError)["files"]
-    train_data = load_dataset(paths.dataset("train.json"), files["train.json"])
-    test_data = load_dataset(paths.dataset("test.json"), files["test.json"])
+    train_data, test_data, manifest_sha = load_data(paths)
     nets = {name: load_network(paths.models(f"{name}.json")) for name in models}
     stats = load_stats(paths.stats("stats.json"))
     latents, _ = load_latents(paths.stats("latents.json"))

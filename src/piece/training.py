@@ -9,7 +9,7 @@ from the config seed, so the same config yields bit-identical networks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -23,24 +23,43 @@ class TrainingFailure(Exception):
 
 @dataclass
 class TrainConfig:
+    """The fields every training stage reads, checked as it is built:
+    `hidden` holds the widths of the stage's `n_hidden` hidden layers."""
+
+    n_hidden: ClassVar[int]
     epochs: int = 60
     batch_size: int = 32
     lr: float = 0.003
-    beta1: float = 0.9
-    beta2: float = 0.999
-    dropout_rate: float = 0.25
-    latent_dim: int = 8
-    hidden: tuple[int, ...] = (64, 32)
+    hidden: tuple[int, ...] = ()
     seed: int = 0
-    early_stop_accuracy: float = 0.94
-    min_accuracy: float = 0.85
-    recon_mse_target: float = 0.01
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
             raise TrainingFailure("epochs, batch_size, and lr must be positive")
+        if len(self.hidden) != self.n_hidden:
+            raise TrainingFailure(f"hidden takes {self.n_hidden} width(s), got {len(self.hidden)}")
         if not all(h > 0 for h in self.hidden):
             raise TrainingFailure("hidden widths must be positive")
+
+
+@dataclass
+class ClassifierConfig(TrainConfig):
+    n_hidden: ClassVar[int] = 2
+    hidden: tuple[int, ...] = (64, 32)
+    dropout_rate: float = 0.25
+    early_stop_accuracy: float = 0.97
+    min_accuracy: float = 0.85
+
+
+@dataclass
+class AutoencoderConfig(TrainConfig):
+    n_hidden: ClassVar[int] = 1
+    hidden: tuple[int, ...] = (64,)
+    latent_dim: int = 8
+    recon_mse_target: float = 0.01
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.latent_dim < 1:
             raise TrainingFailure("latent_dim must be positive")
 
@@ -106,7 +125,7 @@ def _run_epochs(
             trace = nc.forward(net, inputs[batch], mode=mode, rng_seed=seed)
             value, out_grad = nc.loss(loss_kind, trace.outputs[-1], targets[batch])
             grads, _ = nc.backward_params(net, trace, out_grad)
-            nc.adam_step(params, grads, state, cfg.lr, cfg.beta1, cfg.beta2)
+            nc.adam_step(params, grads, state, cfg.lr)
             epoch_loss += value * len(batch)
         metric = metric_fn(net)
         curve.append(
@@ -117,8 +136,8 @@ def _run_epochs(
     return curve
 
 
-def build_classifier(n_pixels: int, n_classes: int, cfg: TrainConfig) -> nc.Network:
-    h1, h2 = cfg.hidden[0], cfg.hidden[1]
+def build_classifier(n_pixels: int, n_classes: int, cfg: ClassifierConfig) -> nc.Network:
+    h1, h2 = cfg.hidden
     rng = np.random.default_rng([cfg.seed, 101])
     layers = [
         _glorot_dense(rng, h1, n_pixels),
@@ -133,9 +152,8 @@ def build_classifier(n_pixels: int, n_classes: int, cfg: TrainConfig) -> nc.Netw
 
 
 def train_classifier(
-    train: Dataset, test: Dataset, cfg: TrainConfig
+    train: Dataset, test: Dataset, cfg: ClassifierConfig
 ) -> tuple[nc.Network, TrainReport]:
-    cfg.validate()
     n_classes = int(train.labels.max()) + 1
     if n_classes < 2:
         raise TrainingFailure("classifier needs at least 2 classes")
@@ -182,7 +200,7 @@ def _build_autoencoder(n_pixels: int, hidden: int, latent: int, seed_parts) -> n
 def _train_autoencoder(
     images: np.ndarray,
     eval_images: np.ndarray,
-    cfg: TrainConfig,
+    cfg: AutoencoderConfig,
     seed_parts,
 ) -> tuple[nc.Network, list]:
     n_pixels = images.shape[1] * images.shape[2]
@@ -203,10 +221,9 @@ def _train_autoencoder(
 
 
 def train_generator(
-    train: Dataset, test: Dataset, cfg: TrainConfig
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig
 ) -> tuple[nc.Network, TrainReport]:
     """Pixel-reconstruction autoencoder; its decoder is the generator."""
-    cfg.validate()
     if cfg.latent_dim >= train.n_pixels:
         raise TrainingFailure("latent dimension must be smaller than pixel count")
     ae, curve = _train_autoencoder(
@@ -229,11 +246,10 @@ def train_generator(
 
 
 def train_autoencoders(
-    train: Dataset, test: Dataset, cfg: TrainConfig, min_class_samples: int = 30
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig, min_class_samples: int = 30
 ) -> tuple[list, nc.Network, TrainReport]:
     """One autoencoder per class plus one on the full data (for the
     reconstruction-error plausibility metrics)."""
-    cfg.validate()
     n_classes = int(train.labels.max()) + 1
     class_nets = []
     class_mses = []

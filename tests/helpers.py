@@ -1,9 +1,32 @@
 """Shared oracles for the unit and acceptance suites."""
 
+import dataclasses
+import sys
+
 import numpy as np
 
 from piece import netcore as nc
 from piece.hurdle import Rule
+
+
+def watched(cfg):
+    """A copy of the dataclass `cfg`, and the set that gathers the names of
+    the fields the program reads from it. Reads by the `dataclasses` module
+    (`asdict`, `replace`) and by the class's own checks (`__post_init__`)
+    do not count."""
+    names = {f.name for f in dataclasses.fields(cfg)}
+    reads: set = set()
+
+    class Watched(type(cfg)):
+        def __getattribute__(self, name):
+            caller = sys._getframe(1)
+            if name in names and caller.f_code.co_name != "__post_init__" and (
+                caller.f_globals["__name__"] != "dataclasses"
+            ):
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    return Watched(**{name: getattr(cfg, name) for name in names}), reads
 
 
 def random_network(seed: int) -> tuple[nc.Network, np.ndarray, int]:

@@ -383,7 +383,7 @@ class TestValidation:
 
     def test_bad_lambda(self):
         with pytest.raises(bl.BaselineError):
-            bl.BaselineConfig(lam=0.0).validate()
+            bl.BaselineConfig(lam=0.0)
 
     def test_bad_mode(self, prepared):
         arts = prepared["arts"]

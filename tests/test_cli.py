@@ -155,6 +155,21 @@ class TestStageOrdering:
                      "--config", str(bad)]) == 2
         assert f"[{section}]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,widths",
+        [("classifier", "64"), ("classifier", "64,32,16"), ("generator", "96,48"),
+         ("autoencoders", "64,32")],
+    )
+    def test_hidden_width_count_rejected(self, tmp_path, capsys, section, widths):
+        # the classifier has two hidden layers, the autoencoders one
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\nhidden = {widths}\n")
+        capsys.readouterr()
+        assert main(["datagen", "--run-dir", str(tmp_path / "r"),
+                     "--config", str(bad)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: [{section}] hidden")
+
 
 class TestDatagenOutputs:
     def test_artifacts_exist(self, mini_run):
@@ -316,6 +331,25 @@ class TestProvenance:
         assert main(["explain", "--run-dir", str(clone), "--index", "0", "--mode", "sf"]) == 4
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "dataset/test.json" in err[0] and "sha256" in err[0]
+
+    @pytest.mark.parametrize(
+        "stage,output", [("train", "models/classifier.json"), ("fit-stats", "stats/stats.json")]
+    )
+    def test_stage_refuses_edited_dataset(self, mini_run, tmp_path, capsys, stage, output):
+        import shutil
+
+        clone = tmp_path / "clone6"
+        shutil.copytree(mini_run, clone)
+        path = clone / "dataset" / "train.json"
+        doc = json.loads(path.read_text())
+        doc["labels"][0] = (doc["labels"][0] + 1) % 4  # still a well-formed dataset
+        path.write_text(json.dumps(doc))
+        before = (clone / output).read_bytes()
+        capsys.readouterr()
+        assert main([stage, "--run-dir", str(clone), "--force"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "dataset/train.json" in err[0] and "sha256" in err[0]
+        assert (clone / output).read_bytes() == before
 
     @pytest.mark.parametrize(
         "name",
@@ -552,6 +586,27 @@ class TestExperimentCommand:
         assert main(["experiment", "--run-dir", mini_run, "--expt", "1", "--force"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: k=3 invalid for 2 training points"]
+
+    def test_every_baselines_field_is_read(self, mini_run, tmp_path, monkeypatch):
+        # experiment 1 reads lambda_sweep; its baseline runs read the rest
+        import dataclasses
+        import shutil
+
+        from helpers import watched
+        from piece import experiments as ex
+        from piece.baselines import BaselineConfig
+
+        clone = tmp_path / "watched"
+        shutil.copytree(mini_run, clone)
+        run, seen = ex.run_experiment1, {}
+
+        def watching(arts, paths):
+            arts.config.baselines, seen["reads"] = watched(arts.config.baselines)
+            return run(arts, paths)
+
+        monkeypatch.setattr(ex, "run_experiment1", watching)
+        assert main(["experiment", "--run-dir", str(clone), "--expt", "1", "--force"]) in (0, 5)
+        assert seen["reads"] == {f.name for f in dataclasses.fields(BaselineConfig)}
 
     def test_failure_threshold_exit_code(self, mini_run, tmp_path):
         import shutil

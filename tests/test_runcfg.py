@@ -75,36 +75,28 @@ noise_sigma = 0.05
 epochs = 60
 batch_size = 32
 lr = 0.003
-dropout = 0.25
-latent_dim = 8
 hidden = 64,32
 seed = 18
+dropout = 0.25
 early_stop_accuracy = 0.97
 min_accuracy = 0.85
-recon_mse_target = 0.01
 
 [generator]
 epochs = 400
 batch_size = 32
 lr = 0.003
-dropout = 0.25
-latent_dim = 8
 hidden = 96
 seed = 29
-early_stop_accuracy = 0.97
-min_accuracy = 0.85
+latent_dim = 8
 recon_mse_target = 0.01
 
 [autoencoders]
 epochs = 150
 batch_size = 32
 lr = 0.003
-dropout = 0.25
-latent_dim = 8
 hidden = 64
 seed = 40
-early_stop_accuracy = 0.97
-min_accuracy = 0.85
+latent_dim = 8
 recon_mse_target = 0.01
 
 [pipeline]
@@ -138,7 +130,9 @@ knn_k_extra = 3
 
 LIST_KEYS = {"hidden": int, "lambda_sweep": float}
 # counts that parse_config rejects below 1
-AT_LEAST_ONE = {"invert_restarts", "mc_passes", "knn_k", "knn_k_extra"}
+AT_LEAST_ONE = {
+    "invert_restarts", "mc_passes", "knn_k", "knn_k_extra", "epochs", "batch_size", "latent_dim"
+}
 
 
 def parse_text(text: str) -> RunConfig:
@@ -163,8 +157,12 @@ def non_default(key: str, default: str):
             if LIST_KEYS[key] is int
             else st.floats(0.01, 1e3, allow_nan=False)
         )
-        # each sweep value is one report row, so a sweep may not repeat one
-        value = st.lists(item, min_size=1, max_size=4, unique=key == "lambda_sweep").map(
+        # each sweep value is one report row, so a sweep may not repeat one;
+        # a section takes as many hidden widths as its default has
+        sweep, n = key == "lambda_sweep", len(default.split(","))
+        value = st.lists(
+            item, min_size=1 if sweep else n, max_size=4 if sweep else n, unique=sweep
+        ).map(
             lambda xs: ",".join(str(x) for x in xs)
         )
     elif key == "alpha":
@@ -179,7 +177,7 @@ def non_default(key: str, default: str):
 class TestConfigContract:
     def test_default_echo_is_pinned(self):
         assert default_config_ini() == DEFAULT_INI
-        assert len(default_keys()) == 61
+        assert len(default_keys()) == 53
 
     def test_no_file_gives_the_dataclass_defaults(self):
         assert parse_config(None) == RunConfig()
@@ -209,14 +207,19 @@ class TestConfigContract:
             parse_text("[pipeline]\ninvert_step = 10\n")
 
     def test_renamed_and_hidden_fields_are_not_keys(self):
+        # and keys that no stage reads, which older versions echoed
         for section, key in (("classifier", "dropout_rate"), ("baselines", "lam"),
-                             ("classifier", "beta1"), ("dataset", "seed")):
+                             ("classifier", "beta1"), ("dataset", "seed"),
+                             ("classifier", "latent_dim"), ("classifier", "recon_mse_target"),
+                             *((s, k) for s in ("generator", "autoencoders")
+                               for k in ("dropout", "early_stop_accuracy", "min_accuracy"))):
             with pytest.raises(ConfigError, match=key):
                 parse_text(f"[{section}]\n{key} = 1\n")
 
     @pytest.mark.parametrize("text", ["[run]\nseed = seven\n", "[run]\nalpha = 0.7\n",
                                       "[classifier]\nhidden = 64,x\n",
-                                      "[baselines]\nlambda_sweep = 10.0,10\n"])
+                                      "[baselines]\nlambda_sweep = 10.0,10\n",
+                                      "[autoencoders]\nepochs = 0\n"])
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_text(text)

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from helpers import watched
 from piece import netcore as nc
 from piece import pipeline as pl
 from piece import training as tr
@@ -35,16 +37,18 @@ class TestClassifier:
 
     def test_no_learning_stays_at_chance(self, small_data):
         train, test = small_data
-        cfg = tr.TrainConfig(epochs=1, lr=1e-15, seed=3, min_accuracy=0.0,
-                             early_stop_accuracy=1.1)
+        cfg = tr.ClassifierConfig(epochs=1, lr=1e-15, seed=3, min_accuracy=0.0,
+                                  early_stop_accuracy=1.1)
         net, report = tr.train_classifier(train, test, cfg)
         assert abs(report.final["test_accuracy"] - 0.25) <= 0.1
 
     def test_same_seed_identical_weights(self, small_data, tmp_path):
         train, test = small_data
-        cfg = tr.TrainConfig(epochs=2, seed=5, min_accuracy=0.0, early_stop_accuracy=1.1,
-                             recon_mse_target=1.0)
-        for stage in (tr.train_classifier, tr.train_generator):
+        for stage, cfg in (
+            (tr.train_classifier,
+             tr.ClassifierConfig(epochs=2, seed=5, min_accuracy=0.0, early_stop_accuracy=1.1)),
+            (tr.train_generator, tr.AutoencoderConfig(epochs=2, seed=5, recon_mse_target=1.0)),
+        ):
             a, _ = stage(train, test, cfg)
             b, _ = stage(train, test, cfg)
             assert saved_bytes(a, tmp_path / "a.json") == saved_bytes(b, tmp_path / "b.json")
@@ -60,14 +64,14 @@ class TestClassifier:
             return step(*args, **kwargs)
 
         monkeypatch.setattr(nc, "adam_step", counted)
-        cfg = tr.TrainConfig(epochs=2, seed=5, min_accuracy=0.0, early_stop_accuracy=1.1)
+        cfg = tr.ClassifierConfig(epochs=2, seed=5, min_accuracy=0.0, early_stop_accuracy=1.1)
         tr.train_classifier(train, test, cfg)
         assert len(calls) == 2 * -(-len(train) // cfg.batch_size)
 
     def test_unreachable_target_raises_with_curve(self, small_data):
         train, test = small_data
-        cfg = tr.TrainConfig(epochs=1, lr=1e-15, seed=3, min_accuracy=0.99,
-                             early_stop_accuracy=1.1)
+        cfg = tr.ClassifierConfig(epochs=1, lr=1e-15, seed=3, min_accuracy=0.99,
+                                  early_stop_accuracy=1.1)
         with pytest.raises(tr.TrainingFailure, match=r"reached only 0\.\d{3} test accuracy"):
             tr.train_classifier(train, test, cfg)
 
@@ -76,7 +80,7 @@ class TestClassifier:
         one = type(train)(train.images[train.labels == 0],
                           train.labels[train.labels == 0], "train")
         with pytest.raises(tr.TrainingFailure, match="2 classes"):
-            tr.train_classifier(one, test, tr.TrainConfig(seed=0))
+            tr.train_classifier(one, test, tr.ClassifierConfig(seed=0))
 
 
 class TestGenerator:
@@ -104,14 +108,14 @@ class TestGenerator:
 
     def test_latent_too_wide_rejected(self, small_data):
         train, test = small_data
-        cfg = tr.TrainConfig(latent_dim=16 * 16, seed=0)
+        cfg = tr.AutoencoderConfig(latent_dim=16 * 16, seed=0)
         with pytest.raises(tr.TrainingFailure, match="latent"):
             tr.train_generator(train, test, cfg)
 
     def test_mse_target_enforced(self, small_data):
         train, test = small_data
-        cfg = tr.TrainConfig(epochs=1, lr=1e-15, seed=0, hidden=(32,),
-                             recon_mse_target=1e-6)
+        cfg = tr.AutoencoderConfig(epochs=1, lr=1e-15, seed=0, hidden=(32,),
+                                   recon_mse_target=1e-6)
         with pytest.raises(tr.TrainingFailure, match="MSE"):
             tr.train_generator(train, test, cfg)
 
@@ -138,7 +142,7 @@ class TestAutoencoders:
         # 60 bar images plus only 10 cross images
         tiny = type(train)(train.images[:70], train.labels[:70], "train")
         with pytest.raises(tr.TrainingFailure, match="class 1"):
-            tr.train_autoencoders(tiny, test, tr.TrainConfig(seed=0))
+            tr.train_autoencoders(tiny, test, tr.AutoencoderConfig(seed=0))
 
     def test_save_load_preserves_reconstructions(self, toy_run, tmp_path):
         arts = toy_run["arts"]
@@ -150,6 +154,31 @@ class TestAutoencoders:
         assert np.array_equal(
             nc.forward(ae, flat).output, nc.forward(back, flat).output
         )
+
+
+class TestConfigs:
+    @pytest.mark.parametrize(
+        "stage,cfg",
+        [
+            (tr.train_classifier, tr.ClassifierConfig(epochs=1, seed=5, min_accuracy=0.0)),
+            (tr.train_generator, tr.AutoencoderConfig(epochs=1, seed=5, recon_mse_target=1.0)),
+            (tr.train_autoencoders, tr.AutoencoderConfig(epochs=1, seed=5)),
+        ],
+    )
+    def test_every_field_is_read(self, small_data, stage, cfg):
+        train, test = small_data
+        cfg, reads = watched(cfg)
+        stage(train, test, cfg)
+        assert reads == {f.name for f in dataclasses.fields(cfg)}
+
+    @pytest.mark.parametrize(
+        "kind,hidden",
+        [(tr.ClassifierConfig, (64,)), (tr.ClassifierConfig, (64, 32, 16)),
+         (tr.AutoencoderConfig, (96, 48)), (tr.AutoencoderConfig, ())],
+    )
+    def test_hidden_width_count_checked(self, kind, hidden):
+        with pytest.raises(tr.TrainingFailure, match=f"hidden takes {kind.n_hidden} width"):
+            kind(hidden=hidden)
 
 
 class TestReports:
