@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from helpers import watched
 from piece import baselines as bl
 from piece import netcore as nc
 from piece import pipeline as pl
@@ -29,7 +32,7 @@ def prepared(toy_run):
     return {"arts": arts, "contexts": contexts}
 
 
-CFG = bl.BaselineConfig(lr=0.02, max_steps=2000)
+CFG = bl.BaselineConfig(lam=1.0, lr=0.02, max_steps=2000)
 CCFG = bl.BaselineConfig(lam=30.0, lr=0.02, max_steps=2000)
 
 
@@ -384,6 +387,15 @@ class TestValidation:
     def test_bad_lambda(self):
         with pytest.raises(bl.BaselineError):
             bl.BaselineConfig(lam=0.0)
+
+    def test_every_field_but_the_sweep_is_read(self, prepared):
+        # a run reads lr, max_steps and lam; experiment 1 reads lam_sweep
+        arts = prepared["arts"]
+        ctx = prepared["contexts"][0]
+        cfg, reads = watched(bl.BaselineConfig(lam=30.0, lr=0.02, max_steps=20))
+        bl.run_baseline("c_min_edit", ctx.inversion.z[None], ctx.x[None], [ctx.c],
+                        [ctx.selection.c_prime], arts.classifier, arts.generator, cfg)
+        assert reads == {f.name for f in dataclasses.fields(cfg)} - {"lam_sweep"}
 
     def test_bad_mode(self, prepared):
         arts = prepared["arts"]
