@@ -34,9 +34,11 @@ def mc_dropout(
     dropout forward passes.
 
     Pass i is the train-mode pass seeded with seed + i, so its dropout masks
-    are those of `forward(classifier, image, "train", rng_seed=seed + i)`;
-    all passes run as one batch (`netcore.forward_passes`), the layers
-    before the first dropout once."""
+    are those of `forward(classifier, image, "train", rng_seed=seed + i)`,
+    bit for bit; all passes run as one batch (`netcore.forward_passes`),
+    the layers before the first dropout once, and every pass's masks come
+    at once from the closed form of its `default_rng` stream
+    (`netcore.uniform_streams`)."""
     if not classifier.plan.has_dropout:
         raise MetricError("classifier has no dropout layer; mc_dropout undefined")
     if passes < 1:

@@ -21,6 +21,7 @@ import configparser
 import dataclasses
 import functools
 import io
+import math
 import os
 import typing
 from dataclasses import dataclass, field
@@ -155,8 +156,13 @@ def _section_fields(cfg: RunConfig, section: str):
 def _parse_value(hint, raw: str):
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
-        return tuple(item(v.strip()) for v in raw.split(",") if v.strip())
-    return hint(raw)
+        return tuple(_parse_value(item, v.strip()) for v in raw.split(",") if v.strip())
+    value = hint(raw)
+    # a NaN or infinite rate, weight or threshold fails every check written
+    # as a comparison, so it is refused here, for every float key at once
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _format_value(value) -> str:
@@ -179,7 +185,7 @@ def _read_section(parser, section: str, cfg: RunConfig) -> dict:
             try:
                 changes.setdefault(path, {})[name] = _parse_value(hint, raw)
             except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
     return changes
 
 

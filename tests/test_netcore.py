@@ -274,6 +274,56 @@ class TestForwardPasses:
             nc.forward_passes(net, x[:-1], [0])
 
 
+class TestUniformStreams:
+    """`uniform_streams` against numpy's own `default_rng(s).random`: a numpy
+    change to PCG64 or SeedSequence fails here instead of silently changing
+    every MC-dropout column."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62, 2**63 - 1, 2**64 - 1]
+
+    @pytest.fixture(scope="class")
+    def seeds(self):
+        # seeds below 2**32 are one entropy word, the others two
+        rng = np.random.default_rng(2020)
+        return np.concatenate([
+            np.array(self.EDGE_SEEDS, dtype=np.uint64),
+            rng.integers(0, 2**32, size=1000, dtype=np.uint64),
+            rng.integers(0, 2**64 - 1, size=1000, dtype=np.uint64, endpoint=True),
+        ])
+
+    @pytest.fixture(scope="class")
+    def reference(self, seeds):
+        return np.stack([np.random.default_rng(int(s)).random(160) for s in seeds])
+
+    @pytest.mark.parametrize("start,width", [(0, 1), (0, 32), (0, 64), (0, 96), (37, 96)])
+    def test_rows_equal_default_rng(self, seeds, reference, start, width):
+        u = nc.uniform_streams(seeds, start, width)
+        assert np.array_equal(u, reference[:, start:start + width])
+
+    def test_split_draw_equals_one_draw(self, seeds):
+        split = np.hstack([nc.uniform_streams(seeds, 0, 64), nc.uniform_streams(seeds, 64, 32)])
+        assert np.array_equal(split, nc.uniform_streams(seeds, 0, 96))
+
+    def test_python_ints_equal_uint64(self):
+        assert np.array_equal(nc.uniform_streams(self.EDGE_SEEDS, 3, 8),
+                              nc.uniform_streams(np.array(self.EDGE_SEEDS, np.uint64), 3, 8))
+
+    @pytest.mark.parametrize("seeds", [[-1], [0, 2**64], [3, -2**70]])
+    def test_seed_outside_range_refused(self, seeds):
+        net, x = layout_network(TestForwardPasses.LAYOUTS["one dropout"],
+                                np.random.default_rng(0))
+        with pytest.raises(nc.DimensionError, match=r"outside \[0, 2\*\*64\)"):
+            nc.forward_passes(net, x, seeds)
+        with pytest.raises(nc.DimensionError, match=r"outside \[0, 2\*\*64\)"):
+            nc.uniform_streams(seeds, 0, 4)
+
+    def test_non_integer_seed_refused(self):
+        net, x = layout_network(TestForwardPasses.LAYOUTS["one dropout"],
+                                np.random.default_rng(0))
+        with pytest.raises(nc.DimensionError, match=r"integers in \[0, 2\*\*64\)"):
+            nc.forward_passes(net, x, [0, 1.5])
+
+
 class TestBackward:
     def test_dense_adjoint(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

@@ -223,3 +223,16 @@ class TestConfigContract:
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_text(text)
+
+    @pytest.mark.parametrize("section,key,raw", [
+        ("baselines", "lambda", "nan"),
+        ("baselines", "lr", "inf"),
+        ("classifier", "lr", "nan"),
+        ("pipeline", "invert_lr", "nan"),
+        # a NaN threshold would silently empty the close-correct bucket
+        ("experiment", "close_correct_max_prob", "nan"),
+        ("baselines", "lambda_sweep", "1.0,inf"),
+    ])
+    def test_non_finite_floats_refused(self, section, key, raw):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*not a finite number"):
+            parse_text(f"[{section}]\n{key} = {raw}\n")
