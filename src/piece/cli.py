@@ -185,19 +185,18 @@ def cmd_explain(args) -> int:
                     f"--target-class {args.target_class} is the predicted class of image "
                     f"{args.index}; a counterfactual needs another class"
                 )
-    request = pl.ExplanationRequest(
-        image=image,
-        true_label=label,
-        mode=mode,
-        fraction=args.fraction,
-        alpha=args.alpha if args.alpha is not None else cfg.alpha,
-        settings=cfg.optim,
-        seed=ex.derive_seed(cfg.seed, 3, args.index),
-        image_id=args.index,
-        target_class=args.target_class,
-    )
     try:
-        request.validate()
+        request = pl.ExplanationRequest(
+            image=image,
+            true_label=label,
+            mode=mode,
+            fraction=args.fraction,
+            alpha=args.alpha if args.alpha is not None else cfg.alpha,
+            settings=cfg.optim,
+            seed=ex.derive_seed(cfg.seed, 3, args.index),
+            image_id=args.index,
+            target_class=args.target_class,
+        )
     except pl.PipelineError as exc:
         raise ConfigError(str(exc)) from exc
     result = pl.explain(request, arts.classifier, arts.generator, arts.stats)

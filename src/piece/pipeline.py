@@ -63,7 +63,7 @@ class ExplanationRequest:
     image_id: int = -1
     target_class: Optional[int] = None  # override, bypasses selection
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in MODES:
             raise PipelineError(f"unknown mode {self.mode!r}")
         if self.mode == "proportional":
@@ -163,11 +163,11 @@ def select_cf_class(
     classifier: nc.Network,
     generator: nc.Network,
     z: np.ndarray,
-    image: np.ndarray,
+    c: int,
     true_label: int,
     settings: OptimSettings,
 ) -> SelectionResult:
-    """Pick the counterfactual class for a test image.
+    """Pick the counterfactual class for a test image predicted as class `c`.
 
     Misclassified image: the true label, directly. Correctly classified
     image: push a copy of the inverted latent code away from the predicted
@@ -175,12 +175,9 @@ def select_cf_class(
     prediction) and return the first different class the probe reaches. The
     probe latent is discarded; only the class is kept.
     """
-    flat = np.asarray(image, dtype=np.float64).ravel()
-    probs = nc.forward(classifier, flat).output
-    c = int(np.argmax(probs))
     if c != true_label:
         return SelectionResult(true_label, True, 0)
-    y_c = nc.one_hot(c, len(probs))
+    y_c = nc.one_hot(c, classifier.output_dim)
 
     def objective(zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tg = nc.forward(generator, zv)
@@ -218,7 +215,7 @@ class ModStep:
     new: float
     applied: bool
     reason: str  # applied | wrong_branch | zero_weight | already_replaced |
-    #              would_flip | beyond_budget
+    #              would_flip | beyond_budget | backoff_visual_flip
     prob_c: float
     prob_c_prime: float
 
@@ -230,7 +227,6 @@ class ModificationResult:
     applied_count: int
     eligible_count: int
     status: str  # ok | no_eligible_exceptional_features
-    k_reference: int  # length of the full semifactual sequence (proportional)
 
 
 def _eligible(rule: Rule, weight: float) -> bool:
@@ -319,7 +315,7 @@ def modify_features(
         record(feat, True, "applied", probs)
 
     status = "ok" if eligible_count else "no_eligible_exceptional_features"
-    return ModificationResult(cur, steps, applied, eligible_count, status, applied)
+    return ModificationResult(cur, steps, applied, eligible_count, status)
 
 
 # ---------------------------------------------------------------------------
@@ -395,25 +391,21 @@ def prepare_context(
     """The context of one request. `inversion` is the image's inversion
     when the caller already has it, say from a stacked `invert_image`; an
     InversionError there, or from inverting the image here, is raised."""
-    request.validate()
-    flat = np.asarray(request.image, dtype=np.float64).ravel()
-    probs = nc.forward(classifier, flat).output
+    image = np.asarray(request.image, dtype=np.float64)
+    trace = nc.forward(classifier, image.ravel())
+    probs, x = trace.output, trace.outputs[classifier.feature_tap][0]
     c = int(np.argmax(probs))
-    body, _ = nc.split_at_tap(classifier)
     if inversion is None:
-        (inversion,) = invert_image(
-            generator, body, np.asarray(request.image)[None], request.settings, [request.seed]
-        )
+        body, _ = nc.split_at_tap(classifier)
+        (inversion,) = invert_image(generator, body, image[None], request.settings, [request.seed])
     if isinstance(inversion, InversionError):
         raise inversion
     if request.target_class is not None:
         selection = SelectionResult(int(request.target_class), True, 0)
     else:
         selection = select_cf_class(
-            classifier, generator, inversion.z, request.image, request.true_label,
-            request.settings,
+            classifier, generator, inversion.z, c, request.true_label, request.settings
         )
-    x = nc.forward(body, flat).output
     features, skipped = classify_exceptional(
         x, stats.models[selection.c_prime], request.alpha
     )
@@ -453,33 +445,34 @@ class ExplanationResult:
     exceptional_ks_p: list  # ks p-values of the flagged features' models
 
 
+def _with_applied(x: np.ndarray, steps: list) -> np.ndarray:
+    """`x` with the replacement of every applied step."""
+    applied = [s for s in steps if s.applied]
+    out = x.copy()
+    out[[s.neuron for s in applied]] = [s.new for s in applied]
+    return out
+
+
 def _proportional_from_reference(
-    ctx: ExplanationContext,
-    reference: "ExplanationResult",
-    fraction: float,
-    head: nc.Network,
-    c: int,
-    c_prime: int,
+    reference: "ExplanationResult", fraction: float
 ) -> ModificationResult:
-    """Prefix of the delivered semifactual's replacement sequence."""
+    """Prefix of the delivered semifactual's replacement sequence, copied
+    from its recorded walk: an applied step's probabilities are those of
+    `x` with the steps up to it applied, whichever walk recorded them."""
     seq = [s for s in reference.mod_steps if s.applied]
-    k = len(seq)
-    budget = math.ceil(fraction * k)
-    cur = ctx.x.copy()
-    steps: list = []
-    applied = 0
-    probs = nc.forward(head, cur).output
-    for s in seq:
-        ok = applied < budget
-        if ok:
-            cur[s.neuron] = s.new
-            probs = nc.forward(head, cur).output
-            applied += 1
-        steps.append(dataclasses.replace(
-            s, applied=ok, reason="applied" if ok else "beyond_budget",
-            prob_c=float(probs[c]), prob_c_prime=float(probs[c_prime]),
-        ))
-    return ModificationResult(cur, steps, applied, reference.eligible_count, reference.status, k)
+    budget = math.ceil(fraction * len(seq))
+    steps = [dataclasses.replace(s) for s in seq[:budget]]
+    steps += [  # a fraction above 0 applies at least one step of any walk
+        dataclasses.replace(
+            s, applied=False, reason="beyond_budget",
+            prob_c=steps[-1].prob_c, prob_c_prime=steps[-1].prob_c_prime,
+        )
+        for s in seq[budget:]
+    ]
+    return ModificationResult(
+        _with_applied(reference.x, steps), steps, budget, reference.eligible_count,
+        reference.status,
+    )
 
 
 def _recheck_violations(
@@ -513,12 +506,10 @@ def explain(
     rendered image still classifies as `c`), so fraction 1.0 reproduces it
     exactly; pass that semifactual as `reference` to avoid recomputing it.
     """
-    request.validate()
     ctx = context or prepare_context(request, classifier, generator, stats)
     body, head = nc.split_at_tap(classifier)
     c, c_prime = ctx.c, ctx.selection.c_prime
-    w = nc.class_weight_vector(classifier, c_prime)
-    shape = np.asarray(request.image).shape
+    intended = c_prime if request.mode == "counterfactual" else c
 
     if request.mode == "proportional":
         if reference is None:
@@ -526,48 +517,42 @@ def explain(
             reference = explain(sf_request, classifier, generator, stats, context=ctx)
         elif reference.mode != "semifactual" or reference.image_id != request.image_id:
             raise PipelineError("reference must be a semifactual result for this image")
-        mod = _proportional_from_reference(
-            ctx, reference, request.fraction, head, c, c_prime
-        )
+        mod = _proportional_from_reference(reference, request.fraction)
     else:
+        w = nc.class_weight_vector(classifier, c_prime)
         mod = modify_features(ctx.x, ctx.features, w, head, c, c_prime, request.mode)
 
-    if request.mode == "proportional" and mod.x_mod.tobytes() == reference.x_mod.tobytes():
-        # same target from the same start: visualize would render the
-        # reference again (always so at fraction 1.0)
-        vis = VisualizationResult(
-            reference.z_prime, reference.image_prime,
-            reference.residuals["before"], reference.residuals["after"],
-        )
-    else:
-        vis = visualize(
-            generator, body, mod.x_mod, ctx.inversion.z, request.settings, shape
-        )
-    probs_prime = nc.forward(classifier, vis.image.ravel()).output
-    pred_prime = int(np.argmax(probs_prime))
-    intended = c_prime if request.mode == "counterfactual" else c
-
-    backoff = 0
-    if request.mode == "semifactual" and pred_prime != intended:
-        # the rendered image may land past the boundary even though the
-        # feature vector does not; retreat one replacement at a time
-        applied_seq = [s for s in mod.steps if s.applied]
-        while pred_prime != intended and applied_seq:
-            dropped = applied_seq.pop()
-            dropped.applied = False
-            dropped.reason = "backoff_visual_flip"
-            x_mod = ctx.x.copy()
-            for s in applied_seq:
-                x_mod[s.neuron] = s.new
+    def render(x_mod: np.ndarray) -> tuple[VisualizationResult, np.ndarray, int]:
+        """The rendering of `x_mod`, its class probabilities and its class."""
+        if request.mode == "proportional" and x_mod.tobytes() == reference.x_mod.tobytes():
+            # same target from the same start: visualize would render the
+            # reference again (always so at fraction 1.0)
+            vis = VisualizationResult(
+                reference.z_prime, reference.image_prime,
+                reference.residuals["before"], reference.residuals["after"],
+            )
+            probs = reference.probs_prime
+        else:
             vis = visualize(
-                generator, body, x_mod, ctx.inversion.z, request.settings, shape
+                generator, body, x_mod, ctx.inversion.z, request.settings,
+                np.asarray(request.image).shape,
             )
-            probs_prime = nc.forward(classifier, vis.image.ravel()).output
-            pred_prime = int(np.argmax(probs_prime))
-            backoff += 1
-            mod = dataclasses.replace(
-                mod, x_mod=x_mod, applied_count=len(applied_seq), k_reference=len(applied_seq)
-            )
+            probs = nc.forward(classifier, vis.image.ravel()).output
+        return vis, probs, int(np.argmax(probs))
+
+    vis, probs_prime, pred_prime = render(mod.x_mod)
+    backoff = 0
+    applied_seq = [s for s in mod.steps if s.applied]
+    # a semifactual's rendered image may land past the boundary even though
+    # its feature vector does not; retreat one replacement at a time
+    while request.mode == "semifactual" and pred_prime != intended and applied_seq:
+        dropped = applied_seq.pop()
+        dropped.applied, dropped.reason = False, "backoff_visual_flip"
+        mod = dataclasses.replace(
+            mod, x_mod=_with_applied(ctx.x, mod.steps), applied_count=len(applied_seq)
+        )
+        vis, probs_prime, pred_prime = render(mod.x_mod)
+        backoff += 1
 
     violations = _recheck_violations(mod.x_mod, mod.steps, stats, c_prime, request.alpha)
     ks_list = []
@@ -597,7 +582,7 @@ def explain(
         probs_prime=probs_prime,
         applied_count=mod.applied_count,
         eligible_count=mod.eligible_count,
-        k_reference=mod.k_reference,
+        k_reference=(reference if request.mode == "proportional" else mod).applied_count,
         status=mod.status,
         intended_class=intended,
         verified=pred_prime == intended,

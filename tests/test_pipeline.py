@@ -32,6 +32,10 @@ def toy(toy_run):
     return {"arts": arts, "mis": mis, "cor": cor}
 
 
+def predicted(arts, image):
+    return int(np.argmax(nc.forward(arts.classifier, image.ravel()).output))
+
+
 def request_for(arts, idx, mode, **kw):
     return pl.ExplanationRequest(
         image=arts.test_data.images[idx],
@@ -111,7 +115,7 @@ class TestSelection:
         label = int(arts.test_data.labels[idx])
         sel = pl.select_cf_class(
             arts.classifier, arts.generator, np.zeros(arts.generator.input_dim),
-            image, label, FAST,
+            predicted(arts, image), label, FAST,
         )
         assert sel.trivial and sel.c_prime == label and sel.steps == 0
 
@@ -122,7 +126,8 @@ class TestSelection:
         image = arts.test_data.images[idx]
         label = int(arts.test_data.labels[idx])
         inv = invert_one(arts.generator, body, image, FAST, seed=idx)
-        sel = pl.select_cf_class(arts.classifier, arts.generator, inv.z, image, label, FAST)
+        c = predicted(arts, image)
+        sel = pl.select_cf_class(arts.classifier, arts.generator, inv.z, c, label, FAST)
         assert not sel.trivial
         assert sel.c_prime != label
         # the probe stops at the first step whose argmax leaves the label:
@@ -131,7 +136,7 @@ class TestSelection:
         if sel.steps >= 2:
             short = dataclasses.replace(FAST, ascent_max_steps=sel.steps - 1)
             with pytest.raises(pl.SelectionError):
-                pl.select_cf_class(arts.classifier, arts.generator, inv.z, image, label, short)
+                pl.select_cf_class(arts.classifier, arts.generator, inv.z, c, label, short)
 
     def test_zero_budget_raises(self, toy):
         arts = toy["arts"]
@@ -142,7 +147,7 @@ class TestSelection:
         with pytest.raises(pl.SelectionError):
             pl.select_cf_class(
                 arts.classifier, arts.generator, np.zeros(arts.generator.input_dim),
-                image, label, settings,
+                predicted(arts, image), label, settings,
             )
 
 
@@ -333,6 +338,37 @@ class TestExplain:
         for small, large in zip(applied_sets, applied_sets[1:]):
             assert small == large[: len(small)]
 
+    def test_proportional_steps_equal_head_passes_on_their_prefix(self, toy):
+        # proportional steps are copied from the semifactual's recorded walk:
+        # each one's probabilities must be those of a head pass on x with the
+        # applied steps up to it, bit for bit; image 120's semifactual backs
+        # off on the default run, so the copy must survive the retreat
+        from piece.experiments import derive_seed
+
+        arts = toy["arts"]
+        _, head = nc.split_at_tap(arts.classifier)
+        for idx in (0, 120, 380):
+            req = request_for(arts, idx, "semifactual", settings=arts.config.optim,
+                              seed=derive_seed(arts.config.seed, 3, idx))
+            ctx = pl.prepare_context(req, arts.classifier, arts.generator, arts.stats)
+            sf = pl.explain(req, arts.classifier, arts.generator, arts.stats, context=ctx)
+            if idx == 120:
+                assert sf.backoff_steps >= 1
+            for fraction in pl.FRACTIONS:
+                prop = pl.explain(
+                    dataclasses.replace(req, mode="proportional", fraction=fraction),
+                    arts.classifier, arts.generator, arts.stats, context=ctx, reference=sf,
+                )
+                cur = prop.x.copy()
+                for step in prop.mod_steps:
+                    if step.applied:
+                        cur[step.neuron] = step.new
+                    probs = nc.forward(head, cur).output
+                    assert (step.prob_c, step.prob_c_prime) == (
+                        float(probs[prop.c]), float(probs[prop.c_prime])
+                    )
+                assert np.array_equal(prop.x_mod, cur)
+
     def test_explain_deterministic(self, toy):
         arts = toy["arts"]
         idx = int(toy["cor"][0])
@@ -388,8 +424,8 @@ class TestExplain:
     def test_bad_requests_rejected(self, toy):
         arts = toy["arts"]
         with pytest.raises(pl.PipelineError):
-            request_for(arts, 0, "proportional", fraction=0.4).validate()
+            request_for(arts, 0, "proportional", fraction=0.4)
         with pytest.raises(pl.PipelineError):
-            request_for(arts, 0, "counterfactual", alpha=0.7).validate()
+            request_for(arts, 0, "counterfactual", alpha=0.7)
         with pytest.raises(pl.PipelineError):
-            request_for(arts, 0, "upside_down").validate()
+            request_for(arts, 0, "upside_down")
