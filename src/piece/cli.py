@@ -42,6 +42,7 @@ from .runcfg import (
     RunPaths,
     default_config_ini,
     load_data,
+    load_model,
     load_run,
     parse_config,
     write_config,
@@ -84,10 +85,10 @@ def _refuse_if_done(paths: RunPaths, stage: str, force: bool) -> None:
 def cmd_datagen(args) -> int:
     cfg = parse_config(args.config)
     paths = RunPaths(args.run_dir)
-    paths.ensure_tree()
     _refuse_if_done(paths, "datagen", args.force)
     train = make_glyphs(cfg.dataset.glyphs, cfg.dataset.n_train_per_class, "train")
     test = make_glyphs(cfg.dataset.glyphs, cfg.dataset.n_test_per_class, "test")
+    paths.ensure_tree()  # only once the data exists: a refused run leaves no tree
     save_dataset(train, paths.dataset("train.json"))
     save_dataset(test, paths.dataset("test.json"))
     write_config(cfg, paths.config)
@@ -112,7 +113,7 @@ def cmd_train(args) -> int:
     paths.require("datagen")
     _refuse_if_done(paths, "train", args.force)
     cfg = parse_config(paths.config)
-    train, test, manifest_sha = load_data(paths)
+    train, test, manifest_sha = load_data(paths, cfg)
     provenance = {"dataset_sha": manifest_sha}
 
     classifier, clf_report = train_classifier(train, test, cfg.classifier)
@@ -139,8 +140,8 @@ def cmd_fit_stats(args) -> int:
     paths.require("datagen", "train")
     _refuse_if_done(paths, "fit-stats", args.force)
     cfg = parse_config(paths.config)
-    train, _, manifest_sha = load_data(paths)
-    classifier = nc.load_network(paths.models("classifier.json"))
+    train, _, manifest_sha = load_data(paths, cfg)
+    classifier = load_model(paths, "classifier", manifest_sha)
     classifier_sha = file_sha256(paths.models("classifier.json"))
     table, latents, predicted = fit_stats(
         classifier, train, cfg.alpha, classifier_sha, manifest_sha

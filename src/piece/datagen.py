@@ -41,7 +41,7 @@ class GlyphParams:
     noise_sigma: float = 0.05
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.side < 12:
             raise DataError("frame side must be at least 12 pixels")
         if not (1 <= self.n_classes <= len(CLASS_NAMES)):
@@ -132,7 +132,6 @@ _DRAWERS = (_draw_bar, _draw_cross, _draw_ring, _draw_diagonal)
 
 def make_glyphs(params: GlyphParams, n_per_class: int, split: str) -> Dataset:
     """Class-balanced glyph set, deterministic for fixed (params, split)."""
-    params.validate()
     if n_per_class < 1:
         raise DataError("n_per_class must be >= 1")
     if split not in _SPLIT_CODE:

@@ -5,7 +5,8 @@ expected values, and render the modified features back into an image.
 Counterfactual mode replaces every eligible exceptional feature. Semifactual
 mode stops right before the replacement that would flip the predicted class.
 Proportional mode applies a prefix (25/50/75/100 percent) of the replacement
-sequence the semifactual run would apply.
+sequence of the delivered semifactual: its steps are copied from the
+semifactual's recorded walk, probabilities included, with no network pass.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ class OptimSettings:
     ascent_max_steps: int = 2000
     visualize_steps: int = 400
     visualize_lr: float = 0.05
+
+    def __post_init__(self):
+        # a negative budget would never end a descent
+        for name, low in (("invert_restarts", 1), ("invert_steps", 0),
+                          ("ascent_max_steps", 0), ("visualize_steps", 0)):
+            if getattr(self, name) < low:
+                raise PipelineError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

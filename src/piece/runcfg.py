@@ -30,6 +30,7 @@ from typing import Optional
 from .baselines import BaselineConfig, BaselineError
 from .datagen import (
     MANIFEST_MAGIC,
+    DataError,
     Dataset,
     DatasetFormatError,
     GlyphParams,
@@ -38,7 +39,7 @@ from .datagen import (
 )
 from .hurdle import StatsTable, load_latents, load_stats
 from .netcore import Network, atomic_write, load_network, read_doc
-from .pipeline import OptimSettings
+from .pipeline import OptimSettings, PipelineError
 from .training import AutoencoderConfig, ClassifierConfig, TrainingFailure
 
 
@@ -76,6 +77,11 @@ class MetricsConfig:
     knn_k: int = 1
     knn_k_extra: int = 3
 
+    def __post_init__(self):
+        for name in ("mc_passes", "knn_k", "knn_k_extra"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"[metrics] {name} must be at least 1, got {getattr(self, name)}")
+
 
 # [classifier], [generator] and [autoencoders]: the config class, defaults
 # that differ from the class's, and the seed's offset from the run seed
@@ -100,6 +106,9 @@ class RunConfig:
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
 
     def __post_init__(self):
+        # every seed of a run derives from it, and numpy refuses a negative one
+        if self.seed < 0:
+            raise ConfigError(f"[run] seed must be at least 0, got {self.seed}")
         for name, (kind, defaults, offset) in _TRAIN_DEFAULTS.items():
             if getattr(self, name) is None:
                 setattr(self, name, kind(**defaults, seed=self.seed + offset))
@@ -108,17 +117,6 @@ class RunConfig:
         self.dataset = dataclasses.replace(self.dataset, glyphs=glyphs)
         if not (0.0 < self.alpha < 0.5):
             raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
-        # counts the pipeline and the metrics need at least one of; fail as
-        # the config is parsed, not in the middle of a stage
-        for section, obj, names in (
-            ("pipeline", self.optim, ("invert_restarts",)),
-            ("metrics", self.metrics, ("mc_passes", "knn_k", "knn_k_extra")),
-        ):
-            for name in names:
-                if getattr(obj, name) < 1:
-                    raise ConfigError(
-                        f"[{section}] {name} must be at least 1, got {getattr(obj, name)}"
-                    )
 
 
 # INI section -> attribute paths (from RunConfig) of the objects whose scalar
@@ -217,7 +215,9 @@ def parse_config(path: Optional[str]) -> RunConfig:
         for obj_path, changes in _read_section(parser, section, cfg).items():
             try:
                 cfg = _replace_at(cfg, obj_path, changes)
-            except (TrainingFailure, BaselineError) as exc:  # the section's own checks
+            # the section's own checks, which fail as the config is parsed,
+            # before any stage creates or writes a file
+            except (TrainingFailure, BaselineError, DataError, PipelineError) as exc:
                 raise ConfigError(f"[{section}] {exc}") from exc
     return cfg
 
@@ -318,14 +318,44 @@ class RunArtifacts:
     classifier_sha: str
 
 
-def load_data(paths: RunPaths) -> tuple[Dataset, Dataset, str]:
+def load_data(paths: RunPaths, cfg: RunConfig) -> tuple[Dataset, Dataset, str]:
     """The train and test sets, each checked against the hash its manifest
-    records, and the manifest's own hash."""
+    records, and the manifest's own hash. `datagen` fixes the [dataset] keys
+    and the run seed: `cfg` must hold the values the manifest records."""
     manifest_sha = file_sha256(paths.dataset("manifest.json"))
-    files = read_doc(paths.dataset("manifest.json"), MANIFEST_MAGIC, DatasetFormatError)["files"]
+    manifest = read_doc(paths.dataset("manifest.json"), MANIFEST_MAGIC, DatasetFormatError)
+    params, counts = manifest["params"], manifest["counts"]
+    fixed = [  # the glyph seed is the run seed
+        ("[run] seed" if name == "seed" else f"[dataset] {name}", value, params[name])
+        for name, value in dataclasses.asdict(cfg.dataset.glyphs).items()
+    ]
+    fixed += [
+        (f"[dataset] n_{split}_per_class", getattr(cfg.dataset, f"n_{split}_per_class"),
+         counts[f"{split}_per_class"])
+        for split in ("train", "test")
+    ]
+    for key, value, recorded in fixed:
+        if value != recorded:
+            raise ProvenanceError(
+                f"config.ini {key} is {value}, but the dataset was generated with {recorded}; "
+                "regenerate it with `piece datagen --force`"
+            )
+    files = manifest["files"]
     train_data = load_dataset(paths.dataset("train.json"), files["train.json"])
     test_data = load_dataset(paths.dataset("test.json"), files["test.json"])
     return train_data, test_data, manifest_sha
+
+
+def load_model(paths: RunPaths, name: str, manifest_sha: str) -> Network:
+    """models/<name>.json, refused unless it was trained on the dataset whose
+    manifest has the hash `manifest_sha`."""
+    net = load_network(paths.models(f"{name}.json"))
+    if net.provenance["dataset_sha"] != manifest_sha:
+        raise ProvenanceError(
+            f"model {name} was trained on a different dataset "
+            f"(manifest hash mismatch); regenerate with `piece train --force`"
+        )
+    return net
 
 
 def load_run(paths: RunPaths) -> RunArtifacts:
@@ -341,17 +371,11 @@ def load_run(paths: RunPaths) -> RunArtifacts:
             f"model files missing: {', '.join(f'models/{m}.json' for m in missing)}; "
             "run `piece train --force`"
         )
-    train_data, test_data, manifest_sha = load_data(paths)
-    nets = {name: load_network(paths.models(f"{name}.json")) for name in models}
+    train_data, test_data, manifest_sha = load_data(paths, cfg)
+    nets = {name: load_model(paths, name, manifest_sha) for name in models}
     stats = load_stats(paths.stats("stats.json"))
     latents, _ = load_latents(paths.stats("latents.json"))
     classifier_sha = file_sha256(paths.models("classifier.json"))
-    for name, net in nets.items():
-        if net.provenance["dataset_sha"] != manifest_sha:
-            raise ProvenanceError(
-                f"model {name} was trained on a different dataset "
-                f"(manifest hash mismatch); regenerate with `piece train --force`"
-            )
     if stats.classifier_sha != classifier_sha:
         raise ProvenanceError(
             "stats table does not match the stored classifier; "

@@ -156,6 +156,20 @@ class TestStageOrdering:
         assert f"[{section}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "section,line", [("run", "seed = -1"), ("dataset", "side = 8"),
+                         ("pipeline", "invert_steps = -5")]
+    )
+    def test_config_error_creates_nothing(self, tmp_path, capsys, section, line):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\n{line}\n")
+        run_dir = tmp_path / "r"
+        capsys.readouterr()
+        assert main(["datagen", "--run-dir", str(run_dir), "--config", str(bad)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: [{section}] ")
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize(
         "section,widths",
         [("classifier", "64"), ("classifier", "64,32,16"), ("generator", "96,48"),
          ("autoencoders", "64,32")],
@@ -306,6 +320,55 @@ class TestProvenance:
         assert main(["experiment", "--run-dir", str(clone), "--expt", "1"]) == 4
         assert main(["fit-stats", "--run-dir", str(clone), "--force"]) == 0
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 0
+
+    def test_fit_stats_refuses_classifier_of_another_dataset(self, mini_run, tmp_path, capsys):
+        import shutil
+
+        clone = tmp_path / "regenerated"
+        shutil.copytree(mini_run, clone)
+        cfg_path = tmp_path / "fewer.ini"
+        cfg_path.write_text(MINI_CONFIG.replace("n_train_per_class = 60", "n_train_per_class = 50"))
+        assert main(["datagen", "--run-dir", str(clone), "--config", str(cfg_path),
+                     "--force"]) == 0
+        before = (clone / "stats" / "stats.json").read_bytes()
+        capsys.readouterr()
+        # the classifier was trained on the dataset datagen just replaced
+        assert main(["fit-stats", "--run-dir", str(clone), "--force"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            "error: model classifier was trained on a different dataset "
+            "(manifest hash mismatch); regenerate with `piece train --force`"
+        ]
+        assert (clone / "stats" / "stats.json").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "section,key,value,argv",
+        [("dataset", "n_train_per_class", "250", ["train", "--force"]),
+         ("dataset", "noise_sigma", "0.1", ["fit-stats", "--force"]),
+         ("run", "seed", "14", ["explain", "--index", "0"])],
+    )
+    def test_dataset_keys_frozen_after_datagen(
+        self, mini_run, tmp_path, capsys, section, key, value, argv
+    ):
+        import shutil
+
+        clone = tmp_path / "edited"
+        shutil.copytree(mini_run, clone)
+        cfg = configparser.ConfigParser()
+        cfg.read(clone / "config.ini")
+        recorded = cfg[section][key]
+        cfg[section][key] = value
+        with open(clone / "config.ini", "w") as fh:
+            cfg.write(fh)
+        before = (clone / "models" / "classifier.json").read_bytes()
+        capsys.readouterr()
+        assert main([argv[0], "--run-dir", str(clone), *argv[1:]]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: config.ini [{section}] {key} is {value}, "
+            f"but the dataset was generated with {recorded};"
+        )
+        assert (clone / "models" / "classifier.json").read_bytes() == before
 
     def test_tampered_dataset_detected(self, mini_run, tmp_path):
         import shutil

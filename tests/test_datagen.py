@@ -46,9 +46,9 @@ class TestGlyphs:
 
     def test_degenerate_params_rejected(self):
         with pytest.raises(dg.DataError):
-            dg.GlyphParams(thickness_max=9).validate()
+            dg.GlyphParams(thickness_max=9)
         with pytest.raises(dg.DataError):
-            dg.GlyphParams(side=8).validate()
+            dg.GlyphParams(side=8)
 
     def test_bad_split_and_count(self):
         with pytest.raises(dg.DataError):

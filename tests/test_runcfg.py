@@ -133,6 +133,18 @@ LIST_KEYS = {"hidden": int, "lambda_sweep": float}
 AT_LEAST_ONE = {
     "invert_restarts", "mc_passes", "knn_k", "knn_k_extra", "epochs", "batch_size", "latent_dim"
 }
+# the glyph keys are checked together as the config is parsed; within these
+# ranges every combination of non-default values draws inside the frame
+GLYPH_VALUES = {
+    "side": st.integers(17, 64),
+    "n_classes": st.integers(1, 3),
+    "translate_jitter": st.integers(0, 5),
+    "thickness_min": st.just(2),
+    "thickness_max": st.just(2),
+    "intensity_min": st.floats(0.01, 0.5),
+    "intensity_max": st.floats(0.5, 0.99),
+    "noise_sigma": st.floats(0.0, 1.0),
+}
 
 
 def parse_text(text: str) -> RunConfig:
@@ -167,6 +179,8 @@ def non_default(key: str, default: str):
         )
     elif key == "alpha":
         value = st.floats(0.001, 0.49).map(str)
+    elif key in GLYPH_VALUES:
+        value = GLYPH_VALUES[key].map(str)
     elif re.fullmatch(r"\d+", default):
         value = st.integers(int(key in AT_LEAST_ONE), 100000).map(str)
     else:
@@ -223,6 +237,29 @@ class TestConfigContract:
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_text(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("[run]\nseed = -1\n", "[run] seed must be at least 0, got -1"),
+        ("[dataset]\nside = 8\n", "[dataset] frame side must be at least 12 pixels"),
+        ("[dataset]\nthickness_max = 9\n", "[dataset] "),
+        ("[dataset]\nintensity_min = 0.9\nintensity_max = 0.8\n",
+         "[dataset] bad intensity range"),
+        ("[pipeline]\ninvert_restarts = 0\n",
+         "[pipeline] invert_restarts must be at least 1, got 0"),
+        ("[pipeline]\ninvert_steps = -5\n", "[pipeline] invert_steps must be at least 0, got -5"),
+        ("[pipeline]\nascent_max_steps = -1\n",
+         "[pipeline] ascent_max_steps must be at least 0, got -1"),
+        ("[pipeline]\nvisualize_steps = -1\n",
+         "[pipeline] visualize_steps must be at least 0, got -1"),
+        ("[metrics]\nknn_k = 0\n", "[metrics] knn_k must be at least 1, got 0"),
+    ], ids=["seed", "side", "thickness_max", "intensity", "invert_restarts", "invert_steps",
+            "ascent_max_steps", "visualize_steps", "knn_k"])
+    def test_out_of_range_value_refused_at_parse(self, text, message):
+        # a negative step budget would never end its search, so it is only
+        # ever tested here, where it is refused
+        with pytest.raises(ConfigError) as exc:
+            parse_text(text)
+        assert str(exc.value).startswith(message)
 
     @pytest.mark.parametrize("section,key,raw", [
         ("baselines", "lambda", "nan"),
