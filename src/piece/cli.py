@@ -1,7 +1,7 @@
 """Command-line entry point wiring the full pipeline over run directories.
 
     piece datagen    --run-dir runs/demo [--config my.ini]
-    piece train      --run-dir runs/demo
+    piece train      --run-dir runs/demo [--jobs N]
     piece fit-stats  --run-dir runs/demo
     piece explain    --run-dir runs/demo --index 12 --mode cf
     piece experiment --run-dir runs/demo --expt 1
@@ -17,6 +17,7 @@ fraction above the configured threshold.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -47,8 +48,12 @@ from .runcfg import (
     parse_config,
     write_config,
 )
-from .training import (
+from .training import (  # noqa: F401  (perfbench/spans.py traces the train_* names here)
     TrainingFailure,
+    autoencoders_report,
+    fit,
+    fit_names,
+    run_jobs,
     train_autoencoders,
     train_classifier,
     train_generator,
@@ -115,23 +120,37 @@ def cmd_train(args) -> int:
     cfg = parse_config(paths.config)
     train, test, manifest_sha = load_data(paths, cfg)
     provenance = {"dataset_sha": manifest_sha}
+    n_classes = int(train.labels.max()) + 1
+    names = fit_names(n_classes)
+    outcomes = dict(zip(names, run_jobs(fit, names, args.jobs, (train, test, cfg))))
 
-    classifier, clf_report = train_classifier(train, test, cfg.classifier)
+    def fitted(name):
+        # fits are taken in the order a serial run makes them, so the first
+        # failure in that order is raised, after the files before it are saved
+        if isinstance(outcomes[name], BaseException):
+            raise outcomes[name]
+        return outcomes[name]
+
+    classifier, clf_report = fitted("classifier")
     nc.save_network(classifier, paths.models("classifier.json"), provenance)
     clf_report.save(paths.reports("training_classifier.json"))
     print(f"train: classifier test accuracy {clf_report.final['test_accuracy']:.4f}")
 
-    generator, gen_report = train_generator(train, test, cfg.generator)
+    generator, gen_report = fitted("generator")
     nc.save_network(generator, paths.models("generator.json"), provenance)
     gen_report.save(paths.reports("training_generator.json"))
     print(f"train: generator test reconstruction MSE {gen_report.final['test_mse']:.5f}")
 
-    class_aes, ae_full, ae_report = train_autoencoders(train, test, cfg.autoencoders)
-    for cls, net in enumerate(class_aes):
+    class_fits = [fitted(f"ae_class_{cls}") for cls in range(n_classes)]
+    ae_full, full_curve = fitted("ae_full")
+    for cls, (net, _) in enumerate(class_fits):
         nc.save_network(net, paths.models(f"ae_class_{cls}.json"), provenance)
     nc.save_network(ae_full, paths.models("ae_full.json"), provenance)
+    ae_report = autoencoders_report(
+        cfg.autoencoders, [curve for _, curve in class_fits], full_curve
+    )
     ae_report.save(paths.reports("training_autoencoders.json"))
-    print(f"train: {len(class_aes)} class autoencoders + full autoencoder done")
+    print(f"train: {len(class_fits)} class autoencoders + full autoencoder done")
     return EXIT_OK
 
 
@@ -257,6 +276,13 @@ class _Parser(argparse.ArgumentParser):
         return super().format_help()
 
 
+def _job_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="piece",
@@ -281,6 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train classifier, generator, and autoencoders")
     add_common(p)
+    p.add_argument("--jobs", type=_job_count, default=min(2, len(os.sched_getaffinity(0))),
+                   help="worker processes for the seven fits, each with one BLAS thread; "
+                        "1 fits in this process (default: 2, or 1 on one CPU)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("fit-stats", help="fit per-class hurdle models of the feature layer")

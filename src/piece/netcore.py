@@ -675,9 +675,16 @@ def one_hot(index: int, n_classes: int) -> Array:
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments, and two scratch arrays per parameter
+    that `adam_step` computes in, so that a step allocates nothing."""
+
     step: int
     m: list
     v: list
+    scratch: list = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
 
     @classmethod
     def init(cls, params: list) -> "AdamState":
@@ -693,19 +700,27 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One Adam update of `params`, `state.m` and `state.v`, in place."""
+    """One Adam update of `params`, `state.m` and `state.v`, in place:
+    p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps),
+    operation by operation in that order."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise DimensionError("params/grads/state length mismatch")
     state.step += 1
     t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
         if p.shape != g.shape:
             raise DimensionError(f"param shape {p.shape} vs grad shape {g.shape}")
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+        np.multiply(g, 1.0 - beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - beta1**t, out=a)
+        a *= lr
+        np.divide(v, 1.0 - beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        p -= np.divide(a, b, out=a)
 
 
 class Descent:
@@ -758,7 +773,7 @@ class Descent:
         keep = ~np.asarray(done, dtype=bool)
         self.active = self.active[keep]
         self.z, self.grad = self.z[keep], self.grad[keep]
-        self.state.m[0], self.state.v[0] = self.state.m[0][keep], self.state.v[0][keep]
+        self.state = AdamState(self.state.step, [self.state.m[0][keep]], [self.state.v[0][keep]])
 
     def _evaluate(self, step: int):
         """The objective's info at `z`, after retiring every image whose pass

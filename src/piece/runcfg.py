@@ -61,6 +61,11 @@ class DatasetConfig:
     n_test_per_class: int = 100
     glyphs: GlyphParams = GlyphParams()
 
+    def __post_init__(self):
+        for name in ("n_train_per_class", "n_test_per_class"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

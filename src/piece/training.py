@@ -4,11 +4,23 @@ autoencoder), per-class autoencoders, and a full-data autoencoder.
 
 All runs are reproducible: weight init, batch order, and dropout masks flow
 from the config seed, so the same config yields bit-identical networks.
+
+`piece train` makes seven independent fits, each seeded on its own: the
+generator, the full autoencoder, the classifier and one autoencoder per
+class. `fit` runs one of them by its model name (`fit_names`), and
+`run_jobs` runs a list of jobs on worker processes, or in this process for
+one job at a time. Each worker is a fresh interpreter with one BLAS
+thread, and its fits give the same bits as in this process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
+from multiprocessing import resource_tracker
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -245,32 +257,146 @@ def train_generator(
     return generator, report
 
 
+def train_class_autoencoder(
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig, cls: int, min_class_samples: int = 30
+) -> tuple[nc.Network, list]:
+    """The autoencoder of class `cls` and its curve."""
+    imgs = train.images[train.labels == cls]
+    eval_imgs = test.images[test.labels == cls]
+    if len(imgs) < min_class_samples:
+        raise TrainingFailure(
+            f"class {cls} has only {len(imgs)} training images "
+            f"(need {min_class_samples})"
+        )
+    if len(eval_imgs) == 0:
+        eval_imgs = imgs
+    return _train_autoencoder(imgs, eval_imgs, cfg, [cfg.seed, 301, cls])
+
+
+def train_full_autoencoder(
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig
+) -> tuple[nc.Network, list]:
+    """The autoencoder of the full data and its curve."""
+    n_classes = int(train.labels.max()) + 1
+    return _train_autoencoder(train.images, test.images, cfg, [cfg.seed, 301, n_classes])
+
+
+def autoencoders_report(
+    cfg: AutoencoderConfig, class_curves: list, full_curve: list
+) -> TrainReport:
+    return TrainReport.of(
+        "autoencoders", cfg, full_curve,
+        {"class_test_mse": [curve[-1]["metric"] for curve in class_curves],
+         "full_test_mse": full_curve[-1]["metric"]},
+    )
+
+
 def train_autoencoders(
     train: Dataset, test: Dataset, cfg: AutoencoderConfig, min_class_samples: int = 30
 ) -> tuple[list, nc.Network, TrainReport]:
     """One autoencoder per class plus one on the full data (for the
     reconstruction-error plausibility metrics)."""
     n_classes = int(train.labels.max()) + 1
-    class_nets = []
-    class_mses = []
-    for cls in range(n_classes):
-        imgs = train.images[train.labels == cls]
-        eval_imgs = test.images[test.labels == cls]
-        if len(imgs) < min_class_samples:
-            raise TrainingFailure(
-                f"class {cls} has only {len(imgs)} training images "
-                f"(need {min_class_samples})"
-            )
-        if len(eval_imgs) == 0:
-            eval_imgs = imgs
-        net, curve = _train_autoencoder(imgs, eval_imgs, cfg, [cfg.seed, 301, cls])
-        class_nets.append(net)
-        class_mses.append(curve[-1]["metric"])
-    full_net, full_curve = _train_autoencoder(
-        train.images, test.images, cfg, [cfg.seed, 301, n_classes]
-    )
-    report = TrainReport.of(
-        "autoencoders", cfg, full_curve,
-        {"class_test_mse": class_mses, "full_test_mse": full_curve[-1]["metric"]},
-    )
-    return class_nets, full_net, report
+    fits = [
+        train_class_autoencoder(train, test, cfg, cls, min_class_samples)
+        for cls in range(n_classes)
+    ]
+    full_net, full_curve = train_full_autoencoder(train, test, cfg)
+    report = autoencoders_report(cfg, [curve for _, curve in fits], full_curve)
+    return [net for net, _ in fits], full_net, report
+
+
+# ---------------------------------------------------------------------------
+# The fits of `piece train` as jobs
+
+
+def fit_names(n_classes: int) -> list:
+    """The fits of `piece train`, named after their model files, longest
+    first, so that two workers finish close together."""
+    return ["generator", "ae_full", "classifier", *(f"ae_class_{c}" for c in range(n_classes))]
+
+
+def fit(name: str, train: Dataset, test: Dataset, cfg) -> tuple:
+    """Run the fit `name` (see `fit_names`) with the sections of the run
+    config `cfg`: a network and its report, or, for an autoencoder, a
+    network and its curve (see `autoencoders_report`)."""
+    if name == "classifier":
+        return train_classifier(train, test, cfg.classifier)
+    if name == "generator":
+        return train_generator(train, test, cfg.generator)
+    if name == "ae_full":
+        return train_full_autoencoder(train, test, cfg.autoencoders)
+    cls = int(name.removeprefix("ae_class_"))
+    return train_class_autoencoder(train, test, cfg.autoencoders, cls)
+
+
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# the arguments that every job of a worker process shares, set once by the
+# pool's initializer
+_shared: tuple = ()
+
+
+def _share(args: tuple) -> None:
+    global _shared
+    _shared = args
+
+
+def _run(fn, job):
+    return fn(job, *_shared)
+
+
+def run_jobs(fn, jobs: list, n_jobs: int, shared: tuple = ()) -> list:
+    """The outcome of `fn(job, *shared)` for each job, in order: its result,
+    or the exception it raised. `shared` goes to each worker once.
+
+    With `n_jobs` 1 the jobs run here, one after another. Otherwise they run
+    on `n_jobs` worker processes, each a fresh interpreter (`spawn`) whose
+    environment sets one BLAS thread (`ONE_BLAS_THREAD`), whatever this
+    process's environment holds: two workers with a BLAS thread pool each
+    spin against each other on two cores, and `fork` would hand them this
+    process's pool. A worker that dies fails every job it had not finished
+    with a `TrainingFailure`. The resource tracker that the pool starts is
+    stopped before this returns, so no process that it starts outlives it.
+    """
+    if n_jobs == 1:
+        return [_outcome_here(fn, job, shared) for job in jobs]
+    saved = {key: os.environ.get(key) for key in ONE_BLAS_THREAD}
+    os.environ.update(ONE_BLAS_THREAD)
+    try:
+        ctx = multiprocessing.get_context("spawn")
+        workers = min(n_jobs, len(jobs))
+        with ProcessPoolExecutor(workers, ctx, initializer=_share, initargs=(shared,)) as pool:
+            futures = [pool.submit(_run, fn, job) for job in jobs]
+        return [_outcome(future) for future in futures]
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+        _stop_resource_tracker()
+
+
+def _stop_resource_tracker() -> None:
+    """Stop the resource tracker, which would otherwise idle until this
+    process exits; multiprocessing has no public call for this. A tracker
+    inherited from a parent process has no pid here and is left alone."""
+    tracker = resource_tracker._resource_tracker
+    if tracker._pid is not None:
+        tracker._stop()
+
+
+def _outcome_here(fn, job, shared: tuple):
+    # an exception is kept as a worker's is, for the caller to raise in its order
+    try:
+        return fn(job, *shared)
+    except Exception as exc:
+        return exc
+
+
+def _outcome(future):
+    exc = future.exception()
+    if isinstance(exc, BrokenProcessPool):
+        return TrainingFailure(f"a training worker process died ({exc})")
+    return future.result() if exc is None else exc

@@ -1,6 +1,7 @@
 """Shared oracles for the unit and acceptance suites."""
 
 import dataclasses
+import glob
 import sys
 
 import numpy as np
@@ -27,6 +28,15 @@ def watched(cfg):
             return super().__getattribute__(name)
 
     return Watched(**{name: getattr(cfg, name) for name in names}), reads
+
+
+def live_children() -> set:
+    """Pids of the child processes of this process, from /proc (Linux)."""
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as fh:
+            pids.update(fh.read().split())
+    return pids
 
 
 def random_network(seed: int) -> tuple[nc.Network, np.ndarray, int]:

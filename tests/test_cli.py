@@ -1,8 +1,10 @@
 import configparser
 import json
+import os
 
 import pytest
 
+from helpers import live_children
 from piece.cli import main
 
 MINI_CONFIG = """
@@ -146,6 +148,8 @@ class TestStageOrdering:
             ("metrics", "knn_k = 0"),
             ("metrics", "knn_k_extra = 0"),
             ("pipeline", "invert_restarts = 0"),
+            ("dataset", "n_train_per_class = 0"),
+            ("dataset", "n_test_per_class = 0"),
         ],
     )
     def test_count_below_one_rejected(self, tmp_path, capsys, section, line):
@@ -183,6 +187,74 @@ class TestStageOrdering:
                      "--config", str(bad)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: [{section}] hidden")
+
+
+# the classifier passes; the generator misses its target and every class
+# autoencoder lacks training images, so a serial run fails at the generator
+TWO_FAILURES_CONFIG = """
+[dataset]
+n_train_per_class = 20
+n_test_per_class = 10
+
+[classifier]
+epochs = 2
+min_accuracy = 0.0
+
+[generator]
+epochs = 2
+recon_mse_target = 1e-9
+
+[autoencoders]
+epochs = 2
+"""
+
+
+def trained_files(run_dir) -> dict:
+    """Bytes of every model file and training report in `run_dir`."""
+    out = {}
+    for sub in ("models", "reports"):
+        for name in sorted(os.listdir(os.path.join(run_dir, sub))):
+            with open(os.path.join(run_dir, sub, name), "rb") as fh:
+                out[f"{sub}/{name}"] = fh.read()
+    return out
+
+
+class TestTrainJobs:
+    """`train --jobs N` runs its fits in N worker processes, and a run leaves
+    the same files and messages, whatever N is."""
+
+    def train(self, tmp_path, capsys, config: str, jobs: int):
+        cfg_path = tmp_path / f"jobs{jobs}.ini"
+        cfg_path.write_text(config)
+        run_dir = str(tmp_path / f"jobs{jobs}")
+        assert main(["datagen", "--run-dir", run_dir, "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--run-dir", run_dir, "--jobs", str(jobs)])
+        out, err = capsys.readouterr()
+        return rc, out, err, trained_files(run_dir)
+
+    def test_job_count_changes_no_byte(self, tmp_path, capsys):
+        one = self.train(tmp_path, capsys, MINI_CONFIG, 1)
+        two = self.train(tmp_path, capsys, MINI_CONFIG, 2)
+        assert one[0] == 0 and one == two
+        assert len(one[3]) == 10  # 7 models and 3 training reports
+
+    def test_failure_reported_in_serial_order(self, tmp_path, capsys):
+        one = self.train(tmp_path, capsys, TWO_FAILURES_CONFIG, 1)
+        two = self.train(tmp_path, capsys, TWO_FAILURES_CONFIG, 2)
+        assert one == two
+        rc, out, err, files = two
+        assert rc == 1
+        assert err.startswith("error: generator reconstruction MSE") and err.count("\n") == 1
+        assert out.startswith("train: classifier test accuracy")
+        assert set(files) == {"models/classifier.json", "reports/training_classifier.json"}
+        assert not live_children()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_bad_job_count_exits_2(self, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--run-dir", str(tmp_path), "--jobs", jobs])
+        assert exc.value.code == 2
 
 
 class TestDatagenOutputs:

@@ -131,7 +131,8 @@ knn_k_extra = 3
 LIST_KEYS = {"hidden": int, "lambda_sweep": float}
 # counts that parse_config rejects below 1
 AT_LEAST_ONE = {
-    "invert_restarts", "mc_passes", "knn_k", "knn_k_extra", "epochs", "batch_size", "latent_dim"
+    "invert_restarts", "mc_passes", "knn_k", "knn_k_extra", "epochs", "batch_size", "latent_dim",
+    "n_train_per_class", "n_test_per_class",
 }
 # the glyph keys are checked together as the config is parsed; within these
 # ranges every combination of non-default values draws inside the frame
@@ -252,8 +253,13 @@ class TestConfigContract:
         ("[pipeline]\nvisualize_steps = -1\n",
          "[pipeline] visualize_steps must be at least 0, got -1"),
         ("[metrics]\nknn_k = 0\n", "[metrics] knn_k must be at least 1, got 0"),
+        ("[dataset]\nn_train_per_class = 0\n",
+         "[dataset] n_train_per_class must be at least 1, got 0"),
+        ("[dataset]\nn_test_per_class = -2\n",
+         "[dataset] n_test_per_class must be at least 1, got -2"),
     ], ids=["seed", "side", "thickness_max", "intensity", "invert_restarts", "invert_steps",
-            "ascent_max_steps", "visualize_steps", "knn_k"])
+            "ascent_max_steps", "visualize_steps", "knn_k", "n_train_per_class",
+            "n_test_per_class"])
     def test_out_of_range_value_refused_at_parse(self, text, message):
         # a negative step budget would never end its search, so it is only
         # ever tested here, where it is refused

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import os
+import types
 
 import numpy as np
 import pytest
 
-from helpers import watched
+from helpers import live_children, watched
 from piece import netcore as nc
 from piece import pipeline as pl
 from piece import training as tr
@@ -191,3 +193,44 @@ class TestReports:
     def test_generator_report_notes_decoder_substitution(self, toy_run):
         report = json.load(open(toy_run["paths"].reports("training_generator.json")))
         assert any("decoder" in note for note in report["notes"])
+
+
+class TestRunJobs:
+    def test_workers_have_one_blas_thread(self, monkeypatch):
+        names = list(tr.ONE_BLAS_THREAD)
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        assert tr.run_jobs(os.getenv, names, 2) == ["1", "1", "1"]
+        assert not any(name in os.environ for name in names)
+
+    def test_parent_environment_restored(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        assert tr.run_jobs(os.getenv, ["OPENBLAS_NUM_THREADS"], 2) == ["1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_outcomes_in_job_order(self, n_jobs):
+        outcomes = tr.run_jobs(divmod, [7, 0, 9], n_jobs, shared=(0,))
+        assert all(isinstance(out, ZeroDivisionError) for out in outcomes)
+        outcomes = tr.run_jobs(divmod, [7, 9, 4], n_jobs, shared=(2,))
+        assert outcomes == [(3, 1), (4, 1), (2, 0)]
+
+    def test_dead_worker_fails_its_job(self):
+        outcomes = tr.run_jobs(os._exit, [3], 2)
+        assert isinstance(outcomes[0], tr.TrainingFailure)
+        assert "worker process died" in str(outcomes[0])
+        assert not live_children()
+
+    def test_fits_equal_their_in_process_bits(self, small_data, tmp_path):
+        train, test = small_data
+        sections = types.SimpleNamespace(  # the run config sections that `fit` reads
+            classifier=tr.ClassifierConfig(epochs=2, seed=5, min_accuracy=0.0),
+            generator=tr.AutoencoderConfig(epochs=2, seed=5, recon_mse_target=1.0),
+            autoencoders=tr.AutoencoderConfig(epochs=2, seed=6),
+        )
+        names = tr.fit_names(4)
+        here = tr.run_jobs(tr.fit, names, 1, (train, test, sections))
+        there = tr.run_jobs(tr.fit, names, 2, (train, test, sections))
+        for name, a, b in zip(names, here, there):
+            assert saved_bytes(a[0], tmp_path / "a.json") == saved_bytes(b[0], tmp_path / "b.json")
+            assert a[1] == b[1], name
