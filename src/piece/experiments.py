@@ -16,19 +16,21 @@ one builder (`_row`) makes every report row. The images go through phases,
 so that the latent searches run over all images at once, each image
 exactly as it would run alone:
 
-1. prepare every context: one stacked inversion of all images, then each
-   image's class selection and exceptional features;
-2. explain each image by PIECE (feature walk and visualization);
-3. run each baseline over the stack of prepared images;
+1. invert every image, as one stack;
+2. explain each image by PIECE (class selection, exceptional features,
+   feature walk and visualization);
+3. run each baseline over the stack of explained images;
 4. experiment 1: run each lambda of the sweep over that stack. Experiment
-   2: explain each image by PIECE at each proportional budget, then run
-   each baseline's distance-matched search over the stack of all images
-   and budgets;
+   2: take each image's PIECE semifactual to each proportional budget,
+   then run each baseline's distance-matched search over the stack of all
+   images and budgets;
 5. build the rows and write the reports, in test-set order.
 
 Any per-image method failure, an overflow among them, becomes a failure
-row; experiments never abort on them. All randomness is derived from the
-run seed, so reruns produce byte-identical CSV files.
+row; experiments never abort on them. The one exception is experiment 2's
+proportional renderings: one that raises ends the experiment. All
+randomness is derived from the run seed, so reruns produce byte-identical
+CSV files.
 """
 
 from __future__ import annotations
@@ -196,14 +198,14 @@ _MODE_CODES = {"counterfactual": 0, "semifactual": 1, "proportional": 2, "distan
 
 
 def _row(
-    arts: RunArtifacts, body: nc.Network, case: TestCase, ctx: pl.ExplanationContext | None,
+    arts: RunArtifacts, body: nc.Network, case: TestCase, piece: pl.ExplanationResult | None,
     method: str, mode: str, image=None, verified: bool = False, failed: bool | None = None,
     measure=("mc", "nn_dist", "im", "l1"), **budget,
 ) -> evalx.MetricRow:
-    """Every report row of both experiments.
+    """Every report row of both experiments, with c and c' of PIECE's `piece`.
 
-    Without a context (`ctx` None) the image could not be prepared: c is
-    the prediction, c' is -1 and the row failed. Without an `image` the
+    Without it (`piece` None) PIECE could not explain the image: c is the
+    prediction, c' is -1 and the row failed. Without an `image` the
     method failed, unless `failed` says otherwise. A flat `image` is
     measured by the metrics `measure` names: MC-dropout on the class it
     should have (c' for a counterfactual, else c), nearest-latent distance
@@ -211,7 +213,7 @@ def _row(
     IM2 and the pixel L1 to the original. `budget` sets experiment 2's
     budget fields; its fraction is part of the MC seed."""
     cfg = arts.config
-    c, c_prime = (ctx.c, ctx.selection.c_prime) if ctx else (case.predicted, -1)
+    c, c_prime = (piece.c, piece.c_prime) if piece else (case.predicted, -1)
     metrics: dict = {}
     if image is not None:
         if "mc" in measure:
@@ -242,18 +244,18 @@ def _row(
 
 
 def _baseline_runs(
-    arts: RunArtifacts, method: str, contexts: list, bcfg: bl.BaselineConfig, mode: str,
+    arts: RunArtifacts, method: str, pieces: list, bcfg: bl.BaselineConfig, mode: str,
     d_star=None,
 ) -> list:
-    """`method` over the stack of prepared images, one result per context."""
-    if not contexts:
+    """`method` over the stack of explained images, one result per PIECE result."""
+    if not pieces:
         return []
     return bl.run_baseline(
         method,
-        np.stack([ctx.inversion.z for ctx in contexts]),
-        np.stack([ctx.x for ctx in contexts]),
-        [ctx.c for ctx in contexts],
-        [ctx.selection.c_prime for ctx in contexts],
+        np.stack([p.z for p in pieces]),
+        np.stack([p.x for p in pieces]),
+        [p.c for p in pieces],
+        [p.c_prime for p in pieces],
         arts.classifier, arts.generator, bcfg, mode, d_star,
     )
 
@@ -261,10 +263,10 @@ def _baseline_runs(
 def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list) -> list:
     """Explain every test image by PIECE and both baselines in experiment
     `expt`'s mode, saving every record and image under explanations/.
-    Returns, per case, the request, the context and each method's result,
-    or None when the image cannot be prepared. Runs the module's phases 1
-    to 3: one stacked inversion, then each image's selection and features;
-    PIECE per image; each baseline over the stack of prepared images."""
+    Returns, per case, each method's result by method name, or None when
+    PIECE cannot explain the image (then no method runs on it). Runs the
+    module's phases 1 to 3: one stacked inversion; PIECE per image; each
+    baseline over the stack of explained images."""
     cfg = arts.config
     mode, tag = (("counterfactual", "cf"), ("semifactual", "sf"))[expt - 1]
     requests = [
@@ -287,21 +289,18 @@ def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list)
     explained: list = []
     for case, request, inversion in zip(cases, requests, inversions):
         try:
-            ctx = pl.prepare_context(
-                request, arts.classifier, arts.generator, arts.stats, inversion
-            )
+            res = pl.explain(request, arts.classifier, arts.generator, arts.stats, inversion)
         except (pl.PipelineError, nc.NumericsError):
             explained.append(None)
             continue
-        res = pl.explain(request, arts.classifier, arts.generator, arts.stats, context=ctx)
         save_explanation(paths, f"expt{expt}", f"piece_{tag}_{case.image_id:04d}", res,
                          case.image, arts)
-        explained.append((request, ctx, {"piece": res}))
-    prepared = [(case, e) for case, e in zip(cases, explained) if e is not None]
-    contexts = [ctx for _, (_, ctx, _) in prepared]
+        explained.append({"piece": res})
+    succeeded = [(case, results) for case, results in zip(cases, explained) if results]
+    pieces = [results["piece"] for _, results in succeeded]
     for method in bl.METHODS:
-        runs = _baseline_runs(arts, method, contexts, cfg.baselines, mode)
-        for (case, (_, _, results)), res in zip(prepared, runs):
+        runs = _baseline_runs(arts, method, pieces, cfg.baselines, mode)
+        for (case, results), res in zip(succeeded, runs):
             results[method] = res
             _save_baseline(paths, f"expt{expt}", f"{method}_{tag}_{case.image_id:04d}", res,
                            case.image.shape, arts)
@@ -325,29 +324,28 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     row = functools.partial(_row, arts, body)
 
     explained = _explain_images(arts, paths, 1, cases)
-    prepared = [e for e in explained if e is not None]
+    succeeded = [results for results in explained if results]
     # the lambda sweep, each lambda over the stack; at the configured lambda
     # the main c-min-edit runs are these very runs
     swept = {
         lam: iter(
-            [results["c_min_edit"] for _, _, results in prepared]
+            [results["c_min_edit"] for results in succeeded]
             if lam == cfg.baselines.lam
             else _baseline_runs(
-                arts, "c_min_edit", [ctx for _, ctx, _ in prepared],
+                arts, "c_min_edit", [results["piece"] for results in succeeded],
                 dataclasses.replace(cfg.baselines, lam=lam), "counterfactual",
             )
         )
         for lam in cfg.baselines.lam_sweep
     }
 
-    for case, e in zip(cases, explained):
-        if e is None:
-            # without a context no method can run for this image
+    for case, results in zip(cases, explained):
+        if results is None:
             rows += [row(case, None, method, "counterfactual") for method in _METHODS]
             continue
-        _, ctx, results = e
-        c_prime = ctx.selection.c_prime
-        piece_results.append(results["piece"])
+        piece = results["piece"]
+        c_prime = piece.c_prime
+        piece_results.append(piece)
         for method, res in results.items():
             if method == "piece":
                 image, verified, keep = res.image_prime.ravel(), res.verified, res.verified
@@ -355,13 +353,13 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
                 image, keep = res.image, not res.failed
                 probs = nc.forward(arts.classifier, image).output if keep else None
                 verified = keep and int(np.argmax(probs)) == c_prime
-            rows.append(row(case, ctx, method, "counterfactual", image, verified))
+            rows.append(row(case, piece, method, "counterfactual", image, verified))
             if keep:
                 kept[method].append((np.asarray(image), c_prime))
         for lam in cfg.baselines.lam_sweep:
             sres = next(swept[lam])
             sweep[lam].append(
-                row(case, ctx, "c_min_edit", "counterfactual", sres.image, measure=("nn_dist",))
+                row(case, piece, "c_min_edit", "counterfactual", sres.image, measure=("nn_dist",))
             )
 
     report = evalx.build_report(rows)
@@ -450,33 +448,29 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     # each image's proportional explanation at each budget, then each
     # baseline over the stack, matched to the feature distance PIECE moved
     budgets = [
-        (ctx, pl.explain(
-            dataclasses.replace(request, mode="proportional", fraction=fraction),
-            arts.classifier, arts.generator, arts.stats, context=ctx, reference=results["piece"],
-        ))
-        for request, ctx, results in filter(None, explained) for fraction in pl.FRACTIONS
+        pl.proportional(
+            results["piece"], fraction, arts.classifier, arts.generator, arts.stats, cfg.optim
+        )
+        for results in filter(None, explained) for fraction in pl.FRACTIONS
     ]
     d_stars = [
-        float(np.linalg.norm(nc.forward(body, pres.image_prime.ravel()).output - ctx.x))
-        for ctx, pres in budgets
+        float(np.linalg.norm(nc.forward(body, pres.image_prime.ravel()).output - pres.x))
+        for pres in budgets
     ]
     matched = {
-        m: iter(_baseline_runs(
-            arts, m, [ctx for ctx, _ in budgets], cfg.baselines, "distance", d_stars
-        ))
+        m: iter(_baseline_runs(arts, m, budgets, cfg.baselines, "distance", d_stars))
         for m in bl.METHODS
     }
     budget_results = iter(zip(budgets, d_stars))
 
-    for case, e in zip(cases, explained):
-        if e is None:
-            # without a context no method can run: every row of this image fails
+    for case, results in zip(cases, explained):
+        if results is None:
+            # no method ran: every row of this image fails
             rows += [row(case, None, method, "semifactual") for method in _METHODS]
             for fraction in pl.FRACTIONS:
                 rows.append(row(case, None, "piece", "proportional", fraction=fraction))
                 rows += [row(case, None, m, "distance", fraction=fraction) for m in bl.METHODS]
             continue
-        _, ctx, results = e
 
         # max-edit semifactuals, all three methods; an unverified one failed
         sf = results["piece"]
@@ -488,17 +482,17 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
                 image, verified = res.image, not res.failed
             rows.append(
                 row(
-                    case, ctx, method, "semifactual", image, verified,
+                    case, sf, method, "semifactual", image, verified,
                     failed=not verified, measure=("l1",),
                 )
             )
 
         # proportional budgets: profile + distance-matched baselines
         for fraction in pl.FRACTIONS:
-            (_, pres), d_star = next(budget_results)
+            pres, d_star = next(budget_results)
             rows.append(
                 row(
-                    case, ctx, "piece", "proportional", pres.image_prime.ravel(), pres.verified,
+                    case, sf, "piece", "proportional", pres.image_prime.ravel(), pres.verified,
                     fraction=fraction, target_distance=d_star,
                     applied_count=pres.applied_count, k_reference=pres.k_reference,
                 )
@@ -507,7 +501,7 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
                 dres = next(matched[method])
                 rows.append(
                     row(
-                        case, ctx, method, "distance", dres.image, not dres.failed,
+                        case, sf, method, "distance", dres.image, not dres.failed,
                         measure=("l1",), fraction=fraction, target_distance=d_star,
                     )
                 )

@@ -4,9 +4,10 @@ expected values, and render the modified features back into an image.
 
 Counterfactual mode replaces every eligible exceptional feature. Semifactual
 mode stops right before the replacement that would flip the predicted class.
-Proportional mode applies a prefix (25/50/75/100 percent) of the replacement
-sequence of the delivered semifactual: its steps are copied from the
-semifactual's recorded walk, probabilities included, with no network pass.
+Proportional mode (`proportional`) applies a prefix (25/50/75/100 percent)
+of the replacement sequence of the delivered semifactual: its steps are
+copied from the semifactual's recorded walk, probabilities included, with
+no network pass.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def modify_features(
     the head after each tentative replacement and stops, without applying,
     at the first one that would change the predicted class away from `c`.
     Proportional results are prefixes of the delivered semifactual; see
-    `explain`.
+    `proportional`.
     """
     if any(
         features[i].probability > features[i + 1].probability
@@ -377,50 +378,6 @@ def visualize(
 
 
 @dataclass
-class ExplanationContext:
-    """Mode-independent work for one test image, reusable across modes."""
-
-    c: int
-    inversion: InversionResult
-    selection: SelectionResult
-    x: np.ndarray
-    features: list
-    skipped_degenerate: int
-    probs_original: np.ndarray
-
-
-def prepare_context(
-    request: ExplanationRequest,
-    classifier: nc.Network,
-    generator: nc.Network,
-    stats: StatsTable,
-    inversion: InversionResult | InversionError | None = None,
-) -> ExplanationContext:
-    """The context of one request. `inversion` is the image's inversion
-    when the caller already has it, say from a stacked `invert_image`; an
-    InversionError there, or from inverting the image here, is raised."""
-    image = np.asarray(request.image, dtype=np.float64)
-    trace = nc.forward(classifier, image.ravel())
-    probs, x = trace.output, trace.outputs[classifier.feature_tap][0]
-    c = int(np.argmax(probs))
-    if inversion is None:
-        body, _ = nc.split_at_tap(classifier)
-        (inversion,) = invert_image(generator, body, image[None], request.settings, [request.seed])
-    if isinstance(inversion, InversionError):
-        raise inversion
-    if request.target_class is not None:
-        selection = SelectionResult(int(request.target_class), True, 0)
-    else:
-        selection = select_cf_class(
-            classifier, generator, inversion.z, c, request.true_label, request.settings
-        )
-    features, skipped = classify_exceptional(
-        x, stats.models[selection.c_prime], request.alpha
-    )
-    return ExplanationContext(c, inversion, selection, x, features, skipped, probs)
-
-
-@dataclass
 class ExplanationResult:
     mode: str
     fraction: Optional[float]
@@ -461,28 +418,6 @@ def _with_applied(x: np.ndarray, steps: list) -> np.ndarray:
     return out
 
 
-def _proportional_from_reference(
-    reference: "ExplanationResult", fraction: float
-) -> ModificationResult:
-    """Prefix of the delivered semifactual's replacement sequence, copied
-    from its recorded walk: an applied step's probabilities are those of
-    `x` with the steps up to it applied, whichever walk recorded them."""
-    seq = [s for s in reference.mod_steps if s.applied]
-    budget = math.ceil(fraction * len(seq))
-    steps = [dataclasses.replace(s) for s in seq[:budget]]
-    steps += [  # a fraction above 0 applies at least one step of any walk
-        dataclasses.replace(
-            s, applied=False, reason="beyond_budget",
-            prob_c=steps[-1].prob_c, prob_c_prime=steps[-1].prob_c_prime,
-        )
-        for s in seq[budget:]
-    ]
-    return ModificationResult(
-        _with_applied(reference.x, steps), steps, budget, reference.eligible_count,
-        reference.status,
-    )
-
-
 def _recheck_violations(
     x_mod: np.ndarray, applied: list, stats: StatsTable, c_prime: int, alpha: float
 ) -> int:
@@ -503,49 +438,42 @@ def explain(
     classifier: nc.Network,
     generator: nc.Network,
     stats: StatsTable,
-    context: Optional[ExplanationContext] = None,
-    reference: Optional["ExplanationResult"] = None,
+    inversion: InversionResult | InversionError | None = None,
 ) -> ExplanationResult:
-    """Full pipeline for one request.
-
-    `context` lets callers reuse the inversion and class selection when
-    explaining one image several ways. Proportional requests measure their
-    budget against the delivered max-edit semifactual (the one whose
-    rendered image still classifies as `c`), so fraction 1.0 reproduces it
-    exactly; pass that semifactual as `reference` to avoid recomputing it.
-    """
-    ctx = context or prepare_context(request, classifier, generator, stats)
-    body, head = nc.split_at_tap(classifier)
-    c, c_prime = ctx.c, ctx.selection.c_prime
-    intended = c_prime if request.mode == "counterfactual" else c
-
+    """Full pipeline for one request, from the classifier pass to the
+    rendering. `inversion` is the image's inversion when the caller already
+    has it, say from a stacked `invert_image`; an InversionError there, or
+    from inverting the image here, is raised. A proportional request is
+    `proportional` of its image's semifactual."""
     if request.mode == "proportional":
-        if reference is None:
-            sf_request = dataclasses.replace(request, mode="semifactual", fraction=None)
-            reference = explain(sf_request, classifier, generator, stats, context=ctx)
-        elif reference.mode != "semifactual" or reference.image_id != request.image_id:
-            raise PipelineError("reference must be a semifactual result for this image")
-        mod = _proportional_from_reference(reference, request.fraction)
+        sf_request = dataclasses.replace(request, mode="semifactual", fraction=None)
+        sf = explain(sf_request, classifier, generator, stats, inversion)
+        return proportional(sf, request.fraction, classifier, generator, stats, request.settings)
+    image = np.asarray(request.image, dtype=np.float64)
+    body, head = nc.split_at_tap(classifier)
+    trace = nc.forward(classifier, image.ravel())
+    probs_original, x = trace.output, trace.outputs[classifier.feature_tap][0]
+    c = int(np.argmax(probs_original))
+    if inversion is None:
+        (inversion,) = invert_image(generator, body, image[None], request.settings, [request.seed])
+    if isinstance(inversion, InversionError):
+        raise inversion
+    if request.target_class is not None:
+        selection = SelectionResult(int(request.target_class), True, 0)
     else:
-        w = nc.class_weight_vector(classifier, c_prime)
-        mod = modify_features(ctx.x, ctx.features, w, head, c, c_prime, request.mode)
+        selection = select_cf_class(
+            classifier, generator, inversion.z, c, request.true_label, request.settings
+        )
+    c_prime = selection.c_prime
+    features, skipped = classify_exceptional(x, stats.models[c_prime], request.alpha)
+    intended = c_prime if request.mode == "counterfactual" else c
+    w = nc.class_weight_vector(classifier, c_prime)
+    mod = modify_features(x, features, w, head, c, c_prime, request.mode)
 
     def render(x_mod: np.ndarray) -> tuple[VisualizationResult, np.ndarray, int]:
         """The rendering of `x_mod`, its class probabilities and its class."""
-        if request.mode == "proportional" and x_mod.tobytes() == reference.x_mod.tobytes():
-            # same target from the same start: visualize would render the
-            # reference again (always so at fraction 1.0)
-            vis = VisualizationResult(
-                reference.z_prime, reference.image_prime,
-                reference.residuals["before"], reference.residuals["after"],
-            )
-            probs = reference.probs_prime
-        else:
-            vis = visualize(
-                generator, body, x_mod, ctx.inversion.z, request.settings,
-                np.asarray(request.image).shape,
-            )
-            probs = nc.forward(classifier, vis.image.ravel()).output
+        vis = visualize(generator, body, x_mod, inversion.z, request.settings, image.shape)
+        probs = nc.forward(classifier, vis.image.ravel()).output
         return vis, probs, int(np.argmax(probs))
 
     vis, probs_prime, pred_prime = render(mod.x_mod)
@@ -557,14 +485,14 @@ def explain(
         dropped = applied_seq.pop()
         dropped.applied, dropped.reason = False, "backoff_visual_flip"
         mod = dataclasses.replace(
-            mod, x_mod=_with_applied(ctx.x, mod.steps), applied_count=len(applied_seq)
+            mod, x_mod=_with_applied(x, mod.steps), applied_count=len(applied_seq)
         )
         vis, probs_prime, pred_prime = render(mod.x_mod)
         backoff += 1
 
     violations = _recheck_violations(mod.x_mod, mod.steps, stats, c_prime, request.alpha)
     ks_list = []
-    for feat in ctx.features:
+    for feat in features:
         model = stats.models[c_prime][feat.neuron]
         if not model.degenerate:
             ks_list.append(model.dist.ks_p)
@@ -576,28 +504,28 @@ def explain(
         true_label=request.true_label,
         c=c,
         c_prime=c_prime,
-        trivially_selected=ctx.selection.trivial,
+        trivially_selected=selection.trivial,
         alpha=request.alpha,
-        z=ctx.inversion.z,
-        x=ctx.x,
-        exceptional=ctx.features,
-        skipped_degenerate=ctx.skipped_degenerate,
+        z=inversion.z,
+        x=x,
+        exceptional=features,
+        skipped_degenerate=skipped,
         mod_steps=mod.steps,
         x_mod=mod.x_mod,
         z_prime=vis.z,
         image_prime=vis.image,
-        probs_original=ctx.probs_original,
+        probs_original=probs_original,
         probs_prime=probs_prime,
         applied_count=mod.applied_count,
         eligible_count=mod.eligible_count,
-        k_reference=(reference if request.mode == "proportional" else mod).applied_count,
+        k_reference=mod.applied_count,
         status=mod.status,
         intended_class=intended,
         verified=pred_prime == intended,
         inversion_losses={
-            "combined": ctx.inversion.combined_loss,
-            "feature": ctx.inversion.feature_loss,
-            "pixel": ctx.inversion.pixel_loss,
+            "combined": inversion.combined_loss,
+            "feature": inversion.feature_loss,
+            "pixel": inversion.pixel_loss,
         },
         residuals={"before": vis.residual_before, "after": vis.residual_after},
         backoff_steps=backoff,
@@ -605,3 +533,51 @@ def explain(
         exceptional_ks_p=ks_list,
     )
 
+
+def proportional(
+    sf: ExplanationResult,
+    fraction: float,
+    classifier: nc.Network,
+    generator: nc.Network,
+    stats: StatsTable,
+    settings: OptimSettings,
+) -> ExplanationResult:
+    """The proportional explanation of the delivered semifactual `sf` (the
+    one whose rendering still classifies as `c`) at `fraction`: a prefix of
+    its replacement sequence, so fraction 1.0 reproduces it exactly.
+
+    The steps are copied from the recorded walk: an applied step's
+    probabilities are those of `x` with the steps up to it applied, whichever
+    walk recorded them. The prefix is rendered from the inversion latent,
+    unless its target is `sf`'s own, whose rendering it then reuses.
+    """
+    if sf.mode != "semifactual" or fraction not in FRACTIONS:
+        raise PipelineError(f"proportional needs a semifactual and a fraction in {FRACTIONS}")
+    seq = [s for s in sf.mod_steps if s.applied]
+    budget = math.ceil(fraction * len(seq))
+    steps = [dataclasses.replace(s) for s in seq[:budget]]
+    steps += [  # a fraction above 0 applies at least one step of any walk
+        dataclasses.replace(
+            s, applied=False, reason="beyond_budget",
+            prob_c=steps[-1].prob_c, prob_c_prime=steps[-1].prob_c_prime,
+        )
+        for s in seq[budget:]
+    ]
+    x_mod = _with_applied(sf.x, steps)
+    rendering = {}
+    if x_mod.tobytes() != sf.x_mod.tobytes():
+        # the same target from the same start would render `sf` again
+        body, _ = nc.split_at_tap(classifier)
+        vis = visualize(generator, body, x_mod, sf.z, settings, sf.image_prime.shape)
+        probs = nc.forward(classifier, vis.image.ravel()).output
+        rendering = dict(
+            z_prime=vis.z, image_prime=vis.image, probs_prime=probs,
+            verified=int(np.argmax(probs)) == sf.intended_class,
+            residuals={"before": vis.residual_before, "after": vis.residual_after},
+        )
+    return dataclasses.replace(
+        sf, mode="proportional", fraction=fraction, mod_steps=steps, x_mod=x_mod,
+        applied_count=budget, backoff_steps=0,
+        recheck_violations=_recheck_violations(x_mod, steps, stats, sf.c_prime, sf.alpha),
+        **rendering,
+    )

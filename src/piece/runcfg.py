@@ -40,7 +40,7 @@ from .datagen import (
 from .hurdle import StatsTable, load_latents, load_stats
 from .netcore import Network, atomic_write, load_network, read_doc
 from .pipeline import OptimSettings, PipelineError
-from .training import AutoencoderConfig, ClassifierConfig, TrainingFailure
+from .training import AutoencoderConfig, ClassifierConfig, TrainingFailure, fit_names
 
 
 class ConfigError(Exception):
@@ -369,7 +369,7 @@ def load_run(paths: RunPaths) -> RunArtifacts:
     paths.require("datagen", "train", "fit-stats")
     cfg = parse_config(paths.config)
     n_classes = cfg.dataset.glyphs.n_classes
-    models = ["classifier", "generator", "ae_full", *(f"ae_class_{c}" for c in range(n_classes))]
+    models = fit_names(n_classes)
     missing = [name for name in models if not os.path.exists(paths.models(f"{name}.json"))]
     if missing:
         raise PrerequisiteError(

@@ -11,13 +11,14 @@ from piece import pipeline as pl
 
 @pytest.fixture(scope="module")
 def prepared(toy_run):
-    """Inversion contexts for a handful of confidently correct test images."""
+    """PIECE counterfactuals of a handful of confidently correct test images,
+    for their inversions, features and classes."""
     arts = toy_run["arts"]
     probs = nc.forward(arts.classifier, arts.test_data.flat()).output
     pred = probs.argmax(1)
     cor = np.flatnonzero((pred == arts.test_data.labels) & (probs.max(1) >= 0.8))
     settings = pl.OptimSettings(invert_restarts=4, invert_steps=300)
-    contexts = []
+    pieces = []
     for idx in cor[:6]:
         idx = int(idx)
         req = pl.ExplanationRequest(
@@ -28,8 +29,8 @@ def prepared(toy_run):
             seed=idx,
             image_id=idx,
         )
-        contexts.append(pl.prepare_context(req, arts.classifier, arts.generator, arts.stats))
-    return {"arts": arts, "contexts": contexts}
+        pieces.append(pl.explain(req, arts.classifier, arts.generator, arts.stats))
+    return {"arts": arts, "pieces": pieces}
 
 
 CFG = bl.BaselineConfig(lam=1.0, lr=0.02, max_steps=2000)
@@ -44,38 +45,38 @@ def classify(arts, z):
 class TestStopRules:
     def test_counterfactual_stop_lands_in_target(self, prepared):
         arts = prepared["arts"]
-        for ctx in prepared["contexts"]:
+        for piece in prepared["pieces"]:
             res = bl.min_edit(
-                ctx.inversion.z, ctx.c, ctx.selection.c_prime,
+                piece.z, piece.c, piece.c_prime,
                 arts.classifier, arts.generator, CFG,
             )
             assert not res.failed
-            assert classify(arts, res.z_prime) == ctx.selection.c_prime
+            assert classify(arts, res.z_prime) == piece.c_prime
 
     def test_semifactual_stop_stays_and_next_step_flips(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
+        piece = prepared["pieces"][0]
         sf = bl.min_edit(
-            ctx.inversion.z, ctx.c, ctx.selection.c_prime,
+            piece.z, piece.c, piece.c_prime,
             arts.classifier, arts.generator, CFG, mode="semifactual",
         )
         cf = bl.min_edit(
-            ctx.inversion.z, ctx.c, ctx.selection.c_prime,
+            piece.z, piece.c, piece.c_prime,
             arts.classifier, arts.generator, CFG, mode="counterfactual",
         )
         assert not sf.failed and not cf.failed
-        assert classify(arts, sf.z_prime) == ctx.c
+        assert classify(arts, sf.z_prime) == piece.c
         # identical deterministic trajectory: the step after the semifactual
         # stop is exactly the counterfactual crossing
         assert sf.crossed_step == cf.crossed_step
-        assert classify(arts, cf.z_prime) == ctx.selection.c_prime
+        assert classify(arts, cf.z_prime) == piece.c_prime
 
     def test_zero_lr_fails_after_budget(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
+        piece = prepared["pieces"][0]
         cfg = bl.BaselineConfig(lr=0.0, max_steps=40)
         res = bl.min_edit(
-            ctx.inversion.z, ctx.c, ctx.selection.c_prime,
+            piece.z, piece.c, piece.c_prime,
             arts.classifier, arts.generator, cfg,
         )
         assert res.failed and res.steps_taken == 40
@@ -83,22 +84,22 @@ class TestStopRules:
 
     def test_start_in_target_returns_start_copy(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
-        z = ctx.inversion.z
-        assert classify(arts, z) == ctx.c
-        res = bl.c_min_edit(z, ctx.x, ctx.c, ctx.c, arts.classifier, arts.generator, CCFG)
+        piece = prepared["pieces"][0]
+        z = piece.z
+        assert classify(arts, z) == piece.c
+        res = bl.c_min_edit(z, piece.x, piece.c, piece.c, arts.classifier, arts.generator, CCFG)
         assert not res.failed and res.steps_taken == 0 and res.crossed_step == 0
         assert np.array_equal(res.z_prime, z) and res.z_prime is not z
 
     def test_c_min_edit_counterfactual(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][1]
+        piece = prepared["pieces"][1]
         res = bl.c_min_edit(
-            ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
+            piece.z, piece.x, piece.c, piece.c_prime,
             arts.classifier, arts.generator, CCFG,
         )
         assert not res.failed
-        assert classify(arts, res.z_prime) == ctx.selection.c_prime
+        assert classify(arts, res.z_prime) == piece.c_prime
 
 
 class TestLambdaBehavior:
@@ -110,19 +111,19 @@ class TestLambdaBehavior:
             feat = nc.forward(body, nc.forward(arts.generator, z).output).output
             return float(np.linalg.norm(feat - x))
 
-        for ctx in prepared["contexts"][:3]:
+        for piece in prepared["pieces"][:3]:
             me = bl.min_edit(
-                ctx.inversion.z, ctx.c, ctx.selection.c_prime,
+                piece.z, piece.c, piece.c_prime,
                 arts.classifier, arts.generator, CFG,
             )
             huge = bl.c_min_edit(
-                ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
+                piece.z, piece.x, piece.c, piece.c_prime,
                 arts.classifier, arts.generator,
                 bl.BaselineConfig(lam=1e6, lr=0.02, max_steps=2000),
             )
             assert not me.failed and not huge.failed
-            d_me = displacement(me.z_prime, ctx.x)
-            d_huge = displacement(huge.z_prime, ctx.x)
+            d_me = displacement(me.z_prime, piece.x)
+            d_huge = displacement(huge.z_prime, piece.x)
             assert abs(d_me - d_huge) <= 0.1 * d_me
 
     def test_small_lambda_stays_closer_on_average(self, prepared):
@@ -134,45 +135,45 @@ class TestLambdaBehavior:
             return float(np.linalg.norm(feat - x))
 
         d_small, d_plain = [], []
-        for ctx in prepared["contexts"]:
+        for piece in prepared["pieces"]:
             small = bl.c_min_edit(
-                ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
+                piece.z, piece.x, piece.c, piece.c_prime,
                 arts.classifier, arts.generator,
                 bl.BaselineConfig(lam=10.0, lr=0.02, max_steps=2000),
             )
             plain = bl.min_edit(
-                ctx.inversion.z, ctx.c, ctx.selection.c_prime,
+                piece.z, piece.c, piece.c_prime,
                 arts.classifier, arts.generator, CFG,
             )
             if not small.failed and not plain.failed:
-                d_small.append(displacement(small.z_prime, ctx.x))
-                d_plain.append(displacement(plain.z_prime, ctx.x))
+                d_small.append(displacement(small.z_prime, piece.x))
+                d_plain.append(displacement(plain.z_prime, piece.x))
         assert len(d_small) >= 3
         assert np.mean(d_small) <= np.mean(d_plain)
 
     def test_min_edit_ignores_lambda(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][1]
-        start = (ctx.inversion.z, ctx.c, ctx.selection.c_prime, arts.classifier, arts.generator)
+        piece = prepared["pieces"][1]
+        start = (piece.z, piece.c, piece.c_prime, arts.classifier, arts.generator)
         plain, weighted = bl.min_edit(*start, CFG), bl.min_edit(*start, CCFG)
         assert plain.method == weighted.method == "min_edit"
         assert np.array_equal(plain.z_prime, weighted.z_prime)
 
     def test_deterministic(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][2]
-        a = bl.c_min_edit(ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
+        piece = prepared["pieces"][2]
+        a = bl.c_min_edit(piece.z, piece.x, piece.c, piece.c_prime,
                           arts.classifier, arts.generator, CCFG)
-        b = bl.c_min_edit(ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime,
+        b = bl.c_min_edit(piece.z, piece.x, piece.c, piece.c_prime,
                           arts.classifier, arts.generator, CCFG)
         assert np.array_equal(a.z_prime, b.z_prime)
 
 
-def to_distance(method, ctx, d_star, arts, cfg, z=None):
+def to_distance(method, piece, d_star, arts, cfg, z=None):
     """One image's distance-matched run: `run_baseline` on a stack of one."""
-    z = ctx.inversion.z if z is None else z
+    z = piece.z if z is None else z
     (res,) = bl.run_baseline(
-        method, z[None], ctx.x[None], [ctx.c], [ctx.selection.c_prime],
+        method, z[None], piece.x[None], [piece.c], [piece.c_prime],
         arts.classifier, arts.generator, cfg, "distance", [d_star],
     )
     return res
@@ -184,10 +185,10 @@ class TestRunToDistance:
 
     def test_zero_target_returns_start(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
-        res = to_distance("min_edit", ctx, 0.0, arts, CFG)
+        piece = prepared["pieces"][0]
+        res = to_distance("min_edit", piece, 0.0, arts, CFG)
         assert not res.failed and res.mode == "distance"
-        assert np.array_equal(res.z_prime, ctx.inversion.z)
+        assert np.array_equal(res.z_prime, piece.z)
 
     def test_distance_capped(self, prepared):
         arts = prepared["arts"]
@@ -197,35 +198,35 @@ class TestRunToDistance:
             feat = nc.forward(body, nc.forward(arts.generator, z).output).output
             return float(np.linalg.norm(feat - x))
 
-        for ctx in prepared["contexts"][:3]:
+        for piece in prepared["pieces"][:3]:
             # the trajectory starts at the inversion's own residual offset,
             # so a meaningful target lies beyond it
-            d_star = displacement(ctx.inversion.z, ctx.x) + 0.5
-            res = to_distance("min_edit", ctx, d_star, arts, CFG)
+            d_star = displacement(piece.z, piece.x) + 0.5
+            res = to_distance("min_edit", piece, d_star, arts, CFG)
             if res.failed:
                 continue
-            assert displacement(res.z_prime, ctx.x) <= d_star
-            assert classify(arts, res.z_prime) == ctx.c
+            assert displacement(res.z_prime, piece.x) <= d_star
+            assert classify(arts, res.z_prime) == piece.c
 
     def test_target_below_start_returns_start(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
-        res = to_distance("min_edit", ctx, 1e-9, arts, CFG)
+        piece = prepared["pieces"][0]
+        res = to_distance("min_edit", piece, 1e-9, arts, CFG)
         assert not res.failed and res.steps_taken == 0
-        assert np.array_equal(res.z_prime, ctx.inversion.z)
+        assert np.array_equal(res.z_prime, piece.z)
 
     def test_unreachable_distance_fails(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
-        res = to_distance("min_edit", ctx, 50.0, arts, bl.BaselineConfig(lr=0.0, max_steps=30))
+        piece = prepared["pieces"][0]
+        res = to_distance("min_edit", piece, 50.0, arts, bl.BaselineConfig(lr=0.0, max_steps=30))
         assert res.failed and res.steps_taken == 30
         assert res.failure_reason == "target distance 50 not reached within 30 steps"
 
     def test_negative_target_refused(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
+        piece = prepared["pieces"][0]
         with pytest.raises(bl.BaselineError, match="nonnegative"):
-            to_distance("min_edit", ctx, -1.0, arts, CFG)
+            to_distance("min_edit", piece, -1.0, arts, CFG)
 
 
 def serial_edit(method, z, x, c, c_prime, arts, cfg, mode, d_star=None):
@@ -272,11 +273,11 @@ class TestStack:
     @pytest.mark.parametrize("method", bl.METHODS)
     def test_stack_equals_each_image_alone(self, prepared, method, mode):
         arts = prepared["arts"]
-        ctxs = prepared["contexts"]
-        z = np.stack([ctx.inversion.z for ctx in ctxs])
-        x = np.stack([ctx.x for ctx in ctxs])
-        c = [ctx.c for ctx in ctxs]
-        c_prime = [ctx.selection.c_prime for ctx in ctxs]
+        pieces = prepared["pieces"]
+        z = np.stack([piece.z for piece in pieces])
+        x = np.stack([piece.x for piece in pieces])
+        c = [piece.c for piece in pieces]
+        c_prime = [piece.c_prime for piece in pieces]
         body, _ = nc.split_at_tap(arts.classifier)
         start = nc.forward(body, nc.forward(arts.generator, z).output).output - x
         # targets beyond each start, so that the images stop at different
@@ -291,7 +292,7 @@ class TestStack:
 
         def alone(i):
             if mode == "distance":
-                return to_distance(method, ctxs[i], d_star[i], arts, cfg, z=z[i])
+                return to_distance(method, pieces[i], d_star[i], arts, cfg, z=z[i])
             if method == "min_edit":
                 return bl.min_edit(z[i], c[i], c_prime[i], arts.classifier, arts.generator,
                                    cfg, mode)
@@ -319,19 +320,19 @@ class TestStack:
 
     def test_overflow_mid_run_leaves_the_others_alone(self, prepared, monkeypatch):
         arts = prepared["arts"]
-        ctxs = prepared["contexts"]
-        z = np.stack([ctx.inversion.z for ctx in ctxs])
-        c = [ctx.c for ctx in ctxs]
-        c_prime = [ctx.selection.c_prime for ctx in ctxs]
+        pieces = prepared["pieces"]
+        z = np.stack([piece.z for piece in pieces])
+        c = [piece.c for piece in pieces]
+        c_prime = [piece.c_prime for piece in pieces]
         cfg = bl.BaselineConfig(lr=0.02, max_steps=400)
         start = (arts.classifier, arts.generator, cfg, "semifactual")
-        alone = [bl.min_edit(z[i], c[i], c_prime[i], *start) for i in range(len(ctxs))]
+        alone = [bl.min_edit(z[i], c[i], c_prime[i], *start) for i in range(len(pieces))]
         # image 2, ahead of image 4 in the stack, overflows in the very pass
         # where image 4 stops, so the stack shrinks as the stop fires.
         # Min-Edit ignores x, so x marks image 2 for the failing objective
         stop = alone[4].crossed_step
         assert stop < alone[2].crossed_step
-        x = np.zeros((len(ctxs), ctxs[0].x.size))
+        x = np.zeros((len(pieces), pieces[0].x.size))
         x[2] = 1.0
         real = bl._objective
 
@@ -355,12 +356,12 @@ class TestStack:
 
     def test_overflow_fails_the_run_not_the_caller(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
-        z = np.full_like(ctx.inversion.z, np.nan)
-        res = bl.min_edit(z, ctx.c, ctx.selection.c_prime, arts.classifier, arts.generator, CFG)
+        piece = prepared["pieces"][0]
+        z = np.full_like(piece.z, np.nan)
+        res = bl.min_edit(z, piece.c, piece.c_prime, arts.classifier, arts.generator, CFG)
         assert res.failed and res.steps_taken == 0
         assert res.failure_reason == "non-finite values after layer 0 (dense)"
-        res = to_distance("c_min_edit", ctx, 1.0, arts, CCFG, z=z)
+        res = to_distance("c_min_edit", piece, 1.0, arts, CCFG, z=z)
         assert res.failed and res.failure_reason == "non-finite values after layer 0 (dense)"
 
 
@@ -375,8 +376,8 @@ def bl_equal(a, b):
 class TestValidation:
     def test_unknown_method(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
-        start = (ctx.inversion.z, ctx.x, ctx.c, ctx.selection.c_prime)
+        piece = prepared["pieces"][0]
+        start = (piece.z, piece.x, piece.c, piece.c_prime)
         with pytest.raises(bl.BaselineError, match="extreme_edit"):
             bl.run_baseline("extreme_edit", *start, arts.classifier, arts.generator, CFG)
         with pytest.raises(bl.BaselineError, match="extreme_edit"):
@@ -391,15 +392,15 @@ class TestValidation:
     def test_every_field_but_the_sweep_is_read(self, prepared):
         # a run reads lr, max_steps and lam; experiment 1 reads lam_sweep
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
+        piece = prepared["pieces"][0]
         cfg, reads = watched(bl.BaselineConfig(lam=30.0, lr=0.02, max_steps=20))
-        bl.run_baseline("c_min_edit", ctx.inversion.z[None], ctx.x[None], [ctx.c],
-                        [ctx.selection.c_prime], arts.classifier, arts.generator, cfg)
+        bl.run_baseline("c_min_edit", piece.z[None], piece.x[None], [piece.c],
+                        [piece.c_prime], arts.classifier, arts.generator, cfg)
         assert reads == {f.name for f in dataclasses.fields(cfg)} - {"lam_sweep"}
 
     def test_bad_mode(self, prepared):
         arts = prepared["arts"]
-        ctx = prepared["contexts"][0]
+        piece = prepared["pieces"][0]
         with pytest.raises(bl.BaselineError):
-            bl.min_edit(ctx.inversion.z, ctx.c, ctx.selection.c_prime,
+            bl.min_edit(piece.z, piece.c, piece.c_prime,
                         arts.classifier, arts.generator, CFG, mode="sideways")

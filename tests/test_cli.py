@@ -628,22 +628,29 @@ class TestExperimentCommand:
         assert main(["experiment", "--run-dir", str(clone), "--expt", "1"]) in (0, 5)
         assert (clone / "reports" / "expt1_fit_quality.csv").exists()
 
-    @pytest.mark.parametrize("expt", [1, 2])
+    @pytest.mark.parametrize(
+        "stage,expt",
+        [("select_cf_class", 1), ("select_cf_class", 2), ("visualize", 1), ("visualize", 2)],
+        ids=["1", "2", "visualize-1", "visualize-2"],
+    )
     def test_unprepared_image_fails_every_row(
-        self, mini_run, tmp_path, monkeypatch, capsys, expt
+        self, mini_run, tmp_path, monkeypatch, capsys, stage, expt
     ):
+        # PIECE fails on every image, in class selection or in visualization
         import csv
         import os
         import shutil
 
         from piece import pipeline as pl
 
+        error = {"select_cf_class": pl.SelectionError, "visualize": pl.VisualizationError}[stage]
+
         def unprepared(*args, **kwargs):
-            raise pl.SelectionError("no class reachable")
+            raise error(f"{stage} failed")
 
         clone = tmp_path / "unprepared"
         shutil.copytree(mini_run, clone)
-        monkeypatch.setattr(pl, "prepare_context", unprepared)
+        monkeypatch.setattr(pl, stage, unprepared)
         capsys.readouterr()
         assert main(["experiment", "--run-dir", str(clone), "--expt", str(expt),
                      "--force"]) == 5
@@ -659,7 +666,7 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert f"{per_image * n_cases} method rows, {per_image * n_cases} failures" in out
         if expt == 1:
-            # no context: c is the prediction and c' is -1
+            # no PIECE result: c is the prediction and c' is -1
             predicted = {c["image_id"]: c["predicted"] for c in cases}
             rows = read("expt1_rows.csv")
             assert len(rows) == 3 * n_cases

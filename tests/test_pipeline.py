@@ -32,6 +32,21 @@ def toy(toy_run):
     return {"arts": arts, "mis": mis, "cor": cor}
 
 
+@pytest.fixture(scope="module")
+def delivered(toy):
+    """The semifactuals `piece explain --mode sf` delivers for images 0, 120,
+    184 and 380 of the default run, each with its request."""
+    from piece.experiments import derive_seed
+
+    arts = toy["arts"]
+    out = {"arts": arts}
+    for idx in (0, 120, 184, 380):
+        req = request_for(arts, idx, "semifactual", settings=arts.config.optim,
+                          seed=derive_seed(arts.config.seed, 3, idx))
+        out[idx] = (req, pl.explain(req, arts.classifier, arts.generator, arts.stats))
+    return out
+
+
 def predicted(arts, image):
     return int(np.argmax(nc.forward(arts.classifier, image.ravel()).output))
 
@@ -325,39 +340,33 @@ class TestExplain:
     def test_proportional_counts_and_nesting(self, toy):
         arts = toy["arts"]
         idx = int(toy["cor"][4])
-        req = request_for(arts, idx, "counterfactual")
-        ctx = pl.prepare_context(req, arts.classifier, arts.generator, arts.stats)
+        sf = pl.explain(
+            request_for(arts, idx, "semifactual"), arts.classifier, arts.generator, arts.stats
+        )
         applied_sets = []
         for fraction in pl.FRACTIONS:
-            res = pl.explain(
-                request_for(arts, idx, "proportional", fraction=fraction),
-                arts.classifier, arts.generator, arts.stats, context=ctx,
+            res = pl.proportional(
+                sf, fraction, arts.classifier, arts.generator, arts.stats, FAST
             )
             assert res.applied_count == math.ceil(fraction * res.k_reference)
             applied_sets.append([s.neuron for s in res.mod_steps if s.applied])
         for small, large in zip(applied_sets, applied_sets[1:]):
             assert small == large[: len(small)]
 
-    def test_proportional_steps_equal_head_passes_on_their_prefix(self, toy):
+    def test_proportional_steps_equal_head_passes_on_their_prefix(self, delivered):
         # proportional steps are copied from the semifactual's recorded walk:
         # each one's probabilities must be those of a head pass on x with the
         # applied steps up to it, bit for bit; image 120's semifactual backs
         # off on the default run, so the copy must survive the retreat
-        from piece.experiments import derive_seed
-
-        arts = toy["arts"]
+        arts = delivered["arts"]
         _, head = nc.split_at_tap(arts.classifier)
         for idx in (0, 120, 380):
-            req = request_for(arts, idx, "semifactual", settings=arts.config.optim,
-                              seed=derive_seed(arts.config.seed, 3, idx))
-            ctx = pl.prepare_context(req, arts.classifier, arts.generator, arts.stats)
-            sf = pl.explain(req, arts.classifier, arts.generator, arts.stats, context=ctx)
+            req, sf = delivered[idx]
             if idx == 120:
                 assert sf.backoff_steps >= 1
             for fraction in pl.FRACTIONS:
-                prop = pl.explain(
-                    dataclasses.replace(req, mode="proportional", fraction=fraction),
-                    arts.classifier, arts.generator, arts.stats, context=ctx, reference=sf,
+                prop = pl.proportional(
+                    sf, fraction, arts.classifier, arts.generator, arts.stats, req.settings
                 )
                 cur = prop.x.copy()
                 for step in prop.mod_steps:
@@ -429,3 +438,52 @@ class TestExplain:
             request_for(arts, 0, "counterfactual", alpha=0.7)
         with pytest.raises(pl.PipelineError):
             request_for(arts, 0, "upside_down")
+
+
+class TestProportional:
+    @pytest.mark.parametrize("idx", [0, 120, 184])
+    def test_equals_explain_in_proportional_mode(self, delivered, monkeypatch, idx):
+        # image 120's semifactual backs off; on image 184 a prefix's
+        # rendering leaves c
+        from piece.experiments import record
+
+        arts = delivered["arts"]
+        req, sf = delivered[idx]
+        calls = []
+        visualize = pl.visualize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return visualize(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "visualize", counted)
+        props = []
+        for fraction in pl.FRACTIONS:
+            calls.clear()
+            prop = pl.proportional(
+                sf, fraction, arts.classifier, arts.generator, arts.stats, req.settings
+            )
+            if fraction == 1.0:
+                # the semifactual's own target: its rendering, not another
+                assert calls == []
+                assert prop.z_prime is sf.z_prime and prop.image_prime is sf.image_prime
+            alone = pl.explain(
+                dataclasses.replace(req, mode="proportional", fraction=fraction),
+                arts.classifier, arts.generator, arts.stats,
+            )
+            assert record(prop) == record(alone)
+            assert np.array_equal(prop.image_prime, alone.image_prime)
+            props.append(prop)
+        if idx == 120:
+            assert sf.backoff_steps >= 1
+        if idx == 184:
+            assert not all(p.verified for p in props)
+
+    def test_needs_a_semifactual_and_a_fraction(self, delivered):
+        arts = delivered["arts"]
+        req, sf = delivered[0]
+        args = (arts.classifier, arts.generator, arts.stats, req.settings)
+        with pytest.raises(pl.PipelineError):
+            pl.proportional(sf, 0.4, *args)
+        with pytest.raises(pl.PipelineError):
+            pl.proportional(dataclasses.replace(sf, mode="counterfactual"), 0.5, *args)
