@@ -198,13 +198,6 @@ def cmd_explain(args) -> int:
             raise ConfigError(
                 f"--target-class {args.target_class} out of range (classes 0..{n_classes - 1})"
             )
-        if mode == "counterfactual":
-            predicted = int(np.argmax(nc.forward(arts.classifier, image.ravel()).output))
-            if args.target_class == predicted:
-                raise ConfigError(
-                    f"--target-class {args.target_class} is the predicted class of image "
-                    f"{args.index}; a counterfactual needs another class"
-                )
     try:
         request = pl.ExplanationRequest(
             image=image,
@@ -219,7 +212,13 @@ def cmd_explain(args) -> int:
         )
     except pl.PipelineError as exc:
         raise ConfigError(str(exc)) from exc
-    result = pl.explain(request, arts.classifier, arts.generator, arts.stats)
+    try:
+        result = pl.explain(request, arts.classifier, arts.generator, arts.stats)
+    except pl.TargetClassError as exc:
+        raise ConfigError(
+            f"--target-class {args.target_class} is the predicted class of image "
+            f"{args.index}; a counterfactual needs another class"
+        ) from exc
     ex.save_explanation(paths, "single", f"{args.mode}_{args.index:04d}", result, image, arts)
     print(
         f"explain: image {args.index} (label {label}) mode {mode}"

@@ -16,21 +16,22 @@ one builder (`_row`) makes every report row. The images go through phases,
 so that the latent searches run over all images at once, each image
 exactly as it would run alone:
 
-1. invert every image, as one stack;
-2. explain each image by PIECE (class selection, exceptional features,
-   feature walk and visualization);
-3. run each baseline over the stack of explained images;
-4. experiment 1: run each lambda of the sweep over that stack. Experiment
-   2: take each image's PIECE semifactual to each proportional budget,
-   then run each baseline's distance-matched search over the stack of all
-   images and budgets;
-5. build the rows and write the reports, in test-set order.
+1. explain every image by PIECE, in `pipeline.explain_stack`'s phases: the
+   inversion, class selection and the rendering each run as one stack,
+   the feature walk per image, and the semifactual backoff in rounds;
+2. run each baseline over the stack of explained images;
+3. experiment 1: run each lambda of the sweep over that stack. Experiment
+   2: take each image's PIECE semifactual to each proportional budget, and
+   render every budget that needs a rendering as one stack; then run each
+   baseline's distance-matched search over the stack of all rendered
+   budgets;
+4. build the rows and write the reports, in test-set order.
 
 Any per-image method failure, an overflow among them, becomes a failure
-row; experiments never abort on them. The one exception is experiment 2's
-proportional renderings: one that raises ends the experiment. All
-randomness is derived from the run seed, so reruns produce byte-identical
-CSV files.
+row; experiments never abort on them. A proportional rendering that fails
+fails its budget's rows: the PIECE row and its distance-matched rows,
+which have no distance to match. All randomness is derived from the run
+seed, so reruns produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list)
     `expt`'s mode, saving every record and image under explanations/.
     Returns, per case, each method's result by method name, or None when
     PIECE cannot explain the image (then no method runs on it). Runs the
-    module's phases 1 to 3: one stacked inversion; PIECE per image; each
+    module's phases 1 and 2: PIECE's phases over the stack of images; each
     baseline over the stack of explained images."""
     cfg = arts.config
     mode, tag = (("counterfactual", "cf"), ("semifactual", "sf"))[expt - 1]
@@ -281,16 +282,11 @@ def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list)
         )
         for case in cases
     ]
-    body, _ = nc.split_at_tap(arts.classifier)
-    inversions = pl.invert_image(
-        arts.generator, body, np.stack([case.image for case in cases]), cfg.optim,
-        [request.seed for request in requests],
-    ) if cases else []
     explained: list = []
-    for case, request, inversion in zip(cases, requests, inversions):
-        try:
-            res = pl.explain(request, arts.classifier, arts.generator, arts.stats, inversion)
-        except (pl.PipelineError, nc.NumericsError):
+    for case, res in zip(cases, pl.explain_stack(
+        requests, arts.classifier, arts.generator, arts.stats
+    )):
+        if isinstance(res, Exception):
             explained.append(None)
             continue
         save_explanation(paths, f"expt{expt}", f"piece_{tag}_{case.image_id:04d}", res,
@@ -445,20 +441,26 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     row = functools.partial(_row, arts, body)
 
     explained = _explain_images(arts, paths, 2, cases)
-    # each image's proportional explanation at each budget, then each
-    # baseline over the stack, matched to the feature distance PIECE moved
-    budgets = [
-        pl.proportional(
-            results["piece"], fraction, arts.classifier, arts.generator, arts.stats, cfg.optim
-        )
-        for results in filter(None, explained) for fraction in pl.FRACTIONS
-    ]
+    # each image's proportional explanation at each budget, as one stack,
+    # then each baseline over the stack of rendered budgets, matched to the
+    # feature distance PIECE moved; a budget whose rendering failed has no
+    # distance to match
+    budgets = pl.proportional_stack(
+        [(results["piece"], fraction) for results in filter(None, explained)
+         for fraction in pl.FRACTIONS],
+        arts.classifier, arts.generator, arts.stats, cfg.optim,
+    )
     d_stars = [
+        None if isinstance(pres, Exception) else
         float(np.linalg.norm(nc.forward(body, pres.image_prime.ravel()).output - pres.x))
         for pres in budgets
     ]
+    rendered = [(pres, d) for pres, d in zip(budgets, d_stars) if d is not None]
     matched = {
-        m: iter(_baseline_runs(arts, m, budgets, cfg.baselines, "distance", d_stars))
+        m: iter(_baseline_runs(
+            arts, m, [pres for pres, _ in rendered], cfg.baselines, "distance",
+            [d for _, d in rendered],
+        ))
         for m in bl.METHODS
     }
     budget_results = iter(zip(budgets, d_stars))
@@ -490,6 +492,10 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
         # proportional budgets: profile + distance-matched baselines
         for fraction in pl.FRACTIONS:
             pres, d_star = next(budget_results)
+            if d_star is None:
+                rows.append(row(case, sf, "piece", "proportional", fraction=fraction))
+                rows += [row(case, sf, m, "distance", fraction=fraction) for m in bl.METHODS]
+                continue
             rows.append(
                 row(
                     case, sf, "piece", "proportional", pres.image_prime.ravel(), pres.verified,

@@ -8,6 +8,13 @@ Proportional mode (`proportional`) applies a prefix (25/50/75/100 percent)
 of the replacement sequence of the delivered semifactual: its steps are
 copied from the semifactual's recorded walk, probabilities included, with
 no network pass.
+
+`explain_stack` explains many requests at once, in phases: each latent
+search (inversion, class selection, rendering) runs as one lockstep
+`nc.Descent` over all the images, each image exactly as it would run
+alone, and an image that fails, fails alone. `explain`, `select_cf_class`
+and `proportional` are the stacks of one; `invert_image` and `visualize`
+take stacks only.
 """
 
 from __future__ import annotations
@@ -40,6 +47,18 @@ class SelectionError(PipelineError):
 
 class VisualizationError(PipelineError):
     pass
+
+
+class TargetClassError(PipelineError):
+    """A counterfactual asked for the class the image is predicted as."""
+
+
+def _one(results: list):
+    """The one result of a stack of one; its error is raised."""
+    (res,) = results
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 @dataclass(frozen=True)
@@ -182,33 +201,67 @@ def select_cf_class(
     image: push a copy of the inverted latent code away from the predicted
     class (maximizing the distance of the softmax output from the one-hot
     prediction) and return the first different class the probe reaches. The
-    probe latent is discarded; only the class is kept.
+    probe latent is discarded; only the class is kept. This is
+    `select_cf_class_stack` on a stack of one, raising its error.
     """
-    if c != true_label:
-        return SelectionResult(true_label, True, 0)
-    y_c = nc.one_hot(c, classifier.output_dim)
+    return _one(select_cf_class_stack(
+        classifier, generator, np.asarray(z)[None], [c], [true_label], settings
+    ))
 
-    def objective(zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tg = nc.forward(generator, zv)
-        tc = nc.forward(classifier, tg.outputs[-1])
-        out = tc.outputs[-1]
-        _, g_out = nc.loss("l2_sq", out, y_c[None, :])
-        g_img = nc.backward(classifier, tc, g_out)
-        # ascend: hand the negated gradient to the descent
-        return -nc.backward(generator, tg, g_img), out[0]
 
-    for step, _, probe_probs in nc.Descent(
-        objective, z, settings.ascent_lr, settings.ascent_max_steps
-    ):
-        if step == 0:
-            continue  # the start point is not probed
-        top = int(np.argmax(probe_probs))
-        if top != c:
-            return SelectionResult(top, False, step)
-    raise SelectionError(
-        f"no decision boundary crossed within {settings.ascent_max_steps} steps; "
-        f"final probabilities {np.round(probe_probs, 4).tolist()}"
-    )
+def select_cf_class_stack(
+    classifier: nc.Network,
+    generator: nc.Network,
+    z: np.ndarray,
+    c,
+    true_label,
+    settings: OptimSettings,
+) -> list:
+    """`select_cf_class` of each image of a stack: `z` (n, d) holds each
+    image's inversion latent, `c` and `true_label` its predicted and true
+    classes. The probes of the correctly classified images ascend as one
+    lockstep descent (`nc.Descent`), each image exactly as alone, and each
+    leaves it at its own first crossing. Returns each image's
+    SelectionResult, or the SelectionError or NumericsError that it raises
+    alone."""
+    c, true_label = np.asarray(c, dtype=int), np.asarray(true_label, dtype=int)
+    results: list = [
+        SelectionResult(int(t), True, 0) if k != t else None for k, t in zip(c, true_label)
+    ]
+    probe = np.flatnonzero(c == true_label)
+    last = np.empty((len(c), classifier.output_dim))  # each probe's latest probabilities
+    if len(probe):
+        y = np.stack([nc.one_hot(int(k), classifier.output_dim) for k in c[probe]])[:, None, :]
+
+        def objective(zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            tg = nc.forward(generator, zv)
+            tc = nc.forward(classifier, tg.outputs[-1])
+            out = tc.outputs[-1]
+            g_img = nc.backward(classifier, tc, 2.0 * (out - y[run.active]))
+            # ascend: hand the negated gradient to the descent
+            return -nc.backward(generator, tg, g_img), out[:, 0]
+
+        run = nc.Descent(
+            objective, np.asarray(z, dtype=np.float64)[probe][:, None, :],
+            settings.ascent_lr, settings.ascent_max_steps,
+        )
+        for step, _, probs in run:
+            rows = probe[run.active]
+            last[rows] = probs
+            top = probs.argmax(axis=-1)
+            done = (top != c[rows]) & (step > 0)  # the start point is not probed
+            for i, k in zip(rows[done], top[done]):
+                results[i] = SelectionResult(int(k), False, step)
+            run.retire(done)
+        for i, (_, exc) in run.errors.items():
+            results[probe[i]] = exc
+    return [
+        res or SelectionError(
+            f"no decision boundary crossed within {settings.ascent_max_steps} steps; "
+            f"final probabilities {np.round(last[i], 4).tolist()}"
+        )
+        for i, res in enumerate(results)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +384,9 @@ def modify_features(
 # Visualization
 
 
+_DIVERGED = "visualization latent diverged to non-finite"
+
+
 @dataclass
 class VisualizationResult:
     z: np.ndarray
@@ -346,31 +402,53 @@ def visualize(
     z_init: np.ndarray,
     settings: OptimSettings,
     image_shape: tuple,
-) -> VisualizationResult:
-    """Descend from the inversion latent until the generated image's features
-    match the modified feature vector; returns the best latent seen."""
-    x_target = np.asarray(x_target, dtype=np.float64)
+) -> list:
+    """Descend from each start latent until the generated image's features
+    match its target feature vector; each image keeps the best latent seen.
 
-    def objective(zv: np.ndarray) -> tuple[np.ndarray, float]:
-        if not np.all(np.isfinite(zv)):
-            raise VisualizationError("visualization latent diverged to non-finite")
+    `x_target` (n, k) and `z_init` (n, d) hold a stack of n images, which
+    descend as one lockstep `nc.Descent`, each exactly as alone: its loss is
+    summed on its own row. Returns each image's VisualizationResult, or the
+    error it raises alone: a VisualizationError when its latent diverges,
+    a NumericsError when its rendering overflows.
+    """
+    targets = np.asarray(x_target, dtype=np.float64)[:, None, :]
+
+    def objective(zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bad = ~np.isfinite(zv).all(axis=(1, 2))
+        if bad.any():
+            raise nc.NumericsError(_DIVERGED, np.flatnonzero(bad))
         tg = nc.forward(generator, zv, check_finite=False)
         tc = nc.forward(feature_net, tg.outputs[-1], check_finite=False)
-        feats = tc.outputs[-1]
-        g_feat = 2.0 * (feats - x_target)
-        g_img = nc.backward(feature_net, tc, g_feat)
+        diff = tc.outputs[-1] - targets[run.active]
+        g_img = nc.backward(feature_net, tc, 2.0 * diff)
         g_z = nc.backward(generator, tg, g_img)
-        return g_z, float(np.sum((feats - x_target) ** 2))
+        return g_z, np.array([float(np.sum(d)) for d in diff ** 2])
 
-    for step, z, loss in nc.Descent(
-        objective, z_init, settings.visualize_lr, settings.visualize_steps
-    ):
+    run = nc.Descent(
+        objective, np.asarray(z_init, dtype=np.float64)[:, None, :],
+        settings.visualize_lr, settings.visualize_steps,
+    )
+    best_z = np.empty((len(targets), generator.input_dim))
+    before, best = np.empty(len(targets)), np.empty(len(targets))
+    for step, z, loss in run:
+        rows = run.active
         if step == 0:
-            before = loss
-        if step == 0 or loss < best_loss:
-            best_z, best_loss = z, loss
-    image = nc.forward(generator, best_z).output.reshape(image_shape)
-    return VisualizationResult(best_z, image, before, best_loss)
+            before[rows] = loss
+        better = loss < best[rows] if step else np.ones(len(rows), dtype=bool)
+        best[rows[better]], best_z[rows[better]] = loss[better], z[better, 0]
+    results: list = []
+    for i, zi in enumerate(best_z):
+        if i in run.errors:
+            results.append(VisualizationError(_DIVERGED))
+            continue
+        try:
+            image = nc.forward(generator, zi).output.reshape(image_shape)
+        except nc.NumericsError as exc:
+            results.append(exc)
+            continue
+        results.append(VisualizationResult(zi, image, float(before[i]), float(best[i])))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -433,105 +511,256 @@ def _recheck_violations(
     return sum(1 for f in redone if (f.neuron, f.rule.value) in applied_rules)
 
 
+@dataclass
+class _Draft:
+    """One image's explanation while the phases of `explain_stack` run. The
+    fields fill in phase by phase."""
+
+    request: ExplanationRequest
+    image: Optional[np.ndarray] = None
+    probs_original: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
+    c: int = -1
+    inversion: Optional[InversionResult] = None
+    selection: Optional[SelectionResult] = None
+    features: Optional[list] = None
+    skipped: int = 0
+    mod: Optional[ModificationResult] = None
+    applied: Optional[list] = None  # the applied steps a backoff can still drop, in order
+    rendering: Optional[tuple] = None  # (VisualizationResult, its class probabilities)
+    backoff: int = 0
+
+    def classify(self, classifier: nc.Network) -> None:
+        req = self.request
+        self.image = np.asarray(req.image, dtype=np.float64)
+        trace = nc.forward(classifier, self.image.ravel())
+        self.probs_original, self.x = trace.output, trace.outputs[classifier.feature_tap][0]
+        self.c = int(np.argmax(self.probs_original))
+        if req.mode == "counterfactual" and req.target_class == self.c:
+            raise TargetClassError(
+                f"target class {req.target_class} is the predicted class of image "
+                f"{req.image_id}; a counterfactual needs another class"
+            )
+
+    def walk(self, classifier: nc.Network, head: nc.Network, stats: StatsTable) -> None:
+        c_prime = self.selection.c_prime
+        self.features, self.skipped = classify_exceptional(
+            self.x, stats.models[c_prime], self.request.alpha
+        )
+        w = nc.class_weight_vector(classifier, c_prime)
+        self.mod = modify_features(
+            self.x, self.features, w, head, self.c, c_prime, self.request.mode
+        )
+        self.applied = [s for s in self.mod.steps if s.applied]
+
+    @property
+    def intended(self) -> int:
+        return self.selection.c_prime if self.request.mode == "counterfactual" else self.c
+
+    def predicted(self) -> int:
+        return int(np.argmax(self.rendering[1]))
+
+    def retreat(self) -> bool:
+        """Drop the last applied replacement of a semifactual whose rendering
+        left `c`; False when there is nothing to drop."""
+        if (self.request.mode != "semifactual" or self.predicted() == self.intended
+                or not self.applied):
+            return False
+        dropped = self.applied.pop()
+        dropped.applied, dropped.reason = False, "backoff_visual_flip"
+        self.mod = dataclasses.replace(
+            self.mod, x_mod=_with_applied(self.x, self.mod.steps),
+            applied_count=len(self.applied),
+        )
+        self.backoff += 1
+        return True
+
+    def result(self, stats: StatsTable) -> ExplanationResult:
+        req, mod, inv = self.request, self.mod, self.inversion
+        vis, probs_prime = self.rendering
+        c_prime = self.selection.c_prime
+        ks_list = []
+        for feat in self.features:
+            model = stats.models[c_prime][feat.neuron]
+            if not model.degenerate:
+                ks_list.append(model.dist.ks_p)
+        return ExplanationResult(
+            mode=req.mode,
+            fraction=req.fraction,
+            image_id=req.image_id,
+            true_label=req.true_label,
+            c=self.c,
+            c_prime=c_prime,
+            trivially_selected=self.selection.trivial,
+            alpha=req.alpha,
+            z=inv.z,
+            x=self.x,
+            exceptional=self.features,
+            skipped_degenerate=self.skipped,
+            mod_steps=mod.steps,
+            x_mod=mod.x_mod,
+            z_prime=vis.z,
+            image_prime=vis.image,
+            probs_original=self.probs_original,
+            probs_prime=probs_prime,
+            applied_count=mod.applied_count,
+            eligible_count=mod.eligible_count,
+            k_reference=mod.applied_count,
+            status=mod.status,
+            intended_class=self.intended,
+            verified=self.predicted() == self.intended,
+            inversion_losses={
+                "combined": inv.combined_loss,
+                "feature": inv.feature_loss,
+                "pixel": inv.pixel_loss,
+            },
+            residuals={"before": vis.residual_before, "after": vis.residual_after},
+            backoff_steps=self.backoff,
+            recheck_violations=_recheck_violations(
+                mod.x_mod, mod.steps, stats, c_prime, req.alpha
+            ),
+            exceptional_ks_p=ks_list,
+        )
+
+
+def _per_image(n: int, phase) -> list:
+    """The per-image results of the stacked `phase()` over n images; an
+    error that the stack raises as a whole is each image's error."""
+    try:
+        return phase()
+    except (PipelineError, nc.NumericsError) as exc:
+        return [exc] * n
+
+
+def _render(
+    classifier: nc.Network, generator: nc.Network, targets: list, starts: list,
+    settings: OptimSettings, image_shape: tuple,
+) -> list:
+    """Each target feature vector rendered from its start latent by one
+    stacked `visualize`, with the classifier's probabilities for the
+    rendering; or the error that image raised."""
+    if not targets:
+        return []
+    body, _ = nc.split_at_tap(classifier)
+    out = []
+    for vis in _per_image(len(targets), lambda: visualize(
+        generator, body, np.stack(targets), np.stack(starts), settings, image_shape
+    )):
+        if not isinstance(vis, Exception):
+            try:
+                vis = (vis, nc.forward(classifier, vis.image.ravel()).output)
+            except nc.NumericsError as exc:
+                vis = exc
+        out.append(vis)
+    return out
+
+
 def explain(
     request: ExplanationRequest,
     classifier: nc.Network,
     generator: nc.Network,
     stats: StatsTable,
-    inversion: InversionResult | InversionError | None = None,
 ) -> ExplanationResult:
-    """Full pipeline for one request, from the classifier pass to the
-    rendering. `inversion` is the image's inversion when the caller already
-    has it, say from a stacked `invert_image`; an InversionError there, or
-    from inverting the image here, is raised. A proportional request is
-    `proportional` of its image's semifactual."""
-    if request.mode == "proportional":
-        sf_request = dataclasses.replace(request, mode="semifactual", fraction=None)
-        sf = explain(sf_request, classifier, generator, stats, inversion)
-        return proportional(sf, request.fraction, classifier, generator, stats, request.settings)
-    image = np.asarray(request.image, dtype=np.float64)
+    """Full pipeline for one request: `explain_stack` on a stack of one,
+    raising its error."""
+    return _one(explain_stack([request], classifier, generator, stats))
+
+
+def explain_stack(
+    requests: list,
+    classifier: nc.Network,
+    generator: nc.Network,
+    stats: StatsTable,
+) -> list:
+    """Full pipeline for each request, from the classifier pass to the
+    rendering, in phases over all the requests at once:
+
+    1. each image's classifier pass;
+    2. the inversion, as one stack (`invert_image`);
+    3. class selection, as one stack (`select_cf_class_stack`), or the
+       request's target class;
+    4. each image's exceptional features and feature walk;
+    5. the rendering, as one stacked `visualize`, and each rendering's
+       classifier pass;
+    6. backoff in rounds: a semifactual's rendered image may land past the
+       boundary even though its feature vector does not. Each round drops
+       the last applied replacement of every such semifactual and renders
+       them again, as one stack, until each stays in `c` or has nothing
+       left to drop;
+    7. a proportional request is `proportional` of its image's
+       semifactual; the ones that need a rendering are rendered as one
+       stack (`proportional_stack`).
+
+    The requests share their settings. Every search runs each image exactly
+    as it would run alone, so the result does not depend on the stack.
+    Returns each request's ExplanationResult, or the PipelineError or
+    NumericsError that explaining it alone raises.
+    """
+    if not requests:
+        return []
+    settings = requests[0].settings
+    if any(r.settings != settings for r in requests):
+        raise PipelineError("the requests of one stack must share their settings")
     body, head = nc.split_at_tap(classifier)
-    trace = nc.forward(classifier, image.ravel())
-    probs_original, x = trace.output, trace.outputs[classifier.feature_tap][0]
-    c = int(np.argmax(probs_original))
-    if inversion is None:
-        (inversion,) = invert_image(generator, body, image[None], request.settings, [request.seed])
-    if isinstance(inversion, InversionError):
-        raise inversion
-    if request.target_class is not None:
-        selection = SelectionResult(int(request.target_class), True, 0)
-    else:
-        selection = select_cf_class(
-            classifier, generator, inversion.z, c, request.true_label, request.settings
-        )
-    c_prime = selection.c_prime
-    features, skipped = classify_exceptional(x, stats.models[c_prime], request.alpha)
-    intended = c_prime if request.mode == "counterfactual" else c
-    w = nc.class_weight_vector(classifier, c_prime)
-    mod = modify_features(x, features, w, head, c, c_prime, request.mode)
+    out: list = [
+        _Draft(dataclasses.replace(r, mode="semifactual", fraction=None)
+               if r.mode == "proportional" else r)
+        for r in requests
+    ]
 
-    def render(x_mod: np.ndarray) -> tuple[VisualizationResult, np.ndarray, int]:
-        """The rendering of `x_mod`, its class probabilities and its class."""
-        vis = visualize(generator, body, x_mod, inversion.z, request.settings, image.shape)
-        probs = nc.forward(classifier, vis.image.ravel()).output
-        return vis, probs, int(np.argmax(probs))
+    def live() -> list:
+        return [i for i, d in enumerate(out) if isinstance(d, _Draft)]
 
-    vis, probs_prime, pred_prime = render(mod.x_mod)
-    backoff = 0
-    applied_seq = [s for s in mod.steps if s.applied]
-    # a semifactual's rendered image may land past the boundary even though
-    # its feature vector does not; retreat one replacement at a time
-    while request.mode == "semifactual" and pred_prime != intended and applied_seq:
-        dropped = applied_seq.pop()
-        dropped.applied, dropped.reason = False, "backoff_visual_flip"
-        mod = dataclasses.replace(
-            mod, x_mod=_with_applied(x, mod.steps), applied_count=len(applied_seq)
-        )
-        vis, probs_prime, pred_prime = render(mod.x_mod)
-        backoff += 1
+    def each(step) -> None:
+        for i in live():
+            try:
+                step(out[i])
+            except (PipelineError, nc.NumericsError) as exc:
+                out[i] = exc
 
-    violations = _recheck_violations(mod.x_mod, mod.steps, stats, c_prime, request.alpha)
-    ks_list = []
-    for feat in features:
-        model = stats.models[c_prime][feat.neuron]
-        if not model.degenerate:
-            ks_list.append(model.dist.ks_p)
+    def store(field: str, idx: list, phase) -> None:
+        """Each image's result of the stacked `phase()` over images `idx`,
+        as its `field`, or its error as its result."""
+        for i, res in zip(idx, _per_image(len(idx), phase) if idx else []):
+            if isinstance(res, Exception):
+                out[i] = res
+            else:
+                setattr(out[i], field, res)
 
-    return ExplanationResult(
-        mode=request.mode,
-        fraction=request.fraction,
-        image_id=request.image_id,
-        true_label=request.true_label,
-        c=c,
-        c_prime=c_prime,
-        trivially_selected=selection.trivial,
-        alpha=request.alpha,
-        z=inversion.z,
-        x=x,
-        exceptional=features,
-        skipped_degenerate=skipped,
-        mod_steps=mod.steps,
-        x_mod=mod.x_mod,
-        z_prime=vis.z,
-        image_prime=vis.image,
-        probs_original=probs_original,
-        probs_prime=probs_prime,
-        applied_count=mod.applied_count,
-        eligible_count=mod.eligible_count,
-        k_reference=mod.applied_count,
-        status=mod.status,
-        intended_class=intended,
-        verified=pred_prime == intended,
-        inversion_losses={
-            "combined": inversion.combined_loss,
-            "feature": inversion.feature_loss,
-            "pixel": inversion.pixel_loss,
-        },
-        residuals={"before": vis.residual_before, "after": vis.residual_after},
-        backoff_steps=backoff,
-        recheck_violations=violations,
-        exceptional_ks_p=ks_list,
-    )
+    each(lambda d: d.classify(classifier))
+    idx = live()
+    store("inversion", idx, lambda: invert_image(
+        generator, body, np.stack([out[i].image for i in idx]), settings,
+        [out[i].request.seed for i in idx],
+    ))
+    for i in live():
+        if out[i].request.target_class is not None:
+            out[i].selection = SelectionResult(int(out[i].request.target_class), True, 0)
+    idx = [i for i in live() if out[i].selection is None]
+    store("selection", idx, lambda: select_cf_class_stack(
+        classifier, generator, np.array([out[i].inversion.z for i in idx]),
+        [out[i].c for i in idx], [out[i].request.true_label for i in idx], settings,
+    ))
+    each(lambda d: d.walk(classifier, head, stats))
+    idx = live()
+    while idx:
+        store("rendering", idx, lambda: _render(
+            classifier, generator, [out[i].mod.x_mod for i in idx],
+            [out[i].inversion.z for i in idx], settings, out[idx[0]].image.shape,
+        ))
+        idx = [i for i in live() if out[i].retreat()]  # the next round
+    for i in live():
+        out[i] = out[i].result(stats)
+
+    idx = [
+        i for i, res in enumerate(out)
+        if requests[i].mode == "proportional" and not isinstance(res, Exception)
+    ]
+    for i, res in zip(idx, proportional_stack(
+        [(out[i], requests[i].fraction) for i in idx], classifier, generator, stats, settings
+    )):
+        out[i] = res
+    return out
 
 
 def proportional(
@@ -549,35 +778,63 @@ def proportional(
     The steps are copied from the recorded walk: an applied step's
     probabilities are those of `x` with the steps up to it applied, whichever
     walk recorded them. The prefix is rendered from the inversion latent,
-    unless its target is `sf`'s own, whose rendering it then reuses.
+    unless its target is `sf`'s own, whose rendering it then reuses. This is
+    `proportional_stack` on a stack of one, raising its error.
     """
-    if sf.mode != "semifactual" or fraction not in FRACTIONS:
-        raise PipelineError(f"proportional needs a semifactual and a fraction in {FRACTIONS}")
-    seq = [s for s in sf.mod_steps if s.applied]
-    budget = math.ceil(fraction * len(seq))
-    steps = [dataclasses.replace(s) for s in seq[:budget]]
-    steps += [  # a fraction above 0 applies at least one step of any walk
-        dataclasses.replace(
-            s, applied=False, reason="beyond_budget",
-            prob_c=steps[-1].prob_c, prob_c_prime=steps[-1].prob_c_prime,
-        )
-        for s in seq[budget:]
+    return _one(proportional_stack([(sf, fraction)], classifier, generator, stats, settings))
+
+
+def proportional_stack(
+    items: list,
+    classifier: nc.Network,
+    generator: nc.Network,
+    stats: StatsTable,
+    settings: OptimSettings,
+) -> list:
+    """`proportional` of each (semifactual, fraction) pair of `items`; the
+    prefixes that need a rendering are rendered as one stack. Returns each
+    pair's ExplanationResult, or the error its rendering raised."""
+    if not items:
+        return []
+    props = []
+    for sf, fraction in items:
+        if sf.mode != "semifactual" or fraction not in FRACTIONS:
+            raise PipelineError(
+                f"proportional needs a semifactual and a fraction in {FRACTIONS}"
+            )
+        seq = [s for s in sf.mod_steps if s.applied]
+        budget = math.ceil(fraction * len(seq))
+        steps = [dataclasses.replace(s) for s in seq[:budget]]
+        steps += [  # a fraction above 0 applies at least one step of any walk
+            dataclasses.replace(
+                s, applied=False, reason="beyond_budget",
+                prob_c=steps[-1].prob_c, prob_c_prime=steps[-1].prob_c_prime,
+            )
+            for s in seq[budget:]
+        ]
+        x_mod = _with_applied(sf.x, steps)
+        props.append(dataclasses.replace(
+            sf, mode="proportional", fraction=fraction, mod_steps=steps, x_mod=x_mod,
+            applied_count=budget, backoff_steps=0,
+            recheck_violations=_recheck_violations(x_mod, steps, stats, sf.c_prime, sf.alpha),
+        ))
+    # the same target from the same start would render `sf` again
+    idx = [
+        i for i, (p, (sf, _)) in enumerate(zip(props, items))
+        if p.x_mod.tobytes() != sf.x_mod.tobytes()
     ]
-    x_mod = _with_applied(sf.x, steps)
-    rendering = {}
-    if x_mod.tobytes() != sf.x_mod.tobytes():
-        # the same target from the same start would render `sf` again
-        body, _ = nc.split_at_tap(classifier)
-        vis = visualize(generator, body, x_mod, sf.z, settings, sf.image_prime.shape)
-        probs = nc.forward(classifier, vis.image.ravel()).output
-        rendering = dict(
-            z_prime=vis.z, image_prime=vis.image, probs_prime=probs,
-            verified=int(np.argmax(probs)) == sf.intended_class,
+    rendered = _render(
+        classifier, generator, [props[i].x_mod for i in idx], [props[i].z for i in idx],
+        settings, items[0][0].image_prime.shape,
+    )
+    for i, r in zip(idx, rendered):
+        if isinstance(r, Exception):
+            props[i] = r
+            continue
+        vis, probs = r
+        props[i] = dataclasses.replace(
+            props[i], z_prime=vis.z, image_prime=vis.image, probs_prime=probs,
+            verified=int(np.argmax(probs)) == props[i].intended_class,
             residuals={"before": vis.residual_before, "after": vis.residual_after},
         )
-    return dataclasses.replace(
-        sf, mode="proportional", fraction=fraction, mod_steps=steps, x_mod=x_mod,
-        applied_count=budget, backoff_steps=0,
-        recheck_violations=_recheck_violations(x_mod, steps, stats, sf.c_prime, sf.alpha),
-        **rendering,
-    )
+    return props

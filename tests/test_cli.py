@@ -357,7 +357,7 @@ class TestExplainCommand:
         def overflow(*args, **kwargs):
             raise nc.NumericsError("non-finite values after layer 2 (dense)")
 
-        monkeypatch.setattr(pl, "select_cf_class", overflow)
+        monkeypatch.setattr(pl, "select_cf_class_stack", overflow)
         capsys.readouterr()
         assert main(["explain", "--run-dir", mini_run, "--index", "0", "--mode", "sf"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -630,7 +630,8 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize(
         "stage,expt",
-        [("select_cf_class", 1), ("select_cf_class", 2), ("visualize", 1), ("visualize", 2)],
+        [("select_cf_class_stack", 1), ("select_cf_class_stack", 2), ("visualize", 1),
+         ("visualize", 2)],
         ids=["1", "2", "visualize-1", "visualize-2"],
     )
     def test_unprepared_image_fails_every_row(
@@ -643,7 +644,9 @@ class TestExperimentCommand:
 
         from piece import pipeline as pl
 
-        error = {"select_cf_class": pl.SelectionError, "visualize": pl.VisualizationError}[stage]
+        error = {
+            "select_cf_class_stack": pl.SelectionError, "visualize": pl.VisualizationError
+        }[stage]
 
         def unprepared(*args, **kwargs):
             raise error(f"{stage} failed")
@@ -687,6 +690,71 @@ class TestExperimentCommand:
             (m, "0", str(n_cases)) for m in ("piece", "min_edit", "c_min_edit")
         ]
 
+    def test_diverged_proportional_rendering_fails_only_its_rows(
+        self, mini_run, tmp_path, monkeypatch
+    ):
+        # the first proportional rendering's start latent turns non-finite:
+        # that budget's PIECE row and its distance-matched rows (which have
+        # no distance to match) fail, and every other row stays as it was
+        import csv
+        import shutil
+
+        import numpy as np
+
+        from piece import experiments as ex
+        from piece import pipeline as pl
+
+        def expt2(name, patched):
+            clone = tmp_path / name
+            shutil.copytree(mini_run, clone)
+            with monkeypatch.context() as m:
+                if patched:
+                    explain_images, visualize = ex._explain_images, pl.visualize
+                    armed = []
+
+                    def explained(*args, **kwargs):
+                        out = explain_images(*args, **kwargs)
+                        armed.append(True)  # the max-edit renderings are done
+                        return out
+
+                    def diverging(generator, feature_net, targets, starts, *rest):
+                        if armed == [True]:
+                            armed.append(False)
+                            starts = np.array(starts, dtype=float)
+                            starts.reshape(-1, starts.shape[-1])[0] = np.nan
+                        return visualize(generator, feature_net, targets, starts, *rest)
+
+                    m.setattr(ex, "_explain_images", explained)
+                    m.setattr(pl, "visualize", diverging)
+                # the failure used to end the experiment with exit 1
+                assert main(["experiment", "--run-dir", str(clone), "--expt", "2",
+                             "--force"]) == 0
+
+            def read(report):
+                return list(csv.DictReader(open(clone / "reports" / report)))
+
+            return {r: read(r) for r in (
+                "expt2_maxedit.csv", "expt2_distance_matched.csv", "expt2_profile.csv"
+            )}
+
+        base = expt2("base", False)
+        got = expt2("diverged", True)
+        assert got["expt2_maxedit.csv"] == base["expt2_maxedit.csv"]
+        changed = set()
+        for report in ("expt2_distance_matched.csv", "expt2_profile.csv"):
+            assert len(got[report]) == len(base[report])
+            for new, old in zip(got[report], base[report]):
+                if new != old:
+                    changed.add((new["image_id"], new["fraction"]))
+                    assert new["verified"] == "false"
+                    assert new.get("failed", "true") == "true"
+                    assert new.get("target_distance", "NA") == "NA"
+        assert len(changed) == 1
+        matched = [r for r in got["expt2_distance_matched.csv"]
+                   if (r["image_id"], r["fraction"]) in changed]
+        assert sorted(r["method"] for r in matched) == ["c_min_edit", "min_edit", "piece"]
+        assert all(r["failed"] == "true" for r in matched)
+
     def test_selection_overflow_fails_only_that_image(self, mini_run, tmp_path, monkeypatch):
         import csv
         import os
@@ -695,18 +763,17 @@ class TestExperimentCommand:
         from piece import netcore as nc
         from piece import pipeline as pl
 
-        select = pl.select_cf_class
-        calls = []
+        select = pl.select_cf_class_stack
 
         def overflow_first(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise nc.NumericsError("non-finite values after layer 2 (dense)")
-            return select(*args, **kwargs)
+            # the selection of the first image of the stack overflows
+            results = select(*args, **kwargs)
+            results[0] = nc.NumericsError("non-finite values after layer 2 (dense)")
+            return results
 
         clone = tmp_path / "overflow"
         shutil.copytree(mini_run, clone)
-        monkeypatch.setattr(pl, "select_cf_class", overflow_first)
+        monkeypatch.setattr(pl, "select_cf_class_stack", overflow_first)
         assert main(["experiment", "--run-dir", str(clone), "--expt", "1", "--force"]) in (0, 5)
         rows = list(csv.DictReader(open(os.path.join(clone, "reports", "expt1_rows.csv"))))
         first = next(csv.DictReader(open(os.path.join(clone, "reports", "expt1_testset.csv"))))

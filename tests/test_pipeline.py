@@ -257,7 +257,7 @@ class TestVisualize:
         settings = pl.OptimSettings()
         inv = invert_one(arts.generator, body, image, settings, seed=idx)
         x = nc.forward(body, image.ravel()).output
-        vis = pl.visualize(arts.generator, body, x, inv.z, settings, image.shape)
+        (vis,) = pl.visualize(arts.generator, body, x[None], inv.z[None], settings, image.shape)
         recon = nc.forward(arts.generator, inv.z).output.reshape(image.shape)
         assert float(np.mean((vis.image - recon) ** 2)) < gen_mse
         assert vis.residual_after <= vis.residual_before
@@ -487,3 +487,97 @@ class TestProportional:
             pl.proportional(sf, 0.4, *args)
         with pytest.raises(pl.PipelineError):
             pl.proportional(dataclasses.replace(sf, mode="counterfactual"), 0.5, *args)
+
+
+class TestStacks:
+    """Stacking changes no bit: each image of a stack gets what it gets
+    alone, and an image that fails, fails alone."""
+
+    def test_visualize_stack_equals_each_image_alone(self, delivered):
+        arts = delivered["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        runs = [delivered[idx] for idx in (0, 120, 184, 380)]
+        settings = runs[0][0].settings
+        targets = np.stack([sf.x_mod for _, sf in runs])
+        starts = np.stack([sf.z for _, sf in runs])
+        shape = runs[0][1].image_prime.shape
+
+        def render(t, z):
+            return pl.visualize(arts.generator, body, t, z, settings, shape)
+
+        alone = [render(t[None], z[None])[0] for t, z in zip(targets, starts)]
+        for poisoned in (None, 1):
+            if poisoned is not None:
+                starts[poisoned, 3] = np.nan
+            stacked = render(targets, starts)
+            assert len(stacked) == len(runs)
+            for i, (got, want) in enumerate(zip(stacked, alone)):
+                if i == poisoned:
+                    assert isinstance(got, pl.VisualizationError)
+                    assert str(got) == "visualization latent diverged to non-finite"
+                    continue
+                assert np.array_equal(got.z, want.z)
+                assert np.array_equal(got.image, want.image)
+                assert (got.residual_before, got.residual_after) == (
+                    want.residual_before, want.residual_after
+                )
+
+    def test_selection_stack_equals_each_image_alone(self, delivered, toy):
+        arts = delivered["arts"]
+        mis = int(toy["mis"][0])
+        body, _ = nc.split_at_tap(arts.classifier)
+        z = [delivered[idx][1].z for idx in (0, 120, 184, 380)]
+        c = [delivered[idx][1].c for idx in (0, 120, 184, 380)]
+        labels = [delivered[idx][0].true_label for idx in (0, 120, 184, 380)]
+        z.append(invert_one(arts.generator, body, arts.test_data.images[mis], FAST, seed=mis).z)
+        c.append(predicted(arts, arts.test_data.images[mis]))
+        labels.append(int(arts.test_data.labels[mis]))
+        settings = delivered[0][0].settings
+        full = [pl.select_cf_class(arts.classifier, arts.generator, *a, settings)
+                for a in zip(z, c, labels)]
+        probed = sorted(sel.steps for sel in full if not sel.trivial)
+        # a budget that some probes exhaust and others do not
+        short = dataclasses.replace(settings, ascent_max_steps=probed[len(probed) // 2])
+        assert probed[0] <= short.ascent_max_steps < probed[-1]
+        stacked = pl.select_cf_class_stack(
+            arts.classifier, arts.generator, np.stack(z), c, labels, short
+        )
+        for args, sel, got in zip(zip(z, c, labels), full, stacked):
+            if sel.steps <= short.ascent_max_steps:
+                assert got == sel
+                continue
+            # its own final probabilities, as alone
+            assert isinstance(got, pl.SelectionError)
+            with pytest.raises(pl.SelectionError) as alone:
+                pl.select_cf_class(arts.classifier, arts.generator, *args, short)
+            assert str(got) == str(alone.value)
+
+    def test_explain_stack_equals_each_request_alone(self, delivered):
+        # semifactuals of four images, image 120's backing off in a round of
+        # its own, next to counterfactuals and a proportional request
+        from piece.experiments import record
+
+        arts = delivered["arts"]
+        requests = [delivered[idx][0] for idx in (0, 120, 184, 380)]
+        requests += [
+            dataclasses.replace(delivered[0][0], mode="counterfactual"),
+            dataclasses.replace(delivered[184][0], mode="counterfactual"),
+            dataclasses.replace(delivered[120][0], mode="proportional", fraction=0.5),
+        ]
+        stacked = pl.explain_stack(requests, arts.classifier, arts.generator, arts.stats)
+        assert stacked[1].backoff_steps >= 1
+        for req, got in zip(requests, stacked):
+            if req.mode == "semifactual":
+                want = delivered[req.image_id][1]
+            else:
+                want = pl.explain(req, arts.classifier, arts.generator, arts.stats)
+            assert record(got) == record(want)
+            assert np.array_equal(got.image_prime, want.image_prime)
+
+    def test_counterfactual_of_the_predicted_class_refused(self, toy):
+        arts = toy["arts"]
+        idx = int(toy["cor"][0])
+        req = request_for(arts, idx, "counterfactual",
+                          target_class=predicted(arts, arts.test_data.images[idx]))
+        with pytest.raises(pl.TargetClassError, match="predicted class"):
+            pl.explain(req, arts.classifier, arts.generator, arts.stats)
