@@ -65,30 +65,29 @@ class BaselineResult:
     failure_reason: str = ""
 
 
-def _objective(method: str, classifier: nc.Network, generator: nc.Network, cfg: BaselineConfig):
-    """The `nc.Descent` objective of `method` as `objective(z, y, x)`:
+def _objective(method: str, classifier: nc.Network, generator: nc.Network, cfg: BaselineConfig,
+               y: np.ndarray, x: Optional[np.ndarray]):
+    """The `nc.Descent` objective of `method` over a stack of images:
     lam*||S(C(G(z))) - y||^2, plus ||C(G(z)) - x||^2 for c_min_edit
-    (Min-Edit has lam = 1 and no proximity), for a target one-hot `y` and
-    reference features `x` that broadcast against the passes of `z`. Its
+    (Min-Edit has lam = 1 and no proximity), with each image's target
+    one-hot in `y` and reference features in `x`, both (n, 1, width). Its
     info is (softmax probs, feature vector, image), all at z, so stop rules
     reuse the pass the gradient came from.
     """
-    if method not in METHODS:
-        raise BaselineError(f"unknown method {method!r}")
     body, head = nc.split_at_tap(classifier)
     lam = cfg.lam if method == "c_min_edit" else 1.0
 
-    def objective(z: np.ndarray, y_target: np.ndarray, x_ref) -> tuple[np.ndarray, tuple]:
+    def objective(z: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, tuple]:
         tg = nc.forward(generator, z)
         img = tg.outputs[-1]
         tb = nc.forward(body, img)
         feat = tb.outputs[-1]
         th = nc.forward(head, feat)
         probs = th.outputs[-1]
-        g_probs = lam * 2.0 * (probs - y_target)
+        g_probs = lam * 2.0 * (probs - y[active])
         g_feat = nc.backward(head, th, g_probs)
         if method == "c_min_edit":
-            g_feat = g_feat + 2.0 * (feat - x_ref)
+            g_feat = g_feat + 2.0 * (feat - x[active])
         g_img = nc.backward(body, tb, g_feat)
         return nc.backward(generator, tg, g_img), (probs, feat, img)
 
@@ -119,21 +118,18 @@ def run_baseline(
     a distance run (the distance-matched protocol) stops when its feature
     displacement from `x` reaches the image's `d_star`. Both return the
     point before the stop, and fail unless it is classified c."""
+    if method not in METHODS:
+        raise BaselineError(f"unknown method {method!r}")
     if mode not in ("counterfactual", "semifactual", "distance"):
         raise BaselineError(f"unknown mode {mode!r}")
     if mode == "distance" and min(d_star) < 0:
         raise BaselineError("target distance must be nonnegative")
-    objective = _objective(method, classifier, generator, cfg)
     c, c_prime = np.asarray(c), np.asarray(c_prime)
     # one row per image: (n, 1, width), as every pass below
     y = np.stack([nc.one_hot(int(k), classifier.output_dim) for k in c_prime])[:, None, :]
     x = None if x is None else np.asarray(x, dtype=np.float64)[:, None, :]
-
-    def stacked(zs: np.ndarray) -> tuple[np.ndarray, tuple]:
-        rows = run.active
-        return objective(zs, y[rows], None if x is None else x[rows])
-
-    run = nc.Descent(stacked, np.asarray(z, dtype=np.float64)[:, None, :], cfg.lr, cfg.max_steps)
+    objective = _objective(method, classifier, generator, cfg, y, x)
+    run = nc.Descent(objective, np.asarray(z, dtype=np.float64)[:, None, :], cfg.lr, cfg.max_steps)
     # the point a stop returns, by stack index, and the class it must have:
     # for a counterfactual the current point, else the one before it
     prev = np.empty_like(run.z[:, 0])

@@ -205,7 +205,6 @@ def cmd_explain(args) -> int:
             mode=mode,
             fraction=args.fraction,
             alpha=args.alpha if args.alpha is not None else cfg.alpha,
-            settings=cfg.optim,
             seed=ex.derive_seed(cfg.seed, 3, args.index),
             image_id=args.index,
             target_class=args.target_class,
@@ -213,12 +212,9 @@ def cmd_explain(args) -> int:
     except pl.PipelineError as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        result = pl.explain(request, arts.classifier, arts.generator, arts.stats)
+        result = pl.explain(request, arts.classifier, arts.generator, arts.stats, cfg.optim)
     except pl.TargetClassError as exc:
-        raise ConfigError(
-            f"--target-class {args.target_class} is the predicted class of image "
-            f"{args.index}; a counterfactual needs another class"
-        ) from exc
+        raise ConfigError(str(exc)) from exc
     ex.save_explanation(paths, "single", f"{args.mode}_{args.index:04d}", result, image, arts)
     print(
         f"explain: image {args.index} (label {label}) mode {mode}"

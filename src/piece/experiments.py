@@ -276,7 +276,6 @@ def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list)
             true_label=case.label,
             mode=mode,
             alpha=cfg.alpha,
-            settings=cfg.optim,
             seed=derive_seed(cfg.seed, expt, case.image_id),
             image_id=case.image_id,
         )
@@ -284,7 +283,7 @@ def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list)
     ]
     explained: list = []
     for case, res in zip(cases, pl.explain_stack(
-        requests, arts.classifier, arts.generator, arts.stats
+        requests, arts.classifier, arts.generator, arts.stats, cfg.optim
     )):
         if isinstance(res, Exception):
             explained.append(None)

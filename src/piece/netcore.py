@@ -724,7 +724,8 @@ def adam_step(
 
 
 class Descent:
-    """Adam descent of `objective(z) -> (grad, info)` from a copy of `z`.
+    """Adam descent of `objective(z, active) -> (grad, info)` from a copy of
+    `z`.
 
     Iterating yields `(0, z, info)` at the start, then `(step, z, info)`
     after each of at most `max_steps` updates; `objective` runs once per
@@ -736,13 +737,15 @@ class Descent:
     Adam is elementwise and every image starts together, so each image
     takes the steps it would take alone, and the step count is shared.
     `active` holds the stack indices of the images still descending, in
-    the order of the yielded arrays' image axis. Between yields the caller
-    may `retire` images, which drops them from `z`, the gradient and Adam's
-    moments. An image whose pass raises a `NumericsError` naming it (see
-    `forward`) retires by itself: `errors` maps its stack index to the step
-    and the error, and the other images are evaluated again. The objective
-    keeps the image axis of `z` leading in every pass, so the indices an
-    error names are those of `z`. Iteration ends when no image is left.
+    the order of the yielded arrays' image axis; the objective is handed it
+    with each point, to index its per-image constants. Between yields the
+    caller may `retire` images, which drops them from `z`, the gradient and
+    Adam's moments. An image whose pass raises a `NumericsError` naming it
+    (see `forward`) retires by itself: `errors` maps its stack index to the
+    step and the error, and the other images are evaluated again. The
+    objective keeps the image axis of `z` leading in every pass, so the
+    indices an error names are those of `z`. Iteration ends when no image
+    is left.
     A vector or a 2-d `z` is one image: `active` is None, and an error
     propagates to the caller.
     """
@@ -780,7 +783,7 @@ class Descent:
         overflowed; None once no image is left."""
         while True:
             try:
-                self.grad, info = self.objective(self.z)
+                self.grad, info = self.objective(self.z, self.active)
                 return info
             except NumericsError as exc:
                 if exc.images is None or self.active is None:

@@ -4,17 +4,19 @@ expected values, and render the modified features back into an image.
 
 Counterfactual mode replaces every eligible exceptional feature. Semifactual
 mode stops right before the replacement that would flip the predicted class.
-Proportional mode (`proportional`) applies a prefix (25/50/75/100 percent)
-of the replacement sequence of the delivered semifactual: its steps are
-copied from the semifactual's recorded walk, probabilities included, with
-no network pass.
+Proportional mode (`proportional_stack`) applies a prefix (25/50/75/100
+percent) of the replacement sequence of the delivered semifactual: its
+steps are copied from the semifactual's recorded walk, probabilities
+included, with no network pass.
 
 `explain_stack` explains many requests at once, in phases: each latent
 search (inversion, class selection, rendering) runs as one lockstep
-`nc.Descent` over all the images, each image exactly as it would run
-alone, and an image that fails, fails alone. `explain`, `select_cf_class`
-and `proportional` are the stacks of one; `invert_image` and `visualize`
-take stacks only.
+`nc.Descent` over all the images, whose objective indexes each image's
+constants by the rows it is handed, so each image runs exactly as it
+would alone, and an image that fails, fails alone. `explain` and
+`select_cf_class` are the stacks of one; `invert_image`, `visualize` and
+`proportional_stack` take stacks only. Every stage takes the
+`OptimSettings` as an argument.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ class ExplanationRequest:
     mode: str  # counterfactual | semifactual | proportional
     fraction: Optional[float] = None  # proportional only
     alpha: float = 0.05
-    settings: OptimSettings = OptimSettings()
     seed: int = 0
     image_id: int = -1
     target_class: Optional[int] = None  # override, bypasses selection
@@ -144,14 +145,14 @@ def invert_image(
     target_feats = nc.forward(feature_net, flat).output
     shape = (settings.invert_restarts, generator.input_dim)
 
-    def objective(zv: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def objective(zv: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, tuple]:
         tg = nc.forward(generator, zv, check_finite=False)
         imgs = tg.outputs[-1]
         tc = nc.forward(feature_net, imgs, check_finite=False)
         feats = tc.outputs[-1]
-        g_feat = 2.0 * (feats - target_feats)
+        g_feat = 2.0 * (feats - target_feats[active])
         g_img = nc.backward(feature_net, tc, g_feat)
-        g_img = g_img + 2.0 * (imgs - flat)
+        g_img = g_img + 2.0 * (imgs - flat[active])
         return nc.backward(generator, tg, g_img), (feats, imgs)
 
     z0 = np.stack([np.random.default_rng(int(s)).standard_normal(shape) for s in seeds])
@@ -233,11 +234,11 @@ def select_cf_class_stack(
     if len(probe):
         y = np.stack([nc.one_hot(int(k), classifier.output_dim) for k in c[probe]])[:, None, :]
 
-        def objective(zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def objective(zv: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             tg = nc.forward(generator, zv)
             tc = nc.forward(classifier, tg.outputs[-1])
             out = tc.outputs[-1]
-            g_img = nc.backward(classifier, tc, 2.0 * (out - y[run.active]))
+            g_img = nc.backward(classifier, tc, 2.0 * (out - y[active]))
             # ascend: hand the negated gradient to the descent
             return -nc.backward(generator, tg, g_img), out[:, 0]
 
@@ -321,7 +322,7 @@ def modify_features(
     the head after each tentative replacement and stops, without applying,
     at the first one that would change the predicted class away from `c`.
     Proportional results are prefixes of the delivered semifactual; see
-    `proportional`.
+    `proportional_stack`.
     """
     if any(
         features[i].probability > features[i + 1].probability
@@ -393,35 +394,39 @@ class VisualizationResult:
     image: np.ndarray  # (H, W)
     residual_before: float
     residual_after: float
+    probs: np.ndarray  # the classifier's probabilities for `image`
 
 
 def visualize(
+    classifier: nc.Network,
     generator: nc.Network,
-    feature_net: nc.Network,
     x_target: np.ndarray,
     z_init: np.ndarray,
     settings: OptimSettings,
     image_shape: tuple,
 ) -> list:
     """Descend from each start latent until the generated image's features
-    match its target feature vector; each image keeps the best latent seen.
+    (the classifier's body) match its target feature vector; each image
+    keeps the best latent seen, whose rendering the classifier then
+    classifies.
 
     `x_target` (n, k) and `z_init` (n, d) hold a stack of n images, which
     descend as one lockstep `nc.Descent`, each exactly as alone: its loss is
     summed on its own row. Returns each image's VisualizationResult, or the
     error it raises alone: a VisualizationError when its latent diverges,
-    a NumericsError when its rendering overflows.
+    a NumericsError when its rendering or its classification overflows.
     """
+    body, _ = nc.split_at_tap(classifier)
     targets = np.asarray(x_target, dtype=np.float64)[:, None, :]
 
-    def objective(zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def objective(zv: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bad = ~np.isfinite(zv).all(axis=(1, 2))
         if bad.any():
             raise nc.NumericsError(_DIVERGED, np.flatnonzero(bad))
         tg = nc.forward(generator, zv, check_finite=False)
-        tc = nc.forward(feature_net, tg.outputs[-1], check_finite=False)
-        diff = tc.outputs[-1] - targets[run.active]
-        g_img = nc.backward(feature_net, tc, 2.0 * diff)
+        tc = nc.forward(body, tg.outputs[-1], check_finite=False)
+        diff = tc.outputs[-1] - targets[active]
+        g_img = nc.backward(body, tc, 2.0 * diff)
         g_z = nc.backward(generator, tg, g_img)
         return g_z, np.array([float(np.sum(d)) for d in diff ** 2])
 
@@ -444,10 +449,11 @@ def visualize(
             continue
         try:
             image = nc.forward(generator, zi).output.reshape(image_shape)
+            probs = nc.forward(classifier, image.ravel()).output
         except nc.NumericsError as exc:
             results.append(exc)
             continue
-        results.append(VisualizationResult(zi, image, float(before[i]), float(best[i])))
+        results.append(VisualizationResult(zi, image, float(before[i]), float(best[i]), probs))
     return results
 
 
@@ -526,8 +532,7 @@ class _Draft:
     features: Optional[list] = None
     skipped: int = 0
     mod: Optional[ModificationResult] = None
-    applied: Optional[list] = None  # the applied steps a backoff can still drop, in order
-    rendering: Optional[tuple] = None  # (VisualizationResult, its class probabilities)
+    rendering: Optional[VisualizationResult] = None
     backoff: int = 0
 
     def classify(self, classifier: nc.Network) -> None:
@@ -551,33 +556,29 @@ class _Draft:
         self.mod = modify_features(
             self.x, self.features, w, head, self.c, c_prime, self.request.mode
         )
-        self.applied = [s for s in self.mod.steps if s.applied]
 
     @property
     def intended(self) -> int:
         return self.selection.c_prime if self.request.mode == "counterfactual" else self.c
 
     def predicted(self) -> int:
-        return int(np.argmax(self.rendering[1]))
+        return int(np.argmax(self.rendering.probs))
 
     def retreat(self) -> bool:
         """Drop the last applied replacement of a semifactual whose rendering
         left `c`; False when there is nothing to drop."""
-        if (self.request.mode != "semifactual" or self.predicted() == self.intended
-                or not self.applied):
+        applied = [s for s in self.mod.steps if s.applied]
+        if self.request.mode != "semifactual" or self.predicted() == self.intended or not applied:
             return False
-        dropped = self.applied.pop()
-        dropped.applied, dropped.reason = False, "backoff_visual_flip"
+        applied[-1].applied, applied[-1].reason = False, "backoff_visual_flip"
         self.mod = dataclasses.replace(
-            self.mod, x_mod=_with_applied(self.x, self.mod.steps),
-            applied_count=len(self.applied),
+            self.mod, x_mod=_with_applied(self.x, self.mod.steps), applied_count=len(applied) - 1
         )
         self.backoff += 1
         return True
 
     def result(self, stats: StatsTable) -> ExplanationResult:
-        req, mod, inv = self.request, self.mod, self.inversion
-        vis, probs_prime = self.rendering
+        req, mod, inv, vis = self.request, self.mod, self.inversion, self.rendering
         c_prime = self.selection.c_prime
         ks_list = []
         for feat in self.features:
@@ -602,7 +603,7 @@ class _Draft:
             z_prime=vis.z,
             image_prime=vis.image,
             probs_original=self.probs_original,
-            probs_prime=probs_prime,
+            probs_prime=vis.probs,
             applied_count=mod.applied_count,
             eligible_count=mod.eligible_count,
             k_reference=mod.applied_count,
@@ -624,35 +625,15 @@ class _Draft:
 
 
 def _per_image(n: int, phase) -> list:
-    """The per-image results of the stacked `phase()` over n images; an
-    error that the stack raises as a whole is each image's error."""
+    """The per-image results of the stacked `phase()` over n images, none
+    when n is 0; an error that the stack raises as a whole is each image's
+    error."""
+    if not n:
+        return []
     try:
         return phase()
     except (PipelineError, nc.NumericsError) as exc:
         return [exc] * n
-
-
-def _render(
-    classifier: nc.Network, generator: nc.Network, targets: list, starts: list,
-    settings: OptimSettings, image_shape: tuple,
-) -> list:
-    """Each target feature vector rendered from its start latent by one
-    stacked `visualize`, with the classifier's probabilities for the
-    rendering; or the error that image raised."""
-    if not targets:
-        return []
-    body, _ = nc.split_at_tap(classifier)
-    out = []
-    for vis in _per_image(len(targets), lambda: visualize(
-        generator, body, np.stack(targets), np.stack(starts), settings, image_shape
-    )):
-        if not isinstance(vis, Exception):
-            try:
-                vis = (vis, nc.forward(classifier, vis.image.ravel()).output)
-            except nc.NumericsError as exc:
-                vis = exc
-        out.append(vis)
-    return out
 
 
 def explain(
@@ -660,10 +641,11 @@ def explain(
     classifier: nc.Network,
     generator: nc.Network,
     stats: StatsTable,
+    settings: OptimSettings,
 ) -> ExplanationResult:
     """Full pipeline for one request: `explain_stack` on a stack of one,
     raising its error."""
-    return _one(explain_stack([request], classifier, generator, stats))
+    return _one(explain_stack([request], classifier, generator, stats, settings))
 
 
 def explain_stack(
@@ -671,6 +653,7 @@ def explain_stack(
     classifier: nc.Network,
     generator: nc.Network,
     stats: StatsTable,
+    settings: OptimSettings,
 ) -> list:
     """Full pipeline for each request, from the classifier pass to the
     rendering, in phases over all the requests at once:
@@ -680,27 +663,23 @@ def explain_stack(
     3. class selection, as one stack (`select_cf_class_stack`), or the
        request's target class;
     4. each image's exceptional features and feature walk;
-    5. the rendering, as one stacked `visualize`, and each rendering's
-       classifier pass;
+    5. the rendering and its classification, as one stacked `visualize`;
     6. backoff in rounds: a semifactual's rendered image may land past the
        boundary even though its feature vector does not. Each round drops
        the last applied replacement of every such semifactual and renders
        them again, as one stack, until each stays in `c` or has nothing
        left to drop;
-    7. a proportional request is `proportional` of its image's
-       semifactual; the ones that need a rendering are rendered as one
-       stack (`proportional_stack`).
+    7. a proportional request is its image's semifactual cut to a prefix
+       by `proportional_stack`, which renders the ones that need a
+       rendering as one stack.
 
-    The requests share their settings. Every search runs each image exactly
-    as it would run alone, so the result does not depend on the stack.
+    Every search runs each image exactly as it would run alone, so the
+    result does not depend on the stack.
     Returns each request's ExplanationResult, or the PipelineError or
     NumericsError that explaining it alone raises.
     """
     if not requests:
         return []
-    settings = requests[0].settings
-    if any(r.settings != settings for r in requests):
-        raise PipelineError("the requests of one stack must share their settings")
     body, head = nc.split_at_tap(classifier)
     out: list = [
         _Draft(dataclasses.replace(r, mode="semifactual", fraction=None)
@@ -721,7 +700,7 @@ def explain_stack(
     def store(field: str, idx: list, phase) -> None:
         """Each image's result of the stacked `phase()` over images `idx`,
         as its `field`, or its error as its result."""
-        for i, res in zip(idx, _per_image(len(idx), phase) if idx else []):
+        for i, res in zip(idx, _per_image(len(idx), phase)):
             if isinstance(res, Exception):
                 out[i] = res
             else:
@@ -744,9 +723,9 @@ def explain_stack(
     each(lambda d: d.walk(classifier, head, stats))
     idx = live()
     while idx:
-        store("rendering", idx, lambda: _render(
-            classifier, generator, [out[i].mod.x_mod for i in idx],
-            [out[i].inversion.z for i in idx], settings, out[idx[0]].image.shape,
+        store("rendering", idx, lambda: visualize(
+            classifier, generator, np.stack([out[i].mod.x_mod for i in idx]),
+            np.stack([out[i].inversion.z for i in idx]), settings, out[idx[0]].image.shape,
         ))
         idx = [i for i in live() if out[i].retreat()]  # the next round
     for i in live():
@@ -763,27 +742,6 @@ def explain_stack(
     return out
 
 
-def proportional(
-    sf: ExplanationResult,
-    fraction: float,
-    classifier: nc.Network,
-    generator: nc.Network,
-    stats: StatsTable,
-    settings: OptimSettings,
-) -> ExplanationResult:
-    """The proportional explanation of the delivered semifactual `sf` (the
-    one whose rendering still classifies as `c`) at `fraction`: a prefix of
-    its replacement sequence, so fraction 1.0 reproduces it exactly.
-
-    The steps are copied from the recorded walk: an applied step's
-    probabilities are those of `x` with the steps up to it applied, whichever
-    walk recorded them. The prefix is rendered from the inversion latent,
-    unless its target is `sf`'s own, whose rendering it then reuses. This is
-    `proportional_stack` on a stack of one, raising its error.
-    """
-    return _one(proportional_stack([(sf, fraction)], classifier, generator, stats, settings))
-
-
 def proportional_stack(
     items: list,
     classifier: nc.Network,
@@ -791,9 +749,18 @@ def proportional_stack(
     stats: StatsTable,
     settings: OptimSettings,
 ) -> list:
-    """`proportional` of each (semifactual, fraction) pair of `items`; the
-    prefixes that need a rendering are rendered as one stack. Returns each
-    pair's ExplanationResult, or the error its rendering raised."""
+    """The proportional explanation of each (semifactual, fraction) pair of
+    `items`: a prefix of the replacement sequence of the delivered
+    semifactual (the one whose rendering still classifies as `c`), so
+    fraction 1.0 reproduces it exactly.
+
+    The steps are copied from the recorded walk: an applied step's
+    probabilities are those of `x` with the steps up to it applied, whichever
+    walk recorded them. Each prefix is rendered from the inversion latent,
+    unless its target is its semifactual's own, whose rendering it then
+    reuses; the prefixes that need a rendering are rendered as one stack.
+    Returns each pair's ExplanationResult, or the error its rendering
+    raised."""
     if not items:
         return []
     props = []
@@ -823,18 +790,17 @@ def proportional_stack(
         i for i, (p, (sf, _)) in enumerate(zip(props, items))
         if p.x_mod.tobytes() != sf.x_mod.tobytes()
     ]
-    rendered = _render(
-        classifier, generator, [props[i].x_mod for i in idx], [props[i].z for i in idx],
-        settings, items[0][0].image_prime.shape,
-    )
-    for i, r in zip(idx, rendered):
-        if isinstance(r, Exception):
-            props[i] = r
+    rendered = _per_image(len(idx), lambda: visualize(
+        classifier, generator, np.stack([props[i].x_mod for i in idx]),
+        np.stack([props[i].z for i in idx]), settings, items[0][0].image_prime.shape,
+    ))
+    for i, vis in zip(idx, rendered):
+        if isinstance(vis, Exception):
+            props[i] = vis
             continue
-        vis, probs = r
         props[i] = dataclasses.replace(
-            props[i], z_prime=vis.z, image_prime=vis.image, probs_prime=probs,
-            verified=int(np.argmax(probs)) == props[i].intended_class,
+            props[i], z_prime=vis.z, image_prime=vis.image, probs_prime=vis.probs,
+            verified=int(np.argmax(vis.probs)) == props[i].intended_class,
             residuals={"before": vis.residual_before, "after": vis.residual_after},
         )
     return props

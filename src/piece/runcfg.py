@@ -40,7 +40,13 @@ from .datagen import (
 from .hurdle import StatsTable, load_latents, load_stats
 from .netcore import Network, atomic_write, load_network, read_doc
 from .pipeline import OptimSettings, PipelineError
-from .training import AutoencoderConfig, ClassifierConfig, TrainingFailure, fit_names
+from .training import (
+    MIN_CLASS_SAMPLES,
+    AutoencoderConfig,
+    ClassifierConfig,
+    TrainingFailure,
+    fit_names,
+)
 
 
 class ConfigError(Exception):
@@ -62,9 +68,10 @@ class DatasetConfig:
     glyphs: GlyphParams = GlyphParams()
 
     def __post_init__(self):
-        for name in ("n_train_per_class", "n_test_per_class"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # fewer training images would fail the class autoencoders in `train`
+        for name, low in (("n_train_per_class", MIN_CLASS_SAMPLES), ("n_test_per_class", 1)):
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,10 @@ from . import netcore as nc
 from .datagen import Dataset
 
 
+# a class autoencoder needs at least this many training images of its class
+MIN_CLASS_SAMPLES = 30
+
+
 class TrainingFailure(Exception):
     """A training stage that could not run or did not reach its target."""
 
@@ -258,15 +262,14 @@ def train_generator(
 
 
 def train_class_autoencoder(
-    train: Dataset, test: Dataset, cfg: AutoencoderConfig, cls: int, min_class_samples: int = 30
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig, cls: int
 ) -> tuple[nc.Network, list]:
     """The autoencoder of class `cls` and its curve."""
     imgs = train.images[train.labels == cls]
     eval_imgs = test.images[test.labels == cls]
-    if len(imgs) < min_class_samples:
+    if len(imgs) < MIN_CLASS_SAMPLES:
         raise TrainingFailure(
-            f"class {cls} has only {len(imgs)} training images "
-            f"(need {min_class_samples})"
+            f"class {cls} has only {len(imgs)} training images (need {MIN_CLASS_SAMPLES})"
         )
     if len(eval_imgs) == 0:
         eval_imgs = imgs
@@ -292,15 +295,12 @@ def autoencoders_report(
 
 
 def train_autoencoders(
-    train: Dataset, test: Dataset, cfg: AutoencoderConfig, min_class_samples: int = 30
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig
 ) -> tuple[list, nc.Network, TrainReport]:
     """One autoencoder per class plus one on the full data (for the
     reconstruction-error plausibility metrics)."""
     n_classes = int(train.labels.max()) + 1
-    fits = [
-        train_class_autoencoder(train, test, cfg, cls, min_class_samples)
-        for cls in range(n_classes)
-    ]
+    fits = [train_class_autoencoder(train, test, cfg, cls) for cls in range(n_classes)]
     full_net, full_curve = train_full_autoencoder(train, test, cfg)
     report = autoencoders_report(cfg, [curve for _, curve in fits], full_curve)
     return [net for net, _ in fits], full_net, report

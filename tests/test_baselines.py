@@ -25,11 +25,10 @@ def prepared(toy_run):
             image=arts.test_data.images[idx],
             true_label=int(arts.test_data.labels[idx]),
             mode="counterfactual",
-            settings=settings,
             seed=idx,
             image_id=idx,
         )
-        pieces.append(pl.explain(req, arts.classifier, arts.generator, arts.stats))
+        pieces.append(pl.explain(req, arts.classifier, arts.generator, arts.stats, settings))
     return {"arts": arts, "pieces": pieces}
 
 
@@ -238,7 +237,7 @@ def serial_edit(method, z, x, c, c_prime, arts, cfg, mode, d_star=None):
     y = nc.one_hot(c_prime, head.output_dim)
     lam = cfg.lam if method == "c_min_edit" else 1.0
 
-    def objective(zv):
+    def objective(zv, active):
         tg = nc.forward(arts.generator, zv)
         tb = nc.forward(body, tg.outputs[-1])
         th = nc.forward(head, tb.outputs[-1])
@@ -328,27 +327,24 @@ class TestStack:
         start = (arts.classifier, arts.generator, cfg, "semifactual")
         alone = [bl.min_edit(z[i], c[i], c_prime[i], *start) for i in range(len(pieces))]
         # image 2, ahead of image 4 in the stack, overflows in the very pass
-        # where image 4 stops, so the stack shrinks as the stop fires.
-        # Min-Edit ignores x, so x marks image 2 for the failing objective
+        # where image 4 stops, so the stack shrinks as the stop fires
         stop = alone[4].crossed_step
         assert stop < alone[2].crossed_step
-        x = np.zeros((len(pieces), pieces[0].x.size))
-        x[2] = 1.0
         real = bl._objective
 
         def overflowing(*args):
             objective, passes = real(*args), []
 
-            def run(zs, y, x_ref):
+            def run(zs, active):
                 passes.append(len(zs))
                 if len(passes) == stop + 1:  # the pass of step `stop`
-                    raise nc.NumericsError("overflow", images=np.flatnonzero(x_ref[:, 0, 0]))
-                return objective(zs, y, x_ref)
+                    raise nc.NumericsError("overflow", images=np.flatnonzero(active == 2))
+                return objective(zs, active)
 
             return run
 
         monkeypatch.setattr(bl, "_objective", overflowing)
-        stacked = bl.run_baseline("min_edit", z, x, c, c_prime, *start)
+        stacked = bl.run_baseline("min_edit", z, None, c, c_prime, *start)
         assert stacked[2].failed and stacked[2].steps_taken == stop
         assert stacked[2].failure_reason == "overflow"
         for i in (0, 1, 3, 4, 5):

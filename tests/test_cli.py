@@ -161,7 +161,9 @@ class TestStageOrdering:
 
     @pytest.mark.parametrize(
         "section,line", [("run", "seed = -1"), ("dataset", "side = 8"),
-                         ("pipeline", "invert_steps = -5")]
+                         ("pipeline", "invert_steps = -5"),
+                         # too few training images for the class autoencoders
+                         ("dataset", "n_train_per_class = 29")]
     )
     def test_config_error_creates_nothing(self, tmp_path, capsys, section, line):
         bad = tmp_path / "bad.ini"
@@ -189,11 +191,11 @@ class TestStageOrdering:
         assert len(err) == 1 and err[0].startswith(f"error: [{section}] hidden")
 
 
-# the classifier passes; the generator misses its target and every class
-# autoencoder lacks training images, so a serial run fails at the generator
+# the classifier passes and the generator misses its target, so a serial
+# run fails at the generator, before the autoencoders
 TWO_FAILURES_CONFIG = """
 [dataset]
-n_train_per_class = 20
+n_train_per_class = 30
 n_test_per_class = 10
 
 [classifier]
@@ -338,7 +340,7 @@ class TestExplainCommand:
         assert main(["explain", "--run-dir", mini_run, "--index", "4",
                      "--mode", "cf", "--target-class", target]) == 2
 
-    def test_target_class_equal_to_prediction_refused(self, mini_run):
+    def test_target_class_equal_to_prediction_refused(self, mini_run, capsys):
         import numpy as np
 
         from piece import netcore as nc
@@ -347,8 +349,13 @@ class TestExplainCommand:
         arts = load_run(RunPaths(mini_run))
         predicted = int(np.argmax(
             nc.forward(arts.classifier, arts.test_data.images[4].ravel()).output))
+        capsys.readouterr()
         assert main(["explain", "--run-dir", mini_run, "--index", "4",
                      "--mode", "cf", "--target-class", str(predicted)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: target class {predicted} is the predicted class of image 4; "
+            "a counterfactual needs another class\n"
+        )
 
     def test_overflow_exits_1(self, mini_run, monkeypatch, capsys):
         from piece import netcore as nc
@@ -717,12 +724,12 @@ class TestExperimentCommand:
                         armed.append(True)  # the max-edit renderings are done
                         return out
 
-                    def diverging(generator, feature_net, targets, starts, *rest):
+                    def diverging(classifier, generator, targets, starts, *rest):
                         if armed == [True]:
                             armed.append(False)
                             starts = np.array(starts, dtype=float)
                             starts.reshape(-1, starts.shape[-1])[0] = np.nan
-                        return visualize(generator, feature_net, targets, starts, *rest)
+                        return visualize(classifier, generator, targets, starts, *rest)
 
                     m.setattr(ex, "_explain_images", explained)
                     m.setattr(pl, "visualize", diverging)

@@ -453,14 +453,16 @@ class TestAdam:
 
 def _quadratic(seed, rows=3, dim=5):
     """Random convex quadratic over a (rows, dim) batch, its start point, and
-    the list of points it was evaluated at."""
+    the list of points it was evaluated at. A 2-d point is one image, so
+    the objective is handed no active images."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim))
     h = a @ a.T + np.eye(dim)
     target = rng.normal(size=(rows, dim))
     calls: list = []
 
-    def objective(z):
+    def objective(z, active):
+        assert active is None
         calls.append(z)
         d = z - target
         return 2.0 * d @ h, float(np.sum(d * (d @ h)))
@@ -475,12 +477,12 @@ class TestDescend:
         got = [(step, z.copy(), info) for step, z, info in nc.Descent(objective, z0, 0.05, 40)]
         reference, z0_ref, _ = _quadratic(seed)
         z = z0_ref.copy()
-        g, info = reference(z)
+        g, info = reference(z, None)
         want = [(0, z.copy(), info)]
         state = nc.AdamState.init([z])
         for step in range(1, 41):
             nc.adam_step([z], [g], state, 0.05)
-            g, info = reference(z)
+            g, info = reference(z, None)
             want.append((step, z.copy(), info))
         assert [s for s, _, _ in got] == [s for s, _, _ in want]
         assert all(np.array_equal(a, b) for (_, a, _), (_, b, _) in zip(got, want))
@@ -572,9 +574,9 @@ class TestDescentStack:
         targets = rng.normal(size=(5, 2, 2))
         stop_at = {0: 3, 1: 9, 3: 0}  # image 4 runs the whole budget
 
-        def objective(z):
+        def objective(z, active):
             trace = nc.forward(net, z)
-            g = 2.0 * (trace.outputs[-1] - targets[run.active])
+            g = 2.0 * (trace.outputs[-1] - targets[active])
             return nc.backward(net, trace, g), trace.outputs[-1]
 
         run = nc.Descent(objective, z0, 0.05, 12)
@@ -589,7 +591,7 @@ class TestDescentStack:
         assert step == 0 and "layer 0 (dense)" in str(exc)
         assert got[2] == []
         for i in (0, 1, 3, 4):
-            def alone(z, i=i):
+            def alone(z, active, i=i):
                 trace = nc.forward(net, z)
                 g = 2.0 * (trace.outputs[-1] - targets[i])
                 return nc.backward(net, trace, g), trace.outputs[-1]
@@ -604,7 +606,7 @@ class TestDescentStack:
     def test_error_without_image_indices_propagates(self):
         net = nc.Network([dense([[1e200]])], role="generator")
 
-        def objective(z):
+        def objective(z, active):
             trace = nc.forward(net, z)
             return nc.backward(net, trace, np.ones_like(trace.outputs[-1])), None
 

@@ -21,6 +21,17 @@ def invert_one(generator, body, image, settings, seed):
     return inv
 
 
+def proportional(sf, fraction, arts, settings):
+    """One semifactual's proportional explanation: `proportional_stack` on a
+    stack of one, raising its error."""
+    (res,) = pl.proportional_stack(
+        [(sf, fraction)], arts.classifier, arts.generator, arts.stats, settings
+    )
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
 @pytest.fixture(scope="module")
 def toy(toy_run):
     arts = toy_run["arts"]
@@ -41,9 +52,10 @@ def delivered(toy):
     arts = toy["arts"]
     out = {"arts": arts}
     for idx in (0, 120, 184, 380):
-        req = request_for(arts, idx, "semifactual", settings=arts.config.optim,
-                          seed=derive_seed(arts.config.seed, 3, idx))
-        out[idx] = (req, pl.explain(req, arts.classifier, arts.generator, arts.stats))
+        req = request_for(arts, idx, "semifactual", seed=derive_seed(arts.config.seed, 3, idx))
+        out[idx] = (req, pl.explain(
+            req, arts.classifier, arts.generator, arts.stats, arts.config.optim
+        ))
     return out
 
 
@@ -56,7 +68,6 @@ def request_for(arts, idx, mode, **kw):
         image=arts.test_data.images[idx],
         true_label=int(arts.test_data.labels[idx]),
         mode=mode,
-        settings=kw.pop("settings", FAST),
         seed=kw.pop("seed", int(idx)),
         image_id=int(idx),
         **kw,
@@ -257,7 +268,9 @@ class TestVisualize:
         settings = pl.OptimSettings()
         inv = invert_one(arts.generator, body, image, settings, seed=idx)
         x = nc.forward(body, image.ravel()).output
-        (vis,) = pl.visualize(arts.generator, body, x[None], inv.z[None], settings, image.shape)
+        (vis,) = pl.visualize(
+            arts.classifier, arts.generator, x[None], inv.z[None], settings, image.shape
+        )
         recon = nc.forward(arts.generator, inv.z).output.reshape(image.shape)
         assert float(np.mean((vis.image - recon) ** 2)) < gen_mse
         assert vis.residual_after <= vis.residual_before
@@ -267,7 +280,7 @@ class TestVisualize:
         body, _ = nc.split_at_tap(arts.classifier)
         idx = int(toy["cor"][1])
         req = request_for(arts, idx, "counterfactual")
-        res = pl.explain(req, arts.classifier, arts.generator, arts.stats)
+        res = pl.explain(req, arts.classifier, arts.generator, arts.stats, FAST)
         assert res.residuals["after"] < res.residuals["before"]
 
 
@@ -277,7 +290,7 @@ class TestExplain:
         idx = int(toy["mis"][0])
         res = pl.explain(
             request_for(arts, idx, "counterfactual"),
-            arts.classifier, arts.generator, arts.stats,
+            arts.classifier, arts.generator, arts.stats, FAST,
         )
         assert res.trivially_selected
         assert res.c_prime == arts.test_data.labels[idx]
@@ -292,7 +305,7 @@ class TestExplain:
         idx = int(toy["mis"][0])
         res = pl.explain(
             request_for(arts, idx, "semifactual"),
-            arts.classifier, arts.generator, arts.stats,
+            arts.classifier, arts.generator, arts.stats, FAST,
         )
         assert res.c_prime == arts.test_data.labels[idx]
         assert res.intended_class == res.c
@@ -308,7 +321,7 @@ class TestExplain:
         for idx in list(toy["cor"][:4]) + list(toy["mis"][:1]):
             res = pl.explain(
                 request_for(arts, int(idx), "counterfactual"),
-                arts.classifier, arts.generator, arts.stats,
+                arts.classifier, arts.generator, arts.stats, FAST,
             )
             assert np.argmax(nc.forward(head, res.x_mod).output) == res.c_prime
 
@@ -317,7 +330,7 @@ class TestExplain:
         idx = int(toy["cor"][2])
         res = pl.explain(
             request_for(arts, idx, "counterfactual"),
-            arts.classifier, arts.generator, arts.stats,
+            arts.classifier, arts.generator, arts.stats, FAST,
         )
         applied = [s for s in res.mod_steps if s.applied]
         if applied:
@@ -328,7 +341,7 @@ class TestExplain:
         idx = int(toy["cor"][3])
         res = pl.explain(
             request_for(arts, idx, "semifactual"),
-            arts.classifier, arts.generator, arts.stats,
+            arts.classifier, arts.generator, arts.stats, FAST,
         )
         _, head = nc.split_at_tap(arts.classifier)
         x_check = res.x.copy()
@@ -341,13 +354,12 @@ class TestExplain:
         arts = toy["arts"]
         idx = int(toy["cor"][4])
         sf = pl.explain(
-            request_for(arts, idx, "semifactual"), arts.classifier, arts.generator, arts.stats
+            request_for(arts, idx, "semifactual"), arts.classifier, arts.generator, arts.stats,
+            FAST,
         )
         applied_sets = []
         for fraction in pl.FRACTIONS:
-            res = pl.proportional(
-                sf, fraction, arts.classifier, arts.generator, arts.stats, FAST
-            )
+            res = proportional(sf, fraction, arts, FAST)
             assert res.applied_count == math.ceil(fraction * res.k_reference)
             applied_sets.append([s.neuron for s in res.mod_steps if s.applied])
         for small, large in zip(applied_sets, applied_sets[1:]):
@@ -365,9 +377,7 @@ class TestExplain:
             if idx == 120:
                 assert sf.backoff_steps >= 1
             for fraction in pl.FRACTIONS:
-                prop = pl.proportional(
-                    sf, fraction, arts.classifier, arts.generator, arts.stats, req.settings
-                )
+                prop = proportional(sf, fraction, arts, arts.config.optim)
                 cur = prop.x.copy()
                 for step in prop.mod_steps:
                     if step.applied:
@@ -382,9 +392,9 @@ class TestExplain:
         arts = toy["arts"]
         idx = int(toy["cor"][0])
         a = pl.explain(request_for(arts, idx, "counterfactual"),
-                       arts.classifier, arts.generator, arts.stats)
+                       arts.classifier, arts.generator, arts.stats, FAST)
         b = pl.explain(request_for(arts, idx, "counterfactual"),
-                       arts.classifier, arts.generator, arts.stats)
+                       arts.classifier, arts.generator, arts.stats, FAST)
         assert np.array_equal(a.z_prime, b.z_prime)
         assert np.array_equal(a.image_prime, b.image_prime)
 
@@ -398,7 +408,7 @@ class TestExplain:
         idx = int(toy["cor"][5])
         res = pl.explain(
             request_for(arts, idx, "counterfactual"),
-            arts.classifier, arts.generator, arts.stats,
+            arts.classifier, arts.generator, arts.stats, FAST,
         )
         redone, _ = classify_exceptional(
             res.x_mod, arts.stats.models[res.c_prime], res.alpha
@@ -420,7 +430,7 @@ class TestExplain:
         arts = toy["arts"]
         idx = int(toy["cor"][0])
         res = pl.explain(request_for(arts, idx, "counterfactual"),
-                         arts.classifier, arts.generator, arts.stats)
+                         arts.classifier, arts.generator, arts.stats, FAST)
         doc = record(res)
         text = json.dumps(doc)
         assert '"verified"' in text
@@ -460,16 +470,14 @@ class TestProportional:
         props = []
         for fraction in pl.FRACTIONS:
             calls.clear()
-            prop = pl.proportional(
-                sf, fraction, arts.classifier, arts.generator, arts.stats, req.settings
-            )
+            prop = proportional(sf, fraction, arts, arts.config.optim)
             if fraction == 1.0:
                 # the semifactual's own target: its rendering, not another
                 assert calls == []
                 assert prop.z_prime is sf.z_prime and prop.image_prime is sf.image_prime
             alone = pl.explain(
                 dataclasses.replace(req, mode="proportional", fraction=fraction),
-                arts.classifier, arts.generator, arts.stats,
+                arts.classifier, arts.generator, arts.stats, arts.config.optim,
             )
             assert record(prop) == record(alone)
             assert np.array_equal(prop.image_prime, alone.image_prime)
@@ -482,11 +490,11 @@ class TestProportional:
     def test_needs_a_semifactual_and_a_fraction(self, delivered):
         arts = delivered["arts"]
         req, sf = delivered[0]
-        args = (arts.classifier, arts.generator, arts.stats, req.settings)
         with pytest.raises(pl.PipelineError):
-            pl.proportional(sf, 0.4, *args)
+            proportional(sf, 0.4, arts, arts.config.optim)
         with pytest.raises(pl.PipelineError):
-            pl.proportional(dataclasses.replace(sf, mode="counterfactual"), 0.5, *args)
+            proportional(dataclasses.replace(sf, mode="counterfactual"), 0.5, arts,
+                         arts.config.optim)
 
 
 class TestStacks:
@@ -495,15 +503,14 @@ class TestStacks:
 
     def test_visualize_stack_equals_each_image_alone(self, delivered):
         arts = delivered["arts"]
-        body, _ = nc.split_at_tap(arts.classifier)
         runs = [delivered[idx] for idx in (0, 120, 184, 380)]
-        settings = runs[0][0].settings
+        settings = arts.config.optim
         targets = np.stack([sf.x_mod for _, sf in runs])
         starts = np.stack([sf.z for _, sf in runs])
         shape = runs[0][1].image_prime.shape
 
         def render(t, z):
-            return pl.visualize(arts.generator, body, t, z, settings, shape)
+            return pl.visualize(arts.classifier, arts.generator, t, z, settings, shape)
 
         alone = [render(t[None], z[None])[0] for t, z in zip(targets, starts)]
         for poisoned in (None, 1):
@@ -521,6 +528,10 @@ class TestStacks:
                 assert (got.residual_before, got.residual_after) == (
                     want.residual_before, want.residual_after
                 )
+                assert np.array_equal(got.probs, want.probs)
+                assert np.array_equal(
+                    got.probs, nc.forward(arts.classifier, got.image.ravel()).output
+                )
 
     def test_selection_stack_equals_each_image_alone(self, delivered, toy):
         arts = delivered["arts"]
@@ -532,7 +543,7 @@ class TestStacks:
         z.append(invert_one(arts.generator, body, arts.test_data.images[mis], FAST, seed=mis).z)
         c.append(predicted(arts, arts.test_data.images[mis]))
         labels.append(int(arts.test_data.labels[mis]))
-        settings = delivered[0][0].settings
+        settings = arts.config.optim
         full = [pl.select_cf_class(arts.classifier, arts.generator, *a, settings)
                 for a in zip(z, c, labels)]
         probed = sorted(sel.steps for sel in full if not sel.trivial)
@@ -564,13 +575,17 @@ class TestStacks:
             dataclasses.replace(delivered[184][0], mode="counterfactual"),
             dataclasses.replace(delivered[120][0], mode="proportional", fraction=0.5),
         ]
-        stacked = pl.explain_stack(requests, arts.classifier, arts.generator, arts.stats)
+        stacked = pl.explain_stack(
+            requests, arts.classifier, arts.generator, arts.stats, arts.config.optim
+        )
         assert stacked[1].backoff_steps >= 1
         for req, got in zip(requests, stacked):
             if req.mode == "semifactual":
                 want = delivered[req.image_id][1]
             else:
-                want = pl.explain(req, arts.classifier, arts.generator, arts.stats)
+                want = pl.explain(
+                    req, arts.classifier, arts.generator, arts.stats, arts.config.optim
+                )
             assert record(got) == record(want)
             assert np.array_equal(got.image_prime, want.image_prime)
 
@@ -580,4 +595,4 @@ class TestStacks:
         req = request_for(arts, idx, "counterfactual",
                           target_class=predicted(arts, arts.test_data.images[idx]))
         with pytest.raises(pl.TargetClassError, match="predicted class"):
-            pl.explain(req, arts.classifier, arts.generator, arts.stats)
+            pl.explain(req, arts.classifier, arts.generator, arts.stats, FAST)

@@ -16,6 +16,7 @@ from piece.runcfg import (
     parse_config,
     write_config,
 )
+from piece.training import MIN_CLASS_SAMPLES
 
 NON_DEFAULT_INI = """
 [run]
@@ -129,10 +130,11 @@ knn_k_extra = 3
 """
 
 LIST_KEYS = {"hidden": int, "lambda_sweep": float}
-# counts that parse_config rejects below 1
-AT_LEAST_ONE = {
-    "invert_restarts", "mc_passes", "knn_k", "knn_k_extra", "epochs", "batch_size", "latent_dim",
-    "n_train_per_class", "n_test_per_class",
+# the least value parse_config takes of each count that has one above 0
+LEAST = {
+    **dict.fromkeys(("invert_restarts", "mc_passes", "knn_k", "knn_k_extra", "epochs",
+                     "batch_size", "latent_dim", "n_test_per_class"), 1),
+    "n_train_per_class": MIN_CLASS_SAMPLES,
 }
 # the glyph keys are checked together as the config is parsed; within these
 # ranges every combination of non-default values draws inside the frame
@@ -183,7 +185,7 @@ def non_default(key: str, default: str):
     elif key in GLYPH_VALUES:
         value = GLYPH_VALUES[key].map(str)
     elif re.fullmatch(r"\d+", default):
-        value = st.integers(int(key in AT_LEAST_ONE), 100000).map(str)
+        value = st.integers(LEAST.get(key, 0), 100000).map(str)
     else:
         value = st.floats(1e-6, 1e6, allow_nan=False).map(str)
     return value.filter(lambda v: v != default)
@@ -254,7 +256,7 @@ class TestConfigContract:
          "[pipeline] visualize_steps must be at least 0, got -1"),
         ("[metrics]\nknn_k = 0\n", "[metrics] knn_k must be at least 1, got 0"),
         ("[dataset]\nn_train_per_class = 0\n",
-         "[dataset] n_train_per_class must be at least 1, got 0"),
+         "[dataset] n_train_per_class must be at least 30, got 0"),
         ("[dataset]\nn_test_per_class = -2\n",
          "[dataset] n_test_per_class must be at least 1, got -2"),
     ], ids=["seed", "side", "thickness_max", "intensity", "invert_restarts", "invert_steps",
