@@ -8,10 +8,10 @@
 
 Exit codes: 0 success, 1 a stage that failed as it ran (training, data,
 pipeline, numerical overflow or metric error), 2 configuration error, 3
-missing prerequisite stage or model file, 4 run artifacts that do not verify
-(a provenance mismatch, a dataset file whose hash differs from its manifest,
-or a damaged model, stats, latents or dataset file), 5 experiment failure
-fraction above the configured threshold.
+missing prerequisite stage or run file, 4 run artifacts that do not verify
+(a file whose sha256 differs from the one its manifest or stage record
+holds, a provenance mismatch, or a damaged model, stats, latents or dataset
+file), 5 experiment failure fraction above the configured threshold.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .runcfg import (
     ProvenanceError,
     RunPaths,
     default_config_ini,
-    load_data,
-    load_model,
     load_run,
     parse_config,
     write_config,
@@ -94,6 +92,7 @@ def cmd_datagen(args) -> int:
     train = make_glyphs(cfg.dataset.glyphs, cfg.dataset.n_train_per_class, "train")
     test = make_glyphs(cfg.dataset.glyphs, cfg.dataset.n_test_per_class, "test")
     paths.ensure_tree()  # only once the data exists: a refused run leaves no tree
+    paths.begin("datagen")
     save_dataset(train, paths.dataset("train.json"))
     save_dataset(test, paths.dataset("test.json"))
     write_config(cfg, paths.config)
@@ -115,11 +114,10 @@ def cmd_datagen(args) -> int:
 
 def cmd_train(args) -> int:
     paths = RunPaths(args.run_dir)
-    paths.require("datagen")
+    arts = load_run(paths, "datagen")
     _refuse_if_done(paths, "train", args.force)
-    cfg = parse_config(paths.config)
-    train, test, manifest_sha = load_data(paths, cfg)
-    provenance = {"dataset_sha": manifest_sha}
+    cfg, train, test = arts.config, arts.train_data, arts.test_data
+    provenance = {"dataset_sha": arts.manifest_sha}
     n_classes = int(train.labels.max()) + 1
     names = fit_names(n_classes)
     outcomes = dict(zip(names, run_jobs(fit, names, args.jobs, (train, test, cfg))))
@@ -131,6 +129,7 @@ def cmd_train(args) -> int:
             raise outcomes[name]
         return outcomes[name]
 
+    paths.begin("train")
     classifier, clf_report = fitted("classifier")
     nc.save_network(classifier, paths.models("classifier.json"), provenance)
     clf_report.save(paths.reports("training_classifier.json"))
@@ -150,23 +149,25 @@ def cmd_train(args) -> int:
         cfg.autoencoders, [curve for _, curve in class_fits], full_curve
     )
     ae_report.save(paths.reports("training_autoencoders.json"))
+    reports = ("classifier", "generator", "autoencoders")
+    paths.write_record("train", [paths.models(f"{name}.json") for name in names]
+                       + [paths.reports(f"training_{report}.json") for report in reports])
     print(f"train: {len(class_fits)} class autoencoders + full autoencoder done")
     return EXIT_OK
 
 
 def cmd_fit_stats(args) -> int:
     paths = RunPaths(args.run_dir)
-    paths.require("datagen", "train")
+    arts = load_run(paths, "train")
     _refuse_if_done(paths, "fit-stats", args.force)
-    cfg = parse_config(paths.config)
-    train, _, manifest_sha = load_data(paths, cfg)
-    classifier = load_model(paths, "classifier", manifest_sha)
-    classifier_sha = file_sha256(paths.models("classifier.json"))
+    cfg, classifier, train = arts.config, arts.classifier, arts.train_data
+    paths.begin("fit-stats")
     table, latents, predicted = fit_stats(
-        classifier, train, cfg.alpha, classifier_sha, manifest_sha
+        classifier, train, cfg.alpha, arts.classifier_sha, arts.manifest_sha
     )
     save_stats(table, paths.stats("stats.json"))
     save_latents(latents, predicted, paths.stats("latents.json"))
+    paths.write_record("fit-stats", [paths.stats("stats.json"), paths.stats("latents.json")])
     degenerate = sum(1 for row in table.models for m in row if m.degenerate)
     total = table.n_classes * table.n_neurons
     print(
@@ -237,6 +238,7 @@ def cmd_experiment(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths)
     _refuse_if_done(paths, f"experiment {args.expt}", args.force)
+    arts.decode_all()
     runner = ex.run_experiment1 if args.expt == 1 else ex.run_experiment2
     summary = runner(arts, paths)
     frac = summary["failed"] / max(1, summary["rows"])

@@ -44,8 +44,8 @@ class GlyphParams:
     def __post_init__(self):
         if self.side < 12:
             raise DataError("frame side must be at least 12 pixels")
-        if not (1 <= self.n_classes <= len(CLASS_NAMES)):
-            raise DataError(f"n_classes must be in 1..{len(CLASS_NAMES)}")
+        if not (2 <= self.n_classes <= len(CLASS_NAMES)):
+            raise DataError(f"n_classes must be in 2..{len(CLASS_NAMES)}")
         if self.thickness_min < 1 or self.thickness_max < self.thickness_min:
             raise DataError("bad thickness range")
         # strokes plus translation must stay inside the frame
@@ -220,9 +220,8 @@ def save_dataset(data: Dataset, path) -> None:
     write_json(path, doc)
 
 
-def load_dataset(path, sha256: str | None = None) -> Dataset:
-    """The dataset in `path`; with `sha256`, its bytes must have that digest."""
-    doc = read_doc(path, "piece-dataset", DatasetFormatError, sha256)
+def load_dataset(path) -> Dataset:
+    doc = read_doc(path, "piece-dataset", DatasetFormatError)
     images = decode_array(
         doc["images"], tuple(doc["shape"]), f"{path}: images", DatasetFormatError
     )

@@ -834,11 +834,10 @@ def write_json(path, doc, indent: Optional[int] = None) -> None:
         fh.write("\n")
 
 
-def read_doc(path, magic: str, error, sha256: Optional[str] = None) -> dict:
+def read_doc(path, magic: str, error) -> dict:
     """The JSON object in `path`, checked to be a `magic` document. A file
-    that does not parse, holds anything else, lacks a key its reader looks
-    up with `[]`, or whose bytes do not have the hex digest `sha256` when
-    one is given, raises `error`."""
+    that does not parse, holds anything else, or lacks a key its reader
+    looks up with `[]`, raises `error`."""
 
     class Doc(dict):
         def __missing__(self, key):
@@ -846,8 +845,6 @@ def read_doc(path, magic: str, error, sha256: Optional[str] = None) -> dict:
 
     with open(path, "rb") as fh:
         raw = fh.read()
-    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
-        raise error(f"{path}: contents do not match their recorded sha256")
     try:
         doc = json.loads(raw.decode("utf-8"), object_hook=Doc)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

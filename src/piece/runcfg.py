@@ -5,19 +5,29 @@ append-only through training, stats fitting, and experiments:
 
     runs/<id>/
       config.ini       resolved configuration echo
-      dataset/         train/test files + manifest
+      dataset/         train/test files + manifest (their sha256)
       models/          network files (with provenance hashes)
       stats/           hurdle stats table + training latents
+      stages/          train.json, fit-stats.json: the sha256 of each file
+                       the stage wrote, written last
       explanations/    per-image explanation records and images
       reports/         CSV reports
 
-Every artifact embeds the sha256 of its inputs; commands verify the chain
-before running so stale artifacts fail loudly instead of silently mixing.
+A stage is done once the file it writes last exists: the manifest for
+`datagen`, its record under stages/ for `train` and `fit-stats`, and the
+fit-quality report for an experiment. `load_run` verifies a run in two
+steps. Up front it parses the config, checks the frozen [dataset] keys
+against the manifest, and checks that every file the manifest and the
+stage records list exists (exit 3) with its recorded sha256 (exit 4). Each
+artifact is decoded the first time it is read, with the checks of its
+format and of the provenance chain: layer checksums, the dataset each model
+was trained on, and the classifier and dataset the stats were fitted on.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import functools
 import io
@@ -38,15 +48,9 @@ from .datagen import (
     load_dataset,
 )
 from .hurdle import StatsTable, load_latents, load_stats
-from .netcore import Network, atomic_write, load_network, read_doc
+from .netcore import Network, atomic_write, load_network, read_doc, write_json
 from .pipeline import OptimSettings, PipelineError
-from .training import (
-    MIN_CLASS_SAMPLES,
-    AutoencoderConfig,
-    ClassifierConfig,
-    TrainingFailure,
-    fit_names,
-)
+from .training import MIN_CLASS_SAMPLES, AutoencoderConfig, ClassifierConfig, TrainingFailure
 
 
 class ConfigError(Exception):
@@ -129,6 +133,22 @@ class RunConfig:
         self.dataset = dataclasses.replace(self.dataset, glyphs=glyphs)
         if not (0.0 < self.alpha < 0.5):
             raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
+        # keys bounded by [dataset] keys, which are parsed before their sections
+        n_pixels = self.dataset.glyphs.side ** 2
+        for name in ("generator", "autoencoders"):
+            latent_dim = getattr(self, name).latent_dim
+            if latent_dim >= n_pixels:
+                raise ConfigError(
+                    f"[{name}] latent_dim must be below the frame's {n_pixels} pixels, "
+                    f"got {latent_dim}"
+                )
+        n_train = self.dataset.n_train_per_class * self.dataset.glyphs.n_classes
+        for name in ("knn_k", "knn_k_extra"):
+            k = getattr(self.metrics, name)
+            if k > n_train:
+                raise ConfigError(
+                    f"[metrics] {name} must be at most the {n_train} training images, got {k}"
+                )
 
 
 # INI section -> attribute paths (from RunConfig) of the objects whose scalar
@@ -258,15 +278,20 @@ def config_ini_text(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # Run directory layout
 
-# the files whose presence marks a stage done; each experiment writes its
+# the file each stage writes last, whose presence marks the stage done.
+# `datagen`'s manifest and the stage records of `train` and `fit-stats` hold
+# the sha256 of the files their stage wrote; each experiment writes its
 # fit-quality report last
-_STAGE_FILES = {
-    "datagen": ("dataset/manifest.json", "dataset/train.json", "dataset/test.json"),
-    "train": ("models/classifier.json", "models/generator.json", "models/ae_full.json"),
-    "fit-stats": ("stats/stats.json", "stats/latents.json"),
-    "experiment 1": ("reports/expt1_fit_quality.csv",),
-    "experiment 2": ("reports/expt2_fit_quality.csv",),
+_STAGE_DONE = {
+    "datagen": "dataset/manifest.json",
+    "train": "stages/train.json",
+    "fit-stats": "stages/fit-stats.json",
+    "experiment 1": "reports/expt1_fit_quality.csv",
+    "experiment 2": "reports/expt2_fit_quality.csv",
 }
+# the stages whose files `load_run` verifies and decodes, in order
+_RUN_STAGES = ("datagen", "train", "fit-stats")
+_STAGE_RECORD_MAGIC = "piece-stage-record"
 
 
 @dataclass
@@ -276,9 +301,12 @@ class RunPaths:
     def __post_init__(self):
         self.root = os.path.abspath(self.root)
 
+    def file(self, relpath: str) -> str:
+        return os.path.join(self.root, relpath)
+
     @property
     def config(self):
-        return os.path.join(self.root, "config.ini")
+        return self.file("config.ini")
 
     def dataset(self, name=""):
         return os.path.join(self.root, "dataset", name)
@@ -299,43 +327,112 @@ class RunPaths:
         for sub in ("dataset", "models", "stats", "explanations", "reports"):
             os.makedirs(os.path.join(self.root, sub), exist_ok=True)
 
-    def _missing(self, stage: str) -> list:
-        return [f for f in _STAGE_FILES[stage] if not os.path.exists(os.path.join(self.root, f))]
-
     def done(self, stage: str) -> bool:
-        return not self._missing(stage)
+        return os.path.exists(self.file(_STAGE_DONE[stage]))
 
     def require(self, *stages: str) -> None:
         for stage in stages:
-            missing = self._missing(stage)
-            if missing:
+            if not self.done(stage):
                 raise PrerequisiteError(
                     f"stage '{stage}' has not completed in this run directory "
-                    f"({', '.join(missing)} missing); run `piece {stage}` first"
+                    f"({_STAGE_DONE[stage]} missing); run `piece {stage}` first"
                 )
 
+    def begin(self, stage: str) -> None:
+        """Mark `stage` not done, before it writes its first file: a stage
+        that fails part way leaves no record behind."""
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.file(_STAGE_DONE[stage]))
 
-@dataclass
+    def write_record(self, stage: str, written: list) -> None:
+        """`stage`'s record, written last: the sha256 of each file in
+        `written`, by its path relative to the run directory."""
+        path = self.file(_STAGE_DONE[stage])
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        files = {os.path.relpath(f, self.root): file_sha256(f) for f in written}
+        write_json(path, {"format": _STAGE_RECORD_MAGIC, "stage": stage, "files": files}, indent=1)
+
+
 class RunArtifacts:
-    config: RunConfig
-    train_data: Dataset
-    test_data: Dataset
-    classifier: Network
-    generator: Network
-    class_aes: list
-    ae_full: Network
-    stats: StatsTable
-    latents: object
-    manifest_sha: str
-    classifier_sha: str
+    """The config of a run and the artifacts of the stages it was loaded
+    with (`load_run`). Each artifact is decoded and checked the first time
+    it is read: networks against their layer checksums and the dataset they
+    were trained on, the stats table against the classifier and the dataset
+    it was fitted on."""
+
+    def __init__(self, paths: RunPaths, config: RunConfig, manifest_sha: str, files: dict):
+        self.paths = paths
+        self.config = config
+        self.manifest_sha = manifest_sha
+        self.files = files  # the verified files: {relative path: sha256}
+
+    @property
+    def classifier_sha(self) -> str:
+        return self.files["models/classifier.json"]
+
+    def _model(self, name: str) -> Network:
+        net = load_network(self.paths.models(f"{name}.json"))
+        if net.provenance["dataset_sha"] != self.manifest_sha:
+            raise ProvenanceError(
+                f"model {name} was trained on a different dataset "
+                f"(manifest hash mismatch); regenerate with `piece train --force`"
+            )
+        return net
+
+    @functools.cached_property
+    def train_data(self) -> Dataset:
+        return load_dataset(self.paths.dataset("train.json"))
+
+    @functools.cached_property
+    def test_data(self) -> Dataset:
+        return load_dataset(self.paths.dataset("test.json"))
+
+    @functools.cached_property
+    def classifier(self) -> Network:
+        return self._model("classifier")
+
+    @functools.cached_property
+    def generator(self) -> Network:
+        return self._model("generator")
+
+    @functools.cached_property
+    def class_aes(self) -> list:
+        return [self._model(f"ae_class_{c}") for c in range(self.config.dataset.glyphs.n_classes)]
+
+    @functools.cached_property
+    def ae_full(self) -> Network:
+        return self._model("ae_full")
+
+    @functools.cached_property
+    def stats(self) -> StatsTable:
+        stats = load_stats(self.paths.stats("stats.json"))
+        if stats.classifier_sha != self.classifier_sha:
+            raise ProvenanceError(
+                "stats table does not match the stored classifier; "
+                "refit with `piece fit-stats --force`"
+            )
+        if stats.dataset_sha != self.manifest_sha:
+            raise ProvenanceError(
+                "stats table was fitted on a different dataset; "
+                "refit with `piece fit-stats --force`"
+            )
+        return stats
+
+    @functools.cached_property
+    def latents(self):
+        return load_latents(self.paths.stats("latents.json"))[0]
+
+    def decode_all(self) -> None:
+        """Decode and check every artifact now, as a command that reads them
+        all does before it writes anything."""
+        for name, attr in vars(RunArtifacts).items():
+            if isinstance(attr, functools.cached_property):
+                getattr(self, name)
 
 
-def load_data(paths: RunPaths, cfg: RunConfig) -> tuple[Dataset, Dataset, str]:
-    """The train and test sets, each checked against the hash its manifest
-    records, and the manifest's own hash. `datagen` fixes the [dataset] keys
-    and the run seed: `cfg` must hold the values the manifest records."""
-    manifest_sha = file_sha256(paths.dataset("manifest.json"))
-    manifest = read_doc(paths.dataset("manifest.json"), MANIFEST_MAGIC, DatasetFormatError)
+def _check_frozen(cfg: RunConfig, manifest: dict) -> None:
+    """`datagen` fixes the [dataset] keys and the run seed: `cfg` must hold
+    the values the manifest records."""
     params, counts = manifest["params"], manifest["counts"]
     fixed = [  # the glyph seed is the run seed
         ("[run] seed" if name == "seed" else f"[dataset] {name}", value, params[name])
@@ -352,62 +449,37 @@ def load_data(paths: RunPaths, cfg: RunConfig) -> tuple[Dataset, Dataset, str]:
                 f"config.ini {key} is {value}, but the dataset was generated with {recorded}; "
                 "regenerate it with `piece datagen --force`"
             )
-    files = manifest["files"]
-    train_data = load_dataset(paths.dataset("train.json"), files["train.json"])
-    test_data = load_dataset(paths.dataset("test.json"), files["test.json"])
-    return train_data, test_data, manifest_sha
 
 
-def load_model(paths: RunPaths, name: str, manifest_sha: str) -> Network:
-    """models/<name>.json, refused unless it was trained on the dataset whose
-    manifest has the hash `manifest_sha`."""
-    net = load_network(paths.models(f"{name}.json"))
-    if net.provenance["dataset_sha"] != manifest_sha:
-        raise ProvenanceError(
-            f"model {name} was trained on a different dataset "
-            f"(manifest hash mismatch); regenerate with `piece train --force`"
-        )
-    return net
-
-
-def load_run(paths: RunPaths) -> RunArtifacts:
-    """Load every artifact of a run, checking the provenance chain and the
-    dataset files against the hashes their manifest records."""
-    paths.require("datagen", "train", "fit-stats")
+def load_run(paths: RunPaths, upto: str = "fit-stats") -> RunArtifacts:
+    """The artifacts of the stages from `datagen` to `upto`. Up front it
+    parses the config, checks the frozen [dataset] keys against the
+    manifest, and checks that every file those stages recorded exists and
+    has its recorded sha256; each artifact is decoded on first access."""
+    stages = _RUN_STAGES[: _RUN_STAGES.index(upto) + 1]
+    paths.require(*stages)
     cfg = parse_config(paths.config)
-    n_classes = cfg.dataset.glyphs.n_classes
-    models = fit_names(n_classes)
-    missing = [name for name in models if not os.path.exists(paths.models(f"{name}.json"))]
-    if missing:
-        raise PrerequisiteError(
-            f"model files missing: {', '.join(f'models/{m}.json' for m in missing)}; "
-            "run `piece train --force`"
-        )
-    train_data, test_data, manifest_sha = load_data(paths, cfg)
-    nets = {name: load_model(paths, name, manifest_sha) for name in models}
-    stats = load_stats(paths.stats("stats.json"))
-    latents, _ = load_latents(paths.stats("latents.json"))
-    classifier_sha = file_sha256(paths.models("classifier.json"))
-    if stats.classifier_sha != classifier_sha:
-        raise ProvenanceError(
-            "stats table does not match the stored classifier; "
-            "refit with `piece fit-stats --force`"
-        )
-    if stats.dataset_sha != manifest_sha:
-        raise ProvenanceError(
-            "stats table was fitted on a different dataset; "
-            "refit with `piece fit-stats --force`"
-        )
-    return RunArtifacts(
-        config=cfg,
-        train_data=train_data,
-        test_data=test_data,
-        classifier=nets["classifier"],
-        generator=nets["generator"],
-        class_aes=[nets[f"ae_class_{c}"] for c in range(n_classes)],
-        ae_full=nets["ae_full"],
-        stats=stats,
-        latents=latents,
-        manifest_sha=manifest_sha,
-        classifier_sha=classifier_sha,
-    )
+    manifest_path = paths.dataset("manifest.json")
+    manifest = read_doc(manifest_path, MANIFEST_MAGIC, DatasetFormatError)
+    _check_frozen(cfg, manifest)
+    files: dict = {}
+    for stage in stages:
+        if stage == "datagen":
+            recorded = {f"dataset/{name}": manifest["files"][name]
+                        for name in ("train.json", "test.json")}
+        else:
+            record = paths.file(_STAGE_DONE[stage])
+            recorded = read_doc(record, _STAGE_RECORD_MAGIC, ProvenanceError)["files"]
+        missing = [rel for rel in recorded if not os.path.exists(paths.file(rel))]
+        if missing:
+            raise PrerequisiteError(
+                f"run files missing: {', '.join(missing)}; run `piece {stage} --force`"
+            )
+        for rel, sha in recorded.items():
+            if file_sha256(paths.file(rel)) != sha:
+                raise ProvenanceError(
+                    f"{paths.file(rel)}: contents do not match their recorded sha256; "
+                    f"run `piece {stage} --force`"
+                )
+        files.update(recorded)
+    return RunArtifacts(paths, cfg, file_sha256(manifest_path), files)

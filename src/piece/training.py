@@ -66,6 +66,11 @@ class ClassifierConfig(TrainConfig):
     early_stop_accuracy: float = 0.97
     min_accuracy: float = 0.85
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (0.0 <= self.dropout_rate < 1.0):
+            raise TrainingFailure(f"dropout must be in [0, 1), got {self.dropout_rate}")
+
 
 @dataclass
 class AutoencoderConfig(TrainConfig):

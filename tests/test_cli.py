@@ -550,6 +550,148 @@ class TestProvenance:
         assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
 
 
+class TestStageRecords:
+    """`train` and `fit-stats` end by writing a record of the files they
+    wrote, and a stage is done only once its record exists."""
+
+    @pytest.mark.parametrize(
+        "stage,files",
+        [("train", [f"models/{name}.json" for name in (
+            "classifier", "generator", "ae_full", *(f"ae_class_{c}" for c in range(4)))]
+          + [f"reports/training_{name}.json" for name in (
+              "classifier", "generator", "autoencoders")]),
+         ("fit-stats", ["stats/stats.json", "stats/latents.json"])],
+    )
+    def test_record_lists_every_file_written(self, mini_run, stage, files):
+        import os
+
+        from piece.datagen import file_sha256
+
+        doc = json.load(open(os.path.join(mini_run, "stages", f"{stage}.json")))
+        assert doc["stage"] == stage
+        assert doc["files"] == {
+            name: file_sha256(os.path.join(mini_run, name)) for name in files
+        }
+
+    def test_half_written_train_not_done(self, mini_run, tmp_path, monkeypatch, capsys):
+        # train fails after writing every model file, before its last report
+        import shutil
+
+        import piece.cli
+        from piece.runcfg import RunPaths
+        from piece.training import TrainingFailure
+
+        def broken(*args, **kwargs):
+            raise TrainingFailure("autoencoder report failed")
+
+        clone = tmp_path / "half_trained"
+        shutil.copytree(mini_run, clone)
+        monkeypatch.setattr(piece.cli, "autoencoders_report", broken)
+        assert main(["train", "--run-dir", str(clone), "--force", "--jobs", "1"]) == 1
+        assert not RunPaths(str(clone)).done("train")
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            "error: stage 'train' has not completed in this run directory "
+            "(stages/train.json missing); run `piece train` first"
+        ]
+
+    def test_run_without_records_asks_for_the_stages(self, mini_run, tmp_path, capsys):
+        # a run directory written before stages recorded their files
+        import shutil
+
+        clone = tmp_path / "unrecorded"
+        shutil.copytree(mini_run, clone)
+        shutil.rmtree(clone / "stages")
+        capsys.readouterr()
+        assert main(["experiment", "--run-dir", str(clone), "--expt", "1"]) == 3
+        assert "run `piece train` first" in capsys.readouterr().err
+
+
+class TestLazyLoading:
+    """`load_run` checks every recorded file's sha256 up front and decodes
+    each artifact only when it is first read."""
+
+    def test_explain_decodes_only_what_it_reads(self, mini_run, monkeypatch):
+        import os
+
+        import piece.runcfg
+
+        decoded = []
+        for name in ("load_network", "load_dataset", "load_stats", "load_latents"):
+            def counting(path, _load=getattr(piece.runcfg, name)):
+                decoded.append(os.path.relpath(path, mini_run))
+                return _load(path)
+
+            monkeypatch.setattr(piece.runcfg, name, counting)
+        assert main(["explain", "--run-dir", mini_run, "--index", "0", "--mode", "sf"]) == 0
+        assert sorted(decoded) == [
+            "dataset/test.json", "models/classifier.json", "models/generator.json",
+            "stats/stats.json",
+        ]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["models/ae_class_2.json", "stats/latents.json", "dataset/train.json",
+         "reports/training_generator.json"],
+    )
+    def test_edit_of_undecoded_file_exits_4(self, mini_run, tmp_path, capsys, name):
+        import shutil
+
+        clone = tmp_path / "edited_undecoded"
+        shutil.copytree(mini_run, clone)
+        with open(clone / name, "a") as fh:
+            fh.write(" \n")  # still well-formed JSON
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and name in err[0] and "sha256" in err[0]
+
+    def test_experiment_checks_every_artifact_before_writing(self, mini_run, tmp_path):
+        # a stats table that names another classifier, recorded as fit-stats
+        # wrote it: only decoding the table finds the mismatch
+        import shutil
+
+        from piece.datagen import file_sha256
+
+        clone = tmp_path / "stale"
+        shutil.copytree(mini_run, clone)
+        stats = clone / "stats" / "stats.json"
+        doc = json.loads(stats.read_text())
+        doc["classifier_sha"] = "0" * 64
+        stats.write_text(json.dumps(doc))
+        record = clone / "stages" / "fit-stats.json"
+        rec = json.loads(record.read_text())
+        rec["files"]["stats/stats.json"] = file_sha256(stats)
+        record.write_text(json.dumps(rec))
+        def reports():
+            return {p.name: p.read_bytes() for p in (clone / "reports").iterdir()}
+
+        before = reports()
+        assert main(["experiment", "--run-dir", str(clone), "--expt", "1", "--force"]) == 4
+        assert reports() == before
+
+
+class TestConfigHoles:
+    def test_dropout_of_one_refused_before_training(self, tmp_path, capsys):
+        # it used to end train in a DimensionError traceback
+        cfg_path = tmp_path / "mini.ini"
+        cfg_path.write_text(MINI_CONFIG)
+        run_dir = tmp_path / "run"
+        assert main(["datagen", "--run-dir", str(run_dir), "--config", str(cfg_path)]) == 0
+        ini = configparser.ConfigParser()
+        ini.read(run_dir / "config.ini")
+        ini["classifier"]["dropout"] = "1.0"
+        with open(run_dir / "config.ini", "w") as fh:
+            ini.write(fh)
+        capsys.readouterr()
+        assert main(["train", "--run-dir", str(run_dir), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: [classifier] dropout must be in [0, 1), got 1.0"]
+        assert not os.listdir(run_dir / "models")
+
+
 class TestExperimentCommand:
     def test_experiment1_structural(self, mini_run):
         import csv

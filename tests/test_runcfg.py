@@ -136,11 +136,16 @@ LEAST = {
                      "batch_size", "latent_dim", "n_test_per_class"), 1),
     "n_train_per_class": MIN_CLASS_SAMPLES,
 }
+# the greatest value parse_config takes of each count bounded by [dataset]
+# keys, at the least values those keys are drawn with: a latent code must be
+# narrower than the frame (side 17: 289 pixels), and k at most the training
+# images (30 per class, 2 classes)
+MOST = {"latent_dim": 288, "knn_k": 60, "knn_k_extra": 60}
 # the glyph keys are checked together as the config is parsed; within these
 # ranges every combination of non-default values draws inside the frame
 GLYPH_VALUES = {
     "side": st.integers(17, 64),
-    "n_classes": st.integers(1, 3),
+    "n_classes": st.integers(2, 3),
     "translate_jitter": st.integers(0, 5),
     "thickness_min": st.just(2),
     "thickness_max": st.just(2),
@@ -182,10 +187,12 @@ def non_default(key: str, default: str):
         )
     elif key == "alpha":
         value = st.floats(0.001, 0.49).map(str)
+    elif key == "dropout":
+        value = st.floats(0.0, 0.99).map(str)
     elif key in GLYPH_VALUES:
         value = GLYPH_VALUES[key].map(str)
     elif re.fullmatch(r"\d+", default):
-        value = st.integers(LEAST.get(key, 0), 100000).map(str)
+        value = st.integers(LEAST.get(key, 0), MOST.get(key, 100000)).map(str)
     else:
         value = st.floats(1e-6, 1e6, allow_nan=False).map(str)
     return value.filter(lambda v: v != default)
@@ -281,3 +288,33 @@ class TestConfigContract:
     def test_non_finite_floats_refused(self, section, key, raw):
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*not a finite number"):
             parse_text(f"[{section}]\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("[classifier]\ndropout = 1.0\n", "[classifier] dropout must be in [0, 1), got 1.0"),
+        ("[classifier]\ndropout = -0.1\n", "[classifier] dropout must be in [0, 1), got -0.1"),
+        ("[dataset]\nn_classes = 1\n", "[dataset] n_classes must be in 2..4"),
+        ("[generator]\nlatent_dim = 300\n",
+         "[generator] latent_dim must be below the frame's 256 pixels, got 300"),
+        ("[autoencoders]\nlatent_dim = 256\n",
+         "[autoencoders] latent_dim must be below the frame's 256 pixels, got 256"),
+        # the frame's size comes from [dataset], parsed first
+        ("[dataset]\nside = 12\n[generator]\nlatent_dim = 144\n",
+         "[generator] latent_dim must be below the frame's 144 pixels, got 144"),
+        ("[metrics]\nknn_k = 100000\n",
+         "[metrics] knn_k must be at most the 1000 training images, got 100000"),
+        ("[dataset]\nn_train_per_class = 30\nn_classes = 2\n[metrics]\nknn_k_extra = 61\n",
+         "[metrics] knn_k_extra must be at most the 60 training images, got 61"),
+    ], ids=["dropout-1", "dropout-negative", "n_classes", "generator-latent",
+            "autoencoders-latent", "latent-of-side", "knn_k", "knn_k_extra"])
+    def test_value_a_later_stage_refuses_is_refused_at_parse(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_text(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "[classifier]\ndropout = 0.0\n",
+        "[generator]\nlatent_dim = 255\n",
+        "[dataset]\nn_train_per_class = 30\nn_classes = 2\n[metrics]\nknn_k = 60\n",
+    ])
+    def test_values_at_the_bounds_parse(self, text):
+        parse_text(text)
