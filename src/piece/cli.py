@@ -160,6 +160,7 @@ def cmd_fit_stats(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths, "train")
     _refuse_if_done(paths, "fit-stats", args.force)
+    # decoded and checked first: inputs that do not verify leave the stage as it was
     cfg, classifier, train = arts.config, arts.classifier, arts.train_data
     paths.begin("fit-stats")
     table, latents, predicted = fit_stats(

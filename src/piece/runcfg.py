@@ -464,12 +464,15 @@ def load_run(paths: RunPaths, upto: str = "fit-stats") -> RunArtifacts:
     _check_frozen(cfg, manifest)
     files: dict = {}
     for stage in stages:
+        record = paths.file(_STAGE_DONE[stage])
         if stage == "datagen":
-            recorded = {f"dataset/{name}": manifest["files"][name]
-                        for name in ("train.json", "test.json")}
+            recorded = manifest["files"]
         else:
-            record = paths.file(_STAGE_DONE[stage])
             recorded = read_doc(record, _STAGE_RECORD_MAGIC, ProvenanceError)["files"]
+        if not isinstance(recorded, dict):
+            raise ProvenanceError(f"{record}: its files are not a mapping of path to sha256")
+        if stage == "datagen":  # the manifest also hashes config.ini, which may change
+            recorded = {f"dataset/{name}": recorded[name] for name in ("train.json", "test.json")}
         missing = [rel for rel in recorded if not os.path.exists(paths.file(rel))]
         if missing:
             raise PrerequisiteError(

@@ -597,6 +597,29 @@ class TestStageRecords:
             "(stages/train.json missing); run `piece train` first"
         ]
 
+    @pytest.mark.parametrize(
+        "name,files",
+        [("stages/train.json", None), ("stages/train.json", []),
+         ("stages/fit-stats.json", "stats/stats.json"), ("dataset/manifest.json", [])],
+    )
+    def test_malformed_record_exits_4(self, mini_run, tmp_path, capsys, name, files):
+        # a manifest whose files are a list used to end explain in a TypeError
+        import shutil
+
+        clone = tmp_path / "malformed"
+        shutil.copytree(mini_run, clone)
+        record = clone / name
+        doc = json.loads(record.read_text())
+        if files is None:
+            del doc["files"]
+        else:
+            doc["files"] = files
+        record.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and name in err[0]
+
     def test_run_without_records_asks_for_the_stages(self, mini_run, tmp_path, capsys):
         # a run directory written before stages recorded their files
         import shutil

@@ -315,6 +315,6 @@ class TestConfigContract:
         "[classifier]\ndropout = 0.0\n",
         "[generator]\nlatent_dim = 255\n",
         "[dataset]\nn_train_per_class = 30\nn_classes = 2\n[metrics]\nknn_k = 60\n",
-    ])
+    ], ids=["dropout-0", "latent-255", "knn_k-60"])
     def test_values_at_the_bounds_parse(self, text):
         parse_text(text)
