@@ -28,10 +28,8 @@ from . import pipeline as pl
 from .datagen import (
     DataError,
     DatasetFormatError,
-    file_sha256,
     make_glyphs,
     save_dataset,
-    write_manifest,
     write_pgm,  # noqa: F401  (perfbench/spans.py traces the writer under this name)
 )
 from .evalx import MetricError
@@ -77,37 +75,23 @@ _EXIT_CODES = {
 }
 
 
-def _refuse_if_done(paths: RunPaths, stage: str, force: bool) -> None:
-    if paths.done(stage) and not force:
-        raise ConfigError(
-            f"stage '{stage}' already completed in this run directory; "
-            f"pass --force to redo it"
-        )
-
-
 def cmd_datagen(args) -> int:
     cfg = parse_config(args.config)
     paths = RunPaths(args.run_dir)
-    _refuse_if_done(paths, "datagen", args.force)
-    train = make_glyphs(cfg.dataset.glyphs, cfg.dataset.n_train_per_class, "train")
-    test = make_glyphs(cfg.dataset.glyphs, cfg.dataset.n_test_per_class, "test")
-    paths.ensure_tree()  # only once the data exists: a refused run leaves no tree
-    paths.begin("datagen")
-    save_dataset(train, paths.dataset("train.json"))
-    save_dataset(test, paths.dataset("test.json"))
-    write_config(cfg, paths.config)
+    data = cfg.dataset
     counts = {
-        "train": len(train),
-        "test": len(test),
-        "train_per_class": cfg.dataset.n_train_per_class,
-        "test_per_class": cfg.dataset.n_test_per_class,
+        "train": data.glyphs.n_classes * data.n_train_per_class,
+        "test": data.glyphs.n_classes * data.n_test_per_class,
+        "train_per_class": data.n_train_per_class,
+        "test_per_class": data.n_test_per_class,
     }
-    shas = {
-        "train.json": file_sha256(paths.dataset("train.json")),
-        "test.json": file_sha256(paths.dataset("test.json")),
-        "config.ini": file_sha256(paths.config),
-    }
-    write_manifest(paths.dataset("manifest.json"), cfg.dataset.glyphs, counts, shas)
+    with paths.stage("datagen", args.force, params=data.glyphs, counts=counts) as out:
+        train = make_glyphs(data.glyphs, data.n_train_per_class, "train")
+        test = make_glyphs(data.glyphs, data.n_test_per_class, "test")
+        paths.ensure_tree()
+        save_dataset(train, out.dataset("train.json"))
+        save_dataset(test, out.dataset("test.json"))
+        write_config(cfg, out.config)
     print(f"datagen: {len(train)} train / {len(test)} test images -> {paths.dataset('')}")
     return EXIT_OK
 
@@ -115,43 +99,39 @@ def cmd_datagen(args) -> int:
 def cmd_train(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths, "datagen")
-    _refuse_if_done(paths, "train", args.force)
-    cfg, train, test = arts.config, arts.train_data, arts.test_data
-    provenance = {"dataset_sha": arts.manifest_sha}
-    n_classes = int(train.labels.max()) + 1
-    names = fit_names(n_classes)
-    outcomes = dict(zip(names, run_jobs(fit, names, args.jobs, (train, test, cfg))))
+    with paths.stage("train", args.force) as out:
+        cfg, train, test = arts.config, arts.train_data, arts.test_data
+        provenance = {"dataset_sha": arts.manifest_sha}
+        n_classes = int(train.labels.max()) + 1
+        names = fit_names(n_classes)
+        outcomes = dict(zip(names, run_jobs(fit, names, args.jobs, (train, test, cfg))))
 
-    def fitted(name):
-        # fits are taken in the order a serial run makes them, so the first
-        # failure in that order is raised, after the files before it are saved
-        if isinstance(outcomes[name], BaseException):
-            raise outcomes[name]
-        return outcomes[name]
+        def fitted(name):
+            # fits are taken in the order a serial run makes them, so the first
+            # failure in that order is raised, after the files before it are saved
+            if isinstance(outcomes[name], BaseException):
+                raise outcomes[name]
+            return outcomes[name]
 
-    paths.begin("train")
-    classifier, clf_report = fitted("classifier")
-    nc.save_network(classifier, paths.models("classifier.json"), provenance)
-    clf_report.save(paths.reports("training_classifier.json"))
-    print(f"train: classifier test accuracy {clf_report.final['test_accuracy']:.4f}")
+        classifier, clf_report = fitted("classifier")
+        nc.save_network(classifier, out.models("classifier.json"), provenance)
+        clf_report.save(out.reports("training_classifier.json"))
+        print(f"train: classifier test accuracy {clf_report.final['test_accuracy']:.4f}")
 
-    generator, gen_report = fitted("generator")
-    nc.save_network(generator, paths.models("generator.json"), provenance)
-    gen_report.save(paths.reports("training_generator.json"))
-    print(f"train: generator test reconstruction MSE {gen_report.final['test_mse']:.5f}")
+        generator, gen_report = fitted("generator")
+        nc.save_network(generator, out.models("generator.json"), provenance)
+        gen_report.save(out.reports("training_generator.json"))
+        print(f"train: generator test reconstruction MSE {gen_report.final['test_mse']:.5f}")
 
-    class_fits = [fitted(f"ae_class_{cls}") for cls in range(n_classes)]
-    ae_full, full_curve = fitted("ae_full")
-    for cls, (net, _) in enumerate(class_fits):
-        nc.save_network(net, paths.models(f"ae_class_{cls}.json"), provenance)
-    nc.save_network(ae_full, paths.models("ae_full.json"), provenance)
-    ae_report = autoencoders_report(
-        cfg.autoencoders, [curve for _, curve in class_fits], full_curve
-    )
-    ae_report.save(paths.reports("training_autoencoders.json"))
-    reports = ("classifier", "generator", "autoencoders")
-    paths.write_record("train", [paths.models(f"{name}.json") for name in names]
-                       + [paths.reports(f"training_{report}.json") for report in reports])
+        class_fits = [fitted(f"ae_class_{cls}") for cls in range(n_classes)]
+        ae_full, full_curve = fitted("ae_full")
+        for cls, (net, _) in enumerate(class_fits):
+            nc.save_network(net, out.models(f"ae_class_{cls}.json"), provenance)
+        nc.save_network(ae_full, out.models("ae_full.json"), provenance)
+        ae_report = autoencoders_report(
+            cfg.autoencoders, [curve for _, curve in class_fits], full_curve
+        )
+        ae_report.save(out.reports("training_autoencoders.json"))
     print(f"train: {len(class_fits)} class autoencoders + full autoencoder done")
     return EXIT_OK
 
@@ -159,16 +139,13 @@ def cmd_train(args) -> int:
 def cmd_fit_stats(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths, "train")
-    _refuse_if_done(paths, "fit-stats", args.force)
-    # decoded and checked first: inputs that do not verify leave the stage as it was
-    cfg, classifier, train = arts.config, arts.classifier, arts.train_data
-    paths.begin("fit-stats")
-    table, latents, predicted = fit_stats(
-        classifier, train, cfg.alpha, arts.classifier_sha, arts.manifest_sha
-    )
-    save_stats(table, paths.stats("stats.json"))
-    save_latents(latents, predicted, paths.stats("latents.json"))
-    paths.write_record("fit-stats", [paths.stats("stats.json"), paths.stats("latents.json")])
+    with paths.stage("fit-stats", args.force) as out:
+        cfg = arts.config
+        table, latents, predicted = fit_stats(
+            arts.classifier, arts.train_data, cfg.alpha, arts.classifier_sha, arts.manifest_sha
+        )
+        save_stats(table, out.stats("stats.json"))
+        save_latents(latents, predicted, out.stats("latents.json"))
     degenerate = sum(1 for row in table.models for m in row if m.degenerate)
     total = table.n_classes * table.n_neurons
     print(
@@ -238,10 +215,10 @@ def cmd_explain(args) -> int:
 def cmd_experiment(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths)
-    _refuse_if_done(paths, f"experiment {args.expt}", args.force)
-    arts.decode_all()
-    runner = ex.run_experiment1 if args.expt == 1 else ex.run_experiment2
-    summary = runner(arts, paths)
+    with paths.stage(f"experiment {args.expt}", args.force) as out:
+        arts.decode_all()  # inputs that do not verify leave the reports as they were
+        runner = ex.run_experiment1 if args.expt == 1 else ex.run_experiment2
+        summary = runner(arts, out)
     frac = summary["failed"] / max(1, summary["rows"])
     print(
         f"experiment {args.expt}: {summary['cases']} test images, "

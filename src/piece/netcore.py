@@ -631,9 +631,9 @@ _CE_CLAMP = 1e-12  # avoids NaN on saturated softmax outputs
 def loss(kind: str, prediction, target) -> tuple[float, Array]:
     """Loss value and gradient w.r.t. the prediction.
 
-    mse averages over all elements, l2_sq is the plain squared euclidean
-    distance, cross_entropy expects probability rows and one-hot targets
-    (probabilities clamped at 1e-12) and averages over rows.
+    mse averages over all elements; cross_entropy expects probability rows
+    and one-hot targets (probabilities clamped at 1e-12) and averages over
+    rows.
     """
     p, squeezed = _as_batch(prediction, what="prediction", max_ndim=2)
     t, _ = _as_batch(target, what="target", max_ndim=2)
@@ -643,10 +643,6 @@ def loss(kind: str, prediction, target) -> tuple[float, Array]:
         d = p - t
         value = float(np.mean(d * d))
         grad = 2.0 * d / d.size
-    elif kind == "l2_sq":
-        d = p - t
-        value = float(np.sum(d * d))
-        grad = 2.0 * d
     elif kind == "cross_entropy":
         if np.any((t != 0.0) & (t != 1.0)) or np.any(t.sum(axis=1) != 1.0):
             raise DimensionError("cross_entropy target must be one-hot rows")

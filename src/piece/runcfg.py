@@ -13,15 +13,18 @@ append-only through training, stats fitting, and experiments:
       explanations/    per-image explanation records and images
       reports/         CSV reports
 
-A stage is done once the file it writes last exists: the manifest for
-`datagen`, its record under stages/ for `train` and `fit-stats`, and the
-fit-quality report for an experiment. `load_run` verifies a run in two
-steps. Up front it parses the config, checks the frozen [dataset] keys
-against the manifest, and checks that every file the manifest and the
-stage records list exists (exit 3) with its recorded sha256 (exit 4). Each
-artifact is decoded the first time it is read, with the checks of its
-format and of the provenance chain: layer checksums, the dataset each model
-was trained on, and the classifier and dataset the stats were fitted on.
+Every stage runs one protocol, `RunPaths.stage`. A done stage is refused
+unless forced. Its done marker, the file it writes last, is removed just
+before its first write and written once all its writes complete: the
+manifest for `datagen`, its record under stages/ for `train` and
+`fit-stats`, the fit-quality report for an experiment. `load_run` verifies
+a run in two steps. Up front it parses the config, checks the frozen
+[dataset] keys against the manifest, and checks that every file the
+manifest and the stage records list exists (exit 3) with its recorded
+sha256 (exit 4). Each artifact is decoded the first time it is read, with
+the checks of its format and of the provenance chain: layer checksums, the
+dataset each model was trained on, and the classifier and dataset the
+stats were fitted on.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .datagen import (
     GlyphParams,
     file_sha256,
     load_dataset,
+    write_manifest,
 )
 from .hurdle import StatsTable, load_latents, load_stats
 from .netcore import Network, atomic_write, load_network, read_doc, write_json
@@ -278,10 +282,7 @@ def config_ini_text(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # Run directory layout
 
-# the file each stage writes last, whose presence marks the stage done.
-# `datagen`'s manifest and the stage records of `train` and `fit-stats` hold
-# the sha256 of the files their stage wrote; each experiment writes its
-# fit-quality report last
+# each stage's done marker (`RunPaths.stage`)
 _STAGE_DONE = {
     "datagen": "dataset/manifest.json",
     "train": "stages/train.json",
@@ -297,31 +298,41 @@ _STAGE_RECORD_MAGIC = "piece-stage-record"
 @dataclass
 class RunPaths:
     root: str
+    # set on the paths a stage writes through (`stage`): its done marker,
+    # which the first path asked for removes, and every path asked for
+    marker: Optional[str] = None
+    written: list = field(default_factory=list)
 
     def __post_init__(self):
         self.root = os.path.abspath(self.root)
 
     def file(self, relpath: str) -> str:
-        return os.path.join(self.root, relpath)
+        path = os.path.join(self.root, relpath)
+        if self.marker is not None:
+            if not self.written:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(self.marker)
+            self.written.append(path)
+        return path
 
     @property
     def config(self):
         return self.file("config.ini")
 
     def dataset(self, name=""):
-        return os.path.join(self.root, "dataset", name)
+        return self.file(os.path.join("dataset", name))
 
     def models(self, name=""):
-        return os.path.join(self.root, "models", name)
+        return self.file(os.path.join("models", name))
 
     def stats(self, name=""):
-        return os.path.join(self.root, "stats", name)
+        return self.file(os.path.join("stats", name))
 
     def explanations(self, *parts):
-        return os.path.join(self.root, "explanations", *parts)
+        return self.file(os.path.join("explanations", *parts))
 
     def reports(self, name=""):
-        return os.path.join(self.root, "reports", name)
+        return self.file(os.path.join("reports", name))
 
     def ensure_tree(self) -> None:
         for sub in ("dataset", "models", "stats", "explanations", "reports"):
@@ -338,19 +349,29 @@ class RunPaths:
                     f"({_STAGE_DONE[stage]} missing); run `piece {stage}` first"
                 )
 
-    def begin(self, stage: str) -> None:
-        """Mark `stage` not done, before it writes its first file: a stage
-        that fails part way leaves no record behind."""
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(self.file(_STAGE_DONE[stage]))
-
-    def write_record(self, stage: str, written: list) -> None:
-        """`stage`'s record, written last: the sha256 of each file in
-        `written`, by its path relative to the run directory."""
-        path = self.file(_STAGE_DONE[stage])
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        files = {os.path.relpath(f, self.root): file_sha256(f) for f in written}
-        write_json(path, {"format": _STAGE_RECORD_MAGIC, "stage": stage, "files": files}, indent=1)
+    @contextlib.contextmanager
+    def stage(self, name: str, force: bool, **manifest):
+        """Run the stage `name` (see the module docstring) in the block,
+        which asks the `RunPaths` it is given for the path of every file it
+        writes. `datagen`'s manifest holds the sha256 of each such file and
+        the `params` and `counts` in `manifest`; a record holds the sha256."""
+        if self.done(name) and not force:
+            raise ConfigError(
+                f"stage '{name}' already completed in this run directory; "
+                f"pass --force to redo it"
+            )
+        out = RunPaths(self.root, self.file(_STAGE_DONE[name]))
+        yield out
+        if name not in _RUN_STAGES:
+            return  # an experiment's runner wrote its marker
+        files = {os.path.relpath(f, self.root): file_sha256(f) for f in out.written}
+        if name == "datagen":  # the manifest names its files by base name
+            files = {os.path.basename(rel): sha for rel, sha in files.items()}
+            write_manifest(out.marker, file_shas=files, **manifest)
+        else:
+            os.makedirs(os.path.dirname(out.marker), exist_ok=True)
+            doc = {"format": _STAGE_RECORD_MAGIC, "stage": name, "files": files}
+            write_json(out.marker, doc, indent=1)
 
 
 class RunArtifacts:
@@ -430,10 +451,12 @@ class RunArtifacts:
                 getattr(self, name)
 
 
-def _check_frozen(cfg: RunConfig, manifest: dict) -> None:
+def _check_frozen(cfg: RunConfig, manifest: dict, path: str) -> None:
     """`datagen` fixes the [dataset] keys and the run seed: `cfg` must hold
-    the values the manifest records."""
+    the values the manifest at `path` records."""
     params, counts = manifest["params"], manifest["counts"]
+    if not (isinstance(params, dict) and isinstance(counts, dict)):
+        raise ProvenanceError(f"{path}: its params and counts are not both mappings")
     fixed = [  # the glyph seed is the run seed
         ("[run] seed" if name == "seed" else f"[dataset] {name}", value, params[name])
         for name, value in dataclasses.asdict(cfg.dataset.glyphs).items()
@@ -461,7 +484,7 @@ def load_run(paths: RunPaths, upto: str = "fit-stats") -> RunArtifacts:
     cfg = parse_config(paths.config)
     manifest_path = paths.dataset("manifest.json")
     manifest = read_doc(manifest_path, MANIFEST_MAGIC, DatasetFormatError)
-    _check_frozen(cfg, manifest)
+    _check_frozen(cfg, manifest, manifest_path)
     files: dict = {}
     for stage in stages:
         record = paths.file(_STAGE_DONE[stage])

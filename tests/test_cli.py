@@ -597,23 +597,56 @@ class TestStageRecords:
             "(stages/train.json missing); run `piece train` first"
         ]
 
+    def test_failed_forced_experiment_not_done(self, mini_run, tmp_path, monkeypatch, capsys):
+        # expt1 fails after its first reports, with the fit-quality report of
+        # the run before still on disk
+        import shutil
+
+        from piece import evalx
+        from piece.runcfg import RunPaths
+
+        def broken(*args, **kwargs):
+            raise evalx.MetricError("substitutability failed")
+
+        clone = tmp_path / "stale_marker"
+        shutil.copytree(mini_run, clone)
+        expt1 = ["experiment", "--run-dir", str(clone), "--expt", "1"]
+        assert main(expt1 + ["--force"]) in (0, 5)
+        assert RunPaths(str(clone)).done("experiment 1")
+        monkeypatch.setattr(evalx, "substitutability", broken)
+        assert main(expt1 + ["--force"]) == 1
+        assert (clone / "reports" / "expt1_rows.csv").exists()
+        assert not RunPaths(str(clone)).done("experiment 1")
+        capsys.readouterr()
+        assert main(expt1) == 1  # run again, not refused
+        assert capsys.readouterr().err.strip() == "error: substitutability failed"
+
+    # each case sets `key` of the file `name` to a value that is not a
+    # mapping, or removes it (None for "files")
     @pytest.mark.parametrize(
-        "name,files",
-        [("stages/train.json", None), ("stages/train.json", []),
-         ("stages/fit-stats.json", "stats/stats.json"), ("dataset/manifest.json", [])],
+        "name,key,value",
+        [pytest.param("stages/train.json", "files", None, id="stages/train.json-None"),
+         pytest.param("stages/train.json", "files", [], id="stages/train.json-files1"),
+         pytest.param("stages/fit-stats.json", "files", "stats/stats.json",
+                      id="stages/fit-stats.json-stats/stats.json"),
+         pytest.param("dataset/manifest.json", "files", [], id="dataset/manifest.json-files3"),
+         pytest.param("dataset/manifest.json", "params", "x", id="dataset/manifest.json-params"),
+         pytest.param("dataset/manifest.json", "counts", None,
+                      id="dataset/manifest.json-counts")],
     )
-    def test_malformed_record_exits_4(self, mini_run, tmp_path, capsys, name, files):
-        # a manifest whose files are a list used to end explain in a TypeError
+    def test_malformed_record_exits_4(self, mini_run, tmp_path, capsys, name, key, value):
+        # a manifest whose files, params or counts were not a mapping used to
+        # end explain in a TypeError; no record holds the manifest's own hash
         import shutil
 
         clone = tmp_path / "malformed"
         shutil.copytree(mini_run, clone)
         record = clone / name
         doc = json.loads(record.read_text())
-        if files is None:
+        if key == "files" and value is None:
             del doc["files"]
         else:
-            doc["files"] = files
+            doc[key] = value
         record.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
@@ -955,16 +988,21 @@ class TestExperimentCommand:
         )
         assert any(r["failed"] == "false" for r in rows if r not in mine)
 
-    def test_metric_error_exits_1(self, mini_run, monkeypatch, capsys):
+    def test_metric_error_exits_1(self, mini_run, tmp_path, monkeypatch, capsys):
+        # on a clone: a forced experiment that fails leaves it not done
+        import shutil
+
         from piece import evalx
         from piece import experiments as ex
 
         def broken(arts, paths):
             raise evalx.MetricError("k=3 invalid for 2 training points")
 
+        clone = tmp_path / "metric_error"
+        shutil.copytree(mini_run, clone)
         monkeypatch.setattr(ex, "run_experiment1", broken)
         capsys.readouterr()
-        assert main(["experiment", "--run-dir", mini_run, "--expt", "1", "--force"]) == 1
+        assert main(["experiment", "--run-dir", str(clone), "--expt", "1", "--force"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: k=3 invalid for 2 training points"]
 

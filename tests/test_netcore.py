@@ -619,11 +619,6 @@ class TestLoss:
         value, grad = nc.loss("mse", [1.0, 2.0], [1.0, 2.0])
         assert value == 0.0 and np.array_equal(grad, [0.0, 0.0])
 
-    def test_l2_sq_by_definition(self):
-        value, grad = nc.loss("l2_sq", [1.0, 2.0], [0.0, 0.0])
-        assert value == 5.0
-        assert np.array_equal(grad, [2.0, 4.0])
-
     def test_cross_entropy_half(self):
         value, _ = nc.loss("cross_entropy", [0.5, 0.5], [1.0, 0.0])
         assert np.isclose(value, math.log(2.0), rtol=1e-12)
