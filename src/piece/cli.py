@@ -17,7 +17,7 @@ file), 5 experiment failure fraction above the configured threshold.
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 
 import numpy as np
@@ -242,12 +242,12 @@ def _default_config_text() -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Top-level parser whose epilog, the default config, is built only when
-    help is printed, so a fault in the config echo cannot break a command."""
+    """Top-level parser whose epilog, the default config, is built each time
+    help is printed and never for a command, so a fault in the config echo
+    cannot break a command."""
 
     def format_help(self) -> str:
-        if self.epilog is None:
-            self.epilog = _default_config_text()
+        self.epilog = _default_config_text()
         return super().format_help()
 
 
@@ -258,7 +258,10 @@ def _job_count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process (which is when the
+    `train --jobs` default reads the CPU count)."""
     parser = _Parser(
         prog="piece",
         description=__doc__,
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train classifier, generator, and autoencoders")
     add_common(p)
-    p.add_argument("--jobs", type=_job_count, default=min(2, len(os.sched_getaffinity(0))),
+    p.add_argument("--jobs", type=_job_count, default=nc.worker_count(),
                    help="worker processes for the seven fits, each with one BLAS thread; "
                         "1 fits in this process (default: 2, or 1 on one CPU)")
     p.set_defaults(func=cmd_train)

@@ -802,6 +802,13 @@ def parameters(net: Network) -> list:
     return out
 
 
+def worker_count() -> int:
+    """The workers a stage splits its work over: two, or one when this
+    process may run on only one CPU. `piece train --jobs` defaults to it,
+    and `invert_image` inverts a stack in that many halves."""
+    return min(2, len(os.sched_getaffinity(0)))
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 

@@ -11,7 +11,8 @@ included, with no network pass.
 
 `explain_stack` explains many requests at once, in phases: each latent
 search (inversion, class selection, rendering) runs as one lockstep
-`nc.Descent` over all the images, whose objective indexes each image's
+`nc.Descent` over all the images (the inversion as two, one per half of
+the stack, on two threads), whose objective indexes each image's
 constants by the rows it is handed, so each image runs exactly as it
 would alone, and an image that fails, fails alone. `explain` and
 `select_cf_class` are the stacks of one; `invert_image`, `visualize` and
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,12 +138,35 @@ def invert_image(
     non-finite is effectively abandoned: its loss becomes infinite and it
     can never be selected.
 
-    `images` is a stack (n, H, W) with one seed per image, inverted as one
-    descent, each image exactly as it would be alone. Returns a list
-    holding each image's InversionResult, or an InversionError when every
-    restart of that image diverged.
+    `images` is a stack (n, H, W) with one seed per image, each image
+    inverted exactly as it would be alone. Returns a list holding each
+    image's InversionResult, or an InversionError when every restart of
+    that image diverged.
+
+    The inversion is bound by arithmetic, which numpy runs without holding
+    the interpreter lock. So when this process may use two CPUs
+    (`nc.worker_count`), a stack of two or more images is cut into two
+    contiguous halves, each its own descent: the calling thread inverts the
+    first while one worker thread inverts the second, and the results are
+    joined in stack order. An error of either half is the whole stack's.
+    The worker has ended when this returns or raises.
     """
-    flat = np.asarray(images, dtype=np.float64).reshape(len(images), 1, -1)  # a row per image
+    images = np.asarray(images, dtype=np.float64)
+    seeds = list(seeds)
+    if len(images) < 2 or nc.worker_count() < 2:
+        return _invert_stack(generator, feature_net, images, settings, seeds)
+    half = (len(images) + 1) // 2
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="invert") as pool:
+        second = pool.submit(
+            _invert_stack, generator, feature_net, images[half:], settings, seeds[half:]
+        )
+        first = _invert_stack(generator, feature_net, images[:half], settings, seeds[:half])
+    return first + second.result()
+
+
+def _invert_stack(generator, feature_net, images, settings, seeds) -> list:
+    """`invert_image` of a stack as one descent, on this thread."""
+    flat = images.reshape(len(images), 1, -1)  # a row per image
     target_feats = nc.forward(feature_net, flat).output
     shape = (settings.invert_restarts, generator.input_dim)
 
@@ -659,7 +684,8 @@ def explain_stack(
     rendering, in phases over all the requests at once:
 
     1. each image's classifier pass;
-    2. the inversion, as one stack (`invert_image`);
+    2. the inversion, as one stack or two halves on two threads
+       (`invert_image`);
     3. class selection, as one stack (`select_cf_class_stack`), or the
        request's target class;
     4. each image's exceptional features and feature walk;

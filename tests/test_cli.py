@@ -95,6 +95,27 @@ class TestParser:
         with pytest.raises(RuntimeError, match="config echo"):
             main(["--help"])
 
+    def test_tree_built_once_and_help_echoes_config_each_time(self, tmp_path, monkeypatch,
+                                                               capsys):
+        import piece.cli
+
+        assert piece.cli.build_parser() is piece.cli.build_parser()
+        echoes = []
+
+        def counted():
+            echoes.append(1)
+            return "[run]\nseed = 0"
+
+        monkeypatch.setattr(piece.cli, "default_config_ini", counted)
+        assert main(["train", "--run-dir", str(tmp_path / "empty")]) == 3
+        assert echoes == []  # a command never builds the help text
+        for n in (1, 2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert "[run]" in capsys.readouterr().out
+            assert len(echoes) == n
+
 
 class TestStageOrdering:
     def test_fit_stats_requires_train(self, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -131,6 +132,75 @@ class TestInversion:
             assert (got.combined_loss, got.feature_loss, got.pixel_loss, got.restart_index) == (
                 want.combined_loss, want.feature_loss, want.pixel_loss, want.restart_index
             )
+
+    # five images: the calling thread inverts three, the worker thread two
+    ODD = [0, 101, 202, 303, 399]
+
+    @staticmethod
+    def started_threads(monkeypatch) -> list:
+        """The threads started from now on, gathered as they start."""
+        started = []
+        start = threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        return started
+
+    def test_odd_stack_same_bits_on_one_or_two_workers(self, toy, monkeypatch):
+        arts = toy["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        images = arts.test_data.images[self.ODD]
+        seeds = [9, 8, 7, 6, 5]
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(nc, "worker_count", lambda: workers)
+            runs.append(pl.invert_image(arts.generator, body, images, FAST, seeds))
+        alone = [invert_one(arts.generator, body, im, FAST, s) for im, s in zip(images, seeds)]
+        for run in runs:
+            assert len(run) == len(images)
+            for got, want in zip(run, alone):
+                for field in dataclasses.fields(pl.InversionResult):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    assert np.array_equal(a, b), field.name
+
+    @pytest.mark.parametrize("workers, n", [(2, 1), (1, 2)], ids=["stack-of-one", "one-cpu"])
+    def test_starts_no_thread(self, toy, monkeypatch, workers, n):
+        arts = toy["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        monkeypatch.setattr(nc, "worker_count", lambda: workers)
+        started = self.started_threads(monkeypatch)
+        res = pl.invert_image(arts.generator, body, arts.test_data.images[:n], FAST, range(n))
+        assert len(res) == n and started == []
+
+    @pytest.mark.parametrize("bad", [0, 4], ids=["first-half", "second-half"])
+    def test_error_of_either_half_is_every_images(self, toy, monkeypatch, bad):
+        arts = toy["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        monkeypatch.setattr(nc, "worker_count", lambda: 2)
+        started = self.started_threads(monkeypatch)
+        images = arts.test_data.images[self.ODD].copy()
+        images[bad, 0, 0] = np.nan  # the feature pass of the target raises
+        got = pl._per_image(len(images), lambda: pl.invert_image(
+            arts.generator, body, images, FAST, [1, 2, 3, 4, 5]
+        ))
+        assert len(got) == len(images)
+        assert isinstance(got[0], nc.NumericsError)
+        assert all(res is got[0] for res in got)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_no_thread_outlives_the_inversion(self, toy, monkeypatch):
+        arts = toy["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        monkeypatch.setattr(nc, "worker_count", lambda: 2)
+        started = self.started_threads(monkeypatch)
+        before = set(threading.enumerate())
+        res = pl.invert_image(arts.generator, body, arts.test_data.images[[0, 1]], FAST, [3, 4])
+        assert all(isinstance(r, pl.InversionResult) for r in res)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert set(threading.enumerate()) == before
 
 
 class TestSelection:
