@@ -10,14 +10,18 @@ Exit codes: 0 success, 1 a stage that failed as it ran (training, data,
 pipeline, numerical overflow or metric error), 2 configuration error, 3
 missing prerequisite stage or run file, 4 run artifacts that do not verify
 (a file whose sha256 differs from the one its manifest or stage record
-holds, a provenance mismatch, or a damaged model, stats, latents or dataset
-file), 5 experiment failure fraction above the configured threshold.
+holds, a provenance mismatch, or a damaged model, stats, latents, dataset
+or stored inversion file), 5 experiment failure fraction above the
+configured threshold.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import hashlib
+import os
 import sys
 
 import numpy as np
@@ -67,7 +71,9 @@ _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     PrerequisiteError: EXIT_PREREQUISITE,
     **dict.fromkeys(
-        (ProvenanceError, HurdleError, nc.NetworkFormatError, DatasetFormatError), EXIT_PROVENANCE
+        (ProvenanceError, HurdleError, nc.NetworkFormatError, DatasetFormatError,
+         pl.InversionFormatError),
+        EXIT_PROVENANCE,
     ),
     **dict.fromkeys(
         (TrainingFailure, DataError, pl.PipelineError, nc.NumericsError, MetricError), 1
@@ -160,6 +166,36 @@ def cmd_fit_stats(args) -> int:
 _MODE_NAMES = {"cf": "counterfactual", "sf": "semifactual", "prop": "proportional"}
 
 
+def _inversion(paths: RunPaths, arts, request: pl.ExplanationRequest) -> pl.InversionResult:
+    """The inversion of the request's image: the run's stored entry when
+    its key, everything the inversion depends on, matches; otherwise a new
+    inversion, which replaces the entry. A failed inversion stores nothing."""
+    optim = arts.config.optim
+    key = {
+        "generator_sha": arts.files["models/generator.json"],
+        "classifier_sha": arts.files["models/classifier.json"],
+        "image_sha": hashlib.sha256(
+            np.ascontiguousarray(request.image, "<f8").tobytes()
+        ).hexdigest(),
+        "seed": request.seed,
+        "invert_restarts": optim.invert_restarts,
+        "invert_steps": optim.invert_steps,
+        "invert_lr": optim.invert_lr,
+    }
+    path = paths.explanations("single", "inversions", f"{request.image_id:04d}.json")
+    if os.path.exists(path):
+        stored = pl.load_inversion(path, key)
+        if stored is not None:
+            return stored
+    body, _ = nc.split_at_tap(arts.classifier)
+    (inv,) = pl.invert_image(arts.generator, body, request.image[None], optim, [request.seed])
+    if isinstance(inv, Exception):
+        raise inv
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pl.save_inversion(inv, key, path)
+    return inv
+
+
 def cmd_explain(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths)
@@ -190,6 +226,7 @@ def cmd_explain(args) -> int:
         )
     except pl.PipelineError as exc:
         raise ConfigError(str(exc)) from exc
+    request = dataclasses.replace(request, inversion=_inversion(paths, arts, request))
     try:
         result = pl.explain(request, arts.classifier, arts.generator, arts.stats, cfg.optim)
     except pl.TargetClassError as exc:

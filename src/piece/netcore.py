@@ -38,6 +38,7 @@ import hashlib
 import json
 import operator
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -818,8 +819,10 @@ def atomic_write(path, mode: str = "w", **kwargs):
     """`open(path, mode, **kwargs)` for writing, on a sibling temporary file
     that replaces `path` only once the block completes. An error or an
     interrupt inside the block removes the temporary file and leaves `path`
-    as it was, so no reader ever sees a partly written file."""
-    tmp = f"{path}.tmp"
+    as it was, so no reader ever sees a partly written file. Each writer's
+    temporary file is named after its process and thread, so two writers of
+    one path never share one; the last to finish leaves its file."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh

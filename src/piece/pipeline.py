@@ -17,12 +17,16 @@ constants by the rows it is handed, so each image runs exactly as it
 would alone, and an image that fails, fails alone. `explain` and
 `select_cf_class` are the stacks of one; `invert_image`, `visualize` and
 `proportional_stack` take stacks only. Every stage takes the
-`OptimSettings` as an argument.
+`OptimSettings` as an argument. A request may hold its image's inversion,
+made earlier (`ExplanationRequest.inversion`); `save_inversion` and
+`load_inversion` keep one on disk, bit for bit, under the key it was made
+with.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,6 +97,9 @@ class ExplanationRequest:
     seed: int = 0
     image_id: int = -1
     target_class: Optional[int] = None  # override, bypasses selection
+    # the image's inversion, made earlier under the same settings and seed;
+    # None inverts it
+    inversion: Optional[InversionResult] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -200,6 +207,72 @@ def _invert_stack(generator, feature_net, images, settings, seeds) -> list:
             [float(v) for v in ci], best,
         ))
     return results
+
+
+INVERSION_MAGIC = "piece-inversion"
+
+
+class InversionFormatError(Exception):
+    """A stored inversion that does not parse, lacks a key or fails its
+    checksum."""
+
+
+def _inversion_checksum(payloads: dict, restart_index: int) -> str:
+    h = hashlib.sha256()
+    for arr in payloads.values():
+        h.update(np.ascontiguousarray(arr, "<f8").tobytes())
+    h.update(str(restart_index).encode("ascii"))
+    return h.hexdigest()
+
+
+def save_inversion(inv: InversionResult, key: dict, path) -> None:
+    """Write `inv` with the `key` it was made under. Its arrays round-trip
+    bit for bit, an infinite restart loss included, and the document
+    carries the sha256 of their bytes and of the restart index."""
+    payloads = {
+        "z": np.asarray(inv.z, dtype=np.float64),
+        "losses": np.array([inv.combined_loss, inv.feature_loss, inv.pixel_loss]),
+        "restart_losses": np.asarray(inv.restart_losses, dtype=np.float64),
+    }
+    doc = {
+        "format": INVERSION_MAGIC,
+        "key": key,
+        "latent_dim": len(payloads["z"]),
+        "restarts": len(payloads["restart_losses"]),
+        **{name: nc.encode_array(arr) for name, arr in payloads.items()},
+        "restart_index": inv.restart_index,
+        "checksum": _inversion_checksum(payloads, inv.restart_index),
+    }
+    nc.write_json(path, doc, indent=1)
+
+
+def load_inversion(path, key: dict) -> Optional[InversionResult]:
+    """The inversion stored at `path` (`save_inversion`) when it was made
+    under `key`, None when under another key. A document that does not
+    parse, whose key does not hold the fields of `key`, or whose payloads
+    fail its checksum raises InversionFormatError."""
+    doc = nc.read_doc(path, INVERSION_MAGIC, InversionFormatError)
+    stored, index = doc["key"], doc["restart_index"]
+    try:
+        shapes = {"z": (int(doc["latent_dim"]),), "losses": (3,),
+                  "restart_losses": (int(doc["restarts"]),)}
+        payloads = {
+            name: nc.decode_array(doc[name], shape, f"{path}: {name}", InversionFormatError)
+            for name, shape in shapes.items()
+        }
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InversionFormatError(f"{path}: malformed {INVERSION_MAGIC} file: {exc}") from exc
+    if not (isinstance(stored, dict) and stored.keys() == key.keys()):
+        raise InversionFormatError(f"{path}: its key does not hold {', '.join(sorted(key))}")
+    if _inversion_checksum(payloads, index) != doc["checksum"]:
+        raise InversionFormatError(f"{path}: checksum mismatch")
+    if stored != key:
+        return None
+    combined, feature, pixel = (float(v) for v in payloads["losses"])
+    return InversionResult(
+        payloads["z"], combined, feature, pixel,
+        [float(v) for v in payloads["restart_losses"]], int(index),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +526,7 @@ def visualize(
         diff = tc.outputs[-1] - targets[active]
         g_img = nc.backward(body, tc, 2.0 * diff)
         g_z = nc.backward(generator, tg, g_img)
-        return g_z, np.array([float(np.sum(d)) for d in diff ** 2])
+        return g_z, np.sum(diff ** 2, axis=(1, 2))
 
     run = nc.Descent(
         objective, np.asarray(z_init, dtype=np.float64)[:, None, :],
@@ -684,8 +757,8 @@ def explain_stack(
     rendering, in phases over all the requests at once:
 
     1. each image's classifier pass;
-    2. the inversion, as one stack or two halves on two threads
-       (`invert_image`);
+    2. the inversion of each request that holds none, as one stack or two
+       halves on two threads (`invert_image`);
     3. class selection, as one stack (`select_cf_class_stack`), or the
        request's target class;
     4. each image's exceptional features and feature walk;
@@ -733,7 +806,9 @@ def explain_stack(
                 setattr(out[i], field, res)
 
     each(lambda d: d.classify(classifier))
-    idx = live()
+    for i in live():
+        out[i].inversion = out[i].request.inversion
+    idx = [i for i in live() if out[i].inversion is None]
     store("inversion", idx, lambda: invert_image(
         generator, body, np.stack([out[i].image for i in idx]), settings,
         [out[i].request.seed for i in idx],

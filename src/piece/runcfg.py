@@ -10,7 +10,10 @@ append-only through training, stats fitting, and experiments:
       stats/           hurdle stats table + training latents
       stages/          train.json, fit-stats.json: the sha256 of each file
                        the stage wrote, written last
-      explanations/    per-image explanation records and images
+      explanations/    per-image explanation records and images;
+                       single/inversions/NNNN.json: the inversion of test
+                       image NNNN that `piece explain` stores and reuses
+                       while its key matches (safe to delete)
       reports/         CSV reports
 
 Every stage runs one protocol, `RunPaths.stage`. A done stage is refused
@@ -89,6 +92,24 @@ class ExperimentConfig:
     close_correct_max_prob: float = 0.8
     n_semifactual: int = 20
     max_failure_fraction: float = 0.25
+
+    def __post_init__(self):
+        # a negative count would slice its bucket from the end
+        for name in ("n_correct", "n_close_correct", "n_semifactual"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"[experiment] {name} must be at least 0, got {getattr(self, name)}"
+                )
+        if not (0.0 < self.close_correct_max_prob <= 1.0):
+            raise ConfigError(
+                f"[experiment] close_correct_max_prob must be in (0, 1], "
+                f"got {self.close_correct_max_prob}"
+            )
+        if not (0.0 <= self.max_failure_fraction <= 1.0):
+            raise ConfigError(
+                f"[experiment] max_failure_fraction must be in [0, 1], "
+                f"got {self.max_failure_fraction}"
+            )
 
 
 @dataclass(frozen=True)

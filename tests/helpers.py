@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 from piece import netcore as nc
+from piece import pipeline as pl
 from piece.hurdle import Rule
 
 
@@ -28,6 +29,19 @@ def watched(cfg):
             return super().__getattribute__(name)
 
     return Watched(**{name: getattr(cfg, name) for name in names}), reads
+
+
+def count_inversions(monkeypatch) -> list:
+    """The stack size of every `pipeline.invert_image` call from now on."""
+    calls = []
+    real = pl.invert_image
+
+    def counted(generator, feature_net, images, settings, seeds):
+        calls.append(len(images))
+        return real(generator, feature_net, images, settings, seeds)
+
+    monkeypatch.setattr(pl, "invert_image", counted)
+    return calls
 
 
 def live_children() -> set:

@@ -1,10 +1,17 @@
+import base64
 import configparser
+import dataclasses
 import json
+import math
 import os
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import live_children
+from helpers import count_inversions, live_children
+from piece import pipeline as pl
 from piece.cli import main
 
 MINI_CONFIG = """
@@ -179,6 +186,24 @@ class TestStageOrdering:
         assert main(["datagen", "--run-dir", str(tmp_path / "r"),
                      "--config", str(bad)]) == 2
         assert f"[{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["n_correct = -3", "n_close_correct = -1", "n_semifactual = -1",
+         "close_correct_max_prob = 1.5", "close_correct_max_prob = -0.1",
+         "close_correct_max_prob = 0", "max_failure_fraction = -1",
+         "max_failure_fraction = 1.5"],
+    )
+    def test_experiment_value_out_of_range(self, tmp_path, capsys, line):
+        # a negative n_correct sliced the correct images from the end, and a
+        # negative max_failure_fraction failed every experiment with exit 5
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[experiment]\n{line}\n")
+        capsys.readouterr()
+        assert main(["datagen", "--run-dir", str(tmp_path / "r"),
+                     "--config", str(bad)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: [experiment] {line.split()[0]} ")
 
     @pytest.mark.parametrize(
         "section,line", [("run", "seed = -1"), ("dataset", "side = 8"),
@@ -401,6 +426,147 @@ class TestExplainCommand:
         assert doc["provenance"]["classifier_sha"] == file_sha256(
             os.path.join(mini_run, "models", "classifier.json")
         )
+
+
+def explain_once(run_dir, capsys, index: int, mode: list) -> tuple:
+    """`piece explain` of one request: its exit code, its standard error,
+    and the bytes of the record and images it wrote, which it then removes
+    (so a failed request cannot show an earlier one's)."""
+    capsys.readouterr()
+    rc = main(["explain", "--run-dir", str(run_dir), "--index", str(index), "--mode", *mode])
+    err = capsys.readouterr().err
+    written = sorted((run_dir / "explanations" / "single").glob(f"{mode[0]}_{index:04d}*"))
+    files = {p.name: p.read_bytes() for p in written}
+    for p in written:
+        p.unlink()
+    return rc, err, files
+
+
+def explainless_clone(run_dir, dest):
+    """A copy of `run_dir` without its single-image explanations and their
+    stored inversions."""
+    shutil.copytree(run_dir, dest)
+    shutil.rmtree(dest / "explanations" / "single", ignore_errors=True)
+    return dest
+
+
+def entry_path(run_dir, index: int):
+    return run_dir / "explanations" / "single" / "inversions" / f"{index:04d}.json"
+
+
+@pytest.fixture(scope="module")
+def cached_run(mini_run, tmp_path_factory):
+    """A copy of `mini_run` whose only stored inversion, of image 0, was
+    made by `explain --mode sf`; and that entry's bytes."""
+    run_dir = explainless_clone(mini_run, tmp_path_factory.mktemp("cached") / "run")
+    assert main(["explain", "--run-dir", str(run_dir), "--index", "0", "--mode", "sf"]) == 0
+    return run_dir, entry_path(run_dir, 0).read_bytes()
+
+
+# JSON refuses these anywhere: a control character, also inside a string,
+# and a byte that cannot start or continue UTF-8 text here
+_GARBLING_BYTES = [*range(0x00, 0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0x80, 0x100)]
+
+
+class TestInversionCache:
+    """`piece explain` stores each image's inversion in
+    explanations/single/inversions/NNNN.json and reuses it while its key
+    (the generator and classifier files, the image, the seed and the
+    inversion settings) matches."""
+
+    # image 120's semifactual backs off; class selection fails on image 390
+    REQUESTS = [(index, mode) for index in (0, 120, 390)
+                for mode in (["cf"], ["sf"], ["prop", "--fraction", "0.5"])]
+
+    def test_warm_and_cold_cache_write_the_same_bytes(self, toy_run, tmp_path, monkeypatch,
+                                                      capsys):
+        run_dir = explainless_clone(toy_run["paths"].root, tmp_path / "run")
+        calls = count_inversions(monkeypatch)
+        warm = [explain_once(run_dir, capsys, index, mode) for index, mode in self.REQUESTS]
+        assert calls == [1, 1, 1]  # each image is inverted once, by its first request
+        cold = []
+        for index, mode in self.REQUESTS:
+            shutil.rmtree(run_dir / "explanations" / "single" / "inversions")
+            cold.append(explain_once(run_dir, capsys, index, mode))
+        assert calls == [1] * 12
+        assert cold == warm
+        assert [rc for rc, _, _ in warm] == [0] * 6 + [1] * 3
+        assert all(len(files) == 4 for _, _, files in warm[:6])
+        assert json.loads(warm[4][2]["sf_0120.json"])["backoff_steps"] > 0
+        assert warm[6][1].startswith("error: no decision boundary crossed")
+
+    def test_edited_invert_steps_reinverts_and_replaces_the_entry(
+        self, mini_run, tmp_path, monkeypatch, capsys
+    ):
+        run_dir = explainless_clone(mini_run, tmp_path / "run")
+        calls = count_inversions(monkeypatch)
+        entry = entry_path(run_dir, 0)
+        assert explain_once(run_dir, capsys, 0, ["sf"])[0] == 0
+        first = json.loads(entry.read_text())
+        assert first["key"]["invert_steps"] == 150
+        assert explain_once(run_dir, capsys, 0, ["cf"])[0] == 0
+        assert calls == [1]
+        ini = configparser.ConfigParser()
+        ini.read(run_dir / "config.ini")
+        ini["pipeline"]["invert_steps"] = "120"
+        with open(run_dir / "config.ini", "w") as fh:
+            ini.write(fh)
+        assert explain_once(run_dir, capsys, 0, ["sf"])[0] == 0
+        assert calls == [1, 1]
+        second = json.loads(entry.read_text())
+        assert second["key"] == dict(first["key"], invert_steps=120)
+        assert second["z"] != first["z"]
+        assert [p.name for p in entry.parent.iterdir()] == ["0000.json"]
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_entry_exits_4(self, cached_run, capsys, data):
+        run_dir, original = cached_run
+        entry = entry_path(run_dir, 0)
+        damage = data.draw(st.sampled_from(["truncate", "garble", "drop", "flip"]))
+        if damage == "truncate":  # the last byte is the final newline
+            raw = original[: data.draw(st.integers(0, len(original) - 2))]
+        elif damage == "garble":
+            at = data.draw(st.integers(0, len(original) - 1))
+            raw = original[:at] + bytes([data.draw(st.sampled_from(_GARBLING_BYTES))]) + (
+                original[at + 1:]
+            )
+        else:
+            doc = json.loads(original)
+            if damage == "drop":
+                keys = [(doc, k) for k in doc] + [(doc["key"], k) for k in doc["key"]]
+                holder, key = data.draw(st.sampled_from(keys))
+                del holder[key]
+            else:
+                name = data.draw(st.sampled_from(["z", "losses", "restart_losses"]))
+                payload = bytearray(base64.b64decode(doc[name]))
+                payload[data.draw(st.integers(0, len(payload) - 1))] ^= data.draw(
+                    st.integers(1, 255))
+                doc[name] = base64.b64encode(bytes(payload)).decode("ascii")
+            raw = (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+        entry.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(run_dir), "--index", "0", "--mode", "sf"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(entry) in err[0]
+        assert entry.read_bytes() == raw  # a damaged entry is reported, not replaced
+
+    def test_failed_inversion_stores_nothing(self, mini_run, tmp_path, monkeypatch, capsys):
+        # on a clone, so that no stored entry can skip the failing inversion
+        run_dir = explainless_clone(mini_run, tmp_path / "run")
+        real = pl.invert_image
+
+        def diverging(generator, feature_net, images, settings, seeds):
+            settings = dataclasses.replace(settings, invert_lr=math.inf)
+            return real(generator, feature_net, images, settings, seeds)
+
+        monkeypatch.setattr(pl, "invert_image", diverging)
+        rc, err, files = explain_once(run_dir, capsys, 0, ["sf"])
+        assert (rc, err, files) == (
+            1, "error: all inversion restarts diverged to non-finite values\n", {}
+        )
+        assert not entry_path(run_dir, 0).parent.exists()
 
 
 class TestProvenance:

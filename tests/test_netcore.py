@@ -752,3 +752,33 @@ class TestAtomicWrite:
         with pytest.raises(TypeError):
             nc.write_json(tmp_path / "doc.json", {"a": 2, "b": object()})
         assert list(tmp_path.iterdir()) == []
+
+    def test_two_writers_of_one_path_both_succeed(self, tmp_path):
+        # both writers hold their temporary file open at once; with one
+        # shared temporary name the second `os.replace` found nothing
+        import threading
+
+        path = tmp_path / "doc.txt"
+        both_open = threading.Barrier(2)
+        errors = []
+
+        def writer(text):
+            try:
+                with nc.atomic_write(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                    both_open.wait(timeout=10)
+                    fh.write(text)
+            except BaseException as exc:  # noqa: BLE001 (reported below)
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in ("a" * 5000, "b" * 7)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert path.read_text() in ("a" * 10000, "b" * 14)
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.txt"]
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        assert path.stat().st_mode == plain.stat().st_mode

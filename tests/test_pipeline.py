@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import count_inversions
 from piece import netcore as nc
 from piece import pipeline as pl
 from piece.hurdle import ExceptionalFeature, Rule
@@ -203,6 +204,28 @@ class TestInversion:
         assert set(threading.enumerate()) == before
 
 
+class TestStoredInversion:
+    KEY = {"seed": 3, "invert_steps": 800, "invert_lr": 0.05}
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        inv = pl.InversionResult(
+            np.array([0.1, -2.5e-300, 3.0]), 0.7, 0.2, 0.5, [0.7, math.inf, 1.0 / 3], 0,
+        )
+        path = tmp_path / "0007.json"
+        pl.save_inversion(inv, self.KEY, path)
+        back = pl.load_inversion(path, dict(self.KEY))
+        assert back.z.tobytes() == inv.z.tobytes()
+        assert dataclasses.astuple(back)[1:] == dataclasses.astuple(inv)[1:]
+        assert pl.load_inversion(path, dict(self.KEY, invert_steps=799)) is None
+
+    def test_key_without_a_field_refused(self, tmp_path):
+        inv = pl.InversionResult(np.zeros(2), 0.0, 0.0, 0.0, [0.0], 0)
+        path = tmp_path / "0000.json"
+        pl.save_inversion(inv, {"seed": 3}, path)
+        with pytest.raises(pl.InversionFormatError, match="its key does not hold"):
+            pl.load_inversion(path, self.KEY)
+
+
 class TestSelection:
     def test_misclassification_takes_true_label(self, toy):
         arts = toy["arts"]
@@ -344,6 +367,27 @@ class TestVisualize:
         recon = nc.forward(arts.generator, inv.z).output.reshape(image.shape)
         assert float(np.mean((vis.image - recon) ** 2)) < gen_mse
         assert vis.residual_after <= vis.residual_before
+
+    def test_residuals_are_each_images_own_sum(self, toy):
+        # each image's loss is the sum over its own row; a loop over the
+        # images, one 2-d pass each, gives the same bits
+        arts = toy["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        rng = np.random.default_rng(5)
+        images = arts.test_data.images[toy["cor"][:3]]
+        targets = nc.forward(body, images.reshape(3, -1)).output + rng.normal(0, 0.1, (3, 32))
+        starts = rng.standard_normal((3, arts.generator.input_dim))
+
+        def loss(z, target):
+            feats = nc.forward(body, nc.forward(arts.generator, z[None]).output).output
+            return float(np.sum((feats - target[None]) ** 2))
+
+        rendered = pl.visualize(
+            arts.classifier, arts.generator, targets, starts, FAST, images[0].shape
+        )
+        for vis, target, start in zip(rendered, targets, starts):
+            assert vis.residual_before == loss(start, target)
+            assert vis.residual_after == loss(vis.z, target)
 
     def test_residual_strictly_decreases_on_modified_target(self, toy):
         arts = toy["arts"]
@@ -658,6 +702,23 @@ class TestStacks:
                 )
             assert record(got) == record(want)
             assert np.array_equal(got.image_prime, want.image_prime)
+
+    def test_request_inversion_is_used_not_redone(self, delivered, monkeypatch):
+        from piece.experiments import record
+
+        arts = delivered["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        req = delivered[120][0]
+        inv = invert_one(arts.generator, body, req.image, arts.config.optim, req.seed)
+        sizes = count_inversions(monkeypatch)
+        got = pl.explain_stack(
+            [dataclasses.replace(req, inversion=inv), delivered[0][0]],
+            arts.classifier, arts.generator, arts.stats, arts.config.optim,
+        )
+        assert sizes == [1]  # image 0 alone
+        for res, idx in zip(got, (120, 0)):
+            assert record(res) == record(delivered[idx][1])
+            assert np.array_equal(res.image_prime, delivered[idx][1].image_prime)
 
     def test_counterfactual_of_the_predicted_class_refused(self, toy):
         arts = toy["arts"]

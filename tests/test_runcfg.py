@@ -189,6 +189,8 @@ def non_default(key: str, default: str):
         value = st.floats(0.001, 0.49).map(str)
     elif key == "dropout":
         value = st.floats(0.0, 0.99).map(str)
+    elif key in ("close_correct_max_prob", "max_failure_fraction"):
+        value = st.floats(0.001, 1.0).map(str)
     elif key in GLYPH_VALUES:
         value = GLYPH_VALUES[key].map(str)
     elif re.fullmatch(r"\d+", default):
