@@ -213,24 +213,37 @@ def cmd_explain(args) -> int:
             raise ConfigError(
                 f"--target-class {args.target_class} out of range (classes 0..{n_classes - 1})"
             )
+    if mode == "proportional":
+        if args.fraction not in pl.FRACTIONS:
+            raise ConfigError(
+                f"proportional fraction must be one of {pl.FRACTIONS}, got {args.fraction}"
+            )
+    elif args.fraction is not None:
+        raise ConfigError(f"a fraction applies only to proportional mode, not {mode}")
     try:
         request = pl.ExplanationRequest(
             image=image,
             true_label=label,
-            mode=mode,
-            fraction=args.fraction,
+            mode="semifactual" if mode == "proportional" else mode,
             alpha=args.alpha if args.alpha is not None else cfg.alpha,
             seed=ex.derive_seed(cfg.seed, 3, args.index),
             image_id=args.index,
             target_class=args.target_class,
         )
+        if args.target_class is not None:  # refused before the inversion is looked up
+            request.check_target_class(
+                int(np.argmax(nc.forward(arts.classifier, image.ravel()).output))
+            )
     except pl.PipelineError as exc:
         raise ConfigError(str(exc)) from exc
     request = dataclasses.replace(request, inversion=_inversion(paths, arts, request))
-    try:
-        result = pl.explain(request, arts.classifier, arts.generator, arts.stats, cfg.optim)
-    except pl.TargetClassError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = pl.explain(request, arts.classifier, arts.generator, arts.stats, cfg.optim)
+    if mode == "proportional":  # the semifactual's prefix, cut as experiment 2 cuts it
+        (result,) = pl.proportional_stack(
+            [(result, args.fraction)], arts.classifier, arts.generator, arts.stats, cfg.optim
+        )
+        if isinstance(result, Exception):
+            raise result
     ex.save_explanation(paths, "single", f"{args.mode}_{args.index:04d}", result, image, arts)
     print(
         f"explain: image {args.index} (label {label}) mode {mode}"

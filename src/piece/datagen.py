@@ -46,6 +46,8 @@ class GlyphParams:
             raise DataError("frame side must be at least 12 pixels")
         if not (2 <= self.n_classes <= len(CLASS_NAMES)):
             raise DataError(f"n_classes must be in 2..{len(CLASS_NAMES)}")
+        if self.translate_jitter < 0:  # numpy cannot draw a shift from an empty range
+            raise DataError(f"translate_jitter must be at least 0, got {self.translate_jitter}")
         if self.thickness_min < 1 or self.thickness_max < self.thickness_min:
             raise DataError("bad thickness range")
         # strokes plus translation must stay inside the frame

@@ -4,10 +4,10 @@ expected values, and render the modified features back into an image.
 
 Counterfactual mode replaces every eligible exceptional feature. Semifactual
 mode stops right before the replacement that would flip the predicted class.
-Proportional mode (`proportional_stack`) applies a prefix (25/50/75/100
-percent) of the replacement sequence of the delivered semifactual: its
-steps are copied from the semifactual's recorded walk, probabilities
-included, with no network pass.
+These are the only request modes: a proportional explanation is a prefix
+(25/50/75/100 percent) of a delivered semifactual's replacement sequence,
+cut by `proportional_stack`, its steps copied from the semifactual's
+recorded walk, probabilities included, with no network pass.
 
 `explain_stack` explains many requests at once, in phases: each latent
 search (inversion, class selection, rendering) runs as one lockstep
@@ -37,7 +37,6 @@ import numpy as np
 from . import netcore as nc
 from .hurdle import ExceptionalFeature, Rule, StatsTable, classify_exceptional
 
-MODES = ("counterfactual", "semifactual", "proportional")
 FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
@@ -80,9 +79,10 @@ class OptimSettings:
     visualize_lr: float = 0.05
 
     def __post_init__(self):
-        # a negative budget would never end a descent
-        for name, low in (("invert_restarts", 1), ("invert_steps", 0),
-                          ("ascent_max_steps", 0), ("visualize_steps", 0)):
+        # a negative budget would never end a descent; a negative rate climbs its loss
+        for name, low in (("invert_restarts", 1), ("invert_steps", 0), ("ascent_max_steps", 0),
+                          ("visualize_steps", 0), ("invert_lr", 0), ("ascent_lr", 0),
+                          ("visualize_lr", 0)):
             if getattr(self, name) < low:
                 raise PipelineError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
@@ -91,29 +91,26 @@ class OptimSettings:
 class ExplanationRequest:
     image: np.ndarray  # (H, W)
     true_label: int
-    mode: str  # counterfactual | semifactual | proportional
-    fraction: Optional[float] = None  # proportional only
+    mode: str  # counterfactual | semifactual
     alpha: float = 0.05
     seed: int = 0
     image_id: int = -1
     target_class: Optional[int] = None  # override, bypasses selection
-    # the image's inversion, made earlier under the same settings and seed;
-    # None inverts it
-    inversion: Optional[InversionResult] = None
+    inversion: Optional[InversionResult] = None  # made earlier, same settings, seed; None inverts
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in ("counterfactual", "semifactual"):
             raise PipelineError(f"unknown mode {self.mode!r}")
-        if self.mode == "proportional":
-            if self.fraction not in FRACTIONS:
-                raise PipelineError(
-                    f"proportional fraction must be one of {FRACTIONS}, "
-                    f"got {self.fraction}"
-                )
-        elif self.fraction is not None:
-            raise PipelineError(f"a fraction applies only to proportional mode, not {self.mode}")
         if not (0.0 < self.alpha < 0.5):
             raise PipelineError(f"alpha must be in (0, 0.5), got {self.alpha}")
+
+    def check_target_class(self, c: int) -> None:
+        """Refuse a counterfactual to `c`, the image's predicted class."""
+        if self.mode == "counterfactual" and self.target_class == c:
+            raise TargetClassError(
+                f"target class {self.target_class} is the predicted class of image "
+                f"{self.image_id}; a counterfactual needs another class"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +263,15 @@ def load_inversion(path, key: dict) -> Optional[InversionResult]:
         raise InversionFormatError(f"{path}: its key does not hold {', '.join(sorted(key))}")
     if _inversion_checksum(payloads, index) != doc["checksum"]:
         raise InversionFormatError(f"{path}: checksum mismatch")
+    restarts = len(payloads["restart_losses"])
+    if type(index) is not int or not 0 <= index < restarts:  # a bool is no index
+        raise InversionFormatError(f"{path}: restart_index {index!r} is not in 0..{restarts - 1}")
     if stored != key:
         return None
     combined, feature, pixel = (float(v) for v in payloads["losses"])
     return InversionResult(
         payloads["z"], combined, feature, pixel,
-        [float(v) for v in payloads["restart_losses"]], int(index),
+        [float(v) for v in payloads["restart_losses"]], index,
     )
 
 
@@ -419,8 +419,6 @@ def modify_features(
     Counterfactual mode applies everything eligible. Semifactual mode checks
     the head after each tentative replacement and stops, without applying,
     at the first one that would change the predicted class away from `c`.
-    Proportional results are prefixes of the delivered semifactual; see
-    `proportional_stack`.
     """
     if any(
         features[i].probability > features[i + 1].probability
@@ -639,11 +637,7 @@ class _Draft:
         trace = nc.forward(classifier, self.image.ravel())
         self.probs_original, self.x = trace.output, trace.outputs[classifier.feature_tap][0]
         self.c = int(np.argmax(self.probs_original))
-        if req.mode == "counterfactual" and req.target_class == self.c:
-            raise TargetClassError(
-                f"target class {req.target_class} is the predicted class of image "
-                f"{req.image_id}; a counterfactual needs another class"
-            )
+        req.check_target_class(self.c)
 
     def walk(self, classifier: nc.Network, head: nc.Network, stats: StatsTable) -> None:
         c_prime = self.selection.c_prime
@@ -685,7 +679,7 @@ class _Draft:
                 ks_list.append(model.dist.ks_p)
         return ExplanationResult(
             mode=req.mode,
-            fraction=req.fraction,
+            fraction=None,
             image_id=req.image_id,
             true_label=req.true_label,
             c=self.c,
@@ -767,24 +761,18 @@ def explain_stack(
        boundary even though its feature vector does not. Each round drops
        the last applied replacement of every such semifactual and renders
        them again, as one stack, until each stays in `c` or has nothing
-       left to drop;
-    7. a proportional request is its image's semifactual cut to a prefix
-       by `proportional_stack`, which renders the ones that need a
-       rendering as one stack.
+       left to drop.
 
     Every search runs each image exactly as it would run alone, so the
-    result does not depend on the stack.
-    Returns each request's ExplanationResult, or the PipelineError or
-    NumericsError that explaining it alone raises.
+    result does not depend on the stack. Returns each request's
+    ExplanationResult, or the PipelineError or NumericsError that
+    explaining it alone raises; `proportional_stack` cuts a proportional
+    explanation from a delivered semifactual.
     """
     if not requests:
         return []
     body, head = nc.split_at_tap(classifier)
-    out: list = [
-        _Draft(dataclasses.replace(r, mode="semifactual", fraction=None)
-               if r.mode == "proportional" else r)
-        for r in requests
-    ]
+    out: list = [_Draft(r) for r in requests]
 
     def live() -> list:
         return [i for i, d in enumerate(out) if isinstance(d, _Draft)]
@@ -831,15 +819,6 @@ def explain_stack(
         idx = [i for i in live() if out[i].retreat()]  # the next round
     for i in live():
         out[i] = out[i].result(stats)
-
-    idx = [
-        i for i, res in enumerate(out)
-        if requests[i].mode == "proportional" and not isinstance(res, Exception)
-    ]
-    for i, res in zip(idx, proportional_stack(
-        [(out[i], requests[i].fraction) for i in idx], classifier, generator, stats, settings
-    )):
-        out[i] = res
     return out
 
 
@@ -862,8 +841,6 @@ def proportional_stack(
     reuses; the prefixes that need a rendering are rendered as one stack.
     Returns each pair's ExplanationResult, or the error its rendering
     raised."""
-    if not items:
-        return []
     props = []
     for sf, fraction in items:
         if sf.mode != "semifactual" or fraction not in FRACTIONS:

@@ -157,7 +157,7 @@ class RunConfig:
         glyphs = dataclasses.replace(self.dataset.glyphs, seed=self.seed)
         self.dataset = dataclasses.replace(self.dataset, glyphs=glyphs)
         if not (0.0 < self.alpha < 0.5):
-            raise ConfigError(f"alpha must be in (0, 0.5), got {self.alpha}")
+            raise ConfigError(f"[run] alpha must be in (0, 0.5), got {self.alpha}")
         # keys bounded by [dataset] keys, which are parsed before their sections
         n_pixels = self.dataset.glyphs.side ** 2
         for name in ("generator", "autoencoders"):

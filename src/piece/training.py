@@ -56,6 +56,8 @@ class TrainConfig:
             raise TrainingFailure(f"hidden takes {self.n_hidden} width(s), got {len(self.hidden)}")
         if not all(h > 0 for h in self.hidden):
             raise TrainingFailure("hidden widths must be positive")
+        if self.seed < 0:  # numpy refuses a negative seed, as the fit starts
+            raise TrainingFailure(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass

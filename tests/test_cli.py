@@ -1,6 +1,7 @@
 import base64
 import configparser
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -551,6 +552,48 @@ class TestInversionCache:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(entry) in err[0]
         assert entry.read_bytes() == raw  # a damaged entry is reported, not replaced
+
+    @pytest.mark.parametrize("index", ["x", 99, -1, 1.5, True])
+    def test_bad_restart_index_exits_4(self, cached_run, capsys, index):
+        # the checksum is recomputed, so only the index is wrong: "x" used to
+        # end in a ValueError traceback, and the others were taken silently
+        run_dir, original = cached_run
+        entry = entry_path(run_dir, 0)
+        doc = json.loads(original)
+        assert doc["restarts"] == 3
+        doc["restart_index"] = index
+        digest = hashlib.sha256()
+        for name in ("z", "losses", "restart_losses"):
+            digest.update(base64.b64decode(doc[name]))
+        digest.update(str(index).encode("ascii"))
+        doc["checksum"] = digest.hexdigest()
+        entry.write_text(json.dumps(doc, indent=1) + "\n")
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(run_dir), "--index", "0", "--mode", "sf"]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {entry}: restart_index {index!r} is not in 0..2\n"
+        )
+
+    def test_refused_target_class_inverts_and_stores_nothing(
+        self, mini_run, tmp_path, monkeypatch, capsys
+    ):
+        # the refusal follows the classifier pass, before the stored
+        # inversion is looked up; it used to invert and store image 4 first
+        import numpy as np
+
+        from piece import netcore as nc
+        from piece.runcfg import RunPaths, load_run
+
+        run_dir = explainless_clone(mini_run, tmp_path / "run")
+        arts = load_run(RunPaths(str(run_dir)))
+        predicted = int(np.argmax(
+            nc.forward(arts.classifier, arts.test_data.images[4].ravel()).output))
+        calls = count_inversions(monkeypatch)
+        rc, err, files = explain_once(run_dir, capsys, 4, ["cf", "--target-class", str(predicted)])
+        assert (rc, files) == (2, {})
+        assert err.startswith(f"error: target class {predicted} is the predicted class of image 4")
+        assert calls == []
+        assert not (run_dir / "explanations" / "single").exists()
 
     def test_failed_inversion_stores_nothing(self, mini_run, tmp_path, monkeypatch, capsys):
         # on a clone, so that no stored entry can skip the failing inversion

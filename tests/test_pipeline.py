@@ -555,9 +555,11 @@ class TestExplain:
         assert [f["rule"] for f in doc["exceptional"]] == [f.rule.value for f in res.exceptional]
 
     def test_bad_requests_rejected(self, toy):
+        # a proportional explanation is cut from a semifactual's result
+        # (`proportional_stack`), so it is no request mode
         arts = toy["arts"]
-        with pytest.raises(pl.PipelineError):
-            request_for(arts, 0, "proportional", fraction=0.4)
+        with pytest.raises(pl.PipelineError, match="unknown mode 'proportional'"):
+            request_for(arts, 0, "proportional")
         with pytest.raises(pl.PipelineError):
             request_for(arts, 0, "counterfactual", alpha=0.7)
         with pytest.raises(pl.PipelineError):
@@ -567,12 +569,15 @@ class TestExplain:
 class TestProportional:
     @pytest.mark.parametrize("idx", [0, 120, 184])
     def test_equals_explain_in_proportional_mode(self, delivered, monkeypatch, idx):
-        # image 120's semifactual backs off; on image 184 a prefix's
-        # rendering leaves c
+        # `piece explain --mode prop` cuts each fraction from a semifactual
+        # explained afresh; cutting them all from one delivered semifactual
+        # gives the same. Image 120's semifactual backs off; on image 184 a
+        # prefix's rendering leaves c
         from piece.experiments import record
 
         arts = delivered["arts"]
         req, sf = delivered[idx]
+        fresh = pl.explain(req, arts.classifier, arts.generator, arts.stats, arts.config.optim)
         calls = []
         visualize = pl.visualize
 
@@ -589,10 +594,7 @@ class TestProportional:
                 # the semifactual's own target: its rendering, not another
                 assert calls == []
                 assert prop.z_prime is sf.z_prime and prop.image_prime is sf.image_prime
-            alone = pl.explain(
-                dataclasses.replace(req, mode="proportional", fraction=fraction),
-                arts.classifier, arts.generator, arts.stats, arts.config.optim,
-            )
+            alone = proportional(fresh, fraction, arts, arts.config.optim)
             assert record(prop) == record(alone)
             assert np.array_equal(prop.image_prime, alone.image_prime)
             props.append(prop)
@@ -679,7 +681,7 @@ class TestStacks:
 
     def test_explain_stack_equals_each_request_alone(self, delivered):
         # semifactuals of four images, image 120's backing off in a round of
-        # its own, next to counterfactuals and a proportional request
+        # its own, next to counterfactuals
         from piece.experiments import record
 
         arts = delivered["arts"]
@@ -687,7 +689,6 @@ class TestStacks:
         requests += [
             dataclasses.replace(delivered[0][0], mode="counterfactual"),
             dataclasses.replace(delivered[184][0], mode="counterfactual"),
-            dataclasses.replace(delivered[120][0], mode="proportional", fraction=0.5),
         ]
         stacked = pl.explain_stack(
             requests, arts.classifier, arts.generator, arts.stats, arts.config.optim
@@ -700,6 +701,26 @@ class TestStacks:
                 want = pl.explain(
                     req, arts.classifier, arts.generator, arts.stats, arts.config.optim
                 )
+            assert record(got) == record(want)
+            assert np.array_equal(got.image_prime, want.image_prime)
+
+    def test_proportional_stack_equals_each_item_alone(self, delivered):
+        # experiment 2's call: every fraction of several semifactuals in one
+        # stack, where image 120's semifactual backed off and a prefix of
+        # image 184's leaves c, next to prefixes that reuse their
+        # semifactual's rendering
+        from piece.experiments import record
+
+        arts = delivered["arts"]
+        items = [(delivered[idx][1], f) for idx in (0, 120, 184) for f in pl.FRACTIONS]
+        stacked = pl.proportional_stack(
+            items, arts.classifier, arts.generator, arts.stats, arts.config.optim
+        )
+        assert len(stacked) == len(items)
+        assert not all(p.verified for p in stacked[8:])  # image 184's
+        for (sf, fraction), got in zip(items, stacked):
+            want = proportional(sf, fraction, arts, arts.config.optim)
+            assert (got.image_id, got.fraction) == (sf.image_id, fraction)
             assert record(got) == record(want)
             assert np.array_equal(got.image_prime, want.image_prime)
 

@@ -3,14 +3,17 @@ import io
 import os
 import re
 import tempfile
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piece.runcfg import (
+    _SECTIONS,
     ConfigError,
     RunConfig,
+    _section_fields,
     config_ini_text,
     default_config_ini,
     parse_config,
@@ -154,6 +157,56 @@ GLYPH_VALUES = {
     "noise_sigma": st.floats(0.0, 1.0),
 }
 
+_TRAIN = ("classifier", "generator", "autoencoders")
+# every value that `test_limit_values_are_refused_or_known` finds parse_config
+# taking, with why it is not refused
+_SIZES = [("dataset", "n_train_per_class"), ("dataset", "n_test_per_class"), ("dataset", "side"),
+          ("generator", "hidden"), ("autoencoders", "hidden"), ("pipeline", "invert_restarts"),
+          ("metrics", "mc_passes"), *((s, "batch_size") for s in _TRAIN)]
+_STEPS = [("pipeline", "invert_steps"), ("pipeline", "ascent_max_steps"),
+          ("pipeline", "visualize_steps"), ("baselines", "max_steps")]
+_BUDGETS = [*_STEPS, *((s, "epochs") for s in _TRAIN)]
+_RATES = [("pipeline", "invert_lr"), ("pipeline", "ascent_lr"), ("pipeline", "visualize_lr"),
+          ("baselines", "lr")]
+_COUNTS = [("experiment", k) for k in ("n_correct", "n_close_correct", "n_semifactual")]
+_HUGE = {int: "1000000000", float: "1e9"}
+KNOWN_TO_RUN = {
+    **{(s, "seed", v): "any seed from 0 up is one numpy takes"
+       for s in ("run", *_TRAIN) for v in ("0", _HUGE[int])},
+    **{(s, k, _HUGE[int]): "a size: only time and memory bound it" for s, k in _SIZES},
+    **{(s, k, _HUGE[int]): "a step or epoch budget: time bounds it" for s, k in _BUDGETS},
+    **{(s, k, "0"): "a budget of 0: the search keeps its start point" for s, k in _STEPS},
+    **{(s, k, "0"): "a step size of 0: the search stays at its start" for s, k in _RATES},
+    **{(s, k, "1e9"): "a step size: the search runs, if to no use" for s, k in _RATES},
+    **{(s, "lr", "1e9"): "a step size: the fit runs, if to no use" for s in _TRAIN},
+    **{(s, k, "0"): "an empty bucket (README)" for s, k in _COUNTS},
+    **{(s, k, _HUGE[int]): "takes every image the bucket has" for s, k in _COUNTS},
+    ("dataset", "translate_jitter", "0"): "no shift: every glyph is centred",
+    ("dataset", "noise_sigma", "0"): "no noise",
+    ("dataset", "noise_sigma", "1e9"): "noise swamps the glyphs; pixels are clipped to [0, 1]",
+    ("classifier", "dropout", "0"): "no dropout",
+    **{("classifier", "early_stop_accuracy", v): "stops after the first epoch"
+       for v in ("0", "-1")},
+    ("classifier", "early_stop_accuracy", "1e9"): "never stops early: runs every epoch",
+    **{("classifier", "min_accuracy", v): "accepts any classifier" for v in ("0", "-1")},
+    ("classifier", "min_accuracy", "1e9"): "no classifier reaches it: train exits 1 naming it",
+    **{(s, "recon_mse_target", v): "no fit reaches it: train exits 1 naming it"
+       for s in ("generator", "autoencoders") for v in ("0", "-1")},
+    **{(s, "recon_mse_target", "1e9"): "every fit reaches it, after its first epoch"
+       for s in ("generator", "autoencoders")},
+    ("baselines", "lambda", "1e9"): "a weight: the search leans on its class term",
+    ("baselines", "lambda_sweep", "1e9"): "a weight: the search leans on its class term",
+    ("baselines", "lambda_sweep", ""): "no sweep: expt1_lambda_sweep.csv has no rows",
+    ("experiment", "max_failure_fraction", "0"): "any failure exits 5",
+}
+
+
+def limit_values(hint) -> tuple:
+    """0, -1, a huge value, NaN and an empty value, as INI text of `hint`'s
+    (or its items') type."""
+    item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
+    return ("0", "-1", _HUGE[item], "nan", "")
+
 
 def parse_text(text: str) -> RunConfig:
     with tempfile.TemporaryDirectory() as tmp:
@@ -228,6 +281,21 @@ class TestConfigContract:
             drawn, echoed = ini[section][key], back[section][key]
             assert [float(v) for v in drawn.split(",")] == [float(v) for v in echoed.split(",")]
 
+    def test_limit_values_are_refused_or_known(self):
+        # parse only: each value is refused naming its section, or is listed
+        # above; a listed value that is refused makes its entry stale
+        cfg, taken = RunConfig(), set()
+        for section in _SECTIONS:
+            for _, _, key, hint, _ in _section_fields(cfg, section):
+                for raw in limit_values(hint):
+                    try:
+                        parse_text(f"[{section}]\n{key} = {raw}\n")
+                    except ConfigError as exc:
+                        assert str(exc).startswith(f"[{section}] "), str(exc)
+                        continue
+                    taken.add((section, key, raw))
+        assert taken == set(KNOWN_TO_RUN)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match=r"\[pipeline\].*invert_step"):
             parse_text("[pipeline]\ninvert_step = 10\n")
@@ -268,9 +336,17 @@ class TestConfigContract:
          "[dataset] n_train_per_class must be at least 30, got 0"),
         ("[dataset]\nn_test_per_class = -2\n",
          "[dataset] n_test_per_class must be at least 1, got -2"),
+        # numpy refused these only as train or datagen ran, with a traceback
+        *((f"[{s}]\nseed = -1\n", f"[{s}] seed must be at least 0, got -1") for s in _TRAIN),
+        ("[dataset]\ntranslate_jitter = -1\n",
+         "[dataset] translate_jitter must be at least 0, got -1"),
+        ("[run]\nalpha = 0.7\n", "[run] alpha must be in (0, 0.5), got 0.7"),
+        *((f"[pipeline]\n{k}_lr = -1\n", f"[pipeline] {k}_lr must be at least 0, got -1.0")
+          for k in ("invert", "ascent", "visualize")),
     ], ids=["seed", "side", "thickness_max", "intensity", "invert_restarts", "invert_steps",
             "ascent_max_steps", "visualize_steps", "knn_k", "n_train_per_class",
-            "n_test_per_class"])
+            "n_test_per_class", *(f"{s}-seed" for s in _TRAIN), "translate_jitter", "alpha",
+            "invert_lr", "ascent_lr", "visualize_lr"])
     def test_out_of_range_value_refused_at_parse(self, text, message):
         # a negative step budget would never end its search, so it is only
         # ever tested here, where it is refused
