@@ -20,8 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
-import os
 import sys
 
 import numpy as np
@@ -68,7 +66,7 @@ EXIT_FAILURE_THRESHOLD = 5
 # the exit code of each error a command reports as one line; exit 1 is a
 # stage that failed as it ran
 _EXIT_CODES = {
-    ConfigError: EXIT_CONFIG,
+    **dict.fromkeys((ConfigError, pl.TargetClassError), EXIT_CONFIG),
     PrerequisiteError: EXIT_PREREQUISITE,
     **dict.fromkeys(
         (ProvenanceError, HurdleError, nc.NetworkFormatError, DatasetFormatError,
@@ -166,36 +164,6 @@ def cmd_fit_stats(args) -> int:
 _MODE_NAMES = {"cf": "counterfactual", "sf": "semifactual", "prop": "proportional"}
 
 
-def _inversion(paths: RunPaths, arts, request: pl.ExplanationRequest) -> pl.InversionResult:
-    """The inversion of the request's image: the run's stored entry when
-    its key, everything the inversion depends on, matches; otherwise a new
-    inversion, which replaces the entry. A failed inversion stores nothing."""
-    optim = arts.config.optim
-    key = {
-        "generator_sha": arts.files["models/generator.json"],
-        "classifier_sha": arts.files["models/classifier.json"],
-        "image_sha": hashlib.sha256(
-            np.ascontiguousarray(request.image, "<f8").tobytes()
-        ).hexdigest(),
-        "seed": request.seed,
-        "invert_restarts": optim.invert_restarts,
-        "invert_steps": optim.invert_steps,
-        "invert_lr": optim.invert_lr,
-    }
-    path = paths.explanations("single", "inversions", f"{request.image_id:04d}.json")
-    if os.path.exists(path):
-        stored = pl.load_inversion(path, key)
-        if stored is not None:
-            return stored
-    body, _ = nc.split_at_tap(arts.classifier)
-    (inv,) = pl.invert_image(arts.generator, body, request.image[None], optim, [request.seed])
-    if isinstance(inv, Exception):
-        raise inv
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    pl.save_inversion(inv, key, path)
-    return inv
-
-
 def cmd_explain(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths)
@@ -216,27 +184,26 @@ def cmd_explain(args) -> int:
     if mode == "proportional":
         if args.fraction not in pl.FRACTIONS:
             raise ConfigError(
-                f"proportional fraction must be one of {pl.FRACTIONS}, got {args.fraction}"
+                f"--mode prop needs --fraction, one of {pl.FRACTIONS}, got {args.fraction}"
             )
     elif args.fraction is not None:
-        raise ConfigError(f"a fraction applies only to proportional mode, not {mode}")
+        raise ConfigError(f"--fraction applies only to --mode prop, not --mode {args.mode}")
     try:
         request = pl.ExplanationRequest(
             image=image,
             true_label=label,
             mode="semifactual" if mode == "proportional" else mode,
             alpha=args.alpha if args.alpha is not None else cfg.alpha,
-            seed=ex.derive_seed(cfg.seed, 3, args.index),
             image_id=args.index,
             target_class=args.target_class,
         )
-        if args.target_class is not None:  # refused before the inversion is looked up
-            request.check_target_class(
-                int(np.argmax(nc.forward(arts.classifier, image.ravel()).output))
-            )
-    except pl.PipelineError as exc:
-        raise ConfigError(str(exc)) from exc
-    request = dataclasses.replace(request, inversion=_inversion(paths, arts, request))
+    except pl.PipelineError as exc:  # the mode is one of the choices: --alpha was refused
+        raise ConfigError(f"--alpha: {exc}") from exc
+    if args.target_class is not None:  # refused before the inversion is looked up
+        request.check_target_class(
+            int(np.argmax(nc.forward(arts.classifier, image.ravel()).output))
+        )
+    request = dataclasses.replace(request, inversion=pl._one(ex.inversions(arts, [args.index])))
     result = pl.explain(request, arts.classifier, arts.generator, arts.stats, cfg.optim)
     if mode == "proportional":  # the semifactual's prefix, cut as experiment 2 cuts it
         (result,) = pl.proportional_stack(

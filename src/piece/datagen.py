@@ -179,31 +179,6 @@ def write_pgm(image, path) -> None:
         fh.write(data.tobytes())
 
 
-def read_pgm(path) -> Array:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(b"P5"):
-        raise DataError(f"{path}: not a binary PGM (P5) file")
-    fields, pos = [], 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataError(f"{path}: truncated PGM header")
-        fields.append(int(raw[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported maxval {maxval}")
-    body = raw[pos : pos + w * h]
-    if len(body) != w * h:
-        raise DataError(f"{path}: expected {w * h} pixel bytes, got {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).astype(np.float64).reshape(h, w) / 255.0
-
-
 # ---------------------------------------------------------------------------
 # Dataset files and manifest
 

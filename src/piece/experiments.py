@@ -16,9 +16,13 @@ one builder (`_row`) makes every report row. The images go through phases,
 so that the latent searches run over all images at once, each image
 exactly as it would run alone:
 
-1. explain every image by PIECE, in `pipeline.explain_stack`'s phases: the
-   inversion, class selection and the rendering each run as one stack,
-   the feature walk per image, and the semifactual backoff in rounds;
+0. look up each image's inversion in the run's store (`inversions`), which
+   `piece explain` shares, and invert the misses as one stack; this runs
+   before the experiment's first write, so a damaged entry leaves its
+   reports as they were;
+1. explain every image by PIECE, in `pipeline.explain_stack`'s phases:
+   class selection and the rendering each run as one stack, the feature
+   walk per image, and the semifactual backoff in rounds;
 2. run each baseline over the stack of explained images;
 3. experiment 1: run each lambda of the sweep over that stack. Experiment
    2: take each image's PIECE semifactual to each proportional budget, and
@@ -39,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import hashlib
 import os
 from dataclasses import dataclass
 
@@ -56,6 +61,41 @@ def derive_seed(*parts) -> int:
     """Stable independent seed from integer parts."""
     ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, np.uint64)[0] % (2**62))
+
+
+def inversions(arts: RunArtifacts, image_ids) -> list:
+    """Each test image's InversionResult, or its InversionError, one per
+    image per run: the run's stored inversions/NNNN.json (NNNN the index)
+    while its key, everything the inversion depends on, matches; else made
+    now, the misses as one `invert_image` stack, each from its image's one
+    seed, and stored unless it failed. A damaged entry raises
+    InversionFormatError. The store is a cache that no stage record lists."""
+    cfg = arts.config
+    images = arts.test_data.images[list(image_ids)]
+    shared = {
+        "generator_sha": arts.files["models/generator.json"],
+        "classifier_sha": arts.classifier_sha,
+        **{name: getattr(cfg.optim, name)
+           for name in ("invert_restarts", "invert_steps", "invert_lr")},
+    }
+    keys = [
+        {**shared, "seed": derive_seed(cfg.seed, image_id),
+         "image_sha": hashlib.sha256(np.ascontiguousarray(image, "<f8").tobytes()).hexdigest()}
+        for image_id, image in zip(image_ids, images)
+    ]
+    paths = [arts.paths.inversions(f"{image_id:04d}.json") for image_id in image_ids]
+    out = [pl.load_inversion(p, k) if os.path.exists(p) else None for p, k in zip(paths, keys)]
+    misses = [i for i, inv in enumerate(out) if inv is None]
+    body, _ = nc.split_at_tap(arts.classifier)
+    made = pl._per_image(len(misses), lambda: pl.invert_image(
+        arts.generator, body, images[misses], cfg.optim, [keys[i]["seed"] for i in misses]
+    ))
+    for i, inv in zip(misses, made):
+        if not isinstance(inv, Exception):
+            os.makedirs(os.path.dirname(paths[i]), exist_ok=True)
+            pl.save_inversion(inv, keys[i], paths[i])
+        out[i] = inv
+    return out
 
 
 @dataclass
@@ -261,30 +301,32 @@ def _baseline_runs(
     )
 
 
-def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list) -> list:
-    """Explain every test image by PIECE and both baselines in experiment
-    `expt`'s mode, saving every record and image under explanations/.
-    Returns, per case, each method's result by method name, or None when
-    PIECE cannot explain the image (then no method runs on it). Runs the
-    module's phases 1 and 2: PIECE's phases over the stack of images; each
-    baseline over the stack of explained images."""
+def _explain_images(
+    arts: RunArtifacts, paths: RunPaths, expt: int, cases: list, invs: list
+) -> list:
+    """Explain every test image by PIECE, from its inversion in `invs`, and
+    both baselines in experiment `expt`'s mode, saving every record and
+    image under explanations/. Returns, per case, each method's result by
+    method name, or None when PIECE cannot explain the image (then no
+    method runs on it). Runs the module's phases 1 and 2: PIECE's phases
+    over the stack of images; each baseline over the stack of explained
+    images."""
     cfg = arts.config
     mode, tag = (("counterfactual", "cf"), ("semifactual", "sf"))[expt - 1]
-    requests = [
-        pl.ExplanationRequest(
-            image=case.image,
-            true_label=case.label,
-            mode=mode,
-            alpha=cfg.alpha,
-            seed=derive_seed(cfg.seed, expt, case.image_id),
-            image_id=case.image_id,
-        )
-        for case in cases
-    ]
+    inverted = [(case, inv) for case, inv in zip(cases, invs) if not isinstance(inv, Exception)]
+    stacked = iter(pl.explain_stack(
+        [
+            pl.ExplanationRequest(
+                image=case.image, true_label=case.label, mode=mode, alpha=cfg.alpha,
+                image_id=case.image_id, inversion=inv,
+            )
+            for case, inv in inverted
+        ],
+        arts.classifier, arts.generator, arts.stats, cfg.optim,
+    ))
     explained: list = []
-    for case, res in zip(cases, pl.explain_stack(
-        requests, arts.classifier, arts.generator, arts.stats, cfg.optim
-    )):
+    for case, inv in zip(cases, invs):
+        res = inv if isinstance(inv, Exception) else next(stacked)
         if isinstance(res, Exception):
             explained.append(None)
             continue
@@ -309,6 +351,7 @@ def _explain_images(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list)
 def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     cfg = arts.config
     cases = compose_test_set(arts)
+    invs = inversions(arts, [case.image_id for case in cases])
     _write_testset_csv(cases, paths.reports("expt1_testset.csv"))
 
     rows: list = []
@@ -318,7 +361,7 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
     body, _ = nc.split_at_tap(arts.classifier)
     row = functools.partial(_row, arts, body)
 
-    explained = _explain_images(arts, paths, 1, cases)
+    explained = _explain_images(arts, paths, 1, cases, invs)
     succeeded = [results for results in explained if results]
     # the lambda sweep, each lambda over the stack; at the configured lambda
     # the main c-min-edit runs are these very runs
@@ -432,6 +475,7 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     cfg = arts.config
     cases = [c for c in compose_test_set(arts) if c.bucket == "correct"]
     cases = cases[: cfg.experiment.n_semifactual]
+    invs = inversions(arts, [case.image_id for case in cases])
     _write_testset_csv(cases, paths.reports("expt2_testset.csv"))
 
     rows: list = []  # in loop order: max-edit, then each budget's three
@@ -439,7 +483,7 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     body, _ = nc.split_at_tap(arts.classifier)
     row = functools.partial(_row, arts, body)
 
-    explained = _explain_images(arts, paths, 2, cases)
+    explained = _explain_images(arts, paths, 2, cases, invs)
     # each image's proportional explanation at each budget, as one stack,
     # then each baseline over the stack of rendered budgets, matched to the
     # feature distance PIECE moved; a budget whose rendering failed has no

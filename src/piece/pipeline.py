@@ -9,18 +9,22 @@ These are the only request modes: a proportional explanation is a prefix
 cut by `proportional_stack`, its steps copied from the semifactual's
 recorded walk, probabilities included, with no network pass.
 
+Every explanation starts from its image's inversion, the latent code
+whose rendering best reproduces the image (`invert_image`), which the
+request holds (`ExplanationRequest.inversion`). A run inverts each image
+once, with one seed, and keeps the result (`experiments.inversions`);
+`save_inversion` and `load_inversion` keep one on disk, bit for bit,
+under the key it was made with.
+
 `explain_stack` explains many requests at once, in phases: each latent
-search (inversion, class selection, rendering) runs as one lockstep
-`nc.Descent` over all the images (the inversion as two, one per half of
-the stack, on two threads), whose objective indexes each image's
-constants by the rows it is handed, so each image runs exactly as it
-would alone, and an image that fails, fails alone. `explain` and
-`select_cf_class` are the stacks of one; `invert_image`, `visualize` and
+search (class selection, rendering) runs as one lockstep `nc.Descent`
+over all the images, whose objective indexes each image's constants by
+the rows it is handed, so each image runs exactly as it would alone, and
+an image that fails, fails alone. `invert_image` stacks its images the
+same way, as two halves on two threads. `explain` and `select_cf_class`
+are the stacks of one; `invert_image`, `visualize` and
 `proportional_stack` take stacks only. Every stage takes the
-`OptimSettings` as an argument. A request may hold its image's inversion,
-made earlier (`ExplanationRequest.inversion`); `save_inversion` and
-`load_inversion` keep one on disk, bit for bit, under the key it was made
-with.
+`OptimSettings` as an argument.
 """
 
 from __future__ import annotations
@@ -93,10 +97,9 @@ class ExplanationRequest:
     true_label: int
     mode: str  # counterfactual | semifactual
     alpha: float = 0.05
-    seed: int = 0
     image_id: int = -1
     target_class: Optional[int] = None  # override, bypasses selection
-    inversion: Optional[InversionResult] = None  # made earlier, same settings, seed; None inverts
+    inversion: Optional[InversionResult] = None  # the image's; `explain_stack` needs it
 
     def __post_init__(self):
         if self.mode not in ("counterfactual", "semifactual"):
@@ -623,7 +626,6 @@ class _Draft:
     probs_original: Optional[np.ndarray] = None
     x: Optional[np.ndarray] = None
     c: int = -1
-    inversion: Optional[InversionResult] = None
     selection: Optional[SelectionResult] = None
     features: Optional[list] = None
     skipped: int = 0
@@ -670,7 +672,7 @@ class _Draft:
         return True
 
     def result(self, stats: StatsTable) -> ExplanationResult:
-        req, mod, inv, vis = self.request, self.mod, self.inversion, self.rendering
+        req, mod, inv, vis = self.request, self.mod, self.request.inversion, self.rendering
         c_prime = self.selection.c_prime
         ks_list = []
         for feat in self.features:
@@ -751,13 +753,12 @@ def explain_stack(
     rendering, in phases over all the requests at once:
 
     1. each image's classifier pass;
-    2. the inversion of each request that holds none, as one stack or two
-       halves on two threads (`invert_image`);
-    3. class selection, as one stack (`select_cf_class_stack`), or the
-       request's target class;
-    4. each image's exceptional features and feature walk;
-    5. the rendering and its classification, as one stacked `visualize`;
-    6. backoff in rounds: a semifactual's rendered image may land past the
+    2. class selection, as one stack (`select_cf_class_stack`) from each
+       request's inversion, or the request's target class;
+    3. each image's exceptional features and feature walk;
+    4. the rendering and its classification, as one stacked `visualize`,
+       from each request's inversion;
+    5. backoff in rounds: a semifactual's rendered image may land past the
        boundary even though its feature vector does not. Each round drops
        the last applied replacement of every such semifactual and renders
        them again, as one stack, until each stays in `c` or has nothing
@@ -771,7 +772,7 @@ def explain_stack(
     """
     if not requests:
         return []
-    body, head = nc.split_at_tap(classifier)
+    _, head = nc.split_at_tap(classifier)
     out: list = [_Draft(r) for r in requests]
 
     def live() -> list:
@@ -795,18 +796,11 @@ def explain_stack(
 
     each(lambda d: d.classify(classifier))
     for i in live():
-        out[i].inversion = out[i].request.inversion
-    idx = [i for i in live() if out[i].inversion is None]
-    store("inversion", idx, lambda: invert_image(
-        generator, body, np.stack([out[i].image for i in idx]), settings,
-        [out[i].request.seed for i in idx],
-    ))
-    for i in live():
         if out[i].request.target_class is not None:
             out[i].selection = SelectionResult(int(out[i].request.target_class), True, 0)
     idx = [i for i in live() if out[i].selection is None]
     store("selection", idx, lambda: select_cf_class_stack(
-        classifier, generator, np.array([out[i].inversion.z for i in idx]),
+        classifier, generator, np.array([out[i].request.inversion.z for i in idx]),
         [out[i].c for i in idx], [out[i].request.true_label for i in idx], settings,
     ))
     each(lambda d: d.walk(classifier, head, stats))
@@ -814,7 +808,7 @@ def explain_stack(
     while idx:
         store("rendering", idx, lambda: visualize(
             classifier, generator, np.stack([out[i].mod.x_mod for i in idx]),
-            np.stack([out[i].inversion.z for i in idx]), settings, out[idx[0]].image.shape,
+            np.stack([out[i].request.inversion.z for i in idx]), settings, out[idx[0]].image.shape,
         ))
         idx = [i for i in live() if out[i].retreat()]  # the next round
     for i in live():

@@ -10,10 +10,11 @@ append-only through training, stats fitting, and experiments:
       stats/           hurdle stats table + training latents
       stages/          train.json, fit-stats.json: the sha256 of each file
                        the stage wrote, written last
-      explanations/    per-image explanation records and images;
-                       single/inversions/NNNN.json: the inversion of test
-                       image NNNN that `piece explain` stores and reuses
-                       while its key matches (safe to delete)
+      explanations/    per-image explanation records and images
+      inversions/      NNNN.json: the inversion of test image NNNN, which
+                       the experiments and `piece explain` store and
+                       reuse while its key matches; a cache that no stage
+                       record lists (safe to delete)
       reports/         CSV reports
 
 Every stage runs one protocol, `RunPaths.stage`. A done stage is refused
@@ -354,6 +355,9 @@ class RunPaths:
 
     def reports(self, name=""):
         return self.file(os.path.join("reports", name))
+
+    def inversions(self, name=""):
+        return self.file(os.path.join("inversions", name))
 
     def ensure_tree(self) -> None:
         for sub in ("dataset", "models", "stats", "explanations", "reports"):

@@ -8,6 +8,7 @@ import numpy as np
 
 from piece import netcore as nc
 from piece import pipeline as pl
+from piece.datagen import DataError
 from piece.hurdle import Rule
 
 
@@ -29,6 +30,32 @@ def watched(cfg):
             return super().__getattribute__(name)
 
     return Watched(**{name: getattr(cfg, name) for name in names}), reads
+
+
+def read_pgm(path) -> np.ndarray:
+    """The image of a binary PGM file (`datagen.write_pgm`), in [0, 1]."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.startswith(b"P5"):
+        raise DataError(f"{path}: not a binary PGM (P5) file")
+    fields, pos = [], 2
+    while len(fields) < 3:
+        while pos < len(raw) and raw[pos : pos + 1].isspace():
+            pos += 1
+        start = pos
+        while pos < len(raw) and not raw[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise DataError(f"{path}: truncated PGM header")
+        fields.append(int(raw[start:pos]))
+    pos += 1  # single whitespace after maxval
+    w, h, maxval = fields
+    if maxval != 255:
+        raise DataError(f"{path}: unsupported maxval {maxval}")
+    body = raw[pos : pos + w * h]
+    if len(body) != w * h:
+        raise DataError(f"{path}: expected {w * h} pixel bytes, got {len(body)}")
+    return np.frombuffer(body, dtype=np.uint8).astype(np.float64).reshape(h, w) / 255.0
 
 
 def count_inversions(monkeypatch) -> list:

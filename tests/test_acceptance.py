@@ -275,6 +275,10 @@ def test_criterion_10_determinism(bench, announce):
     for expt in (1, 2):
         # the rerun must write every explanation file again, not keep the old one
         shutil.rmtree(paths.explanations(f"expt{expt}"))
+        if expt == 2:
+            # expt1 reran from the stored inversions, which expt2 first read;
+            # expt2 reruns from an empty store, so from inversions made afresh
+            shutil.rmtree(paths.inversions())
         rc = main(["experiment", "--run-dir", paths.root, "--expt", str(expt), "--force"])
         assert rc == 0
     after = snapshot()
@@ -284,7 +288,8 @@ def test_criterion_10_determinism(bench, announce):
     n_expl = len(before) - len(REPORT_FILES)
     announce(
         10, "determinism",
-        f"{len(REPORT_FILES)} report files and {n_expl} explanation files byte-identical",
+        f"{len(REPORT_FILES)} report files and {n_expl} explanation files byte-identical, "
+        "from a full and from an empty store of inversions",
     )
 
 

@@ -18,15 +18,18 @@ def prepared(toy_run):
     pred = probs.argmax(1)
     cor = np.flatnonzero((pred == arts.test_data.labels) & (probs.max(1) >= 0.8))
     settings = pl.OptimSettings(invert_restarts=4, invert_steps=300)
+    body, _ = nc.split_at_tap(arts.classifier)
     pieces = []
     for idx in cor[:6]:
         idx = int(idx)
+        image = arts.test_data.images[idx]
+        (inv,) = pl.invert_image(arts.generator, body, image[None], settings, [idx])
         req = pl.ExplanationRequest(
-            image=arts.test_data.images[idx],
+            image=image,
             true_label=int(arts.test_data.labels[idx]),
             mode="counterfactual",
-            seed=idx,
             image_id=idx,
+            inversion=inv,
         )
         pieces.append(pl.explain(req, arts.classifier, arts.generator, arts.stats, settings))
     return {"arts": arts, "pieces": pieces}

@@ -1,5 +1,6 @@
 import base64
 import configparser
+import csv
 import dataclasses
 import hashlib
 import json
@@ -356,21 +357,31 @@ class TestExplainCommand:
     def test_bad_index(self, mini_run):
         assert main(["explain", "--run-dir", mini_run, "--index", "9999"]) == 2
 
-    def test_bad_fraction(self, mini_run):
+    def test_bad_fraction(self, mini_run, capsys):
+        capsys.readouterr()
         assert main(["explain", "--run-dir", mini_run, "--index", "0",
                      "--mode", "prop", "--fraction", "0.4"]) == 2
+        # the refusal names its flag, unlike the [run] alpha key's message
+        assert capsys.readouterr().err == (
+            "error: --mode prop needs --fraction, one of (0.25, 0.5, 0.75, 1.0), got 0.4\n"
+        )
 
     @pytest.mark.parametrize(
-        "args",
-        [["--mode", "prop"], ["--alpha", "0.7"], ["--mode", "cf", "--fraction", "0.5"]],
+        "args,message",
+        [(["--mode", "prop"], "--mode prop needs --fraction, one of (0.25, 0.5, 0.75, 1.0), "
+                              "got None"),
+         (["--alpha", "0.7"], "--alpha: alpha must be in (0, 0.5), got 0.7"),
+         (["--mode", "cf", "--fraction", "0.5"], "--fraction applies only to --mode prop, "
+                                                 "not --mode cf")],
         ids=["prop-without-fraction", "alpha-out-of-range", "fraction-outside-prop"],
     )
-    def test_bad_request_arguments(self, mini_run, capsys, args):
+    def test_bad_request_arguments(self, mini_run, capsys, args, message):
         import glob
         import os
 
+        capsys.readouterr()
         assert main(["explain", "--run-dir", mini_run, "--index", "5", *args]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not glob.glob(os.path.join(mini_run, "explanations", "single", "*_0005*"))
 
     def test_target_class_override(self, mini_run):
@@ -444,15 +455,16 @@ def explain_once(run_dir, capsys, index: int, mode: list) -> tuple:
 
 
 def explainless_clone(run_dir, dest):
-    """A copy of `run_dir` without its single-image explanations and their
+    """A copy of `run_dir` without its single-image explanations and its
     stored inversions."""
     shutil.copytree(run_dir, dest)
-    shutil.rmtree(dest / "explanations" / "single", ignore_errors=True)
+    for sub in (dest / "explanations" / "single", dest / "inversions"):
+        shutil.rmtree(sub, ignore_errors=True)
     return dest
 
 
 def entry_path(run_dir, index: int):
-    return run_dir / "explanations" / "single" / "inversions" / f"{index:04d}.json"
+    return run_dir / "inversions" / f"{index:04d}.json"
 
 
 @pytest.fixture(scope="module")
@@ -470,8 +482,8 @@ _GARBLING_BYTES = [*range(0x00, 0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0x
 
 
 class TestInversionCache:
-    """`piece explain` stores each image's inversion in
-    explanations/single/inversions/NNNN.json and reuses it while its key
+    """`piece explain` stores each image's inversion in the run's store,
+    inversions/NNNN.json, and reuses it while its key
     (the generator and classifier files, the image, the seed and the
     inversion settings) matches."""
 
@@ -487,7 +499,7 @@ class TestInversionCache:
         assert calls == [1, 1, 1]  # each image is inverted once, by its first request
         cold = []
         for index, mode in self.REQUESTS:
-            shutil.rmtree(run_dir / "explanations" / "single" / "inversions")
+            shutil.rmtree(run_dir / "inversions")
             cold.append(explain_once(run_dir, capsys, index, mode))
         assert calls == [1] * 12
         assert cold == warm
@@ -610,6 +622,98 @@ class TestInversionCache:
             1, "error: all inversion restarts diverged to non-finite values\n", {}
         )
         assert not entry_path(run_dir, 0).parent.exists()
+
+
+
+def run_files(run_dir, *subdirs) -> dict:
+    """The bytes of every file under the `subdirs` of `run_dir`."""
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes()
+        for sub in subdirs for p in sorted((run_dir / sub).rglob("*")) if p.is_file()
+    }
+
+
+def expt_ids(run_dir, expt: int) -> list:
+    with open(run_dir / "reports" / f"expt{expt}_testset.csv") as fh:
+        return [int(row["image_id"]) for row in csv.DictReader(fh)]
+
+
+@pytest.fixture(scope="module")
+def stored_run(mini_run, tmp_path_factory):
+    """A copy of `mini_run` that ran expt1, then expt2, from an empty store
+    of inversions; and the stack size of every inversion of each."""
+    run_dir = explainless_clone(mini_run, tmp_path_factory.mktemp("stored") / "run")
+    stacks = {}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_inversions(mp)
+        for expt in ("1", "2"):
+            rc = main(["experiment", "--run-dir", str(run_dir), "--expt", expt, "--force"])
+            assert rc in (0, 5)
+            stacks[expt], calls[:] = list(calls), []
+    return run_dir, stacks
+
+
+class TestRunInversionStore:
+    """The experiments and `piece explain` share the run's store of
+    inversions, inversions/NNNN.json: each image is inverted once per run,
+    with one seed, and a report does not depend on whether an entry was
+    there."""
+
+    def test_expt1_inverts_its_images_as_one_stack(self, stored_run):
+        run_dir, stacks = stored_run
+        ids = expt_ids(run_dir, 1)
+        assert stacks["1"] == [len(ids)]
+        assert sorted(p.name for p in (run_dir / "inversions").iterdir()) == sorted(
+            f"{i:04d}.json" for i in ids
+        )
+        for record in (run_dir / "stages").iterdir():  # a cache, not a stage output
+            assert "inversions/" not in record.read_text()
+
+    def test_expt2_after_expt1_inverts_nothing(self, stored_run):
+        run_dir, stacks = stored_run
+        assert set(expt_ids(run_dir, 2)) <= set(expt_ids(run_dir, 1))
+        assert stacks["2"] == []
+
+    def test_explain_of_an_expt1_image_inverts_nothing(self, stored_run, tmp_path,
+                                                       monkeypatch, capsys):
+        run_dir, _ = stored_run
+        index = expt_ids(run_dir, 1)[-1]
+        calls = count_inversions(monkeypatch)
+        warm = explain_once(run_dir, capsys, index, ["sf"])
+        assert calls == []
+        # the same bytes as from an inversion made afresh
+        cold = explain_once(explainless_clone(run_dir, tmp_path / "cold"), capsys, index, ["sf"])
+        assert calls == [1]
+        assert warm[0] == 0 and len(warm[2]) == 4
+        assert cold == warm
+
+    def test_reports_from_an_empty_store_equal_those_from_a_full_one(self, stored_run,
+                                                                      tmp_path):
+        run_dir, _ = stored_run
+        cold = explainless_clone(run_dir, tmp_path / "cold")
+        for expt in ("2", "1"):  # expt1 then finds expt2's entries and inverts the rest
+            rc = main(["experiment", "--run-dir", str(cold), "--expt", expt, "--force"])
+            assert rc in (0, 5)
+        subdirs = ("reports", "explanations/expt1", "explanations/expt2", "inversions")
+        assert run_files(cold, *subdirs) == run_files(run_dir, *subdirs)
+
+    @pytest.mark.parametrize("expt", [1, 2])
+    def test_damaged_entry_exits_4_before_the_first_write(self, stored_run, tmp_path, capsys,
+                                                          expt):
+        from piece.runcfg import RunPaths
+
+        run_dir = tmp_path / "damaged"
+        shutil.copytree(stored_run[0], run_dir)
+        entry = entry_path(run_dir, expt_ids(run_dir, expt)[-1])
+        entry.write_bytes(entry.read_bytes()[:-20])
+        before = run_files(run_dir, "reports", "explanations", "inversions")
+        capsys.readouterr()
+        rc = main(["experiment", "--run-dir", str(run_dir), "--expt", str(expt), "--force"])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(entry) in err[0]
+        assert run_files(run_dir, "reports", "explanations", "inversions") == before
+        assert RunPaths(str(run_dir)).done(f"experiment {expt}")
 
 
 class TestProvenance:

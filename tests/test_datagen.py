@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import read_pgm
 from piece import datagen as dg
 
 
@@ -94,7 +95,7 @@ class TestPgm:
         os.close(fd)
         try:
             dg.write_pgm(img, path)
-            back = dg.read_pgm(path)
+            back = read_pgm(path)
             assert back.shape == img.shape
             assert np.max(np.abs(back - img)) <= 1 / 255
         finally:
@@ -104,13 +105,13 @@ class TestPgm:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(dg.DataError, match="P5"):
-            dg.read_pgm(path)
+            read_pgm(path)
 
     def test_read_rejects_truncated(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(2))
         with pytest.raises(dg.DataError, match="pixel bytes"):
-            dg.read_pgm(path)
+            read_pgm(path)
 
 
 class TestDatasetFiles:

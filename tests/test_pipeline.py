@@ -47,14 +47,17 @@ def toy(toy_run):
 
 @pytest.fixture(scope="module")
 def delivered(toy):
-    """The semifactuals `piece explain --mode sf` delivers for images 0, 120,
-    184 and 380 of the default run, each with its request."""
+    """The semifactuals `piece explain --mode sf` delivers for images 0, 120
+    and 380 of the default run, each with its request; and image 184's from
+    an inversion of another seed, on which a prefix's rendering leaves c."""
     from piece.experiments import derive_seed
 
     arts = toy["arts"]
     out = {"arts": arts}
+    seeds = {idx: derive_seed(arts.config.seed, idx) for idx in (0, 120, 380)}
+    seeds[184] = derive_seed(arts.config.seed, 3, 184)
     for idx in (0, 120, 184, 380):
-        req = request_for(arts, idx, "semifactual", seed=derive_seed(arts.config.seed, 3, idx))
+        req = request_for(arts, idx, "semifactual", arts.config.optim, seed=seeds[idx])
         out[idx] = (req, pl.explain(
             req, arts.classifier, arts.generator, arts.stats, arts.config.optim
         ))
@@ -65,13 +68,18 @@ def predicted(arts, image):
     return int(np.argmax(nc.forward(arts.classifier, image.ravel()).output))
 
 
-def request_for(arts, idx, mode, **kw):
+def request_for(arts, idx, mode, settings=FAST, seed=None, **kw):
+    """A request for test image `idx` that holds the image's inversion under
+    `settings`, from `seed` (the index by default)."""
+    image = arts.test_data.images[idx]
+    body, _ = nc.split_at_tap(arts.classifier)
     return pl.ExplanationRequest(
-        image=arts.test_data.images[idx],
+        image=image,
         true_label=int(arts.test_data.labels[idx]),
         mode=mode,
-        seed=kw.pop("seed", int(idx)),
         image_id=int(idx),
+        inversion=invert_one(arts.generator, body, image, settings,
+                             int(idx) if seed is None else seed),
         **kw,
     )
 
@@ -728,15 +736,12 @@ class TestStacks:
         from piece.experiments import record
 
         arts = delivered["arts"]
-        body, _ = nc.split_at_tap(arts.classifier)
-        req = delivered[120][0]
-        inv = invert_one(arts.generator, body, req.image, arts.config.optim, req.seed)
         sizes = count_inversions(monkeypatch)
         got = pl.explain_stack(
-            [dataclasses.replace(req, inversion=inv), delivered[0][0]],
+            [delivered[120][0], delivered[0][0]],
             arts.classifier, arts.generator, arts.stats, arts.config.optim,
         )
-        assert sizes == [1]  # image 0 alone
+        assert sizes == []  # each request holds its inversion
         for res, idx in zip(got, (120, 0)):
             assert record(res) == record(delivered[idx][1])
             assert np.array_equal(res.image_prime, delivered[idx][1].image_prime)
