@@ -9,10 +9,10 @@
 Exit codes: 0 success, 1 a stage that failed as it ran (training, data,
 pipeline, numerical overflow or metric error), 2 configuration error, 3
 missing prerequisite stage or run file, 4 run artifacts that do not verify
-(a file whose sha256 differs from the one its manifest or stage record
-holds, a provenance mismatch, or a damaged model, stats, latents, dataset
-or stored inversion file), 5 experiment failure fraction above the
-configured threshold.
+(a file whose sha256 differs from the one its stage record holds, a
+damaged stage record, a provenance mismatch, or a damaged model, stats,
+latents, dataset or stored inversion file), 5 experiment failure
+fraction above the configured threshold.
 """
 
 from __future__ import annotations
@@ -89,13 +89,13 @@ def cmd_datagen(args) -> int:
         "train_per_class": data.n_train_per_class,
         "test_per_class": data.n_test_per_class,
     }
-    with paths.stage("datagen", args.force, params=data.glyphs, counts=counts) as out:
+    params = dataclasses.asdict(data.glyphs)
+    with paths.stage("datagen", args.force, params=params, counts=counts) as out:
         train = make_glyphs(data.glyphs, data.n_train_per_class, "train")
         test = make_glyphs(data.glyphs, data.n_test_per_class, "test")
-        paths.ensure_tree()
         save_dataset(train, out.dataset("train.json"))
         save_dataset(test, out.dataset("test.json"))
-        write_config(cfg, out.config)
+        write_config(cfg, paths.config)  # outside the record: it stays editable
     print(f"datagen: {len(train)} train / {len(test)} test images -> {paths.dataset('')}")
     return EXIT_OK
 
@@ -105,7 +105,7 @@ def cmd_train(args) -> int:
     arts = load_run(paths, "datagen")
     with paths.stage("train", args.force) as out:
         cfg, train, test = arts.config, arts.train_data, arts.test_data
-        provenance = {"dataset_sha": arts.manifest_sha}
+        provenance = {"dataset_sha": arts.dataset_sha}
         n_classes = int(train.labels.max()) + 1
         names = fit_names(n_classes)
         outcomes = dict(zip(names, run_jobs(fit, names, args.jobs, (train, test, cfg))))
@@ -146,7 +146,7 @@ def cmd_fit_stats(args) -> int:
     with paths.stage("fit-stats", args.force) as out:
         cfg = arts.config
         table, latents, predicted = fit_stats(
-            arts.classifier, arts.train_data, cfg.alpha, arts.classifier_sha, arts.manifest_sha
+            arts.classifier, arts.train_data, arts.classifier_sha, arts.dataset_sha
         )
         save_stats(table, out.stats("stats.json"))
         save_latents(latents, predicted, out.stats("latents.json"))

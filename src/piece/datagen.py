@@ -1,4 +1,4 @@
-"""Procedural toy glyph dataset, its files and manifest, and PGM image files.
+"""Procedural toy glyph dataset, its files, and PGM image files.
 
 Four glyph families (horizontal bar, cross, ring, diagonal stroke) drawn on
 a small square frame with seeded jitter in position, stroke thickness,
@@ -9,7 +9,7 @@ intensity, and additive noise. Generation is fully deterministic given
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,10 +180,7 @@ def write_pgm(image, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Dataset files and manifest
-
-
-MANIFEST_MAGIC = "piece-dataset-manifest"
+# Dataset files
 
 
 def save_dataset(data: Dataset, path) -> None:
@@ -211,14 +208,4 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def write_manifest(path, params: GlyphParams, counts: dict, file_shas: dict) -> None:
-    doc = {
-        "format": MANIFEST_MAGIC,
-        "params": asdict(params),
-        "counts": counts,
-        "files": file_shas,
-    }
-    write_json(path, doc, indent=1)
 

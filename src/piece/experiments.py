@@ -36,6 +36,10 @@ row; experiments never abort on them. A proportional rendering that fails
 fails its budget's rows: the PIECE row and its distance-matched rows,
 which have no distance to match. All randomness is derived from the run
 seed, so reruns produce byte-identical CSV files.
+
+Each experiment runs as a stage (`RunPaths.stage`) that asks the paths it
+is given for every report, record and image it writes, so its record,
+stages/experiment-<N>.json, lists each of them with its sha256.
 """
 
 from __future__ import annotations
@@ -92,7 +96,6 @@ def inversions(arts: RunArtifacts, image_ids) -> list:
     ))
     for i, inv in zip(misses, made):
         if not isinstance(inv, Exception):
-            os.makedirs(os.path.dirname(paths[i]), exist_ok=True)
             pl.save_inversion(inv, keys[i], paths[i])
         out[i] = inv
     return out
@@ -183,15 +186,11 @@ def record(value):
     return value
 
 
-def _write_record(paths: RunPaths, subdir: str, tag: str, res, arts: RunArtifacts) -> str:
-    """`res` as explanations/<subdir>/<tag>.json with the run's provenance;
-    returns the directory."""
-    base = paths.explanations(subdir)
-    os.makedirs(base, exist_ok=True)
-    provenance = {"classifier_sha": arts.classifier_sha, "dataset_sha": arts.manifest_sha}
+def _write_record(paths: RunPaths, subdir: str, tag: str, res, arts: RunArtifacts) -> None:
+    """`res` as explanations/<subdir>/<tag>.json with the run's provenance."""
+    provenance = {"classifier_sha": arts.classifier_sha, "dataset_sha": arts.dataset_sha}
     doc = {**record(res), "provenance": provenance}
-    nc.write_json(os.path.join(base, f"{tag}.json"), doc, indent=1)
-    return base
+    nc.write_json(paths.explanations(subdir, f"{tag}.json"), doc, indent=1)
 
 
 def save_explanation(
@@ -200,19 +199,19 @@ def save_explanation(
 ) -> None:
     """Write an explanation's record and its original, reconstruction and
     explanation images."""
-    base = _write_record(paths, subdir, tag, res, arts)
+    _write_record(paths, subdir, tag, res, arts)
     recon = nc.forward(arts.generator, res.z).output.reshape(original.shape)
-    write_pgm(original, os.path.join(base, f"{tag}_original.pgm"))
-    write_pgm(recon, os.path.join(base, f"{tag}_reconstruction.pgm"))
-    write_pgm(res.image_prime, os.path.join(base, f"{tag}_explanation.pgm"))
+    write_pgm(original, paths.explanations(subdir, f"{tag}_original.pgm"))
+    write_pgm(recon, paths.explanations(subdir, f"{tag}_reconstruction.pgm"))
+    write_pgm(res.image_prime, paths.explanations(subdir, f"{tag}_explanation.pgm"))
 
 
 def _save_baseline(
     paths: RunPaths, subdir: str, tag: str, res: bl.BaselineResult, shape, arts: RunArtifacts
 ) -> None:
-    base = _write_record(paths, subdir, tag, res, arts)
+    _write_record(paths, subdir, tag, res, arts)
     if res.image is not None:
-        write_pgm(res.image.reshape(shape), os.path.join(base, f"{tag}_explanation.pgm"))
+        write_pgm(res.image.reshape(shape), paths.explanations(subdir, f"{tag}_explanation.pgm"))
 
 
 def _write_fit_quality(paths: RunPaths, scope: str, results: list, arts: RunArtifacts) -> None:

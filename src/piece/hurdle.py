@@ -105,7 +105,6 @@ def collect_latents(classifier: nc.Network, data: Dataset) -> tuple[np.ndarray, 
 
 @dataclass
 class StatsTable:
-    alpha: float
     models: list  # models[class][neuron] -> NeuronClassModel
     classifier_sha: str = ""
     dataset_sha: str = ""
@@ -125,7 +124,6 @@ class StatsTable:
 def fit_stats(
     classifier: nc.Network,
     data: Dataset,
-    alpha: float = 0.05,
     classifier_sha: str = "",
     dataset_sha: str = "",
 ) -> tuple[StatsTable, np.ndarray, np.ndarray]:
@@ -134,15 +132,13 @@ def fit_stats(
     Returns the table plus the latent matrix and predicted classes so
     callers can persist them (nearest-neighbor metrics reuse the latents).
     """
-    if not (0.0 < alpha < 0.5):
-        raise HurdleError(f"alpha must be in (0, 0.5), got {alpha}")
     latents, predicted = collect_latents(classifier, data)
     models = []
     for cls in range(classifier.output_dim):
         part = latents[predicted == cls]
         row = [fit_neuron(part[:, i]) for i in range(latents.shape[1])]
         models.append(row)
-    table = StatsTable(alpha, models, classifier_sha, dataset_sha)
+    table = StatsTable(models, classifier_sha, dataset_sha)
     return table, latents, predicted
 
 
@@ -247,7 +243,6 @@ def save_stats(table: StatsTable, path) -> None:
         classes.append(neurons)
     doc = {
         "format": STATS_MAGIC,
-        "alpha": table.alpha,
         "classifier_sha": table.classifier_sha,
         "dataset_sha": table.dataset_sha,
         "classes": classes,
@@ -266,7 +261,7 @@ def load_stats(path) -> StatsTable:
                 dist = FittedDist(**{f.name: rec[f.name] for f in fields(FittedDist)})
             neurons.append(NeuronClassModel(dist=dist, **{k: rec[k] for k in _MODEL_KEYS}))
         models.append(neurons)
-    return StatsTable(doc["alpha"], models, doc["classifier_sha"], doc["dataset_sha"])
+    return StatsTable(models, doc["classifier_sha"], doc["dataset_sha"])
 
 
 def save_latents(latents: np.ndarray, predicted: np.ndarray, path) -> None:

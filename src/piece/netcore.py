@@ -821,7 +821,9 @@ def atomic_write(path, mode: str = "w", **kwargs):
     interrupt inside the block removes the temporary file and leaves `path`
     as it was, so no reader ever sees a partly written file. Each writer's
     temporary file is named after its process and thread, so two writers of
-    one path never share one; the last to finish leaves its file."""
+    one path never share one; the last to finish leaves its file. The
+    directory of `path` is made if it does not exist."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:

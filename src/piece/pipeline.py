@@ -108,8 +108,8 @@ class ExplanationRequest:
             raise PipelineError(f"alpha must be in (0, 0.5), got {self.alpha}")
 
     def check_target_class(self, c: int) -> None:
-        """Refuse a counterfactual to `c`, the image's predicted class."""
-        if self.mode == "counterfactual" and self.target_class == c:
+        """Refuse a target class equal to `c`, the image's predicted class."""
+        if self.target_class == c:
             raise TargetClassError(
                 f"target class {self.target_class} is the predicted class of image "
                 f"{self.image_id}; a counterfactual needs another class"

@@ -4,12 +4,13 @@ A run directory is created by the data-generation stage and grows
 append-only through training, stats fitting, and experiments:
 
     runs/<id>/
-      config.ini       resolved configuration echo
-      dataset/         train/test files + manifest (their sha256)
+      config.ini       resolved configuration echo; `datagen` writes it
+                       outside its record, so it stays editable
+      dataset/         train/test files
       models/          network files (with provenance hashes)
       stats/           hurdle stats table + training latents
-      stages/          train.json, fit-stats.json: the sha256 of each file
-                       the stage wrote, written last
+      stages/          <stage>.json, the record of each stage: datagen,
+                       train, fit-stats, experiment-1 and experiment-2
       explanations/    per-image explanation records and images
       inversions/      NNNN.json: the inversion of test image NNNN, which
                        the experiments and `piece explain` store and
@@ -17,18 +18,19 @@ append-only through training, stats fitting, and experiments:
                        record lists (safe to delete)
       reports/         CSV reports
 
-Every stage runs one protocol, `RunPaths.stage`. A done stage is refused
-unless forced. Its done marker, the file it writes last, is removed just
-before its first write and written once all its writes complete: the
-manifest for `datagen`, its record under stages/ for `train` and
-`fit-stats`, the fit-quality report for an experiment. `load_run` verifies
-a run in two steps. Up front it parses the config, checks the frozen
-[dataset] keys against the manifest, and checks that every file the
-manifest and the stage records list exists (exit 3) with its recorded
-sha256 (exit 4). Each artifact is decoded the first time it is read, with
-the checks of its format and of the provenance chain: layer checksums, the
-dataset each model was trained on, and the classifier and dataset the
-stats were fitted on.
+Every stage runs one protocol, `RunPaths.stage`. A stage is done while its
+record exists, and a done stage is refused unless forced. The record is
+removed just before the stage's first write and written once all its
+writes complete. It holds the sha256 of every file the stage wrote, by its
+path in the run directory, and no time, so a rerun writes the same bytes;
+`datagen`'s also holds the glyph parameters and counts it generated with.
+`load_run` verifies a run in two steps. Up front it parses the config,
+checks the frozen [dataset] keys against the datagen record, and checks
+that every file the records of datagen, train and fit-stats list exists
+(exit 3) with its recorded sha256 (exit 4). Each artifact is decoded the
+first time it is read, with the checks of its format and of the provenance
+chain: layer checksums, the dataset each model was trained on, and the
+classifier and dataset the stats were fitted on.
 """
 
 from __future__ import annotations
@@ -45,16 +47,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .baselines import BaselineConfig, BaselineError
-from .datagen import (
-    MANIFEST_MAGIC,
-    DataError,
-    Dataset,
-    DatasetFormatError,
-    GlyphParams,
-    file_sha256,
-    load_dataset,
-    write_manifest,
-)
+from .datagen import DataError, Dataset, GlyphParams, file_sha256, load_dataset
 from .hurdle import StatsTable, load_latents, load_stats
 from .netcore import Network, atomic_write, load_network, read_doc, write_json
 from .pipeline import OptimSettings, PipelineError
@@ -304,25 +297,22 @@ def config_ini_text(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # Run directory layout
 
-# each stage's done marker (`RunPaths.stage`)
-_STAGE_DONE = {
-    "datagen": "dataset/manifest.json",
-    "train": "stages/train.json",
-    "fit-stats": "stages/fit-stats.json",
-    "experiment 1": "reports/expt1_fit_quality.csv",
-    "experiment 2": "reports/expt2_fit_quality.csv",
-}
 # the stages whose files `load_run` verifies and decodes, in order
 _RUN_STAGES = ("datagen", "train", "fit-stats")
 _STAGE_RECORD_MAGIC = "piece-stage-record"
 
 
+def _record_name(stage: str) -> str:
+    """The record of `stage`, relative to the run directory."""
+    return f"stages/{stage.replace(' ', '-')}.json"
+
+
 @dataclass
 class RunPaths:
     root: str
-    # set on the paths a stage writes through (`stage`): its done marker,
-    # which the first path asked for removes, and every path asked for
-    marker: Optional[str] = None
+    # set on the paths a stage writes through (`stage`): its record, which
+    # the first path asked for removes, and every path asked for
+    record: Optional[str] = None
     written: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -330,10 +320,10 @@ class RunPaths:
 
     def file(self, relpath: str) -> str:
         path = os.path.join(self.root, relpath)
-        if self.marker is not None:
+        if self.record is not None:
             if not self.written:
                 with contextlib.suppress(FileNotFoundError):
-                    os.remove(self.marker)
+                    os.remove(self.record)
             self.written.append(path)
         return path
 
@@ -359,44 +349,33 @@ class RunPaths:
     def inversions(self, name=""):
         return self.file(os.path.join("inversions", name))
 
-    def ensure_tree(self) -> None:
-        for sub in ("dataset", "models", "stats", "explanations", "reports"):
-            os.makedirs(os.path.join(self.root, sub), exist_ok=True)
-
     def done(self, stage: str) -> bool:
-        return os.path.exists(self.file(_STAGE_DONE[stage]))
+        return os.path.exists(os.path.join(self.root, _record_name(stage)))
 
     def require(self, *stages: str) -> None:
         for stage in stages:
             if not self.done(stage):
                 raise PrerequisiteError(
                     f"stage '{stage}' has not completed in this run directory "
-                    f"({_STAGE_DONE[stage]} missing); run `piece {stage}` first"
+                    f"({_record_name(stage)} missing); run `piece {stage}` first"
                 )
 
     @contextlib.contextmanager
-    def stage(self, name: str, force: bool, **manifest):
+    def stage(self, name: str, force: bool, **fields):
         """Run the stage `name` (see the module docstring) in the block,
         which asks the `RunPaths` it is given for the path of every file it
-        writes. `datagen`'s manifest holds the sha256 of each such file and
-        the `params` and `counts` in `manifest`; a record holds the sha256."""
+        writes, and only of those. Its record holds the sha256 of each such
+        file and the `fields`."""
         if self.done(name) and not force:
             raise ConfigError(
                 f"stage '{name}' already completed in this run directory; "
                 f"pass --force to redo it"
             )
-        out = RunPaths(self.root, self.file(_STAGE_DONE[name]))
+        out = RunPaths(self.root, os.path.join(self.root, _record_name(name)))
         yield out
-        if name not in _RUN_STAGES:
-            return  # an experiment's runner wrote its marker
         files = {os.path.relpath(f, self.root): file_sha256(f) for f in out.written}
-        if name == "datagen":  # the manifest names its files by base name
-            files = {os.path.basename(rel): sha for rel, sha in files.items()}
-            write_manifest(out.marker, file_shas=files, **manifest)
-        else:
-            os.makedirs(os.path.dirname(out.marker), exist_ok=True)
-            doc = {"format": _STAGE_RECORD_MAGIC, "stage": name, "files": files}
-            write_json(out.marker, doc, indent=1)
+        doc = {**fields, "format": _STAGE_RECORD_MAGIC, "stage": name, "files": files}
+        write_json(out.record, doc, indent=1)
 
 
 class RunArtifacts:
@@ -406,10 +385,10 @@ class RunArtifacts:
     were trained on, the stats table against the classifier and the dataset
     it was fitted on."""
 
-    def __init__(self, paths: RunPaths, config: RunConfig, manifest_sha: str, files: dict):
+    def __init__(self, paths: RunPaths, config: RunConfig, dataset_sha: str, files: dict):
         self.paths = paths
         self.config = config
-        self.manifest_sha = manifest_sha
+        self.dataset_sha = dataset_sha  # of the datagen record
         self.files = files  # the verified files: {relative path: sha256}
 
     @property
@@ -418,10 +397,10 @@ class RunArtifacts:
 
     def _model(self, name: str) -> Network:
         net = load_network(self.paths.models(f"{name}.json"))
-        if net.provenance["dataset_sha"] != self.manifest_sha:
+        if net.provenance["dataset_sha"] != self.dataset_sha:
             raise ProvenanceError(
                 f"model {name} was trained on a different dataset "
-                f"(manifest hash mismatch); regenerate with `piece train --force`"
+                f"(dataset hash mismatch); regenerate with `piece train --force`"
             )
         return net
 
@@ -457,7 +436,7 @@ class RunArtifacts:
                 "stats table does not match the stored classifier; "
                 "refit with `piece fit-stats --force`"
             )
-        if stats.dataset_sha != self.manifest_sha:
+        if stats.dataset_sha != self.dataset_sha:
             raise ProvenanceError(
                 "stats table was fitted on a different dataset; "
                 "refit with `piece fit-stats --force`"
@@ -476,10 +455,10 @@ class RunArtifacts:
                 getattr(self, name)
 
 
-def _check_frozen(cfg: RunConfig, manifest: dict, path: str) -> None:
+def _check_frozen(cfg: RunConfig, record: dict, path: str) -> None:
     """`datagen` fixes the [dataset] keys and the run seed: `cfg` must hold
-    the values the manifest at `path` records."""
-    params, counts = manifest["params"], manifest["counts"]
+    the values its record at `path` holds."""
+    params, counts = record["params"], record["counts"]
     if not (isinstance(params, dict) and isinstance(counts, dict)):
         raise ProvenanceError(f"{path}: its params and counts are not both mappings")
     fixed = [  # the glyph seed is the run seed
@@ -502,25 +481,21 @@ def _check_frozen(cfg: RunConfig, manifest: dict, path: str) -> None:
 def load_run(paths: RunPaths, upto: str = "fit-stats") -> RunArtifacts:
     """The artifacts of the stages from `datagen` to `upto`. Up front it
     parses the config, checks the frozen [dataset] keys against the
-    manifest, and checks that every file those stages recorded exists and
-    has its recorded sha256; each artifact is decoded on first access."""
+    datagen record, and checks that every file those stages recorded
+    exists and has its recorded sha256; each artifact is decoded on first
+    access."""
     stages = _RUN_STAGES[: _RUN_STAGES.index(upto) + 1]
     paths.require(*stages)
     cfg = parse_config(paths.config)
-    manifest_path = paths.dataset("manifest.json")
-    manifest = read_doc(manifest_path, MANIFEST_MAGIC, DatasetFormatError)
-    _check_frozen(cfg, manifest, manifest_path)
     files: dict = {}
     for stage in stages:
-        record = paths.file(_STAGE_DONE[stage])
+        path = paths.file(_record_name(stage))
+        record = read_doc(path, _STAGE_RECORD_MAGIC, ProvenanceError)
         if stage == "datagen":
-            recorded = manifest["files"]
-        else:
-            recorded = read_doc(record, _STAGE_RECORD_MAGIC, ProvenanceError)["files"]
+            _check_frozen(cfg, record, path)
+        recorded = record["files"]
         if not isinstance(recorded, dict):
-            raise ProvenanceError(f"{record}: its files are not a mapping of path to sha256")
-        if stage == "datagen":  # the manifest also hashes config.ini, which may change
-            recorded = {f"dataset/{name}": recorded[name] for name in ("train.json", "test.json")}
+            raise ProvenanceError(f"{path}: its files are not a mapping of path to sha256")
         missing = [rel for rel in recorded if not os.path.exists(paths.file(rel))]
         if missing:
             raise PrerequisiteError(
@@ -533,4 +508,4 @@ def load_run(paths: RunPaths, upto: str = "fit-stats") -> RunArtifacts:
                     f"run `piece {stage} --force`"
                 )
         files.update(recorded)
-    return RunArtifacts(paths, cfg, file_sha256(manifest_path), files)
+    return RunArtifacts(paths, cfg, file_sha256(paths.file(_record_name("datagen"))), files)

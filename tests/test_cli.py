@@ -311,16 +311,23 @@ class TestDatagenOutputs:
     def test_artifacts_exist(self, mini_run):
         import os
 
-        for name in ("train.json", "test.json", "manifest.json"):
-            assert os.path.exists(os.path.join(mini_run, "dataset", name))
-        assert os.path.exists(os.path.join(mini_run, "config.ini"))
+        for name in ("dataset/train.json", "dataset/test.json", "stages/datagen.json",
+                     "config.ini"):
+            assert os.path.exists(os.path.join(mini_run, name))
 
     def test_manifest_lists_counts_and_hashes(self, mini_run):
+        # the dataset's manifest is datagen's stage record; config.ini stays
+        # editable, so no record lists it
         import os
 
-        doc = json.load(open(os.path.join(mini_run, "dataset", "manifest.json")))
+        from piece.datagen import file_sha256
+
+        doc = json.load(open(os.path.join(mini_run, "stages", "datagen.json")))
         assert doc["counts"]["train"] == 240
-        assert set(doc["files"]) == {"train.json", "test.json", "config.ini"}
+        assert doc["files"] == {
+            name: file_sha256(os.path.join(mini_run, name))
+            for name in ("dataset/train.json", "dataset/test.json")
+        }
         assert doc["params"]["seed"] == 13
 
 
@@ -398,7 +405,13 @@ class TestExplainCommand:
         assert main(["explain", "--run-dir", mini_run, "--index", "4",
                      "--mode", "cf", "--target-class", target]) == 2
 
-    def test_target_class_equal_to_prediction_refused(self, mini_run, capsys):
+    @pytest.mark.parametrize(
+        "mode", [["cf"], ["sf"], ["prop", "--fraction", "0.5"]], ids=["cf", "sf", "prop"]
+    )
+    def test_target_class_equal_to_prediction_refused(self, mini_run, capsys, mode):
+        # sf and prop used to write an explanation with c = c'
+        import pathlib
+
         import numpy as np
 
         from piece import netcore as nc
@@ -407,13 +420,15 @@ class TestExplainCommand:
         arts = load_run(RunPaths(mini_run))
         predicted = int(np.argmax(
             nc.forward(arts.classifier, arts.test_data.images[4].ravel()).output))
+        before = run_files(pathlib.Path(mini_run), "explanations", "inversions")
         capsys.readouterr()
         assert main(["explain", "--run-dir", mini_run, "--index", "4",
-                     "--mode", "cf", "--target-class", str(predicted)]) == 2
+                     "--mode", *mode, "--target-class", str(predicted)]) == 2
         assert capsys.readouterr().err == (
             f"error: target class {predicted} is the predicted class of image 4; "
             "a counterfactual needs another class\n"
         )
+        assert run_files(pathlib.Path(mini_run), "explanations", "inversions") == before
 
     def test_overflow_exits_1(self, mini_run, monkeypatch, capsys):
         from piece import netcore as nc
@@ -633,6 +648,19 @@ def run_files(run_dir, *subdirs) -> dict:
     }
 
 
+def prepared_clone(run_dir, dest):
+    """A copy of what datagen, train and fit-stats wrote in `run_dir`:
+    config.ini, their records and the files these list, and nothing else."""
+    names = ["config.ini"]
+    for stage in ("datagen", "train", "fit-stats"):
+        record = f"stages/{stage}.json"
+        names += [record, *json.loads((run_dir / record).read_text())["files"]]
+    for name in names:
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(run_dir / name, dest / name)
+    return dest
+
+
 def expt_ids(run_dir, expt: int) -> list:
     with open(run_dir / "reports" / f"expt{expt}_testset.csv") as fh:
         return [int(row["image_id"]) for row in csv.DictReader(fh)]
@@ -694,7 +722,8 @@ class TestRunInversionStore:
         for expt in ("2", "1"):  # expt1 then finds expt2's entries and inverts the rest
             rc = main(["experiment", "--run-dir", str(cold), "--expt", expt, "--force"])
             assert rc in (0, 5)
-        subdirs = ("reports", "explanations/expt1", "explanations/expt2", "inversions")
+        subdirs = ("reports", "explanations/expt1", "explanations/expt2", "inversions",
+                   "stages")
         assert run_files(cold, *subdirs) == run_files(run_dir, *subdirs)
 
     @pytest.mark.parametrize("expt", [1, 2])
@@ -706,13 +735,13 @@ class TestRunInversionStore:
         shutil.copytree(stored_run[0], run_dir)
         entry = entry_path(run_dir, expt_ids(run_dir, expt)[-1])
         entry.write_bytes(entry.read_bytes()[:-20])
-        before = run_files(run_dir, "reports", "explanations", "inversions")
+        before = run_files(run_dir, "reports", "explanations", "inversions", "stages")
         capsys.readouterr()
         rc = main(["experiment", "--run-dir", str(run_dir), "--expt", str(expt), "--force"])
         assert rc == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(entry) in err[0]
-        assert run_files(run_dir, "reports", "explanations", "inversions") == before
+        assert run_files(run_dir, "reports", "explanations", "inversions", "stages") == before
         assert RunPaths(str(run_dir)).done(f"experiment {expt}")
 
 
@@ -750,7 +779,7 @@ class TestProvenance:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [
             "error: model classifier was trained on a different dataset "
-            "(manifest hash mismatch); regenerate with `piece train --force`"
+            "(dataset hash mismatch); regenerate with `piece train --force`"
         ]
         assert (clone / "stats" / "stats.json").read_bytes() == before
 
@@ -788,10 +817,10 @@ class TestProvenance:
 
         clone = tmp_path / "clone2"
         shutil.copytree(mini_run, clone)
-        manifest = clone / "dataset" / "manifest.json"
-        doc = json.loads(manifest.read_text())
+        record = clone / "stages" / "datagen.json"
+        doc = json.loads(record.read_text())
         doc["counts"]["train"] = 1
-        manifest.write_text(json.dumps(doc))
+        record.write_text(json.dumps(doc))
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
 
     def test_edited_dataset_file_detected(self, mini_run, tmp_path, capsys):
@@ -852,7 +881,7 @@ class TestProvenance:
         + [
             pytest.param(name, key, id=f"{name}-{key}")
             for name, key in (
-                ("stats/stats.json", "alpha"),
+                ("stats/stats.json", "classes"),
                 ("stats/stats.json", "classifier_sha"),
                 ("models/classifier.json", "feature_tap"),
                 ("dataset/test.json", "labels"),
@@ -885,8 +914,8 @@ class TestProvenance:
 
 
 class TestStageRecords:
-    """`train` and `fit-stats` end by writing a record of the files they
-    wrote, and a stage is done only once its record exists."""
+    """Every stage ends by writing its record, stages/<stage>.json, of the
+    files it wrote, and a stage is done only while its record exists."""
 
     @pytest.mark.parametrize(
         "stage,files",
@@ -906,6 +935,63 @@ class TestStageRecords:
         assert doc["files"] == {
             name: file_sha256(os.path.join(mini_run, name)) for name in files
         }
+
+    @pytest.mark.parametrize("stage", ["datagen", "experiment 1", "experiment 2"])
+    def test_record_lists_exactly_the_files_the_stage_wrote(self, mini_run, tmp_path, stage):
+        # the stage runs in a directory that holds only its inputs, so every
+        # file that appears there is one it wrote, but for config.ini, which
+        # datagen writes outside its record so that it stays editable, and
+        # the run's store of inversions, a cache that no record lists
+        import pathlib
+
+        from piece.datagen import file_sha256
+
+        run_dir = tmp_path / "run"
+        if stage == "datagen":
+            cfg_path = tmp_path / "mini.ini"
+            cfg_path.write_text(MINI_CONFIG)
+            argv = ["datagen", "--config", str(cfg_path)]
+            outputs = {"dataset"}
+        else:
+            prepared_clone(pathlib.Path(mini_run), run_dir)
+            argv = ["experiment", "--expt", stage[-1]]
+            outputs = {"reports", "explanations"}
+        inputs = set(run_files(run_dir, ".")) if run_dir.exists() else set()
+        assert main([argv[0], "--run-dir", str(run_dir), *argv[1:]]) in (0, 5)
+        record = f"stages/{stage.replace(' ', '-')}.json"
+        wrote = {
+            name for name in set(run_files(run_dir, ".")) - inputs
+            if name not in (record, "config.ini") and not name.startswith("inversions/")
+        }
+        assert {name.split("/")[0] for name in wrote} == outputs
+        doc = json.loads((run_dir / record).read_text())
+        assert doc["stage"] == stage
+        assert doc["files"] == {name: file_sha256(run_dir / name) for name in wrote}
+
+    def test_old_layout_exits_3(self, mini_run, tmp_path, capsys):
+        # a run directory from before datagen wrote a stage record: its
+        # dataset/manifest.json held what stages/datagen.json holds now
+        import os
+        import shutil
+
+        clone = tmp_path / "old_layout"
+        shutil.copytree(mini_run, clone)
+        record = clone / "stages" / "datagen.json"
+        doc = json.loads(record.read_text())
+        manifest = {
+            "format": "piece-dataset-manifest", "params": doc["params"], "counts": doc["counts"],
+            "files": {os.path.basename(name): sha for name, sha in doc["files"].items()},
+        }
+        (clone / "dataset" / "manifest.json").write_text(json.dumps(manifest, indent=1))
+        record.unlink()
+        for argv in (["train", "--force"], ["explain", "--index", "0"],
+                     ["experiment", "--expt", "1", "--force"]):
+            capsys.readouterr()
+            assert main([argv[0], "--run-dir", str(clone), *argv[1:]]) == 3
+            assert capsys.readouterr().err == (
+                "error: stage 'datagen' has not completed in this run directory "
+                "(stages/datagen.json missing); run `piece datagen` first\n"
+            )
 
     def test_half_written_train_not_done(self, mini_run, tmp_path, monkeypatch, capsys):
         # train fails after writing every model file, before its last report
@@ -933,7 +1019,7 @@ class TestStageRecords:
 
     def test_failed_forced_experiment_not_done(self, mini_run, tmp_path, monkeypatch, capsys):
         # expt1 fails after its first reports, with the fit-quality report of
-        # the run before still on disk
+        # the run before still on disk; its record went at its first write
         import shutil
 
         from piece import evalx
@@ -963,14 +1049,14 @@ class TestStageRecords:
          pytest.param("stages/train.json", "files", [], id="stages/train.json-files1"),
          pytest.param("stages/fit-stats.json", "files", "stats/stats.json",
                       id="stages/fit-stats.json-stats/stats.json"),
-         pytest.param("dataset/manifest.json", "files", [], id="dataset/manifest.json-files3"),
-         pytest.param("dataset/manifest.json", "params", "x", id="dataset/manifest.json-params"),
-         pytest.param("dataset/manifest.json", "counts", None,
-                      id="dataset/manifest.json-counts")],
+         pytest.param("stages/datagen.json", "files", [], id="stages/datagen.json-files3"),
+         pytest.param("stages/datagen.json", "params", "x", id="stages/datagen.json-params"),
+         pytest.param("stages/datagen.json", "counts", None, id="stages/datagen.json-counts")],
     )
     def test_malformed_record_exits_4(self, mini_run, tmp_path, capsys, name, key, value):
-        # a manifest whose files, params or counts were not a mapping used to
-        # end explain in a TypeError; no record holds the manifest's own hash
+        # a datagen record whose files, params or counts were not a mapping
+        # used to end explain in a TypeError; nothing hashes a record itself,
+        # so reading it is what must fail
         import shutil
 
         clone = tmp_path / "malformed"
@@ -988,7 +1074,8 @@ class TestStageRecords:
         assert len(err) == 1 and name in err[0]
 
     def test_run_without_records_asks_for_the_stages(self, mini_run, tmp_path, capsys):
-        # a run directory written before stages recorded their files
+        # a run directory written before stages recorded their files; its
+        # first stage, datagen, is the first it is asked to redo
         import shutil
 
         clone = tmp_path / "unrecorded"
@@ -996,7 +1083,7 @@ class TestStageRecords:
         shutil.rmtree(clone / "stages")
         capsys.readouterr()
         assert main(["experiment", "--run-dir", str(clone), "--expt", "1"]) == 3
-        assert "run `piece train` first" in capsys.readouterr().err
+        assert "run `piece datagen` first" in capsys.readouterr().err
 
 
 class TestLazyLoading:
@@ -1079,7 +1166,7 @@ class TestConfigHoles:
         assert main(["train", "--run-dir", str(run_dir), "--jobs", "1"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: [classifier] dropout must be in [0, 1), got 1.0"]
-        assert not os.listdir(run_dir / "models")
+        assert not (run_dir / "models").exists()  # no model was written
 
 
 class TestExperimentCommand:
@@ -1157,15 +1244,22 @@ class TestExperimentCommand:
         assert expt2_reports() == before
 
     def test_experiment_without_last_report_not_done(self, mini_run, tmp_path):
-        import os
+        # an experiment's last write is its record, stages/experiment-1.json
         import shutil
+
+        from piece.runcfg import RunPaths
 
         clone = tmp_path / "half"
         shutil.copytree(mini_run, clone)
-        # as if the run stopped before its last report
-        os.remove(clone / "reports" / "expt1_fit_quality.csv")
-        assert main(["experiment", "--run-dir", str(clone), "--expt", "1"]) in (0, 5)
-        assert (clone / "reports" / "expt1_fit_quality.csv").exists()
+        expt1 = ["experiment", "--run-dir", str(clone), "--expt", "1"]
+        record = clone / "stages" / "experiment-1.json"
+        if not record.exists():
+            assert main(expt1) in (0, 5)
+        before = record.read_bytes()
+        record.unlink()  # as if the run stopped before its record
+        assert not RunPaths(str(clone)).done("experiment 1")
+        assert main(expt1) in (0, 5)  # not refused without --force
+        assert record.read_bytes() == before
 
     @pytest.mark.parametrize(
         "stage,expt",

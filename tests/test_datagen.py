@@ -125,10 +125,19 @@ class TestDatasetFiles:
         assert back.split == "test"
 
     def test_manifest_round_trip(self, tmp_path):
+        # the dataset's manifest is datagen's stage record
+        from dataclasses import asdict
+
+        from piece.runcfg import RunPaths
+
         params = dg.GlyphParams(seed=9)
-        path = tmp_path / "m.json"
-        dg.write_manifest(path, params, {"train": 10}, {"train.json": "ff" * 32})
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "piece-dataset-manifest"
+        data = dg.make_glyphs(params, 5, "train")
+        paths = RunPaths(str(tmp_path))
+        with paths.stage("datagen", False, params=asdict(params), counts={"train": 10}) as out:
+            dg.save_dataset(data, out.dataset("train.json"))
+        doc = json.loads((tmp_path / "stages" / "datagen.json").read_text())
+        assert doc["format"] == "piece-stage-record"
         assert doc["params"]["seed"] == 9
         assert doc["counts"]["train"] == 10
+        assert doc["files"] == {"dataset/train.json": dg.file_sha256(paths.dataset("train.json"))}
+        assert paths.done("datagen")

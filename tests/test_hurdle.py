@@ -222,7 +222,7 @@ class TestStatsIo:
         path = tmp_path / "stats.json"
         hd.save_stats(table, path)
         back = hd.load_stats(path)
-        assert back.alpha == table.alpha
+        assert back.dataset_sha == table.dataset_sha
         assert back.classifier_sha == table.classifier_sha
         assert back.n_classes == table.n_classes
         for row_a, row_b in zip(table.models, back.models):
