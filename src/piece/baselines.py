@@ -76,18 +76,20 @@ def _objective(method: str, classifier: nc.Network, generator: nc.Network, cfg: 
     """
     body, head = nc.split_at_tap(classifier)
     lam = cfg.lam if method == "c_min_edit" else 1.0
+    targets_at = nc.gathered(y) if x is None else nc.gathered(y, x)
 
     def objective(z: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, tuple]:
+        target, *ref = targets_at(active)
         tg = nc.forward(generator, z)
         img = tg.outputs[-1]
         tb = nc.forward(body, img)
         feat = tb.outputs[-1]
         th = nc.forward(head, feat)
         probs = th.outputs[-1]
-        g_probs = lam * 2.0 * (probs - y[active])
+        g_probs = lam * 2.0 * (probs - target)
         g_feat = nc.backward(head, th, g_probs)
         if method == "c_min_edit":
-            g_feat = g_feat + 2.0 * (feat - x[active])
+            g_feat = g_feat + 2.0 * (feat - ref[0])
         g_img = nc.backward(body, tb, g_feat)
         return nc.backward(generator, tg, g_img), (probs, feat, img)
 
@@ -130,28 +132,35 @@ def run_baseline(
     x = None if x is None else np.asarray(x, dtype=np.float64)[:, None, :]
     objective = _objective(method, classifier, generator, cfg, y, x)
     run = nc.Descent(objective, np.asarray(z, dtype=np.float64)[:, None, :], cfg.lr, cfg.max_steps)
-    # the point a stop returns, by stack index, and the class it must have:
-    # for a counterfactual the current point, else the one before it
+    # a semifactual or distance stop returns the point before it, which must
+    # still be classified c: each image's previous point, by stack index
     prev = np.empty_like(run.z[:, 0])
     prev_img = np.empty((len(c), generator.output_dim))
     prev_pred = np.empty(len(c), dtype=int)
-    keep = c_prime if mode == "counterfactual" else c
+    classes_at = nc.gathered(c, c_prime)
     results: list = [None] * len(c)
     for step, cur, (probs, feat, img) in run:
         rows = run.active
+        c_rows, c_prime_rows = classes_at(rows)
         pred = probs[:, 0].argmax(axis=-1)
-        if step == 0 or mode == "counterfactual":  # before the start is the start
+        if mode == "counterfactual":  # a stop returns the point it reached
+            done = pred == c_prime_rows
+            for j in np.flatnonzero(done):
+                results[rows[j]] = BaselineResult(
+                    method, mode, cur[j, 0].copy(), img[j, 0].copy(), step, step, False
+                )
+            run.retire(done)
+            continue
+        if step == 0:  # before the start is the start
             prev[rows], prev_img[rows], prev_pred[rows] = cur[:, 0], img[:, 0], pred
-        if mode == "counterfactual":
-            done = pred == c_prime[rows]
-        elif mode == "semifactual":
-            done = pred != c[rows]
+        if mode == "semifactual":
+            done = pred != c_rows
         else:  # each image's norm alone: `>=` is sensitive to the last bit
             done = np.array([
                 np.linalg.norm(f - r) >= d_star[i] for f, r, i in zip(feat[:, 0], x[rows, 0], rows)
             ])
         for i in rows[done]:
-            if prev_pred[i] == keep[i]:
+            if prev_pred[i] == c[i]:
                 results[i] = BaselineResult(
                     method, mode, prev[i].copy(), prev_img[i].copy(), step, step, False
                 )

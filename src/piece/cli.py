@@ -84,8 +84,8 @@ def cmd_datagen(args) -> int:
     paths = RunPaths(args.run_dir)
     data = cfg.dataset
     counts = {
-        "train": data.glyphs.n_classes * data.n_train_per_class,
-        "test": data.glyphs.n_classes * data.n_test_per_class,
+        "train": data.count("train"),
+        "test": data.count("test"),
         "train_per_class": data.n_train_per_class,
         "test_per_class": data.n_test_per_class,
     }
@@ -169,12 +169,11 @@ def cmd_explain(args) -> int:
     arts = load_run(paths)
     cfg = arts.config
     mode = _MODE_NAMES[args.mode]
-    if not (0 <= args.index < len(arts.test_data)):
-        raise ConfigError(
-            f"--index {args.index} out of range (test set has {len(arts.test_data)})"
-        )
-    image = arts.test_data.images[args.index]
-    label = int(arts.test_data.labels[args.index])
+    n_test = cfg.dataset.count("test")  # the set's size, which `load_run` has checked
+    if not (0 <= args.index < n_test):
+        raise ConfigError(f"--index {args.index} out of range (test set has {n_test})")
+    test = arts.test_images([args.index])  # decodes this image alone
+    image, label = test.images[0], int(test.labels[0])
     if args.target_class is not None:
         n_classes = cfg.dataset.glyphs.n_classes
         if not (0 <= args.target_class < n_classes):
@@ -201,7 +200,8 @@ def cmd_explain(args) -> int:
         raise ConfigError(f"--alpha: {exc}") from exc
     if args.target_class is not None:  # refused before the inversion is looked up
         request.check_target_class(
-            int(np.argmax(nc.forward(arts.classifier, image.ravel()).output))
+            int(np.argmax(nc.forward(arts.classifier, image.ravel()).output)),
+            "proportional explanation" if mode == "proportional" else mode,
         )
     request = dataclasses.replace(request, inversion=pl._one(ex.inversions(arts, [args.index])))
     result = pl.explain(request, arts.classifier, arts.generator, arts.stats, cfg.optim)

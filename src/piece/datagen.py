@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import Array, atomic_write, decode_array, encode_array, read_doc, write_json
+from .netcore import (
+    Array,
+    atomic_write,
+    decode_array,
+    decode_rows,
+    encode_array,
+    read_doc,
+    write_json,
+)
 
 
 class DataError(Exception):
@@ -75,7 +83,8 @@ class Dataset:
             raise DataError(f"images must be (n, H, W), got {self.images.shape}")
         if len(self.labels) != len(self.images):
             raise DataError("labels length does not match image count")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        # written so that a NaN, which fails every comparison, fails it too
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise DataError("image values must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -194,12 +203,46 @@ def save_dataset(data: Dataset, path) -> None:
     write_json(path, doc)
 
 
-def load_dataset(path) -> Dataset:
+def load_dataset(path, rows=None) -> Dataset:
+    """The dataset file at `path`. With `rows`, a sequence of image indices,
+    a Dataset of only those images and their labels, in that order, each
+    decoded from its own bytes of the payload (`decode_rows`), bit for bit
+    as the whole set decodes it.
+
+    Either way the whole document is parsed and checked: its magic, that it
+    holds every key, that `shape` is three counts, `labels` one class index
+    per image and `split` a split name, and that the payload has the length
+    of `shape`'s values. A file that fails a check, or whose decoded bytes
+    are not base64 or not pixel values in [0, 1], raises DatasetFormatError;
+    a row outside the set raises IndexError. With `rows`, the other images'
+    bytes are not read: that a file holds the bytes its stage recorded is
+    the sha256 check's to say (`runcfg.load_run`)."""
     doc = read_doc(path, "piece-dataset", DatasetFormatError)
-    images = decode_array(
-        doc["images"], tuple(doc["shape"]), f"{path}: images", DatasetFormatError
-    )
-    return Dataset(images, np.asarray(doc["labels"], dtype=np.int64), doc["split"])
+    shape, labels, split, payload = doc["shape"], doc["labels"], doc["split"], doc["images"]
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(v) is int and v >= 0 for v in shape)):
+        raise DatasetFormatError(f"{path}: shape {shape!r} is not three counts")
+    if not (isinstance(labels, list) and len(labels) == shape[0]
+            and all(type(v) is int and 0 <= v < len(CLASS_NAMES) for v in labels)):
+        raise DatasetFormatError(
+            f"{path}: labels are not {shape[0]} class indices in 0..{len(CLASS_NAMES) - 1}"
+        )
+    if split not in _SPLIT_CODE:
+        raise DatasetFormatError(f"{path}: unknown split {split!r}")
+    if not isinstance(payload, str):
+        raise DatasetFormatError(f"{path}: images is not base64 text")
+    labels = np.array(labels, dtype=np.int64)
+    where = f"{path}: images"
+    if rows is None:
+        images = decode_array(payload, tuple(shape), where, DatasetFormatError)
+    else:
+        rows = list(rows)
+        images = decode_rows(payload, tuple(shape), rows, where, DatasetFormatError)
+        labels = labels[rows]
+    try:
+        return Dataset(images, labels, split)
+    except DataError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
 def file_sha256(path) -> str:

@@ -114,6 +114,9 @@ def pearson(xs, ys) -> Optional[float]:
 # Pixel-space k-NN and substitutability
 
 
+_SORT_BLOCK = 64  # test rows per argsort in `knn_predict`
+
+
 def knn_predict(
     train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray, k: int = 1
 ) -> np.ndarray:
@@ -121,12 +124,15 @@ def knn_predict(
     (majority vote, then closest member, then smallest class id)."""
     if k < 1 or k > len(train_x):
         raise MetricError(f"k={k} invalid for {len(train_x)} training points")
-    d2 = (
-        np.sum(test_x**2, axis=1)[:, None]
-        - 2.0 * test_x @ train_x.T
-        + np.sum(train_x**2, axis=1)[None, :]
-    )
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    # |t|^2 - 2 t.r + |r|^2, operation by operation, in one array
+    d2 = 2.0 * test_x @ train_x.T
+    np.subtract(np.sum(test_x**2, axis=1)[:, None], d2, out=d2)
+    d2 += np.sum(train_x**2, axis=1)[None, :]
+    # each row sorts alone, so blocks of rows need no full-size index array
+    order = np.empty((len(test_x), k), dtype=np.intp)
+    for start in range(0, len(test_x), _SORT_BLOCK):
+        block = slice(start, start + _SORT_BLOCK)
+        order[block] = np.argsort(d2[block], axis=1, kind="stable")[:, :k]
     out = np.empty(len(test_x), dtype=np.int64)
     for i, idx in enumerate(order):
         labels = train_y[idx]
@@ -168,12 +174,15 @@ def substitutability(
     test_images: np.ndarray,
     test_labels: np.ndarray,
     k: int = 1,
+    reference_accuracy: Optional[float] = None,
 ) -> SubstitutabilityResult:
     """How well explanations substitute for real training data: accuracy of
     a pixel-space k-NN trained on the explanation images (labelled with
     their intended classes), normalized by the same k-NN trained on the
     reference training set. With fewer explanations than `k` their k-NN is
-    undefined, and accuracy and score are None."""
+    undefined, and accuracy and score are None. `reference_accuracy`, when
+    given, is the reference k-NN's accuracy (`knn_accuracy`) on these test
+    images at this `k`, which is then not computed again."""
     expl = np.asarray(expl_images, dtype=np.float64).reshape(len(expl_images), -1)
     intended = np.asarray(intended_classes, dtype=np.int64)
     if len(expl) == 0:
@@ -183,7 +192,9 @@ def substitutability(
     tst_y = np.asarray(test_labels, dtype=np.int64)
     present = set(int(v) for v in np.unique(intended))
     missing = sorted(set(int(v) for v in np.unique(ref_labels)) - present)
-    ref_acc = knn_accuracy(ref, np.asarray(ref_labels, dtype=np.int64), tst, tst_y, k)
+    ref_acc = reference_accuracy
+    if ref_acc is None:
+        ref_acc = knn_accuracy(ref, np.asarray(ref_labels, dtype=np.int64), tst, tst_y, k)
     if ref_acc < _GUARD:
         raise MetricError("reference k-NN accuracy is zero; score undefined")
     if k > len(expl):

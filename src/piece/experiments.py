@@ -75,7 +75,7 @@ def inversions(arts: RunArtifacts, image_ids) -> list:
     seed, and stored unless it failed. A damaged entry raises
     InversionFormatError. The store is a cache that no stage record lists."""
     cfg = arts.config
-    images = arts.test_data.images[list(image_ids)]
+    images = arts.test_images(image_ids).images
     shared = {
         "generator_sha": arts.files["models/generator.json"],
         "classifier_sha": arts.classifier_sha,
@@ -405,19 +405,26 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
 
     # substitutability block
     subst_rows = []
+    train, test = arts.train_data, arts.test_data
+    reference: dict = {}  # k -> the training set's k-NN accuracy, the same for every method
     for method in _METHODS:
         if not kept[method]:
             continue
         images, classes = zip(*kept[method])
         for k in (cfg.metrics.knn_k, cfg.metrics.knn_k_extra):
+            if k not in reference:
+                reference[k] = evalx.knn_accuracy(
+                    train.flat(), train.labels, test.flat(), test.labels, k
+                )
             sres = evalx.substitutability(
                 np.stack(images),
                 np.asarray(classes),
-                arts.train_data.flat(),
-                arts.train_data.labels,
-                arts.test_data.flat(),
-                arts.test_data.labels,
+                train.flat(),
+                train.labels,
+                test.flat(),
+                test.labels,
                 k=k,
+                reference_accuracy=reference[k],
             )
             subst_rows.append(
                 [

@@ -36,6 +36,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import operator
 import os
 import threading
@@ -259,18 +260,21 @@ def class_weight_vector(net: Network, cls: int) -> Array:
 # Forward / backward
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardTrace:
     """Per-layer outputs of one forward pass, plus dropout masks used.
 
     Replaying the stored values reproduces the output bit-exactly; backward
     reuses the masks, so train-mode gradients match the sampled network.
+    `plan` is the plan of the network that made it, so a backward pass
+    through that network need not check each layer's width against it.
     """
 
     inputs: Array
     outputs: list
     masks: dict
     squeezed: bool
+    plan: Optional[_Plan] = None
 
     @property
     def output(self) -> Array:
@@ -298,8 +302,7 @@ def _softmax(x: Array) -> Array:
 def _sigmoid(x: Array) -> Array:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both
     # from e = exp(-|x|), which never overflows; worked in place
-    e = np.abs(x)
-    np.negative(e, out=e)
+    e = np.copysign(x, -1.0)  # -|x|, bit for bit
     np.exp(e, out=e)
     out = np.where(x >= 0, 1.0, e)
     e += 1.0
@@ -323,22 +326,20 @@ def forward(
     dropout. Eval mode treats dropout as identity. With `check_finite`, the
     first layer whose output holds a non-finite value raises NumericsError.
     """
-    if mode not in ("train", "eval"):
+    if mode != "eval" and mode != "train":
         raise DimensionError(f"mode must be 'train' or 'eval', got {mode!r}")
     x, squeezed = _as_batch(input)
-    _check_width(net, x)
     plan = net.plan
+    if x.shape[-1] != plan.input_dim:
+        _check_width(net, x)
     draw = None
     if mode == "train" and plan.has_dropout:
         if rng_seed is None:
             raise DimensionError("train mode requires rng_seed when dropout present")
         draw = np.random.default_rng(rng_seed).random
     checks = plan.checks[mode if check_finite else "off"]
-    # overflow surfaces as a NumericsError (or a deliberately tolerated
-    # non-finite row when check_finite is off), not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        outputs, masks = _run_layers(plan.steps, checks, x, draw)
-    return ForwardTrace(x, outputs, masks, squeezed)
+    outputs, masks = _run_layers(plan.steps, checks, x, draw)
+    return ForwardTrace(x, outputs, masks, squeezed, plan)
 
 
 def forward_passes(net: Network, input, seeds) -> Array:
@@ -369,8 +370,7 @@ def forward_passes(net: Network, input, seeds) -> Array:
         drawn += shape[1]
         return u
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        outputs, _ = _run_layers(net.plan.steps, net.plan.checks["train"], x, draw)
+    outputs, _ = _run_layers(net.plan.steps, net.plan.checks["train"], x, draw)
     out = outputs[-1]
     # with no dropout to draw, every pass is the one row computed
     return out if len(out) == len(seeds) else np.repeat(out, len(seeds), axis=0)
@@ -519,19 +519,24 @@ def _check_width(net: Network, x: Array) -> None:
         )
 
 
+# overflow surfaces as a NumericsError (or a deliberately tolerated
+# non-finite row when a pass does not check), not as a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _run_layers(steps, checks, cur, draw):
     """Per-layer outputs and train-mode dropout masks of one run of `steps`.
     `draw(shape)` gives the uniform draws of a mask for an input of that
-    shape; with `draw` None, dropout is the identity (eval mode)."""
+    shape; with `draw` None, dropout is the identity (eval mode), and its
+    output is its input."""
     outputs: list = []
     masks: dict = {}
     for i, (kind, layer) in enumerate(steps):
         if kind == "dense":
-            if cur.shape[-1] != layer.in_dim:
+            try:
+                cur = cur @ layer.weight.T
+            except ValueError:  # a width the layer does not take
                 raise DimensionError(
                     f"layer {i} (dense) expects width {layer.in_dim}, got {cur.shape[-1]}"
-                )
-            cur = cur @ layer.weight.T
+                ) from None
             cur += layer.bias
         elif kind == "relu":
             cur = np.maximum(cur, 0.0)
@@ -541,8 +546,6 @@ def _run_layers(steps, checks, cur, draw):
                 mask = keep / (1.0 - layer.rate)
                 masks[i] = mask
                 cur = cur * mask
-            else:
-                cur = cur.copy()
         elif kind == "softmax":
             cur = _softmax(cur)
         elif kind == "sigmoid":
@@ -588,6 +591,9 @@ def _backprop(net, trace, output_grad, param_grads):
     layer first, to `param_grads` when it is a list."""
     steps = net.plan.steps
     outputs = trace.outputs
+    # the widths of a trace this network made fit it; any other trace's are
+    # checked layer by layer
+    checked = trace.plan is not net.plan
     if len(outputs) != len(steps):
         raise TraceMismatchError(
             f"trace has {len(outputs)} layer outputs, network has "
@@ -603,7 +609,7 @@ def _backprop(net, trace, output_grad, param_grads):
         kind, layer = steps[i]
         layer_in = trace.inputs if i == 0 else outputs[i - 1]
         if kind == "dense":
-            if layer_in.shape[-1] != layer.in_dim:
+            if checked and layer_in.shape[-1] != layer.in_dim:
                 raise TraceMismatchError(f"trace does not match layer {i} (dense)")
             if param_grads is not None:
                 param_grads += (g.sum(axis=0), g.T @ layer_in)
@@ -704,20 +710,22 @@ def adam_step(
         raise DimensionError("params/grads/state length mismatch")
     state.step += 1
     t = state.step
+    keep1, keep2 = 1.0 - beta1, 1.0 - beta2
+    bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
     for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
         if p.shape != g.shape:
             raise DimensionError(f"param shape {p.shape} vs grad shape {g.shape}")
         m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
+        m += np.multiply(g, keep1, a)
         v *= beta2
-        np.multiply(g, 1.0 - beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(m, 1.0 - beta1**t, out=a)
+        np.multiply(g, keep2, a)
+        v += np.multiply(a, g, a)
+        np.divide(m, bias1, a)
         a *= lr
-        np.divide(v, 1.0 - beta2**t, out=b)
-        np.sqrt(b, out=b)
+        np.divide(v, bias2, b)
+        np.sqrt(b, b)
         b += eps
-        p -= np.divide(a, b, out=a)
+        p -= np.divide(a, b, a)
 
 
 class Descent:
@@ -735,14 +743,15 @@ class Descent:
     takes the steps it would take alone, and the step count is shared.
     `active` holds the stack indices of the images still descending, in
     the order of the yielded arrays' image axis; the objective is handed it
-    with each point, to index its per-image constants. Between yields the
-    caller may `retire` images, which drops them from `z`, the gradient and
-    Adam's moments. An image whose pass raises a `NumericsError` naming it
-    (see `forward`) retires by itself: `errors` maps its stack index to the
-    step and the error, and the other images are evaluated again. The
-    objective keeps the image axis of `z` leading in every pass, so the
-    indices an error names are those of `z`. Iteration ends when no image
-    is left.
+    with each point, to index its per-image constants (`gathered`). It is
+    the same array from one point to the next until an image retires.
+    Between yields the caller may `retire` images, which drops them from
+    `z`, the gradient and Adam's moments. An image whose pass raises a
+    `NumericsError` naming it (see `forward`) retires by itself: `errors`
+    maps its stack index to the step and the error, and the other images
+    are evaluated again. The objective keeps the image axis of `z` leading
+    in every pass, so the indices an error names are those of `z`.
+    Iteration ends when no image is left.
     A vector or a 2-d `z` is one image: `active` is None, and an error
     propagates to the caller.
     """
@@ -769,8 +778,12 @@ class Descent:
             adam_step([self.z], [self.grad], self.state, self.lr)
 
     def retire(self, done) -> None:
-        """Stop descending the active images where the mask `done` is true."""
-        keep = ~np.asarray(done, dtype=bool)
+        """Stop descending the active images where the mask `done` is true.
+        While none is, `active` stays the same array."""
+        done = np.asarray(done, dtype=bool)
+        if not done.any():
+            return
+        keep = ~done
         self.active = self.active[keep]
         self.z, self.grad = self.z[keep], self.grad[keep]
         self.state = AdamState(self.state.step, [self.state.m[0][keep]], [self.state.v[0][keep]])
@@ -791,6 +804,23 @@ class Descent:
                 self.retire(failed)
                 if not self.z.size:
                     return None
+
+
+def gathered(*arrays):
+    """A function of a `Descent`'s `active` that gives each of `arrays`
+    (image axis first) at those images: the arrays themselves while every
+    image descends, and rows gathered anew only when `active` is a new
+    array, after a retirement."""
+    n = len(arrays[0])
+    last = [None, arrays]
+
+    def at(active: Array) -> tuple:
+        if active is not last[0]:
+            # `active` only ever drops images, so n of them are all of them
+            last[:] = active, arrays if len(active) == n else tuple(a[active] for a in arrays)
+        return last[1]
+
+    return at
 
 
 def parameters(net: Network) -> list:
@@ -870,7 +900,7 @@ def encode_array(arr: Array) -> str:
 def decode_array(text: str, shape, where: str, error=NetworkFormatError) -> Array:
     """Inverse of `encode_array`, as a float64 array of `shape`. A payload that
     is not base64, or not exactly that many values, raises `error`."""
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except ValueError as exc:
@@ -878,6 +908,35 @@ def decode_array(text: str, shape, where: str, error=NetworkFormatError) -> Arra
     if len(raw) != 8 * count:
         raise error(f"{where}: expected {8 * count} bytes, got {len(raw)}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def decode_rows(text: str, shape, rows, where: str, error=NetworkFormatError) -> Array:
+    """The rows `rows` (indices along the first axis) of the array of `shape`
+    that `text` encodes (`encode_array`), in that order: bit for bit those
+    rows of `decode_array(text, shape, ...)`, decoded from only the base64
+    characters that hold their bytes. A payload whose length is not that of
+    the array, or whose characters for a row are not base64, raises
+    `error`; a row outside the array raises IndexError."""
+    n, width = shape[0], 8 * math.prod(shape[1:])  # rows, bytes per row
+    total = n * width
+    if len(text) != 4 * -(-total // 3):  # base64: 4 characters per 3 bytes, padded
+        raise error(f"{where}: a payload of {len(text)} characters cannot hold {total} bytes")
+    chunks = []
+    for r in rows:
+        r = operator.index(r)
+        if not 0 <= r < n:
+            raise IndexError(f"{where}: row {r} is not in 0..{n - 1}")
+        lo, hi = r * width, (r + 1) * width
+        first, last = lo // 3, -(-hi // 3)  # the 3-byte groups that hold the row
+        try:
+            raw = base64.b64decode(text[4 * first : 4 * last].encode("ascii"), validate=True)
+        except ValueError as exc:
+            raise error(f"{where}: payload is not base64") from exc
+        if len(raw) != min(3 * last, total) - 3 * first:
+            raise error(f"{where}: payload is not base64")
+        chunks.append(raw[lo - 3 * first : hi - 3 * first])
+    flat = np.frombuffer(b"".join(chunks), dtype="<f8").astype(np.float64)
+    return flat.reshape(len(chunks), *shape[1:])
 
 
 def _layer_checksum(layer: Dense) -> str:

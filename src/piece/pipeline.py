@@ -61,7 +61,8 @@ class VisualizationError(PipelineError):
 
 
 class TargetClassError(PipelineError):
-    """A counterfactual asked for the class the image is predicted as."""
+    """An explanation asked to move toward the class the image is predicted
+    as."""
 
 
 def _one(results: list):
@@ -107,12 +108,13 @@ class ExplanationRequest:
         if not (0.0 < self.alpha < 0.5):
             raise PipelineError(f"alpha must be in (0, 0.5), got {self.alpha}")
 
-    def check_target_class(self, c: int) -> None:
-        """Refuse a target class equal to `c`, the image's predicted class."""
+    def check_target_class(self, c: int, explanation: Optional[str] = None) -> None:
+        """Refuse a target class equal to `c`, the image's predicted class,
+        naming the `explanation` asked for (by default the request's mode)."""
         if self.target_class == c:
             raise TargetClassError(
                 f"target class {self.target_class} is the predicted class of image "
-                f"{self.image_id}; a counterfactual needs another class"
+                f"{self.image_id}; a {explanation or self.mode} needs another class"
             )
 
 
@@ -176,15 +178,17 @@ def _invert_stack(generator, feature_net, images, settings, seeds) -> list:
     flat = images.reshape(len(images), 1, -1)  # a row per image
     target_feats = nc.forward(feature_net, flat).output
     shape = (settings.invert_restarts, generator.input_dim)
+    targets_at = nc.gathered(target_feats, flat)
 
     def objective(zv: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, tuple]:
+        target, image = targets_at(active)
         tg = nc.forward(generator, zv, check_finite=False)
         imgs = tg.outputs[-1]
         tc = nc.forward(feature_net, imgs, check_finite=False)
         feats = tc.outputs[-1]
-        g_feat = 2.0 * (feats - target_feats[active])
+        g_feat = 2.0 * (feats - target)
         g_img = nc.backward(feature_net, tc, g_feat)
-        g_img = g_img + 2.0 * (imgs - flat[active])
+        g_img = g_img + 2.0 * (imgs - image)
         return nc.backward(generator, tg, g_img), (feats, imgs)
 
     z0 = np.stack([np.random.default_rng(int(s)).standard_normal(shape) for s in seeds])
@@ -331,15 +335,18 @@ def select_cf_class_stack(
         SelectionResult(int(t), True, 0) if k != t else None for k, t in zip(c, true_label)
     ]
     probe = np.flatnonzero(c == true_label)
-    last = np.empty((len(c), classifier.output_dim))  # each probe's latest probabilities
+    last = np.empty((len(c), classifier.output_dim))  # each probe's final probabilities
     if len(probe):
         y = np.stack([nc.one_hot(int(k), classifier.output_dim) for k in c[probe]])[:, None, :]
+        y_at = nc.gathered(y)
+        probe_at = nc.gathered(probe, c[probe])
 
         def objective(zv: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            (target,) = y_at(active)
             tg = nc.forward(generator, zv)
             tc = nc.forward(classifier, tg.outputs[-1])
             out = tc.outputs[-1]
-            g_img = nc.backward(classifier, tc, 2.0 * (out - y[active]))
+            g_img = nc.backward(classifier, tc, 2.0 * (out - target))
             # ascend: hand the negated gradient to the descent
             return -nc.backward(generator, tg, g_img), out[:, 0]
 
@@ -347,14 +354,19 @@ def select_cf_class_stack(
             objective, np.asarray(z, dtype=np.float64)[probe][:, None, :],
             settings.ascent_lr, settings.ascent_max_steps,
         )
+        final = None  # the images of the last point reached, and their probabilities
         for step, _, probs in run:
-            rows = probe[run.active]
-            last[rows] = probs
+            rows, c_rows = probe_at(run.active)
+            final = rows, probs
+            if not step:  # the start point is not probed
+                continue
             top = probs.argmax(axis=-1)
-            done = (top != c[rows]) & (step > 0)  # the start point is not probed
+            done = top != c_rows
             for i, k in zip(rows[done], top[done]):
                 results[i] = SelectionResult(int(k), False, step)
             run.retire(done)
+        if final is not None:  # a probe that never crossed ran to the last point
+            last[final[0]] = final[1]
         for i, (_, exc) in run.errors.items():
             results[probe[i]] = exc
     return [
@@ -516,33 +528,41 @@ def visualize(
     a NumericsError when its rendering or its classification overflows.
     """
     body, _ = nc.split_at_tap(classifier)
+    # the generator and then the classifier's body as one network: each
+    # step's pass and backward pass run the same layer operations, in the
+    # same order, as a pass through each in turn
+    features = nc.Network(generator.layers + body.layers, role="generator")
     targets = np.asarray(x_target, dtype=np.float64)[:, None, :]
+    targets_at = nc.gathered(targets)
 
     def objective(zv: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bad = ~np.isfinite(zv).all(axis=(1, 2))
-        if bad.any():
-            raise nc.NumericsError(_DIVERGED, np.flatnonzero(bad))
-        tg = nc.forward(generator, zv, check_finite=False)
-        tc = nc.forward(body, tg.outputs[-1], check_finite=False)
-        diff = tc.outputs[-1] - targets[active]
-        g_img = nc.backward(body, tc, 2.0 * diff)
-        g_z = nc.backward(generator, tg, g_img)
-        return g_z, np.sum(diff ** 2, axis=(1, 2))
+        if not np.isfinite(zv).all():  # one test of the stack, then one per image
+            raise nc.NumericsError(_DIVERGED, np.flatnonzero(~np.isfinite(zv).all(axis=(1, 2))))
+        (target,) = targets_at(active)
+        trace = nc.forward(features, zv, check_finite=False)
+        diff = trace.outputs[-1] - target
+        return nc.backward(features, trace, 2.0 * diff), (diff ** 2).sum(axis=(1, 2))
 
     run = nc.Descent(
         objective, np.asarray(z_init, dtype=np.float64)[:, None, :],
         settings.visualize_lr, settings.visualize_steps,
     )
-    best_z = np.empty((len(targets), generator.input_dim))
-    before, best = np.empty(len(targets)), np.empty(len(targets))
+    n = len(targets)
+    best_z = np.empty((n, 1, generator.input_dim))
+    before, best, better = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for step, z, loss in run:
         rows = run.active
         if step == 0:
-            before[rows] = loss
-        better = loss < best[rows] if step else np.ones(len(rows), dtype=bool)
-        best[rows[better]], best_z[rows[better]] = loss[better], z[better, 0]
+            before[rows], best[rows], best_z[rows] = loss, loss, z
+        elif len(rows) == n:  # every image descends: keep the best in place
+            np.less(loss, best, out=better)
+            np.copyto(best, loss, where=better)
+            np.copyto(best_z, z, where=better[:, None, None])
+        else:
+            improved = loss < best[rows]
+            best[rows[improved]], best_z[rows[improved]] = loss[improved], z[improved]
     results: list = []
-    for i, zi in enumerate(best_z):
+    for i, zi in enumerate(best_z[:, 0]):
         if i in run.errors:
             results.append(VisualizationError(_DIVERGED))
             continue

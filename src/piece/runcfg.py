@@ -27,10 +27,13 @@ path in the run directory, and no time, so a rerun writes the same bytes;
 `load_run` verifies a run in two steps. Up front it parses the config,
 checks the frozen [dataset] keys against the datagen record, and checks
 that every file the records of datagen, train and fit-stats list exists
-(exit 3) with its recorded sha256 (exit 4). Each artifact is decoded the
-first time it is read, with the checks of its format and of the provenance
-chain: layer checksums, the dataset each model was trained on, and the
-classifier and dataset the stats were fitted on.
+(exit 3) with its recorded sha256 (exit 4), whether or not the command
+goes on to read it. Each artifact is decoded the first time it is read,
+with the checks of its format and of the provenance chain: layer
+checksums, the dataset each model was trained on, and the classifier and
+dataset the stats were fitted on. A few test images can be decoded
+without the rest of the test set (`RunArtifacts.test_images`), which is
+all `piece explain` decodes of the dataset.
 """
 
 from __future__ import annotations
@@ -77,6 +80,10 @@ class DatasetConfig:
         for name, low in (("n_train_per_class", MIN_CLASS_SAMPLES), ("n_test_per_class", 1)):
             if getattr(self, name) < low:
                 raise DataError(f"{name} must be at least {low}, got {getattr(self, name)}")
+
+    def count(self, split: str) -> int:
+        """The images of `split` ("train" or "test") that `datagen` makes."""
+        return self.glyphs.n_classes * getattr(self, f"n_{split}_per_class")
 
 
 @dataclass(frozen=True)
@@ -380,16 +387,20 @@ class RunPaths:
 
 class RunArtifacts:
     """The config of a run and the artifacts of the stages it was loaded
-    with (`load_run`). Each artifact is decoded and checked the first time
+    with (`load_run`), whose files have all been checked against their
+    recorded sha256. Each artifact is decoded and checked the first time
     it is read: networks against their layer checksums and the dataset they
     were trained on, the stats table against the classifier and the dataset
-    it was fitted on."""
+    it was fitted on. A command that needs only a few test images reads
+    them with `test_images`, which decodes only their bytes of the test
+    set."""
 
     def __init__(self, paths: RunPaths, config: RunConfig, dataset_sha: str, files: dict):
         self.paths = paths
         self.config = config
         self.dataset_sha = dataset_sha  # of the datagen record
         self.files = files  # the verified files: {relative path: sha256}
+        self._test_rows: dict = {}  # `test_images` of ids -> its Dataset
 
     @property
     def classifier_sha(self) -> str:
@@ -411,6 +422,19 @@ class RunArtifacts:
     @functools.cached_property
     def test_data(self) -> Dataset:
         return load_dataset(self.paths.dataset("test.json"))
+
+    def test_images(self, ids) -> Dataset:
+        """The test images `ids` and their labels, in that order: rows of
+        `test_data` once it is decoded, else decoded from only their own
+        bytes of dataset/test.json (`load_dataset` with rows), once for
+        each sequence of ids asked for."""
+        ids = tuple(ids)
+        if "test_data" in vars(self):
+            data = self.test_data
+            return Dataset(data.images[list(ids)], data.labels[list(ids)], data.split)
+        if ids not in self._test_rows:
+            self._test_rows[ids] = load_dataset(self.paths.dataset("test.json"), rows=ids)
+        return self._test_rows[ids]
 
     @functools.cached_property
     def classifier(self) -> Network:

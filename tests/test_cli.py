@@ -364,6 +364,38 @@ class TestExplainCommand:
     def test_bad_index(self, mini_run):
         assert main(["explain", "--run-dir", mini_run, "--index", "9999"]) == 2
 
+    @pytest.mark.parametrize("index", ["-1", "100"])
+    def test_index_just_outside_test_set(self, mini_run, capsys, index):
+        # the mini test set holds 100 images, 0..99; no image is decoded to say so
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", mini_run, "--index", index]) == 2
+        assert capsys.readouterr().err == f"error: --index {index} out of range (test set has 100)\n"
+
+    def test_per_image_decode_equals_whole_set(self, mini_run):
+        import numpy as np
+
+        from piece.datagen import load_dataset
+        from piece.runcfg import RunPaths, load_run
+
+        path = os.path.join(mini_run, "dataset", "test.json")
+        whole = load_dataset(path)
+        assert len(whole) == 100
+        for i in range(len(whole)):  # the last image ends the padded payload
+            one = load_dataset(path, rows=[i])
+            assert one.images.tobytes() == whole.images[i : i + 1].tobytes()
+            assert one.labels.tolist() == [whole.labels[i]] and one.split == "test"
+        ids = [99, 0, 57, 57, 1]
+        arts = load_run(RunPaths(mini_run))
+        lazy = arts.test_images(ids)  # decoded alone
+        assert "test_data" not in vars(arts)
+        arts.test_data
+        eager = arts.test_images(ids)  # rows of the decoded set
+        for got in (load_dataset(path, rows=ids), lazy, eager):
+            assert got.images.tobytes() == whole.images[ids].tobytes()
+            assert np.array_equal(got.labels, whole.labels[ids])
+        with pytest.raises(IndexError):
+            load_dataset(path, rows=[100])
+
     def test_bad_fraction(self, mini_run, capsys):
         capsys.readouterr()
         assert main(["explain", "--run-dir", mini_run, "--index", "0",
@@ -406,10 +438,14 @@ class TestExplainCommand:
                      "--mode", "cf", "--target-class", target]) == 2
 
     @pytest.mark.parametrize(
-        "mode", [["cf"], ["sf"], ["prop", "--fraction", "0.5"]], ids=["cf", "sf", "prop"]
+        "mode, explanation",
+        [(["cf"], "counterfactual"), (["sf"], "semifactual"),
+         (["prop", "--fraction", "0.5"], "proportional explanation")],
+        ids=["cf", "sf", "prop"],
     )
-    def test_target_class_equal_to_prediction_refused(self, mini_run, capsys, mode):
-        # sf and prop used to write an explanation with c = c'
+    def test_target_class_equal_to_prediction_refused(self, mini_run, capsys, mode, explanation):
+        # sf and prop used to write an explanation with c = c'; the refusal
+        # names the explanation asked for
         import pathlib
 
         import numpy as np
@@ -426,7 +462,7 @@ class TestExplainCommand:
                      "--mode", *mode, "--target-class", str(predicted)]) == 2
         assert capsys.readouterr().err == (
             f"error: target class {predicted} is the predicted class of image 4; "
-            "a counterfactual needs another class\n"
+            f"a {explanation} needs another class\n"
         )
         assert run_files(pathlib.Path(mini_run), "explanations", "inversions") == before
 
@@ -1091,39 +1127,45 @@ class TestLazyLoading:
     each artifact only when it is first read."""
 
     def test_explain_decodes_only_what_it_reads(self, mini_run, monkeypatch):
+        # a warm request decodes its own test image, neither the training set
+        # nor the rest of the test set
         import os
 
         import piece.runcfg
 
+        argv = ["explain", "--run-dir", mini_run, "--index", "0", "--mode", "sf"]
+        assert main(argv) == 0  # stores the image's inversion
         decoded = []
         for name in ("load_network", "load_dataset", "load_stats", "load_latents"):
-            def counting(path, _load=getattr(piece.runcfg, name)):
-                decoded.append(os.path.relpath(path, mini_run))
-                return _load(path)
+            def counting(path, _load=getattr(piece.runcfg, name), **rows):
+                decoded.append((os.path.relpath(path, mini_run),
+                                list(rows["rows"]) if rows else None))
+                return _load(path, **rows)
 
             monkeypatch.setattr(piece.runcfg, name, counting)
-        assert main(["explain", "--run-dir", mini_run, "--index", "0", "--mode", "sf"]) == 0
+        assert main(argv) == 0
         assert sorted(decoded) == [
-            "dataset/test.json", "models/classifier.json", "models/generator.json",
-            "stats/stats.json",
+            ("dataset/test.json", [0]), ("models/classifier.json", None),
+            ("models/generator.json", None), ("stats/stats.json", None),
         ]
 
     @pytest.mark.parametrize(
         "name",
         ["models/ae_class_2.json", "stats/latents.json", "dataset/train.json",
-         "reports/training_generator.json"],
+         "reports/training_generator.json", "models/ae_class_0.json"],
     )
     def test_edit_of_undecoded_file_exits_4(self, mini_run, tmp_path, capsys, name):
-        import shutil
-
-        clone = tmp_path / "edited_undecoded"
-        shutil.copytree(mini_run, clone)
+        # explain decodes none of these files, but checks each against its
+        # recorded sha256 before it writes a record, an image or an inversion
+        clone = explainless_clone(mini_run, tmp_path / "edited_undecoded")
         with open(clone / name, "a") as fh:
             fh.write(" \n")  # still well-formed JSON
+        before = run_files(clone, "explanations", "inversions")
         capsys.readouterr()
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and name in err[0] and "sha256" in err[0]
+        assert run_files(clone, "explanations", "inversions") == before
 
     def test_experiment_checks_every_artifact_before_writing(self, mini_run, tmp_path):
         # a stats table that names another classifier, recorded as fit-stats

@@ -540,6 +540,20 @@ class TestImageAxis:
             )
             assert np.array_equal(g_stacked[i], nc.backward(net, alone, gs[i]))
 
+    def test_chained_network_equals_passes_in_turn(self, nets):
+        # visualize runs the generator and the classifier's body as one network
+        first, second = nets["generator"], nets["features"]
+        chained = nc.Network(first.layers + second.layers, role="generator")
+        rng = np.random.default_rng(5)
+        zs = rng.normal(size=(3, 1, first.input_dim))
+        gs = rng.normal(size=(3, 1, second.output_dim))
+        t1 = nc.forward(first, zs, check_finite=False)
+        t2 = nc.forward(second, t1.output, check_finite=False)
+        tc = nc.forward(chained, zs, check_finite=False)
+        assert tc.output.tobytes() == t2.output.tobytes()
+        want = nc.backward(first, t1, nc.backward(second, t2, gs))
+        assert nc.backward(chained, tc, gs).tobytes() == want.tobytes()
+
     def test_overflow_names_the_images(self):
         net = nc.Network([dense([[1e200]]), nc.ReLU(), dense([[1.0]])], role="generator")
         xs = np.ones((4, 2, 1))
@@ -602,6 +616,26 @@ class TestDescentStack:
                 np.array_equal(a, c) and np.array_equal(b, d)
                 for (_, a, b), (_, c, d) in zip(got[i], want)
             )
+
+    def test_active_changes_only_when_an_image_retires(self):
+        targets = np.arange(6.0).reshape(3, 1, 2)
+        targets_at = nc.gathered(targets)
+        seen = []
+
+        def objective(z, active):
+            (target,) = targets_at(active)
+            seen.append((active, target))
+            return 2.0 * (z - target), z
+
+        run = nc.Descent(objective, np.zeros((3, 1, 2)), 0.1, 4)
+        for step, _, _ in run:
+            run.retire([False, step == 2, False] if len(run.active) == 3 else [False, False])
+        actives = [a for a, _ in seen]
+        assert all(a is actives[0] for a in actives[:3])  # steps 0..2, before the retirement
+        assert all(a is actives[3] for a in actives[3:]) and actives[3] is not actives[0]
+        assert seen[0][1] is targets  # every image: the constants themselves
+        assert seen[3][1].tolist() == targets[[0, 2]].tolist()
+        assert all(t is seen[3][1] for _, t in seen[3:])  # gathered once
 
     def test_error_without_image_indices_propagates(self):
         net = nc.Network([dense([[1e200]])], role="generator")
@@ -714,6 +748,38 @@ class TestSerialization:
             nc.decode_array(text[:-4], (2, 3), "w")
         with pytest.raises(ValueError, match="not base64"):
             nc.decode_array("!" + text[1:], (2, 3), "w", ValueError)
+
+    @given(
+        n=st.integers(1, 7), width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+        rows=st.lists(st.integers(0, 6), max_size=9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_decode_as_the_whole_array(self, n, width, seed, rows):
+        # rows of 8 * width bytes start at every offset modulo 3, so every
+        # position of a row within base64's 3-byte groups is covered
+        arr = np.random.default_rng(seed).normal(size=(n, width))
+        text = nc.encode_array(arr)
+        rows = [r % n for r in rows]
+        got = nc.decode_rows(text, (n, width), rows, "w")
+        assert got.shape == (len(rows), width)
+        assert got.tobytes() == nc.decode_array(text, (n, width), "w")[rows].tobytes()
+
+    def test_rows_codec_refusals(self):
+        arr = np.arange(12.0).reshape(4, 3)
+        text = nc.encode_array(arr)  # 96 bytes, 128 characters; row 1 is characters 32..64
+        with pytest.raises(nc.NetworkFormatError, match="cannot hold 96 bytes"):
+            nc.decode_rows(text[:-4], (4, 3), [0], "w")
+        garbled = text[:40] + "!" + text[41:]
+        with pytest.raises(ValueError, match="not base64"):
+            nc.decode_rows(garbled, (4, 3), [1], "w", ValueError)
+        padded = text[:40] + "=" + text[41:]
+        with pytest.raises(ValueError, match="not base64"):
+            nc.decode_rows(padded, (4, 3), [1], "w", ValueError)
+        # the other rows' characters are not read
+        assert np.array_equal(nc.decode_rows(garbled, (4, 3), [3, 0], "w"), arr[[3, 0]])
+        for row in (-1, 4):
+            with pytest.raises(IndexError):
+                nc.decode_rows(text, (4, 3), [row], "w")
 
     def test_checksum_mismatch(self, tmp_path):
         import base64
