@@ -108,7 +108,8 @@ def cmd_train(args) -> int:
         provenance = {"dataset_sha": arts.dataset_sha}
         n_classes = int(train.labels.max()) + 1
         names = fit_names(n_classes)
-        outcomes = dict(zip(names, run_jobs(fit, names, args.jobs, (train, test, cfg))))
+        job = functools.partial(fit, train=train, test=test, cfg=cfg)
+        outcomes = dict(zip(names, run_jobs(job, names, args.jobs)))
 
         def fitted(name):
             # fits are taken in the order a serial run makes them, so the first

@@ -230,6 +230,7 @@ def classify_exceptional(
 STATS_MAGIC = "piece-stats"
 # a stats record holds these fields of a NeuronClassModel, then its FittedDist's
 _MODEL_KEYS = [f.name for f in fields(NeuronClassModel) if f.name != "dist"]
+_DIST_KEYS = [f.name for f in fields(FittedDist)]
 
 
 def save_stats(table: StatsTable, path) -> None:
@@ -258,7 +259,7 @@ def load_stats(path) -> StatsTable:
         for rec in row:
             dist = None
             if rec["family"] != "degenerate":
-                dist = FittedDist(**{f.name: rec[f.name] for f in fields(FittedDist)})
+                dist = FittedDist(**{k: rec[k] for k in _DIST_KEYS})
             neurons.append(NeuronClassModel(dist=dist, **{k: rec[k] for k in _MODEL_KEYS}))
         models.append(neurons)
     return StatsTable(models, doc["classifier_sha"], doc["dataset_sha"])

@@ -8,11 +8,13 @@ intermediate values bit-exactly. Two backward passes share one
 input-gradient recurrence: `backward` returns only the gradient with
 respect to the input, which is all the optimisation loops need to chain
 several networks (generator into feature extractor into classifier head) by
-hand; `backward_params` also forms the dense parameter gradients, for
-training, in `parameters` order. `adam_step` is the one Adam update, in
-place; training runs it on a network's own dense arrays, and `Descent`, the
-Adam loop over latent codes, on a copy of each point it yields, so its
-caller writes the stop rule as the body of a `for` loop.
+hand; `backward_params` forms only the dense parameter gradients, for
+training, as one vector in the order of `bind_parameters`, which makes
+every dense weight and bias of a network a view of one vector. `adam_step`
+is the one Adam update of one array, in place; training runs it on a
+network's bound parameter vector, and `Descent`, the Adam loop over latent
+codes, on a copy of each point it yields, so its caller writes the stop
+rule as the body of a `for` loop.
 `forward_passes` runs many seeded train-mode passes of one input as one
 batch, each pass drawing its masks as `forward` would, from
 `uniform_streams`, which computes numpy's `default_rng` streams of many
@@ -134,22 +136,6 @@ class Sigmoid:
     kind: ClassVar[str] = "sigmoid"
 
 
-def _layer_dims(layers: list) -> list[Optional[int]]:
-    """Output dimension after each layer (None until the first Dense)."""
-    dims: list[Optional[int]] = []
-    cur: Optional[int] = None
-    for i, layer in enumerate(layers):
-        if isinstance(layer, Dense):
-            if cur is not None and layer.in_dim != cur:
-                raise DimensionError(
-                    f"layer {i} (dense) expects input dim {layer.in_dim}, "
-                    f"previous layer provides {cur}"
-                )
-            cur = layer.out_dim
-        dims.append(cur)
-    return dims
-
-
 @dataclass
 class Network:
     """Ordered feedforward layer list with an optional feature-tap index.
@@ -171,7 +157,7 @@ class Network:
             raise DimensionError(f"unknown network role {self.role!r}")
         if not self.layers:
             raise DimensionError("network needs at least one layer")
-        _layer_dims(self.layers)
+        self.plan = _Plan.of(self.layers)
         for i, layer in enumerate(self.layers):
             if isinstance(layer, SoftMax) and i != len(self.layers) - 1:
                 raise DimensionError("softmax allowed only as the final layer")
@@ -186,27 +172,23 @@ class Network:
                     raise DimensionError(
                         "classifier head must contain exactly one dense layer"
                     )
-        self.plan = _Plan.of(self.layers)
 
     @property
     def input_dim(self) -> int:
-        if self.plan.input_dim is None:
-            raise DimensionError("network has no dense layer")
-        return self.plan.input_dim
+        return self.plan.widths()[0]
 
     @property
     def output_dim(self) -> int:
-        for layer in reversed(self.layers):
-            if isinstance(layer, Dense):
-                return layer.out_dim
-        raise DimensionError("network has no dense layer")
+        return self.plan.widths()[1]
 
 
 @dataclass(frozen=True)
 class _Plan:
     """What `forward` and the backward passes need of a layer list, worked
-    out once: (kind, layer) pairs, the input width, and after which layers
-    to check finiteness.
+    out once, as the dense widths are checked to chain: (kind, layer)
+    pairs, the input and output widths, after which layers to check
+    finiteness, and where each dense layer's weight and bias lie in a
+    parameter vector (`bind_parameters`).
 
     Dense layers and train-mode dropout can overflow a finite input into a
     non-finite output; relu, softmax, the stable sigmoid and eval-mode
@@ -219,13 +201,22 @@ class _Plan:
 
     steps: tuple
     input_dim: Optional[int]
+    output_dim: Optional[int]
     has_dropout: bool
     checks: dict  # "eval", "train" or "off" -> one flag per layer
+    slices: dict  # dense layer index -> (weight start, bias start, bias end)
+    n_params: int
 
     @classmethod
     def of(cls, layers: list) -> "_Plan":
         steps = tuple((getattr(layer, "kind", None), layer) for layer in layers)
-        dense_in = [layer.in_dim for kind, layer in steps if kind == "dense"]
+        dense = [(i, layer) for i, (kind, layer) in enumerate(steps) if kind == "dense"]
+        for (_, prev), (i, layer) in zip(dense, dense[1:]):
+            if layer.in_dim != prev.out_dim:
+                raise DimensionError(
+                    f"layer {i} (dense) expects input dim {layer.in_dim}, "
+                    f"previous layer provides {prev.out_dim}"
+                )
         checks = {"off": (False,) * len(steps)}
         for mode in ("eval", "train"):
             overflows = [
@@ -235,7 +226,19 @@ class _Plan:
             first = overflows.index(True) if True in overflows else len(steps)
             checks[mode] = tuple(o or i <= first for i, o in enumerate(overflows))
         has_dropout = any(kind == "dropout" for kind, _ in steps)
-        return cls(steps, dense_in[0] if dense_in else None, has_dropout, checks)
+        slices, n_params = {}, 0
+        for i, layer in dense:
+            mid = n_params + layer.weight.size
+            slices[i] = (n_params, mid, mid + len(layer.bias))
+            n_params = slices[i][2]
+        ends = (dense[0][1].in_dim, dense[-1][1].out_dim) if dense else (None, None)
+        return cls(steps, *ends, has_dropout, checks, slices, n_params)
+
+    def widths(self) -> tuple[int, int]:
+        """The input and output widths."""
+        if self.input_dim is None:
+            raise DimensionError("network has no dense layer")
+        return self.input_dim, self.output_dim
 
 
 def split_at_tap(net: Network) -> tuple[Network, Network]:
@@ -571,24 +574,20 @@ def backward(net: Network, trace: ForwardTrace, output_grad) -> Array:
     return _backprop(net, trace, output_grad, None)
 
 
-def backward_params(net: Network, trace: ForwardTrace, output_grad) -> tuple[list, Array]:
-    """Parameter and input gradients of one traced forward pass.
-
-    Returns (parameter gradients, gradient w.r.t. the input). The parameter
-    gradients are in `parameters(net)` order: dW, db of each dense layer. The
-    input gradient is the one `backward` returns, bit for bit. The pass must
-    not be stacked.
+def backward_params(net: Network, trace: ForwardTrace, output_grad) -> Array:
+    """The parameter gradient of one traced forward pass, as one vector in
+    `bind_parameters` order: dW, db of each dense layer. The recurrence is
+    `backward`'s, and stops at the first dense layer. The pass must not be
+    stacked.
     """
     if trace.inputs.ndim != 2:
         raise DimensionError("parameter gradients need a vector or a 2-d batch")
-    param_grads: list = []
-    input_grad = _backprop(net, trace, output_grad, param_grads)
-    return param_grads[::-1], input_grad
+    return _backprop(net, trace, output_grad, np.empty(net.plan.n_params))
 
 
-def _backprop(net, trace, output_grad, param_grads):
-    """The reverse-mode recurrence; appends db, dW of each dense layer, last
-    layer first, to `param_grads` when it is a list."""
+def _backprop(net, trace, output_grad, grads):
+    """The reverse-mode recurrence: the input gradient, or with `grads` a
+    vector, that vector filled with the dense parameter gradients."""
     steps = net.plan.steps
     outputs = trace.outputs
     # the widths of a trace this network made fit it; any other trace's are
@@ -611,8 +610,12 @@ def _backprop(net, trace, output_grad, param_grads):
         if kind == "dense":
             if checked and layer_in.shape[-1] != layer.in_dim:
                 raise TraceMismatchError(f"trace does not match layer {i} (dense)")
-            if param_grads is not None:
-                param_grads += (g.sum(axis=0), g.T @ layer_in)
+            if grads is not None:
+                start, mid, end = net.plan.slices[i]
+                np.matmul(g.T, layer_in, out=grads[start:mid].reshape(layer.weight.shape))
+                np.sum(g, axis=0, out=grads[mid:end])
+                if not start:  # the first dense layer: nothing below it has parameters
+                    return grads
             g = g @ layer.weight
         elif kind == "relu":
             g = g * (layer_in > 0.0)
@@ -625,7 +628,7 @@ def _backprop(net, trace, output_grad, param_grads):
         elif kind == "sigmoid":
             s = outputs[i]
             g = g * s * (1.0 - s)
-    return g[0] if trace.squeezed else g
+    return grads if grads is not None else g[0] if trace.squeezed else g
 
 
 # ---------------------------------------------------------------------------
@@ -678,54 +681,50 @@ def one_hot(index: int, n_classes: int) -> Array:
 
 @dataclass
 class AdamState:
-    """Adam's step count and moments, and two scratch arrays per parameter
+    """Adam's step count and moments of one array, and two scratch arrays
     that `adam_step` computes in, so that a step allocates nothing."""
 
     step: int
-    m: list
-    v: list
-    scratch: list = field(init=False, repr=False)
+    m: Array
+    v: Array
+    scratch: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
-    def init(cls, params: list) -> "AdamState":
-        return cls(0, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+    def init(cls, param: Array) -> "AdamState":
+        return cls(0, np.zeros_like(param), np.zeros_like(param))
 
 
 def adam_step(
-    params: list,
-    grads: list,
+    param: Array,
+    grad: Array,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One Adam update of `params`, `state.m` and `state.v`, in place:
+    """One Adam update of `param`, `state.m` and `state.v`, in place:
     p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps),
     operation by operation in that order."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionError("params/grads/state length mismatch")
+    if param.shape != grad.shape:
+        raise DimensionError(f"param shape {param.shape} vs grad shape {grad.shape}")
     state.step += 1
     t = state.step
-    keep1, keep2 = 1.0 - beta1, 1.0 - beta2
-    bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
-    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
-        if p.shape != g.shape:
-            raise DimensionError(f"param shape {p.shape} vs grad shape {g.shape}")
-        m *= beta1
-        m += np.multiply(g, keep1, a)
-        v *= beta2
-        np.multiply(g, keep2, a)
-        v += np.multiply(a, g, a)
-        np.divide(m, bias1, a)
-        a *= lr
-        np.divide(v, bias2, b)
-        np.sqrt(b, b)
-        b += eps
-        p -= np.divide(a, b, a)
+    m, v, (a, b) = state.m, state.v, state.scratch
+    m *= beta1
+    m += np.multiply(grad, 1.0 - beta1, a)
+    v *= beta2
+    np.multiply(grad, 1.0 - beta2, a)
+    v += np.multiply(a, grad, a)
+    np.divide(m, 1.0 - beta1**t, a)
+    a *= lr
+    np.divide(v, 1.0 - beta2**t, b)
+    np.sqrt(b, b)
+    b += eps
+    param -= np.divide(a, b, a)
 
 
 class Descent:
@@ -760,7 +759,7 @@ class Descent:
         self.objective, self.lr, self.max_steps = objective, lr, max_steps
         self.z = np.array(z, dtype=np.float64)
         self.grad = np.zeros_like(self.z)
-        self.state = AdamState.init([self.z])
+        self.state = AdamState.init(self.z)
         self.active = np.arange(len(self.z)) if self.z.ndim == 3 else None
         self.errors: dict = {}
 
@@ -775,7 +774,7 @@ class Descent:
                 return
             step += 1
             self.z = self.z.copy()
-            adam_step([self.z], [self.grad], self.state, self.lr)
+            adam_step(self.z, self.grad, self.state, self.lr)
 
     def retire(self, done) -> None:
         """Stop descending the active images where the mask `done` is true.
@@ -786,7 +785,7 @@ class Descent:
         keep = ~done
         self.active = self.active[keep]
         self.z, self.grad = self.z[keep], self.grad[keep]
-        self.state = AdamState(self.state.step, [self.state.m[0][keep]], [self.state.v[0][keep]])
+        self.state = AdamState(self.state.step, self.state.m[keep], self.state.v[keep])
 
     def _evaluate(self, step: int):
         """The objective's info at `z`, after retiring every image whose pass
@@ -823,14 +822,17 @@ def gathered(*arrays):
     return at
 
 
-def parameters(net: Network) -> list:
-    """Dense parameters in layer order: weight, bias, weight, bias, ..."""
-    out = []
-    for layer in net.layers:
-        if isinstance(layer, Dense):
-            out.append(layer.weight)
-            out.append(layer.bias)
-    return out
+def bind_parameters(net: Network) -> Array:
+    """Every dense weight and bias of `net`, in layer order (weight, bias,
+    weight, bias, ...), copied into one float64 vector and rebound as views
+    of it; returns the vector. Updating the vector in place updates the
+    network, and its layout is that of `backward_params`."""
+    flat = np.empty(net.plan.n_params)
+    for i, (start, mid, end) in net.plan.slices.items():
+        layer = net.layers[i]
+        flat[start:mid], flat[mid:end] = layer.weight.ravel(), layer.bias
+        layer.weight, layer.bias = flat[start:mid].reshape(layer.weight.shape), flat[mid:end]
+    return flat
 
 
 def worker_count() -> int:
@@ -976,35 +978,48 @@ def save_network(net: Network, path, provenance: Optional[dict] = None) -> None:
     write_json(path, doc, indent=1)
 
 
+_NO_PARAMETERS = {layer.kind: layer for layer in (ReLU, SoftMax, Sigmoid)}
+
+
 def load_network(path) -> Network:
+    """The network saved at `path` (`save_network`). A document that does
+    not parse, or a field that holds no value a network takes, raises
+    NetworkFormatError naming the file and the field."""
     doc = read_doc(path, NETWORK_MAGIC, NetworkFormatError)
     if doc.get("format_version") != NETWORK_FORMAT_VERSION:
         raise NetworkFormatError(
             f"{path}: unsupported format version {doc.get('format_version')!r}"
         )
-    layers: list = []
-    for i, spec in enumerate(doc["layers"]):
-        kind = spec.get("kind")
-        if kind == "dense":
-            out_dim, in_dim = int(spec["out_dim"]), int(spec["in_dim"])
-            weight = decode_array(spec["weight"], (out_dim, in_dim), f"layer {i} weight")
-            bias = decode_array(spec["bias"], (out_dim,), f"layer {i} bias")
-            dense = Dense(weight, bias)
-            if _layer_checksum(dense) != spec.get("checksum"):
-                raise NetworkFormatError(f"layer {i}: checksum mismatch")
-            layers.append(dense)
-        elif kind == "relu":
-            layers.append(ReLU())
-        elif kind == "dropout":
-            layers.append(Dropout(float(spec["rate"])))
-        elif kind == "softmax":
-            layers.append(SoftMax())
-        elif kind == "sigmoid":
-            layers.append(Sigmoid())
-        else:
-            raise NetworkFormatError(f"layer {i}: unknown kind {kind!r}")
-    tap = doc["feature_tap"]
-    return Network(
-        layers, role=doc["role"], feature_tap=None if tap is None else int(tap),
-        provenance=doc["provenance"],
-    )
+    field = "layers"
+    try:
+        layers: list = []
+        for i, spec in enumerate(doc["layers"]):
+            field = f"layer {i}"
+            kind = spec.get("kind")
+            if kind == "dense":
+                field = f"layer {i} out_dim or in_dim"
+                out_dim, in_dim = int(spec["out_dim"]), int(spec["in_dim"])
+                field = f"layer {i} weight"
+                weight = decode_array(spec["weight"], (out_dim, in_dim), f"{path}: {field}")
+                field = f"layer {i} bias"
+                bias = decode_array(spec["bias"], (out_dim,), f"{path}: {field}")
+                dense = Dense(weight, bias)
+                if _layer_checksum(dense) != spec.get("checksum"):
+                    raise NetworkFormatError(f"{path}: layer {i}: checksum mismatch")
+                layers.append(dense)
+            elif kind == "dropout":
+                field = f"layer {i} rate"
+                layers.append(Dropout(float(spec["rate"])))
+            elif kind in _NO_PARAMETERS:
+                layers.append(_NO_PARAMETERS[kind]())
+            else:
+                raise NetworkFormatError(f"{path}: layer {i}: unknown kind {kind!r}")
+        field = "feature_tap"
+        tap = doc["feature_tap"]
+        tap = None if tap is None else int(tap)
+        if not isinstance(doc["provenance"], dict):
+            raise NetworkFormatError(f"{path}: provenance is not an object")
+        field = "role, feature_tap or layers"  # checked together, as the network is built
+        return Network(layers, role=doc["role"], feature_tap=tap, provenance=doc["provenance"])
+    except (TypeError, ValueError, AttributeError, DimensionError) as exc:
+        raise NetworkFormatError(f"{path}: {field}: {exc}") from exc

@@ -245,12 +245,14 @@ def _read_section(parser, section: str, cfg: RunConfig) -> dict:
     return changes
 
 
-def _replace_at(obj, path: tuple, changes: dict):
-    """Copy of `obj` with `changes` applied to the object at `path`."""
-    if not path:
-        return dataclasses.replace(obj, **changes)
-    inner = _replace_at(getattr(obj, path[0]), path[1:], changes)
-    return dataclasses.replace(obj, **{path[0]: inner})
+def _built(obj, path: tuple, changes: dict):
+    """`obj`, the object at `path`, with `changes` ({object path: {field:
+    value}}) applied at `path` and below it; each object built once."""
+    fields = dict(changes.get(path, {}))
+    for inner in changes:
+        if len(inner) == len(path) + 1 and inner[:-1] == path:
+            fields[inner[-1]] = _built(getattr(obj, inner[-1]), inner, changes)
+    return dataclasses.replace(obj, **fields) if fields else obj
 
 
 def parse_config(path: Optional[str]) -> RunConfig:
@@ -268,16 +270,18 @@ def parse_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
     # [run] first: the other sections' defaults derive from the run seed
-    cfg = RunConfig(**_read_section(parser, "run", RunConfig()).get((), {}))
+    defaults = RunConfig(**_read_section(parser, "run", RunConfig()).get((), {}))
+    sections = {}
     for section in list(_SECTIONS)[1:]:
-        for obj_path, changes in _read_section(parser, section, cfg).items():
-            try:
-                cfg = _replace_at(cfg, obj_path, changes)
-            # the section's own checks, which fail as the config is parsed,
-            # before any stage creates or writes a file
-            except (TrainingFailure, BaselineError, DataError, PipelineError) as exc:
-                raise ConfigError(f"[{section}] {exc}") from exc
-    return cfg
+        (name,) = _SECTIONS[section][0]
+        try:
+            changes = _read_section(parser, section, defaults)
+            sections[name] = _built(getattr(defaults, name), (name,), changes)
+        # the section's own checks, which fail as the config is parsed,
+        # before any stage creates or writes a file
+        except (TrainingFailure, BaselineError, DataError, PipelineError) as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+    return dataclasses.replace(defaults, **sections)  # the checks across sections
 
 
 def write_config(cfg: RunConfig, path) -> None:

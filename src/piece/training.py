@@ -9,8 +9,11 @@ from the config seed, so the same config yields bit-identical networks.
 generator, the full autoencoder, the classifier and one autoencoder per
 class. `fit` runs one of them by its model name (`fit_names`), and
 `run_jobs` runs a list of jobs on worker processes, or in this process for
-one job at a time. Each worker is a fresh interpreter with one BLAS
-thread, and its fits give the same bits as in this process.
+one job at a time. Each job carries its own arguments, so every worker
+starts at once. Each worker is a fresh interpreter with one BLAS thread,
+and its fits give the same bits as in this process. Every fit trains its
+network's dense parameters as one vector (`netcore.bind_parameters`), with
+one Adam update per batch.
 """
 
 from __future__ import annotations
@@ -133,9 +136,11 @@ def _run_epochs(
     metric_fn: Callable[[nc.Network], float],
     stop_fn: Callable[[float], bool],
 ) -> list:
-    """Train the dense arrays of `net` in place; returns the per-epoch curve."""
-    params = nc.parameters(net)
+    """Train the dense parameters of `net` in place, as one bound vector
+    (`nc.bind_parameters`); returns the per-epoch curve."""
+    params = nc.bind_parameters(net)
     state = nc.AdamState.init(params)
+    mode = "train" if net.plan.has_dropout else "eval"
     curve = []
     n = len(inputs)
     for epoch in range(cfg.epochs):
@@ -144,16 +149,12 @@ def _run_epochs(
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             seed = int(rng.integers(0, 2**63)) if net.plan.has_dropout else None
-            mode = "train" if net.plan.has_dropout else "eval"
             trace = nc.forward(net, inputs[batch], mode=mode, rng_seed=seed)
             value, out_grad = nc.loss(loss_kind, trace.outputs[-1], targets[batch])
-            grads, _ = nc.backward_params(net, trace, out_grad)
-            nc.adam_step(params, grads, state, cfg.lr)
+            nc.adam_step(params, nc.backward_params(net, trace, out_grad), state, cfg.lr)
             epoch_loss += value * len(batch)
         metric = metric_fn(net)
-        curve.append(
-            {"epoch": epoch, "train_loss": epoch_loss / n, "metric": metric}
-        )
+        curve.append({"epoch": epoch, "train_loss": epoch_loss / n, "metric": metric})
         if stop_fn(metric):
             break
     return curve
@@ -184,14 +185,8 @@ def train_classifier(
     onehot = np.eye(n_classes)[train.labels]
     rng = np.random.default_rng([cfg.seed, 102])
     curve = _run_epochs(
-        net,
-        train.flat(),
-        onehot,
-        "cross_entropy",
-        cfg,
-        rng,
-        metric_fn=lambda m: accuracy(m, test),
-        stop_fn=lambda acc: acc >= cfg.early_stop_accuracy,
+        net, train.flat(), onehot, "cross_entropy", cfg, rng,
+        metric_fn=lambda m: accuracy(m, test), stop_fn=lambda acc: acc >= cfg.early_stop_accuracy,
     )
     final_acc = curve[-1]["metric"]
     if final_acc < cfg.min_accuracy:
@@ -231,12 +226,7 @@ def _train_autoencoder(
     flat = images.reshape(len(images), -1)
     rng = np.random.default_rng([*seed_parts, 2])
     curve = _run_epochs(
-        net,
-        flat,
-        flat,
-        "mse",
-        cfg,
-        rng,
+        net, flat, flat, "mse", cfg, rng,
         metric_fn=lambda m: reconstruction_mse(m, eval_images),
         stop_fn=lambda mse: mse <= cfg.recon_mse_target * 0.5,
     )
@@ -339,23 +329,11 @@ def fit(name: str, train: Dataset, test: Dataset, cfg) -> tuple:
 
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# the arguments that every job of a worker process shares, set once by the
-# pool's initializer
-_shared: tuple = ()
 
-
-def _share(args: tuple) -> None:
-    global _shared
-    _shared = args
-
-
-def _run(fn, job):
-    return fn(job, *_shared)
-
-
-def run_jobs(fn, jobs: list, n_jobs: int, shared: tuple = ()) -> list:
-    """The outcome of `fn(job, *shared)` for each job, in order: its result,
-    or the exception it raised. `shared` goes to each worker once.
+def run_jobs(fn, jobs: list, n_jobs: int) -> list:
+    """The outcome of `fn(job)` for each job, in order: its result, or the
+    exception it raised. `fn` goes with each job, so the arguments that
+    every job shares are bound into it (`functools.partial`).
 
     With `n_jobs` 1 the jobs run here, one after another. Otherwise they run
     on `n_jobs` worker processes, each a fresh interpreter (`spawn`) whose
@@ -367,14 +345,14 @@ def run_jobs(fn, jobs: list, n_jobs: int, shared: tuple = ()) -> list:
     stopped before this returns, so no process that it starts outlives it.
     """
     if n_jobs == 1:
-        return [_outcome_here(fn, job, shared) for job in jobs]
+        return [_outcome_here(fn, job) for job in jobs]
     saved = {key: os.environ.get(key) for key in ONE_BLAS_THREAD}
     os.environ.update(ONE_BLAS_THREAD)
     try:
         ctx = multiprocessing.get_context("spawn")
         workers = min(n_jobs, len(jobs))
-        with ProcessPoolExecutor(workers, ctx, initializer=_share, initargs=(shared,)) as pool:
-            futures = [pool.submit(_run, fn, job) for job in jobs]
+        with ProcessPoolExecutor(workers, ctx) as pool:
+            futures = [pool.submit(fn, job) for job in jobs]
         return [_outcome(future) for future in futures]
     finally:
         for key, value in saved.items():
@@ -394,10 +372,10 @@ def _stop_resource_tracker() -> None:
         tracker._stop()
 
 
-def _outcome_here(fn, job, shared: tuple):
+def _outcome_here(fn, job):
     # an exception is kept as a worker's is, for the caller to raise in its order
     try:
-        return fn(job, *shared)
+        return fn(job)
     except Exception as exc:
         return exc
 

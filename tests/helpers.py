@@ -80,6 +80,11 @@ def live_children() -> set:
     return pids
 
 
+def divided(job: int, by: int) -> tuple:
+    """`divmod(job, by)`: a job function that worker processes can import."""
+    return divmod(job, by)
+
+
 def random_network(seed: int) -> tuple[nc.Network, np.ndarray, int]:
     """Small random net covering every layer kind, plus an input for it."""
     rng = np.random.default_rng(seed)
@@ -113,14 +118,16 @@ def max_gradcheck_error(seed: int, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
     over every parameter and input element of one random network."""
     net, x, drop_seed = random_network(seed)
+    params = nc.bind_parameters(net)
     rng = np.random.default_rng(seed + 999)
     target = rng.normal(size=net.output_dim)
 
     value, trace, out_grad = scalar_objective(net, x, drop_seed, target)
-    pgrads, in_grad = nc.backward_params(net, trace, out_grad)
+    pgrad = nc.backward_params(net, trace, out_grad)
+    in_grad = nc.backward(net, trace, out_grad)
 
-    def f(net_v: nc.Network, x_v: np.ndarray) -> float:
-        return scalar_objective(net_v, x_v, drop_seed, target)[0]
+    def f(x_v: np.ndarray) -> float:
+        return scalar_objective(net, x_v, drop_seed, target)[0]
 
     def rel(a: float, b: float) -> float:
         return abs(a - b) / max(1.0, abs(a), abs(b))
@@ -130,22 +137,42 @@ def max_gradcheck_error(seed: int, eps: float = 1e-5) -> float:
         xp, xm = x.copy(), x.copy()
         xp[i] += eps
         xm[i] -= eps
-        num = (f(net, xp) - f(net, xm)) / (2 * eps)
+        num = (f(xp) - f(xm)) / (2 * eps)
         worst = max(worst, rel(num, in_grad[i]))
 
-    for param, grad in zip(nc.parameters(net), pgrads):
-        flat = param.ravel()
-        gflat = grad.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            plus = f(net, x)
-            flat[j] = orig - eps
-            minus = f(net, x)
-            flat[j] = orig
-            num = (plus - minus) / (2 * eps)
-            worst = max(worst, rel(num, gflat[j]))
+    # every entry of the bound vector is a weight or bias of the network
+    for j in range(params.size):
+        orig = params[j]
+        params[j] = orig + eps
+        plus = f(x)
+        params[j] = orig - eps
+        minus = f(x)
+        params[j] = orig
+        num = (plus - minus) / (2 * eps)
+        worst = max(worst, rel(num, pgrad[j]))
     return worst
+
+
+class PerArrayAdam:
+    """Adam over a list of arrays, updated array by array in place, each
+    operation in the order `netcore.adam_step` takes: the update that one
+    `adam_step` on a network's bound parameter vector must equal."""
+
+    def __init__(self, params: list):
+        self.params = params
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.step = 0
+
+    def __call__(self, grads: list, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+        self.step += 1
+        bias1, bias2 = 1.0 - beta1**self.step, 1.0 - beta2**self.step
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= beta1
+            m += g * (1.0 - beta1)
+            v *= beta2
+            v += g * (1.0 - beta2) * g
+            p -= m / bias1 * lr / (np.sqrt(v / bias2) + eps)
 
 
 # ---------------------------------------------------------------------------

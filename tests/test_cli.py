@@ -949,6 +949,42 @@ class TestProvenance:
         assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
 
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("role", "x"), ("feature_tap", "x"), ("feature_tap", -1),
+         ("rate", None), ("rate", "x"), ("bias", 5), ("provenance", [])],
+        ids=["role-x", "tap-x", "tap-negative", "rate-null", "rate-x", "bias-number",
+             "provenance-list"],
+    )
+    def test_network_field_it_cannot_use_exits_4(self, mini_run, tmp_path, capsys, field, value):
+        # a well-formed classifier file with one field a network cannot take,
+        # recorded as train wrote it: only decoding the file finds the field
+        import shutil
+
+        from piece.datagen import file_sha256
+
+        clone = tmp_path / "mutated"
+        shutil.copytree(mini_run, clone)
+        path = clone / "models" / "classifier.json"
+        doc = json.loads(path.read_text())
+        if field == "rate":
+            next(spec for spec in doc["layers"] if spec["kind"] == "dropout")["rate"] = value
+        elif field == "bias":
+            doc["layers"][0]["bias"] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        record = clone / "stages" / "train.json"
+        rec = json.loads(record.read_text())
+        rec["files"]["models/classifier.json"] = file_sha256(path)
+        record.write_text(json.dumps(rec))
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(clone), "--index", "7", "--mode", "cf"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "models/classifier.json" in err[0] and field in err[0]
+
+
 class TestStageRecords:
     """Every stage ends by writing its record, stages/<stage>.json, of the
     files it wrote, and a stage is done only while its record exists."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import max_gradcheck_error, random_network
+from helpers import PerArrayAdam, max_gradcheck_error, random_network
 from piece import netcore as nc
 
 
@@ -360,40 +360,69 @@ class TestBackward:
     @pytest.mark.parametrize("mode", ["eval", "train"])
     @pytest.mark.parametrize("seed", range(5))
     def test_input_only_matches_parameter_pass(self, seed, mode, rows):
-        # random_network holds dense, relu, dropout, sigmoid and softmax
+        # random_network holds dense, relu, dropout, sigmoid and softmax. The
+        # two passes run one recurrence: with an identity dense layer put in
+        # front, the parameter pass gives that layer, bit for bit, what the
+        # input pass gives the network's input, and the network's own
+        # parameters what its parameter pass gives them
         net, x, drop_seed = random_network(seed)
+        front = nc.Network([dense(np.eye(len(x))), *net.layers], role=net.role)
         rng = np.random.default_rng(seed + 500)
         xs = x if rows == 1 else rng.normal(size=(rows, len(x)))
         trace = nc.forward(net, xs, mode=mode, rng_seed=drop_seed)
         g = rng.normal(size=np.shape(trace.output))
-        pgrads, full = nc.backward_params(net, trace, g)
         only = nc.backward(net, trace, g)
+        own = nc.backward_params(net, trace, g)
+        front_trace = nc.forward(front, xs, mode=mode, rng_seed=drop_seed)
+        full = nc.backward_params(front, front_trace, g)
         assert only.shape == np.shape(xs)
-        assert np.array_equal(only, full)
-        assert [pg.shape for pg in pgrads] == [p.shape for p in nc.parameters(net)]
+        assert own.shape == nc.bind_parameters(net).shape
+        d = len(x)
+        only_rows, xs_rows = np.atleast_2d(only), np.atleast_2d(xs)
+        assert np.array_equal(full[: d * d].reshape(d, d), only_rows.T @ xs_rows)
+        assert np.array_equal(full[d * d : d * d + d], only_rows.sum(axis=0))
+        assert np.array_equal(full[d * d + d :], own)
 
 
-def textbook_adam(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+def textbook_adam(param, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     """Kingma & Ba's Adam written out on fresh arrays, step by step."""
-    params = [p.copy() for p in params]
-    ms = [np.zeros_like(p) for p in params]
-    vs = [np.zeros_like(p) for p in params]
-    for t, grads in enumerate(grads_per_step, start=1):
-        for i, g in enumerate(grads):
-            ms[i] = b1 * ms[i] + (1 - b1) * g
-            vs[i] = b2 * vs[i] + (1 - b2) * g * g
-            m_hat = ms[i] / (1 - b1**t)
-            v_hat = vs[i] / (1 - b2**t)
-            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params, ms, vs
+    m = v = np.zeros_like(param)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return param, m, v
+
+
+def classifier_with_dropout(seed: int) -> nc.Network:
+    rng = np.random.default_rng(seed)
+    return nc.Network(
+        [dense(rng.normal(size=(6, 5)), rng.normal(size=6)), nc.ReLU(), nc.Dropout(0.3),
+         dense(rng.normal(size=(4, 6)), rng.normal(size=4)), nc.ReLU(),
+         dense(rng.normal(size=(3, 4)), rng.normal(size=3)), nc.SoftMax()],
+        role="classifier", feature_tap=4,
+    )
+
+
+def autoencoder(seed: int) -> nc.Network:
+    rng = np.random.default_rng(seed)
+    return nc.Network(
+        [dense(rng.normal(size=(4, 5)), rng.normal(size=4)), nc.ReLU(),
+         dense(rng.normal(size=(2, 4)), rng.normal(size=2)),
+         dense(rng.normal(size=(4, 2)), rng.normal(size=4)), nc.ReLU(),
+         dense(rng.normal(size=(5, 4)), rng.normal(size=5)), nc.Sigmoid()],
+        role="autoencoder", feature_tap=2,
+    )
 
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        p = [np.array([1.0, 2.0])]
+        p = np.array([1.0, 2.0])
         state = nc.AdamState.init(p)
-        nc.adam_step(p, [np.zeros(2)], state, lr=0.1)
-        assert np.array_equal(p[0], [1.0, 2.0])
+        nc.adam_step(p, np.zeros(2), state, lr=0.1)
+        assert np.array_equal(p, [1.0, 2.0])
         assert state.step == 1
 
     def test_first_step_matches_recurrence(self):
@@ -403,52 +432,72 @@ class TestAdam:
         m = (1 - b1) * g / (1 - b1)
         v = (1 - b2) * g * g / (1 - b2)
         expected_delta = lr * m / (math.sqrt(v) + eps)
-        p = [np.array([5.0])]
-        nc.adam_step(p, [np.array([g])], nc.AdamState.init(p), lr, b1, b2, eps)
-        assert np.isclose(5.0 - p[0][0], expected_delta, rtol=1e-12)
+        p = np.array([5.0])
+        nc.adam_step(p, np.array([g]), nc.AdamState.init(p), lr, b1, b2, eps)
+        assert np.isclose(5.0 - p[0], expected_delta, rtol=1e-12)
         assert np.isclose(expected_delta, lr / (1 + eps), rtol=1e-9)
 
     def test_matches_textbook_formula(self):
         rng = np.random.default_rng(7)
-        p0 = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-        grads_per_step = [[rng.normal(size=(3, 2)), rng.normal(size=3)] for _ in range(25)]
-        want, want_m, want_v = textbook_adam(p0, grads_per_step, 0.05)
-        p = [q.copy() for q in p0]
+        p0 = rng.normal(size=(3, 2))
+        grads = [rng.normal(size=(3, 2)) for _ in range(25)]
+        want, want_m, want_v = textbook_adam(p0, grads, 0.05)
+        p = p0.copy()
         state = nc.AdamState.init(p)
-        for grads in grads_per_step:
-            nc.adam_step(p, grads, state, 0.05)
+        for g in grads:
+            nc.adam_step(p, g, state, 0.05)
         assert state.step == 25
-        for got, expected in zip(p + state.m + state.v, want + want_m + want_v):
+        for got, expected in ((p, want), (state.m, want_m), (state.v, want_v)):
             assert np.array_equal(got, expected)
 
     def test_updates_the_given_arrays(self):
-        p = [np.ones((2, 2))]
-        given = p[0]
+        p = np.ones((2, 2))
         state = nc.AdamState.init(p)
-        m, v = state.m[0], state.v[0]
-        nc.adam_step(p, [np.ones((2, 2))], state, 0.1)
-        assert p[0] is given and state.m[0] is m and state.v[0] is v
-        assert not np.array_equal(given, np.ones((2, 2)))
+        m, v = state.m, state.v
+        nc.adam_step(p, np.ones((2, 2)), state, 0.1)
+        assert state.m is m and state.v is v
+        assert not np.array_equal(p, np.ones((2, 2)))
 
     def test_shape_mismatch_rejected(self):
-        p = [np.zeros((3, 2))]
+        p = np.zeros((3, 2))
         with pytest.raises(nc.DimensionError, match="shape"):
-            nc.adam_step(p, [np.zeros(2)], nc.AdamState.init(p), 0.1)
+            nc.adam_step(p, np.zeros(2), nc.AdamState.init(p), 0.1)
 
     def test_deterministic_runs(self):
         rng = np.random.default_rng(1)
-        p0 = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-        grads = [rng.normal(size=(3, 2)), rng.normal(size=3)]
+        p0 = rng.normal(size=9)
+        g = rng.normal(size=9)
 
         def run():
-            p = [q.copy() for q in p0]
+            p = p0.copy()
             state = nc.AdamState.init(p)
             for _ in range(25):
-                nc.adam_step(p, grads, state, 0.05)
+                nc.adam_step(p, g, state, 0.05)
             return p
 
-        a, b = run(), run()
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(run(), run())
+
+    @pytest.mark.parametrize("build", [classifier_with_dropout, autoencoder])
+    def test_bound_vector_step_moves_each_layer_as_per_array_adam(self, build):
+        # one update of the bound vector equals one update of each weight
+        # and bias on its own, bit for bit, step after step
+        net = build(3)
+        reference = PerArrayAdam([a.copy() for l in net.layers if l.kind == "dense"
+                                  for a in (l.weight, l.bias)])
+        params = nc.bind_parameters(net)
+        state = nc.AdamState.init(params)
+        rng = np.random.default_rng(4)
+        for step in range(5):
+            trace = nc.forward(net, rng.normal(size=(8, 5)), mode="train", rng_seed=step)
+            grad = nc.backward_params(net, trace, rng.normal(size=trace.output.shape))
+            nc.adam_step(params, grad, state, 0.01)
+            sizes = np.cumsum([p.size for p in reference.params])[:-1]
+            reference([g.reshape(p.shape) for g, p in zip(np.split(grad, sizes), reference.params)],
+                      0.01)
+        bound = [a for l in net.layers if l.kind == "dense" for a in (l.weight, l.bias)]
+        assert all(np.shares_memory(a, params) for a in bound)
+        assert all(np.array_equal(a, b) for a, b in zip(bound, reference.params))
+        assert not np.array_equal(reference.params[0], build(3).layers[0].weight)
 
 
 def _quadratic(seed, rows=3, dim=5):
@@ -479,9 +528,9 @@ class TestDescend:
         z = z0_ref.copy()
         g, info = reference(z, None)
         want = [(0, z.copy(), info)]
-        state = nc.AdamState.init([z])
+        state = nc.AdamState.init(z)
         for step in range(1, 41):
-            nc.adam_step([z], [g], state, 0.05)
+            nc.adam_step(z, g, state, 0.05)
             g, info = reference(z, None)
             want.append((step, z.copy(), info))
         assert [s for s, _, _ in got] == [s for s, _, _ in want]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import types
@@ -6,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from helpers import live_children, watched
+from helpers import divided, live_children, watched
 from piece import netcore as nc
 from piece import pipeline as pl
 from piece import training as tr
@@ -210,9 +211,9 @@ class TestRunJobs:
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_outcomes_in_job_order(self, n_jobs):
-        outcomes = tr.run_jobs(divmod, [7, 0, 9], n_jobs, shared=(0,))
+        outcomes = tr.run_jobs(functools.partial(divided, by=0), [7, 0, 9], n_jobs)
         assert all(isinstance(out, ZeroDivisionError) for out in outcomes)
-        outcomes = tr.run_jobs(divmod, [7, 9, 4], n_jobs, shared=(2,))
+        outcomes = tr.run_jobs(functools.partial(divided, by=2), [7, 9, 4], n_jobs)
         assert outcomes == [(3, 1), (4, 1), (2, 0)]
 
     def test_dead_worker_fails_its_job(self):
@@ -229,8 +230,9 @@ class TestRunJobs:
             autoencoders=tr.AutoencoderConfig(epochs=2, seed=6),
         )
         names = tr.fit_names(4)
-        here = tr.run_jobs(tr.fit, names, 1, (train, test, sections))
-        there = tr.run_jobs(tr.fit, names, 2, (train, test, sections))
+        job = functools.partial(tr.fit, train=train, test=test, cfg=sections)
+        here = tr.run_jobs(job, names, 1)
+        there = tr.run_jobs(job, names, 2)
         for name, a, b in zip(names, here, there):
             assert saved_bytes(a[0], tmp_path / "a.json") == saved_bytes(b[0], tmp_path / "b.json")
             assert a[1] == b[1], name
