@@ -24,6 +24,7 @@ import numpy as np
 from scipy import special
 
 _FAMILY_ORDER = {"gaussian": 0, "gamma": 1, "exponential": 2}
+FAMILIES = tuple(_FAMILY_ORDER)
 
 # fewer-parameter candidate wins if its p-value reaches this fraction of the best
 _PARSIMONY_FACTOR = 0.5

@@ -30,21 +30,17 @@ def mc_dropout(
     passes: int = 1000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Mean and sample std of the target-class probability over stochastic
-    dropout forward passes.
-
-    Pass i is the train-mode pass seeded with seed + i, so its dropout masks
-    are those of `forward(classifier, image, "train", rng_seed=seed + i)`,
-    bit for bit; all passes run as one batch (`netcore.forward_passes`),
-    the layers before the first dropout once, and every pass's masks come
-    at once from the closed form of its `default_rng` stream
-    (`netcore.uniform_streams`)."""
+    """Mean and sample std (ddof 1) of the target-class probability over
+    `passes` dropout passes: the rows of one train-mode `forward` of the
+    image repeated `passes` times, seeded with `seed`, so that one
+    `default_rng(seed)` stream draws every pass's masks. One pass has std 0.0."""
     if not classifier.plan.has_dropout:
         raise MetricError("classifier has no dropout layer; mc_dropout undefined")
     if passes < 1:
         raise MetricError("need at least one pass")
     flat = np.asarray(image, dtype=np.float64).ravel()
-    probs = nc.forward_passes(classifier, flat, range(seed, seed + passes))
+    rows = np.repeat(flat[None, :], passes, axis=0)
+    probs = nc.forward(classifier, rows, "train", rng_seed=seed).output
     values = probs[:, target_class]
     std = float(np.std(values, ddof=1)) if passes > 1 else 0.0
     return float(np.mean(values)), std

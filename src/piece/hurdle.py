@@ -20,14 +20,15 @@ falls below alpha, through one of four tail events:
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import netcore as nc
-from .datagen import Dataset
-from .distfit import FittedDist, fit_best
+from .datagen import CLASS_NAMES, Dataset
+from .distfit import FAMILIES, FittedDist, fit_best
 
 MIN_POSITIVE_SAMPLES = 20  # below this, no PDF is fitted
 
@@ -251,14 +252,31 @@ def save_stats(table: StatsTable, path) -> None:
     nc.write_json(path, doc, indent=1)
 
 
+def _finite(value) -> bool:
+    """Whether a decoded JSON value is a finite float64 (a bool is not)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def load_stats(path) -> StatsTable:
+    """The stats table saved at `path` (`save_stats`). A model whose `theta`
+    is not a number in [0, 1], whose `family` is unknown, or whose `params`
+    is not a mapping of finite numbers raises HurdleError naming the file,
+    the class, the neuron and the key."""
     doc = nc.read_doc(path, STATS_MAGIC, HurdleError)
     models = []
-    for row in doc["classes"]:
+    for c, row in enumerate(doc["classes"]):
         neurons = []
-        for rec in row:
+        for i, rec in enumerate(row):
+            where = f"{path}: class {c}, neuron {i}"
+            if not (_finite(rec["theta"]) and 0 <= rec["theta"] <= 1):
+                raise HurdleError(f"{where}: theta {rec['theta']!r} is not a number in [0, 1]")
             dist = None
             if rec["family"] != "degenerate":
+                if rec["family"] not in FAMILIES:
+                    raise HurdleError(f"{where}: family {rec['family']!r} is unknown")
+                params = rec["params"]
+                if not (isinstance(params, dict) and all(map(_finite, params.values()))):
+                    raise HurdleError(f"{where}: params is not a mapping of finite numbers")
                 dist = FittedDist(**{k: rec[k] for k in _DIST_KEYS})
             neurons.append(NeuronClassModel(dist=dist, **{k: rec[k] for k in _MODEL_KEYS}))
         models.append(neurons)
@@ -276,8 +294,19 @@ def save_latents(latents: np.ndarray, predicted: np.ndarray, path) -> None:
 
 
 def load_latents(path) -> tuple[np.ndarray, np.ndarray]:
+    """The latent matrix and the predicted classes saved at `path`
+    (`save_latents`). A `latents` that is not a string, a `shape` that is
+    not two counts, or a `predicted` that is not one class index per latent
+    row raises HurdleError naming the file and the key."""
     doc = nc.read_doc(path, "piece-latents", HurdleError)
-    latents = nc.decode_array(
-        doc["latents"], tuple(doc["shape"]), f"{path}: latents", HurdleError
-    )
-    return latents, np.asarray(doc["predicted"], dtype=np.int64)
+    shape, predicted = doc["shape"], doc["predicted"]
+    if not isinstance(doc["latents"], str):
+        raise HurdleError(f"{path}: latents: not a string")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(v) is int and v >= 0 for v in shape)):
+        raise HurdleError(f"{path}: shape: {shape!r} is not two counts")
+    if not (isinstance(predicted, list) and len(predicted) == shape[0]
+            and all(type(v) is int and 0 <= v < len(CLASS_NAMES) for v in predicted)):
+        raise HurdleError(f"{path}: predicted: not one class index per latent row")
+    latents = nc.decode_array(doc["latents"], tuple(shape), f"{path}: latents", HurdleError)
+    return latents, np.asarray(predicted, dtype=np.int64)

@@ -15,10 +15,9 @@ is the one Adam update of one array, in place; training runs it on a
 network's bound parameter vector, and `Descent`, the Adam loop over latent
 codes, on a copy of each point it yields, so its caller writes the stop
 rule as the body of a `for` loop.
-`forward_passes` runs many seeded train-mode passes of one input as one
-batch, each pass drawing its masks as `forward` would, from
-`uniform_streams`, which computes numpy's `default_rng` streams of many
-seeds at once, in closed form.
+A train-mode `forward` draws the dropout masks of all its rows from one
+`default_rng(rng_seed)` stream, so many stochastic passes of one input are
+one call on that input repeated row by row (`evalx.mc_dropout`).
 
 Image axis: `forward` and `backward` take a vector, a batch of rows
 `(rows, d)`, or a stack of such batches `(n, rows, d)`, one per image. Every
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import base64
 import contextlib
-import functools
 import hashlib
 import json
 import math
@@ -334,7 +332,9 @@ def forward(
     x, squeezed = _as_batch(input)
     plan = net.plan
     if x.shape[-1] != plan.input_dim:
-        _check_width(net, x)
+        raise DimensionError(
+            f"input width {x.shape[-1]} does not match first dense layer ({net.input_dim})"
+        )
     draw = None
     if mode == "train" and plan.has_dropout:
         if rng_seed is None:
@@ -343,183 +343,6 @@ def forward(
     checks = plan.checks[mode if check_finite else "off"]
     outputs, masks = _run_layers(plan.steps, checks, x, draw)
     return ForwardTrace(x, outputs, masks, squeezed, plan)
-
-
-def forward_passes(net: Network, input, seeds) -> Array:
-    """Outputs of the train-mode passes of one input vector, one row per seed.
-
-    Row i equals `forward(net, input, "train", rng_seed=seeds[i]).output` up
-    to the rounding of a batched matrix product: each dropout layer with a
-    rate above 0 takes row i of its mask from the next draws of pass i's own
-    stream, the one `default_rng(seeds[i])` gives, in the order and width
-    the single pass would draw them. The draws of every stream come at once
-    from `uniform_streams`, in closed form. The layers before the first
-    dropout with a rate above 0 run once, on the single input row; the rest
-    run as one batch of rows. Finiteness is checked as in `forward`. A seed
-    outside [0, 2**64) raises DimensionError.
-    """
-    x, squeezed = _as_batch(input)
-    if not squeezed:
-        raise DimensionError(f"input must be one vector, got shape {x.shape}")
-    _check_width(net, x)
-    seeds = _seed_array(seeds)
-    drawn = 0
-
-    def draw(shape):
-        # row i from pass i's stream; the input has one row, shared by every
-        # pass, up to the first mask drawn, and one row per pass after it
-        nonlocal drawn
-        u = uniform_streams(seeds, drawn, shape[1])
-        drawn += shape[1]
-        return u
-
-    outputs, _ = _run_layers(net.plan.steps, net.plan.checks["train"], x, draw)
-    out = outputs[-1]
-    # with no dropout to draw, every pass is the one row computed
-    return out if len(out) == len(seeds) else np.repeat(out, len(seeds), axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Dropout streams: numpy's default_rng in closed form
-#
-# `default_rng(s)` is PCG64, the XSL-RR 128/64 generator (O'Neill, "PCG: A
-# family of simple fast space-efficient statistically good algorithms for
-# random number generation", https://www.pcg-random.org/paper.html), seeded
-# through `SeedSequence(s)`. Its state is a 128-bit linear congruential
-# sequence, so every draw of every stream is a closed-form function of the
-# seed. The arithmetic is unsigned and wraps on arrays, without a warning.
-
-_M32 = 0xFFFFFFFF
-_SEED_RANGE = "[0, 2**64)"
-# SeedSequence: hash and mix constants of its 4-word uint32 pool
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_SS_POOL = 4
-# PCG64's 128-bit multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_array(seeds) -> Array:
-    """`seeds` as a uint64 vector; a seed outside [0, 2**64) is refused."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
-        return seeds.ravel()
-    try:
-        values = [operator.index(s) for s in seeds]
-    except TypeError:
-        raise DimensionError(f"seeds must be integers in {_SEED_RANGE}") from None
-    for s in (min(values, default=0), max(values, default=0)):
-        if not 0 <= s < 2**64:
-            raise DimensionError(f"seed {s} is outside {_SEED_RANGE}")
-    return np.array(values, dtype=np.uint64)
-
-
-def _pcg64_seeding(seeds: Array) -> tuple[Array, Array, Array, Array]:
-    """PCG64's (initstate, inc) of each seed as 64-bit halves, (n, 1) each:
-    `SeedSequence(s).generate_state(4, uint64)` gives w0..w3, and
-    initstate = w0:w1, inc = (w2:w3 << 1) | 1."""
-    hash_a = _SS_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ np.uint32(hash_a)
-        hash_a = hash_a * _SS_MULT_A & _M32
-        value = value * np.uint32(hash_a)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
-        return out ^ (out >> 16)
-
-    # a seed below 2**64 is at most 2 entropy words; the pool pads with 0
-    zero = np.zeros(len(seeds), np.uint32)
-    words = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
-    pool = [hashmix(w) for w in words + [zero] * (_SS_POOL - len(words))]
-    for src in range(_SS_POOL):
-        for dst in range(_SS_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_b = _SS_INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % _SS_POOL] ^ np.uint32(hash_b)
-        hash_b = hash_b * _SS_MULT_B & _M32
-        value = value * np.uint32(hash_b)
-        state.append((value ^ (value >> 16)).astype(np.uint64)[:, None])
-    w0, w1, w2, w3 = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
-    return w0, w1, (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
-
-
-@functools.lru_cache(maxsize=16)
-def _stream_constants(start: int, width: int) -> tuple:
-    """For draws start..start+width-1, the 64-bit halves of A = a^(k+2) and
-    B = sum of a^j over j < k+3, so that draw k's state is A·initstate +
-    B·inc mod 2**128; with the 32-bit halves of the low words."""
-    a_pow = _PCG_MULT**2 % 2**128
-    a_sum = (1 + _PCG_MULT + a_pow) % 2**128
-    pows, sums = [], []
-    for _ in range(start + width):
-        pows.append(a_pow)
-        sums.append(a_sum)
-        a_pow = a_pow * _PCG_MULT % 2**128
-        a_sum = (a_sum + a_pow) % 2**128
-    out = []
-    for values in (pows[start:], sums[start:]):
-        hi = np.array([v >> 64 for v in values], dtype=np.uint64)
-        lo = np.array([v & 2**64 - 1 for v in values], dtype=np.uint64)
-        halves = (hi, lo, lo & _M32, lo >> 32)
-        for h in halves:  # shared by every caller of the cache
-            h.flags.writeable = False
-        out.append(halves)
-    return tuple(out)
-
-
-def _mul128(x_hi: Array, x_lo: Array, c) -> tuple[Array, Array]:
-    """High and low words of x·c mod 2**128, for x a column of (n, 1) halves
-    and c one of `_stream_constants`' rows: (n, width) each."""
-    c_hi, c_lo, c0, c1 = c
-    x0, x1 = x_lo & _M32, x_lo >> 32
-    # the high word of the 64x64-bit product x_lo·c_lo, from 32-bit halves
-    low = x0 * c0
-    mid = x1 * c0
-    mid += low >> 32
-    carry = mid & _M32
-    carry += x0 * c1
-    hi = x1 * c1
-    hi += mid >> 32
-    hi += carry >> 32
-    hi += x_lo * c_hi
-    hi += x_hi * c_lo
-    return hi, x_lo * c_lo
-
-
-def uniform_streams(seeds, start: int, width: int) -> Array:
-    """Draws start..start+width-1 of the doubles of each seed's stream:
-    row i equals `np.random.default_rng(seeds[i]).random(start + width)[start:]`
-    bit for bit, for every seed in [0, 2**64). Shape (len(seeds), width)."""
-    seeds = _seed_array(seeds)
-    init_hi, init_lo, inc_hi, inc_lo = _pcg64_seeding(seeds)
-    a, b = _stream_constants(start, width)
-    hi, lo = _mul128(init_hi, init_lo, a)
-    hi_b, lo_b = _mul128(inc_hi, inc_lo, b)
-    lo += lo_b
-    hi += hi_b
-    hi += lo < lo_b
-    # XSL-RR output: the xor of the halves rotated right by the top 6 bits
-    rot = hi >> 58
-    lo ^= hi
-    out = lo >> rot
-    out |= lo << ((64 - rot) & 63)
-    out >>= 11
-    return out * 2.0**-53
-
-
-def _check_width(net: Network, x: Array) -> None:
-    if x.shape[-1] != net.input_dim:
-        raise DimensionError(
-            f"input width {x.shape[-1]} does not match first dense layer "
-            f"({net.input_dim})"
-        )
 
 
 # overflow surfaces as a NumericsError (or a deliberately tolerated

@@ -1246,6 +1246,37 @@ class TestConfigHoles:
         assert err == ["error: [classifier] dropout must be in [0, 1), got 1.0"]
         assert not (run_dir / "models").exists()  # no model was written
 
+    @pytest.mark.parametrize(
+        "section,key,value,code,named",
+        [
+            ("classifier", "min_accuracy", "1e9", 1, "classifier"),
+            ("generator", "recon_mse_target", "0", 1, "generator"),
+            # an autoencoder's target only stops its fit early: every epoch runs
+            ("autoencoders", "recon_mse_target", "0", 0, None),
+        ],
+    )
+    def test_unreachable_fit_target(self, tmp_path, capsys, section, key, value, code, named):
+        cfg_path = tmp_path / "mini.ini"
+        cfg_path.write_text(MINI_CONFIG)
+        run_dir = tmp_path / "run"
+        assert main(["datagen", "--run-dir", str(run_dir), "--config", str(cfg_path)]) == 0
+        ini = configparser.ConfigParser()
+        ini.read(run_dir / "config.ini")
+        ini[section][key] = value
+        with open(run_dir / "config.ini", "w") as fh:
+            ini.write(fh)
+        capsys.readouterr()
+        assert main(["train", "--run-dir", str(run_dir), "--jobs", "1"]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        done = (run_dir / "stages" / "train.json").exists()
+        if code:
+            assert len(err) == 1 and err[0].startswith(f"error: {named} "), err
+            assert not done
+        else:
+            assert err == [] and done
+            for name in ("ae_class_0", "ae_class_1", "ae_class_2", "ae_class_3", "ae_full"):
+                assert (run_dir / "models" / f"{name}.json").exists()
+
 
 class TestExperimentCommand:
     def test_experiment1_structural(self, mini_run):

@@ -34,6 +34,40 @@ class TestMcDropout:
         with pytest.raises(evalx.MetricError, match="dropout"):
             evalx.mc_dropout(clf, np.array([1.0, 0.0]), 0)
 
+    @staticmethod
+    def dropout_net():
+        rng = np.random.default_rng(3)
+        layers = [
+            nc.Dense(rng.normal(size=(6, 3)), rng.normal(size=6)),
+            nc.ReLU(),
+            nc.Dropout(0.5),
+            nc.Dense(rng.normal(size=(4, 6)), rng.normal(size=4)),
+            nc.SoftMax(),
+        ]
+        return nc.Network(layers, role="generator"), np.array([0.8, -0.3, 1.5])
+
+    @pytest.mark.parametrize("c", [0, 3])
+    def test_one_train_mode_pass_of_the_repeated_image(self, c):
+        clf, image = self.dropout_net()
+        mean, std = evalx.mc_dropout(clf, image, c, passes=64, seed=11)
+        rows = np.repeat(image[None, :], 64, axis=0)
+        probs = nc.forward(clf, rows, "train", rng_seed=11).output[:, c]
+        assert mean == float(np.mean(probs))
+        assert std == float(np.std(probs, ddof=1))
+        assert std > 0.0
+
+    def test_two_seeds_differ(self):
+        clf, image = self.dropout_net()
+        a = evalx.mc_dropout(clf, image, 0, passes=64, seed=11)
+        b = evalx.mc_dropout(clf, image, 0, passes=64, seed=12)
+        assert a[0] != b[0] and a[1] != b[1]
+
+    def test_one_pass_has_std_zero(self):
+        clf, image = self.dropout_net()
+        mean, std = evalx.mc_dropout(clf, image, 2, passes=1, seed=5)
+        assert std == 0.0
+        assert mean == nc.forward(clf, image[None, :], "train", rng_seed=5).output[0, 2]
+
     def test_deterministic_given_seed(self, toy_run):
         arts = toy_run["arts"]
         image = arts.test_data.images[0]

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -245,8 +248,6 @@ class TestStatsIo:
         assert np.array_equal(back, predicted)
 
     def test_truncated_latents_raise_hurdle_error(self, tmp_path, toy_run):
-        import json
-
         arts = toy_run["arts"]
         path = tmp_path / "latents.json"
         hd.save_latents(arts.latents, np.zeros(len(arts.latents), dtype=np.int64), path)
@@ -261,3 +262,70 @@ class TestStatsIo:
         path.write_text('{"format": "other"}')
         with pytest.raises(hd.HurdleError):
             hd.load_stats(path)
+
+
+BAD_VALUES = [None, "x", -1, 0, 1.5, True, [], {}, 1e308, 5]
+
+
+class TestDecoderRefusals:
+    """A stats or latents document whose field no reader can use is refused
+    with HurdleError naming the file and the key, not let through or left to
+    an untyped exception further on."""
+
+    @pytest.fixture
+    def latents_doc(self, tmp_path):
+        path = tmp_path / "latents.json"
+        hd.save_latents(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("key", ["latents", "shape", "predicted"])
+    def test_latents_field(self, latents_doc, key, value):
+        path, doc = latents_doc
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(hd.HurdleError, match=rf"{re.escape(str(path))}: {key}"):
+            hd.load_latents(path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("shape", [3, True]), ("shape", [3, 2, 1]), ("shape", [3, -2]),
+         ("predicted", [0, True, 2]), ("predicted", [0, -1, 2]), ("predicted", [0, 1]),
+         ("predicted", [0, 1.0, 2]), ("predicted", [0, 4, 2]), ("predicted", [0, 2**64, 2])],
+    )
+    def test_latents_entries(self, latents_doc, key, value):
+        path, doc = latents_doc
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(hd.HurdleError, match=rf"{re.escape(str(path))}: {key}"):
+            hd.load_latents(path)
+
+    @pytest.fixture
+    def stats_doc(self, tmp_path):
+        fitted = model_with("gaussian", {"mean": 1.0, "std": 0.5})
+        degenerate = hd.NeuronClassModel(10, 2, 0.2, None, 1.5)
+        path = tmp_path / "stats.json"
+        hd.save_stats(hd.StatsTable([[degenerate, degenerate], [degenerate, fitted]]), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("theta", v) for v in [-1, 1e308, True, None, "x", [], 1.5, 2**1100]]
+        + [("params", v) for v in [None, "x", [], 1, {"mean": "x", "std": 0.5},
+                                  {"mean": True, "std": 0.5}, {"mean": 1.0, "std": None}]]
+        + [("family", v) for v in ["x", "degenerat", None, 1, []]],
+    )
+    def test_stats_field(self, stats_doc, key, value):
+        path, doc = stats_doc
+        doc["classes"][1][1][key] = value
+        path.write_text(json.dumps(doc))
+        where = rf"{re.escape(str(path))}: class 1, neuron 1: {key}"
+        with pytest.raises(hd.HurdleError, match=where):
+            hd.load_stats(path)
+
+    def test_stats_bounds_accepted(self, stats_doc):
+        path, doc = stats_doc
+        doc["classes"][0][0]["theta"], doc["classes"][0][1]["theta"] = 0, 1
+        path.write_text(json.dumps(doc))
+        table = hd.load_stats(path)
+        assert (table.models[0][0].theta, table.models[0][1].theta) == (0, 1)

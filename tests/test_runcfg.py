@@ -190,8 +190,10 @@ KNOWN_TO_RUN = {
     ("classifier", "early_stop_accuracy", "1e9"): "never stops early: runs every epoch",
     **{("classifier", "min_accuracy", v): "accepts any classifier" for v in ("0", "-1")},
     ("classifier", "min_accuracy", "1e9"): "no classifier reaches it: train exits 1 naming it",
-    **{(s, "recon_mse_target", v): "no fit reaches it: train exits 1 naming it"
-       for s in ("generator", "autoencoders") for v in ("0", "-1")},
+    **{("generator", "recon_mse_target", v): "no fit reaches it: train exits 1 naming it"
+       for v in ("0", "-1")},
+    **{("autoencoders", "recon_mse_target", v): "only stops a fit early: every epoch runs"
+       for v in ("0", "-1")},
     **{(s, "recon_mse_target", "1e9"): "every fit reaches it, after its first epoch"
        for s in ("generator", "autoencoders")},
     ("baselines", "lambda", "1e9"): "a weight: the search leans on its class term",
