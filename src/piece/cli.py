@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 a stage that failed as it ran (training, data,
 pipeline, numerical overflow or metric error), 2 configuration error, 3
 missing prerequisite stage or run file, 4 run artifacts that do not verify
 (a file whose sha256 differs from the one its stage record holds, a
-damaged stage record, a provenance mismatch, or a damaged model, stats,
-latents, dataset or stored inversion file), 5 experiment failure
+damaged stage record, one whose `after` is not the sha256 of the record
+of the stage it builds on, an edited [dataset] key, or a damaged model,
+stats, latents, dataset or stored inversion file), 5 experiment failure
 fraction above the configured threshold.
 """
 
@@ -103,36 +104,31 @@ def cmd_datagen(args) -> int:
 def cmd_train(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths, "datagen")
-    with paths.stage("train", args.force) as out:
+    with paths.stage("train", args.force, after=arts.records["datagen"]) as out:
         cfg, train, test = arts.config, arts.train_data, arts.test_data
-        provenance = {"dataset_sha": arts.dataset_sha}
         n_classes = int(train.labels.max()) + 1
         names = fit_names(n_classes)
         job = functools.partial(fit, train=train, test=test, cfg=cfg)
-        outcomes = dict(zip(names, run_jobs(job, names, args.jobs)))
+        outcomes = run_jobs(job, names, args.jobs)
+        if isinstance(outcomes[-1], BaseException):  # the first failure, before any write
+            raise outcomes[-1]
+        fits = dict(zip(names, outcomes))
 
-        def fitted(name):
-            # fits are taken in the order a serial run makes them, so the first
-            # failure in that order is raised, after the files before it are saved
-            if isinstance(outcomes[name], BaseException):
-                raise outcomes[name]
-            return outcomes[name]
-
-        classifier, clf_report = fitted("classifier")
-        nc.save_network(classifier, out.models("classifier.json"), provenance)
+        classifier, clf_report = fits["classifier"]
+        nc.save_network(classifier, out.models("classifier.json"))
         clf_report.save(out.reports("training_classifier.json"))
         print(f"train: classifier test accuracy {clf_report.final['test_accuracy']:.4f}")
 
-        generator, gen_report = fitted("generator")
-        nc.save_network(generator, out.models("generator.json"), provenance)
+        generator, gen_report = fits["generator"]
+        nc.save_network(generator, out.models("generator.json"))
         gen_report.save(out.reports("training_generator.json"))
         print(f"train: generator test reconstruction MSE {gen_report.final['test_mse']:.5f}")
 
-        class_fits = [fitted(f"ae_class_{cls}") for cls in range(n_classes)]
-        ae_full, full_curve = fitted("ae_full")
+        class_fits = [fits[f"ae_class_{cls}"] for cls in range(n_classes)]
+        ae_full, full_curve = fits["ae_full"]
         for cls, (net, _) in enumerate(class_fits):
-            nc.save_network(net, out.models(f"ae_class_{cls}.json"), provenance)
-        nc.save_network(ae_full, out.models("ae_full.json"), provenance)
+            nc.save_network(net, out.models(f"ae_class_{cls}.json"))
+        nc.save_network(ae_full, out.models("ae_full.json"))
         ae_report = autoencoders_report(
             cfg.autoencoders, [curve for _, curve in class_fits], full_curve
         )
@@ -144,11 +140,9 @@ def cmd_train(args) -> int:
 def cmd_fit_stats(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths, "train")
-    with paths.stage("fit-stats", args.force) as out:
+    with paths.stage("fit-stats", args.force, after=arts.records["train"]) as out:
         cfg = arts.config
-        table, latents, predicted = fit_stats(
-            arts.classifier, arts.train_data, arts.classifier_sha, arts.dataset_sha
-        )
+        table, latents, predicted = fit_stats(arts.classifier, arts.train_data)
         save_stats(table, out.stats("stats.json"))
         save_latents(latents, predicted, out.stats("latents.json"))
     degenerate = sum(1 for row in table.models for m in row if m.degenerate)
@@ -233,7 +227,8 @@ def cmd_explain(args) -> int:
 def cmd_experiment(args) -> int:
     paths = RunPaths(args.run_dir)
     arts = load_run(paths)
-    with paths.stage(f"experiment {args.expt}", args.force) as out:
+    after = arts.records["fit-stats"]
+    with paths.stage(f"experiment {args.expt}", args.force, after=after) as out:
         arts.decode_all()  # inputs that do not verify leave the reports as they were
         runner = ex.run_experiment1 if args.expt == 1 else ex.run_experiment2
         summary = runner(arts, out)

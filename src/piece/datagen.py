@@ -17,7 +17,6 @@ from .netcore import (
     Array,
     atomic_write,
     decode_array,
-    decode_rows,
     encode_array,
     read_doc,
     write_json,
@@ -206,8 +205,8 @@ def save_dataset(data: Dataset, path) -> None:
 def load_dataset(path, rows=None) -> Dataset:
     """The dataset file at `path`. With `rows`, a sequence of image indices,
     a Dataset of only those images and their labels, in that order, each
-    decoded from its own bytes of the payload (`decode_rows`), bit for bit
-    as the whole set decodes it.
+    decoded from its own bytes of the payload (`decode_array` with rows), bit
+    for bit as the whole set decodes it.
 
     Either way the whole document is parsed and checked: its magic, that it
     holds every key, that `shape` is three counts, `labels` one class index
@@ -232,13 +231,10 @@ def load_dataset(path, rows=None) -> Dataset:
     if not isinstance(payload, str):
         raise DatasetFormatError(f"{path}: images is not base64 text")
     labels = np.array(labels, dtype=np.int64)
-    where = f"{path}: images"
-    if rows is None:
-        images = decode_array(payload, tuple(shape), where, DatasetFormatError)
-    else:
+    if rows is not None:
         rows = list(rows)
-        images = decode_rows(payload, tuple(shape), rows, where, DatasetFormatError)
         labels = labels[rows]
+    images = decode_array(payload, tuple(shape), f"{path}: images", DatasetFormatError, rows)
     try:
         return Dataset(images, labels, split)
     except DataError as exc:

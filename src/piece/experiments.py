@@ -188,7 +188,7 @@ def record(value):
 
 def _write_record(paths: RunPaths, subdir: str, tag: str, res, arts: RunArtifacts) -> None:
     """`res` as explanations/<subdir>/<tag>.json with the run's provenance."""
-    provenance = {"classifier_sha": arts.classifier_sha, "dataset_sha": arts.dataset_sha}
+    provenance = {"classifier_sha": arts.classifier_sha, "dataset_sha": arts.records["datagen"]}
     doc = {**record(res), "provenance": provenance}
     nc.write_json(paths.explanations(subdir, f"{tag}.json"), doc, indent=1)
 

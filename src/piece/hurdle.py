@@ -107,8 +107,6 @@ def collect_latents(classifier: nc.Network, data: Dataset) -> tuple[np.ndarray, 
 @dataclass
 class StatsTable:
     models: list  # models[class][neuron] -> NeuronClassModel
-    classifier_sha: str = ""
-    dataset_sha: str = ""
 
     @property
     def n_classes(self) -> int:
@@ -122,12 +120,7 @@ class StatsTable:
         return [c for c, ms in enumerate(self.models) if ms and ms[0].m == 0]
 
 
-def fit_stats(
-    classifier: nc.Network,
-    data: Dataset,
-    classifier_sha: str = "",
-    dataset_sha: str = "",
-) -> tuple[StatsTable, np.ndarray, np.ndarray]:
+def fit_stats(classifier: nc.Network, data: Dataset) -> tuple[StatsTable, np.ndarray, np.ndarray]:
     """Fit the full per-class hurdle table from training data.
 
     Returns the table plus the latent matrix and predicted classes so
@@ -139,8 +132,7 @@ def fit_stats(
         part = latents[predicted == cls]
         row = [fit_neuron(part[:, i]) for i in range(latents.shape[1])]
         models.append(row)
-    table = StatsTable(models, classifier_sha, dataset_sha)
-    return table, latents, predicted
+    return StatsTable(models), latents, predicted
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +235,7 @@ def save_stats(table: StatsTable, path) -> None:
             rec.update(asdict(mod.dist) if mod.dist else {"family": "degenerate"})
             neurons.append(rec)
         classes.append(neurons)
-    doc = {
-        "format": STATS_MAGIC,
-        "classifier_sha": table.classifier_sha,
-        "dataset_sha": table.dataset_sha,
-        "classes": classes,
-    }
-    nc.write_json(path, doc, indent=1)
+    nc.write_json(path, {"format": STATS_MAGIC, "classes": classes}, indent=1)
 
 
 def _finite(value) -> bool:
@@ -257,30 +243,55 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+# what each field of a stats record must hold, as (check, description): the
+# fields of every model, then those of a fitted model's density
+_MODEL_FIELDS = {
+    "m": (_count, "a count"),
+    "q": (_count, "a count"),
+    "theta": (lambda v: _finite(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "positive_mean": (lambda v: v is None or _finite(v), "null or a finite number"),
+    "family": (lambda v: v == "degenerate" or v in FAMILIES, "degenerate or a known family"),
+}
+_DIST_FIELDS = {
+    "loc_fixed": (lambda v: type(v) is bool, "a bool"),
+    "params": (lambda v: isinstance(v, dict) and all(map(_finite, v.values())),
+               "a mapping of finite numbers"),
+    "ks_stat": (_finite, "a finite number"),
+    "ks_p": (_finite, "a finite number"),
+}
+_FITTED_FIELDS = {**_MODEL_FIELDS, **_DIST_FIELDS}
+
+
 def load_stats(path) -> StatsTable:
-    """The stats table saved at `path` (`save_stats`). A model whose `theta`
-    is not a number in [0, 1], whose `family` is unknown, or whose `params`
-    is not a mapping of finite numbers raises HurdleError naming the file,
-    the class, the neuron and the key."""
+    """The stats table saved at `path` (`save_stats`). A `classes` that is not
+    a list of lists of objects raises HurdleError naming the file; a model
+    field that does not hold what `_MODEL_FIELDS` or, for a fitted model,
+    `_DIST_FIELDS` asks, raises HurdleError naming the file, the class, the
+    neuron and the key."""
     doc = nc.read_doc(path, STATS_MAGIC, HurdleError)
+    classes = doc["classes"]
+    if not (isinstance(classes, list) and all(
+            isinstance(row, list) and all(isinstance(rec, dict) for rec in row)
+            for row in classes)):
+        raise HurdleError(f"{path}: classes: not a list of lists of objects")
     models = []
-    for c, row in enumerate(doc["classes"]):
+    for c, row in enumerate(classes):
         neurons = []
         for i, rec in enumerate(row):
-            where = f"{path}: class {c}, neuron {i}"
-            if not (_finite(rec["theta"]) and 0 <= rec["theta"] <= 1):
-                raise HurdleError(f"{where}: theta {rec['theta']!r} is not a number in [0, 1]")
-            dist = None
-            if rec["family"] != "degenerate":
-                if rec["family"] not in FAMILIES:
-                    raise HurdleError(f"{where}: family {rec['family']!r} is unknown")
-                params = rec["params"]
-                if not (isinstance(params, dict) and all(map(_finite, params.values()))):
-                    raise HurdleError(f"{where}: params is not a mapping of finite numbers")
-                dist = FittedDist(**{k: rec[k] for k in _DIST_KEYS})
+            fitted = rec["family"] != "degenerate"
+            for key, (check, what) in (_FITTED_FIELDS if fitted else _MODEL_FIELDS).items():
+                if not check(rec[key]):
+                    raise HurdleError(
+                        f"{path}: class {c}, neuron {i}: {key} {rec[key]!r} is not {what}"
+                    )
+            dist = FittedDist(**{k: rec[k] for k in _DIST_KEYS}) if fitted else None
             neurons.append(NeuronClassModel(dist=dist, **{k: rec[k] for k in _MODEL_KEYS}))
         models.append(neurons)
-    return StatsTable(models, doc["classifier_sha"], doc["dataset_sha"])
+    return StatsTable(models)
 
 
 def save_latents(latents: np.ndarray, predicted: np.ndarray, path) -> None:

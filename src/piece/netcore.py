@@ -28,6 +28,9 @@ them (`tests/test_netcore.py` pins this). One flat 2-d batch of all the
 images' rows would not: it rounds differently. A `NumericsError` raised by
 a stacked pass names the images that hold the non-finite values, so a
 search over a stack can drop those images and keep the rest.
+
+Every array a file stores is base64 text of its float64 bytes
+(`encode_array`), read back by one decoder, `decode_array`, whole or by rows.
 """
 
 from __future__ import annotations
@@ -147,8 +150,6 @@ class Network:
     role: str
     feature_tap: Optional[int] = None
     plan: "_Plan" = field(init=False, repr=False, compare=False)
-    # what a saved network was trained on, as read back by `load_network`
-    provenance: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -722,37 +723,29 @@ def encode_array(arr: Array) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()).decode("ascii")
 
 
-def decode_array(text: str, shape, where: str, error=NetworkFormatError) -> Array:
-    """Inverse of `encode_array`, as a float64 array of `shape`. A payload that
-    is not base64, or not exactly that many values, raises `error`."""
-    count = math.prod(shape)
-    try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except ValueError as exc:
-        raise error(f"{where}: payload is not base64") from exc
-    if len(raw) != 8 * count:
-        raise error(f"{where}: expected {8 * count} bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
-def decode_rows(text: str, shape, rows, where: str, error=NetworkFormatError) -> Array:
-    """The rows `rows` (indices along the first axis) of the array of `shape`
-    that `text` encodes (`encode_array`), in that order: bit for bit those
-    rows of `decode_array(text, shape, ...)`, decoded from only the base64
-    characters that hold their bytes. A payload whose length is not that of
-    the array, or whose characters for a row are not base64, raises
-    `error`; a row outside the array raises IndexError."""
+def decode_array(text: str, shape, where: str, error=NetworkFormatError, rows=None) -> Array:
+    """Inverse of `encode_array`: the float64 array of `shape` that `text`
+    encodes, decoded in one piece. With `rows`, indices along the first
+    axis, only those rows, in that order: bit for bit those rows of the
+    whole array, decoded from only the base64 characters that hold their
+    bytes. A payload whose length is not that of the array, or whose
+    characters read are not base64, raises `error`; a row outside the array
+    raises IndexError."""
     n, width = shape[0], 8 * math.prod(shape[1:])  # rows, bytes per row
     total = n * width
     if len(text) != 4 * -(-total // 3):  # base64: 4 characters per 3 bytes, padded
         raise error(f"{where}: a payload of {len(text)} characters cannot hold {total} bytes")
+    spans = [(0, total)]  # the byte ranges to decode
+    if rows is not None:
+        spans = []
+        for r in rows:
+            r = operator.index(r)
+            if not 0 <= r < n:
+                raise IndexError(f"{where}: row {r} is not in 0..{n - 1}")
+            spans.append((r * width, (r + 1) * width))
     chunks = []
-    for r in rows:
-        r = operator.index(r)
-        if not 0 <= r < n:
-            raise IndexError(f"{where}: row {r} is not in 0..{n - 1}")
-        lo, hi = r * width, (r + 1) * width
-        first, last = lo // 3, -(-hi // 3)  # the 3-byte groups that hold the row
+    for lo, hi in spans:
+        first, last = lo // 3, -(-hi // 3)  # the 3-byte groups that hold the span
         try:
             raw = base64.b64decode(text[4 * first : 4 * last].encode("ascii"), validate=True)
         except ValueError as exc:
@@ -761,7 +754,7 @@ def decode_rows(text: str, shape, rows, where: str, error=NetworkFormatError) ->
             raise error(f"{where}: payload is not base64")
         chunks.append(raw[lo - 3 * first : hi - 3 * first])
     flat = np.frombuffer(b"".join(chunks), dtype="<f8").astype(np.float64)
-    return flat.reshape(len(chunks), *shape[1:])
+    return flat.reshape(shape if rows is None else (len(spans), *shape[1:]))
 
 
 def _layer_checksum(layer: Dense) -> str:
@@ -771,7 +764,7 @@ def _layer_checksum(layer: Dense) -> str:
     return h.hexdigest()
 
 
-def save_network(net: Network, path, provenance: Optional[dict] = None) -> None:
+def save_network(net: Network, path) -> None:
     """Write the versioned network document (bit-exact round trip)."""
     layers = []
     for layer in net.layers:
@@ -796,7 +789,6 @@ def save_network(net: Network, path, provenance: Optional[dict] = None) -> None:
         "role": net.role,
         "feature_tap": net.feature_tap,
         "layers": layers,
-        "provenance": provenance or {},
     }
     write_json(path, doc, indent=1)
 
@@ -840,9 +832,7 @@ def load_network(path) -> Network:
         field = "feature_tap"
         tap = doc["feature_tap"]
         tap = None if tap is None else int(tap)
-        if not isinstance(doc["provenance"], dict):
-            raise NetworkFormatError(f"{path}: provenance is not an object")
         field = "role, feature_tap or layers"  # checked together, as the network is built
-        return Network(layers, role=doc["role"], feature_tap=tap, provenance=doc["provenance"])
+        return Network(layers, role=doc["role"], feature_tap=tap)
     except (TypeError, ValueError, AttributeError, DimensionError) as exc:
         raise NetworkFormatError(f"{path}: {field}: {exc}") from exc

@@ -7,7 +7,7 @@ append-only through training, stats fitting, and experiments:
       config.ini       resolved configuration echo; `datagen` writes it
                        outside its record, so it stays editable
       dataset/         train/test files
-      models/          network files (with provenance hashes)
+      models/          network files
       stats/           hurdle stats table + training latents
       stages/          <stage>.json, the record of each stage: datagen,
                        train, fit-stats, experiment-1 and experiment-2
@@ -24,16 +24,18 @@ removed just before the stage's first write and written once all its
 writes complete. It holds the sha256 of every file the stage wrote, by its
 path in the run directory, and no time, so a rerun writes the same bytes;
 `datagen`'s also holds the glyph parameters and counts it generated with.
+Every later record links to the record of the stage it builds on (train
+to datagen, fit-stats to train, each experiment to fit-stats) by holding
+its sha256 in `after`: the run's one provenance chain.
 `load_run` verifies a run in two steps. Up front it parses the config,
-checks the frozen [dataset] keys against the datagen record, and checks
-that every file the records of datagen, train and fit-stats list exists
-(exit 3) with its recorded sha256 (exit 4), whether or not the command
-goes on to read it. Each artifact is decoded the first time it is read,
-with the checks of its format and of the provenance chain: layer
-checksums, the dataset each model was trained on, and the classifier and
-dataset the stats were fitted on. A few test images can be decoded
-without the rest of the test set (`RunArtifacts.test_images`), which is
-all `piece explain` decodes of the dataset.
+checks the frozen [dataset] keys against the datagen record, the links of
+the train and fit-stats records, and that every file the records of
+datagen, train and fit-stats list is a regular file of the run directory
+that exists (exit 3) with its recorded sha256 (exit 4), whether or not
+the command goes on to read it. Each artifact is decoded the first time
+it is read, with the checks of its format. A few test images can be
+decoded without the rest of the test set (`RunArtifacts.test_images`),
+which is all `piece explain` decodes of the dataset.
 """
 
 from __future__ import annotations
@@ -376,7 +378,7 @@ class RunPaths:
         """Run the stage `name` (see the module docstring) in the block,
         which asks the `RunPaths` it is given for the path of every file it
         writes, and only of those. Its record holds the sha256 of each such
-        file and the `fields`."""
+        file and the `fields`, such as `after` (`RunArtifacts.records`)."""
         if self.done(name) and not force:
             raise ConfigError(
                 f"stage '{name}' already completed in this run directory; "
@@ -391,18 +393,17 @@ class RunPaths:
 
 class RunArtifacts:
     """The config of a run and the artifacts of the stages it was loaded
-    with (`load_run`), whose files have all been checked against their
-    recorded sha256. Each artifact is decoded and checked the first time
-    it is read: networks against their layer checksums and the dataset they
-    were trained on, the stats table against the classifier and the dataset
-    it was fitted on. A command that needs only a few test images reads
-    them with `test_images`, which decodes only their bytes of the test
-    set."""
+    with (`load_run`), whose records link up and whose files have all been
+    checked against their recorded sha256. Each artifact is decoded and
+    checked the first time it is read: networks against their layer
+    checksums, the stats table against its fields. A command that needs only
+    a few test images reads them with `test_images`, which decodes only
+    their bytes of the test set."""
 
-    def __init__(self, paths: RunPaths, config: RunConfig, dataset_sha: str, files: dict):
+    def __init__(self, paths: RunPaths, config: RunConfig, records: dict, files: dict):
         self.paths = paths
         self.config = config
-        self.dataset_sha = dataset_sha  # of the datagen record
+        self.records = records  # the loaded stages: {stage: sha256 of its record}
         self.files = files  # the verified files: {relative path: sha256}
         self._test_rows: dict = {}  # `test_images` of ids -> its Dataset
 
@@ -411,13 +412,7 @@ class RunArtifacts:
         return self.files["models/classifier.json"]
 
     def _model(self, name: str) -> Network:
-        net = load_network(self.paths.models(f"{name}.json"))
-        if net.provenance["dataset_sha"] != self.dataset_sha:
-            raise ProvenanceError(
-                f"model {name} was trained on a different dataset "
-                f"(dataset hash mismatch); regenerate with `piece train --force`"
-            )
-        return net
+        return load_network(self.paths.models(f"{name}.json"))
 
     @functools.cached_property
     def train_data(self) -> Dataset:
@@ -458,18 +453,7 @@ class RunArtifacts:
 
     @functools.cached_property
     def stats(self) -> StatsTable:
-        stats = load_stats(self.paths.stats("stats.json"))
-        if stats.classifier_sha != self.classifier_sha:
-            raise ProvenanceError(
-                "stats table does not match the stored classifier; "
-                "refit with `piece fit-stats --force`"
-            )
-        if stats.dataset_sha != self.dataset_sha:
-            raise ProvenanceError(
-                "stats table was fitted on a different dataset; "
-                "refit with `piece fit-stats --force`"
-            )
-        return stats
+        return load_stats(self.paths.stats("stats.json"))
 
     @functools.cached_property
     def latents(self):
@@ -507,23 +491,37 @@ def _check_frozen(cfg: RunConfig, record: dict, path: str) -> None:
 
 
 def load_run(paths: RunPaths, upto: str = "fit-stats") -> RunArtifacts:
-    """The artifacts of the stages from `datagen` to `upto`. Up front it
-    parses the config, checks the frozen [dataset] keys against the
-    datagen record, and checks that every file those stages recorded
-    exists and has its recorded sha256; each artifact is decoded on first
+    """The artifacts of the stages from `datagen` to `upto`, verified up
+    front as the module docstring says; each artifact is decoded on first
     access."""
     stages = _RUN_STAGES[: _RUN_STAGES.index(upto) + 1]
     paths.require(*stages)
     cfg = parse_config(paths.config)
+    root = os.path.realpath(paths.root)
+    records: dict = {}
     files: dict = {}
-    for stage in stages:
+    for before, stage in zip((None, *stages), stages):
         path = paths.file(_record_name(stage))
         record = read_doc(path, _STAGE_RECORD_MAGIC, ProvenanceError)
-        if stage == "datagen":
+        if before is None:
             _check_frozen(cfg, record, path)
+        elif record.get("after") != records[before]:
+            raise ProvenanceError(
+                f"{path}: its after is not the sha256 of {_record_name(before)}, so it "
+                f"builds on another {before} stage; run `piece {stage} --force`"
+            )
+        records[stage] = file_sha256(path)
         recorded = record["files"]
         if not isinstance(recorded, dict):
             raise ProvenanceError(f"{path}: its files are not a mapping of path to sha256")
+        for rel in recorded:
+            full = os.path.realpath(os.path.join(root, rel))
+            if not full.startswith(root + os.sep) or (
+                    os.path.exists(full) and not os.path.isfile(full)):
+                raise ProvenanceError(
+                    f"{path}: {rel!r} is not a regular file inside the run directory; "
+                    f"run `piece {stage} --force`"
+                )
         missing = [rel for rel in recorded if not os.path.exists(paths.file(rel))]
         if missing:
             raise PrerequisiteError(
@@ -536,4 +534,4 @@ def load_run(paths: RunPaths, upto: str = "fit-stats") -> RunArtifacts:
                     f"run `piece {stage} --force`"
                 )
         files.update(recorded)
-    return RunArtifacts(paths, cfg, file_sha256(paths.file(_record_name("datagen"))), files)
+    return RunArtifacts(paths, cfg, records, files)

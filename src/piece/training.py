@@ -331,36 +331,44 @@ ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 
 
 def run_jobs(fn, jobs: list, n_jobs: int) -> list:
-    """The outcome of `fn(job)` for each job, in order: its result, or the
-    exception it raised. `fn` goes with each job, so the arguments that
-    every job shares are bound into it (`functools.partial`).
+    """The outcome of `fn(job)` for each job, in order, up to and including
+    the first job that raised: its result, or the exception it raised. `fn`
+    goes with each job, so the arguments that every job shares are bound
+    into it (`functools.partial`).
 
-    With `n_jobs` 1 the jobs run here, one after another. Otherwise they run
-    on `n_jobs` worker processes, each a fresh interpreter (`spawn`) whose
-    environment sets one BLAS thread (`ONE_BLAS_THREAD`), whatever this
-    process's environment holds: two workers with a BLAS thread pool each
-    spin against each other on two cores, and `fork` would hand them this
-    process's pool. A worker that dies fails every job it had not finished
-    with a `TrainingFailure`. The resource tracker that the pool starts is
-    stopped before this returns, so no process that it starts outlives it.
+    With `n_jobs` 1 the jobs run here, one after another, and none starts
+    after one that raised. Otherwise they all run on `n_jobs` worker
+    processes, each a fresh interpreter (`spawn`) whose environment sets one
+    BLAS thread (`ONE_BLAS_THREAD`), whatever this process's environment
+    holds: two workers with a BLAS thread pool each spin against each other
+    on two cores, and `fork` would hand them this process's pool. A worker
+    that dies fails every job it had not finished with a `TrainingFailure`.
+    The resource tracker that the pool starts is stopped before this
+    returns, so no process that it starts outlives it.
     """
     if n_jobs == 1:
-        return [_outcome_here(fn, job) for job in jobs]
-    saved = {key: os.environ.get(key) for key in ONE_BLAS_THREAD}
-    os.environ.update(ONE_BLAS_THREAD)
-    try:
-        ctx = multiprocessing.get_context("spawn")
-        workers = min(n_jobs, len(jobs))
-        with ProcessPoolExecutor(workers, ctx) as pool:
-            futures = [pool.submit(fn, job) for job in jobs]
-        return [_outcome(future) for future in futures]
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        _stop_resource_tracker()
+        outcomes = (_outcome_here(fn, job) for job in jobs)
+    else:
+        saved = {key: os.environ.get(key) for key in ONE_BLAS_THREAD}
+        os.environ.update(ONE_BLAS_THREAD)
+        try:
+            ctx = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(min(n_jobs, len(jobs)), ctx) as pool:
+                futures = [pool.submit(fn, job) for job in jobs]
+            outcomes = [_outcome(future) for future in futures]
+        finally:
+            for key, value in saved.items():
+                if value is None:
+                    os.environ.pop(key, None)
+                else:
+                    os.environ[key] = value
+            _stop_resource_tracker()
+    kept = []
+    for outcome in outcomes:
+        kept.append(outcome)
+        if isinstance(outcome, BaseException):
+            break
+    return kept
 
 
 def _stop_resource_tracker() -> None:

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import count_inversions, live_children
+from helpers import BUILDS_ON, count_inversions, live_children, rerecord
 from piece import pipeline as pl
 from piece.cli import main
+from piece.training import fit
 
 MINI_CONFIG = """
 [run]
@@ -248,7 +249,7 @@ n_test_per_class = 10
 
 [classifier]
 epochs = 2
-min_accuracy = 0.0
+min_accuracy = 1e9
 
 [generator]
 epochs = 2
@@ -263,6 +264,8 @@ def trained_files(run_dir) -> dict:
     """Bytes of every model file and training report in `run_dir`."""
     out = {}
     for sub in ("models", "reports"):
+        if not os.path.isdir(os.path.join(run_dir, sub)):
+            continue
         for name in sorted(os.listdir(os.path.join(run_dir, sub))):
             with open(os.path.join(run_dir, sub, name), "rb") as fh:
                 out[f"{sub}/{name}"] = fh.read()
@@ -290,14 +293,15 @@ class TestTrainJobs:
         assert len(one[3]) == 10  # 7 models and 3 training reports
 
     def test_failure_reported_in_serial_order(self, tmp_path, capsys):
+        # the generator and the classifier both fail; the generator is fitted
+        # first, and no file is saved
         one = self.train(tmp_path, capsys, TWO_FAILURES_CONFIG, 1)
         two = self.train(tmp_path, capsys, TWO_FAILURES_CONFIG, 2)
         assert one == two
         rc, out, err, files = two
         assert rc == 1
         assert err.startswith("error: generator reconstruction MSE") and err.count("\n") == 1
-        assert out.startswith("train: classifier test accuracy")
-        assert set(files) == {"models/classifier.json", "reports/training_classifier.json"}
+        assert out == "" and files == {}
         assert not live_children()
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
@@ -781,21 +785,50 @@ class TestRunInversionStore:
         assert RunPaths(str(run_dir)).done(f"experiment {expt}")
 
 
-class TestProvenance:
-    def test_stale_stats_detected(self, mini_run, tmp_path):
-        import shutil
+def retrained_clone(mini_run, dest, section: str, key: str, value: str):
+    """A copy of `mini_run` whose `train --force` ran with `[section] key`
+    set to `value`, so that its fit-stats stage builds on the train stage
+    before."""
+    shutil.copytree(mini_run, dest)
+    cfg = configparser.ConfigParser()
+    cfg.read(dest / "config.ini")
+    cfg[section][key] = value
+    with open(dest / "config.ini", "w") as fh:
+        cfg.write(fh)
+    assert main(["train", "--run-dir", str(dest), "--force"]) == 0
+    return dest
 
-        clone = tmp_path / "clone"
-        shutil.copytree(mini_run, clone)
-        cfg = configparser.ConfigParser()
-        cfg.read(clone / "config.ini")
-        cfg["classifier"]["seed"] = "999"
-        with open(clone / "config.ini", "w") as fh:
-            cfg.write(fh)
-        assert main(["train", "--run-dir", str(clone), "--force"]) == 0
+
+def refused_stale(run_dir, capsys, commands: list, stage: str, *names: str) -> None:
+    """Each of `commands` exits 4 with one `error:` line naming each of
+    `names` and `piece <stage> --force`, and writes nothing."""
+    before = run_files(run_dir, ".")
+    for argv in commands:
+        capsys.readouterr()
+        assert main([argv[0], "--run-dir", str(run_dir), *argv[1:]]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert all(name in err[0] for name in (*names, f"`piece {stage} --force`")), err
+    assert run_files(run_dir, ".") == before
+
+
+STALE_COMMANDS = [["explain", "--index", "0"], ["experiment", "--expt", "1"]]
+
+
+class TestProvenance:
+    def test_stale_stats_detected(self, mini_run, tmp_path, capsys):
         # stats were fitted against the previous classifier
-        assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
-        assert main(["experiment", "--run-dir", str(clone), "--expt", "1"]) == 4
+        clone = retrained_clone(mini_run, tmp_path / "clone", "classifier", "seed", "999")
+        refused_stale(clone, capsys, STALE_COMMANDS, "fit-stats", "stages/fit-stats.json")
+        assert main(["fit-stats", "--run-dir", str(clone), "--force"]) == 0
+        assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 0
+
+    def test_train_that_changes_any_model_makes_stats_stale(self, mini_run, tmp_path, capsys):
+        # the classifier is as before, but the link covers the whole train stage
+        clone = retrained_clone(mini_run, tmp_path / "clone", "autoencoders", "epochs", "3")
+        classifier = "models/classifier.json"
+        assert trained_files(clone)[classifier] == trained_files(mini_run)[classifier]
+        refused_stale(clone, capsys, STALE_COMMANDS, "fit-stats", "stages/fit-stats.json")
         assert main(["fit-stats", "--run-dir", str(clone), "--force"]) == 0
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 0
 
@@ -808,16 +841,48 @@ class TestProvenance:
         cfg_path.write_text(MINI_CONFIG.replace("n_train_per_class = 60", "n_train_per_class = 50"))
         assert main(["datagen", "--run-dir", str(clone), "--config", str(cfg_path),
                      "--force"]) == 0
-        before = (clone / "stats" / "stats.json").read_bytes()
-        capsys.readouterr()
-        # the classifier was trained on the dataset datagen just replaced
-        assert main(["fit-stats", "--run-dir", str(clone), "--force"]) == 4
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [
-            "error: model classifier was trained on a different dataset "
-            "(dataset hash mismatch); regenerate with `piece train --force`"
-        ]
-        assert (clone / "stats" / "stats.json").read_bytes() == before
+        # the models were trained on the dataset datagen just replaced
+        refused_stale(clone, capsys, [["fit-stats", "--force"], *STALE_COMMANDS],
+                      "train", "stages/train.json")
+
+    @pytest.mark.parametrize(
+        "record,key,value",
+        [pytest.param("stages/train.json", "files", "models", id="directory"),
+         pytest.param("stages/train.json", "files", "", id="run-directory"),
+         pytest.param("stages/fit-stats.json", "files", "../outside.json", id="outside"),
+         pytest.param("stages/fit-stats.json", "files", "absolute", id="absolute"),
+         pytest.param("stages/fit-stats.json", "after", None, id="after-null"),
+         pytest.param("stages/fit-stats.json", "after", "x", id="after-x"),
+         pytest.param("stages/fit-stats.json", "after", [], id="after-list"),
+         pytest.param("stages/fit-stats.json", "after", "datagen", id="after-other-record"),
+         # a record written before records linked up
+         pytest.param("stages/train.json", "after", "missing", id="after-missing")],
+    )
+    def test_broken_record_link_or_path_exits_4(self, mini_run, tmp_path, capsys, record, key,
+                                                value):
+        # a recorded path that is not a regular file inside the run
+        # directory, even one with the recorded sha256, or an `after` that is
+        # not the sha256 of the record before
+        from piece.datagen import file_sha256
+
+        clone = explainless_clone(mini_run, tmp_path / "run")
+        outside = tmp_path / "outside.json"
+        outside.write_text("{}\n")
+        doc = json.loads((clone / record).read_text())
+        names = [record]
+        if key == "files":
+            value = str(outside) if value == "absolute" else value
+            doc["files"][value] = file_sha256(outside)
+            names.append(repr(value))
+        elif value == "missing":
+            del doc["after"]
+        elif value == "datagen":
+            doc["after"] = file_sha256(clone / "stages" / "datagen.json")
+        else:
+            doc["after"] = value
+        (clone / record).write_text(json.dumps(doc))
+        stage = record.removeprefix("stages/").removesuffix(".json")
+        refused_stale(clone, capsys, [["explain", "--index", "0"]], stage, *names)
 
     @pytest.mark.parametrize(
         "section,key,value,argv",
@@ -918,11 +983,9 @@ class TestProvenance:
             pytest.param(name, key, id=f"{name}-{key}")
             for name, key in (
                 ("stats/stats.json", "classes"),
-                ("stats/stats.json", "classifier_sha"),
                 ("models/classifier.json", "feature_tap"),
                 ("dataset/test.json", "labels"),
                 ("stats/latents.json", "shape"),
-                ("models/ae_full.json", "provenance"),
             )
         ],
     )
@@ -952,16 +1015,13 @@ class TestProvenance:
     @pytest.mark.parametrize(
         "field,value",
         [("role", "x"), ("feature_tap", "x"), ("feature_tap", -1),
-         ("rate", None), ("rate", "x"), ("bias", 5), ("provenance", [])],
-        ids=["role-x", "tap-x", "tap-negative", "rate-null", "rate-x", "bias-number",
-             "provenance-list"],
+         ("rate", None), ("rate", "x"), ("bias", 5)],
+        ids=["role-x", "tap-x", "tap-negative", "rate-null", "rate-x", "bias-number"],
     )
     def test_network_field_it_cannot_use_exits_4(self, mini_run, tmp_path, capsys, field, value):
         # a well-formed classifier file with one field a network cannot take,
         # recorded as train wrote it: only decoding the file finds the field
         import shutil
-
-        from piece.datagen import file_sha256
 
         clone = tmp_path / "mutated"
         shutil.copytree(mini_run, clone)
@@ -974,10 +1034,7 @@ class TestProvenance:
         else:
             doc[field] = value
         path.write_text(json.dumps(doc))
-        record = clone / "stages" / "train.json"
-        rec = json.loads(record.read_text())
-        rec["files"]["models/classifier.json"] = file_sha256(path)
-        record.write_text(json.dumps(rec))
+        rerecord(clone, "models/classifier.json")
         capsys.readouterr()
         assert main(["explain", "--run-dir", str(clone), "--index", "7", "--mode", "cf"]) == 4
         err = capsys.readouterr().err.strip().splitlines()
@@ -1007,6 +1064,8 @@ class TestStageRecords:
         assert doc["files"] == {
             name: file_sha256(os.path.join(mini_run, name)) for name in files
         }
+        before = os.path.join(mini_run, "stages", f"{BUILDS_ON[stage]}.json")
+        assert doc["after"] == file_sha256(before)
 
     @pytest.mark.parametrize("stage", ["datagen", "experiment 1", "experiment 2"])
     def test_record_lists_exactly_the_files_the_stage_wrote(self, mini_run, tmp_path, stage):
@@ -1039,6 +1098,10 @@ class TestStageRecords:
         doc = json.loads((run_dir / record).read_text())
         assert doc["stage"] == stage
         assert doc["files"] == {name: file_sha256(run_dir / name) for name in wrote}
+        if stage == "datagen":
+            assert "after" not in doc
+        else:
+            assert doc["after"] == file_sha256(run_dir / "stages" / "fit-stats.json")
 
     def test_old_layout_exits_3(self, mini_run, tmp_path, capsys):
         # a run directory from before datagen wrote a stage record: its
@@ -1204,22 +1267,18 @@ class TestLazyLoading:
         assert run_files(clone, "explanations", "inversions") == before
 
     def test_experiment_checks_every_artifact_before_writing(self, mini_run, tmp_path):
-        # a stats table that names another classifier, recorded as fit-stats
-        # wrote it: only decoding the table finds the mismatch
+        # a stats model with a count no reader can use, recorded as fit-stats
+        # wrote it: only decoding the table finds it
         import shutil
-
-        from piece.datagen import file_sha256
 
         clone = tmp_path / "stale"
         shutil.copytree(mini_run, clone)
         stats = clone / "stats" / "stats.json"
         doc = json.loads(stats.read_text())
-        doc["classifier_sha"] = "0" * 64
+        doc["classes"][3][5]["m"] = -1
         stats.write_text(json.dumps(doc))
-        record = clone / "stages" / "fit-stats.json"
-        rec = json.loads(record.read_text())
-        rec["files"]["stats/stats.json"] = file_sha256(stats)
-        record.write_text(json.dumps(rec))
+        rerecord(clone, "stats/stats.json")
+
         def reports():
             return {p.name: p.read_bytes() for p in (clone / "reports").iterdir()}
 
@@ -1255,7 +1314,20 @@ class TestConfigHoles:
             ("autoencoders", "recon_mse_target", "0", 0, None),
         ],
     )
-    def test_unreachable_fit_target(self, tmp_path, capsys, section, key, value, code, named):
+    def test_unreachable_fit_target(self, tmp_path, capsys, monkeypatch, section, key, value,
+                                    code, named):
+        # a serial train stops at its first failed fit (in `fit_names` order:
+        # generator, ae_full, classifier, then the class autoencoders) and
+        # saves no model
+        import piece.cli
+
+        fits = []
+
+        def counted(name, **kwargs):
+            fits.append(name)
+            return fit(name, **kwargs)
+
+        monkeypatch.setattr(piece.cli, "fit", counted)
         cfg_path = tmp_path / "mini.ini"
         cfg_path.write_text(MINI_CONFIG)
         run_dir = tmp_path / "run"
@@ -1269,9 +1341,10 @@ class TestConfigHoles:
         assert main(["train", "--run-dir", str(run_dir), "--jobs", "1"]) == code
         err = capsys.readouterr().err.strip().splitlines()
         done = (run_dir / "stages" / "train.json").exists()
+        assert len(fits) == {"generator": 1, "classifier": 3, None: 7}[named]
         if code:
             assert len(err) == 1 and err[0].startswith(f"error: {named} "), err
-            assert not done
+            assert not done and not (run_dir / "models").exists()
         else:
             assert err == [] and done
             for name in ("ae_class_0", "ae_class_1", "ae_class_2", "ae_class_3", "ae_full"):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -225,8 +226,6 @@ class TestStatsIo:
         path = tmp_path / "stats.json"
         hd.save_stats(table, path)
         back = hd.load_stats(path)
-        assert back.dataset_sha == table.dataset_sha
-        assert back.classifier_sha == table.classifier_sha
         assert back.n_classes == table.n_classes
         for row_a, row_b in zip(table.models, back.models):
             for a, b in zip(row_a, row_b):
@@ -313,13 +312,22 @@ class TestDecoderRefusals:
         [("theta", v) for v in [-1, 1e308, True, None, "x", [], 1.5, 2**1100]]
         + [("params", v) for v in [None, "x", [], 1, {"mean": "x", "std": 0.5},
                                   {"mean": True, "std": 0.5}, {"mean": 1.0, "std": None}]]
-        + [("family", v) for v in ["x", "degenerat", None, 1, []]],
+        + [("family", v) for v in ["x", "degenerat", None, 1, []]]
+        + [(key, v) for key in ("m", "q") for v in [-1, 1.0, True, None, "3"]]
+        + [("positive_mean", v) for v in ["x", True, [], 1e400, math.nan]]
+        + [(key, v) for key in ("ks_stat", "ks_p") for v in [None, "x", True, 1e400, math.nan]]
+        + [("loc_fixed", v) for v in [None, 0, 1, "true"]]
+        + [("classes", v) for v in [5, None, {}, [5], [[5]], [[{}], [[]]]]],
     )
     def test_stats_field(self, stats_doc, key, value):
         path, doc = stats_doc
-        doc["classes"][1][1][key] = value
+        if key == "classes":
+            doc["classes"] = value
+            where = rf"{re.escape(str(path))}: classes"
+        else:
+            doc["classes"][1][1][key] = value
+            where = rf"{re.escape(str(path))}: class 1, neuron 1: {key}"
         path.write_text(json.dumps(doc))
-        where = rf"{re.escape(str(path))}: class 1, neuron 1: {key}"
         with pytest.raises(hd.HurdleError, match=where):
             hd.load_stats(path)
 

@@ -211,8 +211,12 @@ class TestRunJobs:
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_outcomes_in_job_order(self, n_jobs):
+        # up to and including the first job that raised
         outcomes = tr.run_jobs(functools.partial(divided, by=0), [7, 0, 9], n_jobs)
-        assert all(isinstance(out, ZeroDivisionError) for out in outcomes)
+        assert len(outcomes) == 1 and isinstance(outcomes[0], ZeroDivisionError)
+        outcomes = tr.run_jobs(functools.partial(divided, by=1), [7, "x", 9, "y"], n_jobs)
+        assert outcomes[0] == (7, 0) and len(outcomes) == 2
+        assert isinstance(outcomes[1], TypeError)
         outcomes = tr.run_jobs(functools.partial(divided, by=2), [7, 9, 4], n_jobs)
         assert outcomes == [(3, 1), (4, 1), (2, 0)]
 
