@@ -9,11 +9,13 @@
 Exit codes: 0 success, 1 a stage that failed as it ran (training, data,
 pipeline, numerical overflow or metric error), 2 configuration error, 3
 missing prerequisite stage or run file, 4 run artifacts that do not verify
-(a file whose sha256 differs from the one its stage record holds, a
-damaged stage record, one whose `after` is not the sha256 of the record
-of the stage it builds on, an edited [dataset] key, or a damaged model,
-stats, latents, dataset or stored inversion file), 5 experiment failure
-fraction above the configured threshold.
+(a file whose sha256 differs from the one its stage record holds, or that
+the record does not list; a stage record whose `after` is not the sha256
+of the record of the stage it builds on; an edited [dataset] key; or a
+document of any format, a stage record, a dataset, model, stats or
+latents file or a stored inversion, that does not parse or has a field
+its format's table does not allow, see `netcore.check_fields`), 5
+experiment failure fraction above the configured threshold.
 """
 
 from __future__ import annotations
@@ -198,11 +200,13 @@ def cmd_explain(args) -> int:
             int(np.argmax(nc.forward(arts.classifier, image.ravel()).output)),
             "proportional explanation" if mode == "proportional" else mode,
         )
+    # decoded, and so checked, before an inversion is made and stored
+    classifier, generator, stats = arts.classifier, arts.generator, arts.stats
     request = dataclasses.replace(request, inversion=pl._one(ex.inversions(arts, [args.index])))
-    result = pl.explain(request, arts.classifier, arts.generator, arts.stats, cfg.optim)
+    result = pl.explain(request, classifier, generator, stats, cfg.optim)
     if mode == "proportional":  # the semifactual's prefix, cut as experiment 2 cuts it
         (result,) = pl.proportional_stack(
-            [(result, args.fraction)], arts.classifier, arts.generator, arts.stats, cfg.optim
+            [(result, args.fraction)], classifier, generator, stats, cfg.optim
         )
         if isinstance(result, Exception):
             raise result

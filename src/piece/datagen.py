@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (
-    Array,
-    atomic_write,
-    decode_array,
-    encode_array,
-    read_doc,
-    write_json,
-)
+from .netcore import (BASE64, Array, atomic_write, class_indices, counts, decode_array,
+                      encode_array, one_of, read_doc, write_json)
 
 
 class DataError(Exception):
@@ -202,41 +196,37 @@ def save_dataset(data: Dataset, path) -> None:
     write_json(path, doc)
 
 
+# what each field of a dataset document holds
+_DATASET_FIELDS = {
+    "shape": counts(3),
+    "labels": lambda doc: class_indices(doc["shape"][0], len(CLASS_NAMES)),
+    "split": one_of(tuple(_SPLIT_CODE), "a split name"),
+    "images": BASE64,
+}
+
+
 def load_dataset(path, rows=None) -> Dataset:
     """The dataset file at `path`. With `rows`, a sequence of image indices,
     a Dataset of only those images and their labels, in that order, each
     decoded from its own bytes of the payload (`decode_array` with rows), bit
     for bit as the whole set decodes it.
 
-    Either way the whole document is parsed and checked: its magic, that it
-    holds every key, that `shape` is three counts, `labels` one class index
-    per image and `split` a split name, and that the payload has the length
-    of `shape`'s values. A file that fails a check, or whose decoded bytes
-    are not base64 or not pixel values in [0, 1], raises DatasetFormatError;
-    a row outside the set raises IndexError. With `rows`, the other images'
-    bytes are not read: that a file holds the bytes its stage recorded is
-    the sha256 check's to say (`runcfg.load_run`)."""
-    doc = read_doc(path, "piece-dataset", DatasetFormatError)
-    shape, labels, split, payload = doc["shape"], doc["labels"], doc["split"], doc["images"]
-    if not (isinstance(shape, list) and len(shape) == 3
-            and all(type(v) is int and v >= 0 for v in shape)):
-        raise DatasetFormatError(f"{path}: shape {shape!r} is not three counts")
-    if not (isinstance(labels, list) and len(labels) == shape[0]
-            and all(type(v) is int and 0 <= v < len(CLASS_NAMES) for v in labels)):
-        raise DatasetFormatError(
-            f"{path}: labels are not {shape[0]} class indices in 0..{len(CLASS_NAMES) - 1}"
-        )
-    if split not in _SPLIT_CODE:
-        raise DatasetFormatError(f"{path}: unknown split {split!r}")
-    if not isinstance(payload, str):
-        raise DatasetFormatError(f"{path}: images is not base64 text")
-    labels = np.array(labels, dtype=np.int64)
+    Either way the whole document is parsed and its fields checked against
+    `_DATASET_FIELDS`, and the payload must have the length of `shape`'s
+    values. A file that fails a check, or whose decoded bytes are not base64
+    or not pixel values in [0, 1], raises DatasetFormatError; a row outside
+    the set raises IndexError. With `rows`, the other images' bytes are not
+    read: that a file holds the bytes its stage recorded is the sha256
+    check's to say (`runcfg.load_run`)."""
+    doc = read_doc(path, "piece-dataset", DatasetFormatError, _DATASET_FIELDS)
+    labels = np.array(doc["labels"], dtype=np.int64)
     if rows is not None:
         rows = list(rows)
         labels = labels[rows]
-    images = decode_array(payload, tuple(shape), f"{path}: images", DatasetFormatError, rows)
+    images = decode_array(doc["images"], tuple(doc["shape"]), f"{path}: images",
+                          DatasetFormatError, rows)
     try:
-        return Dataset(images, labels, split)
+        return Dataset(images, labels, doc["split"])
     except DataError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 

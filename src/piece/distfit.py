@@ -23,8 +23,14 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-_FAMILY_ORDER = {"gaussian": 0, "gamma": 1, "exponential": 2}
-FAMILIES = tuple(_FAMILY_ORDER)
+# each family's parameters, and those of them that must be above 0 (its
+# scale): what every fit gives and every stats record holds
+PARAMS = {
+    "gaussian": (("mean", "std"), ("std",)),
+    "gamma": (("shape", "scale", "loc"), ("shape", "scale")),
+    "exponential": (("rate", "loc"), ("rate",)),
+}
+_FAMILY_ORDER = {family: i for i, family in enumerate(PARAMS)}
 
 # fewer-parameter candidate wins if its p-value reaches this fraction of the best
 _PARSIMONY_FACTOR = 0.5

@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import hashlib
 import os
 from dataclasses import dataclass
 
@@ -77,14 +76,14 @@ def inversions(arts: RunArtifacts, image_ids) -> list:
     cfg = arts.config
     images = arts.test_images(image_ids).images
     shared = {
-        "generator_sha": arts.files["models/generator.json"],
-        "classifier_sha": arts.classifier_sha,
+        "generator_sha": arts.sha("models/generator.json"),
+        "classifier_sha": arts.sha("models/classifier.json"),
         **{name: getattr(cfg.optim, name)
            for name in ("invert_restarts", "invert_steps", "invert_lr")},
     }
     keys = [
         {**shared, "seed": derive_seed(cfg.seed, image_id),
-         "image_sha": hashlib.sha256(np.ascontiguousarray(image, "<f8").tobytes()).hexdigest()}
+         "image_sha": nc.checksum(image)}
         for image_id, image in zip(image_ids, images)
     ]
     paths = [arts.paths.inversions(f"{image_id:04d}.json") for image_id in image_ids]
@@ -188,7 +187,8 @@ def record(value):
 
 def _write_record(paths: RunPaths, subdir: str, tag: str, res, arts: RunArtifacts) -> None:
     """`res` as explanations/<subdir>/<tag>.json with the run's provenance."""
-    provenance = {"classifier_sha": arts.classifier_sha, "dataset_sha": arts.records["datagen"]}
+    provenance = {"classifier_sha": arts.sha("models/classifier.json"),
+                  "dataset_sha": arts.records["datagen"]}
     doc = {**record(res), "provenance": provenance}
     nc.write_json(paths.explanations(subdir, f"{tag}.json"), doc, indent=1)
 

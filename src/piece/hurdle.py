@@ -20,7 +20,6 @@ falls below alpha, through one of four tail events:
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import netcore as nc
 from .datagen import CLASS_NAMES, Dataset
-from .distfit import FAMILIES, FittedDist, fit_best
+from .distfit import PARAMS, FittedDist, fit_best
 
 MIN_POSITIVE_SAMPLES = 20  # below this, no PDF is fitted
 
@@ -238,57 +237,37 @@ def save_stats(table: StatsTable, path) -> None:
     nc.write_json(path, {"format": STATS_MAGIC, "classes": classes}, indent=1)
 
 
-def _finite(value) -> bool:
-    """Whether a decoded JSON value is a finite float64 (a bool is not)."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-# what each field of a stats record must hold, as (check, description): the
-# fields of every model, then those of a fitted model's density
+# what each field of a stats document holds, of each of its model records,
+# and of a fitted model's density, whose parameters are its family's
+_STATS_FIELDS = {"classes": ((lambda v: isinstance(v, list) and all(map(nc.is_objects, v))),
+                             "a list of lists of objects")}
 _MODEL_FIELDS = {
-    "m": (_count, "a count"),
-    "q": (_count, "a count"),
-    "theta": (lambda v: _finite(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "positive_mean": (lambda v: v is None or _finite(v), "null or a finite number"),
-    "family": (lambda v: v == "degenerate" or v in FAMILIES, "degenerate or a known family"),
+    "m": nc.COUNT, "q": nc.COUNT,
+    "theta": ((lambda v: nc.is_finite(v) and 0 <= v <= 1), "a number in [0, 1]"),
+    "positive_mean": ((lambda v: v is None or nc.is_finite(v)), "null or a finite number"),
+    "family": nc.one_of(("degenerate", *PARAMS), "degenerate or a known family"),
 }
-_DIST_FIELDS = {
-    "loc_fixed": (lambda v: type(v) is bool, "a bool"),
-    "params": (lambda v: isinstance(v, dict) and all(map(_finite, v.values())),
-               "a mapping of finite numbers"),
-    "ks_stat": (_finite, "a finite number"),
-    "ks_p": (_finite, "a finite number"),
-}
-_FITTED_FIELDS = {**_MODEL_FIELDS, **_DIST_FIELDS}
+_PARAMS_RULES = {family: nc.finite_mapping(*spec) for family, spec in PARAMS.items()}
+_DIST_FIELDS = {"loc_fixed": nc.BOOL, "params": lambda rec: _PARAMS_RULES[rec["family"]],
+                "ks_stat": nc.FINITE, "ks_p": nc.FINITE}
 
 
 def load_stats(path) -> StatsTable:
-    """The stats table saved at `path` (`save_stats`). A `classes` that is not
-    a list of lists of objects raises HurdleError naming the file; a model
-    field that does not hold what `_MODEL_FIELDS` or, for a fitted model,
-    `_DIST_FIELDS` asks, raises HurdleError naming the file, the class, the
-    neuron and the key."""
-    doc = nc.read_doc(path, STATS_MAGIC, HurdleError)
-    classes = doc["classes"]
-    if not (isinstance(classes, list) and all(
-            isinstance(row, list) and all(isinstance(rec, dict) for rec in row)
-            for row in classes)):
-        raise HurdleError(f"{path}: classes: not a list of lists of objects")
+    """The stats table saved at `path` (`save_stats`). A field that does not
+    hold what `_STATS_FIELDS`, `_MODEL_FIELDS` or, for a fitted model,
+    `_DIST_FIELDS` asks raises HurdleError naming the file, the class and
+    neuron of a model record, and the key."""
+    doc = nc.read_doc(path, STATS_MAGIC, HurdleError, _STATS_FIELDS)
     models = []
-    for c, row in enumerate(classes):
+    for c, row in enumerate(doc["classes"]):
         neurons = []
         for i, rec in enumerate(row):
-            fitted = rec["family"] != "degenerate"
-            for key, (check, what) in (_FITTED_FIELDS if fitted else _MODEL_FIELDS).items():
-                if not check(rec[key]):
-                    raise HurdleError(
-                        f"{path}: class {c}, neuron {i}: {key} {rec[key]!r} is not {what}"
-                    )
-            dist = FittedDist(**{k: rec[k] for k in _DIST_KEYS}) if fitted else None
+            where = f"{path}: class {c}, neuron {i}"
+            nc.check_fields(rec, _MODEL_FIELDS, where, HurdleError)
+            dist = None
+            if rec["family"] != "degenerate":
+                nc.check_fields(rec, _DIST_FIELDS, where, HurdleError)
+                dist = FittedDist(**{k: rec[k] for k in _DIST_KEYS})
             neurons.append(NeuronClassModel(dist=dist, **{k: rec[k] for k in _MODEL_KEYS}))
         models.append(neurons)
     return StatsTable(models)
@@ -304,20 +283,19 @@ def save_latents(latents: np.ndarray, predicted: np.ndarray, path) -> None:
     nc.write_json(path, doc)
 
 
+# what each field of a latents document holds
+_LATENTS_FIELDS = {
+    "shape": nc.counts(2),
+    "latents": nc.BASE64,
+    "predicted": lambda doc: nc.class_indices(doc["shape"][0], len(CLASS_NAMES)),
+}
+
+
 def load_latents(path) -> tuple[np.ndarray, np.ndarray]:
     """The latent matrix and the predicted classes saved at `path`
-    (`save_latents`). A `latents` that is not a string, a `shape` that is
-    not two counts, or a `predicted` that is not one class index per latent
-    row raises HurdleError naming the file and the key."""
-    doc = nc.read_doc(path, "piece-latents", HurdleError)
-    shape, predicted = doc["shape"], doc["predicted"]
-    if not isinstance(doc["latents"], str):
-        raise HurdleError(f"{path}: latents: not a string")
-    if not (isinstance(shape, list) and len(shape) == 2
-            and all(type(v) is int and v >= 0 for v in shape)):
-        raise HurdleError(f"{path}: shape: {shape!r} is not two counts")
-    if not (isinstance(predicted, list) and len(predicted) == shape[0]
-            and all(type(v) is int and 0 <= v < len(CLASS_NAMES) for v in predicted)):
-        raise HurdleError(f"{path}: predicted: not one class index per latent row")
-    latents = nc.decode_array(doc["latents"], tuple(shape), f"{path}: latents", HurdleError)
-    return latents, np.asarray(predicted, dtype=np.int64)
+    (`save_latents`). A field that does not hold what `_LATENTS_FIELDS`
+    asks raises HurdleError naming the file and the key."""
+    doc = nc.read_doc(path, "piece-latents", HurdleError, _LATENTS_FIELDS)
+    shape = tuple(doc["shape"])
+    latents = nc.decode_array(doc["latents"], shape, f"{path}: latents", HurdleError)
+    return latents, np.asarray(doc["predicted"], dtype=np.int64)

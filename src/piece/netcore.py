@@ -30,7 +30,9 @@ a stacked pass names the images that hold the non-finite values, so a
 search over a stack can drop those images and keep the rest.
 
 Every array a file stores is base64 text of its float64 bytes
-(`encode_array`), read back by one decoder, `decode_array`, whole or by rows.
+(`encode_array`), read back by one decoder, `decode_array`, whole or by rows,
+and hashed by one function, `checksum`. Every reader of a run-directory
+document checks its fields against one table with `check_fields`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ import json
 import math
 import operator
 import os
+import reprlib
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
@@ -698,24 +702,84 @@ def write_json(path, doc, indent: Optional[int] = None) -> None:
         fh.write("\n")
 
 
-def read_doc(path, magic: str, error) -> dict:
-    """The JSON object in `path`, checked to be a `magic` document. A file
-    that does not parse, holds anything else, or lacks a key its reader
-    looks up with `[]`, raises `error`."""
-
-    class Doc(dict):
-        def __missing__(self, key):
-            raise error(f"{path}: missing key {key!r}")
-
+def read_doc(path, magic: str, error, table: dict) -> dict:
+    """The JSON object in `path`, checked to be a `magic` document whose
+    fields hold what `table` asks (`check_fields`). A file that does not
+    parse, holds anything else or fails a check raises `error`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        doc = json.loads(raw.decode("utf-8"), object_hook=Doc)
+        doc = json.loads(raw.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"malformed {magic} file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != magic:
         raise error(f"{path}: not a {magic} file (bad magic)")
+    check_fields(doc, table, str(path), error)
     return doc
+
+
+# ---------------------------------------------------------------------------
+# Document fields: every reader of a run-directory document declares what
+# each field holds in one table, {key: rule}, that `check_fields` checks. A
+# rule is a (check, description) pair or, when it depends on a field before
+# it in the table, a function of the document that gives one.
+
+
+def is_finite(value) -> bool:
+    """Whether a decoded JSON value is a finite float64 (a bool is not)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def is_objects(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, dict) for v in value)
+
+
+COUNT = (is_count, "a count")
+FINITE = (is_finite, "a finite number")
+BOOL = ((lambda v: type(v) is bool), "a bool")
+TEXT = ((lambda v: type(v) is str), "text")
+BASE64 = (TEXT[0], "base64 text")  # `decode_array` checks its characters
+MAPPING = ((lambda v: isinstance(v, dict)), "a mapping")
+OBJECTS = (is_objects, "a list of objects")
+
+
+def one_of(values: tuple, what: Optional[str] = None) -> tuple:
+    return (lambda v: v in values), what or " or ".join(map(repr, values))
+
+
+def counts(n: int) -> tuple:
+    return (lambda v: isinstance(v, list) and len(v) == n and all(map(is_count, v))), f"{n} counts"
+
+
+def class_indices(n: int, n_classes: int) -> tuple:
+    return ((lambda v: isinstance(v, list) and len(v) == n
+             and all(type(c) is int and 0 <= c < n_classes for c in v)),
+            f"{n} class indices in 0..{n_classes - 1}")
+
+
+def finite_mapping(keys: tuple, positive: tuple) -> tuple:
+    """A mapping of exactly `keys` to finite numbers, those of `positive`
+    above 0."""
+    return ((lambda v: isinstance(v, dict) and v.keys() == set(keys)
+             and all(map(is_finite, v.values())) and all(v[k] > 0 for k in positive)),
+            f"a mapping of {', '.join(keys)} to finite numbers, {' and '.join(positive)} above 0")
+
+
+def check_fields(doc: dict, table: dict, where: str, error) -> None:
+    """Check the fields of `doc` that `table` names, in table order: the
+    first that `doc` lacks, or whose value its rule does not allow, raises
+    `error` naming `where` (the file, and the record in it if any) and the
+    key."""
+    for key, rule in table.items():
+        if key not in doc:
+            raise error(f"{where}: missing key {key!r}")
+        check, what = rule(doc) if callable(rule) else rule
+        if not check(doc[key]):
+            raise error(f"{where}: {key} {reprlib.repr(doc[key])} is not {what}")
 
 
 def encode_array(arr: Array) -> str:
@@ -757,10 +821,13 @@ def decode_array(text: str, shape, where: str, error=NetworkFormatError, rows=No
     return flat.reshape(shape if rows is None else (len(spans), *shape[1:]))
 
 
-def _layer_checksum(layer: Dense) -> str:
+def checksum(*parts) -> str:
+    """The hex sha256 of `parts` in turn: of an array, its little-endian
+    float64 bytes; of a string, its ASCII bytes."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(layer.weight, "<f8").tobytes())
-    h.update(np.ascontiguousarray(layer.bias, "<f8").tobytes())
+    for part in parts:
+        h.update(part.encode("ascii") if isinstance(part, str)
+                 else np.ascontiguousarray(part, "<f8").tobytes())
     return h.hexdigest()
 
 
@@ -776,7 +843,7 @@ def save_network(net: Network, path) -> None:
                     "out_dim": layer.out_dim,
                     "weight": encode_array(layer.weight),
                     "bias": encode_array(layer.bias),
-                    "checksum": _layer_checksum(layer),
+                    "checksum": checksum(layer.weight, layer.bias),
                 }
             )
         elif isinstance(layer, Dropout):
@@ -793,46 +860,50 @@ def save_network(net: Network, path) -> None:
     write_json(path, doc, indent=1)
 
 
+# what the fields of a network document hold (a classifier's feature tap is
+# what PIECE explains it by), then those of a layer of each kind
+_NETWORK_FIELDS = {
+    "format_version": ((lambda v: type(v) is int and v == NETWORK_FORMAT_VERSION),
+                       f"the supported version, {NETWORK_FORMAT_VERSION}"),
+    "role": one_of(ROLES),
+    "feature_tap": lambda doc: COUNT if doc["role"] == "classifier" else (
+        (lambda v: v is None or is_count(v)), "null or a count"),
+    "layers": OBJECTS,
+}
+_LAYER_FIELDS = {
+    "dense": {"in_dim": COUNT, "out_dim": COUNT, "weight": BASE64, "bias": BASE64,
+              "checksum": TEXT},
+    "dropout": {"rate": ((lambda v: is_finite(v) and 0 <= v < 1), "a number in [0, 1)")},
+    "relu": {}, "softmax": {}, "sigmoid": {},
+}
+_KIND = {"kind": one_of(tuple(_LAYER_FIELDS), "a layer kind")}
 _NO_PARAMETERS = {layer.kind: layer for layer in (ReLU, SoftMax, Sigmoid)}
 
 
 def load_network(path) -> Network:
     """The network saved at `path` (`save_network`). A document that does
-    not parse, or a field that holds no value a network takes, raises
-    NetworkFormatError naming the file and the field."""
-    doc = read_doc(path, NETWORK_MAGIC, NetworkFormatError)
-    if doc.get("format_version") != NETWORK_FORMAT_VERSION:
-        raise NetworkFormatError(
-            f"{path}: unsupported format version {doc.get('format_version')!r}"
-        )
-    field = "layers"
+    not parse, a field that does not hold what `_NETWORK_FIELDS` or its
+    layer's `_LAYER_FIELDS` asks, a layer that fails its checksum, or
+    layers, a role and a feature tap that make no network together, raise
+    NetworkFormatError naming the file, the layer if any, and the field."""
+    doc = read_doc(path, NETWORK_MAGIC, NetworkFormatError, _NETWORK_FIELDS)
+    layers: list = []
+    for i, spec in enumerate(doc["layers"]):
+        where = f"{path}: layer {i}"
+        check_fields(spec, _KIND, where, NetworkFormatError)
+        check_fields(spec, _LAYER_FIELDS[spec["kind"]], where, NetworkFormatError)
+        if spec["kind"] == "dense":
+            shape = (spec["out_dim"], spec["in_dim"])
+            weight = decode_array(spec["weight"], shape, f"{where} weight")
+            bias = decode_array(spec["bias"], shape[:1], f"{where} bias")
+            if checksum(weight, bias) != spec["checksum"]:
+                raise NetworkFormatError(f"{where}: checksum mismatch")
+            layers.append(Dense(weight, bias))
+        elif spec["kind"] == "dropout":
+            layers.append(Dropout(float(spec["rate"])))
+        else:
+            layers.append(_NO_PARAMETERS[spec["kind"]]())
     try:
-        layers: list = []
-        for i, spec in enumerate(doc["layers"]):
-            field = f"layer {i}"
-            kind = spec.get("kind")
-            if kind == "dense":
-                field = f"layer {i} out_dim or in_dim"
-                out_dim, in_dim = int(spec["out_dim"]), int(spec["in_dim"])
-                field = f"layer {i} weight"
-                weight = decode_array(spec["weight"], (out_dim, in_dim), f"{path}: {field}")
-                field = f"layer {i} bias"
-                bias = decode_array(spec["bias"], (out_dim,), f"{path}: {field}")
-                dense = Dense(weight, bias)
-                if _layer_checksum(dense) != spec.get("checksum"):
-                    raise NetworkFormatError(f"{path}: layer {i}: checksum mismatch")
-                layers.append(dense)
-            elif kind == "dropout":
-                field = f"layer {i} rate"
-                layers.append(Dropout(float(spec["rate"])))
-            elif kind in _NO_PARAMETERS:
-                layers.append(_NO_PARAMETERS[kind]())
-            else:
-                raise NetworkFormatError(f"{path}: layer {i}: unknown kind {kind!r}")
-        field = "feature_tap"
-        tap = doc["feature_tap"]
-        tap = None if tap is None else int(tap)
-        field = "role, feature_tap or layers"  # checked together, as the network is built
-        return Network(layers, role=doc["role"], feature_tap=tap)
-    except (TypeError, ValueError, AttributeError, DimensionError) as exc:
-        raise NetworkFormatError(f"{path}: {field}: {exc}") from exc
+        return Network(layers, role=doc["role"], feature_tap=doc["feature_tap"])
+    except DimensionError as exc:  # the layers, role and tap checked together
+        raise NetworkFormatError(f"{path}: {exc}") from exc

@@ -30,7 +30,6 @@ are the stacks of one; `invert_image`, `visualize` and
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -221,14 +220,6 @@ class InversionFormatError(Exception):
     checksum."""
 
 
-def _inversion_checksum(payloads: dict, restart_index: int) -> str:
-    h = hashlib.sha256()
-    for arr in payloads.values():
-        h.update(np.ascontiguousarray(arr, "<f8").tobytes())
-    h.update(str(restart_index).encode("ascii"))
-    return h.hexdigest()
-
-
 def save_inversion(inv: InversionResult, key: dict, path) -> None:
     """Write `inv` with the `key` it was made under. Its arrays round-trip
     bit for bit, an infinite restart loss included, and the document
@@ -245,35 +236,39 @@ def save_inversion(inv: InversionResult, key: dict, path) -> None:
         "restarts": len(payloads["restart_losses"]),
         **{name: nc.encode_array(arr) for name, arr in payloads.items()},
         "restart_index": inv.restart_index,
-        "checksum": _inversion_checksum(payloads, inv.restart_index),
+        "checksum": nc.checksum(*payloads.values(), str(inv.restart_index)),
     }
     nc.write_json(path, doc, indent=1)
+
+
+# what each field of a stored inversion holds
+_INVERSION_FIELDS = {
+    "key": nc.MAPPING, "latent_dim": nc.COUNT, "restarts": nc.COUNT,
+    **dict.fromkeys(("z", "losses", "restart_losses"), nc.BASE64),
+    "restart_index": lambda doc: ((lambda v: type(v) is int and 0 <= v < doc["restarts"]),
+                                  f"in 0..{doc['restarts'] - 1}"),
+    "checksum": nc.TEXT,
+}
 
 
 def load_inversion(path, key: dict) -> Optional[InversionResult]:
     """The inversion stored at `path` (`save_inversion`) when it was made
     under `key`, None when under another key. A document that does not
-    parse, whose key does not hold the fields of `key`, or whose payloads
-    fail its checksum raises InversionFormatError."""
-    doc = nc.read_doc(path, INVERSION_MAGIC, InversionFormatError)
-    stored, index = doc["key"], doc["restart_index"]
-    try:
-        shapes = {"z": (int(doc["latent_dim"]),), "losses": (3,),
-                  "restart_losses": (int(doc["restarts"]),)}
-        payloads = {
-            name: nc.decode_array(doc[name], shape, f"{path}: {name}", InversionFormatError)
-            for name, shape in shapes.items()
-        }
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise InversionFormatError(f"{path}: malformed {INVERSION_MAGIC} file: {exc}") from exc
-    if not (isinstance(stored, dict) and stored.keys() == key.keys()):
+    parse, whose fields do not hold what `_INVERSION_FIELDS` asks, whose key
+    does not hold the fields of `key`, or whose payloads fail its checksum
+    raises InversionFormatError."""
+    doc = nc.read_doc(path, INVERSION_MAGIC, InversionFormatError, _INVERSION_FIELDS)
+    shapes = {"z": (doc["latent_dim"],), "losses": (3,), "restart_losses": (doc["restarts"],)}
+    payloads = {
+        name: nc.decode_array(doc[name], shape, f"{path}: {name}", InversionFormatError)
+        for name, shape in shapes.items()
+    }
+    if doc["key"].keys() != key.keys():
         raise InversionFormatError(f"{path}: its key does not hold {', '.join(sorted(key))}")
-    if _inversion_checksum(payloads, index) != doc["checksum"]:
+    index = doc["restart_index"]
+    if nc.checksum(*payloads.values(), str(index)) != doc["checksum"]:
         raise InversionFormatError(f"{path}: checksum mismatch")
-    restarts = len(payloads["restart_losses"])
-    if type(index) is not int or not 0 <= index < restarts:  # a bool is no index
-        raise InversionFormatError(f"{path}: restart_index {index!r} is not in 0..{restarts - 1}")
-    if stored != key:
+    if doc["key"] != key:
         return None
     combined, feature, pixel = (float(v) for v in payloads["losses"])
     return InversionResult(

@@ -26,14 +26,15 @@ path in the run directory, and no time, so a rerun writes the same bytes;
 `datagen`'s also holds the glyph parameters and counts it generated with.
 Every later record links to the record of the stage it builds on (train
 to datagen, fit-stats to train, each experiment to fit-stats) by holding
-its sha256 in `after`: the run's one provenance chain.
+its sha256 in `after` (`BUILDS_ON`): the run's one provenance chain.
 `load_run` verifies a run in two steps. Up front it parses the config,
-checks the frozen [dataset] keys against the datagen record, the links of
-the train and fit-stats records, and that every file the records of
-datagen, train and fit-stats list is a regular file of the run directory
-that exists (exit 3) with its recorded sha256 (exit 4), whether or not
-the command goes on to read it. Each artifact is decoded the first time
-it is read, with the checks of its format. A few test images can be
+checks the records of datagen, train and fit-stats (`check_stage`: each
+record's fields, its link, and that every file it lists is a regular
+file of the run directory that exists, exit 3, with its recorded sha256,
+exit 4, whether or not the command goes on to read it) and the frozen
+[dataset] keys against the datagen record. Each artifact is decoded the
+first time it is read, with the checks of its format, and only if its
+stage's record lists it. A few test images can be
 decoded without the rest of the test set (`RunArtifacts.test_images`),
 which is all `piece explain` decodes of the dataset.
 """
@@ -53,8 +54,9 @@ from typing import Optional
 
 from .baselines import BaselineConfig, BaselineError
 from .datagen import DataError, Dataset, GlyphParams, file_sha256, load_dataset
-from .hurdle import StatsTable, load_latents, load_stats
-from .netcore import Network, atomic_write, load_network, read_doc, write_json
+from .hurdle import HurdleError, StatsTable, load_latents, load_stats
+from .netcore import (MAPPING, Network, atomic_write, load_network, one_of, read_doc,
+                      write_json)
 from .pipeline import OptimSettings, PipelineError
 from .training import MIN_CLASS_SAMPLES, AutoencoderConfig, ClassifierConfig, TrainingFailure
 
@@ -312,12 +314,22 @@ def config_ini_text(cfg: RunConfig) -> str:
 
 # the stages whose files `load_run` verifies and decodes, in order
 _RUN_STAGES = ("datagen", "train", "fit-stats")
+# the stage that writes the files of each directory `RunArtifacts` reads
+_WRITERS = {"dataset": "datagen", "models": "train", "stats": "fit-stats"}
+# each stage, and the stage whose record its record's `after` links to
+BUILDS_ON = {"datagen": None, "train": "datagen", "fit-stats": "train",
+             "experiment 1": "fit-stats", "experiment 2": "fit-stats"}
 _STAGE_RECORD_MAGIC = "piece-stage-record"
 
 
 def _record_name(stage: str) -> str:
     """The record of `stage`, relative to the run directory."""
     return f"stages/{stage.replace(' ', '-')}.json"
+
+
+def _redo(stage: str) -> str:
+    """The command that redoes `stage`."""
+    return f"`piece {stage.replace('experiment ', 'experiment --expt ')} --force`"
 
 
 @dataclass
@@ -407,20 +419,31 @@ class RunArtifacts:
         self.files = files  # the verified files: {relative path: sha256}
         self._test_rows: dict = {}  # `test_images` of ids -> its Dataset
 
-    @property
-    def classifier_sha(self) -> str:
-        return self.files["models/classifier.json"]
+    def sha(self, rel: str) -> str:
+        """The sha256 of the run file `rel` that the record of the stage that
+        writes it lists. A file that record does not list is unverified:
+        ProvenanceError."""
+        if rel not in self.files:
+            stage = _WRITERS[rel.split("/")[0]]
+            raise ProvenanceError(
+                f"{_record_name(stage)}: it does not list {rel}; run {_redo(stage)}"
+            )
+        return self.files[rel]
+
+    def _path(self, rel: str) -> str:
+        self.sha(rel)
+        return self.paths.file(rel)
 
     def _model(self, name: str) -> Network:
-        return load_network(self.paths.models(f"{name}.json"))
+        return load_network(self._path(f"models/{name}.json"))
 
     @functools.cached_property
     def train_data(self) -> Dataset:
-        return load_dataset(self.paths.dataset("train.json"))
+        return load_dataset(self._path("dataset/train.json"))
 
     @functools.cached_property
     def test_data(self) -> Dataset:
-        return load_dataset(self.paths.dataset("test.json"))
+        return load_dataset(self._path("dataset/test.json"))
 
     def test_images(self, ids) -> Dataset:
         """The test images `ids` and their labels, in that order: rows of
@@ -432,7 +455,7 @@ class RunArtifacts:
             data = self.test_data
             return Dataset(data.images[list(ids)], data.labels[list(ids)], data.split)
         if ids not in self._test_rows:
-            self._test_rows[ids] = load_dataset(self.paths.dataset("test.json"), rows=ids)
+            self._test_rows[ids] = load_dataset(self._path("dataset/test.json"), rows=ids)
         return self._test_rows[ids]
 
     @functools.cached_property
@@ -453,11 +476,17 @@ class RunArtifacts:
 
     @functools.cached_property
     def stats(self) -> StatsTable:
-        return load_stats(self.paths.stats("stats.json"))
+        path = self._path("stats/stats.json")
+        table = load_stats(path)
+        n_classes = self.config.dataset.glyphs.n_classes  # the classifier's are the dataset's
+        if table.n_classes != n_classes:
+            raise HurdleError(f"{path}: classes holds {table.n_classes} rows, not one for "
+                              f"each of the classifier's {n_classes} classes")
+        return table
 
     @functools.cached_property
     def latents(self):
-        return load_latents(self.paths.stats("latents.json"))[0]
+        return load_latents(self._path("stats/latents.json"))[0]
 
     def decode_all(self) -> None:
         """Decode and check every artifact now, as a command that reads them
@@ -467,19 +496,17 @@ class RunArtifacts:
                 getattr(self, name)
 
 
-def _check_frozen(cfg: RunConfig, record: dict, path: str) -> None:
+def _check_frozen(cfg: RunConfig, record: dict) -> None:
     """`datagen` fixes the [dataset] keys and the run seed: `cfg` must hold
-    the values its record at `path` holds."""
+    the values its record holds (a value it lacks is None)."""
     params, counts = record["params"], record["counts"]
-    if not (isinstance(params, dict) and isinstance(counts, dict)):
-        raise ProvenanceError(f"{path}: its params and counts are not both mappings")
     fixed = [  # the glyph seed is the run seed
-        ("[run] seed" if name == "seed" else f"[dataset] {name}", value, params[name])
+        ("[run] seed" if name == "seed" else f"[dataset] {name}", value, params.get(name))
         for name, value in dataclasses.asdict(cfg.dataset.glyphs).items()
     ]
     fixed += [
         (f"[dataset] n_{split}_per_class", getattr(cfg.dataset, f"n_{split}_per_class"),
-         counts[f"{split}_per_class"])
+         counts.get(f"{split}_per_class"))
         for split in ("train", "test")
     ]
     for key, value, recorded in fixed:
@@ -490,48 +517,69 @@ def _check_frozen(cfg: RunConfig, record: dict, path: str) -> None:
             )
 
 
+# what each field of a stage record holds; datagen's also holds the glyph
+# parameters and counts it generated with
+_RECORD_FIELDS = {
+    "files": ((lambda v: isinstance(v, dict) and all(type(s) is str for s in v.values())),
+              "a mapping of path to sha256"),
+}
+_DATAGEN_FIELDS = {**_RECORD_FIELDS, "params": MAPPING, "counts": MAPPING}
+
+
+def check_stage(paths: RunPaths, stage: str) -> tuple[dict, str]:
+    """The record of the done stage `stage` and its sha256, verified: its
+    fields hold what `_RECORD_FIELDS` asks and name `stage`; its `after` is
+    the sha256 of the record of the stage it builds on (`BUILDS_ON`); and
+    every file it lists is a regular file inside the run directory that
+    exists, else PrerequisiteError, with its recorded sha256. Any other
+    failure raises ProvenanceError naming the record."""
+    path = paths.file(_record_name(stage))
+    table = _DATAGEN_FIELDS if stage == "datagen" else _RECORD_FIELDS
+    record = read_doc(path, _STAGE_RECORD_MAGIC, ProvenanceError,
+                      {"stage": one_of((stage,)), **table})
+    before = BUILDS_ON[stage]
+    if before is not None and record.get("after") != file_sha256(
+            paths.file(_record_name(before))):
+        raise ProvenanceError(
+            f"{path}: its after is not the sha256 of {_record_name(before)}, so it "
+            f"builds on another {before} stage; run {_redo(stage)}"
+        )
+    root = os.path.realpath(paths.root)
+    recorded = record["files"]
+    for rel in recorded:
+        full = os.path.realpath(os.path.join(root, rel))
+        if not full.startswith(root + os.sep) or (
+                os.path.exists(full) and not os.path.isfile(full)):
+            raise ProvenanceError(
+                f"{path}: {rel!r} is not a regular file inside the run directory; "
+                f"run {_redo(stage)}"
+            )
+    missing = [rel for rel in recorded if not os.path.exists(paths.file(rel))]
+    if missing:
+        raise PrerequisiteError(
+            f"run files missing: {', '.join(missing)}; run {_redo(stage)}"
+        )
+    for rel, sha in recorded.items():
+        if file_sha256(paths.file(rel)) != sha:
+            raise ProvenanceError(
+                f"{paths.file(rel)}: contents do not match their recorded sha256; "
+                f"run {_redo(stage)}"
+            )
+    return record, file_sha256(path)
+
+
 def load_run(paths: RunPaths, upto: str = "fit-stats") -> RunArtifacts:
     """The artifacts of the stages from `datagen` to `upto`, verified up
-    front as the module docstring says; each artifact is decoded on first
-    access."""
+    front as the module docstring says (`check_stage`); each artifact is
+    decoded on first access."""
     stages = _RUN_STAGES[: _RUN_STAGES.index(upto) + 1]
     paths.require(*stages)
     cfg = parse_config(paths.config)
-    root = os.path.realpath(paths.root)
     records: dict = {}
     files: dict = {}
-    for before, stage in zip((None, *stages), stages):
-        path = paths.file(_record_name(stage))
-        record = read_doc(path, _STAGE_RECORD_MAGIC, ProvenanceError)
-        if before is None:
-            _check_frozen(cfg, record, path)
-        elif record.get("after") != records[before]:
-            raise ProvenanceError(
-                f"{path}: its after is not the sha256 of {_record_name(before)}, so it "
-                f"builds on another {before} stage; run `piece {stage} --force`"
-            )
-        records[stage] = file_sha256(path)
-        recorded = record["files"]
-        if not isinstance(recorded, dict):
-            raise ProvenanceError(f"{path}: its files are not a mapping of path to sha256")
-        for rel in recorded:
-            full = os.path.realpath(os.path.join(root, rel))
-            if not full.startswith(root + os.sep) or (
-                    os.path.exists(full) and not os.path.isfile(full)):
-                raise ProvenanceError(
-                    f"{path}: {rel!r} is not a regular file inside the run directory; "
-                    f"run `piece {stage} --force`"
-                )
-        missing = [rel for rel in recorded if not os.path.exists(paths.file(rel))]
-        if missing:
-            raise PrerequisiteError(
-                f"run files missing: {', '.join(missing)}; run `piece {stage} --force`"
-            )
-        for rel, sha in recorded.items():
-            if file_sha256(paths.file(rel)) != sha:
-                raise ProvenanceError(
-                    f"{paths.file(rel)}: contents do not match their recorded sha256; "
-                    f"run `piece {stage} --force`"
-                )
-        files.update(recorded)
+    for stage in stages:
+        record, records[stage] = check_stage(paths, stage)
+        if stage == "datagen":
+            _check_frozen(cfg, record)
+        files.update(record["files"])
     return RunArtifacts(paths, cfg, records, files)

@@ -7,6 +7,7 @@ import pathlib
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from piece import netcore as nc
 from piece import pipeline as pl
@@ -69,11 +70,15 @@ def rerecord(run_dir, name) -> None:
     """Record the run file `name`, edited in place, as if its stage had
     written it: its sha256 in the record that lists it, and the `after` of
     every record from there on, so that only decoding the file can find
-    the edit."""
+    the edit. For a stage record `name`, the `after` of every record after
+    it."""
     run_dir, started = pathlib.Path(run_dir), False
     for stage, before in BUILDS_ON.items():
         path = run_dir / "stages" / f"{stage}.json"
         if not path.exists():
+            continue
+        if path == run_dir / name:
+            started = True
             continue
         doc = json.loads(path.read_text())
         if name in doc["files"]:
@@ -82,6 +87,43 @@ def rerecord(run_dir, name) -> None:
             if before is not None:
                 doc["after"] = file_sha256(run_dir / "stages" / f"{before}.json")
             path.write_text(json.dumps(doc))
+
+
+# JSON refuses these anywhere: a control character, also inside a string,
+# and a byte that cannot start or continue UTF-8 text here
+_GARBLING_BYTES = [*range(0x00, 0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0x80, 0x100)]
+# a value of each JSON type that no field takes in place of another type
+# (null is not one: a stats model's `positive_mean` may be null or a number)
+_OTHER_TYPES = [True, "x", [], {}]
+
+
+def damaged(data, raw: bytes, objects, wrong=()) -> bytes:
+    """`raw`, the bytes of a JSON document that ends in a newline, damaged
+    in one way drawn from `data` (Hypothesis' `st.data()`): cut short, one
+    byte garbled, one key dropped, one value swapped for one of another JSON
+    type, or one of the `wrong` (key, value) pairs set in the document.
+    Keys are dropped and values swapped in the objects that `objects(doc)`
+    lists, those whose fields the format's tables name."""
+    damage = data.draw(st.sampled_from(["truncate", "garble", "drop", "swap"]
+                                       + ["wrong"] * bool(wrong)))
+    if damage == "truncate":  # the last byte is the final newline
+        return raw[: data.draw(st.integers(0, len(raw) - 2))]
+    if damage == "garble":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([data.draw(st.sampled_from(_GARBLING_BYTES))]) + raw[at + 1:]
+    doc = json.loads(raw)
+    if damage == "wrong":
+        key, value = data.draw(st.sampled_from(list(wrong)))
+        doc[key] = value
+    else:
+        obj = data.draw(st.sampled_from(objects(doc)))
+        key = data.draw(st.sampled_from(sorted(obj)))
+        if damage == "drop":
+            del obj[key]
+        else:
+            obj[key] = data.draw(st.sampled_from(
+                [v for v in _OTHER_TYPES if type(v) is not type(obj[key])]))
+    return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
 
 def count_inversions(monkeypatch) -> list:

@@ -12,9 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import BUILDS_ON, count_inversions, live_children, rerecord
+from helpers import BUILDS_ON, count_inversions, damaged, live_children, rerecord
+from piece import netcore as nc
 from piece import pipeline as pl
 from piece.cli import main
+from piece.datagen import DatasetFormatError
+from piece.hurdle import HurdleError
+from piece.runcfg import ProvenanceError, RunPaths, load_run
 from piece.training import fit
 
 MINI_CONFIG = """
@@ -531,11 +535,6 @@ def cached_run(mini_run, tmp_path_factory):
     return run_dir, entry_path(run_dir, 0).read_bytes()
 
 
-# JSON refuses these anywhere: a control character, also inside a string,
-# and a byte that cannot start or continue UTF-8 text here
-_GARBLING_BYTES = [*range(0x00, 0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0x80, 0x100)]
-
-
 class TestInversionCache:
     """`piece explain` stores each image's inversion in the run's store,
     inversions/NNNN.json, and reuses it while its key
@@ -585,40 +584,6 @@ class TestInversionCache:
         assert second["key"] == dict(first["key"], invert_steps=120)
         assert second["z"] != first["z"]
         assert [p.name for p in entry.parent.iterdir()] == ["0000.json"]
-
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_damaged_entry_exits_4(self, cached_run, capsys, data):
-        run_dir, original = cached_run
-        entry = entry_path(run_dir, 0)
-        damage = data.draw(st.sampled_from(["truncate", "garble", "drop", "flip"]))
-        if damage == "truncate":  # the last byte is the final newline
-            raw = original[: data.draw(st.integers(0, len(original) - 2))]
-        elif damage == "garble":
-            at = data.draw(st.integers(0, len(original) - 1))
-            raw = original[:at] + bytes([data.draw(st.sampled_from(_GARBLING_BYTES))]) + (
-                original[at + 1:]
-            )
-        else:
-            doc = json.loads(original)
-            if damage == "drop":
-                keys = [(doc, k) for k in doc] + [(doc["key"], k) for k in doc["key"]]
-                holder, key = data.draw(st.sampled_from(keys))
-                del holder[key]
-            else:
-                name = data.draw(st.sampled_from(["z", "losses", "restart_losses"]))
-                payload = bytearray(base64.b64decode(doc[name]))
-                payload[data.draw(st.integers(0, len(payload) - 1))] ^= data.draw(
-                    st.integers(1, 255))
-                doc[name] = base64.b64encode(bytes(payload)).decode("ascii")
-            raw = (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
-        entry.write_bytes(raw)
-        capsys.readouterr()
-        assert main(["explain", "--run-dir", str(run_dir), "--index", "0", "--mode", "sf"]) == 4
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and str(entry) in err[0]
-        assert entry.read_bytes() == raw  # a damaged entry is reported, not replaced
 
     @pytest.mark.parametrize("index", ["x", 99, -1, 1.5, True])
     def test_bad_restart_index_exits_4(self, cached_run, capsys, index):
@@ -719,6 +684,126 @@ def stored_run(mini_run, tmp_path_factory):
             assert rc in (0, 5)
             stacks[expt], calls[:] = list(calls), []
     return run_dir, stacks
+
+
+def _flipped(text: str) -> str:
+    """The base64 payload `text` with every bit of its first byte flipped."""
+    raw = bytearray(base64.b64decode(text))
+    raw[0] ^= 0xFF
+    return base64.b64encode(bytes(raw)).decode("ascii")
+
+
+def _stats_objects(doc) -> list:
+    records = [rec for row in doc["classes"] for rec in row]
+    return [doc, *records, *(rec["params"] for rec in records if "params" in rec)]
+
+
+def _artifacts(run_dir):
+    return load_run(RunPaths(str(run_dir)))
+
+
+def _test_set(run_dir, raw):
+    """Decode the test set whole, which must raise DatasetFormatError, then
+    image 0 of it alone."""
+    arts = _artifacts(run_dir)
+    with pytest.raises(DatasetFormatError):
+        arts.test_data
+    arts.test_images([0])
+
+
+# each document format of a run directory: a file of it in `cached_run`,
+# the command that decodes it, how the run reads it given the file's
+# original bytes, the error that raises, the objects of a document whose
+# fields the format's tables name, and wrong values of the right JSON type
+# for some of its keys
+DOCUMENT_FORMATS = {
+    "dataset": (
+        "dataset/test.json", "explain",
+        _test_set, DatasetFormatError,
+        lambda doc: [doc],
+        lambda doc: [
+            ("format", "piece-network"), ("split", "val"), ("shape", [100, 16]),
+            ("shape", "100,16,16"), ("shape", [100.0, 16, 16]), ("shape", [100, 16, -16]),
+            ("shape", [101, 16, 16]), ("shape", [100, 16, 17]), ("labels", [0] * 99),
+            ("labels", [0.5] * 100), ("labels", [4] * 100), ("labels", [-1] * 100),
+            ("labels", [True] * 100), ("shape", None), ("images", None), ("images", "AAAA"),
+        ],
+    ),
+    "network": (
+        "models/classifier.json", "explain",
+        lambda run, raw: _artifacts(run).classifier, nc.NetworkFormatError,
+        lambda doc: [doc, *doc["layers"]],
+        lambda doc: [("feature_tap", 0), ("feature_tap", 99), ("format_version", 2),
+                     ("layers", [])],
+    ),
+    "stats": (
+        "stats/stats.json", "explain",
+        lambda run, raw: _artifacts(run).stats, HurdleError,
+        _stats_objects,
+        lambda doc: [("classes", doc["classes"][:1]), ("classes", [])],
+    ),
+    "latents": (
+        "stats/latents.json", "experiment",
+        lambda run, raw: _artifacts(run).latents, HurdleError,
+        lambda doc: [doc],
+        lambda doc: [("shape", doc["shape"][::-1]), ("predicted", doc["predicted"][1:]),
+                     ("latents", doc["latents"][4:])],
+    ),
+    "stage record": (
+        "stages/fit-stats.json", "explain",
+        lambda run, raw: _artifacts(run).stats, ProvenanceError,
+        lambda doc: [doc],
+        lambda doc: [("stage", "train"), ("after", "0" * 64), ("files", {})],
+    ),
+    "inversion": (
+        "inversions/0000.json", "explain",
+        lambda run, raw: pl.load_inversion(run / "inversions" / "0000.json",
+                                           json.loads(raw)["key"]),
+        pl.InversionFormatError,
+        lambda doc: [doc],
+        lambda doc: [("restarts", 2), ("latent_dim", 3), ("checksum", "0" * 64),
+                     ("key", dict(list(doc["key"].items())[1:])),
+                     *((name, _flipped(doc[name])) for name in ("z", "losses", "restart_losses"))],
+    ),
+}
+_DECODING_COMMANDS = {"explain": ["explain", "--index", "0", "--mode", "sf"],
+                      "experiment": ["experiment", "--expt", "1"]}
+
+
+class TestDocumentFormats:
+    """A document of any format of a run directory that is truncated,
+    garbled, lacks a key or holds a value of the wrong type or the wrong
+    value, and was recorded as its stage wrote it, raises its reader's
+    error; the command that decodes it exits 4 with one `error:` line
+    naming it and writes nothing."""
+
+    @pytest.mark.parametrize("fmt", list(DOCUMENT_FORMATS))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_document_exits_4(self, cached_run, capsys, fmt, data):
+        run_dir, entry = cached_run
+        entry_path(run_dir, 0).write_bytes(entry)  # as another test may have left it
+        name, command, read, error, objects, wrong = DOCUMENT_FORMATS[fmt]
+        path = run_dir / name
+        kept = {p: p.read_bytes() for p in [path, *(run_dir / "stages").iterdir()]}
+        raw = kept[path]
+        bad = damaged(data, raw, objects, wrong(json.loads(raw)))
+        try:
+            path.write_bytes(bad)
+            rerecord(run_dir, name)
+            with pytest.raises(error):
+                read(run_dir, raw)
+            before = run_files(run_dir, ".")
+            capsys.readouterr()
+            argv = _DECODING_COMMANDS[command]
+            assert main([argv[0], "--run-dir", str(run_dir), *argv[1:]]) == 4
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and name in err[0], err
+            assert run_files(run_dir, ".") == before
+        finally:
+            for p, content in kept.items():
+                p.write_bytes(content)
 
 
 class TestRunInversionStore:
@@ -1040,6 +1125,37 @@ class TestProvenance:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "models/classifier.json" in err[0] and field in err[0]
+
+
+    @pytest.mark.parametrize(
+        "name,edit",
+        [pytest.param("stats/stats.json", lambda doc: doc.update(classes=[]), id="stats-no-row"),
+         pytest.param("stats/stats.json", lambda doc: doc.update(classes=doc["classes"][:1]),
+                      id="stats-one-row"),
+         pytest.param("stats/stats.json", lambda doc: [
+             rec["params"].update(std=0) for row in doc["classes"] for rec in row
+             if rec["family"] == "gaussian"], id="stats-gaussian-std-0"),
+         pytest.param("models/classifier.json", lambda doc: doc.update(feature_tap=None),
+                      id="classifier-without-tap"),
+         pytest.param("dataset/test.json", lambda doc: doc.update(split=[]), id="split-list"),
+         pytest.param("stages/train.json", lambda doc: doc.update(files={}),
+                      id="train-record-without-files")],
+    )
+    def test_document_the_run_cannot_use_exits_4(self, mini_run, tmp_path, capsys, name, edit):
+        # each used to end `piece explain` in a traceback (an IndexError,
+        # DimensionError, TypeError or KeyError), or to divide by a scale of
+        # 0; the edit is recorded as its stage would have written it
+        clone = explainless_clone(mini_run, tmp_path / "run")
+        doc = json.loads((clone / name).read_text())
+        edit(doc)
+        (clone / name).write_text(json.dumps(doc))
+        rerecord(clone, name)
+        before = run_files(clone, ".")
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(clone), "--index", "0", "--mode", "sf"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and name in err[0], err
+        assert run_files(clone, ".") == before
 
 
 class TestStageRecords:

@@ -127,3 +127,15 @@ class TestSelection:
         a = df.fit_best(x)
         b = df.fit_best(x)
         assert a == b
+
+
+class TestFamilyParams:
+    def test_every_fit_holds_its_family_params(self):
+        # what `hurdle.load_stats` asks of each family's params
+        rng = np.random.default_rng(5)
+        fits = df.fit_candidates(rng.gamma(2.0, 1.5, 300))
+        assert {(f.family, f.loc_fixed) for f in fits} == set(df._N_FREE)
+        for fit in fits:
+            keys, positive = df.PARAMS[fit.family]
+            assert sorted(fit.params) == sorted(keys)
+            assert all(fit.params[k] > 0 for k in positive)

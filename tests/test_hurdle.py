@@ -331,6 +331,37 @@ class TestDecoderRefusals:
         with pytest.raises(hd.HurdleError, match=where):
             hd.load_stats(path)
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [("gaussian", {"mean": 1.0}), ("gaussian", {"mean": 1.0, "std": 0.5, "loc": 0.0}),
+         ("gaussian", {"mean": 1.0, "std": 0}), ("gaussian", {"mean": 1.0, "std": -1.0}),
+         ("gamma", {"shape": 0.0, "scale": 1.0, "loc": 0.0}),
+         ("gamma", {"shape": 2.0, "scale": -1.0, "loc": 0.0}),
+         ("gamma", {"shape": 2.0, "scale": 1.0}),
+         ("exponential", {"rate": 0.0, "loc": 0.0}), ("exponential", {"rate": 2.0}),
+         ("exponential", {"mean": 1.0, "std": 0.5})],
+    )
+    def test_params_of_another_family_or_not_positive(self, stats_doc, family, params):
+        # a scale of 0 used to pass, and `FittedDist.cdf` divided by it
+        path, doc = stats_doc
+        doc["classes"][1][1].update(family=family, params=params)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(hd.HurdleError,
+                           match=rf"{re.escape(str(path))}: class 1, neuron 1: params"):
+            hd.load_stats(path)
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("gaussian", {"mean": -1.0, "std": 1e-300}),
+         ("gamma", {"shape": 0.5, "scale": 2.0, "loc": -3.0}),
+         ("exponential", {"rate": 1e300, "loc": 0})],
+    )
+    def test_params_of_each_family_accepted(self, stats_doc, family, params):
+        path, doc = stats_doc
+        doc["classes"][1][1].update(family=family, params=params)
+        path.write_text(json.dumps(doc))
+        assert hd.load_stats(path).models[1][1].dist.params == params
+
     def test_stats_bounds_accepted(self, stats_doc):
         path, doc = stats_doc
         doc["classes"][0][0]["theta"], doc["classes"][0][1]["theta"] = 0, 1
