@@ -11,7 +11,8 @@ pipeline, numerical overflow or metric error), 2 configuration error, 3
 missing prerequisite stage or run file, 4 run artifacts that do not verify
 (a file whose sha256 differs from the one its stage record holds, or that
 the record does not list; a stage record whose `after` is not the sha256
-of the record of the stage it builds on; an edited [dataset] key; or a
+of the record of the stage it builds on; a [dataset] key or [run] seed
+in config.ini that differs from the value the datagen record holds; or a
 document of any format, a stage record, a dataset, model, stats or
 latents file or a stored inversion, that does not parse or has a field
 its format's table does not allow, see `netcore.check_fields`), 5
@@ -44,6 +45,7 @@ from .runcfg import (
     PrerequisiteError,
     ProvenanceError,
     RunPaths,
+    datagen_fields,
     default_config_ini,
     load_run,
     parse_config,
@@ -85,17 +87,9 @@ _EXIT_CODES = {
 def cmd_datagen(args) -> int:
     cfg = parse_config(args.config)
     paths = RunPaths(args.run_dir)
-    data = cfg.dataset
-    counts = {
-        "train": data.count("train"),
-        "test": data.count("test"),
-        "train_per_class": data.n_train_per_class,
-        "test_per_class": data.n_test_per_class,
-    }
-    params = dataclasses.asdict(data.glyphs)
-    with paths.stage("datagen", args.force, params=params, counts=counts) as out:
-        train = make_glyphs(data.glyphs, data.n_train_per_class, "train")
-        test = make_glyphs(data.glyphs, data.n_test_per_class, "test")
+    with paths.stage("datagen", args.force, **datagen_fields(cfg)) as out:
+        train = make_glyphs(cfg.dataset, cfg.seed, "train")
+        test = make_glyphs(cfg.dataset, cfg.seed, "test")
         save_dataset(train, out.dataset("train.json"))
         save_dataset(test, out.dataset("test.json"))
         write_config(cfg, paths.config)  # outside the record: it stays editable
@@ -172,7 +166,7 @@ def cmd_explain(args) -> int:
     test = arts.test_images([args.index])  # decodes this image alone
     image, label = test.images[0], int(test.labels[0])
     if args.target_class is not None:
-        n_classes = cfg.dataset.glyphs.n_classes
+        n_classes = cfg.dataset.n_classes
         if not (0 <= args.target_class < n_classes):
             raise ConfigError(
                 f"--target-class {args.target_class} out of range (classes 0..{n_classes - 1})"

@@ -3,7 +3,7 @@
 Four glyph families (horizontal bar, cross, ring, diagonal stroke) drawn on
 a small square frame with seeded jitter in position, stroke thickness,
 intensity, and additive noise. Generation is fully deterministic given
-(params, split): the same call always yields byte-identical arrays.
+(params, seed, split): the same call always yields byte-identical arrays.
 """
 
 from __future__ import annotations
@@ -29,9 +29,16 @@ CLASS_NAMES = ("bar", "cross", "ring", "diagonal")
 
 _SPLIT_CODE = {"train": 0, "test": 1}
 
+# a class autoencoder needs at least this many training images of its class
+MIN_CLASS_SAMPLES = 30
+
 
 @dataclass(frozen=True)
 class GlyphParams:
+    """The [dataset] section: the images per class of each split, and how they are drawn."""
+
+    n_train_per_class: int = 250
+    n_test_per_class: int = 100
     side: int = 16
     n_classes: int = 4
     translate_jitter: int = 2  # pixels, each axis
@@ -40,7 +47,6 @@ class GlyphParams:
     intensity_min: float = 0.7
     intensity_max: float = 1.0
     noise_sigma: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.side < 12:
@@ -61,6 +67,14 @@ class GlyphParams:
             raise DataError("bad intensity range")
         if self.noise_sigma < 0:
             raise DataError("noise sigma must be nonnegative")
+        # fewer training images would fail the class autoencoders in `train`
+        for name, low in (("n_train_per_class", MIN_CLASS_SAMPLES), ("n_test_per_class", 1)):
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be at least {low}, got {getattr(self, name)}")
+
+    def count(self, split: str) -> int:
+        """The images of `split` ("train" or "test") that `make_glyphs` makes."""
+        return self.n_classes * getattr(self, f"n_{split}_per_class")
 
 
 @dataclass
@@ -134,13 +148,13 @@ def _draw_diagonal(canvas: Array, dy: int, dx: int, t: int) -> None:
 _DRAWERS = (_draw_bar, _draw_cross, _draw_ring, _draw_diagonal)
 
 
-def make_glyphs(params: GlyphParams, n_per_class: int, split: str) -> Dataset:
-    """Class-balanced glyph set, deterministic for fixed (params, split)."""
-    if n_per_class < 1:
-        raise DataError("n_per_class must be >= 1")
+def make_glyphs(params: GlyphParams, seed: int, split: str) -> Dataset:
+    """The class-balanced glyph set of `split`, `params.count(split)` images
+    drawn from the run seed `seed`; the same for fixed (params, seed, split)."""
     if split not in _SPLIT_CODE:
         raise DataError(f"split must be one of {sorted(_SPLIT_CODE)}")
-    rng = np.random.default_rng([params.seed, _SPLIT_CODE[split]])
+    rng = np.random.default_rng([seed, _SPLIT_CODE[split]])
+    n_per_class = getattr(params, f"n_{split}_per_class")
     n = params.n_classes * n_per_class
     images = np.zeros((n, params.side, params.side))
     labels = np.zeros(n, dtype=np.int64)

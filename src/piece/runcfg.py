@@ -23,7 +23,8 @@ record exists, and a done stage is refused unless forced. The record is
 removed just before the stage's first write and written once all its
 writes complete. It holds the sha256 of every file the stage wrote, by its
 path in the run directory, and no time, so a rerun writes the same bytes;
-`datagen`'s also holds the glyph parameters and counts it generated with.
+`datagen`'s also holds the value of each key it fixes, [run] seed and
+every [dataset] key, under its INI name (`datagen_fields`).
 Every later record links to the record of the stage it builds on (train
 to datagen, fit-stats to train, each experiment to fit-stats) by holding
 its sha256 in `after` (`BUILDS_ON`): the run's one provenance chain.
@@ -55,10 +56,10 @@ from typing import Optional
 from .baselines import BaselineConfig, BaselineError
 from .datagen import DataError, Dataset, GlyphParams, file_sha256, load_dataset
 from .hurdle import HurdleError, StatsTable, load_latents, load_stats
-from .netcore import (MAPPING, Network, atomic_write, load_network, one_of, read_doc,
+from .netcore import (COUNT, FINITE, Network, atomic_write, load_network, one_of, read_doc,
                       write_json)
 from .pipeline import OptimSettings, PipelineError
-from .training import MIN_CLASS_SAMPLES, AutoencoderConfig, ClassifierConfig, TrainingFailure
+from .training import AutoencoderConfig, ClassifierConfig, TrainingFailure
 
 
 class ConfigError(Exception):
@@ -71,23 +72,6 @@ class PrerequisiteError(Exception):
 
 class ProvenanceError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    n_train_per_class: int = 250
-    n_test_per_class: int = 100
-    glyphs: GlyphParams = GlyphParams()
-
-    def __post_init__(self):
-        # fewer training images would fail the class autoencoders in `train`
-        for name, low in (("n_train_per_class", MIN_CLASS_SAMPLES), ("n_test_per_class", 1)):
-            if getattr(self, name) < low:
-                raise DataError(f"{name} must be at least {low}, got {getattr(self, name)}")
-
-    def count(self, split: str) -> int:
-        """The images of `split` ("train" or "test") that `datagen` makes."""
-        return self.glyphs.n_classes * getattr(self, f"n_{split}_per_class")
 
 
 @dataclass(frozen=True)
@@ -142,7 +126,7 @@ _TRAIN_DEFAULTS = {
 class RunConfig:
     seed: int = 7
     alpha: float = 0.05
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    dataset: GlyphParams = field(default_factory=GlyphParams)
     classifier: ClassifierConfig = None
     generator: AutoencoderConfig = None
     autoencoders: AutoencoderConfig = None
@@ -158,13 +142,10 @@ class RunConfig:
         for name, (kind, defaults, offset) in _TRAIN_DEFAULTS.items():
             if getattr(self, name) is None:
                 setattr(self, name, kind(**defaults, seed=self.seed + offset))
-        # the glyph generator always draws from the run seed
-        glyphs = dataclasses.replace(self.dataset.glyphs, seed=self.seed)
-        self.dataset = dataclasses.replace(self.dataset, glyphs=glyphs)
         if not (0.0 < self.alpha < 0.5):
             raise ConfigError(f"[run] alpha must be in (0, 0.5), got {self.alpha}")
         # keys bounded by [dataset] keys, which are parsed before their sections
-        n_pixels = self.dataset.glyphs.side ** 2
+        n_pixels = self.dataset.side ** 2
         for name in ("generator", "autoencoders"):
             latent_dim = getattr(self, name).latent_dim
             if latent_dim >= n_pixels:
@@ -172,7 +153,7 @@ class RunConfig:
                     f"[{name}] latent_dim must be below the frame's {n_pixels} pixels, "
                     f"got {latent_dim}"
                 )
-        n_train = self.dataset.n_train_per_class * self.dataset.glyphs.n_classes
+        n_train = self.dataset.count("train")
         for name in ("knn_k", "knn_k_extra"):
             k = getattr(self.metrics, name)
             if k > n_train:
@@ -181,36 +162,32 @@ class RunConfig:
                 )
 
 
-# INI section -> attribute paths (from RunConfig) of the objects whose scalar
-# fields are its keys. Every key, its type and its default come from those
-# dataclasses; nested dataclass fields are never keys themselves.
+# INI section -> the RunConfig attribute whose dataclass's scalar fields are
+# its keys ([run]: RunConfig's own). Every key, its type and its default come
+# from those dataclasses; dataclass fields are never keys themselves.
 _SECTIONS = {
-    "run": ((),),
-    "dataset": (("dataset",), ("dataset", "glyphs")),
-    "classifier": (("classifier",),),
-    "generator": (("generator",),),
-    "autoencoders": (("autoencoders",),),
-    "pipeline": (("optim",),),
-    "baselines": (("baselines",),),
-    "experiment": (("experiment",),),
-    "metrics": (("metrics",),),
+    "run": None,
+    "dataset": "dataset",
+    "classifier": "classifier",
+    "generator": "generator",
+    "autoencoders": "autoencoders",
+    "pipeline": "optim",
+    "baselines": "baselines",
+    "experiment": "experiment",
+    "metrics": "metrics",
 }
 _INI_NAMES = {"dropout_rate": "dropout", "lam": "lambda", "lam_sweep": "lambda_sweep"}
-# the glyph seed is the run seed
-_NOT_IN_INI = {(GlyphParams, "seed")}
 _type_hints = functools.cache(typing.get_type_hints)  # every CLI call parses and echoes
 
 
 def _section_fields(cfg: RunConfig, section: str):
-    """(object path, field name, INI key, type, value) of each key of `section`."""
-    for path in _SECTIONS[section]:
-        obj = functools.reduce(getattr, path, cfg)
-        hints = _type_hints(type(obj))
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if (type(obj), f.name) in _NOT_IN_INI or dataclasses.is_dataclass(value):
-                continue
-            yield path, f.name, _INI_NAMES.get(f.name, f.name), hints[f.name], value
+    """(section, field name, INI key, type, value) of each key of `section`."""
+    obj = cfg if _SECTIONS[section] is None else getattr(cfg, _SECTIONS[section])
+    hints = _type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not dataclasses.is_dataclass(value):
+            yield section, f.name, _INI_NAMES.get(f.name, f.name), hints[f.name], value
 
 
 def _parse_value(hint, raw: str):
@@ -232,31 +209,21 @@ def _format_value(value) -> str:
 
 
 def _read_section(parser, section: str, cfg: RunConfig) -> dict:
-    """{object path: {field: value}} for the keys `section` sets in `parser`."""
+    """{field: value} of the keys `section` sets in `parser`."""
     keys = list(_section_fields(cfg, section))
     if parser.has_section(section):
         unknown = set(parser.options(section)) - {key for _, _, key, _, _ in keys}
         if unknown:
             raise ConfigError(f"[{section}] unknown keys: {', '.join(sorted(unknown))}")
     changes: dict = {}
-    for path, name, key, hint, _ in keys:
+    for _, name, key, hint, _ in keys:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                changes.setdefault(path, {})[name] = _parse_value(hint, raw)
+                changes[name] = _parse_value(hint, raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
     return changes
-
-
-def _built(obj, path: tuple, changes: dict):
-    """`obj`, the object at `path`, with `changes` ({object path: {field:
-    value}}) applied at `path` and below it; each object built once."""
-    fields = dict(changes.get(path, {}))
-    for inner in changes:
-        if len(inner) == len(path) + 1 and inner[:-1] == path:
-            fields[inner[-1]] = _built(getattr(obj, inner[-1]), inner, changes)
-    return dataclasses.replace(obj, **fields) if fields else obj
 
 
 def parse_config(path: Optional[str]) -> RunConfig:
@@ -274,13 +241,12 @@ def parse_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
     # [run] first: the other sections' defaults derive from the run seed
-    defaults = RunConfig(**_read_section(parser, "run", RunConfig()).get((), {}))
+    defaults = RunConfig(**_read_section(parser, "run", RunConfig()))
     sections = {}
-    for section in list(_SECTIONS)[1:]:
-        (name,) = _SECTIONS[section][0]
+    for section, name in list(_SECTIONS.items())[1:]:
         try:
             changes = _read_section(parser, section, defaults)
-            sections[name] = _built(getattr(defaults, name), (name,), changes)
+            sections[name] = dataclasses.replace(getattr(defaults, name), **changes)
         # the section's own checks, which fail as the config is parsed,
         # before any stage creates or writes a file
         except (TrainingFailure, BaselineError, DataError, PipelineError) as exc:
@@ -468,7 +434,7 @@ class RunArtifacts:
 
     @functools.cached_property
     def class_aes(self) -> list:
-        return [self._model(f"ae_class_{c}") for c in range(self.config.dataset.glyphs.n_classes)]
+        return [self._model(f"ae_class_{c}") for c in range(self.config.dataset.n_classes)]
 
     @functools.cached_property
     def ae_full(self) -> Network:
@@ -478,7 +444,7 @@ class RunArtifacts:
     def stats(self) -> StatsTable:
         path = self._path("stats/stats.json")
         table = load_stats(path)
-        n_classes = self.config.dataset.glyphs.n_classes  # the classifier's are the dataset's
+        n_classes = self.config.dataset.n_classes  # the classifier's are the dataset's
         if table.n_classes != n_classes:
             raise HurdleError(f"{path}: classes holds {table.n_classes} rows, not one for "
                               f"each of the classifier's {n_classes} classes")
@@ -496,34 +462,39 @@ class RunArtifacts:
                 getattr(self, name)
 
 
+def _frozen(cfg: RunConfig) -> list:
+    """(section, INI key, value) of each key `datagen` fixes: [run] seed,
+    from which the glyphs are drawn, and every [dataset] key."""
+    dataset = [(section, key, value) for section, _, key, _, value
+               in _section_fields(cfg, "dataset")]
+    return [("run", "seed", cfg.seed), *dataset]
+
+
+def datagen_fields(cfg: RunConfig) -> dict:
+    """The fields the datagen record holds beside its files: the value of
+    each key `datagen` fixes (`_frozen`), under its INI name."""
+    return {key: value for _, key, value in _frozen(cfg)}
+
+
 def _check_frozen(cfg: RunConfig, record: dict) -> None:
-    """`datagen` fixes the [dataset] keys and the run seed: `cfg` must hold
-    the values its record holds (a value it lacks is None)."""
-    params, counts = record["params"], record["counts"]
-    fixed = [  # the glyph seed is the run seed
-        ("[run] seed" if name == "seed" else f"[dataset] {name}", value, params.get(name))
-        for name, value in dataclasses.asdict(cfg.dataset.glyphs).items()
-    ]
-    fixed += [
-        (f"[dataset] n_{split}_per_class", getattr(cfg.dataset, f"n_{split}_per_class"),
-         counts.get(f"{split}_per_class"))
-        for split in ("train", "test")
-    ]
-    for key, value, recorded in fixed:
-        if value != recorded:
+    """`cfg` must hold the values of the keys `datagen` fixes that its
+    record holds."""
+    for section, key, value in _frozen(cfg):
+        if value != record[key]:
             raise ProvenanceError(
-                f"config.ini {key} is {value}, but the dataset was generated with {recorded}; "
-                "regenerate it with `piece datagen --force`"
+                f"config.ini [{section}] {key} is {value}, but the dataset was generated with "
+                f"{record[key]}; regenerate it with `piece datagen --force`"
             )
 
 
-# what each field of a stage record holds; datagen's also holds the glyph
-# parameters and counts it generated with
+# what each field of a stage record holds; datagen's also holds the keys it fixes
 _RECORD_FIELDS = {
     "files": ((lambda v: isinstance(v, dict) and all(type(s) is str for s in v.values())),
               "a mapping of path to sha256"),
 }
-_DATAGEN_FIELDS = {**_RECORD_FIELDS, "params": MAPPING, "counts": MAPPING}
+_DATAGEN_FIELDS = {**_RECORD_FIELDS, **{
+    key: COUNT if type(value) is int else FINITE for _, key, value in _frozen(RunConfig())
+}}
 
 
 def check_stage(paths: RunPaths, stage: str) -> tuple[dict, str]:

@@ -29,11 +29,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import netcore as nc
-from .datagen import Dataset
-
-
-# a class autoencoder needs at least this many training images of its class
-MIN_CLASS_SAMPLES = 30
+from .datagen import MIN_CLASS_SAMPLES, Dataset
 
 
 class TrainingFailure(Exception):

@@ -315,6 +315,16 @@ class TestTrainJobs:
         assert exc.value.code == 2
 
 
+def _old_form(doc: dict) -> dict:
+    """The datagen record `doc` in the form it had before it held each
+    frozen key under its INI name."""
+    counts = ("n_train_per_class", "n_test_per_class")
+    old = {k: v for k, v in doc.items() if k in ("format", "stage", "files")}
+    old["params"] = {k: v for k, v in doc.items() if k not in {*old, *counts}}
+    old["counts"] = {k.removeprefix("n_"): doc[k] for k in counts}
+    return old
+
+
 class TestDatagenOutputs:
     def test_artifacts_exist(self, mini_run):
         import os
@@ -331,12 +341,12 @@ class TestDatagenOutputs:
         from piece.datagen import file_sha256
 
         doc = json.load(open(os.path.join(mini_run, "stages", "datagen.json")))
-        assert doc["counts"]["train"] == 240
+        assert (doc["n_train_per_class"], doc["n_test_per_class"]) == (60, 25)
         assert doc["files"] == {
             name: file_sha256(os.path.join(mini_run, name))
             for name in ("dataset/train.json", "dataset/test.json")
         }
-        assert doc["params"]["seed"] == 13
+        assert (doc["seed"], doc["side"], doc["noise_sigma"]) == (13, 16, 0.05)
 
 
 class TestExplainCommand:
@@ -599,12 +609,16 @@ class TestInversionCache:
             digest.update(base64.b64decode(doc[name]))
         digest.update(str(index).encode("ascii"))
         doc["checksum"] = digest.hexdigest()
-        entry.write_text(json.dumps(doc, indent=1) + "\n")
-        capsys.readouterr()
-        assert main(["explain", "--run-dir", str(run_dir), "--index", "0", "--mode", "sf"]) == 4
-        assert capsys.readouterr().err == (
-            f"error: {entry}: restart_index {index!r} is not in 0..2\n"
-        )
+        try:
+            entry.write_text(json.dumps(doc, indent=1) + "\n")
+            capsys.readouterr()
+            assert main(["explain", "--run-dir", str(run_dir), "--index", "0",
+                         "--mode", "sf"]) == 4
+            assert capsys.readouterr().err == (
+                f"error: {entry}: restart_index {index!r} is not in 0..2\n"
+            )
+        finally:  # the module's later tests explain image 0 of this run
+            entry.write_bytes(original)
 
     def test_refused_target_class_inverts_and_stores_nothing(
         self, mini_run, tmp_path, monkeypatch, capsys
@@ -782,8 +796,7 @@ class TestDocumentFormats:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_damaged_document_exits_4(self, cached_run, capsys, fmt, data):
-        run_dir, entry = cached_run
-        entry_path(run_dir, 0).write_bytes(entry)  # as another test may have left it
+        run_dir, _ = cached_run
         name, command, read, error, objects, wrong = DOCUMENT_FORMATS[fmt]
         path = run_dir / name
         kept = {p: p.read_bytes() for p in [path, *(run_dir / "stages").iterdir()]}
@@ -998,16 +1011,38 @@ class TestProvenance:
         )
         assert (clone / "models" / "classifier.json").read_bytes() == before
 
-    def test_tampered_dataset_detected(self, mini_run, tmp_path):
+    def test_tampered_dataset_detected(self, mini_run, tmp_path, capsys):
+        # the frozen keys are compared before the train record's link to
+        # this record, which the edit breaks too
         import shutil
 
         clone = tmp_path / "clone2"
         shutil.copytree(mini_run, clone)
         record = clone / "stages" / "datagen.json"
         doc = json.loads(record.read_text())
-        doc["counts"]["train"] = 1
+        doc["n_train_per_class"] = 1
         record.write_text(json.dumps(doc))
+        capsys.readouterr()
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config.ini [dataset] n_train_per_class is 60, but the dataset was "
+            "generated with 1; regenerate it with `piece datagen --force`"
+        ]
+
+    def test_old_record_form_exits_4(self, mini_run, tmp_path, capsys):
+        # a datagen record from before it held each frozen key under its INI
+        # name: the glyph keys and seed under params, the counts under counts
+        import shutil
+
+        clone = tmp_path / "old_record"
+        shutil.copytree(mini_run, clone)
+        record = clone / "stages" / "datagen.json"
+        record.write_text(json.dumps(_old_form(json.loads(record.read_text())), indent=1))
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {record}: missing key 'seed'"
+        ]
 
     def test_edited_dataset_file_detected(self, mini_run, tmp_path, capsys):
         import shutil
@@ -1221,17 +1256,18 @@ class TestStageRecords:
 
     def test_old_layout_exits_3(self, mini_run, tmp_path, capsys):
         # a run directory from before datagen wrote a stage record: its
-        # dataset/manifest.json held what stages/datagen.json holds now
+        # dataset/manifest.json held the files, params and counts that
+        # stages/datagen.json first held
         import os
         import shutil
 
         clone = tmp_path / "old_layout"
         shutil.copytree(mini_run, clone)
         record = clone / "stages" / "datagen.json"
-        doc = json.loads(record.read_text())
+        old = _old_form(json.loads(record.read_text()))
         manifest = {
-            "format": "piece-dataset-manifest", "params": doc["params"], "counts": doc["counts"],
-            "files": {os.path.basename(name): sha for name, sha in doc["files"].items()},
+            "format": "piece-dataset-manifest", "params": old["params"], "counts": old["counts"],
+            "files": {os.path.basename(name): sha for name, sha in old["files"].items()},
         }
         (clone / "dataset" / "manifest.json").write_text(json.dumps(manifest, indent=1))
         record.unlink()
@@ -1301,13 +1337,14 @@ class TestStageRecords:
          pytest.param("stages/fit-stats.json", "files", "stats/stats.json",
                       id="stages/fit-stats.json-stats/stats.json"),
          pytest.param("stages/datagen.json", "files", [], id="stages/datagen.json-files3"),
-         pytest.param("stages/datagen.json", "params", "x", id="stages/datagen.json-params"),
-         pytest.param("stages/datagen.json", "counts", None, id="stages/datagen.json-counts")],
+         pytest.param("stages/datagen.json", "side", "x", id="stages/datagen.json-side"),
+         pytest.param("stages/datagen.json", "noise_sigma", None,
+                      id="stages/datagen.json-noise_sigma")],
     )
     def test_malformed_record_exits_4(self, mini_run, tmp_path, capsys, name, key, value):
-        # a datagen record whose files, params or counts were not a mapping
-        # used to end explain in a TypeError; nothing hashes a record itself,
-        # so reading it is what must fail
+        # a datagen record whose files were not a mapping used to end
+        # explain in a TypeError; nothing hashes a record itself, so reading
+        # it is what must fail
         import shutil
 
         clone = tmp_path / "malformed"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,32 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import read_pgm
+from helpers import read_pgm, watched
 from piece import datagen as dg
 
 
 @pytest.fixture(scope="module")
 def glyphs():
-    params = dg.GlyphParams(seed=7)
-    return dg.make_glyphs(params, 250, "train"), dg.make_glyphs(params, 100, "test")
+    params = dg.GlyphParams()
+    return dg.make_glyphs(params, 7, "train"), dg.make_glyphs(params, 7, "test")
 
 
 class TestGlyphs:
     def test_deterministic(self):
-        params = dg.GlyphParams(seed=7)
-        a = dg.make_glyphs(params, 10, "train")
-        b = dg.make_glyphs(params, 10, "train")
+        params = dg.GlyphParams(n_test_per_class=10)
+        a = dg.make_glyphs(params, 7, "test")
+        b = dg.make_glyphs(params, 7, "test")
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
 
     def test_splits_differ(self):
-        params = dg.GlyphParams(seed=7)
-        a = dg.make_glyphs(params, 10, "train")
-        b = dg.make_glyphs(params, 10, "test")
+        params = dg.GlyphParams(n_train_per_class=30, n_test_per_class=30)
+        a = dg.make_glyphs(params, 7, "train")
+        b = dg.make_glyphs(params, 7, "test")
         assert not np.array_equal(a.images, b.images)
 
     def test_class_balance(self):
-        data = dg.make_glyphs(dg.GlyphParams(seed=1), 250, "train")
+        data = dg.make_glyphs(dg.GlyphParams(), 1, "train")
         assert len(data) == 1000
         assert np.array_equal(np.bincount(data.labels), [250, 250, 250, 250])
 
@@ -52,10 +53,26 @@ class TestGlyphs:
             dg.GlyphParams(side=8)
 
     def test_bad_split_and_count(self):
-        with pytest.raises(dg.DataError):
-            dg.make_glyphs(dg.GlyphParams(), 0, "train")
+        with pytest.raises(dg.DataError, match="n_test_per_class must be at least 1, got 0"):
+            dg.GlyphParams(n_test_per_class=0)
+        with pytest.raises(dg.DataError, match="n_train_per_class must be at least 30, got 29"):
+            dg.GlyphParams(n_train_per_class=dg.MIN_CLASS_SAMPLES - 1)
         with pytest.raises(dg.DataError):
             dg.make_glyphs(dg.GlyphParams(), 5, "validation")
+
+    def test_seed_changes_the_images(self):
+        params = dg.GlyphParams(n_test_per_class=10)
+        a = dg.make_glyphs(params, 7, "test")
+        b = dg.make_glyphs(params, 8, "test")
+        assert np.array_equal(a.labels, b.labels) and not np.array_equal(a.images, b.images)
+
+    def test_every_field_is_read(self):
+        # a [dataset] key that nothing reads would be echoed and recorded,
+        # yet change no image
+        params, reads = watched(dg.GlyphParams(n_train_per_class=30, n_test_per_class=2))
+        for split in ("train", "test"):
+            assert len(dg.make_glyphs(params, 7, split)) == params.count(split)
+        assert reads == {f.name for f in dataclasses.fields(dg.GlyphParams)}
 
     def test_nearest_neighbor_separability(self, glyphs):
         # pixel-space 1-nn oracle, implemented inline and brute force
@@ -116,7 +133,7 @@ class TestPgm:
 
 class TestDatasetFiles:
     def test_save_load_round_trip(self, tmp_path):
-        data = dg.make_glyphs(dg.GlyphParams(seed=3), 5, "test")
+        data = dg.make_glyphs(dg.GlyphParams(n_test_per_class=5), 3, "test")
         path = tmp_path / "d.json"
         dg.save_dataset(data, path)
         back = dg.load_dataset(path)
@@ -125,20 +142,21 @@ class TestDatasetFiles:
         assert back.split == "test"
 
     def test_manifest_round_trip(self, tmp_path):
-        # the dataset's manifest is datagen's stage record
-        from dataclasses import asdict
+        # the dataset's manifest is datagen's stage record: each key it
+        # fixes, under its INI name
+        from piece.runcfg import RunConfig, RunPaths, datagen_fields
 
-        from piece.runcfg import RunPaths
-
-        params = dg.GlyphParams(seed=9)
-        data = dg.make_glyphs(params, 5, "train")
+        cfg = RunConfig(seed=9, dataset=dg.GlyphParams(n_train_per_class=30, side=14))
+        data = dg.make_glyphs(cfg.dataset, cfg.seed, "train")
         paths = RunPaths(str(tmp_path))
-        with paths.stage("datagen", False, params=asdict(params), counts={"train": 10}) as out:
+        with paths.stage("datagen", False, **datagen_fields(cfg)) as out:
             dg.save_dataset(data, out.dataset("train.json"))
         doc = json.loads((tmp_path / "stages" / "datagen.json").read_text())
         assert doc["format"] == "piece-stage-record"
-        assert doc["params"]["seed"] == 9
-        assert doc["counts"]["train"] == 10
+        assert {k: doc[k] for k in ("seed", "n_train_per_class", "side")} == {
+            "seed": 9, "n_train_per_class": 30, "side": 14}
+        assert doc.keys() == {"format", "stage", "files", "seed",
+                              *(f.name for f in dataclasses.fields(dg.GlyphParams))}
         assert doc["files"] == {"dataset/train.json": dg.file_sha256(paths.dataset("train.json"))}
         assert paths.done("datagen")
 
@@ -152,7 +170,7 @@ class TestDatasetFormat:
     @pytest.fixture(scope="class")
     def original(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("format") / "test.json"
-        dg.save_dataset(dg.make_glyphs(dg.GlyphParams(seed=3), 2, "test"), path)
+        dg.save_dataset(dg.make_glyphs(dg.GlyphParams(n_test_per_class=2), 3, "test"), path)
         return path, path.read_bytes()
 
     def test_exit_code(self):

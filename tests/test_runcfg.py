@@ -19,7 +19,7 @@ from piece.runcfg import (
     parse_config,
     write_config,
 )
-from piece.training import MIN_CLASS_SAMPLES
+from piece.datagen import MIN_CLASS_SAMPLES
 
 NON_DEFAULT_INI = """
 [run]

@@ -21,8 +21,8 @@ def saved_bytes(net, path):
 
 @pytest.fixture(scope="module")
 def small_data():
-    params = GlyphParams(seed=21)
-    return make_glyphs(params, 60, "train"), make_glyphs(params, 30, "test")
+    params = GlyphParams(n_train_per_class=60, n_test_per_class=30)
+    return make_glyphs(params, 21, "train"), make_glyphs(params, 21, "test")
 
 
 class TestClassifier:
