@@ -14,9 +14,10 @@ the record does not list; a stage record whose `after` is not the sha256
 of the record of the stage it builds on; a [dataset] key or [run] seed
 in config.ini that differs from the value the datagen record holds; or a
 document of any format, a stage record, a dataset, model, stats or
-latents file or a stored inversion, that does not parse or has a field
-its format's table does not allow, see `netcore.check_fields`), 5
-experiment failure fraction above the configured threshold.
+latents file, a stored inversion or a stored explanation, that does not
+parse or has a field its format's table does not allow, see
+`netcore.check_fields`, or fails its checksum), 5 experiment failure
+fraction above the configured threshold.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 
 import numpy as np
@@ -75,7 +77,7 @@ _EXIT_CODES = {
     PrerequisiteError: EXIT_PREREQUISITE,
     **dict.fromkeys(
         (ProvenanceError, HurdleError, nc.NetworkFormatError, DatasetFormatError,
-         pl.InversionFormatError),
+         pl.InversionFormatError, pl.ExplanationFormatError),
         EXIT_PROVENANCE,
     ),
     **dict.fromkeys(
@@ -153,6 +155,36 @@ def cmd_fit_stats(args) -> int:
 
 
 _MODE_NAMES = {"cf": "counterfactual", "sf": "semifactual", "prop": "proportional"}
+# the pipeline settings an explanation depends on beyond those of its inversion
+_EXPLAIN_SETTINGS = ("ascent_lr", "ascent_max_steps", "visualize_steps", "visualize_lr")
+
+
+def _explained(arts, request: pl.ExplanationRequest, entry: str) -> pl.ExplanationResult:
+    """The explanation `request` asks for: the run's stored
+    explained/<entry>.json while its key, everything the explanation depends
+    on, matches; else made now from the image's stored inversion
+    (`ex.inversions`) and stored, unless it failed. A damaged entry raises
+    ExplanationFormatError and is left as it is."""
+    cfg = arts.config
+    (inversion_key,) = ex.inversion_keys(arts, [request.image_id])
+    key = {
+        "inversion": inversion_key,
+        "stats_sha": arts.sha("stats/stats.json"),
+        **{name: getattr(cfg.optim, name) for name in _EXPLAIN_SETTINGS},
+        "image_id": request.image_id, "label": request.true_label,
+        "mode": request.mode, "alpha": request.alpha, "target_class": request.target_class,
+    }
+    path = arts.paths.explained(f"{entry}.json")
+    stored = pl.stored_explanation(
+        path, key, arts.generator, arts.classifier, request.image.shape
+    ) if os.path.exists(path) else None
+    if stored is not None:
+        return stored
+    inversion = pl._one(ex.inversions(arts, [request.image_id]))
+    result = pl.explain(dataclasses.replace(request, inversion=inversion),
+                        arts.classifier, arts.generator, arts.stats, cfg.optim)
+    pl.store_explanation(result, key, path)
+    return result
 
 
 def cmd_explain(args) -> int:
@@ -194,10 +226,15 @@ def cmd_explain(args) -> int:
             int(np.argmax(nc.forward(arts.classifier, image.ravel()).output)),
             "proportional explanation" if mode == "proportional" else mode,
         )
-    # decoded, and so checked, before an inversion is made and stored
+    # decoded, and so checked, before an explanation is looked up, or made and stored
     classifier, generator, stats = arts.classifier, arts.generator, arts.stats
-    request = dataclasses.replace(request, inversion=pl._one(ex.inversions(arts, [args.index])))
-    result = pl.explain(request, classifier, generator, stats, cfg.optim)
+    # a proportional explanation is cut from the image's stored semifactual
+    entry = f"{args.index:04d}_{'cf' if mode == 'counterfactual' else 'sf'}"
+    if args.target_class is not None:
+        entry += f"_t{args.target_class}"
+    if args.alpha is not None:
+        entry += f"_a{args.alpha!r}"
+    result = _explained(arts, request, entry)
     if mode == "proportional":  # the semifactual's prefix, cut as experiment 2 cuts it
         (result,) = pl.proportional_stack(
             [(result, args.fraction)], classifier, generator, stats, cfg.optim

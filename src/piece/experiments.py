@@ -66,28 +66,37 @@ def derive_seed(*parts) -> int:
     return int(ss.generate_state(1, np.uint64)[0] % (2**62))
 
 
-def inversions(arts: RunArtifacts, image_ids) -> list:
-    """Each test image's InversionResult, or its InversionError, one per
-    image per run: the run's stored inversions/NNNN.json (NNNN the index)
-    while its key, everything the inversion depends on, matches; else made
-    now, the misses as one `invert_image` stack, each from its image's one
-    seed, and stored unless it failed. A damaged entry raises
-    InversionFormatError. The store is a cache that no stage record lists."""
+def inversion_keys(arts: RunArtifacts, image_ids) -> list:
+    """The key of each test image's inversion: everything it depends on,
+    the generator and classifier files, the image, its seed and the
+    inversion settings."""
     cfg = arts.config
-    images = arts.test_images(image_ids).images
     shared = {
         "generator_sha": arts.sha("models/generator.json"),
         "classifier_sha": arts.sha("models/classifier.json"),
         **{name: getattr(cfg.optim, name)
            for name in ("invert_restarts", "invert_steps", "invert_lr")},
     }
-    keys = [
-        {**shared, "seed": derive_seed(cfg.seed, image_id),
-         "image_sha": nc.checksum(image)}
-        for image_id, image in zip(image_ids, images)
+    return [
+        {**shared, "seed": derive_seed(cfg.seed, image_id), "image_sha": nc.checksum(image)}
+        for image_id, image in zip(image_ids, arts.test_images(image_ids).images)
     ]
+
+
+def inversions(arts: RunArtifacts, image_ids) -> list:
+    """Each test image's InversionResult, or its InversionError, one per
+    image per run: the run's stored inversions/NNNN.json (NNNN the index)
+    while its key (`inversion_keys`) matches; else made now, the misses as
+    one `invert_image` stack, each from its image's one seed, and stored
+    unless it failed. A damaged entry raises InversionFormatError. The
+    store is a cache that no stage record lists."""
+    cfg = arts.config
+    images = arts.test_images(image_ids).images
+    keys = inversion_keys(arts, image_ids)
     paths = [arts.paths.inversions(f"{image_id:04d}.json") for image_id in image_ids]
-    out = [pl.load_inversion(p, k) if os.path.exists(p) else None for p, k in zip(paths, keys)]
+    latent_dim = arts.generator.input_dim
+    out = [pl.load_inversion(p, k, latent_dim) if os.path.exists(p) else None
+           for p, k in zip(paths, keys)]
     misses = [i for i, inv in enumerate(out) if inv is None]
     body, _ = nc.split_at_tap(arts.classifier)
     made = pl._per_image(len(misses), lambda: pl.invert_image(

@@ -32,7 +32,9 @@ search over a stack can drop those images and keep the rest.
 Every array a file stores is base64 text of its float64 bytes
 (`encode_array`), read back by one decoder, `decode_array`, whole or by rows,
 and hashed by one function, `checksum`. Every reader of a run-directory
-document checks its fields against one table with `check_fields`.
+document checks its fields against one table with `check_fields`. The
+documents a run's stores keep under a key, inversions and explanations,
+are written, verified and refused by one `KeyedFormat`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import reprlib
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -769,17 +771,35 @@ def finite_mapping(keys: tuple, positive: tuple) -> tuple:
             f"a mapping of {', '.join(keys)} to finite numbers, {' and '.join(positive)} above 0")
 
 
+def _fault(doc: dict, table: dict) -> Optional[str]:
+    """What is wrong with the first field of `doc` that `table` names, in
+    table order, that `doc` lacks or whose value its rule does not allow;
+    None when there is no such field."""
+    for key, rule in table.items():
+        if key not in doc:
+            return f"missing key {key!r}"
+        check, what = rule(doc) if callable(rule) else rule
+        if not check(doc[key]):
+            return f"{key} {reprlib.repr(doc[key])} is not {what}"
+    return None
+
+
 def check_fields(doc: dict, table: dict, where: str, error) -> None:
     """Check the fields of `doc` that `table` names, in table order: the
     first that `doc` lacks, or whose value its rule does not allow, raises
     `error` naming `where` (the file, and the record in it if any) and the
     key."""
-    for key, rule in table.items():
-        if key not in doc:
-            raise error(f"{where}: missing key {key!r}")
-        check, what = rule(doc) if callable(rule) else rule
-        if not check(doc[key]):
-            raise error(f"{where}: {key} {reprlib.repr(doc[key])} is not {what}")
+    fault = _fault(doc, table)
+    if fault is not None:
+        raise error(f"{where}: {fault}")
+
+
+def holding(table: dict) -> tuple:
+    """A rule for an object nested in a document: a mapping of exactly the
+    fields `table` names, each holding what its rule allows."""
+    return ((lambda v: isinstance(v, dict) and v.keys() == table.keys()
+             and _fault(v, table) is None),
+            f"a mapping of {', '.join(table)}, each as its table asks")
 
 
 def encode_array(arr: Array) -> str:
@@ -829,6 +849,57 @@ def checksum(*parts) -> str:
         h.update(part.encode("ascii") if isinstance(part, str)
                  else np.ascontiguousarray(part, "<f8").tobytes())
     return h.hexdigest()
+
+
+@dataclass(frozen=True)
+class KeyedFormat:
+    """A document that a run's store keeps under a key, everything the value
+    it holds depends on: the `key`, plain fields, arrays as base64 payloads
+    (`encode_array`, bit for bit) and a `checksum`, the sha256 of the
+    payloads' bytes and then of the texts `signed` gives. `load` gives a
+    document only under the key asked for, and None for one made under
+    another key, which its store then remakes and replaces."""
+
+    magic: str
+    error: type  # what a document that does not verify raises
+    fields: dict  # the table of its plain fields (`check_fields`)
+    shapes: Callable  # its plain fields -> each payload's shape, by name, in checksum order
+    signed: Callable  # its plain fields -> the texts its checksum covers after the payloads
+
+    def save(self, path, key: dict, fields: dict, arrays: dict) -> None:
+        """Write the document of `fields` and `arrays` under `key`."""
+        payloads = {name: arrays[name] for name in self.shapes(fields)}
+        doc = {
+            "format": self.magic, "key": key, **fields,
+            **{name: encode_array(arr) for name, arr in payloads.items()},
+            "checksum": checksum(*payloads.values(), *self.signed(fields)),
+        }
+        write_json(path, doc, indent=1)
+
+    def load(self, path, key: dict, sizes: dict) -> Optional[tuple[dict, dict]]:
+        """The document at `path` and its arrays, by name, when it was made
+        under `key`; None when under another key. A document that does not
+        parse, whose fields do not hold what the format's table asks or
+        differ from the `sizes` the run fixes for them (the dimensions of
+        its networks and images), whose payloads are not of their shapes,
+        whose key does not hold the fields of `key`, or that fails its
+        checksum raises `error` naming `path`."""
+        doc = read_doc(path, self.magic, self.error, {"key": MAPPING, **self.fields})
+        for name, size in sizes.items():
+            if doc[name] != size:
+                raise self.error(f"{path}: {name} {doc[name]} is not the run's {size}")
+        shapes = self.shapes(doc)
+        check_fields(doc, {**dict.fromkeys(shapes, BASE64), "checksum": TEXT}, str(path),
+                     self.error)
+        arrays = {
+            name: decode_array(doc[name], shape, f"{path}: {name}", self.error)
+            for name, shape in shapes.items()
+        }
+        if doc["key"].keys() != key.keys():
+            raise self.error(f"{path}: its key does not hold {', '.join(sorted(key))}")
+        if checksum(*arrays.values(), *self.signed(doc)) != doc["checksum"]:
+            raise self.error(f"{path}: checksum mismatch")
+        return (doc, arrays) if doc["key"] == key else None
 
 
 def save_network(net: Network, path) -> None:

@@ -14,7 +14,9 @@ whose rendering best reproduces the image (`invert_image`), which the
 request holds (`ExplanationRequest.inversion`). A run inverts each image
 once, with one seed, and keeps the result (`experiments.inversions`);
 `save_inversion` and `load_inversion` keep one on disk, bit for bit,
-under the key it was made with.
+under the key it was made with. `store_explanation` and
+`stored_explanation` keep a delivered explanation the same way, for
+`piece explain` to serve a request it has already explained.
 
 `explain_stack` explains many requests at once, in phases: each latent
 search (class selection, rendering) runs as one lockstep `nc.Descent`
@@ -30,6 +32,7 @@ are the stacks of one; `invert_image`, `visualize` and
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -146,10 +149,10 @@ def invert_image(
     non-finite is effectively abandoned: its loss becomes infinite and it
     can never be selected.
 
-    `images` is a stack (n, H, W) with one seed per image, each image
-    inverted exactly as it would be alone. Returns a list holding each
-    image's InversionResult, or an InversionError when every restart of
-    that image diverged.
+    `images` is a stack (n, H, W) with one seed per image (another count
+    raises PipelineError), each image inverted exactly as it would be
+    alone. Returns a list holding each image's InversionResult, or an
+    InversionError when every restart of that image diverged.
 
     The inversion is bound by arithmetic, which numpy runs without holding
     the interpreter lock. So when this process may use two CPUs
@@ -161,6 +164,10 @@ def invert_image(
     """
     images = np.asarray(images, dtype=np.float64)
     seeds = list(seeds)
+    if len(seeds) != len(images):
+        raise PipelineError(
+            f"inversion needs one seed per image: {len(images)} images and {len(seeds)} seeds"
+        )
     if len(images) < 2 or nc.worker_count() < 2:
         return _invert_stack(generator, feature_net, images, settings, seeds)
     half = (len(images) + 1) // 2
@@ -220,60 +227,46 @@ class InversionFormatError(Exception):
     checksum."""
 
 
+def _index(n: int) -> tuple:
+    """A rule: an index into n items."""
+    return (lambda v: type(v) is int and 0 <= v < n), f"in 0..{n - 1}"
+
+
+# a stored inversion: its latent, its three losses and each restart's loss
+_INVERSIONS = nc.KeyedFormat(
+    INVERSION_MAGIC, InversionFormatError,
+    fields={"latent_dim": nc.COUNT, "restarts": nc.COUNT,
+            "restart_index": lambda doc: _index(doc["restarts"])},
+    shapes=lambda doc: {"z": (doc["latent_dim"],), "losses": (3,),
+                        "restart_losses": (doc["restarts"],)},
+    signed=lambda doc: (str(doc["restart_index"]),),
+)
+
+
 def save_inversion(inv: InversionResult, key: dict, path) -> None:
     """Write `inv` with the `key` it was made under. Its arrays round-trip
     bit for bit, an infinite restart loss included, and the document
     carries the sha256 of their bytes and of the restart index."""
-    payloads = {
-        "z": np.asarray(inv.z, dtype=np.float64),
-        "losses": np.array([inv.combined_loss, inv.feature_loss, inv.pixel_loss]),
-        "restart_losses": np.asarray(inv.restart_losses, dtype=np.float64),
-    }
-    doc = {
-        "format": INVERSION_MAGIC,
-        "key": key,
-        "latent_dim": len(payloads["z"]),
-        "restarts": len(payloads["restart_losses"]),
-        **{name: nc.encode_array(arr) for name, arr in payloads.items()},
-        "restart_index": inv.restart_index,
-        "checksum": nc.checksum(*payloads.values(), str(inv.restart_index)),
-    }
-    nc.write_json(path, doc, indent=1)
+    fields = {"latent_dim": len(inv.z), "restarts": len(inv.restart_losses),
+              "restart_index": inv.restart_index}
+    arrays = {"z": inv.z, "losses": [inv.combined_loss, inv.feature_loss, inv.pixel_loss],
+              "restart_losses": inv.restart_losses}
+    _INVERSIONS.save(path, key, fields, arrays)
 
 
-# what each field of a stored inversion holds
-_INVERSION_FIELDS = {
-    "key": nc.MAPPING, "latent_dim": nc.COUNT, "restarts": nc.COUNT,
-    **dict.fromkeys(("z", "losses", "restart_losses"), nc.BASE64),
-    "restart_index": lambda doc: ((lambda v: type(v) is int and 0 <= v < doc["restarts"]),
-                                  f"in 0..{doc['restarts'] - 1}"),
-    "checksum": nc.TEXT,
-}
-
-
-def load_inversion(path, key: dict) -> Optional[InversionResult]:
+def load_inversion(path, key: dict, latent_dim: int) -> Optional[InversionResult]:
     """The inversion stored at `path` (`save_inversion`) when it was made
     under `key`, None when under another key. A document that does not
-    parse, whose fields do not hold what `_INVERSION_FIELDS` asks, whose key
-    does not hold the fields of `key`, or whose payloads fail its checksum
-    raises InversionFormatError."""
-    doc = nc.read_doc(path, INVERSION_MAGIC, InversionFormatError, _INVERSION_FIELDS)
-    shapes = {"z": (doc["latent_dim"],), "losses": (3,), "restart_losses": (doc["restarts"],)}
-    payloads = {
-        name: nc.decode_array(doc[name], shape, f"{path}: {name}", InversionFormatError)
-        for name, shape in shapes.items()
-    }
-    if doc["key"].keys() != key.keys():
-        raise InversionFormatError(f"{path}: its key does not hold {', '.join(sorted(key))}")
-    index = doc["restart_index"]
-    if nc.checksum(*payloads.values(), str(index)) != doc["checksum"]:
-        raise InversionFormatError(f"{path}: checksum mismatch")
-    if doc["key"] != key:
+    verify (`nc.KeyedFormat.load`), its latent not of the generator's
+    `latent_dim` included, raises InversionFormatError."""
+    loaded = _INVERSIONS.load(path, key, {"latent_dim": latent_dim})
+    if loaded is None:
         return None
-    combined, feature, pixel = (float(v) for v in payloads["losses"])
+    doc, arrays = loaded
+    combined, feature, pixel = (float(v) for v in arrays["losses"])
     return InversionResult(
-        payloads["z"], combined, feature, pixel,
-        [float(v) for v in payloads["restart_losses"]], index,
+        arrays["z"], combined, feature, pixel,
+        [float(v) for v in arrays["restart_losses"]], doc["restart_index"],
     )
 
 
@@ -891,3 +884,100 @@ def proportional_stack(
             residuals={"before": vis.residual_before, "after": vis.residual_after},
         )
     return props
+
+
+# ---------------------------------------------------------------------------
+# Stored explanations
+
+
+EXPLANATION_MAGIC = "piece-explanation"
+
+
+class ExplanationFormatError(Exception):
+    """A stored explanation that does not parse, lacks a key or fails its
+    checksum."""
+
+
+# the fields of an ExplanationResult that an entry keeps as payloads; it
+# keeps the others as JSON, in which every float round-trips exactly
+_RESULT_ARRAYS = ("z", "x", "x_mod", "z_prime", "image_prime", "probs_original", "probs_prime")
+_DIMS = ("latent_dim", "features", "classes", "height", "width")  # the payloads' shapes
+_NUMBER = ((lambda v: type(v) in (int, float)), "a number")
+
+
+def _each(rule: tuple, what: str) -> tuple:
+    return (lambda v: isinstance(v, list) and all(map(rule[0], v))), what
+
+
+def _result_fields(doc: dict) -> tuple:
+    """The rule of a stored explanation's result: a mapping of the fields of
+    an ExplanationResult but its arrays, each neuron one of the `features`
+    and each class one of the `classes` that the document's payloads hold."""
+    neuron, cls = _index(doc["features"]), _index(doc["classes"])
+    return nc.holding({
+        "mode": nc.one_of(("counterfactual", "semifactual")),
+        "fraction": nc.one_of((None,), "null"),
+        **dict.fromkeys(("true_label", "c", "c_prime", "intended_class"), cls),
+        **dict.fromkeys(("image_id", "skipped_degenerate", "applied_count", "eligible_count",
+                         "k_reference", "backoff_steps", "recheck_violations"), nc.COUNT),
+        **dict.fromkeys(("trivially_selected", "verified"), nc.BOOL),
+        "alpha": _NUMBER,
+        "status": nc.TEXT,
+        "exceptional": _each(nc.holding({
+            "neuron": neuron, "rule": nc.one_of(tuple(rule.value for rule in Rule)),
+            **dict.fromkeys(("probability", "observed", "replacement"), _NUMBER),
+        }), "a list of exceptional features"),
+        "mod_steps": _each(nc.holding({
+            "neuron": neuron, "rule": nc.TEXT, "applied": nc.BOOL, "reason": nc.TEXT,
+            **dict.fromkeys(("probability", "old", "new", "prob_c", "prob_c_prime"), _NUMBER),
+        }), "a list of feature steps"),
+        "inversion_losses": nc.holding(dict.fromkeys(("combined", "feature", "pixel"), _NUMBER)),
+        "residuals": nc.holding(dict.fromkeys(("before", "after"), _NUMBER)),
+        "exceptional_ks_p": _each(_NUMBER, "a list of numbers"),
+    })
+
+
+_EXPLANATIONS = nc.KeyedFormat(
+    EXPLANATION_MAGIC, ExplanationFormatError,
+    fields={**dict.fromkeys(_DIMS, nc.COUNT), "result": _result_fields},
+    shapes=lambda doc: dict(zip(_RESULT_ARRAYS, [
+        (doc["latent_dim"],), (doc["features"],), (doc["features"],), (doc["latent_dim"],),
+        (doc["height"], doc["width"]), (doc["classes"],), (doc["classes"],),
+    ])),
+    signed=lambda doc: (json.dumps([[doc[d] for d in _DIMS], doc["result"]], sort_keys=True),),
+)
+
+
+def store_explanation(res: ExplanationResult, key: dict, path) -> None:
+    """Write `res` with the `key` it was made under, bit for bit: its
+    arrays as payloads, its other fields as JSON, and a checksum of both."""
+    result = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)
+              if f.name not in _RESULT_ARRAYS}
+    result["exceptional"] = [vars(f) for f in res.exceptional]  # a Rule is a str
+    result["mod_steps"] = [vars(s) for s in res.mod_steps]
+    dims = dict(zip(_DIMS, (len(res.z), len(res.x), len(res.probs_original),
+                            *res.image_prime.shape)))
+    _EXPLANATIONS.save(path, key, {**dims, "result": result},
+                       {name: getattr(res, name) for name in _RESULT_ARRAYS})
+
+
+def stored_explanation(
+    path, key: dict, generator: nc.Network, classifier: nc.Network, image_shape: tuple
+) -> Optional[ExplanationResult]:
+    """The explanation stored at `path` (`store_explanation`) when it was
+    made under `key`, None when under another key. A document that does not
+    verify (`nc.KeyedFormat.load`), its sizes not those of the networks and
+    of images of `image_shape` included, raises ExplanationFormatError."""
+    body, _ = nc.split_at_tap(classifier)
+    sizes = (generator.input_dim, body.output_dim, classifier.output_dim, *image_shape)
+    loaded = _EXPLANATIONS.load(path, key, dict(zip(_DIMS, sizes)))
+    if loaded is None:
+        return None
+    doc, arrays = loaded
+    result = doc["result"]
+    return ExplanationResult(**{
+        **result, **arrays,
+        "exceptional": [ExceptionalFeature(**dict(f, rule=Rule(f["rule"])))
+                        for f in result["exceptional"]],
+        "mod_steps": [ModStep(**s) for s in result["mod_steps"]],
+    })

@@ -16,6 +16,10 @@ append-only through training, stats fitting, and experiments:
                        the experiments and `piece explain` store and
                        reuse while its key matches; a cache that no stage
                        record lists (safe to delete)
+      explained/       NNNN_cf.json, NNNN_sf.json: the counterfactual or
+                       semifactual `piece explain` delivered for test image
+                       NNNN, reused while its key matches (the same kind of
+                       cache; the experiments neither read nor write it)
       reports/         CSV reports
 
 Every stage runs one protocol, `RunPaths.stage`. A stage is done while its
@@ -339,6 +343,9 @@ class RunPaths:
 
     def inversions(self, name=""):
         return self.file(os.path.join("inversions", name))
+
+    def explained(self, name=""):
+        return self.file(os.path.join("explained", name))
 
     def done(self, stage: str) -> bool:
         return os.path.exists(os.path.join(self.root, _record_name(stage)))

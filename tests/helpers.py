@@ -139,6 +139,19 @@ def count_inversions(monkeypatch) -> list:
     return calls
 
 
+def count_explanations(monkeypatch) -> list:
+    """The mode of every `pipeline.explain` call from now on."""
+    calls = []
+    real = pl.explain
+
+    def counted(request, *args):
+        calls.append(request.mode)
+        return real(request, *args)
+
+    monkeypatch.setattr(pl, "explain", counted)
+    return calls
+
+
 def live_children() -> set:
     """Pids of the child processes of this process, from /proc (Linux)."""
     pids = set()

@@ -8,11 +8,13 @@ import math
 import os
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import BUILDS_ON, count_inversions, damaged, live_children, rerecord
+from helpers import (BUILDS_ON, count_explanations, count_inversions, damaged, live_children,
+                     rerecord)
 from piece import netcore as nc
 from piece import pipeline as pl
 from piece.cli import main
@@ -511,23 +513,24 @@ class TestExplainCommand:
 
 def explain_once(run_dir, capsys, index: int, mode: list) -> tuple:
     """`piece explain` of one request: its exit code, its standard error,
-    and the bytes of the record and images it wrote, which it then removes
-    (so a failed request cannot show an earlier one's)."""
+    the bytes of the record and images it wrote, which it then removes (so
+    a failed request cannot show an earlier one's), and its standard output
+    with the run directory's path as <run>."""
     capsys.readouterr()
     rc = main(["explain", "--run-dir", str(run_dir), "--index", str(index), "--mode", *mode])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     written = sorted((run_dir / "explanations" / "single").glob(f"{mode[0]}_{index:04d}*"))
     files = {p.name: p.read_bytes() for p in written}
     for p in written:
         p.unlink()
-    return rc, err, files
+    return rc, err, files, out.replace(str(run_dir), "<run>")
 
 
 def explainless_clone(run_dir, dest):
-    """A copy of `run_dir` without its single-image explanations and its
-    stored inversions."""
+    """A copy of `run_dir` without its single-image explanations, its
+    stored inversions and its stored explanations."""
     shutil.copytree(run_dir, dest)
-    for sub in (dest / "explanations" / "single", dest / "inversions"):
+    for sub in (dest / "explanations" / "single", dest / "inversions", dest / "explained"):
         shutil.rmtree(sub, ignore_errors=True)
     return dest
 
@@ -538,10 +541,12 @@ def entry_path(run_dir, index: int):
 
 @pytest.fixture(scope="module")
 def cached_run(mini_run, tmp_path_factory):
-    """A copy of `mini_run` whose only stored inversion, of image 0, was
-    made by `explain --mode sf`; and that entry's bytes."""
+    """A copy of `mini_run` whose only stored inversion, of image 0, and
+    only stored explanation, its counterfactual, were made by `explain
+    --mode cf`; and the inversion's bytes. A semifactual of image 0 reads
+    the inversion."""
     run_dir = explainless_clone(mini_run, tmp_path_factory.mktemp("cached") / "run")
-    assert main(["explain", "--run-dir", str(run_dir), "--index", "0", "--mode", "sf"]) == 0
+    assert main(["explain", "--run-dir", str(run_dir), "--index", "0", "--mode", "cf"]) == 0
     return run_dir, entry_path(run_dir, 0).read_bytes()
 
 
@@ -561,14 +566,18 @@ class TestInversionCache:
         calls = count_inversions(monkeypatch)
         warm = [explain_once(run_dir, capsys, index, mode) for index, mode in self.REQUESTS]
         assert calls == [1, 1, 1]  # each image is inverted once, by its first request
+        # a failed explanation is not stored
+        assert sorted(p.name for p in (run_dir / "explained").iterdir()) == [
+            "0000_cf.json", "0000_sf.json", "0120_cf.json", "0120_sf.json"]
         cold = []
         for index, mode in self.REQUESTS:
-            shutil.rmtree(run_dir / "inversions")
+            for store in ("inversions", "explained"):
+                shutil.rmtree(run_dir / store, ignore_errors=True)
             cold.append(explain_once(run_dir, capsys, index, mode))
         assert calls == [1] * 12
         assert cold == warm
-        assert [rc for rc, _, _ in warm] == [0] * 6 + [1] * 3
-        assert all(len(files) == 4 for _, _, files in warm[:6])
+        assert [rc for rc, *_ in warm] == [0] * 6 + [1] * 3
+        assert all(len(files) == 4 for _, _, files, _ in warm[:6])
         assert json.loads(warm[4][2]["sf_0120.json"])["backoff_steps"] > 0
         assert warm[6][1].startswith("error: no decision boundary crossed")
 
@@ -620,6 +629,30 @@ class TestInversionCache:
         finally:  # the module's later tests explain image 0 of this run
             entry.write_bytes(original)
 
+    def test_latent_of_another_size_exits_4(self, cached_run, capsys):
+        # latent_dim and z rewritten together, the checksum recomputed: the
+        # generator's pass used to raise a DimensionError traceback
+        run_dir, original = cached_run
+        entry = entry_path(run_dir, 0)
+        doc = json.loads(original)
+        z = base64.b64decode(doc["z"])[:32]
+        doc["latent_dim"], doc["z"] = 4, base64.b64encode(z).decode("ascii")
+        digest = hashlib.sha256(z)
+        for name in ("losses", "restart_losses"):
+            digest.update(base64.b64decode(doc[name]))
+        digest.update(str(doc["restart_index"]).encode("ascii"))
+        doc["checksum"] = digest.hexdigest()
+        try:
+            entry.write_text(json.dumps(doc, indent=1) + "\n")
+            capsys.readouterr()
+            assert main(["explain", "--run-dir", str(run_dir), "--index", "0",
+                         "--mode", "sf"]) == 4
+            assert capsys.readouterr().err == (
+                f"error: {entry}: latent_dim 4 is not the run's 8\n"
+            )
+        finally:  # the module's later tests explain image 0 of this run
+            entry.write_bytes(original)
+
     def test_refused_target_class_inverts_and_stores_nothing(
         self, mini_run, tmp_path, monkeypatch, capsys
     ):
@@ -635,11 +668,13 @@ class TestInversionCache:
         predicted = int(np.argmax(
             nc.forward(arts.classifier, arts.test_data.images[4].ravel()).output))
         calls = count_inversions(monkeypatch)
-        rc, err, files = explain_once(run_dir, capsys, 4, ["cf", "--target-class", str(predicted)])
+        rc, err, files, _ = explain_once(run_dir, capsys, 4,
+                                         ["cf", "--target-class", str(predicted)])
         assert (rc, files) == (2, {})
         assert err.startswith(f"error: target class {predicted} is the predicted class of image 4")
         assert calls == []
         assert not (run_dir / "explanations" / "single").exists()
+        assert not (run_dir / "explained").exists()
 
     def test_failed_inversion_stores_nothing(self, mini_run, tmp_path, monkeypatch, capsys):
         # on a clone, so that no stored entry can skip the failing inversion
@@ -651,12 +686,76 @@ class TestInversionCache:
             return real(generator, feature_net, images, settings, seeds)
 
         monkeypatch.setattr(pl, "invert_image", diverging)
-        rc, err, files = explain_once(run_dir, capsys, 0, ["sf"])
+        rc, err, files, _ = explain_once(run_dir, capsys, 0, ["sf"])
         assert (rc, err, files) == (
             1, "error: all inversion restarts diverged to non-finite values\n", {}
         )
         assert not entry_path(run_dir, 0).parent.exists()
+        assert not (run_dir / "explained").exists()
 
+
+
+class TestExplanationStore:
+    """`piece explain` stores each counterfactual and semifactual it delivers
+    in the run's store, explained/NNNN_<cf|sf>[_t<class>][_a<alpha>].json,
+    and serves a request whose key (the image's inversion key, the stats,
+    the pipeline settings, the mode, alpha and target class) matches from
+    it, writing what a fresh request writes; `--mode prop` cuts its prefix
+    from the stored semifactual."""
+
+    def requests(self, mini_run, index: int) -> list:
+        arts = load_run(RunPaths(mini_run))
+        predicted = int(np.argmax(
+            nc.forward(arts.classifier, arts.test_images([index]).images[0].ravel()).output))
+        return [["cf"], ["sf"], *(["prop", "--fraction", str(f)] for f in pl.FRACTIONS),
+                ["cf", "--target-class", str((predicted + 1) % 4)],
+                ["cf", "--alpha", "0.1"], ["prop", "--fraction", "0.5", "--alpha", "0.1"]]
+
+    def test_stored_explanations_write_what_fresh_ones_write(self, mini_run, tmp_path,
+                                                              monkeypatch, capsys):
+        run_dir = explainless_clone(mini_run, tmp_path / "run")
+        requests = self.requests(mini_run, 1)
+        calls = count_explanations(monkeypatch)
+        first = [explain_once(run_dir, capsys, 1, mode) for mode in requests]
+        # the props are cut from the semifactual the sf request stored
+        assert calls == ["counterfactual", "semifactual", "counterfactual", "counterfactual",
+                         "semifactual"]
+        entries = {p.name: p.read_bytes() for p in (run_dir / "explained").iterdir()}
+        target = requests[6][-1]
+        assert sorted(entries) == ["0001_cf.json", "0001_cf_a0.1.json",
+                                   f"0001_cf_t{target}.json", "0001_sf.json",
+                                   "0001_sf_a0.1.json"]
+        again = [explain_once(run_dir, capsys, 1, mode) for mode in requests]
+        assert len(calls) == 5  # every request served from the store
+        assert {p.name: p.read_bytes() for p in (run_dir / "explained").iterdir()} == entries
+        fresh = []
+        for mode in requests:
+            for store in ("inversions", "explained"):
+                shutil.rmtree(run_dir / store, ignore_errors=True)
+            fresh.append(explain_once(run_dir, capsys, 1, mode))
+        assert first == again == fresh
+        assert [rc for rc, *_ in first] == [0] * len(requests)
+        assert all(len(files) == 4 for _, _, files, _ in first)
+
+    def test_entry_with_another_key_is_recomputed_and_replaced(self, mini_run, tmp_path,
+                                                               monkeypatch, capsys):
+        run_dir = explainless_clone(mini_run, tmp_path / "run")
+        calls = count_explanations(monkeypatch)
+        entry = run_dir / "explained" / "0001_sf.json"
+        assert explain_once(run_dir, capsys, 1, ["sf"])[0] == 0
+        first = json.loads(entry.read_text())
+        assert first["key"]["visualize_steps"] == 100
+        ini = configparser.ConfigParser()
+        ini.read(run_dir / "config.ini")
+        ini["pipeline"]["visualize_steps"] = "90"
+        with open(run_dir / "config.ini", "w") as fh:
+            ini.write(fh)
+        assert explain_once(run_dir, capsys, 1, ["prop", "--fraction", "1.0"])[0] == 0
+        assert calls == ["semifactual"] * 2
+        second = json.loads(entry.read_text())
+        assert second["key"] == dict(first["key"], visualize_steps=90)
+        assert second["z_prime"] != first["z_prime"]
+        assert [p.name for p in entry.parent.iterdir()] == ["0001_sf.json"]
 
 
 def run_files(run_dir, *subdirs) -> dict:
@@ -772,15 +871,32 @@ DOCUMENT_FORMATS = {
     "inversion": (
         "inversions/0000.json", "explain",
         lambda run, raw: pl.load_inversion(run / "inversions" / "0000.json",
-                                           json.loads(raw)["key"]),
+                                           json.loads(raw)["key"], 8),
         pl.InversionFormatError,
         lambda doc: [doc],
         lambda doc: [("restarts", 2), ("latent_dim", 3), ("checksum", "0" * 64),
                      ("key", dict(list(doc["key"].items())[1:])),
                      *((name, _flipped(doc[name])) for name in ("z", "losses", "restart_losses"))],
     ),
+    "explanation": (
+        "explained/0000_cf.json", "explain cf",
+        lambda run, raw: pl.stored_explanation(
+            run / "explained" / "0000_cf.json", json.loads(raw)["key"],
+            _artifacts(run).generator, _artifacts(run).classifier, (16, 16)),
+        pl.ExplanationFormatError,
+        lambda doc: [doc, doc["result"], *doc["result"]["exceptional"],
+                     *doc["result"]["mod_steps"]],
+        lambda doc: [("height", 256), ("width", 1), ("features", 0), ("classes", 3),
+                     ("checksum", "0" * 64),
+                     ("result", dict(doc["result"], c_prime=doc["result"]["c"])),
+                     ("result", dict(doc["result"], c_prime=4)),
+                     ("result", dict(doc["result"], mode="proportional")),
+                     ("key", dict(list(doc["key"].items())[1:])),
+                     *((name, _flipped(doc[name])) for name in ("z", "x_mod", "image_prime"))],
+    ),
 }
 _DECODING_COMMANDS = {"explain": ["explain", "--index", "0", "--mode", "sf"],
+                      "explain cf": ["explain", "--index", "0", "--mode", "cf"],
                       "experiment": ["experiment", "--expt", "1"]}
 
 
@@ -834,6 +950,7 @@ class TestRunInversionStore:
         )
         for record in (run_dir / "stages").iterdir():  # a cache, not a stage output
             assert "inversions/" not in record.read_text()
+        assert not (run_dir / "explained").exists()  # `piece explain`'s store alone
 
     def test_expt2_after_expt1_inverts_nothing(self, stored_run):
         run_dir, stacks = stored_run
@@ -1386,7 +1503,8 @@ class TestLazyLoading:
         import piece.runcfg
 
         argv = ["explain", "--run-dir", mini_run, "--index", "0", "--mode", "sf"]
-        assert main(argv) == 0  # stores the image's inversion
+        assert main(argv) == 0  # stores the image's inversion and its semifactual
+        calls = count_explanations(monkeypatch)
         decoded = []
         for name in ("load_network", "load_dataset", "load_stats", "load_latents"):
             def counting(path, _load=getattr(piece.runcfg, name), **rows):
@@ -1400,6 +1518,7 @@ class TestLazyLoading:
             ("dataset/test.json", [0]), ("models/classifier.json", None),
             ("models/generator.json", None), ("stats/stats.json", None),
         ]
+        assert calls == []  # served from the store, with every decode of a fresh request
 
     @pytest.mark.parametrize(
         "name",

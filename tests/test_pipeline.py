@@ -200,6 +200,17 @@ class TestInversion:
         assert all(res is got[0] for res in got)
         assert len(started) == 1 and not started[0].is_alive()
 
+    @pytest.mark.parametrize("n_seeds", [3, 5])
+    def test_one_seed_per_image(self, toy, monkeypatch, n_seeds):
+        # 3 seeds for 4 images used to invert 3 of them, and 5 raised an
+        # IndexError from the worker thread
+        arts = toy["arts"]
+        body, _ = nc.split_at_tap(arts.classifier)
+        monkeypatch.setattr(nc, "worker_count", lambda: 2)
+        with pytest.raises(pl.PipelineError, match=f"4 images and {n_seeds} seeds"):
+            pl.invert_image(arts.generator, body, arts.test_data.images[:4], FAST,
+                            range(n_seeds))
+
     def test_no_thread_outlives_the_inversion(self, toy, monkeypatch):
         arts = toy["arts"]
         body, _ = nc.split_at_tap(arts.classifier)
@@ -221,17 +232,64 @@ class TestStoredInversion:
         )
         path = tmp_path / "0007.json"
         pl.save_inversion(inv, self.KEY, path)
-        back = pl.load_inversion(path, dict(self.KEY))
+        back = pl.load_inversion(path, dict(self.KEY), 3)
         assert back.z.tobytes() == inv.z.tobytes()
         assert dataclasses.astuple(back)[1:] == dataclasses.astuple(inv)[1:]
-        assert pl.load_inversion(path, dict(self.KEY, invert_steps=799)) is None
+        assert pl.load_inversion(path, dict(self.KEY, invert_steps=799), 3) is None
+        with pytest.raises(pl.InversionFormatError, match="latent_dim 3 is not the run's 8"):
+            pl.load_inversion(path, dict(self.KEY), 8)
 
     def test_key_without_a_field_refused(self, tmp_path):
         inv = pl.InversionResult(np.zeros(2), 0.0, 0.0, 0.0, [0.0], 0)
         path = tmp_path / "0000.json"
         pl.save_inversion(inv, {"seed": 3}, path)
         with pytest.raises(pl.InversionFormatError, match="its key does not hold"):
-            pl.load_inversion(path, self.KEY)
+            pl.load_inversion(path, self.KEY, 2)
+
+
+class TestStoredExplanation:
+    KEY = {"mode": "semifactual", "alpha": 0.05, "target_class": None}
+
+    @staticmethod
+    def load(arts, path, key, image_shape=(16, 16)):
+        return pl.stored_explanation(path, key, arts.generator, arts.classifier, image_shape)
+
+    @pytest.mark.parametrize("idx", [0, 120, 184])
+    def test_round_trip_is_bit_exact(self, delivered, tmp_path, idx):
+        # image 120's semifactual backs off; on image 184 a prefix's rendering
+        # leaves c, so that its proportional explanations render afresh
+        from piece.experiments import record
+
+        arts = delivered["arts"]
+        req, sf = delivered[idx]
+        cf = pl.explain(dataclasses.replace(req, mode="counterfactual"), arts.classifier,
+                        arts.generator, arts.stats, arts.config.optim)
+        stored = {}
+        for res in (sf, cf):
+            path = tmp_path / f"{idx:04d}_{res.mode}.json"
+            pl.store_explanation(res, self.KEY, path)
+            back = stored[res.mode] = self.load(arts, path, dict(self.KEY))
+            for field in dataclasses.fields(res):
+                a, b = getattr(back, field.name), getattr(res, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b, field.name
+            assert record(back) == record(res)
+            assert self.load(arts, path, dict(self.KEY, alpha=0.1)) is None
+            with pytest.raises(pl.ExplanationFormatError, match="height 16 is not the run's 8"):
+                self.load(arts, path, dict(self.KEY), (8, 32))
+        for fraction in pl.FRACTIONS:  # cut from the stored semifactual
+            got = proportional(stored["semifactual"], fraction, arts, arts.config.optim)
+            want = proportional(sf, fraction, arts, arts.config.optim)
+            assert record(got) == record(want)
+            assert got.image_prime.tobytes() == want.image_prime.tobytes()
+
+    def test_key_without_a_field_refused(self, delivered, tmp_path):
+        path = tmp_path / "0000_sf.json"
+        pl.store_explanation(delivered[0][1], {"mode": "semifactual"}, path)
+        with pytest.raises(pl.ExplanationFormatError, match="its key does not hold"):
+            self.load(delivered["arts"], path, self.KEY)
 
 
 class TestSelection:
