@@ -1,7 +1,7 @@
 """Command-line entry point wiring the full pipeline over run directories.
 
     piece datagen    --run-dir runs/demo [--config my.ini]
-    piece train      --run-dir runs/demo [--jobs N]
+    piece train      --run-dir runs/demo
     piece fit-stats  --run-dir runs/demo
     piece explain    --run-dir runs/demo --index 12 --mode cf
     piece experiment --run-dir runs/demo --expt 1
@@ -17,7 +17,8 @@ document of any format, a stage record, a dataset, model, stats or
 latents file, a stored inversion or a stored explanation, that does not
 parse or has a field its format's table does not allow, see
 `netcore.check_fields`, or fails its checksum), 5 experiment failure
-fraction above the configured threshold.
+fraction above the configured threshold, 141 stdout closed (the shell's
+code for a closed pipe), which each command writes only once its work is done.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .training import (  # noqa: F401  (perfbench/spans.py traces the train_* na
     autoencoders_report,
     fit,
     fit_names,
+    fit_seed,
     run_jobs,
     train_autoencoders,
     train_classifier,
@@ -69,6 +71,7 @@ EXIT_CONFIG = 2
 EXIT_PREREQUISITE = 3
 EXIT_PROVENANCE = 4
 EXIT_FAILURE_THRESHOLD = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed pipe
 
 # the exit code of each error a command reports as one line; exit 1 is a
 # stage that failed as it ran
@@ -107,7 +110,7 @@ def cmd_train(args) -> int:
         n_classes = int(train.labels.max()) + 1
         names = fit_names(n_classes)
         job = functools.partial(fit, train=train, test=test, cfg=cfg)
-        outcomes = run_jobs(job, names, args.jobs)
+        outcomes = run_jobs(job, names, nc.worker_count())
         if isinstance(outcomes[-1], BaseException):  # the first failure, before any write
             raise outcomes[-1]
         fits = dict(zip(names, outcomes))
@@ -115,12 +118,10 @@ def cmd_train(args) -> int:
         classifier, clf_report = fits["classifier"]
         nc.save_network(classifier, out.models("classifier.json"))
         clf_report.save(out.reports("training_classifier.json"))
-        print(f"train: classifier test accuracy {clf_report.final['test_accuracy']:.4f}")
 
         generator, gen_report = fits["generator"]
         nc.save_network(generator, out.models("generator.json"))
         gen_report.save(out.reports("training_generator.json"))
-        print(f"train: generator test reconstruction MSE {gen_report.final['test_mse']:.5f}")
 
         class_fits = [fits[f"ae_class_{cls}"] for cls in range(n_classes)]
         ae_full, full_curve = fits["ae_full"]
@@ -128,9 +129,13 @@ def cmd_train(args) -> int:
             nc.save_network(net, out.models(f"ae_class_{cls}.json"))
         nc.save_network(ae_full, out.models("ae_full.json"))
         ae_report = autoencoders_report(
-            cfg.autoencoders, [curve for _, curve in class_fits], full_curve
+            cfg.autoencoders, fit_seed(cfg, "autoencoders"),
+            [curve for _, curve in class_fits], full_curve,
         )
         ae_report.save(out.reports("training_autoencoders.json"))
+    # printed once the stage is done, so that a closed stdout cannot stop it
+    print(f"train: classifier test accuracy {clf_report.final['test_accuracy']:.4f}")
+    print(f"train: generator test reconstruction MSE {gen_report.final['test_mse']:.5f}")
     print(f"train: {len(class_fits)} class autoencoders + full autoencoder done")
     return EXIT_OK
 
@@ -299,17 +304,10 @@ class _Parser(argparse.ArgumentParser):
         return super().format_help()
 
 
-def _job_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process (which is when the
-    `train --jobs` default reads the CPU count)."""
+    """The argument tree, built once per process, which may call `main`
+    many times (the explain-single benchmark makes 100 requests in one)."""
     parser = _Parser(
         prog="piece",
         description=__doc__,
@@ -333,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train classifier, generator, and autoencoders")
     add_common(p)
-    p.add_argument("--jobs", type=_job_count, default=nc.worker_count(),
-                   help="worker processes for the seven fits, each with one BLAS thread; "
-                        "1 fits in this process (default: 2, or 1 on one CPU)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("fit-stats", help="fit per-class hurdle models of the feature layer")
@@ -366,10 +361,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not as the interpreter exits
+        return code
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    except BrokenPipeError:
+        # Python's recipe: what is left to write goes to devnull, not to a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

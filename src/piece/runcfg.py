@@ -16,10 +16,11 @@ append-only through training, stats fitting, and experiments:
                        the experiments and `piece explain` store and
                        reuse while its key matches; a cache that no stage
                        record lists (safe to delete)
-      explained/       NNNN_cf.json, NNNN_sf.json: the counterfactual or
-                       semifactual `piece explain` delivered for test image
-                       NNNN, reused while its key matches (the same kind of
-                       cache; the experiments neither read nor write it)
+      explained/       NNNN_<cf|sf>[_t<class>][_a<alpha>].json: what
+                       `piece explain` delivered for test image NNNN, with
+                       --target-class (_t) or --alpha (_a), reused while its
+                       key matches (the same kind of cache; the experiments
+                       neither read nor write it)
       reports/         CSV reports
 
 Every stage runs one protocol, `RunPaths.stage`. A stage is done while its
@@ -117,23 +118,16 @@ class MetricsConfig:
                 raise ConfigError(f"[metrics] {name} must be at least 1, got {getattr(self, name)}")
 
 
-# [classifier], [generator] and [autoencoders]: the config class, defaults
-# that differ from the class's, and the seed's offset from the run seed
-_TRAIN_DEFAULTS = {
-    "classifier": (ClassifierConfig, {}, 11),
-    "generator": (AutoencoderConfig, {"epochs": 400, "hidden": (96,)}, 22),
-    "autoencoders": (AutoencoderConfig, {"epochs": 150}, 33),
-}
-
-
 @dataclass
 class RunConfig:
     seed: int = 7
     alpha: float = 0.05
     dataset: GlyphParams = field(default_factory=GlyphParams)
-    classifier: ClassifierConfig = None
-    generator: AutoencoderConfig = None
-    autoencoders: AutoencoderConfig = None
+    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+    generator: AutoencoderConfig = field(
+        default_factory=lambda: AutoencoderConfig(epochs=400, hidden=(96,)))
+    autoencoders: AutoencoderConfig = field(
+        default_factory=lambda: AutoencoderConfig(epochs=150))
     optim: OptimSettings = field(default_factory=OptimSettings)
     baselines: BaselineConfig = field(default_factory=BaselineConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
@@ -143,9 +137,6 @@ class RunConfig:
         # every seed of a run derives from it, and numpy refuses a negative one
         if self.seed < 0:
             raise ConfigError(f"[run] seed must be at least 0, got {self.seed}")
-        for name, (kind, defaults, offset) in _TRAIN_DEFAULTS.items():
-            if getattr(self, name) is None:
-                setattr(self, name, kind(**defaults, seed=self.seed + offset))
         if not (0.0 < self.alpha < 0.5):
             raise ConfigError(f"[run] alpha must be in (0, 0.5), got {self.alpha}")
         # keys bounded by [dataset] keys, which are parsed before their sections
@@ -244,18 +235,17 @@ def parse_config(path: Optional[str]) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    # [run] first: the other sections' defaults derive from the run seed
-    defaults = RunConfig(**_read_section(parser, "run", RunConfig()))
-    sections = {}
+    defaults = RunConfig()
+    changes = _read_section(parser, "run", defaults)
     for section, name in list(_SECTIONS.items())[1:]:
         try:
-            changes = _read_section(parser, section, defaults)
-            sections[name] = dataclasses.replace(getattr(defaults, name), **changes)
+            changes[name] = dataclasses.replace(
+                getattr(defaults, name), **_read_section(parser, section, defaults))
         # the section's own checks, which fail as the config is parsed,
         # before any stage creates or writes a file
         except (TrainingFailure, BaselineError, DataError, PipelineError) as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
-    return dataclasses.replace(defaults, **sections)  # the checks across sections
+    return dataclasses.replace(defaults, **changes)  # [run]'s checks and those across sections
 
 
 def write_config(cfg: RunConfig, path) -> None:

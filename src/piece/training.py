@@ -3,7 +3,8 @@ the dropout classifier, the generator (decoder of a reconstruction-trained
 autoencoder), per-class autoencoders, and a full-data autoencoder.
 
 All runs are reproducible: weight init, batch order, and dropout masks flow
-from the config seed, so the same config yields bit-identical networks.
+from the run seed (`fit_seed`), so the same config yields bit-identical
+networks.
 
 `piece train` makes seven independent fits, each seeded on its own: the
 generator, the full autoencoder, the classifier and one autoencoder per
@@ -46,7 +47,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 0.003
     hidden: tuple[int, ...] = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
@@ -55,8 +55,6 @@ class TrainConfig:
             raise TrainingFailure(f"hidden takes {self.n_hidden} width(s), got {len(self.hidden)}")
         if not all(h > 0 for h in self.hidden):
             raise TrainingFailure("hidden widths must be positive")
-        if self.seed < 0:  # numpy refuses a negative seed, as the fit starts
-            raise TrainingFailure(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass
@@ -97,8 +95,9 @@ class TrainReport:
     notes: list = field(default_factory=list)
 
     @classmethod
-    def of(cls, stage: str, cfg: TrainConfig, curve: list, final: dict, notes=()) -> "TrainReport":
-        return cls(stage, cfg.seed, asdict(cfg), len(curve), curve, final, list(notes))
+    def of(cls, stage: str, cfg: TrainConfig, seed: int, curve: list, final: dict,
+           notes=()) -> "TrainReport":
+        return cls(stage, seed, asdict(cfg), len(curve), curve, final, list(notes))
 
     def save(self, path) -> None:
         nc.write_json(path, asdict(self), indent=1)
@@ -156,9 +155,10 @@ def _run_epochs(
     return curve
 
 
-def build_classifier(n_pixels: int, n_classes: int, cfg: ClassifierConfig) -> nc.Network:
+def build_classifier(n_pixels: int, n_classes: int, cfg: ClassifierConfig,
+                     seed: int) -> nc.Network:
     h1, h2 = cfg.hidden
-    rng = np.random.default_rng([cfg.seed, 101])
+    rng = np.random.default_rng([seed, 101])
     layers = [
         _glorot_dense(rng, h1, n_pixels),
         nc.ReLU(),
@@ -172,14 +172,14 @@ def build_classifier(n_pixels: int, n_classes: int, cfg: ClassifierConfig) -> nc
 
 
 def train_classifier(
-    train: Dataset, test: Dataset, cfg: ClassifierConfig
+    train: Dataset, test: Dataset, cfg: ClassifierConfig, seed: int
 ) -> tuple[nc.Network, TrainReport]:
     n_classes = int(train.labels.max()) + 1
     if n_classes < 2:
         raise TrainingFailure("classifier needs at least 2 classes")
-    net = build_classifier(train.n_pixels, n_classes, cfg)
+    net = build_classifier(train.n_pixels, n_classes, cfg, seed)
     onehot = np.eye(n_classes)[train.labels]
-    rng = np.random.default_rng([cfg.seed, 102])
+    rng = np.random.default_rng([seed, 102])
     curve = _run_epochs(
         net, train.flat(), onehot, "cross_entropy", cfg, rng,
         metric_fn=lambda m: accuracy(m, test), stop_fn=lambda acc: acc >= cfg.early_stop_accuracy,
@@ -191,7 +191,7 @@ def train_classifier(
             f"(minimum {cfg.min_accuracy})"
         )
     report = TrainReport.of(
-        "classifier", cfg, curve,
+        "classifier", cfg, seed, curve,
         {"test_accuracy": final_acc, "train_accuracy": accuracy(net, train)},
     )
     return net, report
@@ -230,14 +230,12 @@ def _train_autoencoder(
 
 
 def train_generator(
-    train: Dataset, test: Dataset, cfg: AutoencoderConfig
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig, seed: int
 ) -> tuple[nc.Network, TrainReport]:
     """Pixel-reconstruction autoencoder; its decoder is the generator."""
     if cfg.latent_dim >= train.n_pixels:
         raise TrainingFailure("latent dimension must be smaller than pixel count")
-    ae, curve = _train_autoencoder(
-        train.images, test.images, cfg, [cfg.seed, 201]
-    )
+    ae, curve = _train_autoencoder(train.images, test.images, cfg, [seed, 201])
     final_mse = curve[-1]["metric"]
     if final_mse > cfg.recon_mse_target:
         raise TrainingFailure(
@@ -246,7 +244,7 @@ def train_generator(
         )
     generator = nc.Network(ae.layers[ae.feature_tap + 1:], role="generator")
     report = TrainReport.of(
-        "generator", cfg, curve,
+        "generator", cfg, seed, curve,
         {"test_mse": final_mse, "train_mse": reconstruction_mse(ae, train.images)},
         ["generator is the decoder of a reconstruction-trained autoencoder, "
          "not an adversarially trained network"],
@@ -255,7 +253,7 @@ def train_generator(
 
 
 def train_class_autoencoder(
-    train: Dataset, test: Dataset, cfg: AutoencoderConfig, cls: int
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig, seed: int, cls: int
 ) -> tuple[nc.Network, list]:
     """The autoencoder of class `cls` and its curve."""
     imgs = train.images[train.labels == cls]
@@ -266,36 +264,36 @@ def train_class_autoencoder(
         )
     if len(eval_imgs) == 0:
         eval_imgs = imgs
-    return _train_autoencoder(imgs, eval_imgs, cfg, [cfg.seed, 301, cls])
+    return _train_autoencoder(imgs, eval_imgs, cfg, [seed, 301, cls])
 
 
 def train_full_autoencoder(
-    train: Dataset, test: Dataset, cfg: AutoencoderConfig
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig, seed: int
 ) -> tuple[nc.Network, list]:
     """The autoencoder of the full data and its curve."""
     n_classes = int(train.labels.max()) + 1
-    return _train_autoencoder(train.images, test.images, cfg, [cfg.seed, 301, n_classes])
+    return _train_autoencoder(train.images, test.images, cfg, [seed, 301, n_classes])
 
 
 def autoencoders_report(
-    cfg: AutoencoderConfig, class_curves: list, full_curve: list
+    cfg: AutoencoderConfig, seed: int, class_curves: list, full_curve: list
 ) -> TrainReport:
     return TrainReport.of(
-        "autoencoders", cfg, full_curve,
+        "autoencoders", cfg, seed, full_curve,
         {"class_test_mse": [curve[-1]["metric"] for curve in class_curves],
          "full_test_mse": full_curve[-1]["metric"]},
     )
 
 
 def train_autoencoders(
-    train: Dataset, test: Dataset, cfg: AutoencoderConfig
+    train: Dataset, test: Dataset, cfg: AutoencoderConfig, seed: int
 ) -> tuple[list, nc.Network, TrainReport]:
     """One autoencoder per class plus one on the full data (for the
     reconstruction-error plausibility metrics)."""
     n_classes = int(train.labels.max()) + 1
-    fits = [train_class_autoencoder(train, test, cfg, cls) for cls in range(n_classes)]
-    full_net, full_curve = train_full_autoencoder(train, test, cfg)
-    report = autoencoders_report(cfg, [curve for _, curve in fits], full_curve)
+    fits = [train_class_autoencoder(train, test, cfg, seed, cls) for cls in range(n_classes)]
+    full_net, full_curve = train_full_autoencoder(train, test, cfg, seed)
+    report = autoencoders_report(cfg, seed, [curve for _, curve in fits], full_curve)
     return [net for net, _ in fits], full_net, report
 
 
@@ -309,18 +307,26 @@ def fit_names(n_classes: int) -> list:
     return ["generator", "ae_full", "classifier", *(f"ae_class_{c}" for c in range(n_classes))]
 
 
+def fit_seed(cfg, section: str) -> int:
+    """The seed of the fits of the training `section` of the run config
+    `cfg`: the run seed plus the section's offset. Each fit salts its draws
+    from it with its own numbers (101, 201, 301 above)."""
+    return cfg.seed + {"classifier": 11, "generator": 22, "autoencoders": 33}[section]
+
+
 def fit(name: str, train: Dataset, test: Dataset, cfg) -> tuple:
-    """Run the fit `name` (see `fit_names`) with the sections of the run
-    config `cfg`: a network and its report, or, for an autoencoder, a
-    network and its curve (see `autoencoders_report`)."""
+    """Run the fit `name` (see `fit_names`) with the sections and seed of
+    the run config `cfg`: a network and its report, or, for an autoencoder,
+    a network and its curve (see `autoencoders_report`)."""
     if name == "classifier":
-        return train_classifier(train, test, cfg.classifier)
+        return train_classifier(train, test, cfg.classifier, fit_seed(cfg, "classifier"))
     if name == "generator":
-        return train_generator(train, test, cfg.generator)
+        return train_generator(train, test, cfg.generator, fit_seed(cfg, "generator"))
+    seed = fit_seed(cfg, "autoencoders")
     if name == "ae_full":
-        return train_full_autoencoder(train, test, cfg.autoencoders)
+        return train_full_autoencoder(train, test, cfg.autoencoders, seed)
     cls = int(name.removeprefix("ae_class_"))
-    return train_class_autoencoder(train, test, cfg.autoencoders, cls)
+    return train_class_autoencoder(train, test, cfg.autoencoders, seed, cls)
 
 
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 
 from helpers import (BUILDS_ON, count_explanations, count_inversions, damaged, live_children,
                      rerecord)
+import piece
 from piece import netcore as nc
 from piece import pipeline as pl
-from piece.cli import main
+from piece.cli import EXIT_BROKEN_PIPE, main
 from piece.datagen import DatasetFormatError
 from piece.hurdle import HurdleError
 from piece.runcfg import ProvenanceError, RunPaths, load_run
@@ -132,6 +135,15 @@ class TestParser:
             assert "[run]" in capsys.readouterr().out
             assert len(echoes) == n
 
+    def test_train_has_no_jobs_flag(self, capsys):
+        # train runs on as many processes as the CPU affinity allows
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0 and "--jobs" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--run-dir", "unused", "--jobs", "1"])
+        assert exc.value.code == 2
+
 
 class TestStageOrdering:
     def test_fit_stats_requires_train(self, tmp_path):
@@ -217,6 +229,9 @@ class TestStageOrdering:
     @pytest.mark.parametrize(
         "section,line", [("run", "seed = -1"), ("dataset", "side = 8"),
                          ("pipeline", "invert_steps = -5"),
+                         # a training section's seed, which derives from [run] seed
+                         *((s, "seed = 18") for s in ("classifier", "generator",
+                                                      "autoencoders")),
                          # too few training images for the class autoencoders
                          ("dataset", "n_train_per_class = 29")]
     )
@@ -279,30 +294,32 @@ def trained_files(run_dir) -> dict:
 
 
 class TestTrainJobs:
-    """`train --jobs N` runs its fits in N worker processes, and a run leaves
-    the same files and messages, whatever N is."""
+    """`train` runs its fits on `nc.worker_count()` processes, one or two
+    as the CPU affinity allows, and a run leaves the same files and
+    messages, whatever that count is."""
 
-    def train(self, tmp_path, capsys, config: str, jobs: int):
+    def train(self, tmp_path, capsys, monkeypatch, config: str, jobs: int):
         cfg_path = tmp_path / f"jobs{jobs}.ini"
         cfg_path.write_text(config)
         run_dir = str(tmp_path / f"jobs{jobs}")
         assert main(["datagen", "--run-dir", run_dir, "--config", str(cfg_path)]) == 0
         capsys.readouterr()
-        rc = main(["train", "--run-dir", run_dir, "--jobs", str(jobs)])
+        monkeypatch.setattr(nc, "worker_count", lambda: jobs)
+        rc = main(["train", "--run-dir", run_dir])
         out, err = capsys.readouterr()
         return rc, out, err, trained_files(run_dir)
 
-    def test_job_count_changes_no_byte(self, tmp_path, capsys):
-        one = self.train(tmp_path, capsys, MINI_CONFIG, 1)
-        two = self.train(tmp_path, capsys, MINI_CONFIG, 2)
+    def test_job_count_changes_no_byte(self, tmp_path, capsys, monkeypatch):
+        one = self.train(tmp_path, capsys, monkeypatch, MINI_CONFIG, 1)
+        two = self.train(tmp_path, capsys, monkeypatch, MINI_CONFIG, 2)
         assert one[0] == 0 and one == two
         assert len(one[3]) == 10  # 7 models and 3 training reports
 
-    def test_failure_reported_in_serial_order(self, tmp_path, capsys):
+    def test_failure_reported_in_serial_order(self, tmp_path, capsys, monkeypatch):
         # the generator and the classifier both fail; the generator is fitted
         # first, and no file is saved
-        one = self.train(tmp_path, capsys, TWO_FAILURES_CONFIG, 1)
-        two = self.train(tmp_path, capsys, TWO_FAILURES_CONFIG, 2)
+        one = self.train(tmp_path, capsys, monkeypatch, TWO_FAILURES_CONFIG, 1)
+        two = self.train(tmp_path, capsys, monkeypatch, TWO_FAILURES_CONFIG, 2)
         assert one == two
         rc, out, err, files = two
         assert rc == 1
@@ -312,6 +329,7 @@ class TestTrainJobs:
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
     def test_bad_job_count_exits_2(self, tmp_path, jobs):
+        # the worker count is no longer a flag, so any --jobs is a usage error
         with pytest.raises(SystemExit) as exc:
             main(["train", "--run-dir", str(tmp_path), "--jobs", jobs])
         assert exc.value.code == 2
@@ -1033,7 +1051,7 @@ STALE_COMMANDS = [["explain", "--index", "0"], ["experiment", "--expt", "1"]]
 class TestProvenance:
     def test_stale_stats_detected(self, mini_run, tmp_path, capsys):
         # stats were fitted against the previous classifier
-        clone = retrained_clone(mini_run, tmp_path / "clone", "classifier", "seed", "999")
+        clone = retrained_clone(mini_run, tmp_path / "clone", "classifier", "lr", "0.002")
         refused_stale(clone, capsys, STALE_COMMANDS, "fit-stats", "stages/fit-stats.json")
         assert main(["fit-stats", "--run-dir", str(clone), "--force"]) == 0
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 0
@@ -1411,7 +1429,8 @@ class TestStageRecords:
         clone = tmp_path / "half_trained"
         shutil.copytree(mini_run, clone)
         monkeypatch.setattr(piece.cli, "autoencoders_report", broken)
-        assert main(["train", "--run-dir", str(clone), "--force", "--jobs", "1"]) == 1
+        monkeypatch.setattr(nc, "worker_count", lambda: 1)
+        assert main(["train", "--run-dir", str(clone), "--force"]) == 1
         assert not RunPaths(str(clone)).done("train")
         capsys.readouterr()
         assert main(["explain", "--run-dir", str(clone), "--index", "0"]) == 3
@@ -1559,8 +1578,37 @@ class TestLazyLoading:
         assert reports() == before
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("command,unbuffered", [
+        ("datagen", False), ("datagen", True), ("train", True),
+    ])
+    def test_closed_stdout_exits_141_without_traceback(self, mini_run, tmp_path, command,
+                                                        unbuffered):
+        # stdout is a pipe whose read end is already closed, so its first
+        # write fails, whether each print writes or only the flush at exit
+        clone = tmp_path / "run"
+        if command == "train":
+            shutil.copytree(mini_run, clone)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(piece.__file__))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "piece.cli", command, "--run-dir", str(clone),
+                 "--force"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
+        load_run(RunPaths(str(clone)), command)  # the stage is done and verifies
+
+
 class TestConfigHoles:
-    def test_dropout_of_one_refused_before_training(self, tmp_path, capsys):
+    def test_dropout_of_one_refused_before_training(self, tmp_path, capsys, monkeypatch):
         # it used to end train in a DimensionError traceback
         cfg_path = tmp_path / "mini.ini"
         cfg_path.write_text(MINI_CONFIG)
@@ -1572,7 +1620,8 @@ class TestConfigHoles:
         with open(run_dir / "config.ini", "w") as fh:
             ini.write(fh)
         capsys.readouterr()
-        assert main(["train", "--run-dir", str(run_dir), "--jobs", "1"]) == 2
+        monkeypatch.setattr(nc, "worker_count", lambda: 1)
+        assert main(["train", "--run-dir", str(run_dir)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: [classifier] dropout must be in [0, 1), got 1.0"]
         assert not (run_dir / "models").exists()  # no model was written
@@ -1610,7 +1659,8 @@ class TestConfigHoles:
         with open(run_dir / "config.ini", "w") as fh:
             ini.write(fh)
         capsys.readouterr()
-        assert main(["train", "--run-dir", str(run_dir), "--jobs", "1"]) == code
+        monkeypatch.setattr(nc, "worker_count", lambda: 1)
+        assert main(["train", "--run-dir", str(run_dir)]) == code
         err = capsys.readouterr().err.strip().splitlines()
         done = (run_dir / "stages" / "train.json").exists()
         assert len(fits) == {"generator": 1, "classifier": 3, None: 7}[named]

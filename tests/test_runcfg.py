@@ -19,6 +19,7 @@ from piece.runcfg import (
     parse_config,
     write_config,
 )
+from piece import training as tr
 from piece.datagen import MIN_CLASS_SAMPLES
 
 NON_DEFAULT_INI = """
@@ -80,7 +81,6 @@ epochs = 60
 batch_size = 32
 lr = 0.003
 hidden = 64,32
-seed = 18
 dropout = 0.25
 early_stop_accuracy = 0.97
 min_accuracy = 0.85
@@ -90,7 +90,6 @@ epochs = 400
 batch_size = 32
 lr = 0.003
 hidden = 96
-seed = 29
 latent_dim = 8
 recon_mse_target = 0.01
 
@@ -99,7 +98,6 @@ epochs = 150
 batch_size = 32
 lr = 0.003
 hidden = 64
-seed = 40
 latent_dim = 8
 recon_mse_target = 0.01
 
@@ -171,8 +169,7 @@ _RATES = [("pipeline", "invert_lr"), ("pipeline", "ascent_lr"), ("pipeline", "vi
 _COUNTS = [("experiment", k) for k in ("n_correct", "n_close_correct", "n_semifactual")]
 _HUGE = {int: "1000000000", float: "1e9"}
 KNOWN_TO_RUN = {
-    **{(s, "seed", v): "any seed from 0 up is one numpy takes"
-       for s in ("run", *_TRAIN) for v in ("0", _HUGE[int])},
+    **{("run", "seed", v): "any seed from 0 up is one numpy takes" for v in ("0", _HUGE[int])},
     **{(s, k, _HUGE[int]): "a size: only time and memory bound it" for s, k in _SIZES},
     **{(s, k, _HUGE[int]): "a step or epoch budget: time bounds it" for s, k in _BUDGETS},
     **{(s, k, "0"): "a budget of 0: the search keeps its start point" for s, k in _STEPS},
@@ -258,7 +255,7 @@ def non_default(key: str, default: str):
 class TestConfigContract:
     def test_default_echo_is_pinned(self):
         assert default_config_ini() == DEFAULT_INI
-        assert len(default_keys()) == 53
+        assert len(default_keys()) == 50
 
     def test_no_file_gives_the_dataclass_defaults(self):
         assert parse_config(None) == RunConfig()
@@ -303,14 +300,34 @@ class TestConfigContract:
             parse_text("[pipeline]\ninvert_step = 10\n")
 
     def test_renamed_and_hidden_fields_are_not_keys(self):
-        # and keys that no stage reads, which older versions echoed
+        # and keys that no stage reads, which older versions echoed; a
+        # training section's seed is derived from [run] seed
         for section, key in (("classifier", "dropout_rate"), ("baselines", "lam"),
                              ("classifier", "beta1"), ("dataset", "seed"),
                              ("classifier", "latent_dim"), ("classifier", "recon_mse_target"),
                              *((s, k) for s in ("generator", "autoencoders")
-                               for k in ("dropout", "early_stop_accuracy", "min_accuracy"))):
-            with pytest.raises(ConfigError, match=key):
+                               for k in ("dropout", "early_stop_accuracy", "min_accuracy")),
+                             *((s, "seed") for s in _TRAIN)):
+            with pytest.raises(ConfigError, match=rf"^\[{section}\] unknown keys: {key}$"):
                 parse_text(f"[{section}]\n{key} = 1\n")
+
+    def test_run_seed_alone_seeds_every_fit(self, monkeypatch):
+        # the echo with only [run] seed edited is the config a plain [run]
+        # seed file gives, and `fit` seeds each network from that seed
+        echo = default_config_ini().replace("[run]\nseed = 7\n", "[run]\nseed = 8\n")
+        assert echo != default_config_ini()
+        cfg = parse_text(echo)
+        assert cfg == parse_text("[run]\nseed = 8\n")
+        seeds = {}  # each fit's seed, its argument after (train, test, section)
+        for name in ("train_classifier", "train_generator", "train_full_autoencoder",
+                     "train_class_autoencoder"):
+            monkeypatch.setattr(tr, name, lambda *args, name=name:
+                                seeds.setdefault(name, set()).add(args[3]))
+        for name in tr.fit_names(cfg.dataset.n_classes):
+            tr.fit(name, None, None, cfg)
+        assert seeds == {"train_classifier": {8 + 11}, "train_generator": {8 + 22},
+                         "train_full_autoencoder": {8 + 33},
+                         "train_class_autoencoder": {8 + 33}}
 
     @pytest.mark.parametrize("text", ["[run]\nseed = seven\n", "[run]\nalpha = 0.7\n",
                                       "[classifier]\nhidden = 64,x\n",
@@ -338,8 +355,10 @@ class TestConfigContract:
          "[dataset] n_train_per_class must be at least 30, got 0"),
         ("[dataset]\nn_test_per_class = -2\n",
          "[dataset] n_test_per_class must be at least 1, got -2"),
-        # numpy refused these only as train or datagen ran, with a traceback
-        *((f"[{s}]\nseed = -1\n", f"[{s}] seed must be at least 0, got -1") for s in _TRAIN),
+        # numpy refused these only as train or datagen ran, with a traceback;
+        # a training section's seed now derives from [run] seed, so any value
+        # of it is refused as an unknown key
+        *((f"[{s}]\nseed = -1\n", f"[{s}] unknown keys: seed") for s in _TRAIN),
         ("[dataset]\ntranslate_jitter = -1\n",
          "[dataset] translate_jitter must be at least 0, got -1"),
         ("[run]\nalpha = 0.7\n", "[run] alpha must be in (0, 0.5), got 0.7"),

@@ -40,20 +40,20 @@ class TestClassifier:
 
     def test_no_learning_stays_at_chance(self, small_data):
         train, test = small_data
-        cfg = tr.ClassifierConfig(epochs=1, lr=1e-15, seed=3, min_accuracy=0.0,
+        cfg = tr.ClassifierConfig(epochs=1, lr=1e-15, min_accuracy=0.0,
                                   early_stop_accuracy=1.1)
-        net, report = tr.train_classifier(train, test, cfg)
+        net, report = tr.train_classifier(train, test, cfg, 3)
         assert abs(report.final["test_accuracy"] - 0.25) <= 0.1
 
     def test_same_seed_identical_weights(self, small_data, tmp_path):
         train, test = small_data
         for stage, cfg in (
             (tr.train_classifier,
-             tr.ClassifierConfig(epochs=2, seed=5, min_accuracy=0.0, early_stop_accuracy=1.1)),
-            (tr.train_generator, tr.AutoencoderConfig(epochs=2, seed=5, recon_mse_target=1.0)),
+             tr.ClassifierConfig(epochs=2, min_accuracy=0.0, early_stop_accuracy=1.1)),
+            (tr.train_generator, tr.AutoencoderConfig(epochs=2, recon_mse_target=1.0)),
         ):
-            a, _ = stage(train, test, cfg)
-            b, _ = stage(train, test, cfg)
+            a, _ = stage(train, test, cfg, 5)
+            b, _ = stage(train, test, cfg, 5)
             assert saved_bytes(a, tmp_path / "a.json") == saved_bytes(b, tmp_path / "b.json")
 
     def test_one_adam_step_per_batch(self, small_data, monkeypatch):
@@ -67,23 +67,23 @@ class TestClassifier:
             return step(*args, **kwargs)
 
         monkeypatch.setattr(nc, "adam_step", counted)
-        cfg = tr.ClassifierConfig(epochs=2, seed=5, min_accuracy=0.0, early_stop_accuracy=1.1)
-        tr.train_classifier(train, test, cfg)
+        cfg = tr.ClassifierConfig(epochs=2, min_accuracy=0.0, early_stop_accuracy=1.1)
+        tr.train_classifier(train, test, cfg, 5)
         assert len(calls) == 2 * -(-len(train) // cfg.batch_size)
 
     def test_unreachable_target_raises_with_curve(self, small_data):
         train, test = small_data
-        cfg = tr.ClassifierConfig(epochs=1, lr=1e-15, seed=3, min_accuracy=0.99,
+        cfg = tr.ClassifierConfig(epochs=1, lr=1e-15, min_accuracy=0.99,
                                   early_stop_accuracy=1.1)
         with pytest.raises(tr.TrainingFailure, match=r"reached only 0\.\d{3} test accuracy"):
-            tr.train_classifier(train, test, cfg)
+            tr.train_classifier(train, test, cfg, 3)
 
     def test_single_class_rejected(self, small_data):
         train, test = small_data
         one = type(train)(train.images[train.labels == 0],
                           train.labels[train.labels == 0], "train")
         with pytest.raises(tr.TrainingFailure, match="2 classes"):
-            tr.train_classifier(one, test, tr.ClassifierConfig(seed=0))
+            tr.train_classifier(one, test, tr.ClassifierConfig(), 0)
 
 
 class TestGenerator:
@@ -111,16 +111,15 @@ class TestGenerator:
 
     def test_latent_too_wide_rejected(self, small_data):
         train, test = small_data
-        cfg = tr.AutoencoderConfig(latent_dim=16 * 16, seed=0)
+        cfg = tr.AutoencoderConfig(latent_dim=16 * 16)
         with pytest.raises(tr.TrainingFailure, match="latent"):
-            tr.train_generator(train, test, cfg)
+            tr.train_generator(train, test, cfg, 0)
 
     def test_mse_target_enforced(self, small_data):
         train, test = small_data
-        cfg = tr.AutoencoderConfig(epochs=1, lr=1e-15, seed=0, hidden=(32,),
-                                   recon_mse_target=1e-6)
+        cfg = tr.AutoencoderConfig(epochs=1, lr=1e-15, hidden=(32,), recon_mse_target=1e-6)
         with pytest.raises(tr.TrainingFailure, match="MSE"):
-            tr.train_generator(train, test, cfg)
+            tr.train_generator(train, test, cfg, 0)
 
 
 class TestAutoencoders:
@@ -145,7 +144,7 @@ class TestAutoencoders:
         # 60 bar images plus only 10 cross images
         tiny = type(train)(train.images[:70], train.labels[:70], "train")
         with pytest.raises(tr.TrainingFailure, match="class 1"):
-            tr.train_autoencoders(tiny, test, tr.AutoencoderConfig(seed=0))
+            tr.train_autoencoders(tiny, test, tr.AutoencoderConfig(), 0)
 
     def test_save_load_preserves_reconstructions(self, toy_run, tmp_path):
         arts = toy_run["arts"]
@@ -163,15 +162,15 @@ class TestConfigs:
     @pytest.mark.parametrize(
         "stage,cfg",
         [
-            (tr.train_classifier, tr.ClassifierConfig(epochs=1, seed=5, min_accuracy=0.0)),
-            (tr.train_generator, tr.AutoencoderConfig(epochs=1, seed=5, recon_mse_target=1.0)),
-            (tr.train_autoencoders, tr.AutoencoderConfig(epochs=1, seed=5)),
+            (tr.train_classifier, tr.ClassifierConfig(epochs=1, min_accuracy=0.0)),
+            (tr.train_generator, tr.AutoencoderConfig(epochs=1, recon_mse_target=1.0)),
+            (tr.train_autoencoders, tr.AutoencoderConfig(epochs=1)),
         ],
     )
     def test_every_field_is_read(self, small_data, stage, cfg):
         train, test = small_data
         cfg, reads = watched(cfg)
-        stage(train, test, cfg)
+        stage(train, test, cfg, 5)
         assert reads == {f.name for f in dataclasses.fields(cfg)}
 
     @pytest.mark.parametrize(
@@ -188,7 +187,9 @@ class TestReports:
     def test_report_contains_curve_and_config(self, toy_run):
         report = json.load(open(toy_run["paths"].reports("training_classifier.json")))
         assert report["epochs_run"] == len(report["curve"])
-        assert report["config"]["seed"] == report["seed"]
+        # the seed is derived from the run seed, not a key of the section
+        assert report["seed"] == tr.fit_seed(toy_run["arts"].config, "classifier")
+        assert "seed" not in report["config"]
         assert all("train_loss" in row and "metric" in row for row in report["curve"])
 
     def test_generator_report_notes_decoder_substitution(self, toy_run):
@@ -228,10 +229,11 @@ class TestRunJobs:
 
     def test_fits_equal_their_in_process_bits(self, small_data, tmp_path):
         train, test = small_data
-        sections = types.SimpleNamespace(  # the run config sections that `fit` reads
-            classifier=tr.ClassifierConfig(epochs=2, seed=5, min_accuracy=0.0),
-            generator=tr.AutoencoderConfig(epochs=2, seed=5, recon_mse_target=1.0),
-            autoencoders=tr.AutoencoderConfig(epochs=2, seed=6),
+        sections = types.SimpleNamespace(  # the run config fields that `fit` reads
+            seed=5,
+            classifier=tr.ClassifierConfig(epochs=2, min_accuracy=0.0),
+            generator=tr.AutoencoderConfig(epochs=2, recon_mse_target=1.0),
+            autoencoders=tr.AutoencoderConfig(epochs=2),
         )
         names = tr.fit_names(4)
         job = functools.partial(tr.fit, train=train, test=test, cfg=sections)
