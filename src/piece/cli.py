@@ -84,7 +84,9 @@ _EXIT_CODES = {
         EXIT_PROVENANCE,
     ),
     **dict.fromkeys(
-        (TrainingFailure, DataError, pl.PipelineError, nc.NumericsError, MetricError), 1
+        (TrainingFailure, DataError, pl.PipelineError, nc.NumericsError, MetricError,
+         ex.ShardError),
+        1,
     ),
 }
 
@@ -359,8 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # after --help, or a usage error argparse reported
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not as the interpreter exits
         return code

@@ -17,9 +17,9 @@ so that the latent searches run over all images at once, each image
 exactly as it would run alone:
 
 0. look up each image's inversion in the run's store (`inversions`), which
-   `piece explain` shares, and invert the misses as one stack; this runs
-   before the experiment's first write, so a damaged entry leaves its
-   reports as they were;
+   `piece explain` shares; this runs before the experiment's first write,
+   so a damaged entry leaves its reports as they were. Each shard (below)
+   inverts its misses as one stack;
 1. explain every image by PIECE, in `pipeline.explain_stack`'s phases:
    class selection and the rendering each run as one stack, the feature
    walk per image, and the semifactual backoff in rounds;
@@ -29,7 +29,18 @@ exactly as it would run alone:
    render every budget that needs a rendering as one stack; then run each
    baseline's distance-matched search over the stack of all rendered
    budgets;
-4. build the rows and write the reports, in test-set order.
+4. build the rows, MC-dropout included; then store the inversions made
+   and write the records, images and reports, in test-set order.
+
+Phases 0 (its misses) to 3, and the rows of phase 4, run on shards of the
+test set (`in_shards`): one per CPU this process may use
+(`nc.worker_count`), the first in this process and each other one in a
+child forked after the store lookup, which sends its results back through
+a pipe and writes nothing. As each image runs as it would alone, the
+shards give the same bits as one stack, so every file the experiment
+writes, its stage record included, is the same on one CPU or two. This
+process writes every file, once all shards have ended; an error of any
+shard ends the experiment before its first write.
 
 Any per-image method failure, an overflow among them, becomes a failure
 row; experiments never abort on them. A proportional rendering that fails
@@ -48,6 +59,10 @@ import dataclasses
 import enum
 import functools
 import os
+import pickle
+import signal
+import traceback
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +98,41 @@ def inversion_keys(arts: RunArtifacts, image_ids) -> list:
     ]
 
 
+def _stored_inversions(arts: RunArtifacts, image_ids) -> list:
+    """Each test image's entry in the run's store of inversions: its key
+    (`inversion_keys`), its path inversions/NNNN.json (NNNN the index) and
+    its stored InversionResult, or None for a miss. A damaged entry raises
+    InversionFormatError."""
+    latent_dim = arts.generator.input_dim
+    found = []
+    for image_id, key in zip(image_ids, inversion_keys(arts, image_ids)):
+        path = arts.paths.inversions(f"{image_id:04d}.json")
+        found.append((key, path, pl.load_inversion(path, key, latent_dim)
+                      if os.path.exists(path) else None))
+    return found
+
+
+def _inverted(arts: RunArtifacts, images: list, found: list) -> list:
+    """Each image's inversion: its stored one in `found` (its entry of
+    `_stored_inversions`), else made now, the misses as one `invert_image`
+    stack, each from its key's seed; or the InversionError of the image."""
+    misses = [i for i, (_, _, stored) in enumerate(found) if stored is None]
+    body, _ = nc.split_at_tap(arts.classifier)
+    made = iter(pl._per_image(len(misses), lambda: pl.invert_image(
+        arts.generator, body, np.stack([images[i] for i in misses]), arts.config.optim,
+        [found[i][0]["seed"] for i in misses],
+    )))
+    return [next(made) if stored is None else stored for _, _, stored in found]
+
+
+def _store_inversions(found: list, invs: list) -> None:
+    """Store each inversion of `invs` made now, a miss of `found`, unless
+    it failed."""
+    for (key, path, stored), inv in zip(found, invs):
+        if stored is None and not isinstance(inv, Exception):
+            pl.save_inversion(inv, key, path)
+
+
 def inversions(arts: RunArtifacts, image_ids) -> list:
     """Each test image's InversionResult, or its InversionError, one per
     image per run: the run's stored inversions/NNNN.json (NNNN the index)
@@ -90,23 +140,10 @@ def inversions(arts: RunArtifacts, image_ids) -> list:
     one `invert_image` stack, each from its image's one seed, and stored
     unless it failed. A damaged entry raises InversionFormatError. The
     store is a cache that no stage record lists."""
-    cfg = arts.config
-    images = arts.test_images(image_ids).images
-    keys = inversion_keys(arts, image_ids)
-    paths = [arts.paths.inversions(f"{image_id:04d}.json") for image_id in image_ids]
-    latent_dim = arts.generator.input_dim
-    out = [pl.load_inversion(p, k, latent_dim) if os.path.exists(p) else None
-           for p, k in zip(paths, keys)]
-    misses = [i for i, inv in enumerate(out) if inv is None]
-    body, _ = nc.split_at_tap(arts.classifier)
-    made = pl._per_image(len(misses), lambda: pl.invert_image(
-        arts.generator, body, images[misses], cfg.optim, [keys[i]["seed"] for i in misses]
-    ))
-    for i, inv in zip(misses, made):
-        if not isinstance(inv, Exception):
-            pl.save_inversion(inv, keys[i], paths[i])
-        out[i] = inv
-    return out
+    found = _stored_inversions(arts, image_ids)
+    invs = _inverted(arts, arts.test_images(image_ids).images, found)
+    _store_inversions(found, invs)
+    return invs
 
 
 @dataclass
@@ -309,18 +346,15 @@ def _baseline_runs(
     )
 
 
-def _explain_images(
-    arts: RunArtifacts, paths: RunPaths, expt: int, cases: list, invs: list
-) -> list:
+def _explain_images(arts: RunArtifacts, expt: int, cases: list, invs: list) -> list:
     """Explain every test image by PIECE, from its inversion in `invs`, and
-    both baselines in experiment `expt`'s mode, saving every record and
-    image under explanations/. Returns, per case, each method's result by
-    method name, or None when PIECE cannot explain the image (then no
-    method runs on it). Runs the module's phases 1 and 2: PIECE's phases
-    over the stack of images; each baseline over the stack of explained
-    images."""
+    by both baselines in experiment `expt`'s mode. Returns, per case, each
+    method's result by method name, or None when PIECE cannot explain the
+    image (then no method runs on it). Runs the module's phases 1 and 2:
+    PIECE's phases over the stack of images; each baseline over the stack
+    of explained images."""
     cfg = arts.config
-    mode, tag = (("counterfactual", "cf"), ("semifactual", "sf"))[expt - 1]
+    mode = ("counterfactual", "semifactual")[expt - 1]
     inverted = [(case, inv) for case, inv in zip(cases, invs) if not isinstance(inv, Exception)]
     stacked = iter(pl.explain_stack(
         [
@@ -332,47 +366,147 @@ def _explain_images(
         ],
         arts.classifier, arts.generator, arts.stats, cfg.optim,
     ))
-    explained: list = []
-    for case, inv in zip(cases, invs):
+    explained = []
+    for inv in invs:
         res = inv if isinstance(inv, Exception) else next(stacked)
-        if isinstance(res, Exception):
-            explained.append(None)
-            continue
-        save_explanation(paths, f"expt{expt}", f"piece_{tag}_{case.image_id:04d}", res,
-                         case.image, arts)
-        explained.append({"piece": res})
-    succeeded = [(case, results) for case, results in zip(cases, explained) if results]
-    pieces = [results["piece"] for _, results in succeeded]
+        explained.append(None if isinstance(res, Exception) else {"piece": res})
+    succeeded = list(filter(None, explained))
     for method in bl.METHODS:
-        runs = _baseline_runs(arts, method, pieces, cfg.baselines, mode)
-        for (case, results), res in zip(succeeded, runs):
+        runs = _baseline_runs(arts, method, [results["piece"] for results in succeeded],
+                              cfg.baselines, mode)
+        for results, res in zip(succeeded, runs):
             results[method] = res
-            _save_baseline(paths, f"expt{expt}", f"{method}_{tag}_{case.image_id:04d}", res,
-                           case.image.shape, arts)
     return explained
+
+
+def _save_explained(arts: RunArtifacts, paths: RunPaths, expt: int, cases: list,
+                    explained: list) -> None:
+    """Save the record and images of each method's explanation of each case
+    under explanations/expt<N>/: PIECE's of every case, then each
+    baseline's."""
+    tag = ("cf", "sf")[expt - 1]
+    succeeded = [(case, results) for case, results in zip(cases, explained) if results]
+    for case, results in succeeded:
+        save_explanation(paths, f"expt{expt}", f"piece_{tag}_{case.image_id:04d}",
+                         results["piece"], case.image, arts)
+    for method in bl.METHODS:
+        for case, results in succeeded:
+            _save_baseline(paths, f"expt{expt}", f"{method}_{tag}_{case.image_id:04d}",
+                           results[method], case.image.shape, arts)
+
+
+class ShardError(Exception):
+    """A shard's process ended without sending its results; or, as the cause
+    of the error a shard's process sent, that error's traceback there."""
+
+
+def in_shards(work, items: list) -> list:
+    """`work(shard)` over `nc.worker_count()` contiguous shards of `items`,
+    joined in item order; `work` returns one result per item.
+
+    This process forks one child per shard after the first, then runs the
+    first shard itself. A child only computes: it sends its results, or the
+    exception `work` raised, through a pipe and ends with `os._exit`, so it
+    writes no file and runs none of the caller's clean-up. It inherits this
+    process's memory, BLAS threading included. The first error in shard
+    order is raised here, a child's from its traceback; a child that ends
+    without sending its results raises ShardError. Every child has ended
+    when this returns or raises: on an error here, the children left are
+    killed. A child whose parent was killed dies at its write to the pipe,
+    which has no reader left. With one worker, or where `os.fork` is
+    missing, the one shard runs here.
+    """
+    n = max(1, min(len(items), nc.worker_count() if hasattr(os, "fork") else 1))
+    cuts = [len(items) * k // n for k in range(n + 1)]
+    shards = [items[start:end] for start, end in zip(cuts, cuts[1:])]
+    children: dict = {}  # shard number -> (pid, the read end of its pipe)
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _send(work, shards[k], write,
+                      [read, *(pipe.fileno() for _, pipe in children.values())])
+            os.close(write)
+            children[k] = (pid, os.fdopen(read, "rb"))
+        out = list(work(shards[0]))
+        for k in range(1, n):
+            pid, pipe = children[k]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[k]
+            if code or not data:
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise ShardError(f"experiment shard {k + 1} of {n} ended without its "
+                                 f"results ({how})")
+            results, exc, trace = pickle.loads(data)
+            if exc is not None:
+                raise exc from ShardError(f"experiment shard {k + 1} of {n} raised:\n{trace}")
+            out += results
+        return out
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send(work, shard: list, write: int, readers: list) -> typing.NoReturn:
+    """A forked child's part of `in_shards`: close the read ends of the
+    pipes it inherited, `readers`, so that a dead parent leaves no reader;
+    send `work(shard)`, or the exception it raised and its traceback,
+    through the pipe `write`; and end, with exit code 0 once all of it is
+    sent. Nothing of the caller runs after it, whatever happens."""
+    code = 1
+    try:
+        for fd in readers:
+            os.close(fd)
+        try:
+            sent = (list(work(shard)), None, None)
+        except Exception as exc:  # the parent raises it, from this traceback
+            sent = (None, exc, traceback.format_exc())
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _explained_cases(arts: RunArtifacts, expt: int, cases: list) -> tuple:
+    """Each case's results by method, or None when PIECE cannot explain it
+    (`_explain_images`), and its rows in experiment `expt` (`_expt1_rows`,
+    `_expt2_rows`): the module's phases 0 to 3 and the rows of phase 4, as
+    shards (`in_shards`) after the lookup in the store of inversions. The
+    inversions the shards made are stored here, once all have ended."""
+    found = _stored_inversions(arts, [case.image_id for case in cases])
+    rows = (_expt1_rows, _expt2_rows)[expt - 1]
+
+    def shard(items: list) -> list:
+        shard_cases = [case for case, _ in items]
+        invs = _inverted(arts, [case.image for case in shard_cases], [f for _, f in items])
+        explained = _explain_images(arts, expt, shard_cases, invs)
+        return list(zip(invs, explained, rows(arts, shard_cases, explained)))
+
+    outs = in_shards(shard, list(zip(cases, found)))
+    _store_inversions(found, [inv for inv, _, _ in outs])
+    return [results for _, results, _ in outs], [case_rows for _, _, case_rows in outs]
 
 
 # ---------------------------------------------------------------------------
 # Experiment 1
 
 
-def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
+def _expt1_rows(arts: RunArtifacts, cases: list, explained: list) -> list:
+    """Per case: its row of each method, its lambda-sweep row of each
+    lambda (none when PIECE failed) and the (method, image, c') of each
+    explanation that substitutability keeps. Runs the lambda sweep, each
+    lambda over the stack of explained images (phase 3)."""
     cfg = arts.config
-    cases = compose_test_set(arts)
-    invs = inversions(arts, [case.image_id for case in cases])
-    _write_testset_csv(cases, paths.reports("expt1_testset.csv"))
-
-    rows: list = []
-    piece_results: list = []
-    kept: dict = {m: [] for m in _METHODS}  # (image, c') pairs for substitutability
-    sweep: dict = {lam: [] for lam in cfg.baselines.lam_sweep}  # lambda -> rows
     body, _ = nc.split_at_tap(arts.classifier)
     row = functools.partial(_row, arts, body)
-
-    explained = _explain_images(arts, paths, 1, cases, invs)
-    succeeded = [results for results in explained if results]
-    # the lambda sweep, each lambda over the stack; at the configured lambda
-    # the main c-min-edit runs are these very runs
+    succeeded = list(filter(None, explained))
+    # at the configured lambda the main c-min-edit runs are these very runs
     swept = {
         lam: iter(
             [results["c_min_edit"] for results in succeeded]
@@ -384,14 +518,15 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
         )
         for lam in cfg.baselines.lam_sweep
     }
-
+    out = []
     for case, results in zip(cases, explained):
         if results is None:
-            rows += [row(case, None, method, "counterfactual") for method in _METHODS]
+            out.append(([row(case, None, method, "counterfactual") for method in _METHODS],
+                        [], []))
             continue
         piece = results["piece"]
         c_prime = piece.c_prime
-        piece_results.append(piece)
+        rows, kept = [], []
         for method, res in results.items():
             if method == "piece":
                 image, verified, keep = res.image_prime.ravel(), res.verified, res.verified
@@ -401,12 +536,33 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
                 verified = keep and int(np.argmax(probs)) == c_prime
             rows.append(row(case, piece, method, "counterfactual", image, verified))
             if keep:
-                kept[method].append((np.asarray(image), c_prime))
-        for lam in cfg.baselines.lam_sweep:
-            sres = next(swept[lam])
-            sweep[lam].append(
-                row(case, piece, "c_min_edit", "counterfactual", sres.image, measure=("nn_dist",))
-            )
+                kept.append((method, np.asarray(image), c_prime))
+        sweep = [
+            row(case, piece, "c_min_edit", "counterfactual", next(swept[lam]).image,
+                measure=("nn_dist",))
+            for lam in cfg.baselines.lam_sweep
+        ]
+        out.append((rows, sweep, kept))
+    return out
+
+
+def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
+    cfg = arts.config
+    cases = compose_test_set(arts)
+    explained, per_case = _explained_cases(arts, 1, cases)
+    _write_testset_csv(cases, paths.reports("expt1_testset.csv"))
+    _save_explained(arts, paths, 1, cases, explained)
+
+    rows = [r for case_rows, _, _ in per_case for r in case_rows]
+    piece_results = [results["piece"] for results in explained if results]
+    kept: dict = {m: [] for m in _METHODS}  # (image, c') pairs for substitutability
+    for _, _, case_kept in per_case:
+        for method, image, c_prime in case_kept:
+            kept[method].append((image, c_prime))
+    sweep = {  # lambda -> rows
+        lam: [case_sweep[k] for _, case_sweep, _ in per_case if case_sweep]
+        for k, lam in enumerate(cfg.baselines.lam_sweep)
+    }
 
     report = evalx.build_report(rows)
     evalx.write_rows(paths.reports("expt1_rows.csv"), evalx.ROW_COLUMNS, report.rows)
@@ -486,23 +642,16 @@ def run_experiment1(arts: RunArtifacts, paths: RunPaths) -> dict:
 # Experiment 2
 
 
-def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
+def _expt2_rows(arts: RunArtifacts, cases: list, explained: list) -> list:
+    """Per case, its rows in loop order: each method's max-edit row, then
+    each budget's proportional row and its distance-matched rows. Runs
+    phase 3: each image's proportional explanation at each budget, as one
+    stack, then each baseline over the stack of rendered budgets, matched
+    to the feature distance PIECE moved; a budget whose rendering failed
+    has no distance to match."""
     cfg = arts.config
-    cases = [c for c in compose_test_set(arts) if c.bucket == "correct"]
-    cases = cases[: cfg.experiment.n_semifactual]
-    invs = inversions(arts, [case.image_id for case in cases])
-    _write_testset_csv(cases, paths.reports("expt2_testset.csv"))
-
-    rows: list = []  # in loop order: max-edit, then each budget's three
-    piece_results: list = []
     body, _ = nc.split_at_tap(arts.classifier)
     row = functools.partial(_row, arts, body)
-
-    explained = _explain_images(arts, paths, 2, cases, invs)
-    # each image's proportional explanation at each budget, as one stack,
-    # then each baseline over the stack of rendered budgets, matched to the
-    # feature distance PIECE moved; a budget whose rendering failed has no
-    # distance to match
     budgets = pl.proportional_stack(
         [(results["piece"], fraction) for results in filter(None, explained)
          for fraction in pl.FRACTIONS],
@@ -523,7 +672,10 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
     }
     budget_results = iter(zip(budgets, d_stars))
 
+    out = []
     for case, results in zip(cases, explained):
+        rows: list = []
+        out.append(rows)
         if results is None:
             # no method ran: every row of this image fails
             rows += [row(case, None, method, "semifactual") for method in _METHODS]
@@ -534,7 +686,6 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
 
         # max-edit semifactuals, all three methods; an unverified one failed
         sf = results["piece"]
-        piece_results.append(sf)
         for method, res in results.items():
             if res is sf:
                 image, verified = sf.image_prime.ravel(), sf.verified
@@ -569,7 +720,19 @@ def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
                         measure=("l1",), fraction=fraction, target_distance=d_star,
                     )
                 )
+    return out
 
+
+def run_experiment2(arts: RunArtifacts, paths: RunPaths) -> dict:
+    cfg = arts.config
+    cases = [c for c in compose_test_set(arts) if c.bucket == "correct"]
+    cases = cases[: cfg.experiment.n_semifactual]
+    explained, per_case = _explained_cases(arts, 2, cases)
+    _write_testset_csv(cases, paths.reports("expt2_testset.csv"))
+    _save_explained(arts, paths, 2, cases, explained)
+
+    rows = [r for case_rows in per_case for r in case_rows]  # in loop order
+    piece_results = [results["piece"] for results in explained if results]
     maxedit = [r for r in rows if r.mode == "semifactual"]
     evalx.write_rows(
         paths.reports("expt2_maxedit.csv"),

@@ -668,8 +668,9 @@ def bind_parameters(net: Network) -> Array:
 def worker_count() -> int:
     """The workers a stage splits its work over: two, or one when this
     process may run on only one CPU (`taskset -c 0`). `piece train` runs its
-    fits on that many processes, and `invert_image` inverts a stack in that
-    many halves; each reads it when it runs."""
+    fits on that many processes, and `piece experiment` runs its images as
+    that many shards, each but the first in a forked child
+    (`experiments.in_shards`); each reads it when it runs."""
     return min(2, len(os.sched_getaffinity(0)))
 
 

@@ -23,7 +23,10 @@ search (class selection, rendering) runs as one lockstep `nc.Descent`
 over all the images, whose objective indexes each image's constants by
 the rows it is handed, so each image runs exactly as it would alone, and
 an image that fails, fails alone. `invert_image` stacks its images the
-same way, as two halves on two threads. `explain` and `select_cf_class`
+same way. Everything here runs on the calling thread; an experiment uses
+more CPUs by running its images as shards in forked processes
+(`experiments.in_shards`), which the stacking makes give the same bits as
+one stack. `explain` and `select_cf_class`
 are the stacks of one; `invert_image`, `visualize` and
 `proportional_stack` take stacks only. Every stage takes the
 `OptimSettings` as an argument.
@@ -34,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -152,15 +154,9 @@ def invert_image(
     `images` is a stack (n, H, W) with one seed per image (another count
     raises PipelineError), each image inverted exactly as it would be
     alone. Returns a list holding each image's InversionResult, or an
-    InversionError when every restart of that image diverged.
-
-    The inversion is bound by arithmetic, which numpy runs without holding
-    the interpreter lock. So when this process may use two CPUs
-    (`nc.worker_count`), a stack of two or more images is cut into two
-    contiguous halves, each its own descent: the calling thread inverts the
-    first while one worker thread inverts the second, and the results are
-    joined in stack order. An error of either half is the whole stack's.
-    The worker has ended when this returns or raises.
+    InversionError when every restart of that image diverged. It runs on
+    the calling thread; an experiment spreads its images over CPUs by
+    sharding them (`experiments.in_shards`), not here.
     """
     images = np.asarray(images, dtype=np.float64)
     seeds = list(seeds)
@@ -168,19 +164,6 @@ def invert_image(
         raise PipelineError(
             f"inversion needs one seed per image: {len(images)} images and {len(seeds)} seeds"
         )
-    if len(images) < 2 or nc.worker_count() < 2:
-        return _invert_stack(generator, feature_net, images, settings, seeds)
-    half = (len(images) + 1) // 2
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="invert") as pool:
-        second = pool.submit(
-            _invert_stack, generator, feature_net, images[half:], settings, seeds[half:]
-        )
-        first = _invert_stack(generator, feature_net, images[:half], settings, seeds[:half])
-    return first + second.result()
-
-
-def _invert_stack(generator, feature_net, images, settings, seeds) -> list:
-    """`invert_image` of a stack as one descent, on this thread."""
     flat = images.reshape(len(images), 1, -1)  # a row per image
     target_feats = nc.forward(feature_net, flat).output
     shape = (settings.invert_restarts, generator.input_dim)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -805,10 +806,12 @@ def expt_ids(run_dir, expt: int) -> list:
 @pytest.fixture(scope="module")
 def stored_run(mini_run, tmp_path_factory):
     """A copy of `mini_run` that ran expt1, then expt2, from an empty store
-    of inversions; and the stack size of every inversion of each."""
+    of inversions, each as one shard, so that this process makes every
+    inversion; and the stack size of every inversion of each."""
     run_dir = explainless_clone(mini_run, tmp_path_factory.mktemp("stored") / "run")
     stacks = {}
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nc, "worker_count", lambda: 1)
         calls = count_inversions(mp)
         for expt in ("1", "2"):
             rc = main(["experiment", "--run-dir", str(run_dir), "--expt", expt, "--force"])
@@ -1606,6 +1609,22 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
         load_run(RunPaths(str(clone)), command)  # the stage is done and verifies
 
+    @pytest.mark.parametrize("argv", [["--help"], ["explain", "--help"]], ids=["piece", "explain"])
+    def test_help_to_closed_stdout_exits_141(self, argv):
+        # argparse prints the help into the block-buffered stdout and exits
+        # from inside `parse_args`; it used to exit 120 with a BrokenPipeError
+        # report from the interpreter's flush at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(piece.__file__))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "piece.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
+
 
 class TestConfigHoles:
     def test_dropout_of_one_refused_before_training(self, tmp_path, capsys, monkeypatch):
@@ -1845,6 +1864,8 @@ class TestExperimentCommand:
             clone = tmp_path / name
             shutil.copytree(mini_run, clone)
             with monkeypatch.context() as m:
+                # one shard: "the first proportional rendering" is this process's
+                m.setattr(nc, "worker_count", lambda: 1)
                 if patched:
                     explain_images, visualize = ex._explain_images, pl.visualize
                     armed = []
@@ -1972,3 +1993,122 @@ class TestExperimentCommand:
             cfg.write(fh)
         assert main(["experiment", "--run-dir", str(clone), "--expt", "1",
                      "--force"]) == 5
+
+
+def no_child_left() -> None:
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShardedExperiments:
+    """`piece experiment` runs its images as `nc.worker_count()` shards: the
+    first in this process, each other one in a forked child that only
+    computes and sends its results back; this process writes every file."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_outlives_a_case(self):
+        yield
+        no_child_left()
+
+    @pytest.fixture(scope="class")
+    def sharded(self, mini_run, tmp_path_factory):
+        """expt1, then expt2, on one shard and on two, each from a copy of
+        mini_run's first three stages; the forks of each, and the processes
+        that opened a file of the run directory to write it."""
+        import builtins
+
+        out = {}
+        for workers in (1, 2):
+            run_dir = prepared_clone(
+                pathlib.Path(mini_run), tmp_path_factory.mktemp(f"shards{workers}"))
+            log = run_dir.parent / "writers.log"
+            forks: list = []
+            with pytest.MonkeyPatch.context() as mp:
+                fork, real_open = os.fork, builtins.open
+
+                def counted():
+                    forks.append(os.getpid())
+                    return fork()
+
+                def logged(file, mode="r", *args, **kwargs):
+                    if str(file).startswith(str(run_dir)) and set(mode) & set("wax+"):
+                        with real_open(log, "a") as fh:  # a file outside the run
+                            fh.write(f"{os.getpid()}\n")
+                    return real_open(file, mode, *args, **kwargs)
+
+                mp.setattr(os, "fork", counted)
+                mp.setattr(builtins, "open", logged)
+                mp.setattr(nc, "worker_count", lambda: workers)
+                for expt in ("1", "2"):
+                    rc = main(["experiment", "--run-dir", str(run_dir), "--expt", expt])
+                    assert rc in (0, 5)
+            out[workers] = run_dir, forks, set(log.read_text().split())
+        return out
+
+    def test_one_or_two_shards_write_the_same_run_directory(self, sharded):
+        one, two = sharded[1][0], sharded[2][0]
+        files = run_files(one, ".")
+        assert files == run_files(two, ".")
+        assert {"stages/experiment-1.json", "stages/experiment-2.json"} <= set(files)
+        assert any(name.startswith("inversions/") for name in files)  # made in the shards
+        assert [len(sharded[w][1]) for w in (1, 2)] == [0, 2]  # one child per experiment
+
+    def test_only_this_process_writes(self, sharded):
+        for workers in (1, 2):
+            assert sharded[workers][2] == {str(os.getpid())}
+
+    @staticmethod
+    def fail_at_last_image(monkeypatch, tmp_path, run_dir, failure) -> int:
+        """Make `failure(image_id)` run where experiment 1 builds the rows
+        of its last image, which the last shard explains; its image id."""
+        from piece import experiments as ex
+
+        last = ex.compose_test_set(load_run(RunPaths(str(run_dir))))[-1].image_id
+        row = ex._row
+
+        def failing(arts, body, case, *args, **kwargs):
+            if case.image_id == last:
+                (tmp_path / "failed_in").write_text(str(os.getpid()))
+                failure(case.image_id)
+            return row(arts, body, case, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "_row", failing)
+        return last
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_of_the_last_shard_is_the_commands(self, mini_run, tmp_path, monkeypatch,
+                                                      capsys, workers):
+        from piece.evalx import MetricError
+
+        def raise_metric_error(image_id):
+            raise MetricError(f"no metric for image {image_id}")
+
+        run_dir = prepared_clone(pathlib.Path(mini_run), tmp_path / "run")
+        last = self.fail_at_last_image(monkeypatch, tmp_path, run_dir, raise_metric_error)
+        monkeypatch.setattr(nc, "worker_count", lambda: workers)
+        before = run_files(run_dir, ".")
+        capsys.readouterr()
+        rc = main(["experiment", "--run-dir", str(run_dir), "--expt", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert (rc, err) == (1, [f"error: no metric for image {last}"])
+        # raised in the child on two workers; nothing was written, not even
+        # the inversions the shards made
+        in_child = (tmp_path / "failed_in").read_text() != str(os.getpid())
+        assert in_child == (workers == 2)
+        assert run_files(run_dir, ".") == before
+        assert not RunPaths(str(run_dir)).done("experiment 1")
+
+    def test_dead_shard_exits_1(self, mini_run, tmp_path, monkeypatch, capsys):
+        run_dir = prepared_clone(pathlib.Path(mini_run), tmp_path / "run")
+        self.fail_at_last_image(monkeypatch, tmp_path, run_dir, lambda _: os._exit(3))
+        monkeypatch.setattr(nc, "worker_count", lambda: 2)
+        before = run_files(run_dir, ".")
+        capsys.readouterr()
+        rc = main(["experiment", "--run-dir", str(run_dir), "--expt", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert (rc, err) == (
+            1, ["error: experiment shard 2 of 2 ended without its results (exit code 3)"]
+        )
+        assert run_files(run_dir, ".") == before
+        assert not RunPaths(str(run_dir)).done("experiment 1")

@@ -142,9 +142,6 @@ class TestInversion:
                 want.combined_loss, want.feature_loss, want.pixel_loss, want.restart_index
             )
 
-    # five images: the calling thread inverts three, the worker thread two
-    ODD = [0, 101, 202, 303, 399]
-
     @staticmethod
     def started_threads(monkeypatch) -> list:
         """The threads started from now on, gathered as they start."""
@@ -159,14 +156,23 @@ class TestInversion:
         return started
 
     def test_odd_stack_same_bits_on_one_or_two_workers(self, toy, monkeypatch):
+        # five images as the experiments shard them: on two workers this
+        # process inverts two and a forked child three
+        from piece import experiments as ex
+
         arts = toy["arts"]
         body, _ = nc.split_at_tap(arts.classifier)
-        images = arts.test_data.images[self.ODD]
+        images = arts.test_data.images[[0, 101, 202, 303, 399]]
         seeds = [9, 8, 7, 6, 5]
+
+        def invert(shard):
+            return pl.invert_image(arts.generator, body, images[shard], FAST,
+                                   [seeds[i] for i in shard])
+
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(nc, "worker_count", lambda: workers)
-            runs.append(pl.invert_image(arts.generator, body, images, FAST, seeds))
+            runs.append(ex.in_shards(invert, list(range(len(images)))))
         alone = [invert_one(arts.generator, body, im, FAST, s) for im, s in zip(images, seeds)]
         for run in runs:
             assert len(run) == len(images)
@@ -175,7 +181,8 @@ class TestInversion:
                     a, b = getattr(got, field.name), getattr(want, field.name)
                     assert np.array_equal(a, b), field.name
 
-    @pytest.mark.parametrize("workers, n", [(2, 1), (1, 2)], ids=["stack-of-one", "one-cpu"])
+    @pytest.mark.parametrize("workers, n", [(2, 1), (1, 2), (2, 5)],
+                             ids=["stack-of-one", "one-cpu", "two-cpus"])
     def test_starts_no_thread(self, toy, monkeypatch, workers, n):
         arts = toy["arts"]
         body, _ = nc.split_at_tap(arts.classifier)
@@ -184,43 +191,15 @@ class TestInversion:
         res = pl.invert_image(arts.generator, body, arts.test_data.images[:n], FAST, range(n))
         assert len(res) == n and started == []
 
-    @pytest.mark.parametrize("bad", [0, 4], ids=["first-half", "second-half"])
-    def test_error_of_either_half_is_every_images(self, toy, monkeypatch, bad):
-        arts = toy["arts"]
-        body, _ = nc.split_at_tap(arts.classifier)
-        monkeypatch.setattr(nc, "worker_count", lambda: 2)
-        started = self.started_threads(monkeypatch)
-        images = arts.test_data.images[self.ODD].copy()
-        images[bad, 0, 0] = np.nan  # the feature pass of the target raises
-        got = pl._per_image(len(images), lambda: pl.invert_image(
-            arts.generator, body, images, FAST, [1, 2, 3, 4, 5]
-        ))
-        assert len(got) == len(images)
-        assert isinstance(got[0], nc.NumericsError)
-        assert all(res is got[0] for res in got)
-        assert len(started) == 1 and not started[0].is_alive()
-
     @pytest.mark.parametrize("n_seeds", [3, 5])
-    def test_one_seed_per_image(self, toy, monkeypatch, n_seeds):
+    def test_one_seed_per_image(self, toy, n_seeds):
         # 3 seeds for 4 images used to invert 3 of them, and 5 raised an
-        # IndexError from the worker thread
+        # IndexError
         arts = toy["arts"]
         body, _ = nc.split_at_tap(arts.classifier)
-        monkeypatch.setattr(nc, "worker_count", lambda: 2)
         with pytest.raises(pl.PipelineError, match=f"4 images and {n_seeds} seeds"):
             pl.invert_image(arts.generator, body, arts.test_data.images[:4], FAST,
                             range(n_seeds))
-
-    def test_no_thread_outlives_the_inversion(self, toy, monkeypatch):
-        arts = toy["arts"]
-        body, _ = nc.split_at_tap(arts.classifier)
-        monkeypatch.setattr(nc, "worker_count", lambda: 2)
-        started = self.started_threads(monkeypatch)
-        before = set(threading.enumerate())
-        res = pl.invert_image(arts.generator, body, arts.test_data.images[[0, 1]], FAST, [3, 4])
-        assert all(isinstance(r, pl.InversionResult) for r in res)
-        assert len(started) == 1 and not started[0].is_alive()
-        assert set(threading.enumerate()) == before
 
 
 class TestStoredInversion:
